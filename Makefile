@@ -20,9 +20,12 @@ fmt:
 # transports, the durable checkpoint store, the netsim fabric, the
 # parallel search algorithms, the delta evaluators they drive, the
 # telemetry registry and tracer, and the framework's crash-recovery
-# drills.
+# drills. The crossed-dial duel then runs 200 times: it lost or refused
+# a frame in ~7 % of runs before retirement became a half-close, and a
+# single pass would let that back in unnoticed.
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/...
+	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/
 
 race: test-race
 
@@ -64,7 +67,10 @@ bench-traffic:
 # metrics-drill: the real three-process TCP deployment with the
 # observability endpoint on — generate an architecture, run the deployer
 # with -metrics-addr and -trace-out plus two agents, scrape /metrics,
-# and assert the master committed at least one redeployment wave.
+# and assert the master committed at least one redeployment wave. The
+# deployer exits after its one cycle, so -interval is the window the
+# scrape has to land in: 3s leaves room for a cold first curl on a
+# fresh CI runner (1s was missed once in 60 local runs).
 METRICS_ADDR ?= 127.0.0.1:9790
 metrics-drill:
 	@set -e; \
@@ -74,7 +80,7 @@ metrics-drill:
 	$$dir/desi generate -hosts 3 -comps 8 -seed 5 -o $$dir/arch.xml >/dev/null; \
 	$$dir/deployer -arch $$dir/arch.xml -host host00 -listen 127.0.0.1:7701 \
 	  -metrics-addr $(METRICS_ADDR) -trace-out $$dir/trace.jsonl \
-	  -cycles 1 -interval 1s >$$dir/deployer.log 2>&1 & dep=$$!; \
+	  -cycles 1 -interval 3s >$$dir/deployer.log 2>&1 & dep=$$!; \
 	sleep 1; \
 	$$dir/agent -host host01 -master-host host00 -master 127.0.0.1:7701 >$$dir/a1.log 2>&1 & a1=$$!; \
 	$$dir/agent -host host02 -master-host host00 -master 127.0.0.1:7701 >$$dir/a2.log 2>&1 & a2=$$!; \

@@ -61,7 +61,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 500*time.Millisecond, "how long an open circuit rejects sends before half-opening for a probe")
 	fs.IntVar(&c.BreakerProbes, "breaker-probes", 1, "concurrent half-open probes allowed per peer")
 	fs.BoolVar(&c.Shed, "shed", false, "enable class-prioritized admission on the receive path: bounded per-class queues dispatched liveness > control > app, shedding the arriving class when its queue is full")
-	fs.IntVar(&c.ShedCapacity, "shed-capacity", 256, "admission queue capacity per class")
+	fs.IntVar(&c.ShedCapacity, "shed-capacity", prism.DefaultQueueCap, "admission queue capacity per class (queues grow on demand up to it)")
 	return c
 }
 

@@ -97,7 +97,7 @@ func TestSharedFlagParity(t *testing.T) {
 				want.BreakerProbes = 1
 			}
 			if want.ShedCapacity == 0 {
-				want.ShedCapacity = 256
+				want.ShedCapacity = prism.DefaultQueueCap
 			}
 			// Both binaries register the shared set the same way; parsing
 			// the same argv must produce the same Common in each.

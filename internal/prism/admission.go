@@ -74,16 +74,22 @@ func ClassifyFrame(e Event) ShedClass {
 // AdmissionConfig tunes the receive-path admission controller.
 type AdmissionConfig struct {
 	Enabled bool
-	// QueueCap bounds each class queue (default 256 frames).
+	// QueueCap bounds each class queue (default DefaultQueueCap frames).
+	// Queues grow on demand, so a large bound costs nothing while idle.
 	QueueCap int
 	// Manual disables the built-in dispatch pump; the owner drains
 	// explicitly via Drain (deterministic tests).
 	Manual bool
 }
 
+// DefaultQueueCap is the per-class admission bound when none is given:
+// deep enough that coalesced TCP bursts at 100 k events/s are admitted
+// whole (256 collapsed into retransmission storms at 50 k).
+const DefaultQueueCap = 4096
+
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.QueueCap <= 0 {
-		c.QueueCap = 256
+		c.QueueCap = DefaultQueueCap
 	}
 	return c
 }
@@ -95,7 +101,7 @@ type AdmissionController struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queues [numShedClasses][]Event
+	queues [numShedClasses]ring[Event] // grown on demand, bounded by QueueCap
 	closed bool
 	done   chan struct{}
 
@@ -132,13 +138,14 @@ func (a *AdmissionController) Enqueue(e Event) {
 		a.mu.Unlock()
 		return
 	}
-	if len(a.queues[c]) >= a.cfg.QueueCap {
+	q := &a.queues[c]
+	if q.n >= a.cfg.QueueCap {
 		a.shed[c].Inc()
 		a.mu.Unlock()
 		return
 	}
-	a.queues[c] = append(a.queues[c], e)
-	a.depth[c].Set(float64(len(a.queues[c])))
+	q.push(e, a.cfg.QueueCap)
+	a.depth[c].Set(float64(q.n))
 	a.mu.Unlock()
 	a.cond.Signal()
 }
@@ -146,11 +153,9 @@ func (a *AdmissionController) Enqueue(e Event) {
 // popLocked removes the highest-priority queued frame. Callers hold a.mu.
 func (a *AdmissionController) popLocked() (Event, bool) {
 	for c := ShedClass(0); c < numShedClasses; c++ {
-		if q := a.queues[c]; len(q) > 0 {
-			e := q[0]
-			copy(q, q[1:])
-			a.queues[c] = q[:len(q)-1]
-			a.depth[c].Set(float64(len(q) - 1))
+		if q := &a.queues[c]; q.n > 0 {
+			e := q.pop()
+			a.depth[c].Set(float64(q.n))
 			return e, true
 		}
 	}
@@ -199,7 +204,7 @@ func (a *AdmissionController) Drain(n int) int {
 func (a *AdmissionController) Depth(c ShedClass) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.queues[c])
+	return a.queues[c].n
 }
 
 // Close stops the pump and discards queued frames.

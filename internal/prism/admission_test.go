@@ -1,6 +1,7 @@
 package prism
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -139,4 +140,121 @@ func TestAdmissionPumpDispatches(t *testing.T) {
 	// Close is idempotent and enqueue-after-close is a silent no-op.
 	a.Close()
 	a.Enqueue(Event{Name: "app.data"})
+}
+
+// TestAdmissionRingMatchesReference drives the ring queues and a plain
+// slice-per-class reference with the same random enqueues, single pops
+// and bounded drains, through many wrap-arounds and every grow step, and
+// demands identical dispatch order, shed counts and depths.
+func TestAdmissionRingMatchesReference(t *testing.T) {
+	const queueCap = 100 // not a power of two: the last grow step clamps
+	frames := [numShedClasses]string{EvHeartbeat, EvReconfig, "app.data"}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := obs.NewRegistry()
+		var got []uint64
+		a := newAdmissionController(AdmissionConfig{Enabled: true, QueueCap: queueCap, Manual: true},
+			func(e Event) { got = append(got, e.Seq) })
+		a.instrument(reg, "h1")
+
+		var ref [numShedClasses][]uint64
+		var refShed [numShedClasses]float64
+		var want []uint64
+		refPop := func(n int) {
+			for ; n != 0; n-- {
+				c := ShedClass(0)
+				for c < numShedClasses && len(ref[c]) == 0 {
+					c++
+				}
+				if c == numShedClasses {
+					return
+				}
+				want = append(want, ref[c][0])
+				ref[c] = ref[c][1:]
+			}
+		}
+		var id uint64
+		for step := 0; step < 20000; step++ {
+			// Phases alternate between filling past the cap and draining
+			// dry, so the rings grow to the clamp, shed, empty and wrap.
+			filling := (step/700)%2 == 0
+			switch op := rng.Intn(10); {
+			case op < 4 || (filling && op < 9):
+				id++
+				c := ShedClass(rng.Intn(int(numShedClasses)))
+				kind := KindControl
+				if c == ClassApp {
+					kind = KindApplication
+				}
+				a.Enqueue(Event{Name: frames[c], Kind: kind, Seq: id})
+				if len(ref[c]) >= queueCap {
+					refShed[c]++
+				} else {
+					ref[c] = append(ref[c], id)
+				}
+			case op < 9:
+				n := 1 + rng.Intn(6)
+				a.Drain(n)
+				refPop(n)
+			case filling:
+				a.Drain(1) // a trickle, so even the first-served class backs up
+				refPop(1)
+			default:
+				a.Drain(-1)
+				refPop(-1)
+			}
+			for c := ShedClass(0); c < numShedClasses; c++ {
+				if d := a.Depth(c); d != len(ref[c]) {
+					t.Fatalf("seed %d step %d: depth[%v] = %d, reference %d", seed, step, c, d, len(ref[c]))
+				}
+			}
+		}
+		a.Drain(-1)
+		refPop(-1)
+		a.Close()
+
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: dispatched %d frames, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d was frame %d, reference %d", seed, i, got[i], want[i])
+			}
+		}
+		snap := reg.Snapshot()
+		for c := ShedClass(0); c < numShedClasses; c++ {
+			v, _ := snap.Value(obs.Name("prism_shed_total", "class", c.String(), "host", "h1"))
+			if v != refShed[c] {
+				t.Fatalf("seed %d: shed[%v] = %v, reference %v", seed, c, v, refShed[c])
+			}
+			if refShed[c] == 0 {
+				t.Fatalf("seed %d: class %v never hit its cap; the test lost its coverage", seed, c)
+			}
+		}
+	}
+}
+
+// TestAdmissionQueueGrowsOnDemand pins the memory contract behind the
+// large default bound: an idle controller holds no queue memory, and a
+// queue never allocates past its cap.
+func TestAdmissionQueueGrowsOnDemand(t *testing.T) {
+	a := newAdmissionController(AdmissionConfig{Enabled: true, Manual: true}, func(Event) {})
+	defer a.Close()
+	if a.cfg.QueueCap != DefaultQueueCap {
+		t.Fatalf("default QueueCap = %d, want %d", a.cfg.QueueCap, DefaultQueueCap)
+	}
+	for c := range a.queues {
+		if a.queues[c].buf != nil {
+			t.Fatalf("idle controller pre-allocated %d slots for class %d", len(a.queues[c].buf), c)
+		}
+	}
+	for i := 0; i < DefaultQueueCap+50; i++ {
+		a.Enqueue(Event{Name: "app.data"})
+	}
+	if n := len(a.queues[ClassApp].buf); n != DefaultQueueCap {
+		t.Fatalf("full queue holds %d slots, want exactly the cap %d", n, DefaultQueueCap)
+	}
+	if a.queues[ClassLiveness].buf != nil {
+		t.Fatal("app pressure allocated liveness queue memory")
+	}
 }

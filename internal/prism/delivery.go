@@ -172,7 +172,15 @@ type dedupWindow struct {
 
 // observe records seq and reports whether it is new.
 func (w *dedupWindow) observe(seq uint64) bool {
-	if seq <= w.floor || w.seen[seq] {
+	if seq <= w.floor {
+		return false
+	}
+	if seq == w.floor+1 && len(w.seen) == 0 {
+		// In-order arrival, the steady state: no residue to touch.
+		w.floor = seq
+		return true
+	}
+	if w.seen[seq] {
 		return false
 	}
 	w.seen[seq] = true
@@ -188,9 +196,52 @@ type pendingKey struct {
 	seq    uint64
 }
 
+// pendingSend is one slot of a sendWindow. A settled or abandoned slot
+// stays in place (live false) until the window's head passes it.
 type pendingSend struct {
 	e        Event
 	attempts int
+	live     bool
+}
+
+// sendWindow is one target's outbound stream: the last sequence issued
+// and the unacked sends. stamp issues sequences contiguously, so the
+// sends sit in a ring indexed by sequence — element i holds base+i —
+// which makes lookup by sequence O(1) and lets a cumulative ack settle
+// by walking forward from the head, touching only what it settles. The
+// ring spans oldest-unsettled..newest, so it is as deep as the stream's
+// unacked backlog.
+type sendWindow struct {
+	nextSeq uint64
+	base    uint64 // sequence of the head element; meaningful while n > 0
+	ring[pendingSend]
+}
+
+// push appends the send carrying the next contiguous sequence.
+func (w *sendWindow) push(e Event) {
+	if w.n == 0 {
+		w.base = e.Seq
+	}
+	w.ring.push(pendingSend{e: e, live: true}, 0)
+}
+
+// lookup returns the live pending send with sequence seq, or nil.
+func (w *sendWindow) lookup(seq uint64) *pendingSend {
+	if w == nil || seq < w.base || seq-w.base >= uint64(w.n) {
+		return nil
+	}
+	if p := w.at(int(seq - w.base)); p.live {
+		return p
+	}
+	return nil
+}
+
+// trim advances the head past sends that are no longer live.
+func (w *sendWindow) trim() {
+	for w.n > 0 && !w.at(0).live {
+		w.pop()
+		w.base++
+	}
 }
 
 type relocEntry struct {
@@ -199,8 +250,8 @@ type relocEntry struct {
 }
 
 // appDelivery is the sender- and receiver-side state of the
-// delivery-guarantee layer: per-target outbound sequence counters, the
-// unacked-send table with its retransmit wheel, per-stream dedup
+// delivery-guarantee layer: per-target send windows (sequence counter
+// plus unacked sends) with their retransmit wheel, per-stream dedup
 // windows with their dirty-ack accumulator, learned location hints, and
 // the TTL'd relocation table.
 type appDelivery struct {
@@ -215,11 +266,10 @@ type appDelivery struct {
 	tick  int64
 	wheel map[int64][]pendingKey
 
-	nextSeq map[string]uint64
-	// pending is the unacked-send table, target-major so one ack range
-	// settles a stream without scanning unrelated targets. pendingN
-	// mirrors the total entry count.
-	pending  map[string]map[uint64]*pendingSend
+	// sends holds one window per target ever stamped: its sequence
+	// counter and its unacked sends. pendingN counts the live sends
+	// across all windows.
+	sends    map[string]*sendWindow
 	pendingN int
 
 	streams map[streamKey]*dedupWindow
@@ -247,8 +297,7 @@ func newAppDelivery(host model.HostID) *appDelivery {
 		cfg:      DeliveryConfig{}.withDefaults(),
 		host:     host,
 		wheel:    make(map[int64][]pendingKey),
-		nextSeq:  make(map[string]uint64),
-		pending:  make(map[string]map[uint64]*pendingSend),
+		sends:    make(map[string]*sendWindow),
 		streams:  make(map[streamKey]*dedupWindow),
 		ackDirty: make(map[streamKey]struct{}),
 		hints:    make(map[string]model.HostID),
@@ -256,27 +305,26 @@ func newAppDelivery(host model.HostID) *appDelivery {
 	}
 }
 
-// removeLocked removes one pending entry without attributing a cause.
-// Caller holds d.mu; the pending gauge is deliberately not updated
-// here — batch handlers and the tick set it once per batch.
-func (d *appDelivery) removeLocked(target string, seq uint64) bool {
-	m := d.pending[target]
-	if _, ok := m[seq]; !ok {
-		return false
-	}
-	delete(m, seq)
-	if len(m) == 0 {
-		delete(d.pending, target)
-	}
+// removeLocked retires one live pending send without attributing a
+// cause, dropping its event so the payload is not retained. The caller
+// holds d.mu and trims the window once it is done retiring; the pending
+// gauge is deliberately not updated here — batch handlers and the tick
+// set it once per batch.
+func (d *appDelivery) removeLocked(p *pendingSend) {
+	*p = pendingSend{}
 	d.pendingN--
-	return true
 }
 
-// settleLocked removes one acknowledged pending entry. Caller holds d.mu.
+// settleLocked retires the pending send (target, seq) as acknowledged,
+// if it is still live. Caller holds d.mu.
 func (d *appDelivery) settleLocked(target string, seq uint64) bool {
-	if !d.removeLocked(target, seq) {
+	w := d.sends[target]
+	p := w.lookup(seq)
+	if p == nil {
 		return false
 	}
+	d.removeLocked(p)
+	w.trim()
 	d.acked.Inc()
 	return true
 }
@@ -289,7 +337,11 @@ func (dc *DistributionConnector) SetDeliveryConfig(cfg DeliveryConfig) {
 	defer d.mu.Unlock()
 	d.cfg = cfg.withDefaults()
 	if d.cfg.Disabled {
-		d.pending = make(map[string]map[uint64]*pendingSend)
+		for _, w := range d.sends {
+			// Sequence counters outlive the reset: a re-enabled layer
+			// must not reissue sequences receivers already deduplicated.
+			*w = sendWindow{nextSeq: w.nextSeq}
+		}
 		d.pendingN = 0
 		d.wheel = make(map[int64][]pendingKey)
 		d.ackDirty = make(map[streamKey]struct{})
@@ -341,7 +393,8 @@ func (dc *DistributionConnector) PendingAppEvents() int {
 // stamp assigns a sequence identity to a locally originated targeted
 // application event and registers it on the retransmit wheel until
 // acked. Installed as the connector's stamp hook; runs on the routing
-// path, so it takes one lock, touches two maps, and sets no gauges.
+// path, so it takes one lock, allocates nothing per event (the window
+// and wheel bucket grow by doubling), and sets no gauges.
 func (dc *DistributionConnector) stamp(e *Event) {
 	if e.kind() != KindApplication || e.Target == "" || e.Seq != 0 || e.SrcHost != "" {
 		return
@@ -352,16 +405,16 @@ func (dc *DistributionConnector) stamp(e *Event) {
 	if d.cfg.Disabled {
 		return
 	}
-	d.nextSeq[e.Target]++
-	e.Seq = d.nextSeq[e.Target]
+	w := d.sends[e.Target]
+	if w == nil {
+		w = &sendWindow{}
+		d.sends[e.Target] = w
+	}
+	w.nextSeq++
+	e.Seq = w.nextSeq
 	e.SeqOrigin = d.host
 	e.SeqInc = d.inc
-	m := d.pending[e.Target]
-	if m == nil {
-		m = make(map[uint64]*pendingSend)
-		d.pending[e.Target] = m
-	}
-	m[e.Seq] = &pendingSend{e: *e}
+	w.push(*e)
 	d.pendingN++
 	due := d.tick + retransmitGraceTicks
 	d.wheel[due] = append(d.wheel[due], pendingKey{e.Target, e.Seq})
@@ -517,30 +570,36 @@ func (dc *DistributionConnector) handleAppAck(a AppAck) {
 
 // handleAppAckBatch settles every pending entry covered by the batch's
 // cumulative ranges: for each range, entries of the same incarnation at
-// or below the floor, plus the explicit residues. The pending gauge
-// updates once per batch, not once per settled event.
+// or below the floor, plus the explicit residues. The floor settles by
+// walking the window forward from its head, so a frame costs what it
+// settles (a stale or duplicate frame finds the head already past its
+// floor and costs nothing); only sends of another incarnation parked at
+// the head are stepped over. The pending gauge updates once per batch,
+// not once per settled event.
 func (dc *DistributionConnector) handleAppAckBatch(b AppAckBatch) {
 	d := dc.delivery
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	before := d.pendingN
 	for _, r := range b.Ranges {
-		m := d.pending[r.Target]
-		if len(m) > 0 {
-			for seq, p := range m {
-				if p.e.SeqInc == r.Inc && seq <= r.Floor {
-					d.settleLocked(r.Target, seq)
+		if w := d.sends[r.Target]; w != nil && w.n > 0 {
+			for i := 0; i < w.n && w.base+uint64(i) <= r.Floor; i++ {
+				if p := w.at(i); p.live && p.e.SeqInc == r.Inc {
+					d.removeLocked(p)
 				}
 			}
 			for _, seq := range r.Seen {
-				if p, ok := m[seq]; ok && p.e.SeqInc == r.Inc {
-					d.settleLocked(r.Target, seq)
+				if p := w.lookup(seq); p != nil && p.e.SeqInc == r.Inc {
+					d.removeLocked(p)
 				}
 			}
+			w.trim()
 		}
 		if b.Host != "" {
 			d.hints[r.Target] = b.Host
 		}
 	}
+	d.acked.Add(float64(before - d.pendingN))
 	d.pendingG.Set(float64(d.pendingN))
 }
 
@@ -560,13 +619,13 @@ func (dc *DistributionConnector) handleAppBounce(b AppBounce) {
 		return
 	}
 	d.hints[b.Target] = b.Location
-	p, ok := d.pending[b.Target][b.Seq]
+	p := d.sends[b.Target].lookup(b.Seq)
 	var e Event
-	if ok {
+	if p != nil {
 		e = p.e
 	}
 	d.mu.Unlock()
-	if !ok {
+	if p == nil {
 		return
 	}
 	e.SrcHost = dc.host
@@ -655,15 +714,19 @@ func (dc *DistributionConnector) DeliveryTick() int {
 		e  Event
 		to model.HostID // "" = broadcast
 	}
-	items := make([]sendItem, 0, len(due))
+	// Sized by what is actually retransmitted: on a healthy link nearly
+	// every due key was acked long ago.
+	var items []sendItem
 	for _, k := range due {
-		p := d.pending[k.target][k.seq]
+		w := d.sends[k.target]
+		p := w.lookup(k.seq)
 		if p == nil {
 			continue // acked since it was scheduled
 		}
 		p.attempts++
 		if p.attempts > d.cfg.MaxAttempts {
-			d.removeLocked(k.target, k.seq)
+			d.removeLocked(p)
+			w.trim()
 			d.abandoned.Inc()
 			continue
 		}

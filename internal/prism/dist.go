@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dif/internal/model"
 	"dif/internal/netsim"
@@ -138,8 +139,9 @@ type DistributionConnector struct {
 	poolSafe bool
 
 	// admission, when enabled, interposes the bounded class-prioritized
-	// receive queue between frame decode and dispatch.
-	admission *AdmissionController
+	// receive queue between frame decode and dispatch. Atomic so the
+	// per-frame receive path reads it without taking mu.
+	admission atomic.Pointer[AdmissionController]
 
 	// obsReg remembers the registry from the last instrument call so a
 	// later-enabled admission controller can attach its metrics.
@@ -191,7 +193,7 @@ func (dc *DistributionConnector) instrument(reg *obs.Registry, host model.HostID
 	h := string(host)
 	dc.mu.Lock()
 	dc.obsReg = reg
-	adm := dc.admission
+	adm := dc.admission.Load()
 	dc.instr.framesSent = reg.Counter(obs.Name("prism_transport_frames_sent_total", "host", h))
 	dc.instr.bytesSent = reg.Counter(obs.Name("prism_transport_bytes_sent_total", "host", h))
 	dc.instr.framesRecv = reg.Counter(obs.Name("prism_transport_frames_recv_total", "host", h))
@@ -298,11 +300,8 @@ func (dc *DistributionConnector) sendTracked(to model.HostID, data []byte, sizeK
 // directly, or through the admission controller when overload
 // protection is enabled.
 func (dc *DistributionConnector) onFrame(from model.HostID, data []byte) {
-	dc.mu.Lock()
 	dc.instr.framesRecv.Inc()
 	dc.instr.bytesRecv.Add(float64(len(data)))
-	adm := dc.admission
-	dc.mu.Unlock()
 	e, err := DecodeEvent(data)
 	if err != nil {
 		return
@@ -313,7 +312,7 @@ func (dc *DistributionConnector) onFrame(from model.HostID, data []byte) {
 		dc.instr.decGob.Inc()
 	}
 	e.SrcHost = from
-	if adm != nil {
+	if adm := dc.admission.Load(); adm != nil {
 		adm.Enqueue(e)
 		return
 	}
@@ -328,7 +327,7 @@ func (dc *DistributionConnector) onFrame(from model.HostID, data []byte) {
 func (dc *DistributionConnector) EnableAdmission(cfg AdmissionConfig) *AdmissionController {
 	adm := newAdmissionController(cfg, dc.dispatch)
 	dc.mu.Lock()
-	dc.admission = adm
+	dc.admission.Store(adm)
 	reg := dc.obsReg
 	dc.mu.Unlock()
 	if reg != nil {
@@ -339,9 +338,7 @@ func (dc *DistributionConnector) EnableAdmission(cfg AdmissionConfig) *Admission
 
 // Admission returns the active admission controller (nil when disabled).
 func (dc *DistributionConnector) Admission() *AdmissionController {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return dc.admission
+	return dc.admission.Load()
 }
 
 // dispatch consumes delivery-guarantee protocol frames and routes

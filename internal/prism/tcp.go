@@ -258,15 +258,51 @@ func (t *TCPTransport) SetReceiver(recv func(from model.HostID, data []byte)) {
 // Send implements Transport. sizeKB is ignored — real sockets charge
 // real bytes.
 func (t *TCPTransport) Send(to model.HostID, data []byte, _ float64) error {
-	conn, err := t.connTo(to)
-	if err != nil {
-		return err
-	}
-	if err := t.sendFrame(conn, tcpFrame{From: t.host, Data: data}); err != nil {
+	frame := tcpFrame{From: t.host, Data: data}
+	for retried := false; ; retried = true {
+		conn, err := t.connTo(to)
+		if err != nil {
+			return err
+		}
+		if err = t.sendFrame(conn, frame); err == nil {
+			return nil
+		}
+		if !retried && !t.registered(to, conn) {
+			// conn was retired between connTo and the write — it lost a
+			// dial duel, or its readLoop saw the peer retire it. That is
+			// not a link failure: the frame belongs on the surviving
+			// connection (or a fresh dial).
+			continue
+		}
 		t.dropConn(to, conn)
 		return fmt.Errorf("tcp send to %s: %w", to, err)
 	}
-	return nil
+}
+
+// registered reports whether c is still the connection Send uses for to.
+func (t *TCPTransport) registered(to model.HostID, c *tcpConn) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.conns[to] == c
+}
+
+// retire takes a connection that lost a dial duel out of service without
+// cutting off what the peer may still be writing to it: buffered frames
+// flush, the write side shuts, and the socket's readLoop keeps
+// delivering until the peer — which retires the same socket once it
+// learns of the duel — shuts its side too. Closing outright would
+// silently drop (or, with unread data, reset away) frames either side
+// sent before both had switched to the surviving connection.
+func retire(c *tcpConn) {
+	c.mu.Lock()
+	_ = c.flushLocked() // a failed flush closes the socket: retired either way
+	c.closed = true
+	c.mu.Unlock()
+	if hc, ok := c.conn.(interface{ CloseWrite() error }); ok {
+		_ = hc.CloseWrite() // an already-dead socket needs no shutdown
+	} else {
+		c.conn.Close()
+	}
 }
 
 func (t *TCPTransport) connTo(to model.HostID) (*tcpConn, error) {
@@ -310,7 +346,7 @@ func (t *TCPTransport) connTo(to model.HostID) (*tcpConn, error) {
 		raw.Close()
 		return nil, errors.New("tcp transport closed")
 	}
-	var loser net.Conn
+	var loser *tcpConn
 	if existing, ok := t.conns[to]; ok {
 		if existing.dialed || t.host > to {
 			// Another local dial already won, or the duel rule says the
@@ -321,16 +357,15 @@ func (t *TCPTransport) connTo(to model.HostID) (*tcpConn, error) {
 			return existing, nil
 		}
 		// Crossed simultaneous dials and we are the lower host: our dial
-		// is canonical on both sides. Retire the inbound connection — its
-		// readLoop exits on the closed socket and unregisters it.
-		loser = existing.conn
+		// is canonical on both sides. Retire the inbound connection.
+		loser = existing
 	}
 	t.conns[to] = c
 	t.socks[raw] = struct{}{}
 	t.wg.Add(1) // under mu so Close's Wait cannot start mid-Add
 	t.mu.Unlock()
 	if loser != nil {
-		loser.Close()
+		retire(loser)
 	}
 	go t.readLoop(raw)
 	return c, nil
@@ -412,13 +447,12 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			case existing.conn != conn && existing.dialed && frame.From < t.host:
 				// Crossed simultaneous dials: the lower host's dial is
 				// canonical, and this inbound connection is it. Retire our
-				// own dial; its readLoop unregisters it on the closed
-				// socket. (A peer replying on our own dialed socket lands
+				// own dial. (A peer replying on our own dialed socket lands
 				// here with existing.conn == conn — that is not a duel and
 				// the registration must stand.)
 				t.conns[frame.From] = newConn(conn, false, t.batchBytes, t.batchFlush)
 				t.mu.Unlock()
-				existing.conn.Close()
+				retire(existing)
 			default:
 				t.mu.Unlock()
 			}
