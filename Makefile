@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race test-race bench bench-traffic check metrics-drill soak fuzz
+.PHONY: build test vet fmt race test-race bench check metrics-drill soak fuzz
 
 build:
 	$(GO) build ./...
@@ -22,10 +22,14 @@ fmt:
 # telemetry registry and tracer, and the framework's crash-recovery
 # drills. The crossed-dial duel then runs 200 times: it lost or refused
 # a frame in ~7 % of runs before retirement became a half-close, and a
-# single pass would let that back in unnoticed.
+# single pass would let that back in unnoticed. The TCP writer tests
+# (flush without a timer, order under concurrent senders, release of
+# blocked senders, drain on retire, the yielded dial) and the admin's
+# Close-versus-reconfig race run 50 times for the same reason.
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/
+	$(GO) test -race -count=50 -run 'TestTCPWriter|TestAdminCloseRacesReconfig$$' ./internal/prism/
 
 race: test-race
 
@@ -41,9 +45,10 @@ SOAK_SEEDS ?= 10
 soak:
 	$(GO) test -race -count=1 -timeout 20m -run TestChaosSoak -v ./internal/chaos/ -args -chaos.seeds=$(SOAK_SEEDS)
 
-# fuzz: short live fuzzing of the frame decoding paths — gob and the
-# binary codec (the seed corpora already run as plain unit tests inside
-# `make test`).
+# fuzz: short live fuzzing of every decoder that reads socket bytes —
+# the event codecs (gob and binary) and the TCP stream framing (hello,
+# length prefix, maxFrameBytes). The seed corpora already run as plain
+# unit tests inside `make test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
@@ -53,16 +58,6 @@ fuzz:
 bench:
 	$(GO) test -run xxx -bench . ./internal/algo/
 	$(GO) test -run xxx -bench . ./internal/prism/
-
-# bench-traffic: the sustained TCP-loopback throughput benchmark plus
-# the gob-vs-binary codec micro-benchmarks, written machine-readable to
-# BENCH_traffic.json (events/sec, ns/op, allocs/op, p99). Set
-# BENCH_TRAFFIC_SMOKE=1 for a quick CI-sized run.
-BENCH_TRAFFIC_OUT ?= BENCH_traffic.json
-BENCH_TRAFFIC_SMOKE ?=
-bench-traffic:
-	BENCH_TRAFFIC_OUT=$(BENCH_TRAFFIC_OUT) BENCH_TRAFFIC_SMOKE=$(BENCH_TRAFFIC_SMOKE) \
-	  $(GO) test -run TestWriteTrafficBench -count=1 -v ./internal/prism/
 
 # metrics-drill: the real three-process TCP deployment with the
 # observability endpoint on — generate an architecture, run the deployer

@@ -117,9 +117,8 @@ func lifetime(cfg agentConfig, incarnation uint64, duration time.Duration) error
 	if err != nil {
 		return err
 	}
-	// Frame coalescing must be configured before any peer connects: each
-	// connection snapshots the batching knobs when it is created.
-	tr.SetBatching(cfg.common.BatchBytes, cfg.common.BatchFlush)
+	// Set before any peer connects: connections snapshot it at creation.
+	tr.SetBatching(cfg.common.BatchBytes, 0)
 	tr.Instrument(cfg.reg)
 	// The bus sees the (optionally fault-injected) transport; Hello and
 	// Addr still go through the concrete TCP handle.

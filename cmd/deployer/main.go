@@ -117,9 +117,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Frame coalescing must be configured before any peer connects: each
-	// connection snapshots the batching knobs when it is created.
-	tr.SetBatching(common.BatchBytes, common.BatchFlush)
+	// Set before any peer connects: connections snapshot it at creation.
+	tr.SetBatching(common.BatchBytes, 0)
 	tr.Instrument(reg)
 	// The bus sees the (optionally fault-injected) transport; Addr and
 	// Peers still go through the concrete TCP handle.

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"io"
 	"os"
 	"testing"
 	"time"
@@ -21,68 +22,65 @@ func TestSharedFlagParity(t *testing.T) {
 		{
 			name: "defaults",
 			args: nil,
-			want: Common{FaultSeed: 1, AppRetransmit: 250 * time.Millisecond,
-				BatchFlush: prism.DefaultBatchFlush},
+			want: Common{FaultSeed: 1, AppRetransmit: 250 * time.Millisecond},
 		},
 		{
 			name: "fault drill",
 			args: []string{"-fault-drop", "0.2", "-fault-dup", "0.05", "-fault-seed", "42"},
 			want: Common{FaultDrop: 0.2, FaultDup: 0.05, FaultSeed: 42,
-				AppRetransmit: 250 * time.Millisecond, BatchFlush: prism.DefaultBatchFlush},
+				AppRetransmit: 250 * time.Millisecond},
 		},
 		{
 			name: "liveness and no retry",
 			args: []string{"-heartbeat", "250ms", "-no-retry"},
 			want: Common{FaultSeed: 1, Heartbeat: 250 * time.Millisecond, NoRetry: true,
-				AppRetransmit: 250 * time.Millisecond, BatchFlush: prism.DefaultBatchFlush},
+				AppRetransmit: 250 * time.Millisecond},
 		},
 		{
 			name: "observability",
 			args: []string{"-metrics-addr", "127.0.0.1:9090", "-trace-out", "trace.jsonl"},
 			want: Common{FaultSeed: 1, MetricsAddr: "127.0.0.1:9090", TraceOut: "trace.jsonl",
-				AppRetransmit: 250 * time.Millisecond, BatchFlush: prism.DefaultBatchFlush},
+				AppRetransmit: 250 * time.Millisecond},
 		},
 		{
 			name: "delivery layer retuned",
 			args: []string{"-app-retransmit", "50ms"},
-			want: Common{FaultSeed: 1, AppRetransmit: 50 * time.Millisecond,
-				BatchFlush: prism.DefaultBatchFlush},
+			want: Common{FaultSeed: 1, AppRetransmit: 50 * time.Millisecond},
 		},
 		{
 			name: "delivery layer off",
 			args: []string{"-app-retransmit", "0s"},
-			want: Common{FaultSeed: 1, BatchFlush: prism.DefaultBatchFlush},
+			want: Common{FaultSeed: 1},
 		},
 		{
-			name: "frame coalescing on",
-			args: []string{"-batch-bytes", "65536", "-batch-flush", "5ms"},
+			name: "send-buffer high-water mark",
+			args: []string{"-batch-bytes", "65536"},
 			want: Common{FaultSeed: 1, AppRetransmit: 250 * time.Millisecond,
-				BatchBytes: 65536, BatchFlush: 5 * time.Millisecond},
+				BatchBytes: 65536},
 		},
 		{
 			name: "legacy control plane pinned",
 			args: []string{"-legacy-control"},
 			want: Common{FaultSeed: 1, AppRetransmit: 250 * time.Millisecond,
-				BatchFlush: prism.DefaultBatchFlush, LegacyControl: true},
+				LegacyControl: true},
 		},
 		{
 			name: "asymmetric gray fault",
 			args: []string{"-fault-asym", "0.6", "-fault-seed", "9"},
 			want: Common{FaultAsym: 0.6, FaultSeed: 9,
-				AppRetransmit: 250 * time.Millisecond, BatchFlush: prism.DefaultBatchFlush},
+				AppRetransmit: 250 * time.Millisecond},
 		},
 		{
 			name: "breaker on with tuning",
 			args: []string{"-breaker", "-breaker-cooldown", "200ms", "-breaker-probes", "2"},
 			want: Common{FaultSeed: 1, AppRetransmit: 250 * time.Millisecond,
-				BatchFlush: prism.DefaultBatchFlush,
-				Breaker:    true, BreakerCooldown: 200 * time.Millisecond, BreakerProbes: 2},
+				Breaker: true, BreakerCooldown: 200 * time.Millisecond, BreakerProbes: 2},
 		},
 		{
 			name: "shedding on with capacity",
 			args: []string{"-shed", "-shed-capacity", "64"},
 			want: Common{FaultSeed: 1, AppRetransmit: 250 * time.Millisecond,
-				BatchFlush: prism.DefaultBatchFlush, Shed: true, ShedCapacity: 64},
+				Shed: true, ShedCapacity: 64},
 		},
 	}
 	for _, tc := range cases {
@@ -112,6 +110,18 @@ func TestSharedFlagParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBatchFlushFlagRemoved pins that the idle-flush knob is gone from
+// both binaries: TCP coalescing is clocked by the socket, so a drill
+// script that still passes -batch-flush must fail loudly, not be ignored.
+func TestBatchFlushFlagRemoved(t *testing.T) {
+	fs := flag.NewFlagSet("agent", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Register(fs)
+	if err := fs.Parse([]string{"-batch-flush", "2ms"}); err == nil {
+		t.Fatal("-batch-flush still parses")
 	}
 }
 

@@ -313,9 +313,11 @@ type AdminComponent struct {
 	sender  *controlSender
 
 	// stop terminates outstanding retry goroutines; wg waits for them.
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// closed (under mu) is set before the Wait and checked before every
+	// Add, so the two cannot race.
+	stop   chan struct{}
+	closed bool
+	wg     sync.WaitGroup
 
 	// relayed counts events that were held during a migration and
 	// re-routed to the component's new host.
@@ -443,20 +445,7 @@ func (a *AdminComponent) StartDeliveryTicks(interval time.Duration) {
 	if dc == nil {
 		return
 	}
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				dc.DeliveryTick()
-			case <-a.stop:
-				return
-			}
-		}
-	}()
+	a.every(interval, func() { dc.DeliveryTick() })
 }
 
 // Architecture returns the admin's local architecture (the
@@ -522,20 +511,7 @@ func (a *AdminComponent) StartHeartbeats(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				_ = a.SendHeartbeat()
-			case <-a.stop:
-				return
-			}
-		}
-	}()
+	a.every(interval, func() { _ = a.SendHeartbeat() })
 }
 
 // AttachMonitors installs the event-frequency monitor on the bus and the
@@ -845,17 +821,48 @@ func (a *AdminComponent) handleReconfig(cmd ReconfigCommand) {
 	// message even after per-hop retries, so the requester re-fetches
 	// whatever has not arrived until the epoch completes or the budget
 	// runs out.
+	a.spawn(func() { a.retryFetches(cmd) })
+}
+
+// spawn runs f on a goroutine Close waits for; after Close it does nothing.
+func (a *AdminComponent) spawn(f func()) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return
+	}
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
-		a.retryFetches(cmd)
+		f()
 	}()
+}
+
+// every runs f at the given interval until the admin is closed.
+func (a *AdminComponent) every(interval time.Duration, f func()) {
+	a.spawn(func() {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				f()
+			case <-a.stop:
+				return
+			}
+		}
+	})
 }
 
 // Close stops the admin's background retry goroutines and waits for
 // them to exit. The admin stops participating in redeployment afterwards.
 func (a *AdminComponent) Close() {
-	a.stopOnce.Do(func() { close(a.stop) })
+	a.mu.Lock()
+	if !a.closed {
+		a.closed = true
+		close(a.stop)
+	}
+	a.mu.Unlock()
 	a.wg.Wait()
 }
 

@@ -364,3 +364,23 @@ func TestUnmigratableComponentStaysPut(t *testing.T) {
 		t.Fatal("unmigratable component appeared at destination")
 	}
 }
+
+// TestAdminCloseRacesReconfig closes an admin while a reconfig command
+// arrives. The command's fetch-retry goroutine joins the WaitGroup Close
+// waits on; joining after the Wait began is WaitGroup misuse the race
+// detector reports. Run with -race -count=50 (make test-race does).
+func TestAdminCloseRacesReconfig(t *testing.T) {
+	dw := newDeployWorld(t, 1.0, "m", "s1")
+	for i := 0; i < 20; i++ {
+		admin := NewAdminComponent(dw.archs["s1"], AdminConfig{Deployer: "m", Bus: "bus", Registry: dw.registry})
+		cmd := ReconfigCommand{Epoch: i + 1, Arrivals: map[string]model.HostID{"c": "m"}}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			admin.Handle(Event{Name: EvReconfig, Kind: KindControl, Payload: cmd})
+		}()
+		admin.Close()
+		<-done
+		admin.Close() // reaps a retry goroutine that won the race
+	}
+}

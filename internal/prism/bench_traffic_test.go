@@ -1,9 +1,7 @@
 package prism
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -76,17 +74,13 @@ func BenchmarkDecodeEventGob(b *testing.B) {
 
 // trafficResult is one sustained loopback run's outcome.
 type trafficResult struct {
-	Events       int           `json:"events"`
-	Elapsed      time.Duration `json:"-"`
-	EventsPerSec float64       `json:"events_per_sec"`
-	NsPerOp      float64       `json:"ns_per_op"`
-	P99          time.Duration `json:"-"`
-	P99Ns        int64         `json:"p99_ns"`
+	EventsPerSec float64
+	P99          time.Duration
 }
 
 // runTraffic pushes n stamped payload-free events through a real TCP
-// loopback pair with frame coalescing on, decoding every frame on the
-// receiver, and reports sustained throughput plus sampled p99 latency.
+// loopback pair, decoding every frame on the receiver, and reports
+// sustained throughput plus sampled p99 latency.
 func runTraffic(n int) (trafficResult, error) {
 	src, err := NewTCPTransport("src", "127.0.0.1:0")
 	if err != nil {
@@ -98,8 +92,6 @@ func runTraffic(n int) (trafficResult, error) {
 		return trafficResult{}, err
 	}
 	defer dst.Close()
-	src.SetBatching(64<<10, time.Millisecond)
-	dst.SetBatching(64<<10, time.Millisecond)
 	src.AddPeer("dst", dst.Addr())
 
 	const sampleEvery = 64
@@ -152,114 +144,16 @@ func runTraffic(n int) (trafficResult, error) {
 	sorted := append([]time.Duration(nil), sampled...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	p99 := sorted[len(sorted)*99/100]
-	return trafficResult{
-		Events:       n,
-		Elapsed:      elapsed,
-		EventsPerSec: float64(n) / elapsed.Seconds(),
-		NsPerOp:      float64(elapsed.Nanoseconds()) / float64(n),
-		P99:          p99,
-		P99Ns:        p99.Nanoseconds(),
-	}, nil
+	return trafficResult{EventsPerSec: float64(n) / elapsed.Seconds(), P99: p99}, nil
 }
 
 // BenchmarkTrafficTCP is the sustained loopback throughput benchmark:
-// encode → coalesced TCP → decode, b.N events end to end.
+// encode → TCP → decode, b.N events end to end.
 func BenchmarkTrafficTCP(b *testing.B) {
 	res, err := runTraffic(b.N)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(res.EventsPerSec, "events/s")
-	b.ReportMetric(float64(res.P99Ns), "p99-ns")
-}
-
-// benchJSON is the machine-readable BENCH_traffic.json schema.
-type benchJSON struct {
-	Traffic trafficResult `json:"traffic_tcp"`
-	Codec   struct {
-		BinaryEncodeNsOp     float64 `json:"binary_encode_ns_op"`
-		BinaryEncodeAllocsOp int64   `json:"binary_encode_allocs_op"`
-		GobEncodeNsOp        float64 `json:"gob_encode_ns_op"`
-		GobEncodeAllocsOp    int64   `json:"gob_encode_allocs_op"`
-		EncodeSpeedup        float64 `json:"encode_speedup"`
-		BinaryDecodeNsOp     float64 `json:"binary_decode_ns_op"`
-		BinaryDecodeAllocsOp int64   `json:"binary_decode_allocs_op"`
-		GobDecodeNsOp        float64 `json:"gob_decode_ns_op"`
-		GobDecodeAllocsOp    int64   `json:"gob_decode_allocs_op"`
-		DecodeSpeedup        float64 `json:"decode_speedup"`
-	} `json:"codec"`
-	Smoke bool `json:"smoke"`
-}
-
-func nsPerOp(r testing.BenchmarkResult) float64 {
-	if r.N == 0 {
-		return 0
-	}
-	return float64(r.T.Nanoseconds()) / float64(r.N)
-}
-
-// TestWriteTrafficBench records BENCH_traffic.json. Gated on
-// BENCH_TRAFFIC_OUT (the output path) so ordinary test runs skip it;
-// BENCH_TRAFFIC_SMOKE=1 shrinks the traffic run for CI.
-func TestWriteTrafficBench(t *testing.T) {
-	out := os.Getenv("BENCH_TRAFFIC_OUT")
-	if out == "" {
-		t.Skip("set BENCH_TRAFFIC_OUT=<path> to record the traffic benchmark")
-	}
-	smoke := os.Getenv("BENCH_TRAFFIC_SMOKE") == "1"
-	n := 500_000
-	if smoke {
-		n = 5_000
-	}
-
-	var doc benchJSON
-	doc.Smoke = smoke
-	res, err := runTraffic(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc.Traffic = res
-
-	encBin := testing.Benchmark(BenchmarkEncodeEventBinary)
-	encGob := testing.Benchmark(BenchmarkEncodeEventGob)
-	decBin := testing.Benchmark(BenchmarkDecodeEventBinary)
-	decGob := testing.Benchmark(BenchmarkDecodeEventGob)
-	doc.Codec.BinaryEncodeNsOp = nsPerOp(encBin)
-	doc.Codec.BinaryEncodeAllocsOp = encBin.AllocsPerOp()
-	doc.Codec.GobEncodeNsOp = nsPerOp(encGob)
-	doc.Codec.GobEncodeAllocsOp = encGob.AllocsPerOp()
-	doc.Codec.BinaryDecodeNsOp = nsPerOp(decBin)
-	doc.Codec.BinaryDecodeAllocsOp = decBin.AllocsPerOp()
-	doc.Codec.GobDecodeNsOp = nsPerOp(decGob)
-	doc.Codec.GobDecodeAllocsOp = decGob.AllocsPerOp()
-	if doc.Codec.BinaryEncodeNsOp > 0 {
-		doc.Codec.EncodeSpeedup = doc.Codec.GobEncodeNsOp / doc.Codec.BinaryEncodeNsOp
-	}
-	if doc.Codec.BinaryDecodeNsOp > 0 {
-		doc.Codec.DecodeSpeedup = doc.Codec.GobDecodeNsOp / doc.Codec.BinaryDecodeNsOp
-	}
-
-	blob, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("traffic: %.0f events/s, p99 %v; codec speedup: encode %.1fx decode %.1fx",
-		res.EventsPerSec, res.P99, doc.Codec.EncodeSpeedup, doc.Codec.DecodeSpeedup)
-
-	// The acceptance floor from the ISSUE: ≥5× encode+decode speedup and
-	// ≥90% fewer allocations than gob on the stamped payload-free path.
-	if !smoke {
-		if doc.Codec.EncodeSpeedup < 5 || doc.Codec.DecodeSpeedup < 5 {
-			t.Errorf("codec speedup below 5x: encode %.1fx decode %.1fx",
-				doc.Codec.EncodeSpeedup, doc.Codec.DecodeSpeedup)
-		}
-		gobAllocs := doc.Codec.GobEncodeAllocsOp + doc.Codec.GobDecodeAllocsOp
-		binAllocs := doc.Codec.BinaryEncodeAllocsOp + doc.Codec.BinaryDecodeAllocsOp
-		if float64(binAllocs) > 0.1*float64(gobAllocs) {
-			t.Errorf("allocs/op not reduced 90%%: binary %d vs gob %d", binAllocs, gobAllocs)
-		}
-	}
+	b.ReportMetric(float64(res.P99.Nanoseconds()), "p99-ns")
 }

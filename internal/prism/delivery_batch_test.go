@@ -132,8 +132,8 @@ func TestRelocationExpiryByTick(t *testing.T) {
 }
 
 // TestTCPBatchingDeliversAndFlushes runs coalesced frames over real
-// sockets: bursts arrive intact and in order, and a lone frame is pushed
-// out by the idle timer rather than stranding in the write buffer.
+// sockets: bursts arrive intact and in order, and a lone frame is
+// written out rather than stranding in the pending buffer.
 func TestTCPBatchingDeliversAndFlushes(t *testing.T) {
 	a, err := NewTCPTransport("hostA", "127.0.0.1:0")
 	if err != nil {
@@ -165,15 +165,15 @@ func TestTCPBatchingDeliversAndFlushes(t *testing.T) {
 		}
 	}
 
-	// A lone frame below the buffer size must still arrive (idle flush).
+	// A lone frame below the buffer size must still arrive.
 	if err := a.Send("hostB", []byte("lone"), 1); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return sink.count() == n+1 })
 }
 
-// TestTCPBatchingCloseFlushes pins that Close drains buffered frames
-// before tearing sockets down, even with a long idle-flush deadline.
+// TestTCPBatchingCloseFlushes pins that Close drains pending frames
+// before tearing sockets down.
 func TestTCPBatchingCloseFlushes(t *testing.T) {
 	a, err := NewTCPTransport("hostA", "127.0.0.1:0")
 	if err != nil {
@@ -184,7 +184,6 @@ func TestTCPBatchingCloseFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	a.SetBatching(64<<10, time.Minute) // idle timer will not fire in time
 	a.AddPeer("hostB", b.Addr())
 
 	var sink frameSink

@@ -2,9 +2,10 @@ package prism
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -14,18 +15,31 @@ import (
 	"dif/internal/obs"
 )
 
-// tcpFrame is the wire format of the TCP transport: a length-delimited
-// gob stream of these frames per connection.
-type tcpFrame struct {
-	From model.HostID
-	Data []byte
-}
+// Wire format, per direction of a connection: one hello, then frames.
+//
+//	hello:  "PRSM" | major u8 | minor u8 | hostLen u8 | host
+//	frame:  length u32 (big-endian) | length bytes
+//
+// The hello names the sending host once, so frames carry no envelope.
+// Whoever creates a tcpConn on a socket — the dialer, or the accepting
+// side registering it for replies — queues it ahead of its first frame.
+const (
+	helloMagic = "PRSM"
+	wireMajor  = 1 // a reader hangs up on any other major
+	wireMinor  = 0 // informational
+	// maxFrameBytes bounds what the reader allocates on a length prefix's
+	// say-so; Send refuses larger frames rather than have the peer hang up.
+	maxFrameBytes = 16 << 20
+	// defaultHighWater is SetBatching's default, and the read buffer size.
+	defaultHighWater = 64 << 10
+	// drainTimeout bounds a drain against a peer that has stopped reading.
+	drainTimeout = time.Second
+)
 
-// TCPTransport carries frames between processes over real sockets with
-// gob encoding — the deployment story for the framework's distributed
-// instantiations (cmd/deployer and cmd/agent). Connections are dialed
-// lazily and cached; inbound connections are accepted continuously until
-// Close.
+// TCPTransport carries frames between processes over real sockets — the
+// deployment story for the framework's distributed instantiations
+// (cmd/deployer and cmd/agent). Connections are dialed lazily and
+// cached; inbound connections are accepted continuously until Close.
 type TCPTransport struct {
 	host model.HostID
 	ln   net.Listener
@@ -38,53 +52,37 @@ type TCPTransport struct {
 	socks  map[net.Conn]struct{}
 	recv   func(from model.HostID, data []byte)
 	closed bool
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // accept, every readLoop, every writeLoop
 
-	// Frame coalescing: when batchBytes > 0, each connection's gob
-	// stream runs through a bufio.Writer of that size, so back-to-back
-	// frames pack into one syscall; a per-connection idle timer flushes
-	// after batchFlush so a lone frame is never stranded. 0 disables
-	// coalescing (every frame is its own write, the pre-batching
-	// behavior). Applies to connections established after SetBatching.
-	batchBytes int
-	batchFlush time.Duration
-
-	flushesC *obs.Counter
-	framesC  *obs.Counter
+	// Snapshotted by each connection when it is created.
+	highWater int
+	flushesC  *obs.Counter
+	framesC   *obs.Counter
 }
 
+// tcpConn is the write side of one socket. Send appends frames to
+// pending; writeLoop swaps the buffer out and puts all of it on the
+// socket in one Write, so what accumulates during a Write leaves in the
+// next: an idle link flushes after one goroutine hand-off, a busy link
+// batches by itself, and one buffer with one writer keeps order FIFO.
 type tcpConn struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	mu   sync.Mutex
 	// dialed distinguishes our outbound dials from accepted inbound
 	// connections when resolving simultaneous-dial duels.
-	dialed bool
+	dialed    bool
+	highWater int
+	flushesC  *obs.Counter
+	framesC   *obs.Counter
 
-	// bw buffers the gob stream when coalescing is on (nil otherwise);
-	// timerSet tracks whether an idle flush is already scheduled;
-	// flushAfter is the idle-flush deadline captured at creation.
-	bw         *bufio.Writer
-	timerSet   bool
-	flushAfter time.Duration
-	// closed (under mu) marks a connection released by Close, dropConn,
-	// or its readLoop's exit. A one-shot idle-flush timer that fires
-	// after that point must not touch the buffer or socket again.
+	mu      sync.Mutex
+	wake    sync.Cond // writeLoop waits here for frames or closed
+	room    sync.Cond // senders wait here at the high-water mark
+	pending []byte
+	// closed stops admission and err says why: drain, or a failed Write.
+	// done closes when writeLoop has exited.
 	closed bool
-}
-
-// flushLocked drains buffered frames to the socket. Caller holds c.mu.
-// A flush error closes the socket; the connection's readLoop notices
-// and unregisters it, so the next Send redials.
-func (c *tcpConn) flushLocked() error {
-	if c.bw == nil || c.bw.Buffered() == 0 {
-		return nil
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.conn.Close()
-		return err
-	}
-	return nil
+	err    error
+	done   chan struct{}
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -92,16 +90,20 @@ var _ Transport = (*TCPTransport)(nil)
 // NewTCPTransport listens on addr (e.g. "127.0.0.1:0") for the given
 // host. Use Addr to discover the bound address.
 func NewTCPTransport(host model.HostID, addr string) (*TCPTransport, error) {
+	if len(host) == 0 || len(host) > 255 {
+		return nil, fmt.Errorf("tcp transport: host ID must be 1..255 bytes, got %d", len(host))
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcp transport listen: %w", err)
 	}
 	t := &TCPTransport{
-		host:  host,
-		ln:    ln,
-		peers: make(map[model.HostID]string),
-		conns: make(map[model.HostID]*tcpConn),
-		socks: make(map[net.Conn]struct{}),
+		host:      host,
+		ln:        ln,
+		peers:     make(map[model.HostID]string),
+		conns:     make(map[model.HostID]*tcpConn),
+		socks:     make(map[net.Conn]struct{}),
+		highWater: defaultHighWater,
 	}
 	t.wg.Add(1)
 	go t.accept()
@@ -115,30 +117,27 @@ func (t *TCPTransport) Addr() string { return t.ln.Addr().String() }
 func (t *TCPTransport) Host() model.HostID { return t.host }
 
 // RetainsSendBuffers implements BufferRetainer: Send copies data into
-// the connection's gob stream before returning, so callers may recycle
-// their encode buffers immediately.
+// the connection's pending buffer before returning, so callers may
+// recycle their encode buffers immediately.
 func (t *TCPTransport) RetainsSendBuffers() bool { return false }
 
-// SetBatching configures frame coalescing for connections established
-// from now on: frames pack into a bytes-sized write buffer flushed when
-// full or after flush of send idleness. bytes 0 disables coalescing.
-// Call it right after NewTCPTransport, before peers connect.
+// SetBatching sets the high-water mark of the pending buffer for
+// connections established from now on: Send blocks while a connection
+// holds that many unwritten bytes. bytes 0 means 64 KiB. flush is
+// accepted and ignored — coalescing is clocked by the socket, not by a
+// timer. Call it right after NewTCPTransport, before peers connect.
 func (t *TCPTransport) SetBatching(bytes int, flush time.Duration) {
-	if flush <= 0 {
-		flush = DefaultBatchFlush
+	if bytes <= 0 {
+		bytes = defaultHighWater
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.batchBytes = bytes
-	t.batchFlush = flush
+	t.highWater = bytes
 }
 
-// DefaultBatchFlush bounds how long a coalesced frame may sit in the
-// write buffer before the idle timer pushes it out.
-const DefaultBatchFlush = 2 * time.Millisecond
-
-// Instrument registers the transport's coalescing metrics
-// (prism_batch_flushes_total, prism_batch_frames_total) in reg.
+// Instrument registers prism_batch_flushes_total (socket writes) and
+// prism_batch_frames_total (the frames they carried) in reg. Call it
+// right after NewTCPTransport, before peers connect.
 func (t *TCPTransport) Instrument(reg *obs.Registry) {
 	h := string(t.host)
 	t.mu.Lock()
@@ -147,68 +146,91 @@ func (t *TCPTransport) Instrument(reg *obs.Registry) {
 	t.framesC = reg.Counter(obs.Name("prism_batch_frames_total", "host", h))
 }
 
-// batching snapshots the coalescing configuration.
-func (t *TCPTransport) batching() (int, time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.batchBytes, t.batchFlush
-}
-
-// newConn wraps a socket in a tcpConn, inserting the coalescing buffer
-// when batchBytes > 0.
-func newConn(raw net.Conn, dialed bool, batchBytes int, batchFlush time.Duration) *tcpConn {
-	c := &tcpConn{conn: raw, dialed: dialed, flushAfter: batchFlush}
-	if batchBytes > 0 {
-		c.bw = bufio.NewWriterSize(raw, batchBytes)
-		c.enc = gob.NewEncoder(c.bw)
-	} else {
-		c.enc = gob.NewEncoder(raw)
+// newConnLocked wraps a socket in a tcpConn with this host's hello
+// pending and starts its writeLoop. Caller holds t.mu, so the wg.Add
+// cannot race Close's Wait, and has checked !t.closed or holds a count.
+func (t *TCPTransport) newConnLocked(raw net.Conn, dialed bool) *tcpConn {
+	c := &tcpConn{
+		conn: raw, dialed: dialed, highWater: t.highWater,
+		flushesC: t.flushesC, framesC: t.framesC,
+		done: make(chan struct{}),
 	}
+	c.wake.L, c.room.L = &c.mu, &c.mu
+	c.pending = append(c.pending, helloMagic...)
+	c.pending = append(c.pending, wireMajor, wireMinor, byte(len(t.host)))
+	c.pending = append(c.pending, t.host...)
+	t.wg.Add(1)
+	go c.writeLoop(&t.wg)
 	return c
 }
 
-// sendFrame encodes one frame on the connection, honoring coalescing:
-// with batching off the encoder writes straight to the socket; with it
-// on, the frame lands in the write buffer and an idle flush is armed so
-// it cannot sit longer than batchFlush.
-func (t *TCPTransport) sendFrame(c *tcpConn, frame tcpFrame) error {
+// send queues one frame. It blocks at the high-water mark (a frame larger
+// than the mark is admitted once the buffer is empty) and fails once the
+// connection is closed, with the socket error if a write caused that.
+func (c *tcpConn) send(data []byte) error {
+	c.mu.Lock()
+	for !c.closed && len(c.pending) > 0 && len(c.pending)+4+len(data) > c.highWater {
+		c.room.Wait()
+	}
+	if c.closed {
+		defer c.mu.Unlock()
+		return c.err
+	}
+	c.pending = binary.BigEndian.AppendUint32(c.pending, uint32(len(data)))
+	c.pending = append(c.pending, data...)
+	c.mu.Unlock()
+	c.wake.Signal() // a no-op unless the writer is parked on an empty buffer
+	c.framesC.Inc()
+	return nil
+}
+
+// writeLoop is the connection's only writer. It exits once the
+// connection is closed and drained, or when a Write fails — which closes
+// the socket, so the readLoop unregisters it and the next Send redials.
+func (c *tcpConn) writeLoop(wg *sync.WaitGroup) {
+	defer wg.Done()
+	defer close(c.done)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return errors.New("connection closed")
+	var buf []byte
+	for {
+		for len(c.pending) == 0 && !c.closed {
+			c.wake.Wait()
+		}
+		if len(c.pending) == 0 {
+			return
+		}
+		if cap(buf) > 2*c.highWater {
+			buf = nil // do not pin an oversized frame's buffer
+		}
+		buf, c.pending = c.pending, buf[:0]
+		c.room.Broadcast()
+		c.mu.Unlock()
+		_, err := c.conn.Write(buf)
+		c.mu.Lock()
+		if err != nil {
+			c.closed, c.err, c.pending = true, err, nil
+			c.room.Broadcast()
+			c.conn.Close()
+			return
+		}
+		c.flushesC.Inc()
 	}
-	if err := c.enc.Encode(frame); err != nil {
-		return err
+}
+
+// drain stops admission, failing senders blocked at the high-water mark,
+// and returns once writeLoop has put every pending frame on the socket
+// (or failed to: a closed socket fails at once) and exited.
+func (c *tcpConn) drain() {
+	c.mu.Lock()
+	if !c.closed {
+		c.closed, c.err = true, errors.New("connection closed")
 	}
-	if c.bw == nil {
-		return nil
-	}
-	t.framesC.Inc()
-	if c.bw.Buffered() == 0 {
-		// The buffer filled mid-encode and drained to the socket; nothing
-		// is stranded, no timer needed.
-		return nil
-	}
-	if !c.timerSet {
-		c.timerSet = true
-		time.AfterFunc(c.flushAfter, func() {
-			c.mu.Lock()
-			c.timerSet = false
-			if c.closed {
-				// Close/dropConn already flushed (or abandoned) this
-				// connection and may have released the socket; a late
-				// flush here would race with its reuse elsewhere.
-				c.mu.Unlock()
-				return
-			}
-			err := c.flushLocked()
-			c.mu.Unlock()
-			if err == nil {
-				t.flushesC.Inc()
-			}
-		})
-	}
-	return nil
+	c.wake.Signal()
+	c.room.Broadcast()
+	c.mu.Unlock()
+	_ = c.conn.SetWriteDeadline(time.Now().Add(drainTimeout)) // fails only on a closed socket
+	<-c.done
 }
 
 // AddPeer registers a remote host's address for dialing.
@@ -223,17 +245,12 @@ func (t *TCPTransport) AddPeer(host model.HostID, addr string) {
 func (t *TCPTransport) Peers() []model.HostID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	seen := make(map[model.HostID]bool, len(t.peers)+len(t.conns))
 	out := make([]model.HostID, 0, len(t.peers)+len(t.conns))
 	for h := range t.peers {
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
+		out = append(out, h)
 	}
 	for h := range t.conns {
-		if !seen[h] {
-			seen[h] = true
+		if _, ok := t.peers[h]; !ok {
 			out = append(out, h)
 		}
 	}
@@ -258,16 +275,21 @@ func (t *TCPTransport) SetReceiver(recv func(from model.HostID, data []byte)) {
 // Send implements Transport. sizeKB is ignored — real sockets charge
 // real bytes.
 func (t *TCPTransport) Send(to model.HostID, data []byte, _ float64) error {
-	frame := tcpFrame{From: t.host, Data: data}
+	if len(data) > maxFrameBytes {
+		return fmt.Errorf("tcp send to %s: frame of %d bytes exceeds the %d-byte limit", to, len(data), maxFrameBytes)
+	}
 	for retried := false; ; retried = true {
 		conn, err := t.connTo(to)
 		if err != nil {
 			return err
 		}
-		if err = t.sendFrame(conn, frame); err == nil {
+		if err = conn.send(data); err == nil {
 			return nil
 		}
-		if !retried && !t.registered(to, conn) {
+		t.mu.Lock()
+		retired := t.conns[to] != conn
+		t.mu.Unlock()
+		if retired && !retried {
 			// conn was retired between connTo and the write — it lost a
 			// dial duel, or its readLoop saw the peer retire it. That is
 			// not a link failure: the frame belongs on the surviving
@@ -279,25 +301,14 @@ func (t *TCPTransport) Send(to model.HostID, data []byte, _ float64) error {
 	}
 }
 
-// registered reports whether c is still the connection Send uses for to.
-func (t *TCPTransport) registered(to model.HostID, c *tcpConn) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.conns[to] == c
-}
-
 // retire takes a connection that lost a dial duel out of service without
-// cutting off what the peer may still be writing to it: buffered frames
-// flush, the write side shuts, and the socket's readLoop keeps
+// cutting off what the peer may still be writing to it: pending frames
+// drain, the write side shuts, and the socket's readLoop keeps
 // delivering until the peer — which retires the same socket once it
-// learns of the duel — shuts its side too. Closing outright would
-// silently drop (or, with unread data, reset away) frames either side
-// sent before both had switched to the surviving connection.
+// learns of the duel — shuts its side too. Closing outright would drop
+// (or reset away) frames sent before both sides had switched over.
 func retire(c *tcpConn) {
-	c.mu.Lock()
-	_ = c.flushLocked() // a failed flush closes the socket: retired either way
-	c.closed = true
-	c.mu.Unlock()
+	c.drain() // a failed write closes the socket: retired either way
 	if hc, ok := c.conn.(interface{ CloseWrite() error }); ok {
 		_ = hc.CloseWrite() // an already-dead socket needs no shutdown
 	} else {
@@ -324,63 +335,52 @@ func (t *TCPTransport) connTo(to model.HostID) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcp dial %s: %w", to, err)
 	}
-	bytes, flush := t.batching()
-	c := newConn(raw, true, bytes, flush)
-	// Introduce ourselves, then read frames coming back on this
-	// connection too (connections are bidirectional). The hello flushes
-	// immediately — the peer must learn who we are before any idle
-	// timer would fire.
-	c.mu.Lock()
-	err = c.enc.Encode(tcpFrame{From: t.host, Data: nil})
-	if err == nil {
-		err = c.flushLocked()
-	}
-	c.mu.Unlock()
-	if err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("tcp hello to %s: %w", to, err)
-	}
+	return t.adoptDial(to, raw)
+}
+
+// adoptDial registers a freshly dialed socket as the connection to to,
+// or settles the duel if one was registered while the dial was in flight.
+func (t *TCPTransport) adoptDial(to model.HostID, raw net.Conn) (*tcpConn, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		raw.Close()
 		return nil, errors.New("tcp transport closed")
 	}
-	var loser *tcpConn
-	if existing, ok := t.conns[to]; ok {
-		if existing.dialed || t.host > to {
-			// Another local dial already won, or the duel rule says the
-			// peer (lower host) keeps its dial: yield to the registered
-			// connection.
-			t.mu.Unlock()
-			raw.Close()
-			return existing, nil
-		}
-		// Crossed simultaneous dials and we are the lower host: our dial
-		// is canonical on both sides. Retire the inbound connection.
-		loser = existing
-	}
-	t.conns[to] = c
+	// The hello is pending on c from birth; frames coming back on the
+	// socket are read too, since connections are bidirectional.
+	c := t.newConnLocked(raw, true)
 	t.socks[raw] = struct{}{}
 	t.wg.Add(1) // under mu so Close's Wait cannot start mid-Add
+	// A connection registered while the dial was in flight makes this a
+	// duel. Crossed dials with us the lower host: our dial is canonical on
+	// both sides and the inbound one loses. Otherwise — another local dial
+	// already won, or the peer (lower host) keeps its dial — we yield; the
+	// peer may register this socket off our hello and write to it before
+	// it learns that, so it is retired like any loser, not closed.
+	use, loser := c, t.conns[to]
+	if loser != nil && (loser.dialed || t.host > to) {
+		use, loser = loser, c
+	}
+	t.conns[to] = use
 	t.mu.Unlock()
+	go t.readLoop(raw)
 	if loser != nil {
 		retire(loser)
 	}
-	go t.readLoop(raw)
-	return c, nil
+	return use, nil
 }
 
+// dropConn unregisters a connection whose link failed and closes its
+// socket without draining; senders blocked on it fail.
 func (t *TCPTransport) dropConn(to model.HostID, c *tcpConn) {
 	t.mu.Lock()
 	if t.conns[to] == c {
 		delete(t.conns, to)
 	}
 	t.mu.Unlock()
-	c.mu.Lock()
-	c.closed = true // disarm any pending idle-flush timer
-	c.mu.Unlock()
 	c.conn.Close()
+	c.drain()
 }
 
 func (t *TCPTransport) accept() {
@@ -405,10 +405,10 @@ func (t *TCPTransport) accept() {
 	}
 }
 
-// readLoop decodes frames from one connection. The first frame from a
-// given host also registers the connection for replies; on exit the
-// connection is unregistered so later sends redial instead of writing to
-// a dead encoder.
+// readLoop reads one connection: the peer's hello, which also registers
+// the connection for replies, then frames until the stream ends or
+// breaks protocol. On exit the connection is unregistered so later
+// sends redial.
 func (t *TCPTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -423,54 +423,64 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		}
 		t.mu.Unlock()
 		for _, c := range dead {
-			c.mu.Lock()
-			c.closed = true // disarm any pending idle-flush timer
-			c.mu.Unlock()
+			// A peer that only shut its write side (retire) is still
+			// reading: frames admitted before now must reach it.
+			c.drain()
 		}
 		conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	var registered model.HostID
+	br := bufio.NewReaderSize(conn, defaultHighWater)
+	// Anything but a well-formed hello at the head of the stream — a
+	// frame before hello included — ends the connection.
+	var hello [7]byte // magic[4], major, minor, hostLen
+	if _, err := io.ReadFull(br, hello[:]); err != nil ||
+		string(hello[:4]) != helloMagic || hello[4] != wireMajor || hello[6] == 0 {
+		return
+	}
+	host := make([]byte, hello[6])
+	if _, err := io.ReadFull(br, host); err != nil {
+		return
+	}
+	from := model.HostID(host)
+	// Crossed simultaneous dials: the lower host's dial is canonical, and
+	// this inbound connection is it, so our own dial is retired. (A peer
+	// replying on our own dialed socket has existing.conn == conn — that
+	// is not a duel and the registration must stand.)
+	t.mu.Lock()
+	existing, ok := t.conns[from]
+	duel := ok && existing.conn != conn && existing.dialed && from < t.host
+	if !ok || duel {
+		t.conns[from] = t.newConnLocked(conn, false)
+	}
+	t.mu.Unlock()
+	if duel {
+		retire(existing)
+	}
+	var hdr [4]byte
 	for {
-		var frame tcpFrame
-		if err := dec.Decode(&frame); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
-		if registered == "" && frame.From != "" {
-			registered = frame.From
-			t.mu.Lock()
-			existing, ok := t.conns[frame.From]
-			switch {
-			case !ok:
-				t.conns[frame.From] = newConn(conn, false, t.batchBytes, t.batchFlush)
-				t.mu.Unlock()
-			case existing.conn != conn && existing.dialed && frame.From < t.host:
-				// Crossed simultaneous dials: the lower host's dial is
-				// canonical, and this inbound connection is it. Retire our
-				// own dial. (A peer replying on our own dialed socket lands
-				// here with existing.conn == conn — that is not a duel and
-				// the registration must stand.)
-				t.conns[frame.From] = newConn(conn, false, t.batchBytes, t.batchFlush)
-				t.mu.Unlock()
-				retire(existing)
-			default:
-				t.mu.Unlock()
-			}
+		n := binary.BigEndian.Uint32(hdr[:])
+		if n > maxFrameBytes {
+			return
 		}
-		if frame.Data == nil {
-			continue // hello frame
+		data := make([]byte, n)
+		if _, err := io.ReadFull(br, data); err != nil {
+			return
 		}
 		t.mu.Lock()
 		recv := t.recv
 		t.mu.Unlock()
 		if recv != nil {
-			recv(frame.From, frame.Data)
+			recv(from, data)
 		}
 	}
 }
 
-// Close implements Transport: stops accepting, closes every live socket
-// (registered or not), and waits for reader goroutines to exit.
+// Close implements Transport: stops accepting, drains every registered
+// connection, closes every live socket (registered or not), and waits
+// for the reader and writer goroutines.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -478,32 +488,19 @@ func (t *TCPTransport) Close() error {
 		return nil
 	}
 	t.closed = true
-	socks := make([]net.Conn, 0, len(t.socks))
-	for c := range t.socks {
-		socks = append(socks, c)
-	}
-	conns := make([]*tcpConn, 0, len(t.conns))
-	for _, c := range t.conns {
-		conns = append(conns, c)
-	}
+	conns := t.conns
 	t.conns = make(map[model.HostID]*tcpConn)
 	t.mu.Unlock()
 
-	// Push out coalesced frames still sitting in write buffers before
-	// the sockets close under them, and mark each connection closed so a
-	// one-shot idle-flush timer armed earlier cannot fire into the
-	// released socket afterwards.
 	for _, c := range conns {
-		c.mu.Lock()
-		c.flushLocked()
-		c.closed = true
-		c.mu.Unlock()
+		c.drain()
 	}
-
 	t.ln.Close()
-	for _, c := range socks {
-		c.Close()
+	t.mu.Lock()
+	for sock := range t.socks {
+		sock.Close()
 	}
+	t.mu.Unlock()
 	t.wg.Wait()
 	return nil
 }

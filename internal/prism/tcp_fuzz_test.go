@@ -2,7 +2,7 @@ package prism
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -10,15 +10,20 @@ import (
 	"dif/internal/model"
 )
 
-// frameBytes gob-encodes a tcpFrame as it would appear on the wire.
-func frameBytes(t testing.TB, f tcpFrame) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+// helloBytes is the one-time hello a connection from host opens with,
+// at the given wire major version.
+func helloBytes(host string, major byte) []byte {
+	b := append([]byte(helloMagic), major, wireMinor, byte(len(host)))
+	return append(b, host...)
 }
+
+// frameBytes length-prefixes data as Send puts it on the wire.
+func frameBytes(data []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(data))), data...)
+}
+
+// wire concatenates stream fragments.
+func wire(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 // FuzzDecodeEvent throws corrupt and truncated byte strings at the event
 // decoder: it must return an error or an event, never panic.
@@ -42,23 +47,28 @@ func FuzzDecodeEvent(f *testing.F) {
 }
 
 // FuzzTCPReadLoop feeds arbitrary bytes into a live TCP transport's
-// frame reader: corrupt, truncated, or adversarial gob streams must
-// neither panic nor wedge the read loop — Close always completes and the
+// frame reader: corrupt, truncated, or adversarial streams must neither
+// panic nor wedge the read loop — Close always completes and the
 // transport keeps serving well-formed frames from other connections.
 func FuzzTCPReadLoop(f *testing.F) {
-	hello := frameBytes(f, tcpFrame{From: "peer"})
-	data := frameBytes(f, tcpFrame{From: "peer", Data: []byte("payload")})
-	f.Add(hello)
-	f.Add(data)
-	f.Add(append(append([]byte(nil), hello...), data...))
-	f.Add(data[:len(data)-3])
+	hello := helloBytes("peer", wireMajor)
+	data := frameBytes([]byte("payload"))
+	oversize := binary.BigEndian.AppendUint32(nil, maxFrameBytes+1)
+	f.Add(hello)                                       // hello only
+	f.Add(data)                                        // frame before hello
+	f.Add(wire(helloBytes("peer", wireMajor+1), data)) // unknown version
+	f.Add(wire(hello, frameBytes(nil), data))          // zero-length frame
+	f.Add(wire(hello, oversize, []byte("x")))          // length > maxFrameBytes
+	f.Add(wire(hello, data, data[:2]))                 // truncated header
+	f.Add(wire(hello, data[:len(data)-3]))             // truncated body
+	f.Add(hello[:len(hello)-2])                        // truncated hello
+	f.Add(helloBytes("", wireMajor))                   // empty host
 	f.Add([]byte{})
-	f.Add([]byte{0x04, 0xff, 0x81, 0x03})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
-	// Binary-codec frames ride inside the same gob tcpFrame stream; mix
-	// them with gob event frames, truncate them, and splice raw binary
-	// bytes (no tcpFrame envelope) straight onto the socket.
+	// Frames are opaque to the transport; what rides in them today is
+	// the binary event codec and gob. Mix the two, truncate one inside
+	// its frame, and splice a bare event (no length prefix) on the end.
 	binEvent, err := EncodeEvent(Event{
 		Name: "app.req", Target: "c1", Seq: 3, SeqOrigin: "peer", SeqInc: 1,
 	})
@@ -69,14 +79,9 @@ func FuzzTCPReadLoop(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	binFrame := frameBytes(f, tcpFrame{From: "peer", Data: binEvent})
-	gobFrame := frameBytes(f, tcpFrame{From: "peer", Data: gobEvent})
-	f.Add(binFrame)
-	f.Add(append(append([]byte(nil), binFrame...), gobFrame...))
-	f.Add(append(append([]byte(nil), gobFrame...), binFrame...))
-	f.Add(binFrame[:len(binFrame)-2])
-	f.Add(append([]byte(nil), binEvent...)) // binary event without envelope
-	f.Add(frameBytes(f, tcpFrame{From: "peer", Data: binEvent[:len(binEvent)/2]}))
+	f.Add(wire(hello, frameBytes(binEvent), frameBytes(gobEvent), frameBytes(binEvent)))
+	f.Add(wire(hello, frameBytes(gobEvent), frameBytes(binEvent[:len(binEvent)/2])))
+	f.Add(wire(hello, frameBytes(gobEvent), binEvent))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		tr, err := NewTCPTransport("fz", "127.0.0.1:0")
@@ -102,7 +107,7 @@ func FuzzTCPReadLoop(f *testing.F) {
 		// The transport must still serve a well-formed connection.
 		good, err := net.Dial("tcp", tr.Addr())
 		if err == nil {
-			good.Write(frameBytes(t, tcpFrame{From: "good", Data: []byte("ok")}))
+			good.Write(wire(helloBytes("good", wireMajor), frameBytes([]byte("ok"))))
 			deadline := time.After(2 * time.Second)
 		wait:
 			for {

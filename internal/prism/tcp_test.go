@@ -80,6 +80,13 @@ func TestTCPTransportBidirectionalOnOneConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return sinkA.count() == 1 })
+	// Frames carry no sender: the accepting side's hello, queued ahead of
+	// its first reply, is what names it on the dialer's end.
+	sinkA.mu.Lock()
+	defer sinkA.mu.Unlock()
+	if sinkA.frames[0] != "pong" || sinkA.froms[0] != "hostB" {
+		t.Fatalf("reply = %q from %s, want pong from hostB", sinkA.frames[0], sinkA.froms[0])
+	}
 }
 
 func TestTCPTransportUnknownPeer(t *testing.T) {
@@ -369,17 +376,12 @@ func TestTCPTransportReceiverRegisteredAfterFrames(t *testing.T) {
 	}
 }
 
-func TestTCPTransportCloseIdleFlushRace(t *testing.T) {
-	// With coalescing on, every Send that strands bytes in the write
-	// buffer arms a one-shot idle-flush timer. Close flushes and releases
-	// the sockets itself; a timer firing after that point must observe
-	// the closed flag and back off instead of flushing into a dead
-	// socket. Run under -race: the bug is a flush racing with Close's own
-	// flush/teardown of the same bufio.Writer.
+func TestTCPTransportSendCloseRace(t *testing.T) {
+	// Senders append to a connection's pending buffer while Close drains
+	// it and tears the socket down. Run under -race: nothing may race,
+	// deadlock, or panic, whichever side gets there first.
 	for round := 0; round < 20; round++ {
 		a, b := newTCPPair(t)
-		a.SetBatching(64<<10, 50*time.Microsecond)
-		b.SetBatching(64<<10, 50*time.Microsecond)
 		sink := &frameSink{}
 		b.SetReceiver(sink.recv)
 
@@ -405,7 +407,7 @@ func TestTCPTransportCloseIdleFlushRace(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
-			t.Fatal("Send/Close with idle-flush timers deadlocked")
+			t.Fatal("Send racing Close deadlocked")
 		}
 		b.Close()
 	}
@@ -416,8 +418,8 @@ func TestTCPTransportCloseWithIdleInboundConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A raw client that connects but never sends a frame: its readLoop
-	// blocks in Decode with nothing registered. Close must still reap it.
+	// A raw client that connects but never sends a hello: its readLoop
+	// blocks reading with nothing registered. Close must still reap it.
 	raw, err := net.Dial("tcp", a.Addr())
 	if err != nil {
 		t.Fatal(err)
