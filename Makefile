@@ -25,7 +25,10 @@ fmt:
 # single pass would let that back in unnoticed. The TCP writer tests
 # (flush without a timer, order under concurrent senders, release of
 # blocked senders, drain on retire, the yielded dial) and the admin's
-# Close-versus-reconfig race run 50 times for the same reason.
+# Close-versus-reconfig race run 50 times for the same reason. The
+# dedup-window tests (reference-model property test, the lost-frame
+# hole, the wide-span settle) run in the first pass with the rest of
+# ./internal/prism/.
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/
@@ -45,15 +48,18 @@ SOAK_SEEDS ?= 10
 soak:
 	$(GO) test -race -count=1 -timeout 20m -run TestChaosSoak -v ./internal/chaos/ -args -chaos.seeds=$(SOAK_SEEDS)
 
-# fuzz: short live fuzzing of every decoder that reads socket bytes —
-# the event codecs (gob and binary) and the TCP stream framing (hello,
-# length prefix, maxFrameBytes). The seed corpora already run as plain
+# fuzz: short live fuzzing of everything that consumes socket bytes —
+# the event codecs (gob and binary, ack spans included), the TCP stream
+# framing (hello, length prefix, maxFrameBytes), and the dedup window
+# that sequence numbers and imported spans land in (against the
+# map-based reference model). The seed corpora already run as plain
 # unit tests inside `make test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzBinaryDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzTCPReadLoop -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzDedupWindow -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -run xxx -bench . ./internal/algo/

@@ -141,13 +141,12 @@ func lifetime(cfg agentConfig, incarnation uint64, duration time.Duration) error
 		return framework.NewTrafficComponent(id)
 	})
 	admin, err := prism.InstallAdmin(arch, prism.AdminConfig{
-		Deployer:      cfg.masterHost,
-		Bus:           framework.BusName,
-		Registry:      registry,
-		Retry:         cfg.common.Retry(),
-		Breaker:       cfg.common.BreakerConfig(),
-		Incarnation:   incarnation,
-		LegacyControl: cfg.common.LegacyControl,
+		Deployer:    cfg.masterHost,
+		Bus:         framework.BusName,
+		Registry:    registry,
+		Retry:       cfg.common.Retry(),
+		Breaker:     cfg.common.BreakerConfig(),
+		Incarnation: incarnation,
 	})
 	if err != nil {
 		return err
@@ -173,7 +172,6 @@ func lifetime(cfg agentConfig, incarnation uint64, duration time.Duration) error
 	// Level-triggered reconciliation: report our generation and manifest
 	// (empty on a fresh incarnation) so the deployer re-syncs us with one
 	// delta instead of replaying the waves this host missed while dark.
-	// A -legacy-control agent skips this and relies on recovery waves.
 	_ = admin.AnnounceGoalState()
 	// Standby deployers are joined too, but best-effort in the
 	// background: a standby must reach this agent to request a lease,

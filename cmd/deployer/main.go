@@ -152,7 +152,6 @@ func run() error {
 	adminCfg := prism.AdminConfig{
 		Deployer: master, Bus: framework.BusName, Registry: registry,
 		Retry: common.Retry(), Breaker: common.BreakerConfig(),
-		LegacyControl: common.LegacyControl,
 	}
 	admin, err := prism.InstallAdmin(arch, adminCfg)
 	if err != nil {

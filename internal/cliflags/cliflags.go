@@ -28,7 +28,6 @@ type Common struct {
 	MetricsAddr   string
 	TraceOut      string
 	BatchBytes    int
-	LegacyControl bool
 
 	// Gray-failure protection: the per-peer circuit breaker on the
 	// control-send path and the class-prioritized admission controller on
@@ -54,7 +53,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve /metrics, /trace and /debug/pprof on this address (empty disables)")
 	fs.StringVar(&c.TraceOut, "trace-out", "", "write recorded span trees as JSONL to this file on exit (empty disables)")
 	fs.IntVar(&c.BatchBytes, "batch-bytes", 0, "per-connection TCP send-buffer high-water mark in bytes: Send blocks while that much is unwritten (0 means 64 KiB)")
-	fs.BoolVar(&c.LegacyControl, "legacy-control", false, "pin this process to the pre-goal-state control plane (no GoalState announce/delta frames); waves still work — the rolling-upgrade escape hatch")
 	fs.BoolVar(&c.Breaker, "breaker", false, "enable the per-peer circuit breaker on control sends: consecutive observable failures open the circuit, later sends fail fast into the relay path instead of soaking up retry chains")
 	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 500*time.Millisecond, "how long an open circuit rejects sends before half-opening for a probe")
 	fs.IntVar(&c.BreakerProbes, "breaker-probes", 1, "concurrent half-open probes allowed per peer")

@@ -59,12 +59,6 @@ func TestSharedFlagParity(t *testing.T) {
 				BatchBytes: 65536},
 		},
 		{
-			name: "legacy control plane pinned",
-			args: []string{"-legacy-control"},
-			want: Common{FaultSeed: 1, AppRetransmit: 250 * time.Millisecond,
-				LegacyControl: true},
-		},
-		{
 			name: "asymmetric gray fault",
 			args: []string{"-fault-asym", "0.6", "-fault-seed", "9"},
 			want: Common{FaultAsym: 0.6, FaultSeed: 9,

@@ -290,6 +290,19 @@ func TestDecentralizedQuorumBlocksEnactment(t *testing.T) {
 	}
 }
 
+// sharpenProbes raises every reliability monitor to the 400 probes per
+// measurement E8 and examples/adaptive run with: the default 20 leaves a
+// sampling error (σ ≈ 0.08 on a 0.85 link) wider than the margin the
+// shape test asserts, whichever stretch of a link's loss stream the
+// probes land on.
+func sharpenProbes(w *World) {
+	for _, h := range w.Hosts() {
+		if rm := w.Admins[h].ReliabilityMonitor(); rm != nil {
+			rm.ProbesPerMeasurement = 400
+		}
+	}
+}
+
 func TestCentralizedVsDecentralizedShape(t *testing.T) {
 	// E9's shape: with full knowledge the centralized instantiation
 	// should achieve at least the decentralized availability.
@@ -299,6 +312,7 @@ func TestCentralizedVsDecentralizedShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(wc.Close)
+	sharpenProbes(wc)
 	cent := NewCentralized(wc, analyzer.Policy{})
 	cent.Tracker = nil
 	wc.StepN(10)
@@ -313,6 +327,7 @@ func TestCentralizedVsDecentralizedShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(wd.Close)
+	sharpenProbes(wd)
 	decc := NewDecentralized(wd, nil)
 	wd.StepN(10)
 	repD, err := decc.Cycle(context.Background())

@@ -15,7 +15,8 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"hash/fnv"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -87,8 +88,13 @@ type LinkStats struct {
 // Fabric is the simulated network: hosts, links, loss, delay, partitions.
 // All methods are safe for concurrent use.
 type Fabric struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
+	mu   sync.Mutex
+	seed int64
+	// loss holds one random stream per directed link, derived from
+	// (seed, from, to) on first use, so a link's loss pattern depends
+	// only on its own traffic — never on how goroutines sending over
+	// other links happen to interleave.
+	loss   map[DirKey]*rand.Rand
 	links  map[model.HostPair]*linkEntry
 	asym   map[DirKey]DirState
 	hosts  map[model.HostID]*endpoint
@@ -147,12 +153,26 @@ type endpoint struct {
 // NewFabric returns an empty fabric seeded for reproducible loss.
 func NewFabric(seed int64) *Fabric {
 	return &Fabric{
-		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
+		loss:  make(map[DirKey]*rand.Rand),
 		links: make(map[model.HostPair]*linkEntry),
 		asym:  make(map[DirKey]DirState),
 		hosts: make(map[model.HostID]*endpoint),
 		down:  make(map[model.HostID]bool),
 	}
+}
+
+// lossStream returns the directed link's own random stream. Caller
+// holds f.mu.
+func (f *Fabric) lossStream(k DirKey) *rand.Rand {
+	rng := f.loss[k]
+	if rng == nil {
+		h := fnv.New64a()
+		h.Write([]byte(k.From + "\x00" + k.To))
+		rng = rand.New(rand.NewPCG(uint64(f.seed), h.Sum64()))
+		f.loss[k] = rng
+	}
+	return rng
 }
 
 // Instrument registers fabric-wide traffic counters in reg (the
@@ -573,7 +593,7 @@ func (f *Fabric) Send(from, to model.HostID, sizeKB float64, payload any) (time.
 		if hasDir && dir.HasReliability {
 			reliability = dir.Reliability
 		}
-		if f.rng.Float64() >= reliability {
+		if f.lossStream(DirKey{From: from, To: to}).Float64() >= reliability {
 			// The sender still pays the transfer time before discovering
 			// the loss — retransmissions are not free.
 			entry.stats.Dropped++

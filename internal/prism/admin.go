@@ -99,7 +99,7 @@ type TransferPayload struct {
 	// Dedup carries the component's receiver-side dedup windows, so
 	// exactly-once delivery survives the move: retransmissions of events
 	// the old host already delivered are swallowed at the new one.
-	Dedup []DedupStream
+	Dedup []DedupSnapshot
 }
 
 // DoneReport tells the deployer a host finished its part of an epoch.
@@ -209,12 +209,6 @@ type AdminConfig struct {
 	// default: symmetric partitions are meant to be ridden out by plain
 	// retries, and the breaker is aimed at *gray* peers.
 	Breaker BreakerConfig
-	// LegacyControl pins this peer to the pre-goal-state control plane:
-	// the admin never announces or applies goal state, the deployer never
-	// answers announces. Waves still work — goal generations ride as
-	// ignorable extra fields — which is exactly the mixed-version rolling
-	// upgrade the version-skew drills exercise.
-	LegacyControl bool
 }
 
 // RetryPolicy tunes control-plane retransmission. The zero value enables
@@ -1015,7 +1009,7 @@ func (a *AdminComponent) handleFetch(req FetchRequest) {
 		}
 	}
 	if dc := a.arch.DistributionConnector(a.cfg.Bus); dc != nil {
-		tp.Dedup = dc.snapshotDedup(req.Comp)
+		tp.Dedup = dc.SnapshotDedup(req.Comp)
 	}
 	a.mu.Lock()
 	a.shipped[key] = tp
@@ -1129,8 +1123,8 @@ func (a *AdminComponent) handleTransfer(tp TransferPayload) {
 	// the component here, then append the source's buffered events to
 	// the local hold: they deliver on commit (dedup filtering the
 	// overlap with the source's own relay) or bounce back on abort.
-	if dc := a.arch.DistributionConnector(a.cfg.Bus); dc != nil && len(tp.Dedup) > 0 {
-		dc.installDedup(tp.Comp, tp.Dedup)
+	if dc := a.arch.DistributionConnector(a.cfg.Bus); dc != nil {
+		dc.RestoreDedup(tp.Dedup)
 	}
 	if bus := a.arch.Connector(a.cfg.Bus); bus != nil {
 		for _, raw := range tp.Held {

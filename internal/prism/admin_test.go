@@ -1,6 +1,7 @@
 package prism
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -109,10 +110,31 @@ func TestRequestReportsOverLossyLinks(t *testing.T) {
 	}
 }
 
+// stampedFrom builds a stamped application event as it arrives off the
+// wire from origin's stream toward target.
+func stampedFrom(origin model.HostID, target string, seq uint64) Event {
+	return Event{Name: "app.req", Kind: KindApplication, Target: target, SrcHost: origin, Seq: seq, SeqOrigin: origin}
+}
+
+// residueSeqs arrive out of order and leave a window of floor 2 with the
+// two-span residue {5,6} {9,9}.
+var residueSeqs = []uint64{1, 2, 5, 6, 9}
+
+func residueWindow(origin model.HostID, target string) []DedupSnapshot {
+	return []DedupSnapshot{{Origin: origin, Ranges: []AckRange{
+		{Target: target, Floor: 2, Spans: []SeqSpan{{5, 6}, {9, 9}}},
+	}}}
+}
+
 func TestEnactMigratesComponentWithState(t *testing.T) {
 	dw := newDeployWorld(t, 1.0, "m", "s1", "s2")
-	c := dw.addCounter(t, "s1", "c1", 7)
-	_ = c
+	dw.addCounter(t, "s1", "c1", 2)
+	// Five stamped events reach c1 out of order before the move, so its
+	// dedup window toward origin m carries a multi-span residue.
+	srcBus := dw.archs["s1"].DistributionConnector("bus")
+	for _, seq := range residueSeqs {
+		srcBus.dispatch(stampedFrom("m", "c1", seq))
+	}
 	res, err := dw.deployer.Enact(
 		map[string]model.HostID{"c1": "s2"},
 		map[string]model.HostID{"c1": "s1"},
@@ -133,12 +155,68 @@ func TestEnactMigratesComponentWithState(t *testing.T) {
 		t.Fatal("migrated component has wrong type")
 	}
 	if moved.value() != 7 {
-		t.Fatalf("state lost in migration: count = %d, want 7", moved.value())
+		t.Fatalf("state lost in migration: count = %d, want 7 (2 restored + 5 delivered)", moved.value())
 	}
 	// The migrated component is welded to the destination bus.
 	welds := dw.archs["s2"].WeldsOf("c1")
 	if len(welds) != 1 || welds[0] != "bus" {
 		t.Fatalf("welds after migration = %v", welds)
+	}
+	// The dedup window rode in the TransferPayload intact, and left the
+	// source with the component.
+	dstBus := dw.archs["s2"].DistributionConnector("bus")
+	if got, want := dstBus.SnapshotDedup("c1"), residueWindow("m", "c1"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dedup window at the destination = %+v, want %+v", got, want)
+	}
+	if got := srcBus.SnapshotDedup("c1"); len(got) != 0 {
+		t.Fatalf("source kept the departed component's dedup window: %+v", got)
+	}
+	// A retransmission inside a carried span is swallowed at the new
+	// host; a sequence from the hole between the spans is new.
+	dstBus.dispatch(stampedFrom("m", "c1", 6))
+	dstBus.dispatch(stampedFrom("m", "c1", 3))
+	if moved.value() != 8 {
+		t.Fatalf("after a retransmitted seq 6 and a new seq 3: count = %d, want 8", moved.value())
+	}
+}
+
+// TestDedupResidueSurvivesDeployerRestart: the deployer's WAL snapshot
+// carries its host's dedup windows in the same exported form, so a
+// multi-span residue written in one lifetime is restored by AttachStore
+// into a fresh connector in the next.
+func TestDedupResidueSurvivesDeployerRestart(t *testing.T) {
+	dir := t.TempDir()
+	attach := func(dw *deployWorld) *DeployerStore {
+		ds, err := OpenDeployerStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dw.deployer.AttachStore(ds); err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+
+	first := newDeployWorld(t, 1.0, "m", "s1")
+	ds := attach(first)
+	first.addCounter(t, "m", "c1", 0)
+	for _, seq := range residueSeqs {
+		first.archs["m"].DistributionConnector("bus").dispatch(stampedFrom("s1", "c1", seq))
+	}
+	first.deployer.ckptSnapshot() // what every finished wave does
+	ds.Close()
+
+	second := newDeployWorld(t, 1.0, "m", "s1")
+	defer attach(second).Close()
+	bus := second.archs["m"].DistributionConnector("bus")
+	if got, want := bus.SnapshotDedup(""), residueWindow("s1", "c1"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored dedup windows = %+v, want %+v", got, want)
+	}
+	c := second.addCounter(t, "m", "c1", 0)
+	bus.dispatch(stampedFrom("s1", "c1", 9))
+	bus.dispatch(stampedFrom("s1", "c1", 4))
+	if c.value() != 1 {
+		t.Fatalf("after a retransmitted seq 9 and a new seq 4: count = %d, want 1", c.value())
 	}
 }
 

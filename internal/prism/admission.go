@@ -60,7 +60,7 @@ func ClassifyFrame(e Event) ShedClass {
 	switch e.Name {
 	case EvHeartbeat, EvLeaseRequest, EvLeaseGrant:
 		return ClassLiveness
-	case EvAppAck, EvAppAckBatch, EvAppBounce:
+	case EvAppAckBatch, EvAppBounce:
 		// App-delivery machinery rides control frames but serves app
 		// traffic; shedding it is recovered by app retransmission.
 		return ClassApp

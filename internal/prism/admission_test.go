@@ -26,7 +26,6 @@ func TestClassifyFrame(t *testing.T) {
 		{"app traffic", Event{Name: "app.data", Kind: KindApplication}, ClassApp},
 		{"legacy zero kind", Event{Name: "app.data"}, ClassApp},
 		{"ping", Event{Name: "prism.ping", Kind: KindPing}, ClassApp},
-		{"app ack", Event{Name: EvAppAck, Kind: KindControl}, ClassApp},
 		{"app ack batch", Event{Name: EvAppAckBatch, Kind: KindControl}, ClassApp},
 		{"app bounce", Event{Name: EvAppBounce, Kind: KindControl}, ClassApp},
 	}

@@ -27,7 +27,7 @@ import (
 // coexist on one connection and an old peer's frames still decode.
 //
 //	[0]  tag 0xB1
-//	[1]  flags:  bits0-2  payload kind (0 none, 1 AppAck, 2 AppBounce,
+//	[1]  flags:  bits0-2  payload kind (0 none, 1 reserved, 2 AppBounce,
 //	                      3 AppAckBatch, 4 goal-state)
 //	             bit3     has SizeKB (8-byte LE float64 follows strings)
 //	             bit4     has delivery stamp (Seq/SeqOrigin/SeqInc)
@@ -39,9 +39,13 @@ import (
 //	     [Hops uvarint]                          (bit5)
 //	     payload per kind (see appendPayload/decodePayload)
 //
-// AppAckBatch residues are delta-encoded (ascending, uvarint gaps).
-// Decoding is strict: truncated fields, overlong varints, and trailing
-// bytes are errors, never panics (FuzzBinaryDecodeEvent enforces it).
+// An AppAckBatch range is Target, Inc, Floor, nSpans, then per span the
+// uvarint pair (Lo - prev, Hi - Lo), prev being the Floor for the first
+// span and the previous span's Hi after it — a window with one hole is
+// three small varints however many events arrived past the hole.
+// Decoding is strict: truncated fields, overlong varints, trailing
+// bytes, sequence overflow and spans that do not ascend are errors,
+// never panics (FuzzBinaryDecodeEvent enforces it).
 //
 // The goal-state kind (4) is the self-describing control family:
 // its payload opens with a schema version uvarint and an op byte
@@ -58,7 +62,7 @@ const binTag = 0xB1
 // Payload kind codes (flags bits 0-2).
 const (
 	payNone = iota
-	payAppAck
+	_       // 1 was the single-event ack; reserved, decodes as unknown
 	payAppBounce
 	payAckBatch
 	payGoalState
@@ -79,8 +83,6 @@ func binaryPayloadKind(p any) (kind byte, ok bool) {
 	switch p.(type) {
 	case nil:
 		return payNone, true
-	case AppAck:
-		return payAppAck, true
 	case AppBounce:
 		return payAppBounce, true
 	case AppAckBatch:
@@ -143,11 +145,6 @@ func AppendEvent(dst []byte, e Event) ([]byte, error) {
 		dst = appendUvarint(dst, uint64(e.Hops))
 	}
 	switch p := e.Payload.(type) {
-	case AppAck:
-		dst = appendString(dst, string(p.Host))
-		dst = appendString(dst, p.Target)
-		dst = appendUvarint(dst, p.Seq)
-		dst = appendUvarint(dst, p.Inc)
 	case AppBounce:
 		dst = appendString(dst, string(p.Host))
 		dst = appendString(dst, p.Target)
@@ -160,11 +157,12 @@ func AppendEvent(dst []byte, e Event) ([]byte, error) {
 			dst = appendString(dst, r.Target)
 			dst = appendUvarint(dst, r.Inc)
 			dst = appendUvarint(dst, r.Floor)
-			dst = appendUvarint(dst, uint64(len(r.Seen)))
-			prev := uint64(0)
-			for _, s := range r.Seen {
-				dst = appendUvarint(dst, s-prev) // ascending: gaps only
-				prev = s
+			dst = appendUvarint(dst, uint64(len(r.Spans)))
+			prev := r.Floor
+			for _, s := range r.Spans {
+				dst = appendUvarint(dst, s.Lo-prev) // ascending: gaps only
+				dst = appendUvarint(dst, s.Hi-s.Lo)
+				prev = s.Hi
 			}
 		}
 	case GoalAnnounce, GoalDelta, GoalAck:
@@ -287,22 +285,6 @@ func decodeBinaryEvent(data []byte) (Event, error) {
 	}
 	switch flags & 0x07 {
 	case payNone:
-	case payAppAck:
-		var p AppAck
-		if s, err = r.str(); err != nil {
-			return Event{}, err
-		}
-		p.Host = model.HostID(s)
-		if p.Target, err = r.str(); err != nil {
-			return Event{}, err
-		}
-		if p.Seq, err = r.uvarint(); err != nil {
-			return Event{}, err
-		}
-		if p.Inc, err = r.uvarint(); err != nil {
-			return Event{}, err
-		}
-		e.Payload = p
 	case payAppBounce:
 		var p AppBounce
 		if s, err = r.str(); err != nil {
@@ -347,24 +329,33 @@ func decodeBinaryEvent(data []byte) (Event, error) {
 			if ar.Floor, err = r.uvarint(); err != nil {
 				return Event{}, err
 			}
-			nSeen, err := r.uvarint()
+			nSpans, err := r.uvarint()
 			if err != nil {
 				return Event{}, err
 			}
-			if nSeen > uint64(len(data)) {
-				return Event{}, fmt.Errorf("binary event: %d residues exceed frame", nSeen)
+			if nSpans > uint64(len(data)) {
+				return Event{}, fmt.Errorf("binary event: %d spans exceed frame", nSpans)
 			}
-			if nSeen > 0 {
-				ar.Seen = make([]uint64, 0, nSeen)
+			if nSpans > 0 {
+				ar.Spans = make([]SeqSpan, 0, nSpans)
 			}
-			prev := uint64(0)
-			for j := uint64(0); j < nSeen; j++ {
+			prev := ar.Floor
+			for j := uint64(0); j < nSpans; j++ {
 				gap, err := r.uvarint()
 				if err != nil {
 					return Event{}, err
 				}
-				prev += gap
-				ar.Seen = append(ar.Seen, prev)
+				width, err := r.uvarint()
+				if err != nil {
+					return Event{}, err
+				}
+				lo := prev + gap
+				hi := lo + width
+				if gap == 0 || lo < prev || hi < lo {
+					return Event{}, fmt.Errorf("binary event: span %d does not ascend from %d", j, prev)
+				}
+				ar.Spans = append(ar.Spans, SeqSpan{lo, hi})
+				prev = hi
 			}
 			p.Ranges = append(p.Ranges, ar)
 		}

@@ -26,9 +26,11 @@ func codecCases() map[string]Event {
 		"hops":             {Name: "app.relay", Target: "c3", Seq: 7, SeqOrigin: "h2", Hops: 3},
 		"max hops":         {Name: "app.relay", Target: "c3", Hops: 1 << 30},
 		"unicode":          {Name: "ev√©nt", Sender: "københavn", Target: "京都"},
-		"ack payload": {
-			Name: EvAppAck, Kind: KindControl, SrcHost: "h2", DstHost: "h1", SizeKB: ackSizeKB,
-			Payload: AppAck{Host: "h2", Target: "c1", Seq: 9, Inc: 1},
+		"ack payload": { // the common shape: one stream, one hole
+			Name: EvAppAckBatch, Kind: KindControl, SrcHost: "h2", DstHost: "h1", SizeKB: ackSizeKB,
+			Payload: AppAckBatch{Host: "h2", Ranges: []AckRange{
+				{Target: "c1", Inc: 1, Floor: 9, Spans: []SeqSpan{{11, 50_000}}},
+			}},
 		},
 		"bounce payload": {
 			Name: EvAppBounce, Kind: KindControl, DstHost: "h1", SrcHost: "h3", SizeKB: ackSizeKB,
@@ -42,7 +44,7 @@ func codecCases() map[string]Event {
 			Name: EvAppAckBatch, Kind: KindControl, DstHost: "h1", SrcHost: "h2", SizeKB: ackSizeKB,
 			Payload: AppAckBatch{Host: "h2", Ranges: []AckRange{
 				{Target: "c1", Inc: 0, Floor: 100},
-				{Target: "c2", Inc: 2, Floor: 7, Seen: []uint64{9, 12, 40000}},
+				{Target: "c2", Inc: 2, Floor: 7, Spans: []SeqSpan{{9, 9}, {12, 40000}, {40002, 1<<64 - 1}}},
 			}},
 		},
 		"goal announce": {
@@ -167,6 +169,40 @@ func TestEncodeEventSelectsCodec(t *testing.T) {
 	}
 }
 
+// ackSpanFrame hand-builds an EvAppAckBatch frame holding one range
+// (target "c", inc 0, the given floor) whose span section is the raw
+// uvarints in spans, so malformed span encodings can be written out.
+func ackSpanFrame(floor uint64, spans ...uint64) []byte {
+	b, _ := AppendEvent(nil, Event{Name: EvAppAckBatch, Kind: KindControl})
+	b[1] |= payAckBatch
+	b = appendString(b, "h2")
+	b = appendUvarint(b, 1)
+	b = appendString(b, "c")
+	b = appendUvarint(b, 0)
+	b = appendUvarint(b, floor)
+	for _, v := range spans {
+		b = appendUvarint(b, v)
+	}
+	return b
+}
+
+// malformedAckFrames are the ack encodings a hostile peer could send;
+// each must be rejected, and none may panic or allocate by a claimed
+// count.
+func malformedAckFrames() map[string][]byte {
+	const top = ^uint64(0)
+	return map[string][]byte{
+		"span lo overflows":     ackSpanFrame(top-1, 1, 5, 0),
+		"span hi overflows":     ackSpanFrame(10, 1, 5, top),
+		"second lo overflows":   ackSpanFrame(10, 2, 5, 0, top, 0),
+		"span not above floor":  ackSpanFrame(10, 1, 0, 3),
+		"spans descend":         ackSpanFrame(10, 2, 5, 3, 0, 1),
+		"span count over frame": ackSpanFrame(10, 1<<40, 5, 3),
+		// Payload kind 1 was the single-event ack; the code stays reserved.
+		"retired single ack": {binTag, 0x01, byte(KindControl), 0, 0, 0, 0, 0, 2, 'h', '2', 1, 'c', 9, 1},
+	}
+}
+
 // TestBinaryDecodeRejectsCorruption spot-checks the strict-decode
 // contract on hand-built malformed frames.
 func TestBinaryDecodeRejectsCorruption(t *testing.T) {
@@ -174,7 +210,12 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string][]byte{
+	// The hand-builder itself is sound: a well-formed span section decodes.
+	if _, err := decodeBinaryEvent(ackSpanFrame(10, 2, 5, 3, 1, 0)); err != nil {
+		t.Fatalf("well-formed hand-built span frame rejected: %v", err)
+	}
+	cases := malformedAckFrames()
+	for name, data := range map[string][]byte{
 		"empty tag only":  {binTag},
 		"truncated half":  valid[:len(valid)/2],
 		"truncated tail":  valid[:len(valid)-1],
@@ -182,6 +223,8 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 		"bad payloadkind": {binTag, 0x07, 0x01, 0, 0, 0, 0, 0},
 		"huge hops": append([]byte{binTag, flagHasHops, 0x01, 0, 0, 0, 0, 0},
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+	} {
+		cases[name] = data
 	}
 	for name, data := range cases {
 		if _, err := decodeBinaryEvent(data); err == nil {
@@ -235,13 +278,17 @@ func TestInternStringBounds(t *testing.T) {
 // event, never panic, and every successfully decoded event must
 // re-encode cleanly.
 func FuzzBinaryDecodeEvent(f *testing.F) {
+	// The fuzz body supplies the tag byte, so whole-frame seeds drop it.
 	for _, e := range codecCases() {
 		data, err := AppendEvent(nil, e)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
-		f.Add(data[:len(data)/2])
+		f.Add(data[1:])
+		f.Add(data[1 : len(data)/2])
+	}
+	for _, data := range malformedAckFrames() {
+		f.Add(data[1:])
 	}
 	f.Add([]byte{binTag})
 	f.Add([]byte{binTag, 0xff})
@@ -261,11 +308,11 @@ func FuzzBinaryDecodeEvent(f *testing.F) {
 		out[len(head)+off] = v
 		return out
 	}
-	f.Add(patch(goalFrame, 0, 99)) // newer major version
-	f.Add(patch(goalFrame, 0, 0))  // invalid version zero
-	f.Add(patch(goalFrame, 1, 0x7f))
-	f.Add(append(append([]byte(nil), goalFrame[:len(goalFrame)-1]...), 3, 0xde, 0xad, 0xbf))
-	f.Add(goalFrame[:len(head)+len(goalPayload)/2])
+	f.Add(patch(goalFrame, 0, 99)[1:]) // newer major version
+	f.Add(patch(goalFrame, 0, 0)[1:])  // invalid version zero
+	f.Add(patch(goalFrame, 1, 0x7f)[1:])
+	f.Add(append(append([]byte(nil), goalFrame[1:len(goalFrame)-1]...), 3, 0xde, 0xad, 0xbf))
+	f.Add(goalFrame[1 : len(head)+len(goalPayload)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := decodeBinaryEvent(append([]byte{binTag}, data...))
 		if err != nil {
@@ -273,6 +320,17 @@ func FuzzBinaryDecodeEvent(f *testing.F) {
 		}
 		if !BinaryEncodable(e) {
 			t.Fatalf("decoder produced non-binary-encodable event %+v", e)
+		}
+		if b, ok := e.Payload.(AppAckBatch); ok {
+			for _, r := range b.Ranges {
+				prev := r.Floor
+				for _, s := range r.Spans {
+					if s.Lo <= prev || s.Hi < s.Lo {
+						t.Fatalf("decoder accepted spans %v that do not ascend from floor %d", r.Spans, r.Floor)
+					}
+					prev = s.Hi
+				}
+			}
 		}
 		if _, err := AppendEvent(nil, e); err != nil {
 			t.Fatalf("decoded event does not re-encode: %v", err)

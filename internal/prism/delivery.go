@@ -1,8 +1,9 @@
 package prism
 
 import (
+	"cmp"
 	"encoding/gob"
-	"sort"
+	"slices"
 	"sync"
 
 	"dif/internal/model"
@@ -12,40 +13,30 @@ import (
 // Delivery-guarantee protocol frames (KindControl, intercepted by the
 // distribution connector before local routing).
 const (
-	// EvAppAck acknowledges exactly-once delivery of a single stamped
-	// application event at a component port. Still decoded for frames
-	// from pre-batching peers; this host emits EvAppAckBatch instead.
-	EvAppAck = "prism.app.ack"
 	// EvAppAckBatch carries cumulative ack ranges — one frame settles
 	// every event the receiver has delivered from this origin since the
-	// last flush, replacing N EvAppAck frames with one.
+	// last flush.
 	EvAppAckBatch = "prism.app.ackb"
 	// EvAppBounce tells a sender that the target component is no longer
 	// here and where the relocation table says it went.
 	EvAppBounce = "prism.app.bounce"
 )
 
-// AppAck is the payload of an EvAppAck frame.
-type AppAck struct {
-	// Host is the acknowledging host.
-	Host model.HostID
-	// Target, Seq, and Inc identify the acknowledged event within the
-	// origin's stream.
-	Target string
-	Seq    uint64
-	Inc    uint64
+// SeqSpan is a closed run [Lo, Hi] of delivered sequence numbers.
+type SeqSpan struct {
+	Lo, Hi uint64
 }
 
-// AckRange is one stream's cumulative delivery state inside an
-// EvAppAckBatch frame: everything at or below Floor was delivered, plus
-// the out-of-order residue in Seen (ascending). Ranges are windows, not
-// deltas, so re-sending one is idempotent — a duplicated or reordered
-// batch frame can never un-acknowledge anything.
+// AckRange is one stream's cumulative delivery state, the exported form
+// of its dedupWindow: everything at or below Floor was delivered, plus
+// the out-of-order residue in Spans (ascending, disjoint). Ranges are
+// windows, not deltas, so re-sending one is idempotent — a duplicated or
+// reordered batch frame can never un-acknowledge anything.
 type AckRange struct {
 	Target string
 	Inc    uint64
 	Floor  uint64
-	Seen   []uint64
+	Spans  []SeqSpan
 }
 
 // AppAckBatch is the payload of an EvAppAckBatch frame: every stream
@@ -71,7 +62,6 @@ type AppBounce struct {
 }
 
 func init() {
-	gob.Register(AppAck{})
 	gob.Register(AppAckBatch{})
 	gob.Register(AppBounce{})
 }
@@ -145,18 +135,6 @@ func (c DeliveryConfig) withDefaults() DeliveryConfig {
 	return c
 }
 
-// DedupStream is the serializable receiver-side dedup state of one
-// (origin, incarnation) stream toward one target component. It rides in
-// TransferPayload so exactly-once survives migration.
-type DedupStream struct {
-	Origin model.HostID
-	Inc    uint64
-	// Floor is the highest sequence below which everything was seen.
-	Floor uint64
-	// Seen holds the out-of-order residue above Floor.
-	Seen []uint64
-}
-
 type streamKey struct {
 	origin model.HostID
 	inc    uint64
@@ -164,10 +142,13 @@ type streamKey struct {
 }
 
 // dedupWindow tracks which sequence numbers of one stream were already
-// delivered: a contiguous floor plus an out-of-order residue set.
+// delivered: a contiguous floor plus the out-of-order residue above it
+// as an interval set — ascending, disjoint, non-adjacent, every span
+// starting above floor+1 — so its length is the number of holes in the
+// stream, not the number of events that arrived past them.
 type dedupWindow struct {
 	floor uint64
-	seen  map[uint64]bool
+	spans []SeqSpan
 }
 
 // observe records seq and reports whether it is new.
@@ -175,20 +156,71 @@ func (w *dedupWindow) observe(seq uint64) bool {
 	if seq <= w.floor {
 		return false
 	}
-	if seq == w.floor+1 && len(w.seen) == 0 {
-		// In-order arrival, the steady state: no residue to touch.
+	n := len(w.spans)
+	if seq == w.floor+1 {
+		// In-order arrival, the steady state: no residue to touch. When
+		// it fills the hole below the first span, the floor jumps over it.
 		w.floor = seq
+		if n > 0 && w.spans[0].Lo == seq+1 {
+			w.floor = w.spans[0].Hi
+			w.spans = w.spans[1:]
+		}
 		return true
 	}
-	if w.seen[seq] {
+	// Past a hole the stream keeps arriving in order: extend the last
+	// span, or open a new one behind it. (seq >= 2 here, so seq-1 is safe
+	// where Hi+1 could overflow on a hostile sequence.)
+	if n == 0 || seq-1 > w.spans[n-1].Hi {
+		w.spans = append(w.spans, SeqSpan{seq, seq})
+		return true
+	}
+	if seq-1 == w.spans[n-1].Hi {
+		w.spans[n-1].Hi = seq
+		return true
+	}
+	return w.add(SeqSpan{seq, seq})
+}
+
+// add folds one span lying wholly above the floor into the interval set,
+// coalescing every span it overlaps or touches, and reports whether it
+// covered anything new.
+func (w *dedupWindow) add(s SeqSpan) bool {
+	i, _ := slices.BinarySearchFunc(w.spans, s.Lo-1, func(sp SeqSpan, lo uint64) int {
+		return cmp.Compare(sp.Hi, lo)
+	})
+	if i < len(w.spans) && w.spans[i].Lo <= s.Lo && s.Hi <= w.spans[i].Hi {
 		return false
 	}
-	w.seen[seq] = true
-	for w.seen[w.floor+1] {
-		delete(w.seen, w.floor+1)
-		w.floor++
+	j := i
+	for ; j < len(w.spans) && w.spans[j].Lo-1 <= s.Hi; j++ {
+		s.Lo = min(s.Lo, w.spans[j].Lo)
+		s.Hi = max(s.Hi, w.spans[j].Hi)
 	}
+	w.spans = slices.Replace(w.spans, i, j, s)
 	return true
+}
+
+// export copies the window into its one serializable form. The spans are
+// already ordered, so this is a copy and nothing else.
+func (w *dedupWindow) export(target string, inc uint64) AckRange {
+	return AckRange{Target: target, Inc: inc, Floor: w.floor, Spans: slices.Clone(w.spans)}
+}
+
+// merge folds an exported window into this one, keeping the stricter of
+// the two: the higher floor and the union of the residues. Imported
+// spans are not trusted to be ordered or to clear the floor.
+func (w *dedupWindow) merge(floor uint64, spans []SeqSpan) {
+	w.floor = max(w.floor, floor)
+	for _, s := range spans {
+		if s.Hi > w.floor && s.Lo <= s.Hi {
+			s.Lo = max(s.Lo, w.floor+1)
+			w.add(s)
+		}
+	}
+	for len(w.spans) > 0 && w.spans[0].Lo-1 <= w.floor {
+		w.floor = max(w.floor, w.spans[0].Hi)
+		w.spans = w.spans[1:]
+	}
 }
 
 type pendingKey struct {
@@ -449,7 +481,7 @@ func (dc *DistributionConnector) onDeliver(e Event) bool {
 	key := streamKey{e.SeqOrigin, e.SeqInc, e.Target}
 	w := d.streams[key]
 	if w == nil {
-		w = &dedupWindow{seen: make(map[uint64]bool)}
+		w = &dedupWindow{}
 		d.streams[key] = w
 	}
 	fresh := w.observe(e.Seq)
@@ -464,7 +496,7 @@ func (dc *DistributionConnector) onDeliver(e Event) bool {
 	}
 	d.ackDirty[key] = struct{}{}
 	d.ackDirtyN++
-	var batches []ackBatch
+	var batches []DedupSnapshot
 	if d.ackDirtyN >= d.cfg.AckFlush {
 		batches = d.buildAckBatchesLocked()
 	}
@@ -473,78 +505,67 @@ func (dc *DistributionConnector) onDeliver(e Event) bool {
 	return fresh
 }
 
-// ackBatch is one flushed EvAppAckBatch frame, addressed to an origin.
-type ackBatch struct {
-	origin model.HostID
-	batch  AppAckBatch
+// DedupSnapshot is receiver-side dedup windows from one origin in their
+// exported AckRange form. One flushed ack frame, a migrating component's
+// TransferPayload and the deployer's durable checkpoint all carry it.
+type DedupSnapshot struct {
+	Origin model.HostID
+	Ranges []AckRange
+}
+
+// exportLocked is the one exporter of dedup windows: the streams named
+// by keys, in deterministic order, grouped by origin. Caller holds d.mu.
+func (d *appDelivery) exportLocked(keys []streamKey) []DedupSnapshot {
+	slices.SortFunc(keys, func(a, b streamKey) int {
+		return cmp.Or(cmp.Compare(a.origin, b.origin), cmp.Compare(a.target, b.target), cmp.Compare(a.inc, b.inc))
+	})
+	var out []DedupSnapshot
+	for _, k := range keys {
+		w := d.streams[k]
+		if w == nil {
+			continue // stream migrated away since it was marked
+		}
+		if len(out) == 0 || out[len(out)-1].Origin != k.origin {
+			out = append(out, DedupSnapshot{Origin: k.origin})
+		}
+		last := &out[len(out)-1]
+		last.Ranges = append(last.Ranges, w.export(k.target, k.inc))
+	}
+	return out
 }
 
 // buildAckBatchesLocked drains the dirty-stream set into one cumulative
-// ack-range frame per origin, in deterministic order. Caller holds d.mu.
-func (d *appDelivery) buildAckBatchesLocked() []ackBatch {
+// ack-range frame per origin. Caller holds d.mu.
+func (d *appDelivery) buildAckBatchesLocked() []DedupSnapshot {
+	d.ackDirtyN = 0
 	if len(d.ackDirty) == 0 {
-		d.ackDirtyN = 0
 		return nil
 	}
 	keys := make([]streamKey, 0, len(d.ackDirty))
 	for k := range d.ackDirty {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.origin != b.origin {
-			return a.origin < b.origin
-		}
-		if a.target != b.target {
-			return a.target < b.target
-		}
-		return a.inc < b.inc
-	})
-	var out []ackBatch
-	for _, k := range keys {
-		w := d.streams[k]
-		if w == nil {
-			continue // stream migrated away since it was marked
-		}
-		r := AckRange{Target: k.target, Inc: k.inc, Floor: w.floor}
-		if len(w.seen) > 0 {
-			r.Seen = make([]uint64, 0, len(w.seen))
-			for seq := range w.seen {
-				r.Seen = append(r.Seen, seq)
-			}
-			sort.Slice(r.Seen, func(i, j int) bool { return r.Seen[i] < r.Seen[j] })
-		}
-		if len(out) == 0 || out[len(out)-1].origin != k.origin {
-			out = append(out, ackBatch{origin: k.origin, batch: AppAckBatch{Host: d.host}})
-		}
-		last := &out[len(out)-1]
-		last.batch.Ranges = append(last.batch.Ranges, r)
-	}
 	d.ackDirty = make(map[streamKey]struct{})
-	d.ackDirtyN = 0
-	return out
+	return d.exportLocked(keys)
 }
 
 // sendAckBatches ships flushed ack-range frames to their origins.
-func (dc *DistributionConnector) sendAckBatches(batches []ackBatch) {
-	if len(batches) == 0 {
-		return
-	}
+func (dc *DistributionConnector) sendAckBatches(batches []DedupSnapshot) {
 	d := dc.delivery
 	for _, b := range batches {
 		e := Event{
 			Name:    EvAppAckBatch,
 			Kind:    KindControl,
 			SrcHost: d.host,
-			DstHost: b.origin,
+			DstHost: b.Origin,
 			SizeKB:  ackSizeKB,
-			Payload: b.batch,
+			Payload: AppAckBatch{Host: d.host, Ranges: b.Ranges},
 		}
 		data, pooled, err := dc.encodeFrame(e)
 		if err == nil {
-			dc.sendTracked(b.origin, data, ackSizeKB, false)
+			dc.sendTracked(b.Origin, data, ackSizeKB)
 			d.ackFrames.Inc()
-			d.ackBatched.Add(float64(len(b.batch.Ranges)))
+			d.ackBatched.Add(float64(len(b.Ranges)))
 		}
 		if pooled != nil {
 			putEncBuf(pooled)
@@ -552,30 +573,13 @@ func (dc *DistributionConnector) sendAckBatches(batches []ackBatch) {
 	}
 }
 
-// handleAppAck settles one acknowledged pending entry (a frame from a
-// pre-batching peer; stale or duplicate acks are ignored).
-func (dc *DistributionConnector) handleAppAck(a AppAck) {
-	d := dc.delivery
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.settleLocked(a.Target, a.Seq) {
-		return
-	}
-	d.pendingG.Set(float64(d.pendingN))
-	if a.Host != "" {
-		// The acker evidently hosts the target; remember for retransmits.
-		d.hints[a.Target] = a.Host
-	}
-}
-
 // handleAppAckBatch settles every pending entry covered by the batch's
 // cumulative ranges: for each range, entries of the same incarnation at
-// or below the floor, plus the explicit residues. The floor settles by
-// walking the window forward from its head, so a frame costs what it
-// settles (a stale or duplicate frame finds the head already past its
-// floor and costs nothing); only sends of another incarnation parked at
-// the head are stepped over. The pending gauge updates once per batch,
-// not once per settled event.
+// or below the floor or inside a span. Both settle by walking the send
+// ring, so a frame costs at most what the window holds, never what a
+// span claims (a hostile {2, 1<<63} walks the window once), and a stale
+// or duplicate frame finds the head already past it and costs nothing.
+// The pending gauge updates once per batch, not once per settled event.
 func (dc *DistributionConnector) handleAppAckBatch(b AppAckBatch) {
 	d := dc.delivery
 	d.mu.Lock()
@@ -583,15 +587,9 @@ func (dc *DistributionConnector) handleAppAckBatch(b AppAckBatch) {
 	before := d.pendingN
 	for _, r := range b.Ranges {
 		if w := d.sends[r.Target]; w != nil && w.n > 0 {
-			for i := 0; i < w.n && w.base+uint64(i) <= r.Floor; i++ {
-				if p := w.at(i); p.live && p.e.SeqInc == r.Inc {
-					d.removeLocked(p)
-				}
-			}
-			for _, seq := range r.Seen {
-				if p := w.lookup(seq); p != nil && p.e.SeqInc == r.Inc {
-					d.removeLocked(p)
-				}
+			d.settleSpanLocked(w, r.Inc, SeqSpan{0, r.Floor})
+			for _, s := range r.Spans {
+				d.settleSpanLocked(w, r.Inc, s)
 			}
 			w.trim()
 		}
@@ -601,6 +599,22 @@ func (dc *DistributionConnector) handleAppAckBatch(b AppAckBatch) {
 	}
 	d.acked.Add(float64(before - d.pendingN))
 	d.pendingG.Set(float64(d.pendingN))
+}
+
+// settleSpanLocked retires the live sends of incarnation inc whose
+// sequence lies in s, touching only the part of s the ring covers.
+// Caller holds d.mu and trims the window afterwards.
+func (d *appDelivery) settleSpanLocked(w *sendWindow, inc uint64, s SeqSpan) {
+	if s.Hi < w.base {
+		return
+	}
+	lo := max(s.Lo, w.base) - w.base
+	hi := min(s.Hi-w.base, uint64(w.n-1))
+	for i := lo; i <= hi; i++ {
+		if p := w.at(int(i)); p.live && p.e.SeqInc == inc {
+			d.removeLocked(p)
+		}
+	}
 }
 
 // handleAppBounce re-addresses the bounced event to the authoritative
@@ -630,7 +644,7 @@ func (dc *DistributionConnector) handleAppBounce(b AppBounce) {
 	}
 	e.SrcHost = dc.host
 	if data, err := EncodeEvent(e); err == nil {
-		dc.sendTracked(b.Location, data, e.EffectiveSizeKB(), false)
+		dc.sendTracked(b.Location, data, e.EffectiveSizeKB())
 	}
 }
 
@@ -673,7 +687,7 @@ func (dc *DistributionConnector) onUndeliverable(e Event) {
 		Payload: AppBounce{Host: dc.host, Target: e.Target, Seq: e.Seq, Location: r.host},
 	}
 	if data, err := EncodeEvent(bounce); err == nil {
-		dc.sendTracked(e.SeqOrigin, data, ackSizeKB, false)
+		dc.sendTracked(e.SeqOrigin, data, ackSizeKB)
 	}
 }
 
@@ -704,11 +718,8 @@ func (dc *DistributionConnector) DeliveryTick() int {
 	delete(d.wheel, d.tick)
 	// Canonical send order for determinism: only the due bucket is
 	// sorted, never the full table.
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].target != due[j].target {
-			return due[i].target < due[j].target
-		}
-		return due[i].seq < due[j].seq
+	slices.SortFunc(due, func(a, b pendingKey) int {
+		return cmp.Or(cmp.Compare(a.target, b.target), cmp.Compare(a.seq, b.seq))
 	})
 	type sendItem struct {
 		e  Event
@@ -764,10 +775,10 @@ func (dc *DistributionConnector) DeliveryTick() int {
 		}
 		d.retrans.Inc()
 		if it.to != "" {
-			dc.sendTracked(it.to, data, it.e.EffectiveSizeKB(), false)
+			dc.sendTracked(it.to, data, it.e.EffectiveSizeKB())
 		} else {
 			for _, peer := range dc.transport.Peers() {
-				dc.sendTracked(peer, data, it.e.EffectiveSizeKB(), false)
+				dc.sendTracked(peer, data, it.e.EffectiveSizeKB())
 			}
 		}
 		if pooled != nil {
@@ -777,57 +788,40 @@ func (dc *DistributionConnector) DeliveryTick() int {
 	return len(items)
 }
 
-// snapshotDedup copies the dedup streams addressed to one target (the
-// migrating component) for inclusion in its TransferPayload.
-func (dc *DistributionConnector) snapshotDedup(target string) []DedupStream {
+// SnapshotDedup exports the receiver-side dedup windows, grouped by
+// origin in deterministic order: every window (the deployer's durable
+// checkpoint), or with target non-empty only those addressed to that
+// component (its TransferPayload, so exactly-once survives the move).
+func (dc *DistributionConnector) SnapshotDedup(target string) []DedupSnapshot {
 	d := dc.delivery
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var out []DedupStream
-	for k, w := range d.streams {
-		if k.target != target {
-			continue
+	keys := make([]streamKey, 0, len(d.streams))
+	for k := range d.streams {
+		if target == "" || k.target == target {
+			keys = append(keys, k)
 		}
-		s := DedupStream{Origin: k.origin, Inc: k.inc, Floor: w.floor}
-		for seq := range w.seen {
-			s.Seen = append(s.Seen, seq)
-		}
-		sort.Slice(s.Seen, func(i, j int) bool { return s.Seen[i] < s.Seen[j] })
-		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Origin != out[j].Origin {
-			return out[i].Origin < out[j].Origin
-		}
-		return out[i].Inc < out[j].Inc
-	})
-	return out
+	return d.exportLocked(keys)
 }
 
-// installDedup merges migrated dedup streams for an arriving component,
-// keeping the stricter of local and imported knowledge.
-func (dc *DistributionConnector) installDedup(target string, streams []DedupStream) {
+// RestoreDedup merges exported dedup windows back into the connector,
+// keeping the stricter of local and imported knowledge per stream, so
+// neither an arriving component's windows nor a replayed checkpoint can
+// ever un-deliver an event.
+func (dc *DistributionConnector) RestoreDedup(snaps []DedupSnapshot) {
 	d := dc.delivery
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, s := range streams {
-		key := streamKey{s.Origin, s.Inc, target}
-		w := d.streams[key]
-		if w == nil {
-			w = &dedupWindow{seen: make(map[uint64]bool)}
-			d.streams[key] = w
-		}
-		if s.Floor > w.floor {
-			w.floor = s.Floor
-		}
-		for _, seq := range s.Seen {
-			if seq > w.floor {
-				w.seen[seq] = true
+	for _, snap := range snaps {
+		for _, r := range snap.Ranges {
+			key := streamKey{snap.Origin, r.Inc, r.Target}
+			w := d.streams[key]
+			if w == nil {
+				w = &dedupWindow{}
+				d.streams[key] = w
 			}
-		}
-		for w.seen[w.floor+1] {
-			delete(w.seen, w.floor+1)
-			w.floor++
+			w.merge(r.Floor, r.Spans)
 		}
 	}
 }
@@ -842,84 +836,6 @@ func (dc *DistributionConnector) dropDedup(target string) {
 		if k.target == target {
 			delete(d.streams, k)
 			delete(d.ackDirty, k)
-		}
-	}
-}
-
-// DedupSnapshot is every receiver-side dedup window from one origin in
-// the serializable AckRange floor+residue form. The deployer persists
-// these in its durable checkpoint so exactly-once state survives a
-// coordinator restart, reusing the exact shape ack batches already ship.
-type DedupSnapshot struct {
-	Origin model.HostID
-	Ranges []AckRange
-}
-
-// SnapshotAllDedup exports every receiver-side dedup window grouped by
-// origin, in deterministic order.
-func (dc *DistributionConnector) SnapshotAllDedup() []DedupSnapshot {
-	d := dc.delivery
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keys := make([]streamKey, 0, len(d.streams))
-	for k := range d.streams {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.origin != b.origin {
-			return a.origin < b.origin
-		}
-		if a.target != b.target {
-			return a.target < b.target
-		}
-		return a.inc < b.inc
-	})
-	var out []DedupSnapshot
-	for _, k := range keys {
-		w := d.streams[k]
-		r := AckRange{Target: k.target, Inc: k.inc, Floor: w.floor}
-		for seq := range w.seen {
-			r.Seen = append(r.Seen, seq)
-		}
-		sort.Slice(r.Seen, func(i, j int) bool { return r.Seen[i] < r.Seen[j] })
-		if len(out) == 0 || out[len(out)-1].Origin != k.origin {
-			out = append(out, DedupSnapshot{Origin: k.origin})
-		}
-		last := &out[len(out)-1]
-		last.Ranges = append(last.Ranges, r)
-	}
-	return out
-}
-
-// RestoreDedup merges exported dedup windows back into the connector,
-// keeping the stricter of local and restored knowledge per stream — the
-// same stricter-wins rule migration uses, so replaying a checkpoint can
-// never un-deliver an event.
-func (dc *DistributionConnector) RestoreDedup(snaps []DedupSnapshot) {
-	d := dc.delivery
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, snap := range snaps {
-		for _, r := range snap.Ranges {
-			key := streamKey{snap.Origin, r.Inc, r.Target}
-			w := d.streams[key]
-			if w == nil {
-				w = &dedupWindow{seen: make(map[uint64]bool)}
-				d.streams[key] = w
-			}
-			if r.Floor > w.floor {
-				w.floor = r.Floor
-			}
-			for _, seq := range r.Seen {
-				if seq > w.floor {
-					w.seen[seq] = true
-				}
-			}
-			for w.seen[w.floor+1] {
-				delete(w.seen, w.floor+1)
-				w.floor++
-			}
 		}
 	}
 }

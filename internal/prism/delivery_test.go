@@ -329,3 +329,80 @@ func TestConcurrentHoldReleaseRoute(t *testing.T) {
 		t.Fatalf("target got %d events, more than the %d routed", got, routes)
 	}
 }
+
+// TestStoreAndForwardQueuesOnPartition is examples/disconnected as a
+// test: the send window is the store-and-forward queue. Reports stamped
+// during a partition stay pending through failed retransmissions, and
+// once the link heals the delivery clock lands each exactly once — no
+// second queue, no flush call.
+func TestStoreAndForwardQueuesOnPartition(t *testing.T) {
+	w := newWorld(t, 1.0, "field", "base")
+	reporter := w.addEcho(t, "field", "reporter")
+	sink := w.addEcho(t, "base", "sink")
+	field, base := w.buses["field"], w.buses["base"]
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			reporter.Emit(Event{Name: "position-report", Target: "sink", SizeKB: 2})
+		}
+	}
+	tick := func() bool {
+		base.DeliveryTick() // flushes acks
+		field.DeliveryTick()
+		return field.PendingAppEvents() == 0
+	}
+
+	send(5)
+	waitFor(t, func() bool { return sink.count.Load() == 5 })
+	waitFor(t, tick)
+
+	if err := w.fabric.SetPartitioned("field", "base", true); err != nil {
+		t.Fatal(err)
+	}
+	send(8)
+	for i := 0; i < 5; i++ {
+		tick() // retransmissions into the partition fail and stay pending
+	}
+	if p, n := field.PendingAppEvents(), sink.count.Load(); p != 8 || n != 5 {
+		t.Fatalf("during the partition: %d pending, %d handled; want 8 and 5", p, n)
+	}
+
+	if err := w.fabric.SetPartitioned("field", "base", false); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, tick)
+	for i := 0; i < 5; i++ {
+		tick() // further ticks must not deliver anything twice
+	}
+	time.Sleep(10 * time.Millisecond)
+	if p, n := field.PendingAppEvents(), sink.count.Load(); p != 0 || n != 13 {
+		t.Fatalf("after the heal: %d pending, %d handled; want 0 and exactly 13", p, n)
+	}
+}
+
+// TestStoreAndForwardLossyFlushRequeues: a tick into a link that is
+// still down re-sends the whole backlog, lands nothing and loses
+// nothing — every event goes back on the wheel for the next tick.
+func TestStoreAndForwardLossyFlushRequeues(t *testing.T) {
+	w := newWorld(t, 1.0, "h1", "h2")
+	a := w.addEcho(t, "h1", "a")
+	b := w.addEcho(t, "h2", "b")
+	bus := w.buses["h1"]
+	if err := w.fabric.SetPartitioned("h1", "h2", true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		a.Emit(Event{Name: "x", Target: "b"})
+	}
+	for tick := 1; tick <= retransmitGraceTicks+3; tick++ {
+		want := 3
+		if tick < retransmitGraceTicks {
+			want = 0
+		}
+		if n := bus.DeliveryTick(); n != want {
+			t.Fatalf("tick %d retransmitted %d, want %d", tick, n, want)
+		}
+	}
+	if got := bus.PendingAppEvents(); got != 3 || b.count.Load() != 0 {
+		t.Fatalf("still partitioned: %d pending, %d delivered; want 3 and 0", got, b.count.Load())
+	}
+}

@@ -10,8 +10,9 @@ import (
 
 // sentFrame is one frame a captureTransport was asked to send.
 type sentFrame struct {
-	to model.HostID
-	e  Event
+	to   model.HostID
+	e    Event
+	size int // encoded bytes
 }
 
 // captureTransport records (decoded) outbound frames and delivers
@@ -34,7 +35,7 @@ func (c *captureTransport) Send(to model.HostID, data []byte, _ float64) error {
 		return err
 	}
 	c.mu.Lock()
-	c.sent = append(c.sent, sentFrame{to, e})
+	c.sent = append(c.sent, sentFrame{to, e, len(data)})
 	c.mu.Unlock()
 	return nil
 }
@@ -71,8 +72,17 @@ func (r *windowRig) stampN(target string, n int) []uint64 {
 	return seqs
 }
 
+// ack delivers one ack range: a floor plus single-sequence residue spans.
 func (r *windowRig) ack(target string, inc, floor uint64, seen ...uint64) {
-	r.dc.handleAppAckBatch(AppAckBatch{Host: "h2", Ranges: []AckRange{{Target: target, Inc: inc, Floor: floor, Seen: seen}}})
+	spans := make([]SeqSpan, len(seen))
+	for i, s := range seen {
+		spans[i] = SeqSpan{s, s}
+	}
+	r.ackSpans(target, inc, floor, spans...)
+}
+
+func (r *windowRig) ackSpans(target string, inc, floor uint64, spans ...SeqSpan) {
+	r.dc.handleAppAckBatch(AppAckBatch{Host: "h2", Ranges: []AckRange{{Target: target, Inc: inc, Floor: floor, Spans: spans}}})
 }
 
 // liveSeqs lists the target's unacked sequences, ascending.
@@ -368,30 +378,30 @@ func TestStampSettleAllocatesNothingPerEvent(t *testing.T) {
 }
 
 // TestDedupWindowInOrderFastPath pins the receiver-side fast path: an
-// in-order stream never touches the residue map, and a gap falls back to
-// it without losing exactly-once.
+// in-order stream never grows a residue, and a gap falls back to the
+// interval set without losing exactly-once.
 func TestDedupWindowInOrderFastPath(t *testing.T) {
-	w := &dedupWindow{seen: make(map[uint64]bool)}
+	w := &dedupWindow{}
 	for seq := uint64(1); seq <= 100; seq++ {
 		if !w.observe(seq) {
 			t.Fatalf("in-order seq %d reported duplicate", seq)
 		}
-		if len(w.seen) != 0 {
-			t.Fatalf("in-order seq %d left residue %v", seq, w.seen)
+		if len(w.spans) != 0 {
+			t.Fatalf("in-order seq %d left residue %v", seq, w.spans)
 		}
 	}
 	if w.observe(100) || w.observe(1) {
 		t.Fatal("replayed sequence reported fresh")
 	}
 	if !w.observe(103) || w.observe(103) || w.floor != 100 {
-		t.Fatalf("gap handling: floor %d residue %v", w.floor, w.seen)
+		t.Fatalf("gap handling: floor %d residue %v", w.floor, w.spans)
 	}
 	// 101 arrives while residue exists: the slow path must take it.
 	if !w.observe(101) || w.floor != 101 {
-		t.Fatalf("after 101: floor %d residue %v", w.floor, w.seen)
+		t.Fatalf("after 101: floor %d residue %v", w.floor, w.spans)
 	}
-	if !w.observe(102) || w.floor != 103 || len(w.seen) != 0 {
-		t.Fatalf("after 102: floor %d residue %v, want floor 103 and no residue", w.floor, w.seen)
+	if !w.observe(102) || w.floor != 103 || len(w.spans) != 0 {
+		t.Fatalf("after 102: floor %d residue %v, want floor 103 and no residue", w.floor, w.spans)
 	}
 	if !w.observe(104) || w.floor != 104 {
 		t.Fatalf("fast path did not resume: floor %d", w.floor)

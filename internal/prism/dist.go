@@ -127,7 +127,6 @@ type DistributionConnector struct {
 
 	mu    sync.Mutex
 	stats map[model.HostID]*PeerStats
-	saf   storeAndForward
 
 	// delivery is the application-event delivery-guarantee layer
 	// (sequence stamping, acks, retransmission, relocation bounces).
@@ -248,10 +247,9 @@ func (dc *DistributionConnector) forwardRemote(e Event) {
 	if pooled != nil {
 		defer putEncBuf(pooled)
 	}
-	queueable := e.kind() == KindApplication
 	if e.DstHost != "" {
 		if e.DstHost != dc.host {
-			dc.sendTracked(e.DstHost, data, e.EffectiveSizeKB(), queueable)
+			dc.sendTracked(e.DstHost, data, e.EffectiveSizeKB())
 		}
 		return
 	}
@@ -259,21 +257,20 @@ func (dc *DistributionConnector) forwardRemote(e Event) {
 	// bounded retransmitter falls back to broadcast if the hint is stale.
 	if e.Seq != 0 && e.Target != "" && e.kind() == KindApplication {
 		if hint := dc.locationHint(e.Target); hint != "" && hint != dc.host {
-			dc.sendTracked(hint, data, e.EffectiveSizeKB(), queueable)
+			dc.sendTracked(hint, data, e.EffectiveSizeKB())
 			return
 		}
 	}
 	for _, peer := range dc.transport.Peers() {
-		dc.sendTracked(peer, data, e.EffectiveSizeKB(), queueable)
+		dc.sendTracked(peer, data, e.EffectiveSizeKB())
 	}
 }
 
-// sendTracked transmits a frame, records the outcome in the peer's probe
-// statistics, and (for queueable application traffic) stores
-// undeliverable frames when store-and-forward is enabled. Control and
-// ping traffic is never queued: probes are only meaningful live, and the
-// control plane has its own retransmission.
-func (dc *DistributionConnector) sendTracked(to model.HostID, data []byte, sizeKB float64, queueable bool) {
+// sendTracked transmits a frame and records the outcome in the peer's
+// probe statistics. A failed send is not queued here: stamped
+// application events sit in the send window until acked, and the control
+// plane has its own retransmission.
+func (dc *DistributionConnector) sendTracked(to model.HostID, data []byte, sizeKB float64) {
 	err := dc.transport.Send(to, data, sizeKB)
 	dc.mu.Lock()
 	st, ok := dc.stats[to]
@@ -291,9 +288,6 @@ func (dc *DistributionConnector) sendTracked(to model.HostID, data []byte, sizeK
 		dc.instr.sendErrs.Inc()
 	}
 	dc.mu.Unlock()
-	if err != nil && queueable {
-		dc.queuePending(to, data, sizeKB)
-	}
 }
 
 // onFrame decodes an inbound remote frame and hands it to dispatch —
@@ -348,11 +342,6 @@ func (dc *DistributionConnector) dispatch(e Event) {
 	// reach the local audience.
 	if e.Kind == KindControl {
 		switch e.Name {
-		case EvAppAck:
-			if a, ok := e.Payload.(AppAck); ok {
-				dc.handleAppAck(a)
-			}
-			return
 		case EvAppAckBatch:
 			if b, ok := e.Payload.(AppAckBatch); ok {
 				dc.handleAppAckBatch(b)
@@ -379,7 +368,7 @@ func (dc *DistributionConnector) PingN(peer model.HostID, n int) float64 {
 		return 0
 	}
 	for i := 0; i < n; i++ {
-		dc.sendTracked(peer, data, e.SizeKB, false)
+		dc.sendTracked(peer, data, e.SizeKB)
 	}
 	after := dc.PeerStats(peer)
 	sent := after.Sent - before.Sent

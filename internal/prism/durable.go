@@ -852,7 +852,7 @@ func (d *DeployerComponent) ckptSnapshot() {
 	var snap snapshotRec
 	if dc := d.arch.DistributionConnector(d.cfg.Bus); dc != nil {
 		snap.Reloc = dc.RelocationSnapshot()
-		snap.Dedup = dc.SnapshotAllDedup()
+		snap.Dedup = dc.SnapshotDedup("")
 	}
 	if fd != nil {
 		snap.Incarnations = fd.Incarnations()

@@ -524,9 +524,6 @@ func (d *DeployerComponent) handleGoalAnnounce(ga GoalAnnounce) {
 	if ga.Host == "" || d.deposed() {
 		return
 	}
-	if d.cfg.LegacyControl {
-		return
-	}
 	host := string(d.arch.Host())
 	d.mu.Lock()
 	e := d.goal.entry(ga.Host)
@@ -643,11 +640,8 @@ func (a *AdminComponent) GoalGeneration() uint64 {
 // manifest) to the current lease holder. Call it on connect, rejoin,
 // restart, and whenever leadership moved: the deployer answers with one
 // delta that converges this host to the latest goal state, whatever was
-// missed in between. A legacy-control agent never announces.
+// missed in between.
 func (a *AdminComponent) AnnounceGoalState() error {
-	if a.cfg.LegacyControl {
-		return nil
-	}
 	a.mu.Lock()
 	gen := a.goalGen
 	dep := a.leaseHolder
@@ -674,9 +668,6 @@ func (a *AdminComponent) AnnounceGoalState() error {
 // manifest. Application is idempotent — a re-announced resync computes
 // an empty delta — and fenced: a stale leader's delta is dropped.
 func (a *AdminComponent) handleGoalDelta(gd GoalDelta) {
-	if a.cfg.LegacyControl {
-		return
-	}
 	if gd.Host != "" && gd.Host != a.arch.Host() {
 		return
 	}

@@ -1,11 +1,8 @@
 package prism
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"dif/internal/model"
 	"dif/internal/obs"
@@ -79,51 +76,6 @@ func TestGoalPayloadVersionGate(t *testing.T) {
 		if _, err := decode(valid[:i]); err == nil {
 			t.Fatalf("truncated frame of %d/%d bytes decoded", i, len(valid))
 		}
-	}
-}
-
-// TestLegacyGobPreGoalFramesDecode is the version-skew gate: gob frames
-// captured before the goal-state fields existed must decode under the
-// new schema with the goal fields at their zero values — gob's
-// missing-field semantics are what makes the rolling upgrade safe.
-func TestLegacyGobPreGoalFramesDecode(t *testing.T) {
-	registerPayloadsOnce.Do(registerControlPayloads)
-	reconfig, err := os.ReadFile(filepath.Join("testdata", "legacy_reconfig_pregoal.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := decodeEventGob(reconfig)
-	if err != nil {
-		t.Fatalf("pre-goal reconfig frame rejected: %v", err)
-	}
-	cmd, ok := e.Payload.(ReconfigCommand)
-	if !ok {
-		t.Fatalf("payload = %T, want ReconfigCommand", e.Payload)
-	}
-	if cmd.Epoch != 7 || cmd.Coordinator != "h1" || cmd.Term != 3 || cmd.Arrivals["c1"] != "h2" {
-		t.Fatalf("legacy reconfig fields drifted: %+v", cmd)
-	}
-	if cmd.Gen != 0 {
-		t.Fatalf("pre-goal reconfig decoded Gen = %d, want 0", cmd.Gen)
-	}
-
-	outcome, err := os.ReadFile(filepath.Join("testdata", "legacy_outcome_pregoal.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err = decodeEventGob(outcome)
-	if err != nil {
-		t.Fatalf("pre-goal outcome frame rejected: %v", err)
-	}
-	out, ok := e.Payload.(WaveOutcome)
-	if !ok {
-		t.Fatalf("payload = %T, want WaveOutcome", e.Payload)
-	}
-	if out.Epoch != 7 || !out.Commit || out.Term != 3 || out.ReplyTo != "h2" {
-		t.Fatalf("legacy outcome fields drifted: %+v", out)
-	}
-	if out.Gens != nil {
-		t.Fatalf("pre-goal outcome decoded Gens = %v, want nil", out.Gens)
 	}
 }
 
@@ -204,80 +156,5 @@ func TestDivergedAnnounceClampedBack(t *testing.T) {
 	waitForCond(t, func() bool { return dw.admins["s1"].GoalGeneration() == 1 })
 	if acked := dw.deployer.GoalAcked("s1"); acked != 1 {
 		t.Fatalf("acked generation = %d, want 1", acked)
-	}
-}
-
-// TestMixedVersionLegacyAgentDrill is the rolling-upgrade drill: a
-// goal-state deployer drives a fleet where one agent is pinned to the
-// pre-goal-state control plane (-legacy-control). The legacy agent never
-// announces and never receives deltas, yet waves — including ones that
-// land components on it — still commit through the classic two-phase
-// machinery, and the modern agent converges through the goal stream.
-func TestMixedVersionLegacyAgentDrill(t *testing.T) {
-	dw, reg := goalWorld(t, "m", "s1", "s2")
-
-	// Re-install s2's admin pinned to the legacy control plane.
-	dw.admins["s2"].Close()
-	if _, err := dw.archs["s2"].RemoveComponent(AdminID); err != nil {
-		t.Fatal(err)
-	}
-	legacyCfg := AdminConfig{
-		Deployer: "m", Bus: "bus", Registry: dw.registry, LegacyControl: true,
-	}
-	legacy, err := InstallAdmin(dw.archs["s2"], legacyCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dw.admins["s2"] = legacy
-	t.Cleanup(legacy.Close)
-
-	dw.addCounter(t, "s1", "c1", 42)
-	dw.addCounter(t, "s2", "c2", 7)
-	dw.deployer.SeedGoalState(map[model.HostID][]GoalComponent{
-		"m":  nil,
-		"s1": {{ID: "c1", Type: "counter"}},
-		"s2": {{ID: "c2", Type: "counter"}},
-	})
-
-	// The modern agent converges through the goal stream.
-	if err := dw.admins["s1"].AnnounceGoalState(); err != nil {
-		t.Fatal(err)
-	}
-	waitForCond(t, func() bool { return dw.deployer.GoalAcked("s1") == 1 })
-
-	// The legacy agent opts out silently: announce is a no-op, nothing
-	// is ever acked for it.
-	if err := legacy.AnnounceGoalState(); err != nil {
-		t.Fatalf("legacy announce must be a silent no-op, got %v", err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if got := dw.deployer.GoalAcked("s2"); got != 0 {
-		t.Fatalf("legacy agent acked generation %d", got)
-	}
-	if got := counterValue(reg, "prism_goal_delta_applied_total", "s2"); got != 0 {
-		t.Fatalf("legacy agent applied %d goal deltas", got)
-	}
-
-	// A wave landing a component ON the legacy host still commits via
-	// the classic two-phase path, state intact.
-	res, err := dw.deployer.Enact(
-		map[string]model.HostID{"c1": "s2"},
-		map[string]model.HostID{"c1": "s1", "c2": "s2"},
-		10*time.Second,
-	)
-	if err != nil || !res.Committed {
-		t.Fatalf("mixed-version wave = %+v err=%v, want committed", res, err)
-	}
-	waitForCond(t, func() bool {
-		c := dw.archs["s2"].Component("c1")
-		return c != nil && dw.archs["s1"].Component("c1") == nil
-	})
-	if got := dw.archs["s2"].Component("c1").(*counterComponent).value(); got != 42 {
-		t.Fatalf("migrated counter = %d, want 42", got)
-	}
-	// The deployer's goal table followed the wave even though the legacy
-	// destination never speaks the goal protocol.
-	if got := strings.Join(dw.deployer.GoalManifest("s2"), ","); got != "c1,c2" {
-		t.Fatalf("goal manifest for legacy host = %q, want c1,c2", got)
 	}
 }

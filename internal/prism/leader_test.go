@@ -192,6 +192,9 @@ func TestStaleTermOutcomeFencedByEveryParticipant(t *testing.T) {
 	if err != nil || !won {
 		t.Fatalf("campaign: won=%v err=%v", won, err)
 	}
+	// A campaign returns at quorum; let the last agent's term-1 grant land
+	// before the clock moves, or it would date its lease from the future.
+	waitFor(t, func() bool { return ha.admins["h2"].FenceTerm() == 1 && ha.admins["h3"].FenceTerm() == 1 })
 	// The world moves on: h2 takes the lease at term 2 after expiry.
 	ha.clk.Advance(time.Minute)
 	for _, h := range []model.HostID{"h1", "h2", "h3"} {
