@@ -19,8 +19,9 @@ fmt:
 # Race-detect the concurrent hot paths: the middleware and its
 # transports, the durable checkpoint store, the netsim fabric, the
 # parallel search algorithms, the delta evaluators they drive, the
-# telemetry registry and tracer, and the framework's crash-recovery
-# drills. The crossed-dial duel then runs 200 times: it lost or refused
+# telemetry registry and tracer, the framework's crash-recovery drills,
+# and the shipped binaries' own loops over loopback TCP (./cmd/...). The
+# crossed-dial duel then runs 200 times: it lost or refused
 # a frame in ~7 % of runs before retirement became a half-close, and a
 # single pass would let that back in unnoticed. The TCP writer tests
 # (flush without a timer, order under concurrent senders, release of
@@ -30,7 +31,7 @@ fmt:
 # hole, the wide-span settle) run in the first pass with the rest of
 # ./internal/prism/.
 test-race:
-	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/...
+	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/... ./cmd/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/
 	$(GO) test -race -count=50 -run 'TestTCPWriter|TestAdminCloseRacesReconfig$$' ./internal/prism/
 

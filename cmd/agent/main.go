@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,42 +25,43 @@ import (
 	"dif/internal/framework"
 	"dif/internal/model"
 	"dif/internal/obs"
-	"dif/internal/prism"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "agent:", err)
 		os.Exit(1)
 	}
 }
 
 type agentConfig struct {
-	host       model.HostID
-	listen     string
-	masterHost model.HostID
-	masterAddr string
-	deployers  map[string]string
-	tick       time.Duration
-	common     *cliflags.Common
-	reg        *obs.Registry
-	tracer     *obs.Tracer
+	host, masterHost   model.HostID
+	listen, masterAddr string
+	deployers          map[string]string
+	tick               time.Duration
+	common             *cliflags.Common
+	reg                *obs.Registry
+	tracer             *obs.Tracer
+	out                io.Writer
 }
 
-func run() error {
-	host := flag.String("host", "", "this agent's host name (must match the architecture)")
-	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address")
-	masterHost := flag.String("master-host", "master", "the deployer's host name")
-	masterAddr := flag.String("master", "", "the deployer's TCP address")
-	deployers := flag.String("deployers", "", "additional deployers to connect to (comma-separated host=addr) — standbys that must reach this agent to campaign for leadership")
-	duration := flag.Duration("duration", 30*time.Second, "how long to run")
-	tick := flag.Duration("tick", 100*time.Millisecond, "application workload tick interval")
-	incarnation := flag.Uint64("incarnation", 0, "starting incarnation number for this host")
-	churnCrashAfter := flag.Duration("churn-crash-after", 0, "self-crash after this long (0 disables the churn drill)")
-	churnDowntime := flag.Duration("churn-downtime", 2*time.Second, "dark time between churn lifetimes")
-	churnCycles := flag.Int("churn-cycles", 1, "crash/rejoin cycles to run before the final lifetime")
-	common := cliflags.Register(flag.CommandLine)
-	flag.Parse()
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("agent", flag.ContinueOnError)
+	host := fs.String("host", "", "this agent's host name (must match the architecture)")
+	listen := fs.String("listen", "127.0.0.1:0", "TCP listen address")
+	masterHost := fs.String("master-host", "master", "the deployer's host name")
+	masterAddr := fs.String("master", "", "the deployer's TCP address")
+	deployers := fs.String("deployers", "", "additional deployers to connect to (comma-separated host=addr) — standbys that must reach this agent to campaign for leadership")
+	duration := fs.Duration("duration", 30*time.Second, "how long to run")
+	tick := fs.Duration("tick", 100*time.Millisecond, "application workload tick interval")
+	incarnation := fs.Uint64("incarnation", 0, "starting incarnation number for this host")
+	churnCrashAfter := fs.Duration("churn-crash-after", 0, "self-crash after this long (0 disables the churn drill)")
+	churnDowntime := fs.Duration("churn-downtime", 2*time.Second, "dark time between churn lifetimes")
+	churnCycles := fs.Int("churn-cycles", 1, "crash/rejoin cycles to run before the final lifetime")
+	common := cliflags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *host == "" || *masterAddr == "" {
 		return fmt.Errorf("-host and -master are required")
 	}
@@ -72,22 +74,17 @@ func run() error {
 			return fmt.Errorf("-deployers entry %s needs a dial address (host=addr)", h)
 		}
 	}
-	reg, tracer, obsShutdown, err := common.Observability()
+	reg, tracer, obsShutdown, err := common.Observability(out)
 	if err != nil {
 		return err
 	}
 	defer obsShutdown()
 
 	cfg := agentConfig{
-		host:       model.HostID(*host),
-		listen:     *listen,
-		masterHost: model.HostID(*masterHost),
-		masterAddr: *masterAddr,
-		deployers:  deployerAddrs,
-		tick:       *tick,
-		common:     common,
-		reg:        reg,
-		tracer:     tracer,
+		host: model.HostID(*host), listen: *listen,
+		masterHost: model.HostID(*masterHost), masterAddr: *masterAddr,
+		deployers: deployerAddrs, tick: *tick,
+		common: common, reg: reg, tracer: tracer, out: out,
 	}
 
 	if *churnCrashAfter <= 0 {
@@ -102,68 +99,31 @@ func run() error {
 		if err := lifetime(cfg, inc, *churnCrashAfter); err != nil {
 			return fmt.Errorf("lifetime %d (incarnation %d): %w", cycle, inc, err)
 		}
-		fmt.Printf("agent %s crashed (incarnation %d); dark for %v\n", cfg.host, inc, *churnDowntime)
+		fmt.Fprintf(out, "agent %s crashed (incarnation %d); dark for %v\n", cfg.host, inc, *churnDowntime)
 		time.Sleep(*churnDowntime)
 		inc++
 	}
 	return lifetime(cfg, inc, *duration)
 }
 
-// lifetime runs one full up-phase of the agent: join, host components,
-// tick traffic, heartbeat, and tear everything down when the deadline
-// passes.
+// lifetime runs one full up-phase of the agent: build the host, join,
+// host components, tick traffic, and tear everything down when the
+// deadline passes.
 func lifetime(cfg agentConfig, incarnation uint64, duration time.Duration) error {
-	tr, err := prism.NewTCPTransport(cfg.host, cfg.listen)
+	tr, bus, err := cfg.common.Transport(cfg.host, cfg.listen, cfg.reg)
 	if err != nil {
 		return err
 	}
-	// Set before any peer connects: connections snapshot it at creation.
-	tr.SetBatching(cfg.common.BatchBytes, 0)
-	tr.Instrument(cfg.reg)
-	// The bus sees the (optionally fault-injected) transport; Hello and
-	// Addr still go through the concrete TCP handle.
-	var busTr prism.Transport = tr
-	if cfg.common.Faulty() {
-		busTr = prism.NewFaultTransport(tr, cfg.common.FaultConfig(cfg.reg))
-	}
-	defer busTr.Close()
+	// Known before the host's heartbeat pump starts, so its first beacon
+	// can already dial the deployer.
 	tr.AddPeer(cfg.masterHost, cfg.masterAddr)
-
-	arch := prism.NewArchitecture(cfg.host, nil)
-	arch.SetObservability(cfg.reg, cfg.tracer)
-	arch.Scaffold().Start(4)
-	defer arch.Shutdown()
-	if _, err := arch.AddDistributionConnector(framework.BusName, busTr); err != nil {
-		return err
-	}
-	registry := prism.NewFactoryRegistry()
-	registry.Register(framework.TrafficTypeName, func(id string) prism.Migratable {
-		return framework.NewTrafficComponent(id)
-	})
-	admin, err := prism.InstallAdmin(arch, prism.AdminConfig{
-		Deployer:    cfg.masterHost,
-		Bus:         framework.BusName,
-		Registry:    registry,
-		Retry:       cfg.common.Retry(),
-		Breaker:     cfg.common.BreakerConfig(),
-		Incarnation: incarnation,
-	})
+	hc := cfg.common.HostConfig(cfg.host, cfg.masterHost, bus, cfg.reg, cfg.tracer)
+	hc.Admin.Incarnation = incarnation
+	host, err := framework.NewHost(hc)
 	if err != nil {
 		return err
 	}
-	defer admin.Close()
-	// Application-traffic continuity: enable (or explicitly disable) the
-	// delivery-guarantee layer and pace its retransmission clock.
-	arch.DistributionConnector(framework.BusName).SetDeliveryConfig(cfg.common.Delivery())
-	// Overload protection: with -shed, inbound frames pass a bounded,
-	// class-prioritized admission queue (liveness > control > app).
-	if cfg.common.Shed {
-		adm := arch.DistributionConnector(framework.BusName).EnableAdmission(cfg.common.Admission())
-		defer adm.Close()
-	}
-	if cfg.common.AppRetransmit > 0 {
-		admin.StartDeliveryTicks(cfg.common.AppRetransmit)
-	}
+	defer host.Close()
 
 	// Introduce ourselves so the deployer sees this host as a peer.
 	if err := tr.Hello(cfg.masterHost); err != nil {
@@ -172,7 +132,7 @@ func lifetime(cfg agentConfig, incarnation uint64, duration time.Duration) error
 	// Level-triggered reconciliation: report our generation and manifest
 	// (empty on a fresh incarnation) so the deployer re-syncs us with one
 	// delta instead of replaying the waves this host missed while dark.
-	_ = admin.AnnounceGoalState()
+	_ = host.Admin.AnnounceGoalState()
 	// Standby deployers are joined too, but best-effort in the
 	// background: a standby must reach this agent to request a lease,
 	// yet its absence must not keep the agent from its primary.
@@ -184,26 +144,10 @@ func lifetime(cfg agentConfig, incarnation uint64, duration time.Duration) error
 			continue
 		}
 		tr.AddPeer(dh, addr)
-		go func(peer model.HostID) {
-			t := time.NewTicker(time.Second)
-			defer t.Stop()
-			for {
-				if tr.Hello(peer) == nil {
-					return
-				}
-				select {
-				case <-t.C:
-				case <-stopDial:
-					return
-				}
-			}
-		}(dh)
+		go cliflags.KeepDialing(tr, dh, stopDial)
 	}
-	fmt.Printf("agent %s joined %s (%s) incarnation %d; running %v\n",
+	fmt.Fprintf(cfg.out, "agent %s joined %s (%s) incarnation %d; running %v\n",
 		cfg.host, cfg.masterHost, cfg.masterAddr, incarnation, duration)
-	if cfg.common.Heartbeat > 0 {
-		admin.StartHeartbeats(cfg.common.Heartbeat)
-	}
 
 	ticker := time.NewTicker(cfg.tick)
 	defer ticker.Stop()
@@ -211,14 +155,14 @@ func lifetime(cfg agentConfig, incarnation uint64, duration time.Duration) error
 	for {
 		select {
 		case <-ticker.C:
-			for _, id := range arch.ComponentIDs() {
-				if tc, ok := arch.Component(id).(*framework.TrafficComponent); ok {
+			for _, id := range host.Arch.ComponentIDs() {
+				if tc, ok := host.Arch.Component(id).(*framework.TrafficComponent); ok {
 					tc.Tick()
 				}
 			}
 		case <-deadline:
-			rep := admin.Report(false)
-			fmt.Printf("agent %s exiting; hosting %v\n", cfg.host, rep.Components)
+			rep := host.Admin.Report(false)
+			fmt.Fprintf(cfg.out, "agent %s exiting; hosting %v\n", cfg.host, rep.Components)
 			return nil
 		}
 	}

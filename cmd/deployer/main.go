@@ -18,23 +18,20 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
-	"dif/internal/analyzer"
 	"dif/internal/cliflags"
-	"dif/internal/effector"
 	"dif/internal/framework"
 	"dif/internal/model"
-	"dif/internal/monitor"
-	"dif/internal/objective"
 	"dif/internal/prism"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		if errors.Is(err, prism.ErrNotLeader) {
 			// Fencing did its job: every control path refuses a stale
 			// term. The losing process exits distinctly so supervisors
@@ -47,22 +44,29 @@ func main() {
 	}
 }
 
-func run() error {
-	archFile := flag.String("arch", "", "xADL architecture file (with a deployment)")
-	host := flag.String("host", "", "the master's host name (must appear in the architecture)")
-	listen := flag.String("listen", "127.0.0.1:7000", "TCP listen address")
-	improve := flag.Bool("improve", true, "run the analyze/redeploy loop after distribution")
-	cycles := flag.Int("cycles", 2, "monitor/analyze cycles to run")
-	interval := flag.Duration("interval", 3*time.Second, "pause between cycles (lets agents generate traffic)")
-	joinTimeout := flag.Duration("join-timeout", 60*time.Second, "how long to wait for agents")
-	detector := flag.String("detector", "lease", "failure detection policy: lease or phi")
-	suspectAfter := flag.Duration("suspect-after", 2*time.Second, "lease policy: silence before a host is suspected")
-	deadAfter := flag.Duration("dead-after", 5*time.Second, "lease policy: silence before a host is declared dead")
-	common := cliflags.Register(flag.CommandLine)
-	durable := cliflags.RegisterDurable(flag.CommandLine)
-	ha := cliflags.RegisterHA(flag.CommandLine)
-	flag.Parse()
-	if *archFile == "" || *host == "" {
+// agentTick is the agents' default -tick: components the deployer
+// instantiates emit at link frequency × agentTick per tick.
+const agentTick = 100 * time.Millisecond
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("deployer", flag.ContinueOnError)
+	archFile := fs.String("arch", "", "xADL architecture file (with a deployment)")
+	hostName := fs.String("host", "", "the master's host name (must appear in the architecture)")
+	listen := fs.String("listen", "127.0.0.1:7000", "TCP listen address")
+	improve := fs.Bool("improve", true, "run the analyze/redeploy loop after distribution")
+	cycles := fs.Int("cycles", 2, "monitor/analyze cycles to run")
+	interval := fs.Duration("interval", 3*time.Second, "pause between cycles (lets agents generate traffic)")
+	joinTimeout := fs.Duration("join-timeout", 60*time.Second, "how long to wait for agents")
+	detector := fs.String("detector", "lease", "failure detection policy: lease or phi")
+	suspectAfter := fs.Duration("suspect-after", 2*time.Second, "lease policy: silence before a host is suspected")
+	deadAfter := fs.Duration("dead-after", 5*time.Second, "lease policy: silence before a host is declared dead")
+	common := cliflags.Register(fs)
+	durable := cliflags.RegisterDurable(fs)
+	ha := cliflags.RegisterHA(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *archFile == "" || *hostName == "" {
 		return fmt.Errorf("-arch and -host are required")
 	}
 	if ha.Standby && ha.Peers == "" {
@@ -75,7 +79,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	reg, tracer, obsShutdown, err := common.Observability()
+	reg, tracer, obsShutdown, err := common.Observability(out)
 	if err != nil {
 		return err
 	}
@@ -93,7 +97,7 @@ func run() error {
 	if deployment == nil {
 		return fmt.Errorf("%s carries no deployment", *archFile)
 	}
-	master := model.HostID(*host)
+	master := model.HostID(*hostName)
 	if _, ok := sys.Hosts[master]; !ok {
 		return fmt.Errorf("host %s not in architecture", master)
 	}
@@ -108,78 +112,42 @@ func run() error {
 		}
 		peers = append(peers, ph)
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	slices.Sort(peers)
 	if ha.Peers != "" && len(peers) == 0 {
 		return fmt.Errorf("-peers names no deployer other than %s", master)
 	}
 
-	tr, err := prism.NewTCPTransport(master, *listen)
+	tr, bus, err := common.Transport(master, *listen, reg)
 	if err != nil {
 		return err
 	}
-	// Set before any peer connects: connections snapshot it at creation.
-	tr.SetBatching(common.BatchBytes, 0)
-	tr.Instrument(reg)
-	// The bus sees the (optionally fault-injected) transport; Addr and
-	// Peers still go through the concrete TCP handle.
-	var busTr prism.Transport = tr
-	if common.Faulty() {
-		busTr = prism.NewFaultTransport(tr, common.FaultConfig(reg))
-	}
-	defer busTr.Close()
 	// Dial the peer deployers that published an address; bare -peers
-	// entries dial us. Connections are bidirectional once either side's
-	// Hello lands, and boot order is free, so keep knocking until one does.
+	// entries dial us.
 	stopDial := make(chan struct{})
 	defer close(stopDial)
 	for _, p := range peers {
 		if addr := peerAddrs[string(p)]; addr != "" {
 			tr.AddPeer(p, addr)
-			go helloLoop(tr, p, stopDial)
+			go cliflags.KeepDialing(tr, p, stopDial)
 		}
 	}
-	arch := prism.NewArchitecture(master, nil)
-	arch.SetObservability(reg, tracer)
-	arch.Scaffold().Start(4)
-	defer arch.Shutdown()
-	if _, err := arch.AddDistributionConnector(framework.BusName, busTr); err != nil {
-		return err
+	// With -state-dir the deployer checkpoints every two-phase transition
+	// to a write-ahead log and, on a restart, resumes from it instead of
+	// replanning. The log's process lock rejects a second deployer on it.
+	hc := common.HostConfig(master, master, bus, reg, tracer)
+	hc.Deployer, hc.StateDir = true, durable.StateDir
+	if !ha.Standby {
+		// Only a standby beacons: to the leader it is a slave, whose
+		// components must not be re-homed while it shadows.
+		hc.Heartbeat = 0
 	}
-	registry := prism.NewFactoryRegistry()
-	registry.Register(framework.TrafficTypeName, func(id string) prism.Migratable {
-		return framework.NewTrafficComponent(id)
-	})
-	adminCfg := prism.AdminConfig{
-		Deployer: master, Bus: framework.BusName, Registry: registry,
-		Retry: common.Retry(), Breaker: common.BreakerConfig(),
-	}
-	admin, err := prism.InstallAdmin(arch, adminCfg)
+	host, err := framework.NewHost(hc)
 	if err != nil {
 		return err
 	}
-	defer admin.Close()
-	dep, err := prism.InstallDeployer(arch, adminCfg)
-	if err != nil {
-		return err
-	}
-	// Durable deployer state: with -state-dir the deployer checkpoints
-	// every two-phase transition to a write-ahead log. On a restart it
-	// replays the log, resumes (or cleanly aborts) in-flight waves, and
-	// rejoins the cycle loop without replanning. A second deployer on the
-	// same directory is rejected by the log's process lock.
-	var ds *prism.DeployerStore
-	resuming := false
-	if durable.StateDir != "" {
-		ds, err = prism.OpenDeployerStore(durable.StateDir)
-		if err != nil {
-			return fmt.Errorf("state dir %s: %w", durable.StateDir, err)
-		}
-		defer ds.Close()
-		resuming = ds.HasState()
-		if err := dep.AttachStore(ds); err != nil {
-			return err
-		}
-	}
+	defer host.Close()
+	dep := host.Deployer
+	resuming := host.Store != nil && host.Store.HasState()
 	// Deployer high availability: with -peers this process is one of a
 	// deployer cohort. Exactly one leads at a time, elected by an
 	// agent-quorum lease whose monotonic fencing term is stamped on every
@@ -193,32 +161,21 @@ func run() error {
 	}
 	if len(peers) > 0 {
 		lead, err = dep.AttachLeadership(prism.LeaderConfig{
-			Agents:   sys.HostIDs(),
-			Peers:    peers,
-			LeaseTTL: leaseTTL,
+			Agents: sys.HostIDs(), Peers: peers, LeaseTTL: leaseTTL,
 		})
 		if err != nil {
 			return err
 		}
 	}
-	// Application-traffic continuity: enable (or explicitly disable) the
-	// delivery-guarantee layer and pace its retransmission clock.
-	arch.DistributionConnector(framework.BusName).SetDeliveryConfig(common.Delivery())
-	if common.AppRetransmit > 0 {
-		admin.StartDeliveryTicks(common.AppRetransmit)
-	}
-	// Overload protection: with -shed, inbound frames pass a bounded,
-	// class-prioritized admission queue (liveness > control > app), so an
-	// application flood can never starve the failure detector below.
-	if common.Shed {
-		adm := arch.DistributionConnector(framework.BusName).EnableAdmission(common.Admission())
-		defer adm.Close()
-	}
 
 	// Liveness: agent heartbeats feed a failure detector; HostDead
-	// transitions abort in-flight waves and trigger survivor replanning
-	// in the cycle loop below.
+	// transitions abort in-flight waves and are latched for the cycle
+	// loop, not polled: a host that crashes and resurrects between cycles
+	// still lost its component instances, so every death is recovered
+	// even when the detector has already moved the host back to up.
 	var fd *prism.FailureDetector
+	var deadMu sync.Mutex
+	pendingDead := make(map[model.HostID]bool)
 	if common.Heartbeat > 0 {
 		var policy prism.SuspicionPolicy
 		switch *detector {
@@ -231,16 +188,8 @@ func run() error {
 		}
 		fd = prism.NewFailureDetector(policy)
 		dep.AttachDetector(fd)
-	}
-	// Deaths are latched, not polled: a host that crashes and resurrects
-	// between cycles still lost its component instances, so the cycle
-	// loop must recover every death even when the detector has already
-	// moved the host back to up.
-	var deadMu sync.Mutex
-	pendingDead := make(map[model.HostID]bool)
-	if fd != nil {
 		fd.Subscribe(func(tr prism.Transition) {
-			fmt.Printf("liveness: %s %s -> %s (incarnation %d)\n",
+			fmt.Fprintf(out, "liveness: %s %s -> %s (incarnation %d)\n",
 				tr.Host, tr.From, tr.To, tr.Incarnation)
 			if tr.To == prism.HostDead {
 				deadMu.Lock()
@@ -257,65 +206,22 @@ func run() error {
 			slaves = append(slaves, h)
 		}
 	}
-	fmt.Printf("deployer %s listening on %s; waiting for %d agents...\n",
+	fmt.Fprintf(out, "deployer %s listening on %s; waiting for %d agents...\n",
 		master, tr.Addr(), len(slaves))
 	if err := waitForPeers(tr, slaves, *joinTimeout); err != nil {
 		return err
 	}
-	fmt.Println("all agents joined")
+	fmt.Fprintln(out, "all agents joined")
 
-	// Leadership settles before anything else runs. A solo deployer leads
-	// implicitly; with -peers the active campaigns now, and a -standby
-	// blocks here — ingesting the leader's checkpoint stream — until its
-	// leader watch fires and it wins a later fencing term.
-	tookOver := false
+	// Leadership settles first; a solo deployer leads implicitly.
 	var failoverWaves []prism.ResumedWave
 	if lead != nil {
-		if ha.Standby {
-			if common.Heartbeat > 0 {
-				// A standby is a slave from the leader's viewpoint:
-				// announce liveness so the active deployer does not
-				// re-home this host's components while it shadows.
-				admin.StartHeartbeats(common.Heartbeat)
-			}
-			fmt.Printf("standby %s: shadowing the leader's checkpoint stream (lease TTL %v)\n",
-				master, leaseTTL)
-			failoverWaves, err = standBy(lead, leaseTTL)
-			if err != nil {
-				return err
-			}
-			tookOver, resuming = true, true
-			fmt.Printf("standby %s took over at term %d\n", master, lead.Term())
-		} else {
-			won, err := lead.Campaign()
-			if err != nil {
-				return err
-			}
-			if !won {
-				return fmt.Errorf("lost the leadership campaign at term %d: %w", lead.Term(), prism.ErrNotLeader)
-			}
-			fmt.Printf("leading at term %d (lease TTL %v, %d peer deployers)\n",
-				lead.Term(), leaseTTL, len(peers))
+		waves, stop, err := settleLeadership(lead, ha.Standby, leaseTTL, out)
+		if err != nil {
+			return err
 		}
-		// Keep the lease renewed and the peers' logs (and leader watches)
-		// fed while we lead; a deposed deployer's ticks are no-ops.
-		stopLease := make(chan struct{})
-		defer close(stopLease)
-		go func() {
-			t := time.NewTicker(leaseTick(leaseTTL))
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if lead.IsLeader() {
-						lead.Renew()
-						lead.ReplicationTick()
-					}
-				case <-stopLease:
-					return
-				}
-			}
-		}()
+		defer stop()
+		failoverWaves, resuming = waves, resuming || ha.Standby
 	}
 
 	if fd != nil {
@@ -327,38 +233,21 @@ func run() error {
 		// that crashes and resurrects between cycles still has to pass
 		// through dead (and rejoin on a higher incarnation), and a host
 		// that dies mid-wave has to abort the wave promptly.
-		stopEval := make(chan struct{})
-		defer close(stopEval)
-		go func() {
-			t := time.NewTicker(common.Heartbeat)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					fd.Evaluate()
-				case <-stopEval:
-					return
-				}
-			}
-		}()
+		stop := every(common.Heartbeat, func() { fd.Evaluate() })
+		defer stop()
 	}
 
-	addTraffic := func(comp model.ComponentID) error {
-		tc := framework.NewTrafficComponent(string(comp))
-		for _, link := range sys.InteractionsOf(comp) {
-			other := link.Components.A
-			if other == comp {
-				other = link.Components.B
-			}
-			tc.AddPartner(string(other), link.Frequency()/10, link.EventSize())
-		}
-		if err := arch.AddComponent(tc); err != nil {
-			return err
-		}
-		return arch.Weld(string(comp), framework.BusName)
+	// The control loop is the framework's: the same Centralized the
+	// drills run, over this process's host and its failure detector.
+	cent := framework.NewCentralizedOn(host, sys, deployment.Clone(),
+		func(h model.HostID) bool { return fd != nil && fd.State(h) == prism.HostDead })
+	cent.PerTick = agentTick.Seconds()
+	cent.EnactTimeout = 60 * time.Second
+	cent.ReportTimeout = 30 * time.Second
+	if fd != nil && 10*common.Heartbeat < cent.ReportTimeout {
+		cent.ReportTimeout = 10 * common.Heartbeat
 	}
 
-	view := deployment.Clone()
 	if resuming {
 		// Restart-without-replan: in-flight waves are resumed (decided
 		// epochs re-broadcast their persisted outcome) or cleanly aborted
@@ -369,86 +258,69 @@ func run() error {
 		// that took over already resumed inside Failover, from the log the
 		// replication stream built.
 		resumed := failoverWaves
-		if !tookOver {
+		if !ha.Standby {
 			resumed, err = dep.Resume()
 			if err != nil {
 				return fmt.Errorf("resume from %s: %w", durable.StateDir, err)
 			}
 		}
 		for _, rw := range resumed {
-			outcome := "aborted"
-			if rw.Committed {
-				outcome = "committed"
-			}
-			how := "undecided -> clean abort"
-			if rw.Resumed {
-				how = "decided -> broadcast resumed"
-			}
-			fmt.Printf("resumed wave epoch=%d: %s (%s)\n", rw.Epoch, how, outcome)
+			// Resumed: decided, its persisted outcome re-broadcast;
+			// otherwise undecided and cleanly aborted.
+			fmt.Fprintf(out, "resumed wave epoch=%d: decided=%v committed=%v\n", rw.Epoch, rw.Resumed, rw.Committed)
 		}
 		for comp, h := range dep.RelocationView() {
-			view[model.ComponentID(comp)] = h
+			cent.Deployment[model.ComponentID(comp)] = h
 		}
 		// Master-resident components died with the old process; recreate
 		// origin copies so the improve loop has live instances to move.
-		for _, comp := range sys.ComponentIDs() {
-			if view[comp] == master && arch.Component(string(comp)) == nil {
-				if err := addTraffic(comp); err != nil {
-					return err
-				}
-			}
-		}
-		src := fmt.Sprintf("restarted from %s", durable.StateDir)
-		if tookOver {
-			src = fmt.Sprintf("took over at term %d", lead.Term())
-		}
-		fmt.Printf("%s: %d waves resolved, next epoch %d\n",
-			src, len(resumed), ds.NextEpoch())
-	} else {
-		// Instantiate every application component locally, then distribute
-		// them to their described hosts through the real migration protocol.
-		for _, comp := range sys.ComponentIDs() {
-			if err := addTraffic(comp); err != nil {
+		for _, comp := range cent.Deployment.ComponentsOn(master) {
+			if err := host.Place(sys, comp, cent.PerTick); err != nil {
 				return err
 			}
 		}
-		// Seed the goal table with the pre-distribution truth (everything
-		// on the master at generation 1); the distribution wave below
+		fmt.Fprintf(out, "resumed from %s: %d waves resolved, next epoch %d\n",
+			durable.StateDir, len(resumed), host.Store.NextEpoch())
+	} else {
+		// Instantiate every application component locally, then distribute
+		// them to their described hosts through the real migration protocol.
+		// The goal table is seeded with that pre-distribution truth
+		// (everything on the master at generation 1); the distribution wave
 		// bumps each host to its described manifest, so a slave that
-		// announces later re-syncs from these generations. A restarted
-		// or failed-over deployer restores the table from its log instead.
+		// announces later re-syncs from these generations. A restarted or
+		// failed-over deployer restores the table from its log instead.
 		goal := make(map[model.HostID][]prism.GoalComponent, len(sys.Hosts))
 		for _, h := range sys.HostIDs() {
 			goal[h] = nil
 		}
-		for comp := range deployment {
-			goal[master] = append(goal[master],
-				prism.GoalComponent{ID: string(comp), Type: framework.TrafficTypeName})
-		}
-		dep.SeedGoalState(goal)
 		moves := make(map[string]model.HostID, len(deployment))
 		current := make(map[string]model.HostID, len(deployment))
-		for comp, h := range deployment {
-			current[string(comp)] = master
-			moves[string(comp)] = h
+		for _, comp := range sys.ComponentIDs() {
+			if err := host.Place(sys, comp, cent.PerTick); err != nil {
+				return err
+			}
+			goal[master] = append(goal[master],
+				prism.GoalComponent{ID: string(comp), Type: framework.TrafficTypeName})
+			current[string(comp)], moves[string(comp)] = master, deployment[comp]
 		}
-		res, err := dep.Enact(moves, current, 60*time.Second)
+		dep.SeedGoalState(goal)
+		res, err := dep.Enact(moves, current, cent.EnactTimeout)
 		if err != nil {
 			return fmt.Errorf("initial distribution: %w", err)
 		}
-		fmt.Printf("distributed %d components to %d hosts (%d confirmed)\n",
+		fmt.Fprintf(out, "distributed %d components to %d hosts (%d confirmed)\n",
 			res.Moved, len(slaves), res.Received)
 	}
 
 	if !*improve {
 		return nil
 	}
-
-	// Monitor → analyze → redeploy loop.
-	centralModel := sys.Clone()
-	anlz := analyzer.New(nil, analyzer.Policy{})
-	anlz.Instrument(reg)
-	en := &effector.PrismEnactor{Deployer: dep}
+	// tolerable reports whether the cycle loop rides out err: with
+	// liveness tracking on, a host dying under a report wait or a wave is
+	// expected churn — the death latches and the next cycle replans around
+	// it. Losing the leadership lease is always terminal.
+	tolerable := func(err error) bool { return fd != nil && !errors.Is(err, prism.ErrNotLeader) }
+	ctx := context.Background()
 	for cycle := 1; cycle <= *cycles; cycle++ {
 		time.Sleep(*interval)
 
@@ -456,216 +328,68 @@ func run() error {
 		// excluded from the model, its components are re-homed to the
 		// master's origin copies, and the survivors are replanned
 		// immediately — no hysteresis.
-		if fd != nil {
-			deadMu.Lock()
-			deaths := make([]model.HostID, 0, len(pendingDead))
-			for h := range pendingDead {
-				deaths = append(deaths, h)
-				delete(pendingDead, h)
-			}
-			deadMu.Unlock()
-			sort.Slice(deaths, func(i, j int) bool { return deaths[i] < deaths[j] })
-			for _, h := range deaths {
-				centralModel.SetHostDown(h, true)
-				// The dead host's instances died with it: re-create origin
-				// copies on the master so the recovery wave has something
-				// real to migrate.
-				for _, comp := range view.ComponentsOn(h) {
-					if arch.Component(string(comp)) == nil {
-						tc := framework.NewTrafficComponent(string(comp))
-						for _, link := range sys.InteractionsOf(comp) {
-							other := link.Components.A
-							if other == comp {
-								other = link.Components.B
-							}
-							tc.AddPartner(string(other), link.Frequency()/10, link.EventSize())
-						}
-						if err := arch.AddComponent(tc); err != nil {
-							return err
-						}
-						if err := arch.Weld(string(comp), framework.BusName); err != nil {
-							return err
-						}
-					}
-					view[comp] = master
-					// The goal table follows the re-home: if the dead host
-					// rejoins and announces before the recovery wave lands,
-					// its delta must not re-acquire components the master
-					// now owns.
-					dep.RelocateGoal(string(comp), framework.TrafficTypeName, master)
-				}
-				dec, err := anlz.Recover(context.Background(), centralModel, view)
-				if err != nil {
+		deadMu.Lock()
+		deaths := make([]model.HostID, 0, len(pendingDead))
+		for h := range pendingDead {
+			deaths = append(deaths, h)
+			delete(pendingDead, h)
+		}
+		deadMu.Unlock()
+		slices.Sort(deaths)
+		for _, h := range deaths {
+			rep, err := cent.Recover(ctx, h)
+			if err != nil {
+				if !tolerable(err) {
 					return fmt.Errorf("recovery after %s died: %w", h, err)
 				}
-				plan, err := effector.ComputePlan(centralModel, view, dec.Result.Deployment)
-				if err != nil {
-					return fmt.Errorf("recovery plan after %s died: %w", h, err)
-				}
-				if !plan.Empty() {
-					if _, err := en.Enact(plan, 60*time.Second); err != nil {
-						if errors.Is(err, prism.ErrNotLeader) {
-							return fmt.Errorf("recovery enact after %s died: %w", h, err)
-						}
-						// Another host died under the recovery wave; its
-						// death latches too and the next cycle recovers both.
-						fmt.Printf("recovery after %s rolled back (%v); retrying next cycle\n", h, err)
-						continue
-					}
-				}
-				view = dec.Result.Deployment.Clone()
-				fmt.Printf("recovered from %s: %s -> %.4f\n", h, dec.Algorithm, dec.Result.Score)
+				// Another host died under the recovery wave; its death
+				// latches too and the next cycle recovers both.
+				fmt.Fprintf(out, "recovery after %s rolled back (%v); retrying next cycle\n", h, err)
+				deadMu.Lock()
+				pendingDead[h] = true
+				deadMu.Unlock()
+				continue
 			}
-			// A recovered host that heartbeats again (on a bumped
-			// incarnation) rejoins the model and the next planning round.
-			for _, h := range slaves {
-				if centralModel.HostDown(h) && fd.State(h) == prism.HostUp {
-					centralModel.SetHostDown(h, false)
-					fmt.Printf("host %s rejoined (incarnation %d)\n", h, fd.Incarnation(h))
-				}
-			}
+			fmt.Fprintf(out, "recovered from %s: %s -> %.4f\n", h, rep.Decision.Algorithm, rep.Decision.Result.Score)
 		}
-		live := make([]model.HostID, 0, len(slaves))
+		// A recovered host that heartbeats again (on a bumped
+		// incarnation) rejoins the model and the next planning round.
 		for _, h := range slaves {
-			if !centralModel.HostDown(h) {
-				live = append(live, h)
+			if cent.Model.HostDown(h) && fd.State(h) == prism.HostUp && cent.Rejoin(h) == nil {
+				fmt.Fprintf(out, "host %s rejoined (incarnation %d)\n", h, fd.Incarnation(h))
 			}
 		}
-		reportTimeout := 30 * time.Second
-		if fd != nil && 10*common.Heartbeat < reportTimeout {
-			reportTimeout = 10 * common.Heartbeat
-		}
-		reports, err := dep.RequestReports(live, reportTimeout)
-		if err != nil {
-			// With liveness tracking on, a host dying during the report
-			// wait is expected churn, not a fatal monitoring failure: use
-			// whatever arrived and let the detector drive recovery.
-			if fd == nil {
-				return fmt.Errorf("cycle %d: %w", cycle, err)
-			}
-			fmt.Printf("cycle %d: partial monitoring (%v)\n", cycle, err)
-		}
-		applier := monitor.NewApplier(centralModel, nil)
-		written := 0
-		for _, rep := range reports {
-			written += applier.Apply(rep, view)
-		}
-		avail := objective.Availability{}.Quantify(centralModel, view)
-		fmt.Printf("cycle %d: %d reports, %d params refined, availability %.4f\n",
-			cycle, len(reports), written, avail)
 
-		dec, err := anlz.Analyze(context.Background(), centralModel, view, 1.0)
-		if err != nil {
-			return fmt.Errorf("cycle %d analyze: %w", cycle, err)
-		}
-		fmt.Printf("cycle %d: %s -> %.4f (%s)\n",
-			cycle, dec.Algorithm, dec.Result.Score, dec.Reason)
-		if !dec.Accepted {
-			continue
-		}
-		plan, err := effector.ComputePlan(centralModel, view, dec.Result.Deployment)
-		if err != nil {
-			return err
-		}
-		enRep, err := en.Enact(plan, 60*time.Second)
-		if err != nil {
-			// A participant dying mid-wave rolls the wave back cleanly;
-			// with liveness tracking on that is expected churn — the death
-			// latches and the next cycle replans around it. Losing the
-			// leadership lease, by contrast, is terminal here.
-			if fd == nil || errors.Is(err, prism.ErrNotLeader) {
-				return fmt.Errorf("cycle %d enact: %w", cycle, err)
+		rep, err := cent.Cycle(ctx)
+		fmt.Fprintf(out, "cycle %d: %d reports, %d params refined, stability %.2f, availability %.4f\n",
+			cycle, rep.ReportsGathered, rep.ParamsWritten, rep.Stability, rep.AvailabilityBefore)
+		switch {
+		case err != nil && !tolerable(err):
+			return fmt.Errorf("cycle %d: %w", cycle, err)
+		case err != nil:
+			fmt.Fprintf(out, "cycle %d: %v; replanning next cycle\n", cycle, err)
+		case rep.Enacted:
+			status := ""
+			if rep.Degraded {
+				status = " (degraded)"
 			}
-			fmt.Printf("cycle %d: wave rolled back (%v); replanning next cycle\n", cycle, err)
-			continue
+			fmt.Fprintf(out, "cycle %d: %s -> %.4f, redeployed %d components%s\n",
+				cycle, rep.Decision.Algorithm, rep.AvailabilityAfter, rep.Moves, status)
+		default:
+			fmt.Fprintf(out, "cycle %d: %s -> %.4f (%s)\n",
+				cycle, rep.Decision.Algorithm, rep.Decision.Result.Score, rep.Decision.Reason)
 		}
-		view = dec.Result.Deployment.Clone()
-		status := ""
-		if enRep.Degraded {
-			status = " (degraded)"
-		}
-		fmt.Printf("cycle %d: redeployed %d components in %v%s\n",
-			cycle, enRep.Moved, enRep.Elapsed, status)
 	}
-	fmt.Printf("final deployment: %v\n", view)
+	fmt.Fprintf(out, "final deployment: %v\n", cent.Deployment)
 	return nil
 }
 
-// leaseTick paces lease renewal, replication keepalives, and the
-// standby watch: several rounds per TTL so one lost frame cannot lapse
-// a healthy leader's lease.
-func leaseTick(ttl time.Duration) time.Duration {
-	if tick := ttl / 3; tick > 0 {
-		return tick
-	}
-	return 100 * time.Millisecond
-}
-
-// helloLoop knocks on a peer deployer until the connection lands (boot
-// order between peers is free); once either side's Hello succeeds the
-// link carries frames both ways.
-func helloLoop(tr *prism.TCPTransport, peer model.HostID, stop <-chan struct{}) {
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
-	for {
-		if tr.Hello(peer) == nil {
-			return
-		}
-		select {
-		case <-t.C:
-		case <-stop:
-			return
-		}
-	}
-}
-
-// standBy blocks until this deployer wins a leadership term: it watches
-// the leader's replication keepalives, campaigns once the leader has
-// been silent past the watch thresholds, and goes back to shadowing
-// when another standby wins the race (or the old leader resurfaces at a
-// higher term). Failover resumes the replicated waves — decided epochs
-// driven to their persisted outcome, undecided ones aborted, none
-// replanned or renumbered.
-func standBy(lead *prism.Leadership, ttl time.Duration) ([]prism.ResumedWave, error) {
-	t := time.NewTicker(leaseTick(ttl))
-	defer t.Stop()
-	for range t.C {
-		if !lead.LeaderSuspect(time.Now()) {
-			continue
-		}
-		fmt.Printf("leader %s silent past the watch threshold: campaigning\n", lead.Leader())
-		waves, won, err := lead.Failover()
-		if errors.Is(err, prism.ErrNoQuorum) {
-			// Not enough live agents to elect anyone right now — the old
-			// lease is equally unrenewable, so nobody leads. Keep
-			// shadowing and retry when the watch next fires.
-			fmt.Printf("campaign at term %d failed (%v); still shadowing\n", lead.Term(), err)
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if won {
-			return waves, nil
-		}
-	}
-	return nil, nil
-}
-
+// waitForPeers blocks until every wanted host has a connection.
 func waitForPeers(tr *prism.TCPTransport, want []model.HostID, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		have := make(map[model.HostID]bool)
-		for _, p := range tr.Peers() {
-			have[p] = true
-		}
-		missing := 0
-		for _, h := range want {
-			if !have[h] {
-				missing++
-			}
-		}
-		if missing == 0 {
+		have := tr.Peers()
+		if !slices.ContainsFunc(want, func(h model.HostID) bool { return !slices.Contains(have, h) }) {
 			return nil
 		}
 		time.Sleep(100 * time.Millisecond)

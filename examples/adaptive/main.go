@@ -46,11 +46,7 @@ func run() error {
 	// Reliability probes are Bernoulli samples: batch them generously so
 	// sampling noise does not drown the ε-stability signal, and give the
 	// tracker a tolerance matched to the remaining noise.
-	for _, h := range world.Hosts() {
-		if rm := world.Admins[h].ReliabilityMonitor(); rm != nil {
-			rm.ProbesPerMeasurement = 400
-		}
-	}
+	world.SetProbes(400)
 	cent.Tracker = monitor.NewTracker(0.12, 2)
 	fluct := netsim.NewFluctuator(world.Fabric, 9)
 	fluct.RegimeProb = 0 // quiet by default; we inject shocks explicitly

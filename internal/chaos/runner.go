@@ -63,6 +63,11 @@ func Run(cfg Config) (*Result, error) {
 		// transient outage into a silently lost event, which is exactly
 		// what the invariants must catch.
 		Delivery: &prism.DeliveryConfig{MaxAttempts: 1 << 30},
+		// Every host runs the bounded, class-prioritized admission
+		// controller on its receive path — the soak's floods and bursts
+		// all cross it, so shedding plus retransmission must still deliver
+		// exactly once.
+		Admission: prism.AdmissionConfig{Enabled: true, QueueCap: chaosAdmissionCap},
 		Tune: func(ac *prism.AdminConfig) {
 			ac.FetchRetryInterval = 15 * time.Millisecond
 			ac.EnactResendInterval = 15 * time.Millisecond
@@ -112,15 +117,7 @@ func Run(cfg Config) (*Result, error) {
 		restarts:  make(map[model.HostID]int),
 		dirs:      dirs,
 		deadSeen:  make(map[model.HostID]bool),
-		adms:      make(map[model.HostID]*prism.AdmissionController),
 		crashed:   make(map[model.HostID]bool),
-	}
-	defer r.closeAdmissions()
-	// Every host runs the bounded, class-prioritized admission controller
-	// on its receive path — the soak's floods and bursts all cross it, so
-	// shedding plus retransmission must still deliver exactly once.
-	for _, h := range hosts {
-		r.enableAdmission(h)
 	}
 	ha, err := w.EnableHA(framework.HAConfig{
 		Standbys:  []model.HostID{hosts[1]},
@@ -220,10 +217,6 @@ type runner struct {
 	crashed   map[model.HostID]bool
 	lastPulse time.Time
 
-	// adms holds each live host's admission controller (re-created on
-	// restart), closed synchronously at crash time and at end of run.
-	adms map[model.HostID]*prism.AdmissionController
-
 	eventSeq  int
 	waveLines []string
 	epochs    []int
@@ -297,37 +290,6 @@ func (r *runner) pulse() {
 		_ = r.w.Admins[h].SendHeartbeat()
 	}
 	r.fd.Evaluate()
-}
-
-// enableAdmission puts the bounded admission controller on h's receive
-// path (pump mode) and remembers it for crash teardown and end-of-run
-// cleanup. Called for the initial fleet and again for every restarted
-// host, whose fresh architecture comes up without one.
-func (r *runner) enableAdmission(h model.HostID) {
-	if dc := r.w.BusConnector(h); dc != nil {
-		r.adms[h] = dc.EnableAdmission(prism.AdmissionConfig{
-			QueueCap: chaosAdmissionCap,
-		})
-	}
-}
-
-// closeAdmission synchronously stops h's admission pump and discards
-// whatever it still had queued. Crash teardown MUST run this before the
-// ledger's crash bookkeeping: a fail-stop is atomic, so frames a dead
-// host had admitted but not yet dispatched die with it — letting the
-// pump drain them afterwards would deliver "from the grave" and consume
-// the crash epoch's one forgiven redelivery out of order.
-func (r *runner) closeAdmission(h model.HostID) {
-	if a := r.adms[h]; a != nil {
-		a.Close()
-		delete(r.adms, h)
-	}
-}
-
-func (r *runner) closeAdmissions() {
-	for _, a := range r.adms {
-		a.Close()
-	}
 }
 
 // drive runs fn on its own goroutine while keeping delivery ticks and
@@ -444,7 +406,6 @@ func (r *runner) exec(op Op) error {
 			return err
 		}
 		r.restarts[op.A]++
-		r.enableAdmission(op.A)
 	case OpPartition:
 		return r.w.Fabric.SetPartitioned(op.A, op.B, true)
 	case OpHeal:
@@ -489,39 +450,18 @@ func (r *runner) exec(op Op) error {
 	return nil
 }
 
-// baseFaultConfig rebuilds host h's steady-state fault mix — the same
-// deterministic per-host stream NewWorld seeded it with — so a gray
-// window can be layered on and peeled off via SetFaultConfig (which
-// preserves the transport's counters and partition state).
-func (r *runner) baseFaultConfig(h model.HostID) prism.FaultConfig {
-	idx := 0
-	for i, id := range r.hosts {
-		if id == h {
-			idx = i
-			break
-		}
-	}
-	return prism.FaultConfig{
-		Seed:      r.cfg.Seed + int64(idx+1),
-		DropRate:  r.cfg.DropRate,
-		DupRate:   r.cfg.DupRate,
-		DelayRate: r.cfg.DelayRate,
-		Delay:     r.cfg.Delay,
-	}
-}
-
 // grayLink runs one self-contained gray window on the A—B link: overlay
 // df on both directions of A's transport toward B, push the op's traffic
 // burst through the limping link, ride it for a few ticks, then restore
 // the base fault mix. The delivery guarantee must carry the burst across
 // whatever the window ate, dropped late, or bounced.
 func (r *runner) grayLink(op Op, df prism.DirFault, ticks int) error {
-	fc := r.baseFaultConfig(op.A)
+	fc := r.w.FaultConfig(op.A)
 	fc.Peers = map[model.HostID]prism.PeerFault{op.B: {In: df, Out: df}}
 	r.w.Faults[op.A].SetFaultConfig(fc)
 	r.inject(op.A, op.Comp, op.N)
 	r.tick(ticks)
-	r.w.Faults[op.A].SetFaultConfig(r.baseFaultConfig(op.A))
+	r.w.Faults[op.A].SetFaultConfig(r.w.FaultConfig(op.A))
 	return nil
 }
 
@@ -535,7 +475,6 @@ func (r *runner) rejoinResync(h model.HostID) error {
 		return err
 	}
 	r.restarts[h]++
-	r.enableAdmission(h)
 	dep := r.ha.Deps[r.leader]
 	lead := r.ha.Leads[r.leader]
 	admin := r.w.Admins[h]
@@ -575,10 +514,12 @@ func (r *runner) rejoinResync(h model.HostID) error {
 // probes from origin copies on the master — bumping each one's crash
 // epoch so the forgiven post-crash redelivery is not counted a duplicate.
 func (r *runner) crash(h model.HostID) error {
-	// Fail-stop atomicity: stop the admission pump (discarding its queue)
-	// before any crash bookkeeping, so no frame the dead host had
-	// admitted can reach a probe port after the crash epoch bumps.
-	r.closeAdmission(h)
+	// Fail-stop atomicity: CrashHost stops the host's admission pump
+	// (discarding its queue) before it returns, so by the time the crash
+	// bookkeeping below bumps the epoch, no frame the dead host had
+	// admitted can still reach a probe port — letting the pump drain them
+	// afterwards would deliver "from the grave" and consume the crash
+	// epoch's one forgiven redelivery out of order.
 	lost := r.w.CrashHost(h)
 	// A genuine fail-stop: the one legitimate cause for a later HostDead
 	// verdict (no-false-dead invariant).

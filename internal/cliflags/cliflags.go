@@ -8,10 +8,13 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
+	"dif/internal/framework"
+	"dif/internal/model"
 	"dif/internal/obs"
 	"dif/internal/prism"
 )
@@ -22,7 +25,6 @@ type Common struct {
 	FaultDup      float64
 	FaultAsym     float64
 	FaultSeed     int64
-	NoRetry       bool
 	Heartbeat     time.Duration
 	AppRetransmit time.Duration
 	MetricsAddr   string
@@ -47,7 +49,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.Float64Var(&c.FaultDup, "fault-dup", 0, "injected duplicate-delivery rate [0,1)")
 	fs.Float64Var(&c.FaultAsym, "fault-asym", 0, "injected INBOUND-only silent drop rate [0,1): this process hears the world badly while its own frames flow clean — the canonical gray failure")
 	fs.Int64Var(&c.FaultSeed, "fault-seed", 1, "seed for the injected fault process")
-	fs.BoolVar(&c.NoRetry, "no-retry", false, "disable control-plane retransmission (single-shot sends)")
 	fs.DurationVar(&c.Heartbeat, "heartbeat", 0, "liveness heartbeat interval (0 disables)")
 	fs.DurationVar(&c.AppRetransmit, "app-retransmit", 250*time.Millisecond, "application-event retransmission interval (0 disables the delivery-guarantee layer)")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve /metrics, /trace and /debug/pprof on this address (empty disables)")
@@ -171,7 +172,7 @@ func (c *Common) FaultConfig(reg *obs.Registry) prism.FaultConfig {
 
 // Retry builds the control-plane retry policy.
 func (c *Common) Retry() prism.RetryPolicy {
-	return prism.RetryPolicy{Disabled: c.NoRetry, Seed: c.FaultSeed}
+	return prism.RetryPolicy{Seed: c.FaultSeed}
 }
 
 // BreakerConfig builds the per-peer circuit breaker configuration;
@@ -184,8 +185,8 @@ func (c *Common) BreakerConfig() prism.BreakerConfig {
 	}
 }
 
-// Admission builds the receive-path admission configuration; callers
-// should only interpose it when Shed is set.
+// Admission builds the receive-path admission configuration; it is
+// Enabled only when -shed was passed.
 func (c *Common) Admission() prism.AdmissionConfig {
 	return prism.AdmissionConfig{Enabled: c.Shed, QueueCap: c.ShedCapacity}
 }
@@ -193,17 +194,75 @@ func (c *Common) Admission() prism.AdmissionConfig {
 // Delivery builds the application-event delivery-guarantee
 // configuration: -app-retransmit 0 turns the layer off entirely
 // (fire-and-forget application traffic), any positive interval keeps it
-// on with defaults and paces AdminComponent.StartDeliveryTicks.
+// on with defaults and paces the host's delivery pump.
 func (c *Common) Delivery() prism.DeliveryConfig {
 	return prism.DeliveryConfig{Disabled: c.AppRetransmit <= 0}
+}
+
+// Transport opens the process's TCP endpoint per the shared flags and
+// returns it twice: the concrete handle (Addr, AddPeer, Hello, Peers) and
+// the transport the bus sees — the same endpoint, or a fault decorator
+// around it when a -fault-* rate is set.
+func (c *Common) Transport(host model.HostID, listen string, reg *obs.Registry) (*prism.TCPTransport, prism.Transport, error) {
+	tr, err := prism.NewTCPTransport(host, listen)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Set before any peer connects: connections snapshot it at creation.
+	tr.SetBatching(c.BatchBytes, 0)
+	tr.Instrument(reg)
+	if c.Faulty() {
+		return tr, prism.NewFaultTransport(tr, c.FaultConfig(reg)), nil
+	}
+	return tr, tr, nil
+}
+
+// KeepDialing knocks on peer once a second until a Hello lands or stop
+// closes. Boot order between processes is free, and once either side's
+// Hello succeeds the link carries frames both ways.
+func KeepDialing(tr *prism.TCPTransport, peer model.HostID, stop <-chan struct{}) {
+	t := time.NewTicker(time.Second)
+	defer t.Stop()
+	for tr.Hello(peer) != nil {
+		select {
+		case <-t.C:
+		case <-stop:
+			return
+		}
+	}
+}
+
+// HostConfig maps the shared flags onto the one host recipe
+// (framework.NewHost) both binaries are built from: a started scaffold,
+// the delivery layer and its pump, the heartbeat pump, admission, retry
+// and breaker policy. master names the host running the deployer. The
+// caller adds what only it knows — incarnation, deployer, state dir.
+func (c *Common) HostConfig(id, master model.HostID, bus prism.Transport, reg *obs.Registry, tracer *obs.Tracer) framework.HostConfig {
+	delivery := c.Delivery()
+	return framework.HostConfig{
+		ID:        id,
+		Transport: bus,
+		Admin: prism.AdminConfig{
+			Deployer: master, Retry: c.Retry(), Breaker: c.BreakerConfig(),
+		},
+		Workers:      4,
+		Delivery:     &delivery,
+		DeliveryTick: c.AppRetransmit,
+		Heartbeat:    c.Heartbeat,
+		Admission:    c.Admission(),
+		Monitors:     true,
+		Obs:          reg,
+		Trace:        tracer,
+	}
 }
 
 // Observability wires the process's metric registry and span tracer per
 // the shared flags: with -metrics-addr an HTTP endpoint serves metrics,
 // traces, and pprof (and profiling labels turn on); the returned
 // shutdown closes the endpoint and, with -trace-out, dumps every
-// recorded span tree as JSONL. Call shutdown on every exit path.
-func (c *Common) Observability() (*obs.Registry, *obs.Tracer, func(), error) {
+// recorded span tree as JSONL. Call shutdown on every exit path. The
+// endpoint's address is announced on out.
+func (c *Common) Observability(out io.Writer) (*obs.Registry, *obs.Tracer, func(), error) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
 	var stop func() error
@@ -212,7 +271,7 @@ func (c *Common) Observability() (*obs.Registry, *obs.Tracer, func(), error) {
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("metrics endpoint: %w", err)
 		}
-		fmt.Printf("metrics on http://%s/metrics (pprof on /debug/pprof/)\n", addr)
+		fmt.Fprintf(out, "metrics on http://%s/metrics (pprof on /debug/pprof/)\n", addr)
 		stop = shutdown
 	}
 	shutdown := func() {

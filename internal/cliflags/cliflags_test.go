@@ -31,9 +31,9 @@ func TestSharedFlagParity(t *testing.T) {
 				AppRetransmit: 250 * time.Millisecond},
 		},
 		{
-			name: "liveness and no retry",
-			args: []string{"-heartbeat", "250ms", "-no-retry"},
-			want: Common{FaultSeed: 1, Heartbeat: 250 * time.Millisecond, NoRetry: true,
+			name: "liveness",
+			args: []string{"-heartbeat", "250ms"},
+			want: Common{FaultSeed: 1, Heartbeat: 250 * time.Millisecond,
 				AppRetransmit: 250 * time.Millisecond},
 		},
 		{
@@ -107,15 +107,18 @@ func TestSharedFlagParity(t *testing.T) {
 	}
 }
 
-// TestBatchFlushFlagRemoved pins that the idle-flush knob is gone from
-// both binaries: TCP coalescing is clocked by the socket, so a drill
-// script that still passes -batch-flush must fail loudly, not be ignored.
+// TestBatchFlushFlagRemoved pins that the knobs whose forks were deleted
+// are gone from both binaries — the idle-flush timer (TCP coalescing is
+// clocked by the socket) and the retry-less control plane — so a drill
+// script that still passes one must fail loudly, not be ignored.
 func TestBatchFlushFlagRemoved(t *testing.T) {
-	fs := flag.NewFlagSet("agent", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	Register(fs)
-	if err := fs.Parse([]string{"-batch-flush", "2ms"}); err == nil {
-		t.Fatal("-batch-flush still parses")
+	for _, args := range [][]string{{"-batch-flush", "2ms"}, {"-no-retry"}} {
+		fs := flag.NewFlagSet("agent", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Fatalf("%s still parses", args[0])
+		}
 	}
 }
 
@@ -227,7 +230,7 @@ type discard struct{}
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestFaultConfigAndRetry(t *testing.T) {
-	c := Common{FaultDrop: 0.1, FaultDup: 0.02, FaultSeed: 7, NoRetry: true}
+	c := Common{FaultDrop: 0.1, FaultDup: 0.02, FaultSeed: 7}
 	if !c.Faulty() {
 		t.Fatal("Faulty() = false with drop and dup rates set")
 	}
@@ -235,8 +238,7 @@ func TestFaultConfigAndRetry(t *testing.T) {
 	if fc.Seed != 7 || fc.DropRate != 0.1 || fc.DupRate != 0.02 {
 		t.Fatalf("FaultConfig = %+v", fc)
 	}
-	rp := c.Retry()
-	if !rp.Disabled || rp.Seed != 7 {
+	if rp := c.Retry(); rp.Seed != 7 {
 		t.Fatalf("Retry = %+v", rp)
 	}
 	var zero Common
@@ -296,7 +298,7 @@ func TestDeliveryConfig(t *testing.T) {
 func TestObservabilityShutdownWritesTrace(t *testing.T) {
 	out := t.TempDir() + "/trace.jsonl"
 	c := Common{TraceOut: out}
-	_, tracer, shutdown, err := c.Observability()
+	_, tracer, shutdown, err := c.Observability(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -383,11 +383,7 @@ func RunE8() ([]E8Row, error) {
 		return nil, err
 	}
 	defer w.Close()
-	for _, h := range w.Hosts() {
-		if rm := w.Admins[h].ReliabilityMonitor(); rm != nil {
-			rm.ProbesPerMeasurement = 400
-		}
-	}
+	w.SetProbes(400)
 	cent := framework.NewCentralized(w, analyzer.Policy{})
 	fluct := netsim.NewFluctuator(w.Fabric, 6)
 	fluct.RegimeProb = 0

@@ -19,10 +19,22 @@ import (
 // selects and runs algorithms, and the master effector distributes
 // redeployment commands to the slave effectors.
 type Centralized struct {
-	World    *World
-	Model    *model.System // the centralized model (master's copy)
+	// Master is the master host: its deployer gathers reports and enacts
+	// waves, its admin supplies the master's own report, and lost
+	// components are restored onto it.
+	Master *Host
+	// Sys is the design-time system (the Centralized User Input); Model,
+	// the master's copy of it, is what monitoring refines.
+	Sys      *model.System
+	Model    *model.System
 	Analyzer *analyzer.Analyzer
 	Tracker  *monitor.Tracker
+	// Down reports whether a host is currently failed — a World's crash
+	// marks, or a failure detector's verdict.
+	Down func(model.HostID) bool
+	// PerTick is the traffic rate scale restored components are placed
+	// with (see Host.Place).
+	PerTick float64
 
 	// Deployment is the master's view of the current placement.
 	Deployment model.Deployment
@@ -30,20 +42,50 @@ type Centralized struct {
 	// ReportTimeout and EnactTimeout bound the distributed phases.
 	ReportTimeout time.Duration
 	EnactTimeout  time.Duration
+
+	// join, when set, plays the rejoining host's side of Rejoin. A netsim
+	// world has no agent process to do it; over TCP the agent does.
+	join func(model.HostID)
 }
 
 // NewCentralized wires the centralized instantiation over a live world.
-// The master's model starts as a clone of the design-time system (the
-// Centralized User Input); monitoring refines it.
 func NewCentralized(w *World, policy analyzer.Policy) *Centralized {
+	c := newCentralized(w.hosts[w.Master], w.Sys, w.LiveDeployment(), w.HostDown, policy)
+	c.join = func(h model.HostID) {
+		// Clear the deployer's detector state so the host's heartbeats
+		// resurrect it rather than being discarded as a dead host's echo.
+		if fd := w.Deployer.Detector(); fd != nil {
+			fd.Observe(h, w.Incarnation(h))
+		}
+		// Level-triggered reconciliation: the rejoined agent reports its
+		// (empty) manifest and generation zero; the deployer answers with one
+		// full delta instead of replaying the waves the host missed.
+		_ = w.Admins[h].AnnounceGoalState()
+	}
+	return c
+}
+
+// NewCentralizedOn wires the centralized instantiation over a master host
+// however it was built — a World's, or a deployer process's TCP host. The
+// master's model starts as a clone of the design-time system; monitoring
+// refines it. deployment is the placement at this moment, and down the
+// environment's failure verdict. The analyzer runs the default policy.
+func NewCentralizedOn(master *Host, sys *model.System, deployment model.Deployment, down func(model.HostID) bool) *Centralized {
+	return newCentralized(master, sys, deployment, down, analyzer.Policy{})
+}
+
+func newCentralized(master *Host, sys *model.System, deployment model.Deployment, down func(model.HostID) bool, policy analyzer.Policy) *Centralized {
 	an := analyzer.New(nil, policy)
-	an.Instrument(w.Obs())
+	an.Instrument(master.Arch.Obs())
 	return &Centralized{
-		World:         w,
-		Model:         w.Sys.Clone(),
+		Master:        master,
+		Sys:           sys,
+		Model:         sys.Clone(),
 		Analyzer:      an,
 		Tracker:       monitor.NewTracker(0, 0),
-		Deployment:    w.LiveDeployment(),
+		Down:          down,
+		PerTick:       1,
+		Deployment:    deployment,
 		ReportTimeout: 5 * time.Second,
 		EnactTimeout:  10 * time.Second,
 	}
@@ -54,17 +96,17 @@ func NewCentralized(w *World, policy analyzer.Policy) *Centralized {
 // slaves are skipped outright rather than waited on.
 func (c *Centralized) Monitor() (int, int, error) {
 	var slaves []model.HostID
-	for _, h := range c.World.SlaveHosts() {
-		if !c.World.HostDown(h) {
+	for _, h := range c.Sys.HostIDs() {
+		if h != c.Master.ID && !c.Down(h) {
 			slaves = append(slaves, h)
 		}
 	}
-	reports, err := c.World.Deployer.RequestReports(slaves, c.ReportTimeout)
+	reports, err := c.Master.Deployer.RequestReports(slaves, c.ReportTimeout)
 	if err != nil && len(reports) == 0 {
 		return 0, 0, fmt.Errorf("centralized monitor: %w", err)
 	}
 	// The master's own local report is gathered directly.
-	reports[c.World.Master] = c.World.Admins[c.World.Master].Report(true)
+	reports[c.Master.ID] = c.Master.Admin.Report(true)
 
 	applier := monitor.NewApplier(c.Model, c.Tracker)
 	written := 0
@@ -85,9 +127,9 @@ func (c *Centralized) Monitor() (int, int, error) {
 // without force-migrating what they still serve. Returns the number of
 // degraded hosts.
 func (c *Centralized) syncDegraded() int {
-	c.World.Deployer.EvaluateHealth()
+	c.Master.Deployer.EvaluateHealth()
 	degraded := make(map[model.HostID]bool)
-	for _, h := range c.World.Deployer.DegradedHosts() {
+	for _, h := range c.Master.Deployer.DegradedHosts() {
 		degraded[h] = true
 	}
 	n := 0
@@ -106,7 +148,7 @@ func (c *Centralized) syncDegraded() int {
 // happened.
 func (c *Centralized) Cycle(ctx context.Context) (Report, error) {
 	rep := Report{Mode: ModeCentralized}
-	cyc := c.World.Tracer().Start("cycle")
+	cyc := c.Master.Arch.Tracer().Start("cycle")
 	cyc.SetAttr("mode", string(ModeCentralized))
 
 	mon := cyc.Child("monitor")
@@ -114,7 +156,7 @@ func (c *Centralized) Cycle(ctx context.Context) (Report, error) {
 	if err != nil {
 		mon.SetAttr("outcome", "error")
 		mon.End()
-		rep.finish(cyc, c.World.Obs(), err)
+		rep.finish(cyc, c.Master.Arch.Obs(), err)
 		return rep, err
 	}
 	rep.ReportsGathered = gathered
@@ -146,7 +188,7 @@ func (c *Centralized) Cycle(ctx context.Context) (Report, error) {
 		pl.SetAttr("outcome", "error")
 		pl.End()
 		err = fmt.Errorf("centralized analyze: %w", err)
-		rep.finish(cyc, c.World.Obs(), err)
+		rep.finish(cyc, c.Master.Arch.Obs(), err)
 		return rep, err
 	}
 	rep.Decision = dec
@@ -154,7 +196,7 @@ func (c *Centralized) Cycle(ctx context.Context) (Report, error) {
 		pl.SetAttr("outcome", "rejected").SetAttr("reason", dec.Reason)
 		pl.End()
 		rep.AvailabilityAfter = rep.AvailabilityBefore
-		rep.finish(cyc, c.World.Obs(), nil)
+		rep.finish(cyc, c.Master.Arch.Obs(), nil)
 		return rep, nil
 	}
 	pl.SetAttr("outcome", "accepted").SetAttr("algorithm", dec.Result.Algorithm)
@@ -166,23 +208,23 @@ func (c *Centralized) Cycle(ctx context.Context) (Report, error) {
 		en.SetAttr("outcome", "error")
 		en.End()
 		err = fmt.Errorf("centralized plan: %w", err)
-		rep.finish(cyc, c.World.Obs(), err)
+		rep.finish(cyc, c.Master.Arch.Obs(), err)
 		return rep, err
 	}
 	if plan.Empty() {
 		en.SetAttr("outcome", "empty")
 		en.End()
 		rep.AvailabilityAfter = rep.AvailabilityBefore
-		rep.finish(cyc, c.World.Obs(), nil)
+		rep.finish(cyc, c.Master.Arch.Obs(), nil)
 		return rep, nil
 	}
-	enactor := &effector.PrismEnactor{Deployer: c.World.Deployer}
+	enactor := &effector.PrismEnactor{Deployer: c.Master.Deployer}
 	enRep, err := enactor.Enact(plan, c.EnactTimeout)
 	if err != nil {
 		en.SetAttr("outcome", "error")
 		en.End()
 		err = fmt.Errorf("centralized enact: %w", err)
-		rep.finish(cyc, c.World.Obs(), err)
+		rep.finish(cyc, c.Master.Arch.Obs(), err)
 		return rep, err
 	}
 	rep.Enacted = true
@@ -193,7 +235,7 @@ func (c *Centralized) Cycle(ctx context.Context) (Report, error) {
 	en.End()
 	c.Deployment = dec.Result.Deployment.Clone()
 	rep.AvailabilityAfter = objective.Availability{}.Quantify(c.Model, c.Deployment)
-	rep.finish(cyc, c.World.Obs(), nil)
+	rep.finish(cyc, c.Master.Arch.Obs(), nil)
 	return rep, nil
 }
 
@@ -205,9 +247,9 @@ func (c *Centralized) Cycle(ctx context.Context) (Report, error) {
 // bypassing the churn hysteresis, and the resulting moves are enacted.
 func (c *Centralized) Recover(ctx context.Context, dead model.HostID) (Report, error) {
 	rep := Report{Mode: ModeCentralized}
-	rec := c.World.Tracer().Start("recover")
+	rec := c.Master.Arch.Tracer().Start("recover")
 	rec.SetAttr("mode", string(ModeCentralized)).SetAttr("dead", string(dead))
-	c.World.Obs().Counter("framework_recoveries_total").Inc()
+	c.Master.Arch.Obs().Counter("framework_recoveries_total").Inc()
 	c.Model.SetHostDown(dead, true)
 	// The replan avoids limping survivors as well as the corpse.
 	rep.DegradedHosts = c.syncDegraded()
@@ -219,14 +261,18 @@ func (c *Centralized) Recover(ctx context.Context, dead model.HostID) (Report, e
 	restore := rec.Child("restore")
 	lost := c.Deployment.ComponentsOn(dead)
 	for _, comp := range lost {
-		if err := c.World.PlaceComponent(comp, c.World.Master); err != nil {
+		if err := c.Master.Place(c.Sys, comp, c.PerTick); err != nil {
 			restore.SetAttr("outcome", "error")
 			restore.End()
 			err = fmt.Errorf("centralized recover: restore %s: %w", comp, err)
-			rep.finish(rec, c.World.Obs(), err)
+			rep.finish(rec, c.Master.Arch.Obs(), err)
 			return rep, err
 		}
-		c.Deployment[comp] = c.World.Master
+		// Out-of-band placement: the goal table follows the re-home, so a
+		// resync before the recovery wave lands neither evicts the restored
+		// copy nor hands the component back to the host that lost it.
+		c.Master.Deployer.RelocateGoal(string(comp), TrafficTypeName, c.Master.ID)
+		c.Deployment[comp] = c.Master.ID
 	}
 	restore.SetAttr("restored", len(lost))
 	restore.End()
@@ -238,7 +284,7 @@ func (c *Centralized) Recover(ctx context.Context, dead model.HostID) (Report, e
 		pl.SetAttr("outcome", "error")
 		pl.End()
 		err = fmt.Errorf("centralized recover: %w", err)
-		rep.finish(rec, c.World.Obs(), err)
+		rep.finish(rec, c.Master.Arch.Obs(), err)
 		return rep, err
 	}
 	rep.Decision = dec
@@ -251,17 +297,17 @@ func (c *Centralized) Recover(ctx context.Context, dead model.HostID) (Report, e
 		en.SetAttr("outcome", "error")
 		en.End()
 		err = fmt.Errorf("centralized recover plan: %w", err)
-		rep.finish(rec, c.World.Obs(), err)
+		rep.finish(rec, c.Master.Arch.Obs(), err)
 		return rep, err
 	}
 	if !plan.Empty() {
-		enactor := &effector.PrismEnactor{Deployer: c.World.Deployer}
+		enactor := &effector.PrismEnactor{Deployer: c.Master.Deployer}
 		enRep, err := enactor.Enact(plan, c.EnactTimeout)
 		if err != nil {
 			en.SetAttr("outcome", "error")
 			en.End()
 			err = fmt.Errorf("centralized recover enact: %w", err)
-			rep.finish(rec, c.World.Obs(), err)
+			rep.finish(rec, c.Master.Arch.Obs(), err)
 			return rep, err
 		}
 		rep.Enacted = true
@@ -275,38 +321,29 @@ func (c *Centralized) Recover(ctx context.Context, dead model.HostID) (Report, e
 	en.End()
 	c.Deployment = dec.Result.Deployment.Clone()
 	rep.AvailabilityAfter = objective.Availability{}.Quantify(c.Model, c.Deployment)
-	rep.finish(rec, c.World.Obs(), nil)
+	rep.finish(rec, c.Master.Arch.Obs(), nil)
 	return rep, nil
 }
 
-// Rejoin folds a restarted host back in: the world-level restart (fresh
-// architecture, bumped incarnation) must already have happened via
-// World.RestartHost; Rejoin clears the Down mark in the master's model so
-// the next estimation round may place components on the host again, and
-// clears the deployer's detector state so the host's heartbeats resurrect
-// it rather than being discarded as a dead host's echo.
+// Rejoin folds a restarted host back in: the restart itself (fresh
+// architecture, bumped incarnation) must already have happened; Rejoin
+// clears the Down mark in the master's model so the next estimation round
+// may place components on the host again.
 func (c *Centralized) Rejoin(h model.HostID) error {
-	if c.World.HostDown(h) {
+	if c.Down(h) {
 		return fmt.Errorf("centralized rejoin: host %s is still down", h)
 	}
 	c.Model.SetHostDown(h, false)
-	if fd := c.World.Deployer.Detector(); fd != nil {
-		fd.Observe(h, c.World.Incarnation(h))
+	if c.join != nil {
+		c.join(h)
 	}
-	// Level-triggered reconciliation: the rejoined agent reports its
-	// (empty) manifest and generation zero; the deployer answers with one
-	// full delta instead of replaying the waves the host missed.
-	if admin := c.World.Admins[h]; admin != nil {
-		_ = admin.AnnounceGoalState()
-	}
-	c.World.Obs().Counter("framework_rejoins_total").Inc()
+	c.Master.Arch.Obs().Counter("framework_rejoins_total").Inc()
 	return nil
 }
 
 // Verify cross-checks the master's deployment view against the live
-// system (test support and post-cycle sanity).
-func (c *Centralized) Verify() error {
-	live := c.World.LiveDeployment()
+// placement (test support and post-cycle sanity).
+func (c *Centralized) Verify(live model.Deployment) error {
 	if !live.Equal(c.Deployment) {
 		return fmt.Errorf("centralized model out of sync: model %v, live %v", c.Deployment, live)
 	}

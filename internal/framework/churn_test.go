@@ -201,7 +201,7 @@ func TestChurnDrill(t *testing.T) {
 	if _, err := c.Cycle(context.Background()); err != nil {
 		t.Fatalf("post-rejoin cycle: %v", err)
 	}
-	if err := c.Verify(); err != nil {
+	if err := c.Verify(w.LiveDeployment()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -171,7 +171,7 @@ func TestCentralizedCycleImprovesAvailability(t *testing.T) {
 		t.Fatalf("availability %v → %v", rep.AvailabilityBefore, rep.AvailabilityAfter)
 	}
 	// The live system must match the master's new model.
-	waitUntil(t, func() bool { return c.Verify() == nil })
+	waitUntil(t, func() bool { return c.Verify(w.LiveDeployment()) == nil })
 }
 
 func TestCentralizedSecondCycleStabilizes(t *testing.T) {
@@ -290,19 +290,6 @@ func TestDecentralizedQuorumBlocksEnactment(t *testing.T) {
 	}
 }
 
-// sharpenProbes raises every reliability monitor to the 400 probes per
-// measurement E8 and examples/adaptive run with: the default 20 leaves a
-// sampling error (σ ≈ 0.08 on a 0.85 link) wider than the margin the
-// shape test asserts, whichever stretch of a link's loss stream the
-// probes land on.
-func sharpenProbes(w *World) {
-	for _, h := range w.Hosts() {
-		if rm := w.Admins[h].ReliabilityMonitor(); rm != nil {
-			rm.ProbesPerMeasurement = 400
-		}
-	}
-}
-
 func TestCentralizedVsDecentralizedShape(t *testing.T) {
 	// E9's shape: with full knowledge the centralized instantiation
 	// should achieve at least the decentralized availability.
@@ -312,7 +299,10 @@ func TestCentralizedVsDecentralizedShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(wc.Close)
-	sharpenProbes(wc)
+	// The 400 probes per measurement E8 and examples/adaptive run with:
+	// the default's sampling error is wider than the margin asserted
+	// below, whichever stretch of a link's loss stream the probes land on.
+	wc.SetProbes(400)
 	cent := NewCentralized(wc, analyzer.Policy{})
 	cent.Tracker = nil
 	wc.StepN(10)
@@ -327,7 +317,7 @@ func TestCentralizedVsDecentralizedShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(wd.Close)
-	sharpenProbes(wd)
+	wd.SetProbes(400)
 	decc := NewDecentralized(wd, nil)
 	wd.StepN(10)
 	repD, err := decc.Cycle(context.Background())

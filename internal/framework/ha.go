@@ -81,10 +81,10 @@ func (w *World) EnableHA(cfg HAConfig) (*HACluster, error) {
 		hosts:  hosts,
 	}
 	for _, h := range hosts {
-		dep := w.Deployer
-		if h != w.Master {
+		dep := w.hosts[h].Deployer
+		if dep == nil {
 			var err error
-			if dep, err = prism.InstallDeployer(w.Archs[h], w.adminCfg); err != nil {
+			if dep, err = w.RestartDeployerOn(h); err != nil {
 				return nil, err
 			}
 		}
@@ -115,30 +115,32 @@ func (w *World) EnableHA(cfg HAConfig) (*HACluster, error) {
 }
 
 // RestartDeployerOn simulates a deployer-process crash and restart on
-// any live host carrying a deployer (see RestartDeployer for the
-// master-only legacy entry point): the old component is closed and
-// removed, a fresh one installed. The host's incarnation is NOT bumped —
-// a deployer restart is a process event, not a host failure. Callers
-// re-attach the host's durable store and leadership, then Resume or
-// campaign as the drill requires.
+// any live host (see RestartDeployer for the master-only legacy entry
+// point): the old component, if the host carries one, is closed and
+// removed, and a fresh one installed — which is also how a standby host
+// gets its first. The host's incarnation is NOT bumped — a deployer
+// restart is a process event, not a host failure. Callers re-attach the
+// host's durable store and leadership, then Resume or campaign as the
+// drill requires.
 func (w *World) RestartDeployerOn(h model.HostID) (*prism.DeployerComponent, error) {
 	if w.down[h] {
 		return nil, fmt.Errorf("framework world: host %s is down", h)
 	}
-	arch, ok := w.Archs[h]
+	host, ok := w.hosts[h]
 	if !ok {
 		return nil, fmt.Errorf("framework world: unknown host %s", h)
 	}
-	if dep, ok := arch.Component(prism.DeployerID).(*prism.DeployerComponent); ok {
-		dep.Close()
-		if _, err := arch.RemoveComponent(prism.DeployerID); err != nil {
+	if host.Deployer != nil {
+		host.Deployer.Close()
+		if _, err := host.Arch.RemoveComponent(prism.DeployerID); err != nil {
 			return nil, err
 		}
 	}
-	dep, err := prism.InstallDeployer(arch, w.adminCfg)
+	dep, err := prism.InstallDeployer(host.Arch, w.adminCfg)
 	if err != nil {
 		return nil, err
 	}
+	host.Deployer = dep
 	if h == w.Master {
 		w.Deployer = dep
 	}

@@ -16,6 +16,7 @@ package framework
 
 import (
 	"fmt"
+	"slices"
 
 	"dif/internal/model"
 	"dif/internal/netsim"
@@ -31,8 +32,10 @@ const BusName = "bus"
 // per host, and one traffic component per model component, placed
 // according to the initial deployment.
 type World struct {
-	Sys      *model.System
-	Fabric   *netsim.Fabric
+	Sys    *model.System
+	Fabric *netsim.Fabric
+	// Archs, Admins and Faults index the live hosts' parts by host ID;
+	// install keeps them in step with the hosts themselves.
 	Archs    map[model.HostID]*prism.Architecture
 	Admins   map[model.HostID]*prism.AdminComponent
 	Registry *prism.FactoryRegistry
@@ -43,10 +46,11 @@ type World struct {
 	// to open and heal partitions mid-run.
 	Faults map[model.HostID]*prism.FaultTransport
 
-	// cfg and adminCfg are retained so RestartHost can rebuild a crashed
-	// host's stack exactly as NewWorld did.
+	// cfg and adminCfg are retained so RestartHost rebuilds a crashed
+	// host's stack from the same HostConfig NewWorld did.
 	cfg      WorldConfig
 	adminCfg prism.AdminConfig
+	hosts    map[model.HostID]*Host
 	// down marks hosts currently crashed; incarnations counts each host's
 	// restarts (the admin's epoch number on rejoin).
 	down         map[model.HostID]bool
@@ -67,8 +71,8 @@ type WorldConfig struct {
 	// Monitors controls whether admin monitors are attached (the
 	// monitoring-overhead experiment turns them off).
 	Monitors bool
-	// Retry tunes the control plane's retransmission layers; the zero
-	// value opts into the defaults (retries enabled).
+	// Retry tunes the control plane's retransmission backoff; the zero
+	// value selects the defaults.
 	Retry prism.RetryPolicy
 	// Fault, when non-nil, wraps every host's transport in a
 	// FaultTransport seeded per host — dependability drills on top of the
@@ -87,6 +91,9 @@ type WorldConfig struct {
 	// Delivery, when non-nil, tunes (or disables) the application-event
 	// delivery-guarantee layer on every host's bus connector.
 	Delivery *prism.DeliveryConfig
+	// Admission, when Enabled, runs the class-prioritized admission queue
+	// and its pump on every host's receive path.
+	Admission prism.AdmissionConfig
 }
 
 // NewWorld builds a live world for the system and places one traffic
@@ -109,94 +116,35 @@ func NewWorld(sys *model.System, deployment model.Deployment, cfg WorldConfig) (
 		Fabric:       fabric,
 		Archs:        make(map[model.HostID]*prism.Architecture, len(hosts)),
 		Admins:       make(map[model.HostID]*prism.AdminComponent, len(hosts)),
-		Registry:     prism.NewFactoryRegistry(),
+		Registry:     NewRegistry(),
 		Master:       master,
 		cfg:          cfg,
+		hosts:        make(map[model.HostID]*Host, len(hosts)),
 		down:         make(map[model.HostID]bool, len(hosts)),
 		incarnations: make(map[model.HostID]uint64, len(hosts)),
 	}
-	w.Registry.Register(TrafficTypeName, func(id string) prism.Migratable {
-		return NewTrafficComponent(id)
-	})
-
-	adminCfg := prism.AdminConfig{
+	w.adminCfg = prism.AdminConfig{
 		Deployer: master, Bus: BusName, Registry: w.Registry, Retry: cfg.Retry,
 	}
 	if cfg.Tune != nil {
-		cfg.Tune(&adminCfg)
+		cfg.Tune(&w.adminCfg)
 	}
-	w.adminCfg = adminCfg
 	fabric.Instrument(cfg.Obs)
 	if cfg.Fault != nil {
 		w.Faults = make(map[model.HostID]*prism.FaultTransport, len(hosts))
 	}
-	for i, h := range hosts {
-		arch := prism.NewArchitecture(h, nil)
-		arch.SetObservability(cfg.Obs, cfg.Trace)
-		var tr prism.Transport
-		tr, err := prism.NewNetsimTransport(fabric, h)
-		if err != nil {
-			fabric.Close()
+	for _, h := range hosts {
+		if err := w.startHost(h); err != nil {
+			w.Close()
 			return nil, err
-		}
-		if cfg.Fault != nil {
-			fc := *cfg.Fault
-			fc.Seed += int64(i + 1) // distinct deterministic stream per host
-			fc.Obs = cfg.Obs
-			ft := prism.NewFaultTransport(tr, fc)
-			w.Faults[h] = ft
-			tr = ft
-		}
-		if _, err := arch.AddDistributionConnector(BusName, tr); err != nil {
-			fabric.Close()
-			return nil, err
-		}
-		if cfg.Delivery != nil {
-			if dc := arch.DistributionConnector(BusName); dc != nil {
-				dc.SetDeliveryConfig(*cfg.Delivery)
-			}
-		}
-		admin, err := prism.InstallAdmin(arch, adminCfg)
-		if err != nil {
-			fabric.Close()
-			return nil, err
-		}
-		if !cfg.Monitors {
-			admin.DetachMonitors()
-		}
-		w.Archs[h] = arch
-		w.Admins[h] = admin
-		if cfg.DeployerPerHost || h == master {
-			dep, err := prism.InstallDeployer(arch, adminCfg)
-			if err != nil {
-				fabric.Close()
-				return nil, err
-			}
-			if h == master {
-				w.Deployer = dep
-			}
 		}
 	}
 
 	// Instantiate the application: one traffic component per model
 	// component, with its logical links as partner rates.
 	for _, comp := range sys.ComponentIDs() {
-		tc := NewTrafficComponent(string(comp))
-		for _, link := range sys.InteractionsOf(comp) {
-			other := link.Components.A
-			if other == comp {
-				other = link.Components.B
-			}
-			tc.AddPartner(string(other), link.Frequency(), link.EventSize())
-		}
-		tc.Instrument(cfg.Obs)
-		host := deployment[comp]
-		if err := w.Archs[host].AddComponent(tc); err != nil {
-			fabric.Close()
-			return nil, err
-		}
-		if err := w.Archs[host].Weld(string(comp), BusName); err != nil {
-			fabric.Close()
+		if err := w.hosts[deployment[comp]].Place(sys, comp, 1); err != nil {
+			w.Close()
 			return nil, err
 		}
 	}
@@ -216,6 +164,52 @@ func NewWorld(sys *model.System, deployment model.Deployment, cfg WorldConfig) (
 		w.Deployer.SeedGoalState(goal)
 	}
 	return w, nil
+}
+
+// FaultConfig returns host h's steady-state fault mix: WorldConfig.Fault
+// (which must be set) with the seed offset by the host's position, so
+// every host has its own deterministic stream and every lifetime of a
+// host the same one. Drills that layer a fault window on a host peel it
+// off again by handing this back to SetFaultConfig.
+func (w *World) FaultConfig(h model.HostID) prism.FaultConfig {
+	fc := *w.cfg.Fault
+	fc.Seed += int64(slices.Index(w.Sys.HostIDs(), h) + 1)
+	fc.Obs = w.cfg.Obs
+	return fc
+}
+
+// startHost builds host h's stack for its current incarnation — the one
+// path both NewWorld and RestartHost take — and installs it in the world's
+// indexes.
+func (w *World) startHost(h model.HostID) error {
+	var tr prism.Transport
+	tr, err := prism.NewNetsimTransport(w.Fabric, h)
+	if err != nil {
+		return err
+	}
+	if w.cfg.Fault != nil {
+		ft := prism.NewFaultTransport(tr, w.FaultConfig(h))
+		w.Faults[h] = ft
+		tr = ft
+	}
+	adminCfg := w.adminCfg
+	adminCfg.Incarnation = w.incarnations[h]
+	host, err := NewHost(HostConfig{
+		ID: h, Transport: tr, Admin: adminCfg,
+		Deployer:  w.cfg.DeployerPerHost || h == w.Master,
+		Delivery:  w.cfg.Delivery,
+		Admission: w.cfg.Admission,
+		Monitors:  w.cfg.Monitors,
+		Obs:       w.cfg.Obs, Trace: w.cfg.Trace,
+	})
+	if err != nil {
+		return err
+	}
+	w.hosts[h], w.Archs[h], w.Admins[h] = host, host.Arch, host.Admin
+	if h == w.Master {
+		w.Deployer = host.Deployer
+	}
+	return nil
 }
 
 // Step drives one workload tick on every traffic component.
@@ -242,6 +236,19 @@ func (w *World) StepN(n int) int {
 		total += w.Step()
 	}
 	return total
+}
+
+// SetProbes sets how many pings every live host's reliability monitor
+// spends per measurement. Probes are Bernoulli samples: the default 20
+// leaves a sampling error (σ ≈ 0.08 on a 0.85 link) that drowns an
+// ε-stability signal or a few points of availability margin, so
+// experiments that compare either batch generously (400).
+func (w *World) SetProbes(n int) {
+	for _, h := range w.UpHosts() {
+		if rm := w.Admins[h].ReliabilityMonitor(); rm != nil {
+			rm.ProbesPerMeasurement = n
+		}
+	}
 }
 
 // BusConnector returns a live host's bus distribution connector (nil for
@@ -332,81 +339,28 @@ func (w *World) CrashHost(h model.HostID) []model.ComponentID {
 		}
 		lost = append(lost, model.ComponentID(id))
 	}
-	if dep, ok := arch.Component(prism.DeployerID).(*prism.DeployerComponent); ok {
-		dep.Close()
-	}
-	w.Admins[h].Close()
-	arch.Shutdown()
+	w.hosts[h].Close()
 	w.down[h] = true
 	return lost
 }
 
 // RestartHost resurrects a crashed host with a fresh (empty) architecture
-// and a bumped incarnation number, exactly as NewWorld built it: new
-// transport bound to the recovered fabric endpoint, new admin, and — when
-// the world runs a deployer per host — a new local deployer. The restarted
-// host carries no application components; it rejoins the control plane and
-// waits to be folded back in by the next estimation round.
+// and a bumped incarnation number, from the same HostConfig NewWorld built
+// it with: new transport bound to the recovered fabric endpoint, new admin,
+// and — when the world runs a deployer per host — a new local deployer. The
+// restarted host carries no application components; it rejoins the control
+// plane and waits to be folded back in by the next estimation round.
 func (w *World) RestartHost(h model.HostID) (*prism.AdminComponent, error) {
 	if !w.down[h] {
 		return nil, fmt.Errorf("framework world: host %s is not down", h)
 	}
 	w.Fabric.Recover(h)
 	w.incarnations[h]++
-
-	arch := prism.NewArchitecture(h, nil)
-	arch.SetObservability(w.cfg.Obs, w.cfg.Trace)
-	var tr prism.Transport
-	tr, err := prism.NewNetsimTransport(w.Fabric, h)
-	if err != nil {
+	if err := w.startHost(h); err != nil {
 		return nil, err
 	}
-	if w.cfg.Fault != nil {
-		// Same deterministic per-host stream NewWorld used.
-		idx := 0
-		for i, id := range w.Sys.HostIDs() {
-			if id == h {
-				idx = i
-				break
-			}
-		}
-		fc := *w.cfg.Fault
-		fc.Seed += int64(idx + 1)
-		fc.Obs = w.cfg.Obs
-		ft := prism.NewFaultTransport(tr, fc)
-		w.Faults[h] = ft
-		tr = ft
-	}
-	if _, err := arch.AddDistributionConnector(BusName, tr); err != nil {
-		return nil, err
-	}
-	if w.cfg.Delivery != nil {
-		if dc := arch.DistributionConnector(BusName); dc != nil {
-			dc.SetDeliveryConfig(*w.cfg.Delivery)
-		}
-	}
-	adminCfg := w.adminCfg
-	adminCfg.Incarnation = w.incarnations[h]
-	admin, err := prism.InstallAdmin(arch, adminCfg)
-	if err != nil {
-		return nil, err
-	}
-	if !w.cfg.Monitors {
-		admin.DetachMonitors()
-	}
-	if w.cfg.DeployerPerHost || h == w.Master {
-		dep, err := prism.InstallDeployer(arch, adminCfg)
-		if err != nil {
-			return nil, err
-		}
-		if h == w.Master {
-			w.Deployer = dep
-		}
-	}
-	w.Archs[h] = arch
-	w.Admins[h] = admin
 	delete(w.down, h)
-	return admin, nil
+	return w.Admins[h], nil
 }
 
 // RestartDeployer simulates a deployer-process crash and restart on the
@@ -429,26 +383,11 @@ func (w *World) PlaceComponent(comp model.ComponentID, host model.HostID) error 
 	if w.down[host] {
 		return fmt.Errorf("framework world: cannot place %s on crashed host %s", comp, host)
 	}
-	arch, ok := w.Archs[host]
+	h, ok := w.hosts[host]
 	if !ok {
 		return fmt.Errorf("framework world: unknown host %s", host)
 	}
-	if arch.Component(string(comp)) != nil {
-		return nil // already present
-	}
-	tc := NewTrafficComponent(string(comp))
-	for _, link := range w.Sys.InteractionsOf(comp) {
-		other := link.Components.A
-		if other == comp {
-			other = link.Components.B
-		}
-		tc.AddPartner(string(other), link.Frequency(), link.EventSize())
-	}
-	tc.Instrument(w.cfg.Obs)
-	if err := arch.AddComponent(tc); err != nil {
-		return err
-	}
-	if err := arch.Weld(string(comp), BusName); err != nil {
+	if err := h.Place(w.Sys, comp, 1); err != nil {
 		return err
 	}
 	// Out-of-band placement: record it in the goal table so the next
@@ -473,20 +412,17 @@ func (w *World) SlaveHosts() []model.HostID {
 	return out
 }
 
-// Close shuts down the world: deployers first — closing a deployer aborts
-// any in-flight wave, so shutdown never deadlocks on doneCh waiters even
-// when a redeployment is mid-wave — then admins, scaffolds, and fabric.
+// Close shuts down the world: every deployer first — closing a deployer
+// aborts any in-flight wave, so no host's teardown blocks on a wave another
+// host coordinates — then each host (see Host.Close), then the fabric.
 func (w *World) Close() {
-	for _, arch := range w.Archs {
-		if dep, ok := arch.Component(prism.DeployerID).(*prism.DeployerComponent); ok {
-			dep.Close()
+	for _, h := range w.hosts {
+		if h.Deployer != nil {
+			h.Deployer.Close()
 		}
 	}
-	for _, admin := range w.Admins {
-		admin.Close()
-	}
-	for _, arch := range w.Archs {
-		arch.Shutdown()
+	for _, h := range w.hosts {
+		h.Close()
 	}
 	w.Fabric.Close()
 }

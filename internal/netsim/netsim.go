@@ -56,25 +56,10 @@ type LinkState struct {
 	Partitioned bool
 }
 
-// DirKey identifies one direction of a link (gray failures are
-// directional: A→B can limp while B→A stays clean).
+// DirKey identifies one direction of a link; it keys the per-direction
+// loss streams.
 type DirKey struct {
 	From, To model.HostID
-}
-
-// DirState overrides one direction of a link. The zero value changes
-// nothing; overrides compose with the symmetric LinkState (bandwidth and
-// queueing stay shared — both directions contend for the same medium, as
-// on the paper's wireless links).
-type DirState struct {
-	// HasReliability selects Reliability as this direction's delivery
-	// probability instead of the symmetric link's.
-	HasReliability bool
-	Reliability    float64
-	// ExtraDelay is added to this direction's latency.
-	ExtraDelay time.Duration
-	// Partitioned cuts this direction only; the reverse keeps flowing.
-	Partitioned bool
 }
 
 // LinkStats counts traffic over one link (both directions).
@@ -96,7 +81,6 @@ type Fabric struct {
 	// other links happen to interleave.
 	loss   map[DirKey]*rand.Rand
 	links  map[model.HostPair]*linkEntry
-	asym   map[DirKey]DirState
 	hosts  map[model.HostID]*endpoint
 	down   map[model.HostID]bool
 	closed bool
@@ -156,7 +140,6 @@ func NewFabric(seed int64) *Fabric {
 		seed:  seed,
 		loss:  make(map[DirKey]*rand.Rand),
 		links: make(map[model.HostPair]*linkEntry),
-		asym:  make(map[DirKey]DirState),
 		hosts: make(map[model.HostID]*endpoint),
 		down:  make(map[model.HostID]bool),
 	}
@@ -431,14 +414,11 @@ func (f *Fabric) Connect(a, b model.HostID, state LinkState) error {
 	return nil
 }
 
-// Disconnect removes the link between two hosts, along with any
-// directional overrides riding on it.
+// Disconnect removes the link between two hosts.
 func (f *Fabric) Disconnect(a, b model.HostID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	delete(f.links, model.MakeHostPair(a, b))
-	delete(f.asym, DirKey{From: a, To: b})
-	delete(f.asym, DirKey{From: b, To: a})
 }
 
 // SetPartitioned marks the link between two hosts as partitioned (or
@@ -453,36 +433,6 @@ func (f *Fabric) SetPartitioned(a, b model.HostID, partitioned bool) error {
 	}
 	entry.state.Partitioned = partitioned
 	return nil
-}
-
-// SetDirectional installs (or replaces) a one-direction override on the
-// from→to half of an existing link. The reverse direction is untouched —
-// the primitive behind asymmetric partitions, one-way loss, and slow
-// inbound paths.
-func (f *Fabric) SetDirectional(from, to model.HostID, d DirState) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.links[model.MakeHostPair(from, to)]; !ok {
-		return ErrNoRoute
-	}
-	f.asym[DirKey{From: from, To: to}] = d
-	return nil
-}
-
-// ClearDirectional removes the from→to override, restoring the symmetric
-// link state for that direction.
-func (f *Fabric) ClearDirectional(from, to model.HostID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.asym, DirKey{From: from, To: to})
-}
-
-// Directional returns the from→to override, if any.
-func (f *Fabric) Directional(from, to model.HostID) (DirState, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	d, ok := f.asym[DirKey{From: from, To: to}]
-	return d, ok
 }
 
 // Link returns the live state of the link between two hosts.
@@ -559,8 +509,7 @@ func (f *Fabric) Send(from, to model.HostID, sizeKB float64, payload any) (time.
 		entry.stats.BytesKB += sizeKB
 		f.sentTotal.Inc()
 		f.bytesKBTotal.Add(sizeKB)
-		dir, hasDir := f.asym[DirKey{From: from, To: to}]
-		if entry.state.Partitioned || (hasDir && dir.Partitioned) {
+		if entry.state.Partitioned {
 			entry.stats.Dropped++
 			f.droppedTotal.Inc()
 			f.mu.Unlock()
@@ -577,9 +526,6 @@ func (f *Fabric) Send(from, to model.HostID, sizeKB float64, payload any) (time.
 			return 0, ErrDropped
 		}
 		latency = entry.state.Delay
-		if hasDir {
-			latency += dir.ExtraDelay
-		}
 		if entry.state.BandwidthKB > 0 {
 			if f.bwAccurate {
 				// Queueing delay: this message waits behind the link's
@@ -589,11 +535,7 @@ func (f *Fabric) Send(from, to model.HostID, sizeKB float64, payload any) (time.
 			}
 			latency += time.Duration(sizeKB / entry.state.BandwidthKB * float64(time.Second))
 		}
-		reliability := entry.state.Reliability
-		if hasDir && dir.HasReliability {
-			reliability = dir.Reliability
-		}
-		if f.lossStream(DirKey{From: from, To: to}).Float64() >= reliability {
+		if f.lossStream(DirKey{From: from, To: to}).Float64() >= entry.state.Reliability {
 			// The sender still pays the transfer time before discovering
 			// the loss — retransmissions are not free.
 			entry.stats.Dropped++

@@ -181,8 +181,8 @@ type AdminConfig struct {
 	// retries). Zeros select the defaults.
 	FetchRetryInterval time.Duration
 	FetchRetryAttempts int
-	// Retry tunes every retransmission layer; the zero value enables
-	// retries with default backoff.
+	// Retry tunes the backoff of every retransmission layer; the zero
+	// value selects the defaults.
 	Retry RetryPolicy
 	// EnactResendInterval paces the deployer's re-dispatch of reconfig
 	// commands to hosts that have not reported done, and the re-broadcast
@@ -211,13 +211,9 @@ type AdminConfig struct {
 	Breaker BreakerConfig
 }
 
-// RetryPolicy tunes control-plane retransmission. The zero value enables
-// retries with the defaults; Disabled turns every retransmission layer
-// off (single-shot sends, no fetch retries, no reconfig re-dispatch, no
-// outcome re-broadcast) — useful for demonstrating what the robustness
-// layer buys.
+// RetryPolicy tunes control-plane retransmission; the zero value selects
+// the defaults.
 type RetryPolicy struct {
-	Disabled bool
 	// BaseDelay and MaxDelay bound the capped exponential backoff between
 	// per-hop send attempts. Zeros select the defaults.
 	BaseDelay time.Duration
@@ -808,9 +804,6 @@ func (a *AdminComponent) handleReconfig(cmd ReconfigCommand) {
 		}
 	}
 	a.sendFetches(cmd, nil)
-	if a.cfg.Retry.Disabled {
-		return
-	}
 	// End-to-end retransmission: multi-leg mediated paths can lose a
 	// message even after per-hop retries, so the requester re-fetches
 	// whatever has not arrived until the epoch completes or the budget

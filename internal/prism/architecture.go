@@ -105,12 +105,15 @@ func (a *Architecture) AddDistributionConnector(name string, transport Transport
 	if _, ok := a.connectors[name]; ok {
 		return nil, fmt.Errorf("prism: connector %q already exists", name)
 	}
-	dc := NewDistributionConnector(name, a.host, a.scaffold, transport)
+	dc := newDistributionConnector(name, a.host, a.scaffold, transport)
 	a.connectors[name] = dc.Connector
 	a.dists[name] = dc
 	if a.obsReg != nil {
 		dc.instrument(a.obsReg, a.host)
 	}
+	// The receive path opens last: a peer that is already sending (a
+	// restarted process's agents never stopped) must not race the wiring.
+	transport.SetReceiver(dc.onFrame)
 	return dc, nil
 }
 

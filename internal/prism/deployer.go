@@ -537,8 +537,8 @@ type EnactResult struct {
 //
 // The wave runs as a two-phase migration. Phase one: each destination is
 // told its arrivals (EvReconfig, re-dispatched to unresponsive hosts
-// every EnactResendInterval unless retries are disabled), fetches them,
-// and reports done; sources only *prepare* departures. Phase two: once
+// every EnactResendInterval), fetches them, and reports done; sources
+// only *prepare* departures. Phase two: once
 // every destination reported done — or the deadline expired — the
 // outcome (commit or abort) is broadcast to every participating host and
 // re-sent until acknowledged, so a failed transfer never strands a
@@ -641,45 +641,10 @@ func (d *DeployerComponent) Enact(moves map[string]model.HostID, current map[str
 		}
 	}
 
-	retry := !d.cfg.Retry.Disabled
-	var dispatchErr error
 	for _, dst := range dsts {
-		if err := d.sendControl(dst, cmds[dst]); err != nil {
-			dispatchErr = err
-			if !retry {
-				break
-			}
-			// With retries enabled the host stays pending; the resend
-			// loop below keeps trying within the deadline.
-		}
-	}
-	if dispatchErr != nil && !retry {
-		// Without retries the wave cannot complete. Tear the epoch state
-		// down (no leaked doneCh waiters) and name every host that will
-		// not finish — including ones already dispatched — then attempt a
-		// single-shot rollback so reachable participants clean up.
-		prep.SetAttr("outcome", "dispatch_failed")
-		prep.End()
-		outSp := wave.Child("outcome").SetAttr("decision", "rollback")
-		// Durable rule: even this single-shot rollback is persisted before
-		// any participant hears it; if the checkpoint fails, the restart
-		// path aborts the (still undecided) epoch instead.
-		if err := d.ckptDecision(epoch, false); err == nil {
-			d.broadcastOutcome(epoch, st, false)
-		}
-		outSp.End()
-		wave.SetAttr("outcome", "abort")
-		wave.End()
-		d.waveMetrics(false, res.Moved, waveStart)
-		d.mu.Lock()
-		for h := range st.pendingHosts {
-			res.Incomplete = append(res.Incomplete, h)
-		}
-		delete(d.epochs, epoch)
-		d.mu.Unlock()
-		sortHostIDs(res.Incomplete)
-		res.Degraded = true
-		return res, fmt.Errorf("enact epoch %d: dispatch failed: %w", epoch, dispatchErr)
+		// A failed dispatch leaves the host pending; the resend loop below
+		// keeps trying within the deadline.
+		_ = d.sendControl(dst, cmds[dst])
 	}
 
 	deadline := time.NewTimer(timeout)
@@ -687,62 +652,51 @@ func (d *DeployerComponent) Enact(moves map[string]model.HostID, current map[str
 	completed := false
 	closed := false
 	fenced := false
-	if retry {
-		resend := time.NewTicker(d.cfg.EnactResendInterval)
-		defer resend.Stop()
-	wait:
-		for {
-			select {
-			case <-st.doneCh:
-				completed = true
-				break wait
-			case <-st.abortCh:
-				break wait
-			case <-d.stop:
-				closed = true
-				break wait
-			case <-deadline.C:
-				break wait
-			case <-resend.C:
-				if d.deposed() {
-					// The quorum moved past our term mid-wave: every agent
-					// fences our frames, so no done report will ever come.
-					// Abort the wave now instead of waiting out the deadline.
-					fenced = true
-					break wait
-				}
-				// Re-issue the command to every host still pending: the
-				// receiving admin dedups by epoch and re-reports done if
-				// its earlier report was lost.
-				d.mu.Lock()
-				pend := make([]model.HostID, 0, len(st.pendingHosts))
-				for h := range st.pendingHosts {
-					pend = append(pend, h)
-				}
-				d.mu.Unlock()
-				sortHostIDs(pend)
-				for _, h := range pend {
-					// A dead destination never reports done; retrying into the
-					// corpse only serializes the control pump behind its send
-					// backoff (NoteHostDead is already aborting the wave).
-					if d.hostDead(h) {
-						continue
-					}
-					// Re-dispatch means the earlier command or its done
-					// report was lost — retry pressure is health evidence.
-					d.healthScorer().RecordRetry(h)
-					_ = d.sendControl(h, cmds[h])
-				}
-			}
-		}
-	} else {
+	resend := time.NewTicker(d.cfg.EnactResendInterval)
+	defer resend.Stop()
+wait:
+	for {
 		select {
 		case <-st.doneCh:
 			completed = true
+			break wait
 		case <-st.abortCh:
+			break wait
 		case <-d.stop:
 			closed = true
+			break wait
 		case <-deadline.C:
+			break wait
+		case <-resend.C:
+			if d.deposed() {
+				// The quorum moved past our term mid-wave: every agent
+				// fences our frames, so no done report will ever come.
+				// Abort the wave now instead of waiting out the deadline.
+				fenced = true
+				break wait
+			}
+			// Re-issue the command to every host still pending: the
+			// receiving admin dedups by epoch and re-reports done if
+			// its earlier report was lost.
+			d.mu.Lock()
+			pend := make([]model.HostID, 0, len(st.pendingHosts))
+			for h := range st.pendingHosts {
+				pend = append(pend, h)
+			}
+			d.mu.Unlock()
+			sortHostIDs(pend)
+			for _, h := range pend {
+				// A dead destination never reports done; retrying into the
+				// corpse only serializes the control pump behind its send
+				// backoff (NoteHostDead is already aborting the wave).
+				if d.hostDead(h) {
+					continue
+				}
+				// Re-dispatch means the earlier command or its done
+				// report was lost — retry pressure is health evidence.
+				d.healthScorer().RecordRetry(h)
+				_ = d.sendControl(h, cmds[h])
+			}
 		}
 	}
 
@@ -891,46 +845,11 @@ func (d *DeployerComponent) waveMetrics(committed bool, moved int, start time.Ti
 }
 
 // broadcastOutcome drives phase two: it tells every participant to commit
-// or roll back and — unless retries are disabled — re-sends the outcome
-// until each host acknowledges or the ack budget expires. It returns the
-// number of participants that acknowledged.
+// or roll back and re-sends the outcome until each host acknowledges or
+// the ack budget expires. It returns the number of participants that
+// acknowledged.
 func (d *DeployerComponent) broadcastOutcome(epoch int, st *epochState, commit bool) int {
-	e := Event{
-		Name: EvOutcome, Target: AdminID, SizeKB: 0.3,
-		Payload: d.outcomePayload(epoch, st, commit),
-	}
-	parts := make([]model.HostID, 0, len(st.participants))
-	d.mu.Lock()
-	st.ackPending = make(map[model.HostID]bool, len(st.participants))
-	st.ackCh = make(chan struct{}, 1)
-	for h := range st.participants {
-		parts = append(parts, h)
-		st.ackPending[h] = true
-	}
-	d.mu.Unlock()
-	sortHostIDs(parts)
-	// Dead participants never ack: waive them so phase two converges on
-	// the survivors alone.
-	live := parts[:0:0]
-	for _, h := range parts {
-		if d.hostDead(h) {
-			d.mu.Lock()
-			delete(st.ackPending, h)
-			d.mu.Unlock()
-			continue
-		}
-		live = append(live, h)
-	}
-	parts = live
-	for _, h := range parts {
-		_ = d.sendControl(h, e)
-	}
-	if d.cfg.Retry.Disabled {
-		d.mu.Lock()
-		n := len(parts) - len(st.ackPending)
-		d.mu.Unlock()
-		return n
-	}
+	e, parts := d.broadcastOutcomeOnce(epoch, st, commit)
 	budget := time.NewTimer(d.cfg.OutcomeAckTimeout)
 	defer budget.Stop()
 	resend := time.NewTicker(d.cfg.EnactResendInterval)
@@ -974,6 +893,42 @@ func (d *DeployerComponent) broadcastOutcome(epoch int, st *epochState, commit b
 	}
 }
 
+// broadcastOutcomeOnce is phase two's first pass, and all of it on the
+// shutdown path: it arms the ack table and sends the outcome once to
+// every live participant, returning the frame and the hosts it went to.
+// Dead participants never ack, so they are waived up front and phase two
+// converges on the survivors alone.
+func (d *DeployerComponent) broadcastOutcomeOnce(epoch int, st *epochState, commit bool) (Event, []model.HostID) {
+	e := Event{
+		Name: EvOutcome, Target: AdminID, SizeKB: 0.3,
+		Payload: d.outcomePayload(epoch, st, commit),
+	}
+	d.mu.Lock()
+	all := make([]model.HostID, 0, len(st.participants))
+	for h := range st.participants {
+		all = append(all, h)
+	}
+	d.mu.Unlock()
+	sortHostIDs(all)
+	parts := all[:0]
+	for _, h := range all {
+		if !d.hostDead(h) {
+			parts = append(parts, h)
+		}
+	}
+	d.mu.Lock()
+	st.ackPending = make(map[model.HostID]bool, len(parts))
+	st.ackCh = make(chan struct{}, 1)
+	for _, h := range parts {
+		st.ackPending[h] = true
+	}
+	d.mu.Unlock()
+	for _, h := range parts {
+		_ = d.sendControl(h, e)
+	}
+	return e, parts
+}
+
 // outcomePayload builds a wave outcome under the wave's original
 // coordinator identity (participants key their state by it), stamped
 // with the current fencing term and with this host as the ack/bounce
@@ -992,27 +947,5 @@ func (d *DeployerComponent) outcomePayload(epoch int, st *epochState, commit boo
 	return WaveOutcome{
 		Epoch: epoch, Coordinator: coord, Commit: commit,
 		Term: d.term(), ReplyTo: d.arch.Host(), Gens: gens,
-	}
-}
-
-// broadcastOutcomeOnce sends the outcome to every participant exactly
-// once without waiting for acknowledgements (shutdown path).
-func (d *DeployerComponent) broadcastOutcomeOnce(epoch int, st *epochState, commit bool) {
-	e := Event{
-		Name: EvOutcome, Target: AdminID, SizeKB: 0.3,
-		Payload: d.outcomePayload(epoch, st, commit),
-	}
-	parts := make([]model.HostID, 0, len(st.participants))
-	d.mu.Lock()
-	for h := range st.participants {
-		parts = append(parts, h)
-	}
-	d.mu.Unlock()
-	sortHostIDs(parts)
-	for _, h := range parts {
-		if d.hostDead(h) {
-			continue
-		}
-		_ = d.sendControl(h, e)
 	}
 }

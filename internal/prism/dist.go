@@ -164,6 +164,14 @@ type DistributionConnector struct {
 // NewDistributionConnector wires a distribution connector to a transport.
 // Prefer Architecture.AddDistributionConnector, which also registers it.
 func NewDistributionConnector(name string, host model.HostID, scaffold *Scaffold, transport Transport) *DistributionConnector {
+	dc := newDistributionConnector(name, host, scaffold, transport)
+	transport.SetReceiver(dc.onFrame)
+	return dc
+}
+
+// newDistributionConnector builds the connector without opening the
+// receive path: frames flow only once the caller installs onFrame.
+func newDistributionConnector(name string, host model.HostID, scaffold *Scaffold, transport Transport) *DistributionConnector {
 	dc := &DistributionConnector{
 		Connector: NewConnector(name, scaffold),
 		host:      host,
@@ -179,7 +187,6 @@ func NewDistributionConnector(name string, host model.HostID, scaffold *Scaffold
 	dc.Connector.stamp = dc.stamp
 	dc.Connector.onDeliver = dc.onDeliver
 	dc.Connector.onUndeliverable = dc.onUndeliverable
-	transport.SetReceiver(dc.onFrame)
 	return dc
 }
 

@@ -186,9 +186,6 @@ func (cs *controlSender) sendDirect(dc *DistributionConnector, to model.HostID, 
 // chain abandoned by the cancel predicate (no evidence about the peer).
 func (cs *controlSender) sendDirectRetry(dc *DistributionConnector, to model.HostID, data []byte, sizeKB float64, name string, ev Event) (error, bool) {
 	attempts := cs.cfg.SendAttempts
-	if cs.cfg.Retry.Disabled {
-		attempts = 1
-	}
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {

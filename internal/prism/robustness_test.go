@@ -201,26 +201,6 @@ func TestWaveCompletesUnder20PctLossAndPartition(t *testing.T) {
 	t.Logf("wave committed 4/4 moves with %d control frames dropped", dropped)
 }
 
-func TestWaveFailsWithoutRetries(t *testing.T) {
-	// The identical scenario with every retransmission layer disabled:
-	// the partition alone guarantees the dispatch cannot complete.
-	cfg := fastRetryCfg()
-	cfg.Retry = RetryPolicy{Disabled: true}
-	fw, moves, current := wave20(t, cfg)
-	fw.partitionPair("m", "s2", true)
-
-	res, err := fw.deployer.Enact(moves, current, 2*time.Second)
-	if err == nil {
-		t.Fatal("wave succeeded without retries under 20% loss and a partition")
-	}
-	if res.Committed {
-		t.Fatalf("result = %+v, want uncommitted", res)
-	}
-	if fw.epochsOutstanding() != 0 {
-		t.Fatal("failed dispatch leaked epoch state (the old doneCh leak)")
-	}
-}
-
 func TestWaveRollbackReattachesSource(t *testing.T) {
 	// s1's outbound frames all vanish: the fetch arrives (inbound is
 	// clean) but the transfer never leaves, so the wave must time out and
