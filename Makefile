@@ -21,19 +21,21 @@ fmt:
 # parallel search algorithms, the delta evaluators they drive, the
 # telemetry registry and tracer, the framework's crash-recovery drills,
 # and the shipped binaries' own loops over loopback TCP (./cmd/...). The
-# crossed-dial duel then runs 200 times: it lost or refused
-# a frame in ~7 % of runs before retirement became a half-close, and a
-# single pass would let that back in unnoticed. The TCP writer tests
-# (flush without a timer, order under concurrent senders, release of
-# blocked senders, drain on retire, the yielded dial) and the admin's
-# Close-versus-reconfig race run 50 times for the same reason. The
-# dedup-window tests (reference-model property test, the lost-frame
-# hole, the wide-span settle) run in the first pass with the rest of
-# ./internal/prism/.
+# crossed-dial duel then runs 200 times: it lost a frame in about one
+# batch of 200 in three until a socket's readLoop stopped closing it
+# under a retired writer that was still draining (7 of 20 batches
+# before, 0 of 20 after), and a single pass would let that back in
+# unnoticed. The TCP writer tests (flush without a timer, order under
+# concurrent senders, release of blocked senders, drain on retire, the
+# yielded dial), the two racing first Sends to one peer (one dial in
+# flight per peer), and the admin's Close-versus-reconfig race run 50
+# times for the same reason. The dedup-window tests (reference-model
+# property test, the lost-frame hole, the wide-span settle) run in the
+# first pass with the rest of ./internal/prism/.
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/... ./cmd/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/
-	$(GO) test -race -count=50 -run 'TestTCPWriter|TestAdminCloseRacesReconfig$$' ./internal/prism/
+	$(GO) test -race -count=50 -run 'TestTCPWriter|TestTCPTransportConcurrentFirstSends$$|TestAdminCloseRacesReconfig$$' ./internal/prism/
 
 race: test-race
 
@@ -44,7 +46,9 @@ race: test-race
 # (a resurrected host converges through one goal-state delta exchange,
 # its manifest checked byte-for-byte against the goal) under the race
 # detector, with every seed run twice and the invariant reports
-# compared byte-for-byte.
+# compared byte-for-byte. Every control send is a single attempt, so a
+# dropped control frame is recovered end to end only, by the loop that
+# owns its exchange (re-dispatch, re-request, re-broadcast, heartbeat).
 SOAK_SEEDS ?= 10
 soak:
 	$(GO) test -race -count=1 -timeout 20m -run TestChaosSoak -v ./internal/chaos/ -args -chaos.seeds=$(SOAK_SEEDS)

@@ -69,7 +69,6 @@ func Run(cfg Config) (*Result, error) {
 		// exactly once.
 		Admission: prism.AdmissionConfig{Enabled: true, QueueCap: chaosAdmissionCap},
 		Tune: func(ac *prism.AdminConfig) {
-			ac.FetchRetryInterval = 15 * time.Millisecond
 			ac.EnactResendInterval = 15 * time.Millisecond
 		},
 	})

@@ -54,7 +54,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve /metrics, /trace and /debug/pprof on this address (empty disables)")
 	fs.StringVar(&c.TraceOut, "trace-out", "", "write recorded span trees as JSONL to this file on exit (empty disables)")
 	fs.IntVar(&c.BatchBytes, "batch-bytes", 0, "per-connection TCP send-buffer high-water mark in bytes: Send blocks while that much is unwritten (0 means 64 KiB)")
-	fs.BoolVar(&c.Breaker, "breaker", false, "enable the per-peer circuit breaker on control sends: consecutive observable failures open the circuit, later sends fail fast into the relay path instead of soaking up retry chains")
+	fs.BoolVar(&c.Breaker, "breaker", false, "enable the per-peer circuit breaker on control sends: consecutive observable failures open the circuit, and later sends toward that peer fail fast until a half-open probe gets through")
 	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 500*time.Millisecond, "how long an open circuit rejects sends before half-opening for a probe")
 	fs.IntVar(&c.BreakerProbes, "breaker-probes", 1, "concurrent half-open probes allowed per peer")
 	fs.BoolVar(&c.Shed, "shed", false, "enable class-prioritized admission on the receive path: bounded per-class queues dispatched liveness > control > app, shedding the arriving class when its queue is full")
@@ -170,11 +170,6 @@ func (c *Common) FaultConfig(reg *obs.Registry) prism.FaultConfig {
 	}
 }
 
-// Retry builds the control-plane retry policy.
-func (c *Common) Retry() prism.RetryPolicy {
-	return prism.RetryPolicy{Seed: c.FaultSeed}
-}
-
 // BreakerConfig builds the per-peer circuit breaker configuration;
 // disabled unless -breaker was passed.
 func (c *Common) BreakerConfig() prism.BreakerConfig {
@@ -243,7 +238,7 @@ func (c *Common) HostConfig(id, master model.HostID, bus prism.Transport, reg *o
 		ID:        id,
 		Transport: bus,
 		Admin: prism.AdminConfig{
-			Deployer: master, Retry: c.Retry(), Breaker: c.BreakerConfig(),
+			Deployer: master, Breaker: c.BreakerConfig(),
 		},
 		Workers:      4,
 		Delivery:     &delivery,

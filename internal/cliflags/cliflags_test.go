@@ -229,7 +229,7 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-func TestFaultConfigAndRetry(t *testing.T) {
+func TestFaultConfig(t *testing.T) {
 	c := Common{FaultDrop: 0.1, FaultDup: 0.02, FaultSeed: 7}
 	if !c.Faulty() {
 		t.Fatal("Faulty() = false with drop and dup rates set")
@@ -237,9 +237,6 @@ func TestFaultConfigAndRetry(t *testing.T) {
 	fc := c.FaultConfig(nil)
 	if fc.Seed != 7 || fc.DropRate != 0.1 || fc.DupRate != 0.02 {
 		t.Fatalf("FaultConfig = %+v", fc)
-	}
-	if rp := c.Retry(); rp.Seed != 7 {
-		t.Fatalf("Retry = %+v", rp)
 	}
 	var zero Common
 	if zero.Faulty() {

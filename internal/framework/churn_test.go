@@ -54,19 +54,7 @@ func TestChurnDrill(t *testing.T) {
 	w.Deployer.AttachDetector(fd)
 
 	// Slaves heartbeat in; the detector sees every one of them alive.
-	for _, h := range w.SlaveHosts() {
-		if err := w.Admins[h].SendHeartbeat(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitUntil(t, func() bool {
-		for _, h := range w.SlaveHosts() {
-			if fd.State(h) != prism.HostUp {
-				return false
-			}
-		}
-		return true
-	})
+	pumpHeartbeats(t, w, fd, w.SlaveHosts())
 
 	// Victim: the last slave. Pick a component on a survivor and start a
 	// wave moving it onto the victim, then kill the victim under it.
@@ -186,12 +174,10 @@ func TestChurnDrill(t *testing.T) {
 	if c.Model.HostDown(victim) {
 		t.Fatal("model still marks the rejoined host down")
 	}
-	if err := admin.SendHeartbeat(); err != nil {
-		t.Fatal(err)
+	pumpHeartbeats(t, w, fd, []model.HostID{victim})
+	if inc := fd.Incarnation(victim); inc != 1 {
+		t.Fatalf("rejoined host's incarnation = %d, want 1", inc)
 	}
-	waitUntil(t, func() bool {
-		return fd.State(victim) == prism.HostUp && fd.Incarnation(victim) == 1
-	})
 
 	// The rejoined host is eligible again: the next estimation round may
 	// place components on it (its allowed-host sets include it again).

@@ -17,8 +17,8 @@ import (
 // hook fires — the leader is partitioned from the entire world. The
 // standby's leader watch fires on the injected clock, it campaigns at
 // term 2, wins the agent quorum, and resumes the decided wave to commit
-// under its ORIGINAL epoch number. When the partition heals, the old
-// leader's late term-1 outcome is fenced by every agent, and the
+// under its ORIGINAL epoch number. When the partition heals, a late
+// term-1 outcome from the old leader is fenced by every agent, and the
 // fencing feedback deposes it.
 func TestLeaderFailoverResumesDecidedWave(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -159,15 +159,43 @@ func TestLeaderFailoverResumesDecidedWave(t *testing.T) {
 		return live[comp] == dst && w.Archs[src].Component(string(comp)) == nil
 	})
 
-	// Heal the partition: the old leader's outcome retries at term 1 now
-	// reach the agents — every one fences them, and the feedback deposes
-	// the old leader.
+	// Heal the partition, and deliver the old leader's term-1 outcome to
+	// every agent that saw the campaign: each one fences it, and the
+	// feedback deposes the old leader. (Its own Enact may also re-send the
+	// outcome on a re-broadcast tick, or learn term 2 from the new
+	// leader's replication stream first; the frame is sent here so the
+	// fence is exercised either way.)
 	for _, h := range hosts {
 		if h != w.Master {
 			w.Faults[w.Master].Partition(h, false)
 		}
 	}
+	for _, h := range hosts {
+		if h == w.Master {
+			continue
+		}
+		stale, err := prism.EncodeEvent(prism.Event{
+			Name: prism.EvOutcome, Kind: prism.KindControl, Sender: prism.DeployerID,
+			Target: prism.AdminID, SrcHost: w.Master, DstHost: h, SizeKB: 0.3,
+			Payload: prism.WaveOutcome{Epoch: 1, Coordinator: w.Master, Commit: true, Term: 1, ReplyTo: w.Master},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Faults[w.Master].Send(h, stale, 0.3); err != nil {
+			t.Fatalf("stale outcome to %s: %v", h, err)
+		}
+	}
 	waitUntil(t, func() bool { return !leadA.IsLeader() && leadA.Term() == 2 })
+	for _, h := range hosts {
+		if h == w.Master {
+			continue
+		}
+		waitUntil(t, func() bool {
+			v, _ := reg.Snapshot().Value(obs.Name("prism_fenced_frames_total", "host", string(h)))
+			return v >= 1
+		})
+	}
 	select {
 	case <-waveErr: // decided-then-fenced: either outcome shape is fine
 	case <-time.After(10 * time.Second):
@@ -186,14 +214,6 @@ func TestLeaderFailoverResumesDecidedWave(t *testing.T) {
 		if grants[1] != w.Master || grants[2] != standby {
 			t.Fatalf("agent %s grant log = %v", h, grants)
 		}
-	}
-	fenced := 0.0
-	for _, h := range hosts {
-		v, _ := reg.Snapshot().Value(obs.Name("prism_fenced_frames_total", "host", string(h)))
-		fenced += v
-	}
-	if fenced < 1 {
-		t.Fatal("no agent counted a fenced frame from the old leader")
 	}
 
 	// The deposed leader refuses new waves; the new leader numbers its
@@ -214,5 +234,116 @@ func TestLeaderFailoverResumesDecidedWave(t *testing.T) {
 		if !strings.Contains(render, want) {
 			t.Fatalf("span forest missing %q:\n%s", want, render)
 		}
+	}
+}
+
+// TestLeaderCrashFailoverDoesNotRetryIntoCorpse pins the cost of a
+// crashed leader: from Failover() to the first committed wave the new
+// leader addresses the corpse once per re-drive round — one lease
+// request, one replication batch per flush — and never re-sends a frame
+// into it. A second standby receives exactly those rounds too, so the
+// fabric's send counters toward it bound the corpse's.
+func TestLeaderCrashFailoverDoesNotRetryIntoCorpse(t *testing.T) {
+	reg := obs.NewRegistry()
+	clk := newDrillClock()
+	gen := model.DefaultGeneratorConfig(5, 10)
+	gen.Reliability = model.Range{Min: 1.0, Max: 1.0}
+	gen.LinkDensity = 1
+	sys, dep0, err := model.NewGenerator(gen, 5).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorld(sys, dep0, WorldConfig{
+		Monitors: true,
+		Fault:    &prism.FaultConfig{},
+		Obs:      reg,
+		Tune:     func(ac *prism.AdminConfig) { ac.Clock = clk.Now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	slaves := w.SlaveHosts()
+	corpse, heir, witness := w.Master, slaves[0], slaves[1]
+	const ttl = 2 * time.Second
+	ha, err := w.EnableHA(HAConfig{
+		Standbys: []model.HostID{heir, witness},
+		StateDirs: map[model.HostID]string{
+			corpse: t.TempDir(), heir: t.TempDir(), witness: t.TempDir(),
+		},
+		// Every agent is live and every link lossless, so each campaign
+		// wins on its first broadcast and never re-broadcasts.
+		Lease: prism.LeaderConfig{LeaseTTL: ttl, Clock: clk.Now, RebroadcastInterval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ha.Close)
+	if won, err := ha.Leads[corpse].Campaign(); err != nil || !won {
+		t.Fatalf("initial campaign: won=%v err=%v", won, err)
+	}
+	waitUntil(t, func() bool {
+		return ha.Leads[heir].Term() == 1 && ha.Leads[witness].Term() == 1
+	})
+
+	// The wave moves a component between the two hosts that are neither
+	// deployers nor the witness, so the witness hears only the heir's
+	// lease request and replication batches.
+	movers := slaves[2:]
+	var comp model.ComponentID
+	for _, c := range w.Sys.ComponentIDs() {
+		if dep0[c] == movers[0] || dep0[c] == movers[1] {
+			comp = c
+			break
+		}
+	}
+	if comp == "" {
+		t.Fatal("no component on the non-deployer hosts to move")
+	}
+	dst := movers[0]
+	if dep0[comp] == dst {
+		dst = movers[1]
+	}
+	current := make(map[string]model.HostID, len(dep0))
+	for c, h := range dep0 {
+		current[string(c)] = h
+	}
+
+	w.CrashHost(corpse)
+	clk.Advance(5 * ttl) // every agent's term-1 lease lapses
+	toward := func(h model.HostID) float64 {
+		var n float64
+		for _, x := range w.Hosts() {
+			if s, ok := w.Fabric.Stats(x, h); ok && x != h {
+				n += float64(s.Sent)
+			}
+		}
+		return n
+	}
+	witnessSent := obs.Name("prism_fault_sent_total", "host", string(witness))
+	framesToWitness := func() float64 {
+		// The witness link carries both directions; everything the
+		// witness sends in this window goes to the heir.
+		s, _ := w.Fabric.Stats(heir, witness)
+		own, _ := reg.Snapshot().Value(witnessSent)
+		return float64(s.Sent) - own
+	}
+	corpse0, witness0 := toward(corpse), framesToWitness()
+
+	if _, won, err := ha.Leads[heir].Failover(); err != nil || !won {
+		t.Fatalf("failover: won=%v err=%v", won, err)
+	}
+	res, err := ha.Deps[heir].Enact(map[string]model.HostID{string(comp): dst}, current, 10*time.Second)
+	if err != nil || !res.Committed {
+		t.Fatalf("first wave under the new term = %+v err=%v", res, err)
+	}
+
+	attempts, rounds := toward(corpse)-corpse0, framesToWitness()-witness0
+	if attempts < 1 {
+		t.Fatal("the new leader never addressed the corpse; the drill measures nothing")
+	}
+	if attempts > rounds {
+		t.Fatalf("%v send attempts toward the corpse over %v re-drive rounds: a frame was retried into it",
+			attempts, rounds)
 	}
 }

@@ -346,6 +346,23 @@ func waitUntil(t *testing.T, cond func() bool) {
 	t.Fatal("condition never satisfied")
 }
 
+// pumpHeartbeats re-sends each host's heartbeat until the detector holds
+// it up. A heartbeat is a single send, and a lossy link may eat it; the
+// heartbeat tick is its only re-driver, which this loop stands in for.
+func pumpHeartbeats(t *testing.T, w *World, fd *prism.FailureDetector, hosts []model.HostID) {
+	t.Helper()
+	waitUntil(t, func() bool {
+		up := true
+		for _, h := range hosts {
+			if fd.State(h) != prism.HostUp {
+				_ = w.Admins[h].SendHeartbeat()
+				up = false
+			}
+		}
+		return up
+	})
+}
+
 func TestDecentralizedVoteProtocol(t *testing.T) {
 	w, _ := newTestWorld(t, 4, 10, 12, WorldConfig{DeployerPerHost: true})
 	d := NewDecentralized(w, nil)

@@ -208,6 +208,10 @@ func TestGoalStateSurvivesLeaderFailover(t *testing.T) {
 		return true
 	})
 
+	// Every batch the wave's appends flushed is applied and acked, so none
+	// lands after the clock jump below and refreshes the standby's watch.
+	waitUntil(t, func() bool { return ha.Leads[w.Master].Synced(standby) })
+
 	// The leader falls silent (no more renewals); the standby's watch
 	// fires on the injected clock and it takes over at term 2.
 	now := clk.Advance(5 * ttl)

@@ -71,9 +71,6 @@ type WorldConfig struct {
 	// Monitors controls whether admin monitors are attached (the
 	// monitoring-overhead experiment turns them off).
 	Monitors bool
-	// Retry tunes the control plane's retransmission backoff; the zero
-	// value selects the defaults.
-	Retry prism.RetryPolicy
 	// Fault, when non-nil, wraps every host's transport in a
 	// FaultTransport seeded per host — dependability drills on top of the
 	// fabric's own loss model.
@@ -124,7 +121,7 @@ func NewWorld(sys *model.System, deployment model.Deployment, cfg WorldConfig) (
 		incarnations: make(map[model.HostID]uint64, len(hosts)),
 	}
 	w.adminCfg = prism.AdminConfig{
-		Deployer: master, Bus: BusName, Registry: w.Registry, Retry: cfg.Retry,
+		Deployer: master, Bus: BusName, Registry: w.Registry,
 	}
 	if cfg.Tune != nil {
 		cfg.Tune(&w.adminCfg)

@@ -37,6 +37,13 @@ type MonitoringReport struct {
 	Links        []ReliabilitySample
 }
 
+// ReportRequest asks an admin for its monitoring report. Round numbers
+// the deployer's collection rounds: a re-request in the same round is
+// answered from the report already built for it.
+type ReportRequest struct {
+	Round uint64
+}
+
 // ReconfigCommand tells an admin its new local configuration: the
 // components it must acquire and where each currently lives. Departures
 // are driven by the fetch requests other admins send. Epoch identifies
@@ -71,8 +78,8 @@ type FetchRequest struct {
 	// Source is the host currently holding the component (known to the
 	// requester from its reconfig command); mediators forward there.
 	Source model.HostID
-	// Mediated marks requests relayed through the deployer because the
-	// requester and source are not directly connected.
+	// Mediated marks requests relayed through the wave's coordinator
+	// because the requester and source are not directly connected.
 	Mediated bool
 }
 
@@ -147,6 +154,7 @@ func registerControlPayloads() {
 	registerRelayPayload()
 	registerLeaderPayloadsOnce.Do(registerLeaderPayloads)
 	gob.Register(MonitoringReport{})
+	gob.Register(ReportRequest{})
 	gob.Register(ReconfigCommand{})
 	gob.Register(FetchRequest{})
 	gob.Register(TransferPayload{})
@@ -173,20 +181,11 @@ type AdminConfig struct {
 	Bus string
 	// Registry reconstitutes migrated components.
 	Registry *FactoryRegistry
-	// SendAttempts bounds control-plane retries over lossy links.
-	SendAttempts int
-	// FetchRetryInterval and FetchRetryAttempts drive end-to-end
-	// retransmission of fetch requests whose transfer never arrives
-	// (multi-leg mediated paths can lose a message even after per-hop
-	// retries). Zeros select the defaults.
-	FetchRetryInterval time.Duration
-	FetchRetryAttempts int
-	// Retry tunes the backoff of every retransmission layer; the zero
-	// value selects the defaults.
-	Retry RetryPolicy
 	// EnactResendInterval paces the deployer's re-dispatch of reconfig
-	// commands to hosts that have not reported done, and the re-broadcast
-	// of unacknowledged wave outcomes. Zero selects the default.
+	// commands to hosts that have not reported done (each re-dispatch
+	// also makes the destination re-fetch its missing arrivals), the
+	// re-request of missing monitoring reports, and the re-broadcast of
+	// unacknowledged wave outcomes. Zero selects the default.
 	EnactResendInterval time.Duration
 	// OutcomeAckTimeout bounds how long the deployer waits for every
 	// participant to acknowledge a wave's commit/abort outcome. Zero
@@ -205,36 +204,14 @@ type AdminConfig struct {
 	Clock func() time.Time
 	// Breaker, when Enabled, wraps every direct control send in a
 	// per-peer circuit breaker (closed/open/half-open with a probe
-	// budget) and bounds per-peer in-flight retry chains. Disabled by
-	// default: symmetric partitions are meant to be ridden out by plain
-	// retries, and the breaker is aimed at *gray* peers.
+	// budget). Disabled by default: symmetric partitions are meant to be
+	// ridden out by the re-drive loops, and the breaker is aimed at
+	// *gray* peers.
 	Breaker BreakerConfig
-}
-
-// RetryPolicy tunes control-plane retransmission; the zero value selects
-// the defaults.
-type RetryPolicy struct {
-	// BaseDelay and MaxDelay bound the capped exponential backoff between
-	// per-hop send attempts. Zeros select the defaults.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Seed drives the deterministic backoff jitter.
-	Seed int64
 }
 
 // Control-plane reliability defaults.
 const (
-	// DefaultSendAttempts is the per-hop retry budget per message.
-	DefaultSendAttempts = 25
-	// DefaultFetchRetryInterval and DefaultFetchRetryAttempts bound the
-	// requester-side end-to-end retransmission loop.
-	DefaultFetchRetryInterval = 300 * time.Millisecond
-	DefaultFetchRetryAttempts = 15
-	// DefaultRetryBaseDelay and DefaultRetryMaxDelay bound per-hop
-	// backoff; they are deliberately small — control frames are tiny and
-	// the links they model recover quickly.
-	DefaultRetryBaseDelay = time.Millisecond
-	DefaultRetryMaxDelay  = 30 * time.Millisecond
 	// DefaultEnactResendInterval paces deployer-side re-dispatch.
 	DefaultEnactResendInterval = 75 * time.Millisecond
 	// DefaultOutcomeAckTimeout bounds the commit/abort ack collection.
@@ -243,21 +220,6 @@ const (
 
 // withDefaults resolves zero-valued knobs shared by admins and deployers.
 func (c AdminConfig) withDefaults() AdminConfig {
-	if c.SendAttempts <= 0 {
-		c.SendAttempts = DefaultSendAttempts
-	}
-	if c.FetchRetryInterval <= 0 {
-		c.FetchRetryInterval = DefaultFetchRetryInterval
-	}
-	if c.FetchRetryAttempts <= 0 {
-		c.FetchRetryAttempts = DefaultFetchRetryAttempts
-	}
-	if c.Retry.BaseDelay <= 0 {
-		c.Retry.BaseDelay = DefaultRetryBaseDelay
-	}
-	if c.Retry.MaxDelay <= 0 {
-		c.Retry.MaxDelay = DefaultRetryMaxDelay
-	}
 	if c.EnactResendInterval <= 0 {
 		c.EnactResendInterval = DefaultEnactResendInterval
 	}
@@ -302,9 +264,9 @@ type AdminComponent struct {
 	relMon  *NetworkReliabilityMonitor
 	sender  *controlSender
 
-	// stop terminates outstanding retry goroutines; wg waits for them.
-	// closed (under mu) is set before the Wait and checked before every
-	// Add, so the two cannot race.
+	// stop terminates the pump goroutines; wg waits for them. closed
+	// (under mu) is set before the Wait and checked before every Add, so
+	// the two cannot race.
 	stop   chan struct{}
 	closed bool
 	wg     sync.WaitGroup
@@ -315,6 +277,13 @@ type AdminComponent struct {
 	// incarnation and hbSeq stamp outgoing heartbeats.
 	incarnation uint64
 	hbSeq       uint64
+	// reportRound and reportFrom identify the last report request this
+	// admin answered, and lastReport is the answer: a repeat of that
+	// round (its reply was lost) is answered from the cache, so the
+	// frequency window resets once per round.
+	reportRound uint64
+	reportFrom  model.HostID
+	lastReport  MonitoringReport
 
 	// Leadership lease state (this admin is one voting agent):
 	// fenceTerm is the highest term acknowledged — control frames
@@ -330,6 +299,10 @@ type AdminComponent struct {
 	// goalGen is the goal-state generation this agent last converged to
 	// (level-triggered reconciliation; see goalstate.go).
 	goalGen uint64
+	// announcePending is set by AnnounceGoalState and cleared when a
+	// delta from the lease holder is applied; while set, every heartbeat
+	// re-announces.
+	announcePending bool
 }
 
 type reconfigProgress struct {
@@ -384,25 +357,6 @@ func NewAdminComponent(arch *Architecture, cfg AdminConfig) *AdminComponent {
 		grantLog:      make(map[uint64]model.HostID),
 		stop:          make(chan struct{}),
 	}
-	// A closing admin's in-flight control retries die promptly. So does a
-	// heartbeat stuck retrying toward a host that is no longer the lease
-	// holder: after a failover the pump must announce liveness to the new
-	// leader before the old frame's backoff schedule runs out, or the new
-	// leader's detector declares this (live) host falsely dead.
-	a.sender.setCancel(func(e Event) bool {
-		select {
-		case <-a.stop:
-			return true
-		default:
-		}
-		if e.Name == EvHeartbeat {
-			a.mu.Lock()
-			holder := a.leaseHolder
-			a.mu.Unlock()
-			return holder != "" && e.DstHost != holder
-		}
-		return false
-	})
 	return a
 }
 
@@ -467,13 +421,16 @@ func (a *AdminComponent) SetIncarnation(inc uint64) {
 }
 
 // SendHeartbeat emits one liveness beacon to the deployer, carrying this
-// host's incarnation and component manifest. It is safe to drive
-// manually (deterministic drills) or from StartHeartbeats.
+// host's incarnation and component manifest, and re-announces the goal
+// state while an announce is still unanswered (the heartbeat tick is the
+// announce's re-driver). It is safe to drive manually (deterministic
+// drills) or from StartHeartbeats.
 func (a *AdminComponent) SendHeartbeat() error {
 	hb := Heartbeat{Host: a.arch.Host(), Incarnation: a.Incarnation()}
 	a.mu.Lock()
 	a.hbSeq++
 	hb.Seq = a.hbSeq
+	reannounce := a.announcePending
 	a.mu.Unlock()
 	for _, id := range a.arch.ComponentIDs() {
 		if id == AdminID || id == DeployerID {
@@ -489,9 +446,13 @@ func (a *AdminComponent) SendHeartbeat() error {
 	if dep == "" {
 		dep = a.cfg.Deployer
 	}
-	return a.sendControl(dep, Event{
+	err := a.sender.send(dep, Event{
 		Name: EvHeartbeat, Target: DeployerID, Payload: hb, SizeKB: 0.2,
 	})
+	if reannounce {
+		_ = a.AnnounceGoalState()
+	}
+	return err
 }
 
 // StartHeartbeats launches a background pump emitting heartbeats at the
@@ -573,29 +534,6 @@ func (a *AdminComponent) Report(resetWindow bool) MonitoringReport {
 	return rep
 }
 
-// sendControl sends a control event to a specific host: directly with
-// retries when the host is a peer, or relayed hop-by-hop otherwise
-// (control traffic crosses the same lossy, multi-hop network as
-// everything else).
-func (a *AdminComponent) sendControl(to model.HostID, e Event) error {
-	return a.sender.send(to, e)
-}
-
-// directlyConnected reports whether this host can reach the other without
-// mediation.
-func (a *AdminComponent) directlyConnected(other model.HostID) bool {
-	dc := a.arch.DistributionConnector(a.cfg.Bus)
-	if dc == nil {
-		return false
-	}
-	for _, p := range dc.Transport().Peers() {
-		if p == other {
-			return true
-		}
-	}
-	return false
-}
-
 // Handle implements Component: the admin's control-plane state machine.
 func (a *AdminComponent) Handle(e Event) {
 	if e.kind() != KindControl {
@@ -603,9 +541,9 @@ func (a *AdminComponent) Handle(e Event) {
 	}
 	switch e.Name {
 	case EvReportRequest:
-		rep := a.Report(true)
-		_ = a.sendControl(deployerHostOf(e, a.cfg), Event{
-			Name: EvReport, Target: DeployerID, Payload: rep, SizeKB: 2,
+		req, _ := e.Payload.(ReportRequest)
+		_ = a.sender.send(deployerHostOf(e, a.cfg), Event{
+			Name: EvReport, Target: DeployerID, Payload: a.answerReport(req.Round, e.SrcHost), SizeKB: 2,
 		})
 	case EvReconfig:
 		cmd, ok := e.Payload.(ReconfigCommand)
@@ -650,6 +588,24 @@ func (a *AdminComponent) Handle(e Event) {
 		}
 		a.sender.handleRelay(env, e.SrcHost)
 	}
+}
+
+// answerReport returns the report for one request round: a fresh one
+// (resetting the frequency window) for a new round, the cached one for a
+// repeat of the round last answered. Round 0 is never cached.
+func (a *AdminComponent) answerReport(round uint64, from model.HostID) MonitoringReport {
+	a.mu.Lock()
+	if round != 0 && round == a.reportRound && from == a.reportFrom {
+		rep := a.lastReport
+		a.mu.Unlock()
+		return rep
+	}
+	a.mu.Unlock()
+	rep := a.Report(true)
+	a.mu.Lock()
+	a.reportRound, a.reportFrom, a.lastReport = round, from, rep
+	a.mu.Unlock()
+	return rep
 }
 
 // deployerHostOf lets a report request override the configured deployer
@@ -701,7 +657,7 @@ func (a *AdminComponent) handleLeaseRequest(req LeaseRequest) {
 	} else if req.Renewal {
 		a.arch.Obs().Counter(obs.Name("prism_lease_renewals_total", "host", host)).Inc()
 	}
-	_ = a.sendControl(req.Candidate, Event{
+	_ = a.sender.send(req.Candidate, Event{
 		Name: EvLeaseGrant, Target: DeployerID, Payload: reply, SizeKB: 0.2,
 	})
 }
@@ -743,7 +699,7 @@ func (a *AdminComponent) fenceCheck(term uint64, origin model.HostID) bool {
 		a.arch.Obs().Counter(obs.Name("prism_fenced_frames_total",
 			"host", string(a.arch.Host()))).Inc()
 		if origin != "" {
-			_ = a.sendControl(origin, Event{
+			_ = a.sender.send(origin, Event{
 				Name: EvLeaseGrant, Target: DeployerID, SizeKB: 0.2,
 				Payload: LeaseGrant{Host: a.arch.Host(), Term: fence, Granted: false},
 			})
@@ -770,17 +726,28 @@ func (a *AdminComponent) handleReconfig(cmd ReconfigCommand) {
 	ck := epochKey(coord, cmd.Epoch)
 	a.mu.Lock()
 	if a.epochSeen[ck] {
-		// Duplicate command — retried dispatch or duplicated frame. If we
+		// Duplicate command — re-dispatch or duplicated frame. If we
 		// already finished, our done report may have been lost: repeat it.
+		// If not, a fetch or its transfer may have been: re-fetch every
+		// arrival still missing.
 		prog := a.expect[ck]
-		resendDone := prog != nil && prog.done && prog.outcome == outcomePending
-		var received, relayed int
-		if resendDone {
-			received, relayed = prog.received, a.relayed
+		if prog == nil || prog.outcome != outcomePending {
+			a.mu.Unlock()
+			return
+		}
+		done, received, relayed := prog.done, prog.received, a.relayed
+		var arrived map[string]bool
+		if !done {
+			arrived = make(map[string]bool, len(cmd.Arrivals))
+			for comp := range cmd.Arrivals {
+				arrived[comp] = a.arrived[ck+"/"+comp]
+			}
 		}
 		a.mu.Unlock()
-		if resendDone {
+		if done {
 			a.sendDone(coord, cmd.Epoch, received, relayed)
+		} else {
+			a.sendFetches(cmd, arrived)
 		}
 		return
 	}
@@ -803,16 +770,14 @@ func (a *AdminComponent) handleReconfig(cmd ReconfigCommand) {
 			bus.Hold(comp)
 		}
 	}
+	// A lost fetch or transfer is re-driven by the deployer's re-dispatch
+	// of this command (the duplicate branch above).
 	a.sendFetches(cmd, nil)
-	// End-to-end retransmission: multi-leg mediated paths can lose a
-	// message even after per-hop retries, so the requester re-fetches
-	// whatever has not arrived until the epoch completes or the budget
-	// runs out.
-	a.spawn(func() { a.retryFetches(cmd) })
 }
 
-// spawn runs f on a goroutine Close waits for; after Close it does nothing.
-func (a *AdminComponent) spawn(f func()) {
+// every runs f at the given interval on a goroutine Close waits for;
+// after Close it does nothing.
+func (a *AdminComponent) every(interval time.Duration, f func()) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
@@ -821,13 +786,6 @@ func (a *AdminComponent) spawn(f func()) {
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
-		f()
-	}()
-}
-
-// every runs f at the given interval until the admin is closed.
-func (a *AdminComponent) every(interval time.Duration, f func()) {
-	a.spawn(func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -838,11 +796,11 @@ func (a *AdminComponent) every(interval time.Duration, f func()) {
 				return
 			}
 		}
-	})
+	}()
 }
 
-// Close stops the admin's background retry goroutines and waits for
-// them to exit. The admin stops participating in redeployment afterwards.
+// Close stops the admin's pump goroutines and waits for them to exit.
+// The admin stops participating in redeployment afterwards.
 func (a *AdminComponent) Close() {
 	a.mu.Lock()
 	if !a.closed {
@@ -868,42 +826,13 @@ func (a *AdminComponent) sendFetches(cmd ReconfigCommand, skip map[string]bool) 
 			Source:      src,
 		}
 		dst, target := src, AdminID
-		if !a.directlyConnected(src) && src != a.arch.Host() {
-			// Route via the deployer (the paper's mediation rule).
+		if !a.sender.isPeer(src) && src != a.arch.Host() {
+			// Route via the wave's deployer (the paper's mediation rule):
+			// its re-dispatch tick also re-forwards what it mediates.
 			req.Mediated = true
-			dst, target = a.cfg.Deployer, DeployerID
+			dst, target = req.Coordinator, DeployerID
 		}
-		_ = a.sendControl(dst, Event{Name: EvFetch, Target: target, Payload: req, SizeKB: 0.5})
-	}
-}
-
-// retryFetches re-requests missing arrivals until the epoch completes or
-// the retry budget is exhausted.
-func (a *AdminComponent) retryFetches(cmd ReconfigCommand) {
-	timer := time.NewTimer(a.cfg.FetchRetryInterval)
-	defer timer.Stop()
-	for attempt := 0; attempt < a.cfg.FetchRetryAttempts; attempt++ {
-		select {
-		case <-timer.C:
-			timer.Reset(a.cfg.FetchRetryInterval)
-		case <-a.stop:
-			return
-		}
-		ck := epochKey(coordinatorOf(cmd, a.cfg), cmd.Epoch)
-		a.mu.Lock()
-		prog := a.expect[ck]
-		done := prog == nil || prog.done || prog.outcome != outcomePending
-		arrivedSkip := make(map[string]bool, len(cmd.Arrivals))
-		for comp := range cmd.Arrivals {
-			if a.arrived[ck+"/"+comp] {
-				arrivedSkip[comp] = true
-			}
-		}
-		a.mu.Unlock()
-		if done {
-			return
-		}
-		a.sendFetches(cmd, arrivedSkip)
+		_ = a.sender.send(dst, Event{Name: EvFetch, Target: target, Payload: req, SizeKB: 0.5})
 	}
 }
 
@@ -1013,16 +942,19 @@ func (a *AdminComponent) handleFetch(req FetchRequest) {
 	a.ship(tp, req)
 }
 
-// ship delivers a transfer payload to the requester, via the deployer
-// when the requester is unreachable.
+// ship delivers a transfer payload to the requester, via the wave's
+// deployer when the requester is unreachable.
 func (a *AdminComponent) ship(tp TransferPayload, req FetchRequest) {
 	dst, target := req.Requester, AdminID
-	if !a.directlyConnected(dst) && dst != a.arch.Host() {
-		dst, target = a.cfg.Deployer, DeployerID
+	if !a.sender.isPeer(dst) && dst != a.arch.Host() {
+		dst, target = req.Coordinator, DeployerID
+		if dst == "" {
+			dst = a.cfg.Deployer
+		}
 	}
-	// Delivery failures are tolerated here: the requester re-requests
-	// missing transfers end to end.
-	_ = a.sendControl(dst, Event{
+	// Delivery failures are tolerated here: the deployer's re-dispatch
+	// makes the requester fetch again.
+	_ = a.sender.send(dst, Event{
 		Name: EvTransfer, Target: target, Payload: tp, SizeKB: tp.SizeKB,
 	})
 }
@@ -1079,7 +1011,7 @@ func (a *AdminComponent) maxAppHops() int {
 func (a *AdminComponent) handleTransfer(tp TransferPayload) {
 	if tp.FinalDst != "" && tp.FinalDst != a.arch.Host() {
 		// Mediation: pass it along.
-		_ = a.sendControl(tp.FinalDst, Event{
+		_ = a.sender.send(tp.FinalDst, Event{
 			Name: EvTransfer, Target: AdminID, Payload: tp, SizeKB: tp.SizeKB,
 		})
 		return
@@ -1172,7 +1104,7 @@ func (a *AdminComponent) maybeDone(coordinator model.HostID, epoch int) {
 
 // sendDone reports this host's completion of an epoch to its coordinator.
 func (a *AdminComponent) sendDone(coord model.HostID, epoch, received, relayed int) {
-	_ = a.sendControl(coord, Event{
+	_ = a.sender.send(coord, Event{
 		Name:   EvDone,
 		Target: DeployerID,
 		Payload: DoneReport{
@@ -1209,7 +1141,7 @@ func (a *AdminComponent) handleOutcome(out WaveOutcome) {
 	} else {
 		a.abortWave(ck, authority)
 	}
-	_ = a.sendControl(authority, Event{
+	_ = a.sender.send(authority, Event{
 		Name:    EvOutcomeAck,
 		Target:  DeployerID,
 		Payload: OutcomeAck{Epoch: out.Epoch, Host: a.arch.Host()},

@@ -21,16 +21,22 @@ type deployWorld struct {
 
 func newDeployWorld(t *testing.T, rel float64, hosts ...model.HostID) *deployWorld {
 	t.Helper()
-	w := newWorld(t, rel, hosts...)
+	return deployOn(t, newWorld(t, rel, hosts...), hosts[0])
+}
+
+// deployOn installs an admin on every host of w and the deployer on
+// master.
+func deployOn(t *testing.T, w *world, master model.HostID) *deployWorld {
+	t.Helper()
 	dw := &deployWorld{
 		world:    w,
 		admins:   make(map[model.HostID]*AdminComponent),
 		registry: NewFactoryRegistry(),
-		master:   hosts[0],
+		master:   master,
 	}
 	dw.registry.Register("counter", func(id string) Migratable { return newCounter(id) })
 	cfg := AdminConfig{Deployer: dw.master, Bus: "bus", Registry: dw.registry}
-	for _, h := range hosts {
+	for h := range w.archs {
 		admin, err := InstallAdmin(w.archs[h], cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +102,7 @@ func TestRequestReportsGathersAll(t *testing.T) {
 }
 
 func TestRequestReportsOverLossyLinks(t *testing.T) {
-	// 60% links: control-plane retries must still gather every report.
+	// 60% links: re-requests must still gather every report.
 	dw := newDeployWorld(t, 0.6, "m", "s1", "s2", "s3")
 	for i, h := range []model.HostID{"s1", "s2", "s3"} {
 		dw.addCounter(t, h, string(model.ComponentName(i)), 0)
@@ -444,9 +450,9 @@ func TestUnmigratableComponentStaysPut(t *testing.T) {
 }
 
 // TestAdminCloseRacesReconfig closes an admin while a reconfig command
-// arrives. The command's fetch-retry goroutine joins the WaitGroup Close
-// waits on; joining after the Wait began is WaitGroup misuse the race
-// detector reports. Run with -race -count=50 (make test-race does).
+// arrives: handling a command must start nothing that joins the
+// WaitGroup Close waits on after the Wait began (WaitGroup misuse the
+// race detector reports). Run with -race -count=50 (make test-race does).
 func TestAdminCloseRacesReconfig(t *testing.T) {
 	dw := newDeployWorld(t, 1.0, "m", "s1")
 	for i := 0; i < 20; i++ {
@@ -459,6 +465,6 @@ func TestAdminCloseRacesReconfig(t *testing.T) {
 		}()
 		admin.Close()
 		<-done
-		admin.Close() // reaps a retry goroutine that won the race
+		admin.Close() // idempotent after the race
 	}
 }

@@ -9,41 +9,32 @@ import (
 	"dif/internal/obs"
 )
 
-// Per-peer circuit breaker for the control plane. The blind
-// retry-with-backoff chain in controlSender is the right tool for a
-// brief outage, but toward a *gray* peer — one that keeps failing for
-// seconds at a time — every caller burns its full attempt budget and
-// the chains pile up. The breaker converts sustained failure into
-// fail-fast: after FailureThreshold consecutive observable failures the
-// circuit opens and sends toward that peer return ErrBreakerOpen
-// immediately; after Cooldown one probe (ProbeBudget concurrent) is let
-// through half-open, and its outcome either closes the circuit or
-// re-opens it. Recovery needs no dedicated path: the deployer's resend
-// loops and the goal-state re-announce keep calling send, so the first
-// post-recovery probe succeeds and traffic resumes.
-//
-// The breaker also bounds concurrency while closed: at most MaxInflight
-// send chains per peer may be in their retry loops at once, so a limping
-// peer cannot serialize the caller's pump the way a dead one once could
-// (the PR 8 heartbeat-cancel fix's gray-failure sibling).
+// Per-peer circuit breaker for the control plane. Every control send is
+// one attempt, re-driven by the loop that owns its exchange; toward a
+// *gray* peer — one that keeps failing for seconds at a time — those
+// loops would keep paying for attempts that fail. The breaker converts
+// sustained failure into fail-fast: after FailureThreshold consecutive
+// observable failures the circuit opens and sends toward that peer
+// return ErrBreakerOpen immediately; after Cooldown one probe
+// (ProbeBudget concurrent) is let through half-open, and its outcome
+// either closes the circuit or re-opens it. Recovery needs no dedicated
+// path: the deployer's resend loops and the goal-state re-announce keep
+// calling send, so the first post-recovery probe succeeds and traffic
+// resumes.
 
 // BreakerConfig tunes the per-peer circuit breaker. The zero value is
-// disabled — existing callers keep the plain retry-chain behaviour
-// (symmetric partitions are *meant* to be ridden out by retries).
+// disabled: symmetric partitions are meant to be ridden out by the
+// re-drive loops.
 type BreakerConfig struct {
 	Enabled bool
 	// FailureThreshold is how many consecutive observable send failures
-	// (full retry chains spent, partitions, transport errors) open the
-	// circuit (default 5).
+	// (partitions, transport errors) open the circuit (default 5).
 	FailureThreshold int
 	// Cooldown is how long an open circuit rejects sends before
 	// half-opening for a probe (default 500ms).
 	Cooldown time.Duration
 	// ProbeBudget bounds concurrent half-open probes (default 1).
 	ProbeBudget int
-	// MaxInflight bounds concurrent closed-state send chains per peer
-	// (default 4); excess callers fail fast with ErrBreakerSaturated.
-	MaxInflight int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -56,19 +47,12 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.ProbeBudget <= 0 {
 		c.ProbeBudget = 1
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4
-	}
 	return c
 }
 
 // ErrBreakerOpen is returned (fail-fast) while the circuit toward a
 // peer is open, or half-open with its probe budget spent.
 var ErrBreakerOpen = errors.New("prism: circuit open toward peer")
-
-// ErrBreakerSaturated is returned when MaxInflight send chains toward
-// the peer are already in their retry loops.
-var ErrBreakerSaturated = errors.New("prism: per-peer in-flight send budget exhausted")
 
 type breakerState int
 
@@ -89,17 +73,6 @@ func (s breakerState) String() string {
 	}
 }
 
-// sendOutcome is what a released send chain reports back.
-type sendOutcome int
-
-const (
-	sendOK sendOutcome = iota
-	sendFailed
-	// sendAbandoned marks a cancelled chain (wave aborted, leadership
-	// fenced): no evidence about the peer either way.
-	sendAbandoned
-)
-
 type circuitBreaker struct {
 	cfg   BreakerConfig
 	clock func() time.Time
@@ -115,7 +88,6 @@ type peerBreaker struct {
 	state    breakerState
 	fails    int
 	openedAt time.Time
-	inflight int // closed-state chains currently in their retry loops
 	probes   int // half-open probes currently in flight
 }
 
@@ -143,10 +115,10 @@ func (b *circuitBreaker) peer(id model.HostID) *peerBreaker {
 	return p
 }
 
-// Acquire admits (or fail-fast rejects) one send chain toward peer. On
-// admission it returns a release callback the chain must invoke exactly
-// once with its outcome.
-func (b *circuitBreaker) Acquire(peer model.HostID) (func(sendOutcome), error) {
+// Acquire admits (or fail-fast rejects) one send toward peer. On
+// admission it returns a release callback the sender must invoke exactly
+// once with whether the send succeeded.
+func (b *circuitBreaker) Acquire(peer model.HostID) (func(ok bool), error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	p := b.peer(peer)
@@ -164,46 +136,37 @@ func (b *circuitBreaker) Acquire(peer model.HostID) (func(sendOutcome), error) {
 		}
 		p.probes++
 		b.counter("prism_breaker_probes_total", peer).Inc()
-	} else {
-		if p.inflight >= b.cfg.MaxInflight {
-			return nil, ErrBreakerSaturated
-		}
-		p.inflight++
 	}
-	return func(out sendOutcome) { b.release(peer, probe, out) }, nil
+	return func(ok bool) { b.release(peer, probe, ok) }, nil
 }
 
-func (b *circuitBreaker) release(peer model.HostID, probe bool, out sendOutcome) {
+func (b *circuitBreaker) release(peer model.HostID, probe, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	p := b.peer(peer)
-	if probe {
+	switch {
+	case probe:
 		p.probes--
-		switch out {
-		case sendOK:
+		if ok {
 			p.state = breakerClosed
 			p.fails = 0
-		case sendFailed:
-			p.state = breakerOpen
-			p.openedAt = b.clock()
-			b.counter("prism_breaker_open_total", peer).Inc()
+		} else {
+			b.open(p, peer)
 		}
-		// Abandoned probes leave the circuit half-open for the next
-		// caller to probe again.
-		return
-	}
-	p.inflight--
-	switch out {
-	case sendOK:
+	case ok:
 		p.fails = 0
-	case sendFailed:
+	default:
 		p.fails++
 		if p.state == breakerClosed && p.fails >= b.cfg.FailureThreshold {
-			p.state = breakerOpen
-			p.openedAt = b.clock()
-			b.counter("prism_breaker_open_total", peer).Inc()
+			b.open(p, peer)
 		}
 	}
+}
+
+func (b *circuitBreaker) open(p *peerBreaker, peer model.HostID) {
+	p.state = breakerOpen
+	p.openedAt = b.clock()
+	b.counter("prism_breaker_open_total", peer).Inc()
 }
 
 // State reports the circuit state toward peer (tests and diagnostics).

@@ -132,7 +132,7 @@ func settleDelivery(t *testing.T, fw *faultWorld, led *recorderLedger, ids []str
 // runWave enacts one single-component wave while injecting mid-wave
 // traffic at the moving component and driving the delivery clock.
 func (fw *faultWorld) runWave(t *testing.T, comp string, src, dst model.HostID,
-	midIDs []string, killDst bool) error {
+	midIDs []string) error {
 	t.Helper()
 	errCh := make(chan error, 1)
 	go func() {
@@ -142,10 +142,13 @@ func (fw *faultWorld) runWave(t *testing.T, comp string, src, dst model.HostID,
 		errCh <- err
 	}()
 	fw.injectAt(fw.master, comp, midIDs...)
+	return fw.awaitWave(errCh)
+}
+
+// awaitWave ticks delivery until a wave running on another goroutine
+// reports on errCh.
+func (fw *faultWorld) awaitWave(errCh <-chan error) error {
 	for {
-		if killDst {
-			fw.deployer.NoteHostDead(dst)
-		}
 		fw.deliveryTicks()
 		select {
 		case err := <-errCh:
@@ -166,10 +169,10 @@ func TestDoubleMoveDeliversExactlyOnce(t *testing.T) {
 	ids := []string{"e0", "e1", "e2", "e3", "e4", "e5", "e6"}
 
 	fw.injectAt("m", "c1", "e0", "e1", "e2")
-	if err := fw.runWave(t, "c1", "s1", "s2", []string{"e3", "e4"}, false); err != nil {
+	if err := fw.runWave(t, "c1", "s1", "s2", []string{"e3", "e4"}); err != nil {
 		t.Fatalf("first wave: %v", err)
 	}
-	if err := fw.runWave(t, "c1", "s2", "s3", []string{"e5", "e6"}, false); err != nil {
+	if err := fw.runWave(t, "c1", "s2", "s3", []string{"e5", "e6"}); err != nil {
 		t.Fatalf("second wave: %v", err)
 	}
 	settleDelivery(t, fw, led, ids)
@@ -185,20 +188,38 @@ func TestDoubleMoveDeliversExactlyOnce(t *testing.T) {
 }
 
 // TestDoubleMoveSecondWaveAborts is the abort variant: the second wave's
-// destination is declared dead mid-wave, the wave rolls back, and all
-// in-flight traffic still lands exactly once at the surviving location.
+// destination takes the arrival and is then declared dead mid-wave, the
+// wave rolls back, and all in-flight traffic still lands exactly once at
+// the surviving location. The destination's frames to the coordinator
+// are cut one way, so its done report cannot commit the wave before the
+// death verdict lands, while the abort still reaches it.
 func TestDoubleMoveSecondWaveAborts(t *testing.T) {
 	fw, led := deliveryWorld(t)
 	ids := []string{"e0", "e1", "e2", "e3", "e4", "e5", "e6"}
 
 	fw.injectAt("m", "c1", "e0", "e1", "e2")
-	if err := fw.runWave(t, "c1", "s1", "s2", []string{"e3", "e4"}, false); err != nil {
+	if err := fw.runWave(t, "c1", "s1", "s2", []string{"e3", "e4"}); err != nil {
 		t.Fatalf("first wave: %v", err)
 	}
-	err := fw.runWave(t, "c1", "s2", "s3", []string{"e5", "e6"}, true)
+	fw.faults["m"].PartitionInbound("s3", true)
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := fw.deployer.Enact(
+			map[string]model.HostID{"c1": "s3"},
+			map[string]model.HostID{"c1": "s2"}, 15*time.Second)
+		errCh <- err
+	}()
+	fw.injectAt("m", "c1", "e5", "e6")
+	waitFor(t, func() bool {
+		fw.deliveryTicks()
+		return fw.archs["s3"].Component("c1") != nil
+	})
+	fw.deployer.NoteHostDead("s3")
+	err := fw.awaitWave(errCh)
 	if err == nil || !strings.Contains(err.Error(), "rolled back") {
 		t.Fatalf("second wave err = %v, want rollback", err)
 	}
+	fw.faults["m"].PartitionInbound("s3", false)
 	settleDelivery(t, fw, led, ids)
 
 	for _, id := range ids {

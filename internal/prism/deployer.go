@@ -2,6 +2,7 @@ package prism
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -30,6 +31,10 @@ type DeployerComponent struct {
 	reports map[model.HostID]MonitoringReport
 	// reportWait is signalled whenever a report arrives.
 	reportWait chan struct{}
+	// reportRound numbers RequestReports calls. It starts from the clock
+	// so a restarted deployer does not repeat its previous lifetime's
+	// rounds (an admin answers a repeated round from its cache).
+	reportRound uint64
 	// epochs tracks outstanding redeployment waves.
 	epochs    map[int]*epochState
 	nextEpoch int
@@ -92,6 +97,19 @@ type epochState struct {
 	// committed outcome (set between the decision checkpoint and the
 	// outcome broadcast).
 	gens map[model.HostID]uint64
+	// mediated holds, per migrating component, the last fetch or
+	// transfer this coordinator forwarded between two hosts that are not
+	// directly connected. The re-dispatch tick re-forwards it while the
+	// destination is pending, so each leg of a mediated move is re-driven
+	// on its own instead of only by a fresh end-to-end round.
+	mediated map[string]mediatedFrame
+}
+
+// mediatedFrame is one forwarded fetch or transfer and where it went.
+type mediatedFrame struct {
+	to       model.HostID
+	ev       Event
+	transfer bool
 }
 
 // NewDeployerComponent builds a deployer for the master architecture.
@@ -108,42 +126,10 @@ func NewDeployerComponent(arch *Architecture, cfg AdminConfig) *DeployerComponen
 		epochs:        make(map[int]*epochState),
 		nextEpoch:     1,
 		goal:          newGoalTable(),
+		reportRound:   uint64(cfg.Clock().UnixNano()),
 		stop:          make(chan struct{}),
 	}
-	// A deposed or closed deployer's in-flight control retries die
-	// promptly instead of burning the full backoff schedule.
-	d.sender.setCancel(d.sendCancelled)
 	return d
-}
-
-// sendCancelled tells the control sender's retry loop to give up on a
-// frame whose purpose has lapsed: the deployer is closing, the frame
-// asserts a leadership this deployer no longer holds, or (for phase-one
-// commands) the epoch was already aborted by a participant's death.
-func (d *DeployerComponent) sendCancelled(e Event) bool {
-	select {
-	case <-d.stop:
-		return true
-	default:
-	}
-	switch e.Name {
-	case EvReconfig:
-		if d.deposed() {
-			return true
-		}
-		cmd, ok := e.Payload.(ReconfigCommand)
-		if !ok {
-			return false
-		}
-		d.mu.Lock()
-		st := d.epochs[cmd.Epoch]
-		dead := st == nil || st.deadAborted
-		d.mu.Unlock()
-		return dead
-	case EvOutcome:
-		return d.deposed()
-	}
-	return false
 }
 
 // Close aborts every in-flight wave and report collection. A wave that
@@ -304,36 +290,22 @@ func (d *DeployerComponent) Handle(e Event) {
 	case EvFetch:
 		// Mediated fetch: forward to the component's source host.
 		req, ok := e.Payload.(FetchRequest)
-		if !ok || !req.Mediated {
+		if !ok || !req.Mediated || req.Source == "" {
 			return
 		}
-		src := req.Source
-		if src == "" {
-			// Legacy requests without a source: locate the component
-			// from the latest monitoring reports.
-			src = d.findHostOf(req.Comp, e.SrcHost)
-		}
-		if src == "" {
-			return
-		}
-		_ = d.sendControl(src, Event{Name: EvFetch, Target: AdminID, Payload: req, SizeKB: 0.5})
+		fwd := Event{Name: EvFetch, Target: AdminID, Payload: req, SizeKB: 0.5}
+		d.noteMediated(req.Coordinator, req.Epoch, req.Comp, mediatedFrame{to: req.Source, ev: fwd})
+		_ = d.sender.send(req.Source, fwd)
 	case EvTransfer:
-		// Mediated transfer: forward toward its final destination. A
-		// transfer destined for the deployer's own host is handed to the
-		// local admin, which owns reconstitution.
+		// Mediated transfer: forward toward its final destination (the
+		// local admin, which owns reconstitution, when that is this host).
 		tp, ok := e.Payload.(TransferPayload)
 		if !ok || tp.FinalDst == "" {
 			return
 		}
-		if tp.FinalDst == d.arch.Host() {
-			_ = d.sendControl(d.arch.Host(), Event{
-				Name: EvTransfer, Target: AdminID, Payload: tp, SizeKB: tp.SizeKB,
-			})
-			return
-		}
-		_ = d.sendControl(tp.FinalDst, Event{
-			Name: EvTransfer, Target: AdminID, Payload: tp, SizeKB: tp.SizeKB,
-		})
+		fwd := Event{Name: EvTransfer, Target: AdminID, Payload: tp, SizeKB: tp.SizeKB}
+		d.noteMediated(tp.Coordinator, tp.Epoch, tp.Comp, mediatedFrame{to: tp.FinalDst, ev: fwd, transfer: true})
+		_ = d.sender.send(tp.FinalDst, fwd)
 	case EvDone:
 		rep, ok := e.Payload.(DoneReport)
 		if !ok {
@@ -417,60 +389,65 @@ func (d *DeployerComponent) Handle(e Event) {
 	}
 }
 
-// findHostOf locates a component using the latest monitoring reports,
-// excluding the requesting host.
-func (d *DeployerComponent) findHostOf(comp string, exclude model.HostID) model.HostID {
+// noteMediated records a forwarded fetch or transfer of one of this
+// deployer's live waves for re-forwarding (see epochState.mediated). A
+// transfer supersedes the fetch that asked for it, never the reverse.
+func (d *DeployerComponent) noteMediated(coord model.HostID, epoch int, comp string, f mediatedFrame) {
+	if coord != d.arch.Host() {
+		return
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for host, rep := range d.reports {
-		if host == exclude {
-			continue
-		}
-		for _, c := range rep.Components {
-			if c == comp {
-				return host
-			}
-		}
+	st := d.epochs[epoch]
+	if st == nil || st.coordinator != "" || st.mediated[comp].transfer {
+		return
 	}
-	return ""
-}
-
-// sendControl mirrors AdminComponent.sendControl for the deployer.
-// Observable failures (a retry chain that burned its whole budget, or a
-// breaker fail-fast) feed the health scorer; successes deliberately do
-// not — a gray link can swallow frames after a clean local send, so
-// "send returned nil" is not evidence of peer health. Positive evidence
-// comes from end-to-end outcomes (reports arriving, heartbeats).
-func (d *DeployerComponent) sendControl(to model.HostID, e Event) error {
-	err := d.sender.send(to, e)
-	if err != nil && to != d.arch.Host() {
-		d.healthScorer().RecordSend(to, false)
+	if st.mediated == nil {
+		st.mediated = make(map[string]mediatedFrame)
 	}
-	return err
+	st.mediated[comp] = f
 }
 
 // RequestReports asks every listed host's admin for a monitoring report
-// and waits until all have arrived or the timeout expires. It returns the
-// reports received so far keyed by host.
+// and waits until all have arrived or the timeout expires, re-requesting
+// the missing ones every EnactResendInterval. It returns the reports
+// received so far keyed by host.
 func (d *DeployerComponent) RequestReports(hosts []model.HostID, timeout time.Duration) (map[model.HostID]MonitoringReport, error) {
 	d.mu.Lock()
 	d.reports = make(map[model.HostID]MonitoringReport, len(hosts))
+	d.reportRound++
+	req := Event{
+		Name: EvReportRequest, Target: AdminID, SizeKB: 0.2,
+		Payload: ReportRequest{Round: d.reportRound},
+	}
 	d.mu.Unlock()
 
 	for _, h := range hosts {
-		if err := d.sendControl(h, Event{Name: EvReportRequest, Target: AdminID, SizeKB: 0.2}); err != nil {
-			return d.snapshotReports(), err
-		}
+		_ = d.sender.send(h, req)
 	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
+	resend := time.NewTicker(d.cfg.EnactResendInterval)
+	defer resend.Stop()
 	for {
-		if len(d.snapshotReports()) >= len(hosts) {
+		got := d.snapshotReports()
+		if len(got) >= len(hosts) {
 			d.recordReportOutcomes(hosts)
-			return d.snapshotReports(), nil
+			return got, nil
 		}
 		select {
 		case <-d.reportWait:
+		case <-resend.C:
+			got = d.snapshotReports()
+			for _, h := range hosts {
+				if _, ok := got[h]; ok || d.hostDead(h) {
+					continue
+				}
+				// A re-request means the request or its report was lost:
+				// retry pressure, like Enact's re-dispatch.
+				d.healthScorer().RecordRetry(h)
+				_ = d.sender.send(h, req)
+			}
 		case <-d.stop:
 			got := d.snapshotReports()
 			return got, fmt.Errorf("deployer: closed with %d of %d reports", len(got), len(hosts))
@@ -644,7 +621,7 @@ func (d *DeployerComponent) Enact(moves map[string]model.HostID, current map[str
 	for _, dst := range dsts {
 		// A failed dispatch leaves the host pending; the resend loop below
 		// keeps trying within the deadline.
-		_ = d.sendControl(dst, cmds[dst])
+		_ = d.sender.send(dst, cmds[dst])
 	}
 
 	deadline := time.NewTimer(timeout)
@@ -686,16 +663,18 @@ wait:
 			d.mu.Unlock()
 			sortHostIDs(pend)
 			for _, h := range pend {
-				// A dead destination never reports done; retrying into the
-				// corpse only serializes the control pump behind its send
-				// backoff (NoteHostDead is already aborting the wave).
+				// A dead destination never reports done (NoteHostDead is
+				// already aborting the wave).
 				if d.hostDead(h) {
 					continue
 				}
 				// Re-dispatch means the earlier command or its done
 				// report was lost — retry pressure is health evidence.
 				d.healthScorer().RecordRetry(h)
-				_ = d.sendControl(h, cmds[h])
+				_ = d.sender.send(h, cmds[h])
+				for _, f := range d.mediatedFor(st, arrivals[h]) {
+					_ = d.sender.send(f.to, f.ev)
+				}
 			}
 		}
 	}
@@ -829,6 +808,25 @@ wait:
 	return res, nil
 }
 
+// mediatedFor returns the recorded mediated frames for one destination's
+// arrivals, in component order.
+func (d *DeployerComponent) mediatedFor(st *epochState, arrivals map[string]model.HostID) []mediatedFrame {
+	comps := make([]string, 0, len(arrivals))
+	for comp := range arrivals {
+		comps = append(comps, comp)
+	}
+	sort.Strings(comps)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var out []mediatedFrame
+	for _, comp := range comps {
+		if f, ok := st.mediated[comp]; ok {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // waveMetrics records a finished wave's outcome, moved-component count,
 // and wall-clock duration in the architecture's registry.
 func (d *DeployerComponent) waveMetrics(committed bool, moved int, start time.Time) {
@@ -883,7 +881,7 @@ func (d *DeployerComponent) broadcastOutcome(epoch int, st *epochState, commit b
 				// An unacknowledged outcome re-broadcast is retry
 				// pressure toward a still-pending host.
 				d.healthScorer().RecordRetry(h)
-				_ = d.sendControl(h, e)
+				_ = d.sender.send(h, e)
 			}
 		case <-d.stop:
 			return len(parts) - len(remaining)
@@ -924,7 +922,7 @@ func (d *DeployerComponent) broadcastOutcomeOnce(epoch int, st *epochState, comm
 	}
 	d.mu.Unlock()
 	for _, h := range parts {
-		_ = d.sendControl(h, e)
+		_ = d.sender.send(h, e)
 	}
 	return e, parts
 }

@@ -20,6 +20,13 @@ type world struct {
 // architecture per host, and a "bus" distribution connector each.
 func newWorld(t *testing.T, rel float64, hosts ...model.HostID) *world {
 	t.Helper()
+	return newWrappedWorld(t, rel, nil, hosts...)
+}
+
+// newWrappedWorld is newWorld with each host's netsim transport passed
+// through wrap before the bus sees it (nil wraps nothing).
+func newWrappedWorld(t *testing.T, rel float64, wrap func(model.HostID, Transport) Transport, hosts ...model.HostID) *world {
+	t.Helper()
 	w := &world{
 		fabric: netsim.NewFabric(42),
 		archs:  make(map[model.HostID]*Architecture),
@@ -40,9 +47,13 @@ func newWorld(t *testing.T, rel float64, hosts ...model.HostID) *world {
 	}
 	for _, h := range hosts {
 		arch := NewArchitecture(h, nil)
+		var tr Transport
 		tr, err := NewNetsimTransport(w.fabric, h)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if wrap != nil {
+			tr = wrap(h, tr)
 		}
 		bus, err := arch.AddDistributionConnector("bus", tr)
 		if err != nil {

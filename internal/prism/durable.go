@@ -237,7 +237,7 @@ func (ds *DeployerStore) append(kind byte, v any) error {
 // this: they are derivable from the decided wave records they trail, so
 // a standby that misses the eager send reconstructs them during Resume,
 // and a burst of per-host checkpoints must not spawn a matching burst of
-// retrying control sends.
+// control sends.
 func (ds *DeployerStore) appendPolicy(kind byte, v any, eager bool) error {
 	data, err := json.Marshal(v)
 	if err != nil {

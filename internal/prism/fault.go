@@ -20,9 +20,10 @@ import (
 // unreachable, and links that limp asymmetrically).
 //
 // Drops are silent: Send reports success and the frame evaporates, like
-// wireless loss the sender cannot observe. Per-hop retry loops never see
-// an error, so the end-to-end retransmission layers (fetch retries,
-// reconfig re-dispatch, outcome re-broadcast) have to earn their keep.
+// wireless loss the sender cannot observe, so the loops that re-drive
+// each control exchange (reconfig re-dispatch, report re-request,
+// outcome re-broadcast, lease re-broadcast, heartbeats) have to earn
+// their keep.
 // Partitions, by contrast, are observable: Send fails fast, like an
 // unreachable peer, and inbound frames from the partitioned peer are
 // discarded too. Link flaps behave like short observable partitions
@@ -108,6 +109,15 @@ func FlapPhase(fc FlapConfig, i int) time.Duration {
 	}
 	r := splitmix64(uint64(fc.Seed)*0x9e3779b97f4a7c15 + uint64(i) + 1)
 	return half + time.Duration(r%uint64(half+1))
+}
+
+// splitmix64 is the standard 64-bit finalizer used for cheap seeded
+// hashing (same construction as the parallel-search seed derivation).
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // FlapSchedule returns the first n phase durations of the schedule.
@@ -273,7 +283,8 @@ func (f *FaultTransport) Host() model.HostID { return f.inner.Host() }
 
 // Peers implements Transport. Partitioned peers stay listed: a partition
 // models an unreachable host, not a topology change, so senders keep
-// trying the direct path and ride out the outage via retries.
+// trying the direct path and ride out the outage via their re-drive
+// loops.
 func (f *FaultTransport) Peers() []model.HostID { return f.inner.Peers() }
 
 // SetReceiver implements Transport, interposing the inbound half of any

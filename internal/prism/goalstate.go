@@ -577,7 +577,7 @@ func (d *DeployerComponent) handleGoalAnnounce(ga GoalAnnounce) {
 		}
 	}
 	d.arch.Obs().Counter(obs.Name("prism_goal_delta_sent_total", "host", host)).Inc()
-	_ = d.sendControl(ga.Host, Event{
+	_ = d.sender.send(ga.Host, Event{
 		Name: EvGoalDelta, Target: AdminID, Payload: delta, SizeKB: 0.5,
 	})
 }
@@ -640,9 +640,11 @@ func (a *AdminComponent) GoalGeneration() uint64 {
 // manifest) to the current lease holder. Call it on connect, rejoin,
 // restart, and whenever leadership moved: the deployer answers with one
 // delta that converges this host to the latest goal state, whatever was
-// missed in between.
+// missed in between. Until a delta from the lease holder is applied the
+// announce stays pending, and every heartbeat repeats it.
 func (a *AdminComponent) AnnounceGoalState() error {
 	a.mu.Lock()
+	a.announcePending = true
 	gen := a.goalGen
 	dep := a.leaseHolder
 	a.mu.Unlock()
@@ -655,7 +657,7 @@ func (a *AdminComponent) AnnounceGoalState() error {
 		Generation:  gen,
 		Manifest:    a.localManifest(),
 	}
-	return a.sendControl(dep, Event{
+	return a.sender.send(dep, Event{
 		Name: EvGoalAnnounce, Target: DeployerID, Payload: ga, SizeKB: 0.4,
 	})
 }
@@ -737,9 +739,16 @@ func (a *AdminComponent) handleGoalDelta(gd GoalDelta) {
 		a.goalGen = gd.Generation
 	}
 	gen := a.goalGen
+	holder := a.leaseHolder
+	if holder == "" {
+		holder = a.cfg.Deployer
+	}
+	if gd.Coordinator == holder {
+		a.announcePending = false
+	}
 	a.mu.Unlock()
 	a.arch.Obs().Counter(obs.Name("prism_goal_delta_applied_total", "host", host)).Inc()
-	_ = a.sendControl(gd.Coordinator, Event{
+	_ = a.sender.send(gd.Coordinator, Event{
 		Name:   EvGoalAck,
 		Target: DeployerID,
 		Payload: GoalAck{

@@ -172,12 +172,6 @@ type Leadership struct {
 	replLog []ReplRecord
 	acked   map[model.HostID]uint64
 
-	// inflight guards the async lease broadcasts: at most one frame per
-	// agent rides the retrying sender at a time, so a crashed agent's
-	// slow retry chain neither stalls the campaign loop nor piles up
-	// goroutines under the rebroadcast ticker.
-	inflight map[model.HostID]bool
-
 	// watch is the standby-side leader failure detector (term doubles as
 	// the incarnation, so a new leader at a higher term "resurrects" the
 	// watched identity).
@@ -195,11 +189,10 @@ func (d *DeployerComponent) AttachLeadership(cfg LeaderConfig) (*Leadership, err
 		return nil, fmt.Errorf("prism: leadership needs a non-empty agent set")
 	}
 	le := &Leadership{
-		dep:      d,
-		cfg:      cfg,
-		acked:    make(map[model.HostID]uint64),
-		inflight: make(map[model.HostID]bool),
-		watch:    NewFailureDetector(cfg.Watch),
+		dep:   d,
+		cfg:   cfg,
+		acked: make(map[model.HostID]uint64),
+		watch: NewFailureDetector(cfg.Watch),
 	}
 	le.watch.SetClock(cfg.Clock)
 	// Restore the persisted term before publishing le: once d.leadership
@@ -333,7 +326,7 @@ func (le *Leadership) campaign(sp *obs.Span) (bool, error) {
 			if voted {
 				continue
 			}
-			le.sendLeaseAsync(h, req)
+			_ = d.sender.send(h, req)
 		}
 	}
 	broadcast()
@@ -412,29 +405,8 @@ func (le *Leadership) Renew() {
 	agents := append([]model.HostID(nil), le.cfg.Agents...)
 	sortHostIDs(agents)
 	for _, h := range agents {
-		le.sendLeaseAsync(h, req)
+		_ = d.sender.send(h, req)
 	}
-}
-
-// sendLeaseAsync dispatches one lease frame off the caller's goroutine.
-// Sends to an unreachable agent sit in the control sender's retry loop
-// for a while; a quorum must never wait behind them, and the campaign's
-// rebroadcast ticker supplies the retransmission, so at most one frame
-// per agent is kept in flight.
-func (le *Leadership) sendLeaseAsync(h model.HostID, ev Event) {
-	le.mu.Lock()
-	if le.inflight[h] {
-		le.mu.Unlock()
-		return
-	}
-	le.inflight[h] = true
-	le.mu.Unlock()
-	go func() {
-		_ = le.dep.sendControl(h, ev)
-		le.mu.Lock()
-		delete(le.inflight, h)
-		le.mu.Unlock()
-	}()
 }
 
 // Failover is the standby's promotion path: campaign, and on victory
@@ -488,7 +460,7 @@ func (le *Leadership) persistTerm(term uint64) {
 
 // observe folds an incoming term into the leadership state (Paxos-style
 // term learning): a higher term always wins, and a leader seeing one is
-// deposed — its in-flight sends die via the sender's fence check.
+// deposed — its wave loops notice on their next re-drive tick and stop.
 func (le *Leadership) observe(term uint64, from model.HostID) {
 	le.mu.Lock()
 	if term <= le.term {
@@ -613,7 +585,7 @@ func (le *Leadership) flush() {
 	}
 	le.mu.Unlock()
 	for _, o := range outs {
-		_ = le.dep.sendControl(o.peer, Event{
+		_ = le.dep.sender.send(o.peer, Event{
 			Name: EvReplicate, Target: DeployerID, Payload: o.batch,
 			SizeKB: 0.3 + float64(len(o.batch.Records))*0.2,
 		})
@@ -642,7 +614,7 @@ func (le *Leadership) onReplicate(b ReplBatch) {
 	le.mu.Unlock()
 	if stale {
 		// A deposed leader is still streaming: tell it the world moved on.
-		_ = le.dep.sendControl(b.Leader, Event{
+		_ = le.dep.sender.send(b.Leader, Event{
 			Name: EvReplicateAck, Target: DeployerID, SizeKB: 0.2,
 			Payload: ReplAck{Host: le.dep.arch.Host(), Term: le.Term(), Applied: 0},
 		})
@@ -661,7 +633,7 @@ func (le *Leadership) onReplicate(b ReplBatch) {
 		}
 		applied, _ = ds.Ingest(b.Seq, b.Reset, recs)
 	}
-	_ = le.dep.sendControl(b.Leader, Event{
+	_ = le.dep.sender.send(b.Leader, Event{
 		Name: EvReplicateAck, Target: DeployerID, SizeKB: 0.2,
 		Payload: ReplAck{Host: le.dep.arch.Host(), Term: b.Term, Applied: applied},
 	})

@@ -134,20 +134,23 @@ func TestRelayMigrationAcrossLossyChain(t *testing.T) {
 
 func TestRelayDuplicateSuppression(t *testing.T) {
 	rs := newRelayState()
-	id := rs.nextID("h1", AdminID, 0)
-	if !rs.markSeen(id) {
-		t.Fatal("fresh id reported seen")
+	env := rs.next("h1", AdminID, 0)
+	if !rs.markSeen(env) {
+		t.Fatal("fresh envelope reported seen")
 	}
-	if rs.markSeen(id) {
-		t.Fatal("duplicate id reported fresh")
+	if rs.markSeen(env) {
+		t.Fatal("duplicate envelope reported fresh")
 	}
-	id2 := rs.nextID("h1", AdminID, 0)
-	if id == id2 {
-		t.Fatal("sequence ids collide")
+	env2 := rs.next("h1", AdminID, 0)
+	if env2.Seq == env.Seq {
+		t.Fatal("sequence numbers collide")
 	}
-	// Different components on the same host never collide.
-	if rs.nextID("h1", DeployerID, 0) == id2 {
-		t.Fatal("admin and deployer ids collide")
+	// Different components on the same host are different streams: the
+	// deployer's envelope with the admin's sequence number is still new.
+	dep := env
+	dep.Sender = DeployerID
+	if !rs.markSeen(dep) {
+		t.Fatal("deployer envelope suppressed by the admin's stream")
 	}
 }
 
@@ -161,11 +164,11 @@ func TestRelayIDsDistinctAcrossIncarnations(t *testing.T) {
 	old := newRelayState()
 	peer := newRelayState() // a neighbour that saw the old lifetime
 	for i := 0; i < 5; i++ {
-		peer.markSeen(old.nextID("h1", AdminID, 0))
+		peer.markSeen(old.next("h1", AdminID, 0))
 	}
 	fresh := newRelayState() // the restarted lifetime, incarnation bumped
-	if id := fresh.nextID("h1", AdminID, 1); !peer.markSeen(id) {
-		t.Fatalf("restarted lifetime's first envelope %q suppressed as a duplicate", id)
+	if env := fresh.next("h1", AdminID, 1); !peer.markSeen(env) {
+		t.Fatalf("restarted lifetime's first envelope %+v suppressed as a duplicate", env)
 	}
 	// And the sender wiring: SetIncarnation reaches the control sender.
 	dw := newDeployWorld(t, 1.0, "m", "s1")
@@ -173,6 +176,43 @@ func TestRelayIDsDistinctAcrossIncarnations(t *testing.T) {
 	a.SetIncarnation(7)
 	if got := a.sender.inc.Load(); got != 7 {
 		t.Fatalf("sender incarnation = %d after SetIncarnation(7)", got)
+	}
+}
+
+// TestRelaySeenRecordStaysBounded pins the relay's duplicate record to
+// the dedup window's shape: a stream of envelopes relayed in order
+// leaves a floor and no spans, however long it runs, and replaying any
+// of them is still suppressed.
+func TestRelaySeenRecordStaysBounded(t *testing.T) {
+	dw := newDeployWorld(t, 1.0, "m", "s1")
+	cs := dw.admins["s1"].sender
+	origin := newRelayState()
+	inner, err := EncodeEvent(Event{Name: "test.frame", Kind: KindControl, Target: AdminID, DstHost: "s1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10_000
+	envs := make([]RelayPayload, n)
+	for i := range envs {
+		envs[i] = origin.next("m", DeployerID, 3)
+		envs[i].Data = inner
+		if !cs.handleRelay(envs[i], "m") {
+			t.Fatalf("envelope %d suppressed on first sight", i+1)
+		}
+	}
+	cs.relay.mu.Lock()
+	if len(cs.relay.seen) != 1 {
+		t.Fatalf("%d streams recorded, want 1", len(cs.relay.seen))
+	}
+	w := cs.relay.seen[relayStream{"m", DeployerID, 3}]
+	if w == nil || w.floor != n || len(w.spans) != 0 {
+		t.Fatalf("seen record = %+v, want floor %d and no spans", w, n)
+	}
+	cs.relay.mu.Unlock()
+	for _, i := range []int{0, 1, n / 2, n - 1} {
+		if cs.handleRelay(envs[i], "m") {
+			t.Fatalf("replayed envelope %d consumed again", i+1)
+		}
 	}
 }
 

@@ -23,12 +23,10 @@ type faultWorld struct {
 	master   model.HostID
 }
 
-// fastRetryCfg keeps the robustness tests quick: aggressive end-to-end
-// retransmission intervals and a short outcome-ack budget.
+// fastRetryCfg keeps the robustness tests quick: an aggressive re-dispatch
+// interval and a short outcome-ack budget.
 func fastRetryCfg() AdminConfig {
 	return AdminConfig{
-		FetchRetryInterval:  30 * time.Millisecond,
-		FetchRetryAttempts:  100,
 		EnactResendInterval: 30 * time.Millisecond,
 		OutcomeAckTimeout:   500 * time.Millisecond,
 	}
@@ -165,7 +163,7 @@ func TestWaveCompletesUnder20PctLossAndPartition(t *testing.T) {
 
 	res, err := fw.deployer.Enact(moves, current, 15*time.Second)
 	if err != nil {
-		t.Fatalf("wave failed despite retries: %v", err)
+		t.Fatalf("wave failed despite re-dispatch: %v", err)
 	}
 	if !res.Committed || res.Degraded {
 		t.Fatalf("result = %+v, want committed and not degraded", res)

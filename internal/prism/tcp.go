@@ -47,9 +47,15 @@ type TCPTransport struct {
 	mu    sync.Mutex
 	peers map[model.HostID]string // peer → address
 	conns map[model.HostID]*tcpConn
+	// dialing holds, per peer, the channel closed when the one dial in
+	// flight toward it settles: two local dials to one peer would be a
+	// duel the peer may settle the other way, keeping the socket we retire.
+	dialing map[model.HostID]chan struct{}
 	// socks tracks every live socket — registered or not — so Close can
-	// unblock readLoops parked on connections that never sent a frame.
-	socks  map[net.Conn]struct{}
+	// unblock readLoops parked on connections that never sent a frame,
+	// with its write side if it has one (registered, or retired and
+	// still draining), so the readLoop closes the socket only after it.
+	socks  map[net.Conn]*tcpConn
 	recv   func(from model.HostID, data []byte)
 	closed bool
 	wg     sync.WaitGroup // accept, every readLoop, every writeLoop
@@ -102,7 +108,8 @@ func NewTCPTransport(host model.HostID, addr string) (*TCPTransport, error) {
 		ln:        ln,
 		peers:     make(map[model.HostID]string),
 		conns:     make(map[model.HostID]*tcpConn),
-		socks:     make(map[net.Conn]struct{}),
+		dialing:   make(map[model.HostID]chan struct{}),
+		socks:     make(map[net.Conn]*tcpConn),
 		highWater: defaultHighWater,
 	}
 	t.wg.Add(1)
@@ -147,8 +154,9 @@ func (t *TCPTransport) Instrument(reg *obs.Registry) {
 }
 
 // newConnLocked wraps a socket in a tcpConn with this host's hello
-// pending and starts its writeLoop. Caller holds t.mu, so the wg.Add
-// cannot race Close's Wait, and has checked !t.closed or holds a count.
+// pending, records it as the socket's write side, and starts its
+// writeLoop. Caller holds t.mu, so the wg.Add cannot race Close's Wait,
+// and has checked !t.closed or holds a count.
 func (t *TCPTransport) newConnLocked(raw net.Conn, dialed bool) *tcpConn {
 	c := &tcpConn{
 		conn: raw, dialed: dialed, highWater: t.highWater,
@@ -159,6 +167,7 @@ func (t *TCPTransport) newConnLocked(raw net.Conn, dialed bool) *tcpConn {
 	c.pending = append(c.pending, helloMagic...)
 	c.pending = append(c.pending, wireMajor, wireMinor, byte(len(t.host)))
 	c.pending = append(c.pending, t.host...)
+	t.socks[raw] = c
 	t.wg.Add(1)
 	go c.writeLoop(&t.wg)
 	return c
@@ -316,21 +325,42 @@ func retire(c *tcpConn) {
 	}
 }
 
+// connTo returns the registered connection to a peer, dialing one if
+// there is none. A caller that finds a dial already in flight waits for
+// it rather than dial too.
 func (t *TCPTransport) connTo(to model.HostID) (*tcpConn, error) {
 	t.mu.Lock()
-	if t.closed {
+	for {
+		if t.closed {
+			t.mu.Unlock()
+			return nil, errors.New("tcp transport closed")
+		}
+		if c, ok := t.conns[to]; ok {
+			t.mu.Unlock()
+			return c, nil
+		}
+		wait, ok := t.dialing[to]
+		if !ok {
+			break
+		}
 		t.mu.Unlock()
-		return nil, errors.New("tcp transport closed")
-	}
-	if c, ok := t.conns[to]; ok {
-		t.mu.Unlock()
-		return c, nil
+		<-wait
+		t.mu.Lock()
 	}
 	addr, ok := t.peers[to]
-	t.mu.Unlock()
 	if !ok {
+		t.mu.Unlock()
 		return nil, fmt.Errorf("tcp transport: unknown peer %s", to)
 	}
+	settled := make(chan struct{})
+	t.dialing[to] = settled
+	t.mu.Unlock()
+	defer func() {
+		t.mu.Lock()
+		delete(t.dialing, to)
+		t.mu.Unlock()
+		close(settled)
+	}()
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcp dial %s: %w", to, err)
@@ -339,7 +369,8 @@ func (t *TCPTransport) connTo(to model.HostID) (*tcpConn, error) {
 }
 
 // adoptDial registers a freshly dialed socket as the connection to to,
-// or settles the duel if one was registered while the dial was in flight.
+// or settles the duel if the peer's crossed dial was registered while
+// ours was in flight.
 func (t *TCPTransport) adoptDial(to model.HostID, raw net.Conn) (*tcpConn, error) {
 	t.mu.Lock()
 	if t.closed {
@@ -350,16 +381,15 @@ func (t *TCPTransport) adoptDial(to model.HostID, raw net.Conn) (*tcpConn, error
 	// The hello is pending on c from birth; frames coming back on the
 	// socket are read too, since connections are bidirectional.
 	c := t.newConnLocked(raw, true)
-	t.socks[raw] = struct{}{}
 	t.wg.Add(1) // under mu so Close's Wait cannot start mid-Add
-	// A connection registered while the dial was in flight makes this a
-	// duel. Crossed dials with us the lower host: our dial is canonical on
-	// both sides and the inbound one loses. Otherwise — another local dial
-	// already won, or the peer (lower host) keeps its dial — we yield; the
-	// peer may register this socket off our hello and write to it before
-	// it learns that, so it is retired like any loser, not closed.
+	// A connection registered while the dial was in flight is the peer's
+	// crossed dial (connTo keeps our own dials to one at a time). The
+	// lower host's dial is canonical on both sides: with us the lower
+	// host the inbound one loses; otherwise we yield, and since the peer
+	// may register this socket off our hello and write to it before it
+	// learns that, it is retired like any loser, not closed.
 	use, loser := c, t.conns[to]
-	if loser != nil && (loser.dialed || t.host > to) {
+	if loser != nil && t.host > to {
 		use, loser = loser, c
 	}
 	t.conns[to] = use
@@ -398,8 +428,8 @@ func (t *TCPTransport) accept() {
 			conn.Close()
 			return
 		}
-		t.socks[conn] = struct{}{}
-		t.wg.Add(1) // under mu so Close's Wait cannot start mid-Add
+		t.socks[conn] = nil // no write side until its hello registers it
+		t.wg.Add(1)         // under mu so Close's Wait cannot start mid-Add
 		t.mu.Unlock()
 		go t.readLoop(conn)
 	}
@@ -413,19 +443,20 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
 		t.mu.Lock()
+		w := t.socks[conn]
 		delete(t.socks, conn)
-		var dead []*tcpConn
 		for h, c := range t.conns {
 			if c.conn == conn {
 				delete(t.conns, h)
-				dead = append(dead, c)
 			}
 		}
 		t.mu.Unlock()
-		for _, c := range dead {
+		if w != nil {
 			// A peer that only shut its write side (retire) is still
-			// reading: frames admitted before now must reach it.
-			c.drain()
+			// reading: frames admitted before now must reach it, whether
+			// this socket's writer is registered or was itself retired and
+			// is still draining.
+			w.drain()
 		}
 		conn.Close()
 	}()
@@ -446,11 +477,17 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	// this inbound connection is it, so our own dial is retired. (A peer
 	// replying on our own dialed socket has existing.conn == conn — that
 	// is not a duel and the registration must stand.)
+	// A socket has at most one writer: our own dial keeps the one it was
+	// born with.
 	t.mu.Lock()
 	existing, ok := t.conns[from]
 	duel := ok && existing.conn != conn && existing.dialed && from < t.host
 	if !ok || duel {
-		t.conns[from] = t.newConnLocked(conn, false)
+		w := t.socks[conn]
+		if w == nil {
+			w = t.newConnLocked(conn, false)
+		}
+		t.conns[from] = w
 	}
 	t.mu.Unlock()
 	if duel {

@@ -1,6 +1,7 @@
 package prism
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -433,5 +434,56 @@ func TestTCPTransportCloseWithIdleInboundConn(t *testing.T) {
 	case <-done:
 	case <-time.After(3 * time.Second):
 		t.Fatal("Close hung on an idle inbound connection")
+	}
+}
+
+// TestTCPTransportConcurrentFirstSends races two first Sends from one
+// host to a peer that has no address for it (an agent dialing in to its
+// deployer). Both senders' frames must arrive, and the peer must be left
+// holding a live connection back: its replies arrive too.
+func TestTCPTransportConcurrentFirstSends(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		a, err := NewTCPTransport("hostA", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewTCPTransport("hostB", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.AddPeer("hostB", b.Addr())
+		sinkA, sinkB := &frameSink{}, &frameSink{}
+		a.SetReceiver(sinkA.recv)
+		b.SetReceiver(sinkB.recv)
+
+		const perSender = 10
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for s := 0; s < 2; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perSender; i++ {
+					if err := a.Send("hostB", []byte(fmt.Sprintf("a%d-%d", s, i)), 1); err != nil {
+						t.Errorf("round %d: a→b: %v", round, err)
+					}
+				}
+			}(s)
+		}
+		close(start)
+		wg.Wait()
+		waitFor(t, func() bool { return sinkB.count() == 2*perSender })
+		// Replies ride whatever hostB registered off hostA's hello; it has
+		// no address to redial, so a registration of a socket hostA
+		// retired would strand them.
+		for i := 0; i < perSender; i++ {
+			if err := b.Send("hostA", []byte(fmt.Sprintf("b-%d", i)), 1); err != nil {
+				t.Fatalf("round %d: b→a reply %d: %v", round, i, err)
+			}
+		}
+		waitFor(t, func() bool { return sinkA.count() == perSender })
+		a.Close()
+		b.Close()
 	}
 }
