@@ -101,6 +101,9 @@ type algoMetrics struct {
 }
 
 func (c Config) metrics(algorithm string) algoMetrics {
+	if c.Obs == nil {
+		return algoMetrics{}
+	}
 	n := func(base string) *obs.Counter {
 		return c.Obs.Counter(obs.Name(base, "algo", algorithm))
 	}
@@ -220,5 +223,5 @@ func scoreInitial(q objective.Quantifier, s *model.System, initial model.Deploym
 	if initial == nil {
 		return objective.Worst(q)
 	}
-	return q.Quantify(s, initial)
+	return objective.QuantifyFast(q, s, initial)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dif/internal/model"
+	"dif/internal/objective"
 )
 
 // Avala is the paper's greedy algorithm (DSN'04 §5.1, [12]): it
@@ -22,15 +23,36 @@ import (
 // collocation constraints); the algorithm packs the host until full, then
 // moves to the next best host. Complexity O(n³).
 //
-// The allowed-host set of every component is resolved once per run, and
-// affinity scoring walks the system's dense interaction adjacency rather
-// than re-deriving (and re-sorting) each component's interaction list.
+// The search runs on the system's dense indices: the assignment is a
+// slice, affinity scoring walks the dense interaction adjacency, and
+// each placement is judged by the run's placer (the incremental
+// constraint checker under the stock constraints).
 type Avala struct{}
 
 var _ Algorithm = (*Avala)(nil)
 
 // Name implements Algorithm.
 func (*Avala) Name() string { return "avala" }
+
+// avalaRun is one Avala search's state.
+type avalaRun struct {
+	*searchSpace
+	p      placer
+	assign []int     // p's live assignment
+	used   []float64 // memory placed per host, in placement order
+	placed int
+	res    *Result
+
+	rounds, accepted int              // ranking rounds and placed candidates
+	cands            []avalaCandidate // ranking buffer
+}
+
+// avalaCandidate is one unplaced component ranked for a host.
+type avalaCandidate struct {
+	ci       int
+	affinity float64
+	key      float64 // affinity − normalized memory
+}
 
 // Run implements Algorithm.
 func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployment, cfg Config) (Result, error) {
@@ -39,40 +61,28 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 		Algorithm:    a.Name(),
 		InitialScore: scoreInitial(cfg.Objective, s, initial),
 	}
-	check := cfg.checker()
-	ds := s.Dense()
-
-	d := model.NewDeployment(len(s.Components))
-	used := make(map[model.HostID]float64, len(s.Hosts))
-	unplaced := make(map[model.ComponentID]bool, len(s.Components))
-	// The allowed-host sets are invariant across the run; resolve each
-	// component's once instead of per candidate comparison.
-	allowed := make(map[model.ComponentID][]model.HostID, len(s.Components))
-	for _, c := range s.ComponentIDs() {
-		unplaced[c] = true
-		allowed[c] = check.Allowed(s, c)
-	}
+	v := newSearchSpace(s, cfg.checker())
+	r := &avalaRun{searchSpace: v, p: v.begin(nil), used: make([]float64, v.ds.NH), res: &res}
+	r.assign = r.p.assignment()
+	defer func() {
+		met := cfg.metrics(a.Name())
+		met.iterations.Add(float64(r.rounds))
+		met.accepted.Add(float64(r.accepted))
+		met.rejected.Add(float64(res.Nodes - r.accepted))
+	}()
 
 	// Pre-place every component pinned to a single host: their locations
 	// are foregone conclusions, and having them on the board lets the
 	// greedy affinity ranking pull their partners toward them.
-	for _, c := range s.ComponentIDs() {
-		if len(allowed[c]) != 1 {
+	for ci, hosts := range v.allowed {
+		if len(hosts) != 1 {
 			continue
 		}
-		h := allowed[c][0]
-		need := s.Components[c].Memory()
-		if s.Constraints.CheckMemory && used[h]+need > s.Hosts[h].Memory() {
+		if !r.p.canPlace(ci, hosts[0]) {
 			res.Elapsed = time.Since(start)
 			return res, ErrNoValidDeployment
 		}
-		d[c] = h
-		if err := check.CheckPartial(s, d); err != nil {
-			res.Elapsed = time.Since(start)
-			return res, ErrNoValidDeployment
-		}
-		used[h] += need
-		delete(unplaced, c)
+		r.place(ci, hosts[0])
 	}
 
 	filled := make([]model.HostID, 0, len(s.Hosts))
@@ -87,20 +97,21 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 		if h == "" {
 			break // every live host filled; stragglers go to repair
 		}
-		a.packHost(s, ds, check, allowed, h, d, used, unplaced, &res)
+		r.packHost(v.ds.HostIndex(h))
 		filled = append(filled, h)
-		if len(unplaced) == 0 {
+		if r.placed == len(r.assign) {
 			break
 		}
 	}
 
 	// Repair pass: any component every ranked host rejected (typically a
 	// tight location constraint) goes to its least-loaded allowed host.
-	if len(unplaced) == 0 || a.repair(s, ds, check, allowed, d, used, unplaced) {
-		if err := check.Check(s, d); err == nil {
+	if r.placed == len(r.assign) || r.repair() {
+		d := v.ds.Deployment(r.assign)
+		if err := v.check.Check(s, d); err == nil {
 			res.Evaluations++
 			res.Deployment = d
-			res.Score = cfg.Objective.Quantify(s, d)
+			res.Score = objective.QuantifyFast(cfg.Objective, s, d)
 			res.Elapsed = time.Since(start)
 			return res, nil
 		}
@@ -109,48 +120,38 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 	return res, ErrNoValidDeployment
 }
 
-// packHost fills host h with the best remaining components until none fit.
-func (*Avala) packHost(s *model.System, ds *model.DenseSystem, check ConstraintChecker,
-	allowed map[model.ComponentID][]model.HostID, h model.HostID,
-	d model.Deployment, used map[model.HostID]float64,
-	unplaced map[model.ComponentID]bool, res *Result) {
-	capacity := s.Hosts[h].Memory()
+func (r *avalaRun) place(ci, hi int) {
+	r.p.place(ci, hi)
+	r.used[hi] += r.cons.compMem[ci]
+	r.placed++
+}
+
+// packHost fills host hi with the best remaining components until none
+// fit.
+func (r *avalaRun) packHost(hi int) {
 	for {
-		best, affinity := bestComponentFor(s, ds, h, d, unplaced)
+		r.rounds++
 		placedAny := false
-		for _, c := range best {
+		for _, c := range r.rank(hi) {
 			// Once anything is placed, only components that positively
-			// benefit from host h join it; the rest wait for a host
+			// benefit from host hi join it; the rest wait for a host
 			// they actually interact well with (or the repair pass).
-			if len(d) > 0 && affinity[c] <= 0 {
+			if r.placed > 0 && c.affinity <= 0 {
 				break
 			}
-			res.Nodes++
+			r.res.Nodes++
 			// Membership in the allowed set gates the placement itself,
 			// not just the better-host comparison: a checker whose Allowed
 			// is stricter than CheckPartial (DegradationAware) must hold
-			// here too.
-			if !hostInSet(allowed[c], h) {
+			// here too. Components that would contribute more on some
+			// other host that still has room for them are skipped:
+			// greedily claiming them for hi strands their high-frequency
+			// partners across weak links.
+			if !r.allows(c.ci, hi) || !r.p.canPlace(c.ci, hi) || r.betterHostExists(c.ci, hi, c.affinity) {
 				continue
 			}
-			need := s.Components[c].Memory()
-			if s.Constraints.CheckMemory && used[h]+need > capacity {
-				continue
-			}
-			// Skip components that would contribute more on some other
-			// host that still has room for them: greedily claiming them
-			// for h strands their high-frequency partners across weak
-			// links.
-			if betterHostExists(s, ds, allowed[c], c, h, affinity[c], d, used) {
-				continue
-			}
-			d[c] = h
-			if err := check.CheckPartial(s, d); err != nil {
-				delete(d, c)
-				continue
-			}
-			used[h] += need
-			delete(unplaced, c)
+			r.place(c.ci, hi)
+			r.accepted++
 			placedAny = true
 			break // re-rank: placements change the affinity scores
 		}
@@ -163,61 +164,42 @@ func (*Avala) packHost(s *model.System, ds *model.DenseSystem, check ConstraintC
 // repair places stragglers on the allowed host where they contribute the
 // most (breaking ties toward free memory). Reports whether every
 // component ended up placed.
-func (*Avala) repair(s *model.System, ds *model.DenseSystem, check ConstraintChecker,
-	allowed map[model.ComponentID][]model.HostID,
-	d model.Deployment, used map[model.HostID]float64,
-	unplaced map[model.ComponentID]bool) bool {
-	comps := make([]model.ComponentID, 0, len(unplaced))
-	for c := range unplaced {
-		comps = append(comps, c)
+func (r *avalaRun) repair() bool {
+	type hostRank struct {
+		hi             int
+		affinity, free float64
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
-	for _, c := range comps {
-		hosts := append([]model.HostID(nil), allowed[c]...)
-		sort.Slice(hosts, func(i, j int) bool {
-			ai := affinityOf(ds, c, hosts[i], d)
-			aj := affinityOf(ds, c, hosts[j], d)
-			if ai != aj {
-				return ai > aj
+	for ci, hi := range r.assign {
+		if hi >= 0 {
+			continue
+		}
+		ranked := make([]hostRank, 0, len(r.allowed[ci]))
+		for _, h := range r.allowed[ci] {
+			ranked = append(ranked, hostRank{h, r.affinity(ci, h), r.cons.hostMem[h] - r.used[h]})
+		}
+		sort.Slice(ranked, func(i, j int) bool {
+			x, y := ranked[i], ranked[j]
+			if x.affinity != y.affinity {
+				return x.affinity > y.affinity
 			}
-			fi := s.Hosts[hosts[i]].Memory() - used[hosts[i]]
-			fj := s.Hosts[hosts[j]].Memory() - used[hosts[j]]
-			if fi != fj {
-				return fi > fj
+			if x.free != y.free {
+				return x.free > y.free
 			}
-			return hosts[i] < hosts[j]
+			return x.hi < y.hi
 		})
 		placed := false
-		for _, h := range hosts {
-			need := s.Components[c].Memory()
-			if s.Constraints.CheckMemory && used[h]+need > s.Hosts[h].Memory() {
-				continue
+		for _, h := range ranked {
+			if r.p.canPlace(ci, h.hi) {
+				r.place(ci, h.hi)
+				placed = true
+				break
 			}
-			d[c] = h
-			if err := check.CheckPartial(s, d); err != nil {
-				delete(d, c)
-				continue
-			}
-			used[h] += need
-			delete(unplaced, c)
-			placed = true
-			break
 		}
 		if !placed {
 			return false
 		}
 	}
 	return true
-}
-
-// hostInSet reports whether h is in the (small, sorted) allowed list.
-func hostInSet(hosts []model.HostID, h model.HostID) bool {
-	for _, x := range hosts {
-		if x == h {
-			return true
-		}
-	}
-	return false
 }
 
 // nextBestHost picks the host to fill next. The first host is the
@@ -302,86 +284,76 @@ func rankHosts(s *model.System) []model.HostID {
 }
 
 // betterHostExists reports whether some other allowed host with free
-// capacity offers component c a strictly higher affinity than its
-// affinity on h.
-func betterHostExists(s *model.System, ds *model.DenseSystem, allowedHosts []model.HostID,
-	c model.ComponentID, h model.HostID, affinityOnH float64,
-	d model.Deployment, used map[model.HostID]float64) bool {
-	need := s.Components[c].Memory()
-	for _, other := range allowedHosts {
-		if other == h {
+// capacity offers component ci a strictly higher affinity than its
+// affinity on hi.
+func (r *avalaRun) betterHostExists(ci, hi int, affinityOnH float64) bool {
+	need := r.cons.compMem[ci]
+	for _, other := range r.allowed[ci] {
+		if other == hi {
 			continue
 		}
-		if s.Constraints.CheckMemory && used[other]+need > s.Hosts[other].Memory() {
+		if r.cons.checkMem && r.used[other]+need > r.cons.hostMem[other] {
 			continue
 		}
-		if affinityOf(ds, c, other, d) > affinityOnH {
+		if r.affinity(ci, other) > affinityOnH {
 			return true
 		}
 	}
 	return false
 }
 
-// affinityOf scores placing component c on host h given the partial
-// deployment d: full frequency for partners already on h, link-reliability
+// affinity scores placing component ci on host hi given the partial
+// assignment: full frequency for partners already on hi, link-reliability
 // weighted frequency for partners elsewhere, and (only while nothing at
 // all is placed) full frequency for unplaced partners.
-func affinityOf(ds *model.DenseSystem, c model.ComponentID, h model.HostID, d model.Deployment) float64 {
-	ci := ds.CompIndex(c)
-	if ci < 0 {
-		return 0
-	}
-	hi := ds.HostIndex(h)
-	nh := ds.NH
-	empty := len(d) == 0
+func (r *avalaRun) affinity(ci, hi int) float64 {
+	nh := r.ds.NH
+	rel := r.ds.Rel[hi*nh : hi*nh+nh]
+	empty := r.placed == 0
 	a := 0.0
-	for _, arc := range ds.Adj[ci] {
-		oh, ok := d[ds.Comps[arc.Other]]
-		switch {
-		case !ok:
+	for _, arc := range r.ds.Adj[ci] {
+		switch oh := r.assign[arc.Other]; {
+		case oh < 0:
 			if empty {
 				a += arc.Freq
 			}
-		case oh == h:
+		case oh == hi:
 			a += arc.Freq
 		default:
-			if oi := ds.HostIndex(oh); oi >= 0 && hi >= 0 {
-				a += arc.Freq * ds.Rel[hi*nh+oi]
-			}
+			a += arc.Freq * rel[oh]
 		}
 	}
 	return a
 }
 
-// bestComponentFor ranks the unplaced components for host h by descending
+// rank orders the unplaced components for host hi by descending
 // affinity and ascending memory. Affinity counts interaction frequency
-// with components already on h at full weight (they would become local)
+// with components already on hi at full weight (they would become local)
 // and frequency with components on other hosts at the connecting link's
 // reliability. When nothing is placed yet, the seed component is the one
 // with the highest total interaction frequency (the paper's criterion).
-func bestComponentFor(s *model.System, ds *model.DenseSystem, h model.HostID, d model.Deployment,
-	unplaced map[model.ComponentID]bool) ([]model.ComponentID, map[model.ComponentID]float64) {
-	comps := make([]model.ComponentID, 0, len(unplaced))
-	for c := range unplaced {
-		comps = append(comps, c)
-	}
-	affinity := make(map[model.ComponentID]float64, len(comps))
-	for _, c := range comps {
-		affinity[c] = affinityOf(ds, c, h, d)
-	}
+// The returned slice is reused by the next call.
+func (r *avalaRun) rank(hi int) []avalaCandidate {
+	cands := r.cands[:0]
 	maxMem := 1.0
-	for _, c := range comps {
-		if m := s.Components[c].Memory(); m > maxMem {
+	for ci, h := range r.assign {
+		if h >= 0 {
+			continue
+		}
+		if m := r.cons.compMem[ci]; m > maxMem {
 			maxMem = m
 		}
+		cands = append(cands, avalaCandidate{ci: ci, affinity: r.affinity(ci, hi)})
 	}
-	sort.Slice(comps, func(i, j int) bool {
-		si := affinity[comps[i]] - s.Components[comps[i]].Memory()/maxMem
-		sj := affinity[comps[j]] - s.Components[comps[j]].Memory()/maxMem
-		if si != sj {
-			return si > sj
+	for i := range cands {
+		cands[i].key = cands[i].affinity - r.cons.compMem[cands[i].ci]/maxMem
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].key != cands[j].key {
+			return cands[i].key > cands[j].key
 		}
-		return comps[i] < comps[j]
+		return cands[i].ci < cands[j].ci
 	})
-	return comps, affinity
+	r.cands = cands
+	return cands
 }

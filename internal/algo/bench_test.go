@@ -198,3 +198,24 @@ func BenchmarkQuantifyDense(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSwapDegradationAware runs three Swap passes at 20×200 under
+// the stock checker and under DegradationAware with no degraded host.
+// The wrapper reaches the incremental checker through its inner
+// checker, so the two should cost about the same.
+func BenchmarkSwapDegradationAware(b *testing.B) {
+	s, d := benchSystem(b, 20, 200)
+	for _, c := range []struct {
+		name  string
+		check ConstraintChecker
+	}{{"stock", nil}, {"aware", DegradationAware{Current: d}}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := Config{Objective: objective.Availability{}, Constraints: c.check, Trials: 3}
+			for i := 0; i < b.N; i++ {
+				if _, err := (&Swap{}).Run(context.Background(), s, d, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

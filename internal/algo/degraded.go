@@ -46,6 +46,17 @@ func (d DegradationAware) CheckPartial(s *model.System, dep model.Deployment) er
 	return d.inner().CheckPartial(s, dep)
 }
 
+// Incremental implements the Incremental hook by delegating to the inner
+// checker: Check and CheckPartial are the inner checker's, and the
+// degraded-host filter lives in Allowed, which every search consults
+// before it asks about a placement.
+func (d DegradationAware) Incremental(s *model.System) *DenseConstraints {
+	if inc, ok := d.inner().(Incremental); ok {
+		return inc.Incremental(s)
+	}
+	return nil
+}
+
 // Allowed implements ConstraintChecker.
 func (d DegradationAware) Allowed(s *model.System, c model.ComponentID) []model.HostID {
 	all := d.inner().Allowed(s, c)

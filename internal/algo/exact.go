@@ -34,35 +34,32 @@ func (e *Exact) Run(ctx context.Context, s *model.System, initial model.Deployme
 		Algorithm:    e.Name(),
 		InitialScore: scoreInitial(cfg.Objective, s, initial),
 	}
-	check := cfg.checker()
+	v := newSearchSpace(s, cfg.checker())
 
-	comps := s.ComponentIDs()
 	// Order components by descending memory so capacity violations prune
 	// early, then by ID for determinism.
-	sortByMemoryDesc(s, comps)
-
-	allowed := make([][]model.HostID, len(comps))
-	for i, c := range comps {
-		allowed[i] = check.Allowed(s, c)
-		if len(allowed[i]) == 0 {
+	ids := s.ComponentIDs()
+	sortByMemoryDesc(s, ids)
+	order := make([]int, len(ids))
+	for i, c := range ids {
+		order[i] = v.ds.CompIndex(c)
+		if len(v.allowed[order[i]]) == 0 {
 			res.Elapsed = time.Since(start)
 			return res, ErrNoValidDeployment
 		}
 	}
 
 	search := &exactSearch{
-		sys:     s,
-		cfg:     cfg,
-		check:   check,
-		comps:   comps,
-		allowed: allowed,
-		best:    objective.Worst(cfg.Objective),
+		searchSpace: v,
+		cfg:         cfg,
+		order:       order,
+		p:           v.begin(nil),
+		partial:     model.NewDeployment(len(order)),
+		best:        objective.Worst(cfg.Objective),
 	}
 	if supportsIncremental(cfg.Objective) {
 		search.avail = newAvailState(s)
 	}
-	search.partial = model.NewDeployment(len(comps))
-	search.used = make(map[model.HostID]float64, len(s.Hosts))
 
 	err := search.walk(ctx, 0)
 	res.Evaluations = search.evals
@@ -82,15 +79,13 @@ func (e *Exact) Run(ctx context.Context, s *model.System, initial model.Deployme
 }
 
 type exactSearch struct {
-	sys     *model.System
-	cfg     Config
-	check   ConstraintChecker
-	comps   []model.ComponentID
-	allowed [][]model.HostID
+	*searchSpace
+	cfg   Config
+	order []int // component indices, in assignment order
 
-	partial model.Deployment
-	used    map[model.HostID]float64 // memory in use per host
-	avail   *availState              // non-nil for availability fast path
+	p       placer
+	partial model.Deployment // p's assignment as a Deployment, for scoring and Check
+	avail   *availState      // non-nil for availability fast path
 
 	best  float64
 	bestD model.Deployment
@@ -98,7 +93,7 @@ type exactSearch struct {
 	nodes int
 }
 
-// walk recursively assigns comps[i:]; it checks ctx every few thousand
+// walk recursively assigns order[i:]; it checks ctx every few thousand
 // nodes so cancellation stays cheap.
 func (x *exactSearch) walk(ctx context.Context, i int) error {
 	x.nodes++
@@ -109,43 +104,39 @@ func (x *exactSearch) walk(ctx context.Context, i int) error {
 		default:
 		}
 	}
-	if i == len(x.comps) {
+	if i == len(x.order) {
 		x.evals++
 		var score float64
 		if x.avail != nil {
 			score = x.avail.score()
 		} else {
-			score = x.cfg.Objective.Quantify(x.sys, x.partial)
+			score = x.cfg.Objective.Quantify(x.s, x.partial)
 		}
 		if x.bestD == nil || objective.Better(x.cfg.Objective, score, x.best) {
 			// Full-constraint recheck guards against checkers whose
 			// complete-deployment rules are stricter than the partial ones.
-			if err := x.check.Check(x.sys, x.partial); err == nil {
+			if err := x.check.Check(x.s, x.partial); err == nil {
 				x.best = score
 				x.bestD = x.partial.Clone()
 			}
 		}
 		return nil
 	}
-	c := x.comps[i]
-	need := x.sys.Components[c].Memory()
-	for _, h := range x.allowed[i] {
-		if x.sys.Constraints.CheckMemory && x.used[h]+need > x.sys.Hosts[h].Memory() {
+	ci := x.order[i]
+	c := x.ds.Comps[ci]
+	for _, hi := range x.allowed[ci] {
+		if !x.p.canPlace(ci, hi) {
 			continue
 		}
-		x.partial[c] = h
-		if err := x.check.CheckPartial(x.sys, x.partial); err != nil {
-			delete(x.partial, c)
-			continue
-		}
-		x.used[h] += need
+		x.p.place(ci, hi)
+		x.partial[c] = x.ds.Hosts[hi]
 		if x.avail != nil {
-			x.avail.place(c, h)
+			x.avail.place(ci, hi)
 			// Branch-and-bound: prune when even a perfect completion
 			// cannot beat the incumbent.
 			if x.bestD != nil && x.avail.optimistic() <= x.best {
-				x.avail.unplace(c)
-				x.used[h] -= need
+				x.avail.unplace(ci)
+				x.p.unplace(ci)
 				delete(x.partial, c)
 				continue
 			}
@@ -154,9 +145,9 @@ func (x *exactSearch) walk(ctx context.Context, i int) error {
 			return err
 		}
 		if x.avail != nil {
-			x.avail.unplace(c)
+			x.avail.unplace(ci)
 		}
-		x.used[h] -= need
+		x.p.unplace(ci)
 		delete(x.partial, c)
 	}
 	return nil

@@ -152,16 +152,17 @@ func TestAvailStateIncrementalMatchesDirect(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		s, d := genSystem(t, 4, 9, seed)
 		st := newAvailState(s)
-		for _, c := range s.ComponentIDs() {
-			st.place(c, d[c])
+		assign := s.Dense().Assign(d)
+		for ci, hi := range assign {
+			st.place(ci, hi)
 		}
 		direct := objective.Availability{}.Quantify(s, d)
 		if math.Abs(st.score()-direct) > 1e-12 {
 			t.Fatalf("seed %d: incremental %v != direct %v", seed, st.score(), direct)
 		}
 		// Unplace everything; score must return to the empty state.
-		for _, c := range s.ComponentIDs() {
-			st.unplace(c)
+		for ci := range assign {
+			st.unplace(ci)
 		}
 		if math.Abs(st.num) > 1e-9 {
 			t.Fatalf("seed %d: num after full unplace = %v", seed, st.num)
@@ -174,14 +175,13 @@ func TestAvailStateIncrementalMatchesDirect(t *testing.T) {
 
 func TestAvailStateOptimisticIsAdmissible(t *testing.T) {
 	s, d := genSystem(t, 4, 8, 3)
-	comps := s.ComponentIDs()
 	st := newAvailState(s)
 	final := objective.Availability{}.Quantify(s, d)
-	for _, c := range comps {
+	for ci, hi := range s.Dense().Assign(d) {
 		if st.optimistic() < final-1e-12 {
 			t.Fatalf("optimistic bound %v below achievable %v", st.optimistic(), final)
 		}
-		st.place(c, d[c])
+		st.place(ci, hi)
 	}
 	if math.Abs(st.score()-final) > 1e-12 {
 		t.Fatal("final incremental score mismatch")

@@ -85,15 +85,11 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 		generations = DefaultGenerations
 	}
 
-	comps := s.ComponentIDs()
-	hosts := s.UpHostIDs()
-	// Per-component allowed hosts, honored by mutation so no variation
-	// step escapes the checker's Allowed set (crossover only recombines
-	// assignments that already passed it).
-	allowed := make(map[model.ComponentID][]model.HostID, len(comps))
-	for _, c := range comps {
-		allowed[c] = check.Allowed(s, c)
-	}
+	// The per-component allowed hosts are honored by mutation too, so no
+	// variation step escapes the checker's Allowed set (crossover only
+	// recombines assignments that already passed it).
+	v := newSearchSpace(s, check)
+	comps, hosts := v.ds.Comps, v.upHosts()
 
 	// scoreAll evaluates deployments in parallel; results land at fixed
 	// indices so they are independent of worker scheduling. On
@@ -125,15 +121,11 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 		seeds = append(seeds, initial.Clone())
 	}
 	for tries := 0; len(seeds) < popSize && tries < popSize*10; tries++ {
-		hostOrder := make([]model.HostID, len(hosts))
+		hostOrder := make([]int, len(hosts))
 		for i, p := range rng.Perm(len(hosts)) {
 			hostOrder[i] = hosts[p]
 		}
-		compOrder := make([]model.ComponentID, len(comps))
-		for i, p := range rng.Perm(len(comps)) {
-			compOrder[i] = comps[p]
-		}
-		if d, ok := fillInOrder(s, check, hostOrder, compOrder); ok && check.Check(s, d) == nil {
+		if d, ok := fillInOrder(v, hostOrder, rng.Perm(len(comps))); ok && check.Check(s, d) == nil {
 			seeds = append(seeds, d)
 		}
 	}
@@ -186,10 +178,10 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 			parentB := tournament()
 			child := crossover(rng, comps, parentA.d, parentB.d)
 			if rng.Float64() < mutRate {
-				mutate(rng, allowed, comps, child)
+				mutate(rng, v, child)
 			}
 			if check.Check(s, child) != nil {
-				if !repairDeployment(s, check, rng, hosts, comps, child) {
+				if !repairDeployment(s, check, rng, comps, child) {
 					continue
 				}
 			}
@@ -232,17 +224,17 @@ func crossover(rng *rand.Rand, comps []model.ComponentID, a, b model.Deployment)
 
 // mutate re-places one random component on a random host drawn from its
 // allowed set.
-func mutate(rng *rand.Rand, allowed map[model.ComponentID][]model.HostID, comps []model.ComponentID, d model.Deployment) {
-	c := comps[rng.Intn(len(comps))]
-	if hs := allowed[c]; len(hs) > 0 {
-		d[c] = hs[rng.Intn(len(hs))]
+func mutate(rng *rand.Rand, v *searchSpace, d model.Deployment) {
+	ci := rng.Intn(len(v.ds.Comps))
+	if hs := v.allowed[ci]; len(hs) > 0 {
+		d[v.ds.Comps[ci]] = v.ds.Hosts[hs[rng.Intn(len(hs))]]
 	}
 }
 
 // repairDeployment attempts to fix a constraint-violating child by
 // re-placing components onto random allowed hosts. Reports success.
 func repairDeployment(s *model.System, check ConstraintChecker, rng *rand.Rand,
-	hosts []model.HostID, comps []model.ComponentID, d model.Deployment) bool {
+	comps []model.ComponentID, d model.Deployment) bool {
 	for attempt := 0; attempt < 3*len(comps); attempt++ {
 		if check.Check(s, d) == nil {
 			return true

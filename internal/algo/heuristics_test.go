@@ -65,7 +65,8 @@ func TestStochasticInfeasible(t *testing.T) {
 
 func TestFillInOrderPacksEverything(t *testing.T) {
 	s, _ := genSystem(t, 3, 9, 4)
-	d, ok := fillInOrder(s, SystemConstraints{}, s.HostIDs(), s.ComponentIDs())
+	v := newSearchSpace(s, SystemConstraints{})
+	d, ok := fillInOrder(v, v.upHosts(), []int{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	if !ok {
 		t.Fatal("fill failed on feasible system")
 	}
@@ -84,7 +85,7 @@ func TestFillInOrderReportsOverflow(t *testing.T) {
 	cp.Set(model.ParamMemory, 8)
 	s.AddComponent("c1", cp)
 	s.AddComponent("c2", cp)
-	if _, ok := fillInOrder(s, SystemConstraints{}, s.HostIDs(), s.ComponentIDs()); ok {
+	if _, ok := fillInOrder(newSearchSpace(s, SystemConstraints{}), []int{0}, []int{0, 1}); ok {
 		t.Fatal("overflow not reported")
 	}
 }

@@ -34,10 +34,9 @@ func newAvailState(s *model.System) *availState {
 	return st
 }
 
-// place assigns c to h, updating the partial score.
-func (st *availState) place(c model.ComponentID, h model.HostID) {
-	ci := st.ds.CompIndex(c)
-	hi := st.ds.HostIndex(h)
+// place assigns component ci to host hi (dense indices), updating the
+// partial score.
+func (st *availState) place(ci, hi int) {
 	st.assign[ci] = hi
 	nh := st.ds.NH
 	for _, arc := range st.ds.Adj[ci] {
@@ -50,10 +49,9 @@ func (st *availState) place(c model.ComponentID, h model.HostID) {
 	}
 }
 
-// unplace reverses a place of c (which must be the most recent assignment
-// of c).
-func (st *availState) unplace(c model.ComponentID) {
-	ci := st.ds.CompIndex(c)
+// unplace reverses a place of ci (which must be the most recent
+// assignment of ci).
+func (st *availState) unplace(ci int) {
 	hi := st.assign[ci]
 	st.assign[ci] = -1
 	nh := st.ds.NH

@@ -6,8 +6,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"dif/internal/model"
 )
 
 func TestDeriveSeedIndependent(t *testing.T) {
@@ -105,50 +103,5 @@ func TestStochasticCancelledBeforeAnyTrial(t *testing.T) {
 	}
 	if math.IsInf(res.Score, 0) || res.Score != 0 {
 		t.Fatalf("Score = %v, want 0", res.Score)
-	}
-}
-
-// fullCheckOnly wraps the stock constraints in a distinct type so Swap
-// cannot take its incremental-checker fast path.
-type fullCheckOnly struct{ inner SystemConstraints }
-
-func (f fullCheckOnly) Check(s *model.System, d model.Deployment) error {
-	return f.inner.Check(s, d)
-}
-func (f fullCheckOnly) CheckPartial(s *model.System, d model.Deployment) error {
-	return f.inner.CheckPartial(s, d)
-}
-func (f fullCheckOnly) Allowed(s *model.System, c model.ComponentID) []model.HostID {
-	return f.inner.Allowed(s, c)
-}
-
-// TestSwapFastCheckerMatchesFullCheck runs Swap with and without the
-// incremental constraint checker; the accepted move sequence — and hence
-// the result — must be identical.
-func TestSwapFastCheckerMatchesFullCheck(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		s, d := genSystem(t, 6, 24, seed)
-		fast, err := (&Swap{}).Run(context.Background(), s, d, Config{
-			Objective: availability(), Trials: 10,
-		})
-		if err != nil {
-			t.Fatalf("seed %d fast: %v", seed, err)
-		}
-		slow, err := (&Swap{}).Run(context.Background(), s, d, Config{
-			Objective: availability(), Trials: 10, Constraints: fullCheckOnly{},
-		})
-		if err != nil {
-			t.Fatalf("seed %d slow: %v", seed, err)
-		}
-		if fast.Score != slow.Score {
-			t.Errorf("seed %d: fast score %v, full-check score %v", seed, fast.Score, slow.Score)
-		}
-		if !reflect.DeepEqual(fast.Deployment, slow.Deployment) {
-			t.Errorf("seed %d: deployments differ between checker paths", seed)
-		}
-		if fast.Evaluations != slow.Evaluations {
-			t.Errorf("seed %d: fast made %d evaluations, full check %d",
-				seed, fast.Evaluations, slow.Evaluations)
-		}
 	}
 }

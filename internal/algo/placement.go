@@ -1,0 +1,362 @@
+package algo
+
+import (
+	"dif/internal/model"
+)
+
+// Incremental is an optional ConstraintChecker hook. A checker whose
+// Check and CheckPartial are exactly s.Constraints' returns the dense
+// form of those constraints, and the searches then judge one placement,
+// move or swap in O(partners) against the valid assignment they hold,
+// instead of re-validating the whole deployment. A checker without the
+// hook, or one returning nil, is asked through an adapter that applies
+// the change to a Deployment and calls CheckPartial (a placement into a
+// partial deployment) or Check (a move or swap in a complete one).
+type Incremental interface {
+	Incremental(s *model.System) *DenseConstraints
+}
+
+// Incremental implements the Incremental hook.
+func (SystemConstraints) Incremental(s *model.System) *DenseConstraints {
+	return newDenseConstraints(s)
+}
+
+// DenseConstraints is a system's model.Constraints over its dense
+// indices (model.DenseSystem): per-host capacities and liveness,
+// per-component demands, location rows and collocation partner lists.
+// It is read-only once built, so concurrent searches may share it; each
+// walk keeps its own per-host sums in an incChecker.
+type DenseConstraints struct {
+	ds                 *model.DenseSystem
+	checkMem, checkCPU bool
+	compMem, compCPU   []float64
+	hostMem, hostCPU   []float64
+	down               []bool
+	// loc[ci] is nil when component ci may go anywhere, else the hosts
+	// its location constraint admits. A component that may not share a
+	// host with itself gets an all-false row: nothing can satisfy it.
+	loc [][]bool
+	// must[ci] and cant[ci] list ci's collocation partners. Pairs naming
+	// an unknown component are left out: CheckPartial never sees such a
+	// component placed, and Check fails them on every deployment, which
+	// each search's final Check reports.
+	must, cant [][]int
+}
+
+func newDenseConstraints(s *model.System) *DenseConstraints {
+	ds := s.Dense()
+	cs := &s.Constraints
+	nc, nh := len(ds.Comps), ds.NH
+	t := &DenseConstraints{
+		ds:       ds,
+		checkMem: cs.CheckMemory,
+		checkCPU: cs.CheckCPU,
+		compMem:  make([]float64, nc),
+		compCPU:  make([]float64, nc),
+		hostMem:  make([]float64, nh),
+		hostCPU:  make([]float64, nh),
+		down:     make([]bool, nh),
+		loc:      make([][]bool, nc),
+		must:     make([][]int, nc),
+		cant:     make([][]int, nc),
+	}
+	for ci, c := range ds.Comps {
+		comp := s.Components[c]
+		t.compMem[ci] = comp.Memory()
+		t.compCPU[ci] = comp.Params.Get(model.ParamCPU)
+		if set, ok := cs.Location[c]; ok {
+			row := make([]bool, nh)
+			for hi, h := range ds.Hosts {
+				row[hi] = set[h]
+			}
+			t.loc[ci] = row
+		}
+	}
+	for hi, h := range ds.Hosts {
+		host := s.Hosts[h]
+		t.hostMem[hi] = host.Memory()
+		t.hostCPU[hi] = host.Params.Get(model.ParamCPU)
+		t.down[hi] = host.Down
+	}
+	for _, p := range cs.MustCollocate {
+		a, b := ds.CompIndex(p.A), ds.CompIndex(p.B)
+		if a < 0 || b < 0 || a == b {
+			continue
+		}
+		t.must[a] = append(t.must[a], b)
+		t.must[b] = append(t.must[b], a)
+	}
+	for _, p := range cs.CannotCollocate {
+		a, b := ds.CompIndex(p.A), ds.CompIndex(p.B)
+		switch {
+		case a < 0 || b < 0:
+		case a == b:
+			t.loc[a] = make([]bool, nh)
+		default:
+			t.cant[a] = append(t.cant[a], b)
+			t.cant[b] = append(t.cant[b], a)
+		}
+	}
+	return t
+}
+
+// placer validates and records changes to one search walk's assignment
+// (component index → host index, -1 while unplaced). Every question
+// presumes the current assignment is valid: canPlace asks about an
+// unplaced component, canMove about a placed one going to another host,
+// canSwap about two placed components on different hosts.
+type placer interface {
+	// assignment is the live assignment; callers only read it.
+	assignment() []int
+	canPlace(ci, hi int) bool
+	place(ci, hi int)
+	unplace(ci int)
+	canMove(ci, hi int) bool
+	move(ci, hi int)
+	canSwap(c1, c2 int) bool
+	swap(c1, c2 int)
+}
+
+// incChecker is the placer over DenseConstraints. It mirrors
+// model.Constraints exactly — location, down host, memory, CPU, and
+// collocation counted only among placed partners — by looking at the
+// hosts and partners a change touches. Sums grow by addition on place
+// and are re-summed from the assignment on unplace, move and swap, so
+// no rounding error accumulates over a long walk.
+type incChecker struct {
+	*DenseConstraints
+	assign   []int
+	mem, cpu []float64 // per host, over the placed components
+}
+
+func (t *DenseConstraints) begin(assign []int) *incChecker {
+	c := &incChecker{
+		DenseConstraints: t,
+		assign:           assign,
+		mem:              make([]float64, len(t.hostMem)),
+		cpu:              make([]float64, len(t.hostMem)),
+	}
+	for ci, hi := range assign {
+		if hi >= 0 {
+			c.mem[hi] += t.compMem[ci]
+			c.cpu[hi] += t.compCPU[ci]
+		}
+	}
+	return c
+}
+
+func (c *incChecker) assignment() []int { return c.assign }
+
+// fits reports whether host hi admits component ci on top of the given
+// load of other components.
+func (c *incChecker) fits(ci, hi int, mem, cpu float64) bool {
+	if row := c.loc[ci]; row != nil && !row[hi] {
+		return false
+	}
+	if c.down[hi] {
+		return false
+	}
+	if c.checkMem && mem+c.compMem[ci] > c.hostMem[hi] {
+		return false
+	}
+	return !c.checkCPU || cpu+c.compCPU[ci] <= c.hostCPU[hi]
+}
+
+// partnersAllow reports whether ci on hi satisfies its collocation
+// pairs, reading each partner's host from the assignment except for
+// `other`, which is taken to be on otherHost (-1: no such partner).
+func (c *incChecker) partnersAllow(ci, hi, other, otherHost int) bool {
+	for _, p := range c.must[ci] {
+		ph := c.assign[p]
+		if p == other {
+			ph = otherHost
+		}
+		if ph >= 0 && ph != hi {
+			return false
+		}
+	}
+	for _, p := range c.cant[ci] {
+		ph := c.assign[p]
+		if p == other {
+			ph = otherHost
+		}
+		if ph == hi {
+			return false
+		}
+	}
+	return true
+}
+
+func (c *incChecker) canPlace(ci, hi int) bool {
+	return c.fits(ci, hi, c.mem[hi], c.cpu[hi]) && c.partnersAllow(ci, hi, -1, -1)
+}
+
+func (c *incChecker) canMove(ci, hi int) bool { return c.canPlace(ci, hi) }
+
+func (c *incChecker) canSwap(c1, c2 int) bool {
+	h1, h2 := c.assign[c1], c.assign[c2]
+	return c.fits(c1, h2, c.mem[h2]-c.compMem[c2], c.cpu[h2]-c.compCPU[c2]) &&
+		c.fits(c2, h1, c.mem[h1]-c.compMem[c1], c.cpu[h1]-c.compCPU[c1]) &&
+		c.partnersAllow(c1, h2, c2, h1) && c.partnersAllow(c2, h1, c1, h2)
+}
+
+func (c *incChecker) place(ci, hi int) {
+	c.assign[ci] = hi
+	c.mem[hi] += c.compMem[ci]
+	c.cpu[hi] += c.compCPU[ci]
+}
+
+func (c *incChecker) unplace(ci int) {
+	hi := c.assign[ci]
+	c.assign[ci] = -1
+	c.resum(hi)
+}
+
+func (c *incChecker) move(ci, hi int) {
+	from := c.assign[ci]
+	c.assign[ci] = hi
+	c.resum(from)
+	c.resum(hi)
+}
+
+func (c *incChecker) swap(c1, c2 int) {
+	h1, h2 := c.assign[c1], c.assign[c2]
+	c.assign[c1], c.assign[c2] = h2, h1
+	c.resum(h1)
+	c.resum(h2)
+}
+
+// resum recomputes host hi's sums from the assignment.
+func (c *incChecker) resum(hi int) {
+	mem, cpu := 0.0, 0.0
+	for ci, h := range c.assign {
+		if h == hi {
+			mem += c.compMem[ci]
+			cpu += c.compCPU[ci]
+		}
+	}
+	c.mem[hi], c.cpu[hi] = mem, cpu
+}
+
+// checkAdapter is the placer for a checker without the Incremental
+// hook: it tries each change on a Deployment and asks the checker.
+type checkAdapter struct {
+	s      *model.System
+	ds     *model.DenseSystem
+	check  ConstraintChecker
+	assign []int
+	d      model.Deployment
+}
+
+func (a *checkAdapter) assignment() []int { return a.assign }
+
+func (a *checkAdapter) canPlace(ci, hi int) bool {
+	c := a.ds.Comps[ci]
+	a.d[c] = a.ds.Hosts[hi]
+	err := a.check.CheckPartial(a.s, a.d)
+	delete(a.d, c)
+	return err == nil
+}
+
+func (a *checkAdapter) canMove(ci, hi int) bool {
+	c := a.ds.Comps[ci]
+	from := a.d[c]
+	a.d[c] = a.ds.Hosts[hi]
+	err := a.check.Check(a.s, a.d)
+	a.d[c] = from
+	return err == nil
+}
+
+func (a *checkAdapter) canSwap(c1, c2 int) bool {
+	a.swap(c1, c2)
+	err := a.check.Check(a.s, a.d)
+	a.swap(c1, c2)
+	return err == nil
+}
+
+func (a *checkAdapter) place(ci, hi int) {
+	a.assign[ci] = hi
+	a.d[a.ds.Comps[ci]] = a.ds.Hosts[hi]
+}
+
+func (a *checkAdapter) unplace(ci int) {
+	a.assign[ci] = -1
+	delete(a.d, a.ds.Comps[ci])
+}
+
+func (a *checkAdapter) move(ci, hi int) { a.place(ci, hi) }
+
+func (a *checkAdapter) swap(c1, c2 int) {
+	h1, h2 := a.assign[c1], a.assign[c2]
+	a.place(c1, h2)
+	a.place(c2, h1)
+}
+
+// searchSpace is one run's read-only view of where components may go:
+// the dense system, the checker's Allowed hosts per component, and the
+// dense constraint tables. Stochastic trials share one; every walk takes
+// its own placer from it.
+type searchSpace struct {
+	s     *model.System
+	ds    *model.DenseSystem
+	check ConstraintChecker
+	cons  *DenseConstraints
+	// incremental is set when cons came from the checker's Incremental
+	// hook. Otherwise cons only serves the searches' own reads (Avala's
+	// memory heuristics) and placers are checkAdapters.
+	incremental bool
+	// allowed[ci] lists the hosts check.Allowed admits for component ci,
+	// ascending; admits[ci*NH+hi] is the same as a membership table.
+	// Hosts unknown to the system are dropped.
+	allowed [][]int
+	admits  []bool
+}
+
+func newSearchSpace(s *model.System, check ConstraintChecker) *searchSpace {
+	v := &searchSpace{s: s, check: check}
+	if inc, ok := check.(Incremental); ok {
+		v.cons = inc.Incremental(s)
+	}
+	v.incremental = v.cons != nil
+	if !v.incremental {
+		v.cons = newDenseConstraints(s)
+	}
+	v.ds = v.cons.ds
+	nh := v.ds.NH
+	v.allowed = make([][]int, len(v.ds.Comps))
+	v.admits = make([]bool, len(v.ds.Comps)*nh)
+	for ci, c := range v.ds.Comps {
+		for _, h := range check.Allowed(s, c) {
+			if hi := v.ds.HostIndex(h); hi >= 0 {
+				v.allowed[ci] = append(v.allowed[ci], hi)
+				v.admits[ci*nh+hi] = true
+			}
+		}
+	}
+	return v
+}
+
+// allows reports whether the checker's Allowed set for ci contains hi.
+func (v *searchSpace) allows(ci, hi int) bool { return v.admits[ci*v.ds.NH+hi] }
+
+// upHosts returns the indices of the hosts not marked down, ascending
+// (s.UpHostIDs' order).
+func (v *searchSpace) upHosts() []int {
+	out := make([]int, 0, v.ds.NH)
+	for hi, down := range v.cons.down {
+		if !down {
+			out = append(out, hi)
+		}
+	}
+	return out
+}
+
+// begin returns a placer starting from deployment d (nil: nothing
+// placed), which must satisfy the checker.
+func (v *searchSpace) begin(d model.Deployment) placer {
+	assign := v.ds.Assign(d)
+	if v.incremental {
+		return v.cons.begin(assign)
+	}
+	return &checkAdapter{s: v.s, ds: v.ds, check: v.check, assign: assign, d: v.ds.Deployment(assign)}
+}

@@ -1,0 +1,229 @@
+package algo
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"dif/internal/model"
+	"dif/internal/obs"
+)
+
+// randomConstrainedSystem builds a small system that exercises every
+// constraint kind: integer memory and CPU (so sums land exactly on
+// capacities), location rows including an explicit false entry,
+// must/cannot-collocate pairs (a self pair among them now and then),
+// CheckCPU, and a down host.
+func randomConstrainedSystem(rng *rand.Rand) *model.System {
+	s := model.NewSystem()
+	s.Constraints = model.NewConstraints()
+	s.Constraints.CheckCPU = rng.Intn(2) == 0
+	nh, nc := 3+rng.Intn(4), 8+rng.Intn(12)
+	for i := 0; i < nh; i++ {
+		var p model.Params
+		p.Set(model.ParamMemory, float64(10+rng.Intn(20)))
+		p.Set(model.ParamCPU, float64(8+rng.Intn(16)))
+		s.AddHost(model.HostName(i), p)
+	}
+	for i := 0; i < nc; i++ {
+		var p model.Params
+		p.Set(model.ParamMemory, float64(1+rng.Intn(8)))
+		p.Set(model.ParamCPU, float64(1+rng.Intn(6)))
+		s.AddComponent(model.ComponentName(i), p)
+	}
+	hosts, comps := s.HostIDs(), s.ComponentIDs()
+	s.SetHostDown(hosts[rng.Intn(nh)], true)
+	for _, c := range comps {
+		if rng.Intn(3) == 0 {
+			s.Constraints.Restrict(c, hosts[rng.Intn(nh)], hosts[rng.Intn(nh)])
+			s.Constraints.Location[c][hosts[rng.Intn(nh)]] = false
+		}
+	}
+	pick := func() model.ComponentID { return comps[rng.Intn(nc)] }
+	for i := 0; i < 1+rng.Intn(3); i++ {
+		s.Constraints.RequireCollocation(pick(), pick())
+	}
+	for i := 0; i < 1+rng.Intn(4); i++ {
+		s.Constraints.ForbidCollocation(pick(), pick())
+	}
+	return s
+}
+
+// TestIncrementalCheckerMatchesConstraints drives the incremental
+// checker through random walks of places, unplaces, moves and swaps and
+// requires every answer to equal model.Constraints on the Deployment the
+// change would produce: CheckPartial while some component is unplaced,
+// Check once all are placed.
+func TestIncrementalCheckerMatchesConstraints(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	asked := map[string]int{}
+	for sys := 0; sys < 40; sys++ {
+		s := randomConstrainedSystem(rng)
+		ds := s.Dense()
+		inc := SystemConstraints{}.Incremental(s).begin(ds.Assign(nil))
+		d := model.NewDeployment(len(ds.Comps))
+		judge := func(trial model.Deployment) bool {
+			if len(trial) == len(ds.Comps) {
+				return s.Constraints.Check(s, trial) == nil
+			}
+			return s.Constraints.CheckPartial(s, trial) == nil
+		}
+		agree := func(op string, got bool, trial model.Deployment) {
+			t.Helper()
+			asked[op]++
+			if want := judge(trial); got != want {
+				t.Fatalf("system %d: %s on %v: incremental says %v, Constraints %v", sys, op, trial, got, want)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			ci, hi := rng.Intn(len(ds.Comps)), rng.Intn(ds.NH)
+			c, h := ds.Comps[ci], ds.Hosts[hi]
+			cur := inc.assign[ci]
+			switch {
+			case cur < 0:
+				trial := d.Clone()
+				trial[c] = h
+				ok := inc.canPlace(ci, hi)
+				agree("place", ok, trial)
+				if ok {
+					inc.place(ci, hi)
+					d[c] = h
+				}
+			case rng.Intn(6) == 0:
+				inc.unplace(ci)
+				delete(d, c)
+			case rng.Intn(2) == 0 && cur != hi:
+				trial := d.Clone()
+				trial[c] = h
+				ok := inc.canMove(ci, hi)
+				agree("move", ok, trial)
+				if ok {
+					inc.move(ci, hi)
+					d[c] = h
+				}
+			default:
+				cj := rng.Intn(len(ds.Comps))
+				other := inc.assign[cj]
+				if other < 0 || other == cur {
+					continue
+				}
+				trial := d.Clone()
+				trial[c], trial[ds.Comps[cj]] = ds.Hosts[other], ds.Hosts[cur]
+				ok := inc.canSwap(ci, cj)
+				agree("swap", ok, trial)
+				if ok {
+					inc.swap(ci, cj)
+					d[c], d[ds.Comps[cj]] = ds.Hosts[other], ds.Hosts[cur]
+				}
+			}
+			if !reflect.DeepEqual(ds.Deployment(inc.assign), d) {
+				t.Fatalf("system %d step %d: checker assignment drifted from the deployment", sys, step)
+			}
+		}
+	}
+	for _, op := range []string{"place", "move", "swap"} {
+		if asked[op] < 100 {
+			t.Errorf("only %d %s questions asked: %v", asked[op], op, asked)
+		}
+	}
+}
+
+// fullCheckOnly wraps the stock constraints in a type without the
+// Incremental hook, so every search takes the CheckPartial/Check
+// adapter.
+type fullCheckOnly struct{ inner SystemConstraints }
+
+func (f fullCheckOnly) Check(s *model.System, d model.Deployment) error {
+	return f.inner.Check(s, d)
+}
+func (f fullCheckOnly) CheckPartial(s *model.System, d model.Deployment) error {
+	return f.inner.CheckPartial(s, d)
+}
+func (f fullCheckOnly) Allowed(s *model.System, c model.ComponentID) []model.HostID {
+	return f.inner.Allowed(s, c)
+}
+
+// TestSearchesAgreeAcrossCheckerPaths runs every search under the
+// adapter (fullCheckOnly), the stock checker and DegradationAware with no
+// degraded host: the three see the same constraints, so results and
+// search statistics must be identical.
+func TestSearchesAgreeAcrossCheckerPaths(t *testing.T) {
+	if newSearchSpace(&model.System{}, fullCheckOnly{}).incremental {
+		t.Fatal("fullCheckOnly took the incremental path")
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		s, _ := genSystem(t, 4, 12, seed)
+		if seed > 0 {
+			cs := s.ComponentIDs()
+			s.Constraints.Pin(cs[0], s.HostIDs()[1])
+			s.Constraints.RequireCollocation(cs[1], cs[2])
+			s.Constraints.ForbidCollocation(cs[3], cs[4])
+		}
+		start, err := (&Stochastic{}).Run(context.Background(), s, nil, Config{Objective: availability(), Seed: 1, Trials: 50})
+		if err != nil {
+			t.Fatalf("seed %d: no valid start: %v", seed, err)
+		}
+		for _, alg := range []Algorithm{&Avala{}, &Stochastic{}, &Exact{}, &Genetic{}, &Swap{}} {
+			var base Result
+			for i, check := range []ConstraintChecker{fullCheckOnly{}, nil, DegradationAware{}} {
+				res, err := alg.Run(context.Background(), s, start.Deployment, Config{
+					Objective: availability(), Constraints: check, Seed: 3, Trials: 10,
+				})
+				if err != nil {
+					t.Fatalf("seed %d %s under %T: %v", seed, alg.Name(), check, err)
+				}
+				res.Elapsed = 0
+				if i == 0 {
+					base = res
+				} else if !reflect.DeepEqual(res, base) {
+					t.Errorf("seed %d %s: under %T got %+v, adapter got %+v", seed, alg.Name(), check, res, base)
+				}
+			}
+		}
+	}
+}
+
+// TestSwapDegradationAwareTakesIncrementalPath: the wrapper must reach
+// the incremental checker through its inner checker, and — with no
+// degraded host — accept exactly the moves the stock checker accepts.
+func TestSwapDegradationAwareTakesIncrementalPath(t *testing.T) {
+	s, d := genSystem(t, 10, 80, 4)
+	if !newSearchSpace(s, DegradationAware{Current: d}).incremental {
+		t.Fatal("DegradationAware did not delegate to the incremental checker")
+	}
+	runs := map[string]Result{}
+	counts := map[string]string{}
+	for name, check := range map[string]ConstraintChecker{"stock": nil, "aware": DegradationAware{Current: d}} {
+		reg := obs.NewRegistry()
+		res, err := (&Swap{}).Run(context.Background(), s, d, Config{Objective: availability(), Constraints: check, Trials: 3, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Elapsed = 0
+		runs[name] = res
+		counts[name] = fmt.Sprint(
+			reg.Counter(obs.Name("algo_candidates_accepted_total", "algo", "swap")).Value(),
+			reg.Counter(obs.Name("algo_candidates_rejected_total", "algo", "swap")).Value())
+	}
+	if !reflect.DeepEqual(runs["stock"], runs["aware"]) || counts["stock"] != counts["aware"] {
+		t.Fatalf("stock %+v (accepted, rejected %s) != aware %+v (%s)", runs["stock"], counts["stock"], runs["aware"], counts["aware"])
+	}
+}
+
+// TestPlannerCountersMatchResult: Avala and Stochastic feed the
+// algo_* counters, and every candidate counted in Result.Nodes is either
+// accepted or rejected.
+func TestPlannerCountersMatchResult(t *testing.T) {
+	s, d := genSystem(t, 6, 30, 2)
+	for _, alg := range []Algorithm{&Avala{}, &Stochastic{}} {
+		reg := obs.NewRegistry()
+		res := runAll(t, alg, s, d, Config{Objective: availability(), Seed: 1, Trials: 8, Obs: reg})
+		val := func(base string) float64 { return reg.Counter(obs.Name(base, "algo", alg.Name())).Value() }
+		acc, rej := val("algo_candidates_accepted_total"), val("algo_candidates_rejected_total")
+		if val("algo_iterations_total") == 0 || acc == 0 || int(acc+rej) != res.Nodes {
+			t.Errorf("%s: iterations %v, accepted %v + rejected %v, want sum %d", alg.Name(), val("algo_iterations_total"), acc, rej, res.Nodes)
+		}
+	}
+}

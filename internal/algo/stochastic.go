@@ -53,9 +53,12 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 		trials = defaultStochasticTrials
 	}
 	check := cfg.checker()
-
-	hosts := s.UpHostIDs()
-	comps := s.ComponentIDs()
+	met := cfg.metrics(a.Name())
+	// The allowed sets and constraint tables are built once and shared,
+	// read-only, by every trial.
+	v := newSearchSpace(s, check)
+	hosts := v.upHosts()
+	nc := len(v.ds.Comps)
 
 	var (
 		mu        sync.Mutex
@@ -65,15 +68,11 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 	)
 	err := parallelFor(ctx, cfg.workerCount(), trials, func(trial int) {
 		rng := deriveRNG(cfg.Seed, trial)
-		hostOrder := make([]model.HostID, len(hosts))
+		hostOrder := make([]int, len(hosts))
 		for i, p := range rng.Perm(len(hosts)) {
 			hostOrder[i] = hosts[p]
 		}
-		compOrder := make([]model.ComponentID, len(comps))
-		for i, p := range rng.Perm(len(comps)) {
-			compOrder[i] = comps[p]
-		}
-		d, ok := fillInOrder(s, check, hostOrder, compOrder)
+		d, ok := fillInOrder(v, hostOrder, rng.Perm(nc))
 		if ok {
 			ok = check.Check(s, d) == nil
 		}
@@ -84,10 +83,13 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 		mu.Lock()
 		defer mu.Unlock()
 		res.Nodes++
+		met.iterations.Inc()
 		if !ok {
+			met.rejected.Inc()
 			return
 		}
 		res.Evaluations++
+		met.accepted.Inc()
 		// Keep the strictly best score; among equal scores the lowest
 		// trial index wins, matching a serial sweep exactly.
 		if bestD == nil || objective.Better(cfg.Objective, score, best) ||
@@ -111,58 +113,33 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 }
 
 // fillInOrder walks hosts in order, packing components in order onto the
-// current host while the partial constraints hold. A component that does
-// not fit the current host is retried on later hosts (and a component
-// rejected by every host fails the trial).
-func fillInOrder(s *model.System, check ConstraintChecker, hosts []model.HostID, comps []model.ComponentID) (model.Deployment, bool) {
-	d := model.NewDeployment(len(comps))
-	used := make(map[model.HostID]float64, len(hosts))
-	remaining := append([]model.ComponentID(nil), comps...)
-	allowed := allowedSets(s, check, comps)
-
-	for _, h := range hosts {
-		capacity := s.Hosts[h].Memory()
+// current host while the constraints hold. A component that does not fit
+// the current host is retried on later hosts, and a component rejected
+// by every host fails the fill (nil, false). Hosts and components are
+// dense indices of v's system.
+func fillInOrder(v *searchSpace, hosts, comps []int) (model.Deployment, bool) {
+	p := v.begin(nil)
+	remaining := append([]int(nil), comps...)
+	for _, hi := range hosts {
 		next := remaining[:0]
-		for _, c := range remaining {
+		for _, ci := range remaining {
 			// The checker's Allowed set is a first-class variation point:
 			// honor it even where CheckPartial alone would admit the
 			// placement (wrappers like DegradationAware are stricter in
 			// Allowed than in Check).
-			if !allowed[c][h] {
-				next = append(next, c)
+			if v.allows(ci, hi) && p.canPlace(ci, hi) {
+				p.place(ci, hi)
 				continue
 			}
-			need := s.Components[c].Memory()
-			if s.Constraints.CheckMemory && used[h]+need > capacity {
-				next = append(next, c)
-				continue
-			}
-			d[c] = h
-			if err := check.CheckPartial(s, d); err != nil {
-				delete(d, c)
-				next = append(next, c)
-				continue
-			}
-			used[h] += need
+			next = append(next, ci)
 		}
 		remaining = next
 		if len(remaining) == 0 {
 			break
 		}
 	}
-	return d, len(remaining) == 0
-}
-
-// allowedSets materializes each component's allowed hosts as a
-// membership set for O(1) candidate filtering.
-func allowedSets(s *model.System, check ConstraintChecker, comps []model.ComponentID) map[model.ComponentID]map[model.HostID]bool {
-	out := make(map[model.ComponentID]map[model.HostID]bool, len(comps))
-	for _, c := range comps {
-		m := make(map[model.HostID]bool)
-		for _, h := range check.Allowed(s, c) {
-			m[h] = true
-		}
-		out[c] = m
+	if len(remaining) > 0 {
+		return nil, false
 	}
-	return out
+	return v.ds.Deployment(p.assignment()), true
 }

@@ -16,9 +16,9 @@ import (
 //
 // Candidates are scored through the objective's incremental delta
 // evaluator (objective.BeginDelta), so trying a move costs O(deg) in the
-// component's interactions rather than a full re-quantification, and —
-// under the stock SystemConstraints — validated through an O(partners)
-// incremental checker rather than a full Check.
+// component's interactions rather than a full re-quantification, and are
+// validated by the run's placer: an O(partners) incremental checker for
+// any checker with the Incremental hook, a full Check otherwise.
 //
 // Unlike the constructive algorithms, Swap requires a valid initial
 // deployment; it is typically chained after Stochastic or Avala.
@@ -44,7 +44,6 @@ func (a *Swap) Run(ctx context.Context, s *model.System, initial model.Deploymen
 		res.Elapsed = time.Since(start)
 		return res, ErrNoValidDeployment
 	}
-	res.InitialScore = cfg.Objective.Quantify(s, initial)
 
 	passes := cfg.Trials
 	if passes <= 0 {
@@ -52,47 +51,22 @@ func (a *Swap) Run(ctx context.Context, s *model.System, initial model.Deploymen
 	}
 	met := cfg.metrics(a.Name())
 	evals := met.eval(cfg.Objective)
-	d := initial.Clone()
-	st := objective.BeginDelta(cfg.Objective, s, d)
+	st := objective.BeginDelta(cfg.Objective, s, initial)
 	best := st.Score()
-	comps := s.ComponentIDs()
-	hosts := s.UpHostIDs()
+	res.InitialScore = best
 	// Candidate moves are gated by the checker's Allowed sets too:
 	// wrappers like DegradationAware constrain Allowed more tightly than
 	// Check, and local search must not escape through the Check path.
-	allowed := allowedSets(s, check, comps)
-
-	// The incremental constraint checker is exact only for the stock
-	// constraint semantics; a custom checker gets the full Check per
-	// candidate.
-	var mc *moveChecker
-	if _, stock := check.(SystemConstraints); stock {
-		mc = newMoveChecker(s, d)
-	}
-	feasibleMove := func(c model.ComponentID, from, to model.HostID) bool {
-		if mc != nil {
-			return mc.canMove(d, c, to)
-		}
-		d[c] = to
-		err := check.Check(s, d)
-		d[c] = from
-		return err == nil
-	}
-	feasibleSwap := func(c1 model.ComponentID, h1 model.HostID, c2 model.ComponentID, h2 model.HostID) bool {
-		if mc != nil {
-			return mc.canSwap(d, c1, h1, c2, h2)
-		}
-		d[c1], d[c2] = h2, h1
-		err := check.Check(s, d)
-		d[c1], d[c2] = h1, h2
-		return err == nil
-	}
+	v := newSearchSpace(s, check)
+	p := v.begin(initial)
+	assign := p.assignment()
+	comps, hosts := v.ds.Comps, v.upHosts()
 
 	for pass := 0; pass < passes; pass++ {
 		met.iterations.Inc()
 		select {
 		case <-ctx.Done():
-			res.Deployment = d
+			res.Deployment = v.ds.Deployment(assign)
 			res.Score = best
 			res.Elapsed = time.Since(start)
 			return res, ctx.Err()
@@ -101,27 +75,24 @@ func (a *Swap) Run(ctx context.Context, s *model.System, initial model.Deploymen
 		improved := false
 
 		// Best single-component relocation.
-		for _, c := range comps {
-			from := d[c]
-			for _, h := range hosts {
-				if h == from || !allowed[c][h] {
+		for ci := range comps {
+			from := assign[ci]
+			for _, hi := range hosts {
+				if hi == from || !v.allows(ci, hi) {
 					continue
 				}
 				res.Nodes++
-				if !feasibleMove(c, from, h) {
+				if !p.canMove(ci, hi) {
 					continue
 				}
 				res.Evaluations++
 				evals.Inc()
-				score := st.Move(c, h)
+				score := st.Move(comps[ci], v.ds.Hosts[hi])
 				if objective.Better(cfg.Objective, score, best) {
 					st.Commit()
-					d[c] = h
-					if mc != nil {
-						mc.applyMove(d, from, h)
-					}
+					p.move(ci, hi)
 					best = score
-					from = h
+					from = hi
 					improved = true
 					met.accepted.Inc()
 				} else {
@@ -132,26 +103,22 @@ func (a *Swap) Run(ctx context.Context, s *model.System, initial model.Deploymen
 		}
 
 		// Best pairwise exchange (covers moves blocked by tight memory).
-		for i := 0; i < len(comps); i++ {
+		for i := range comps {
 			for j := i + 1; j < len(comps); j++ {
-				ci, cj := comps[i], comps[j]
-				hi, hj := d[ci], d[cj]
-				if hi == hj || !allowed[ci][hj] || !allowed[cj][hi] {
+				hi, hj := assign[i], assign[j]
+				if hi == hj || !v.allows(i, hj) || !v.allows(j, hi) {
 					continue
 				}
 				res.Nodes++
-				if !feasibleSwap(ci, hi, cj, hj) {
+				if !p.canSwap(i, j) {
 					continue
 				}
 				res.Evaluations++
 				evals.Inc()
-				score := st.SwapPair(ci, cj)
+				score := st.SwapPair(comps[i], comps[j])
 				if objective.Better(cfg.Objective, score, best) {
 					st.Commit()
-					d[ci], d[cj] = hj, hi
-					if mc != nil {
-						mc.applySwap(d, hi, hj)
-					}
+					p.swap(i, j)
 					best = score
 					improved = true
 					met.accepted.Inc()
@@ -165,7 +132,7 @@ func (a *Swap) Run(ctx context.Context, s *model.System, initial model.Deploymen
 			break
 		}
 	}
-	res.Deployment = d
+	res.Deployment = v.ds.Deployment(assign)
 	res.Score = best
 	res.Elapsed = time.Since(start)
 	return res, nil

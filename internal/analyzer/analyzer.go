@@ -133,8 +133,9 @@ func (a *Analyzer) Policy() Policy { return a.policy }
 // SetClock overrides the analyzer's time source (tests).
 func (a *Analyzer) SetClock(now func() time.Time) { a.now = now }
 
-// Instrument routes the algorithms' iteration/evaluation counters to reg
-// (nil disables instrumentation). Call before Start/Analyze.
+// Instrument routes the algorithms' iteration/evaluation counters and
+// the analyzer_plan_ms{algo=...} search-duration histogram to reg (nil
+// disables instrumentation). Call before Start/Analyze.
 func (a *Analyzer) Instrument(reg *obs.Registry) { a.obs = reg }
 
 // SelectAlgorithm applies the §5.1 policy: Exact for very small systems
@@ -176,14 +177,13 @@ func (a *Analyzer) Analyze(ctx context.Context, s *model.System, current model.D
 	dec := Decision{Algorithm: name, Stability: stability, When: a.now()}
 	var res algo.Result
 	obs.Profile(ctx, "plan", func(ctx context.Context) {
-		res, err = alg.Run(ctx, s, current, cfg)
+		res, err = a.run(ctx, alg, s, current, cfg)
 	})
 	if err != nil {
 		return dec, fmt.Errorf("analyzer: %s: %w", name, err)
 	}
 	dec.Result = res
-	dec.LatencyBefore = objective.Latency{}.Quantify(s, current)
-	dec.LatencyAfter = objective.Latency{}.Quantify(s, res.Deployment)
+	dec.LatencyBefore, dec.LatencyAfter = latencies(s, current, res.Deployment)
 	dec.Accepted, dec.Reason = a.accept(s, current, res, dec.LatencyBefore, dec.LatencyAfter)
 
 	a.mu.Lock()
@@ -227,14 +227,13 @@ func (a *Analyzer) Recover(ctx context.Context, s *model.System, current model.D
 	dec := Decision{Algorithm: name + "+recovery", Stability: 1.0, When: a.now()}
 	var res algo.Result
 	obs.Profile(ctx, "replan", func(ctx context.Context) {
-		res, err = alg.Run(ctx, s, current, cfg)
+		res, err = a.run(ctx, alg, s, current, cfg)
 	})
 	if err != nil {
 		return dec, fmt.Errorf("analyzer: recovery %s: %w", name, err)
 	}
 	dec.Result = res
-	dec.LatencyBefore = objective.Latency{}.Quantify(s, current)
-	dec.LatencyAfter = objective.Latency{}.Quantify(s, res.Deployment)
+	dec.LatencyBefore, dec.LatencyAfter = latencies(s, current, res.Deployment)
 	dec.Accepted, dec.Reason = true, "recovery: accepted unconditionally"
 
 	a.mu.Lock()
@@ -248,6 +247,24 @@ func (a *Analyzer) Recover(ctx context.Context, s *model.System, current model.D
 	})
 	a.mu.Unlock()
 	return dec, nil
+}
+
+// run runs one search and records its duration in the
+// analyzer_plan_ms{algo=...} histogram.
+func (a *Analyzer) run(ctx context.Context, alg algo.Algorithm, s *model.System, current model.Deployment, cfg algo.Config) (algo.Result, error) {
+	t0 := time.Now()
+	res, err := alg.Run(ctx, s, current, cfg)
+	if a.obs != nil {
+		a.obs.Histogram(obs.Name("analyzer_plan_ms", "algo", alg.Name()), nil).Observe(float64(time.Since(t0)) / 1e6)
+	}
+	return res, err
+}
+
+// latencies scores the latency guard's before and after deployments on
+// the dense model, which sums in a fixed order: the guard gives the same
+// verdict every time it sees the same pair.
+func latencies(s *model.System, before, after model.Deployment) (float64, float64) {
+	return objective.QuantifyFast(objective.Latency{}, s, before), objective.QuantifyFast(objective.Latency{}, s, after)
 }
 
 // accept applies the improvement hysteresis and the latency guard. The

@@ -8,6 +8,7 @@ import (
 	"dif/internal/algo"
 	"dif/internal/model"
 	"dif/internal/objective"
+	"dif/internal/obs"
 )
 
 func genSystem(t testing.TB, hosts, comps int, seed int64) (*model.System, model.Deployment) {
@@ -90,6 +91,36 @@ func TestAnalyzeRejectsTinyGain(t *testing.T) {
 	}
 	if dec2.Accepted {
 		t.Fatalf("zero-gain redeployment accepted: %+v", dec2)
+	}
+}
+
+// TestAnalyzeRecordsPlanDuration: every search the analyzer runs lands in
+// analyzer_plan_ms{algo=...}, and the latency guard's figures are the
+// same on every call for the same deployments.
+func TestAnalyzeRecordsPlanDuration(t *testing.T) {
+	s, d := genSystem(t, 8, 40, 5)
+	reg := obs.NewRegistry()
+	a := New(nil, Policy{})
+	a.Instrument(reg)
+	var first Decision
+	for i, stability := range []float64{1.0, 0.0, 1.0} {
+		dec, err := a.Analyze(context.Background(), s, d, stability)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = dec
+		} else if dec.LatencyBefore != first.LatencyBefore {
+			t.Fatalf("LatencyBefore %v, first round %v", dec.LatencyBefore, first.LatencyBefore)
+		}
+	}
+	if _, err := a.Recover(context.Background(), s, d); err != nil {
+		t.Fatal(err)
+	}
+	for algo, want := range map[string]uint64{"avala": 3, "stochastic": 1} {
+		if got := reg.Histogram(obs.Name("analyzer_plan_ms", "algo", algo), nil).Count(); got != want {
+			t.Errorf("analyzer_plan_ms{algo=%q} has %d samples, want %d", algo, got, want)
+		}
 	}
 }
 

@@ -1,5 +1,10 @@
 package model
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Dense precomputed views of a System's scoring inputs. The search
 // algorithms evaluate objectives millions of times per run; going through
 // the System's hash maps (Link, Reliability, Interacts) on every
@@ -171,9 +176,14 @@ func buildDense(s *System) *DenseSystem {
 		ds.Delay[i*nh+j], ds.Delay[j*nh+i] = delay, delay
 	}
 
-	ds.Adj = make([][]DenseArc, len(ds.Comps))
-	for _, key := range s.InteractionKeys() {
-		link := s.Interacts[key]
+	// Edges are ordered by (A, B) index. Indices follow the sorted
+	// ComponentIDs order, so this is InteractionKeys' order without
+	// comparing strings: bucket the edges by A, then sort each bucket by B.
+	nc := len(ds.Comps)
+	raw := make([]DenseEdge, 0, len(s.Interacts))
+	bucket := make([]int, nc+1) // bucket[a] is where a's edges start
+	degree := make([]int, nc)
+	for key, link := range s.Interacts {
 		f := link.Frequency()
 		if f <= 0 {
 			continue // objectives skip non-positive frequencies
@@ -183,11 +193,36 @@ func buildDense(s *System) *DenseSystem {
 		if !aok || !bok {
 			continue
 		}
-		size := link.EventSize()
-		ds.Edges = append(ds.Edges, DenseEdge{A: a, B: b, Freq: f, Size: size})
-		ds.Adj[a] = append(ds.Adj[a], DenseArc{Other: b, Freq: f, Size: size})
-		ds.Adj[b] = append(ds.Adj[b], DenseArc{Other: a, Freq: f, Size: size})
-		ds.TotalFreq += f
+		raw = append(raw, DenseEdge{A: a, B: b, Freq: f, Size: link.EventSize()})
+		bucket[a+1]++
+		degree[a]++
+		degree[b]++
+	}
+	for a := 0; a < nc; a++ {
+		bucket[a+1] += bucket[a]
+	}
+	ds.Edges = make([]DenseEdge, len(raw))
+	next := slices.Clone(bucket[:nc])
+	for _, e := range raw {
+		ds.Edges[next[e.A]] = e
+		next[e.A]++
+	}
+	for a := 0; a < nc; a++ {
+		slices.SortFunc(ds.Edges[bucket[a]:bucket[a+1]], func(x, y DenseEdge) int { return cmp.Compare(x.B, y.B) })
+	}
+
+	// Every component's arcs are a window of one backing array.
+	arcs := make([]DenseArc, 2*len(ds.Edges))
+	ds.Adj = make([][]DenseArc, nc)
+	off := 0
+	for c, n := range degree {
+		ds.Adj[c] = arcs[off : off : off+n]
+		off += n
+	}
+	for _, e := range ds.Edges {
+		ds.Adj[e.A] = append(ds.Adj[e.A], DenseArc{Other: e.B, Freq: e.Freq, Size: e.Size})
+		ds.Adj[e.B] = append(ds.Adj[e.B], DenseArc{Other: e.A, Freq: e.Freq, Size: e.Size})
+		ds.TotalFreq += e.Freq
 	}
 	return ds
 }

@@ -34,10 +34,25 @@ func TestDenseMatricesMatchSystem(t *testing.T) {
 			}
 		}
 	}
+	// Edges come in InteractionKeys order: the scoring sums and Avala's
+	// affinities add in this order, so it must not depend on how the
+	// view was built.
+	var keys []ComponentPair
+	for _, k := range s.InteractionKeys() {
+		if s.Interacts[k].Frequency() > 0 {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) != len(ds.Edges) {
+		t.Fatalf("%d dense edges, %d positive interactions", len(ds.Edges), len(keys))
+	}
 	total := 0.0
-	for _, e := range ds.Edges {
+	for i, e := range ds.Edges {
 		if e.Freq <= 0 {
 			t.Fatalf("dense edge with freq %v", e.Freq)
+		}
+		if ds.Comps[e.A] != keys[i].A || ds.Comps[e.B] != keys[i].B {
+			t.Fatalf("edge %d is %s-%s, InteractionKeys has %v", i, ds.Comps[e.A], ds.Comps[e.B], keys[i])
 		}
 		total += e.Freq
 	}
