@@ -194,7 +194,7 @@ func TestChurnDrill(t *testing.T) {
 
 // TestWorldCloseDuringWave is the shutdown-ordering regression test:
 // closing the world while a wave is stuck mid-flight must not deadlock on
-// doneCh waiters.
+// the wave.
 func TestWorldCloseDuringWave(t *testing.T) {
 	w, dep := newTestWorld(t, 3, 8, 5, WorldConfig{})
 	slaves := w.SlaveHosts()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dif/internal/model"
+	"dif/internal/obs"
 	"dif/internal/prism"
 )
 
@@ -18,7 +19,8 @@ import (
 // the component active exactly once at its destination, and hand out the
 // next epoch number for fresh waves.
 func TestDeployerRestartResumesDecidedWave(t *testing.T) {
-	w, dep0 := newTestWorld(t, 3, 6, 17, WorldConfig{Fault: &prism.FaultConfig{}})
+	tracer := obs.NewTracer()
+	w, dep0 := newTestWorld(t, 3, 6, 17, WorldConfig{Fault: &prism.FaultConfig{}, Trace: tracer})
 	dir := t.TempDir()
 
 	ds, err := prism.OpenDeployerStore(dir)
@@ -102,6 +104,16 @@ func TestDeployerRestartResumesDecidedWave(t *testing.T) {
 	}
 	if rw := resumed[0]; rw.Epoch != 1 || !rw.Resumed || !rw.Committed {
 		t.Fatalf("resume outcome = %+v, want epoch 1 resumed commit", rw)
+	}
+	// The trace says what was re-announced: a resumed commit.
+	var span obs.SpanRecord
+	for _, sp := range tracer.Snapshot() {
+		if sp.Name == "wave_resume" {
+			span = sp
+		}
+	}
+	if span.Attr("epoch") != "1" || span.Attr("decision") != "commit" || span.Attr("resumed") != "true" {
+		t.Fatalf("wave_resume span = %+v, want epoch 1 decision=commit resumed=true", span)
 	}
 
 	// The resumed commit must finish the move: active exactly once, at the

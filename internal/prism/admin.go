@@ -1,8 +1,10 @@
 package prism
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -243,22 +245,23 @@ type AdminComponent struct {
 	cfg  AdminConfig
 
 	mu sync.Mutex
-	// epochSeen dedups reconfig commands; shipped caches serialized
-	// components per epoch so duplicate fetches can be re-answered. All
-	// keys are coordinator-scoped ("coord/epoch[/comp]"): every deployer
-	// numbers its waves independently.
+	// epochSeen dedups reconfig commands. All keys are
+	// coordinator-scoped ("coord/epoch[/comp]"): every deployer numbers
+	// its waves independently.
 	epochSeen map[string]bool
-	shipped   map[string]TransferPayload
 	arrived   map[string]bool
 	expect    map[string]*reconfigProgress
 	// prepared holds detached-but-uncommitted source-side components
 	// ("coord/epoch/comp"): phase one of the two-phase migration retains
 	// the live instance until the wave's outcome arrives, so an abort can
-	// reattach it instead of stranding it.
+	// reattach it instead of stranding it, and caches the serialized
+	// payload, so a duplicate fetch is answered again.
 	prepared map[string]*preparedComp
-	// aborted marks rolled-back waves ("coord/epoch") so late reconfig,
-	// fetch, or transfer messages for them are ignored.
-	aborted map[string]bool
+	// settled marks waves ("coord/epoch") whose outcome this host applied,
+	// commit or abort, so late reconfig, fetch, or transfer messages for
+	// them are ignored: a duplicate fetch of a committed wave must not
+	// detach a component that came back here in a later wave.
+	settled map[string]bool
 
 	freqMon *EvtFrequencyMonitor
 	relMon  *NetworkReliabilityMonitor
@@ -306,13 +309,12 @@ type AdminComponent struct {
 }
 
 type reconfigProgress struct {
-	want        int
 	received    int
 	done        bool
 	coordinator model.HostID
-	// arrivals (component → source host) is kept for outcome handling:
-	// commit releases the arrivals' held traffic, abort evicts them and
-	// bounces buffered traffic back to the source.
+	// arrivals (component → source host) must all be received before
+	// done is reported; commit then releases their held traffic, abort
+	// evicts them and bounces buffered traffic back to the source.
 	arrivals map[string]model.HostID
 	outcome  waveOutcomeState
 }
@@ -332,6 +334,7 @@ type preparedComp struct {
 	comp      Migratable
 	welds     []string
 	requester model.HostID
+	shipped   TransferPayload
 }
 
 // NewAdminComponent builds an admin for the architecture. The admin must
@@ -349,11 +352,10 @@ func NewAdminComponent(arch *Architecture, cfg AdminConfig) *AdminComponent {
 		cfg:           cfg,
 		sender:        newControlSender(arch, cfg, AdminID),
 		epochSeen:     make(map[string]bool),
-		shipped:       make(map[string]TransferPayload),
 		arrived:       make(map[string]bool),
 		expect:        make(map[string]*reconfigProgress),
 		prepared:      make(map[string]*preparedComp),
-		aborted:       make(map[string]bool),
+		settled:       make(map[string]bool),
 		grantLog:      make(map[uint64]model.HostID),
 		stop:          make(chan struct{}),
 	}
@@ -542,7 +544,8 @@ func (a *AdminComponent) Handle(e Event) {
 	switch e.Name {
 	case EvReportRequest:
 		req, _ := e.Payload.(ReportRequest)
-		_ = a.sender.send(deployerHostOf(e, a.cfg), Event{
+		// A configured deployer wins; the requester is the fallback.
+		_ = a.sender.send(cmp.Or(a.cfg.Deployer, e.SrcHost), Event{
 			Name: EvReport, Target: DeployerID, Payload: a.answerReport(req.Round, e.SrcHost), SizeKB: 2,
 		})
 	case EvReconfig:
@@ -606,16 +609,6 @@ func (a *AdminComponent) answerReport(round uint64, from model.HostID) Monitorin
 	a.reportRound, a.reportFrom, a.lastReport = round, from, rep
 	a.mu.Unlock()
 	return rep
-}
-
-// deployerHostOf lets a report request override the configured deployer
-// (the requester might be a stand-in during tests); defaults to the
-// admin's configured deployer or the event's source host.
-func deployerHostOf(e Event, cfg AdminConfig) model.HostID {
-	if cfg.Deployer != "" {
-		return cfg.Deployer
-	}
-	return e.SrcHost
 }
 
 // handleLeaseRequest is this agent's vote in a leadership election.
@@ -716,10 +709,7 @@ func (a *AdminComponent) fenceCheck(term uint64, origin model.HostID) bool {
 
 // handleReconfig starts acquiring this host's arrivals.
 func (a *AdminComponent) handleReconfig(cmd ReconfigCommand) {
-	coord := cmd.Coordinator
-	if coord == "" {
-		coord = a.cfg.Deployer
-	}
+	coord := cmp.Or(cmd.Coordinator, a.cfg.Deployer)
 	if !a.fenceCheck(cmd.Term, coord) {
 		return
 	}
@@ -756,7 +746,7 @@ func (a *AdminComponent) handleReconfig(cmd ReconfigCommand) {
 	for comp, src := range cmd.Arrivals {
 		arrivals[comp] = src
 	}
-	a.expect[ck] = &reconfigProgress{want: len(cmd.Arrivals), coordinator: coord, arrivals: arrivals}
+	a.expect[ck] = &reconfigProgress{coordinator: coord, arrivals: arrivals}
 	a.mu.Unlock()
 
 	if len(cmd.Arrivals) == 0 {
@@ -820,7 +810,7 @@ func (a *AdminComponent) sendFetches(cmd ReconfigCommand, skip map[string]bool) 
 		}
 		req := FetchRequest{
 			Epoch:       cmd.Epoch,
-			Coordinator: coordinatorOf(cmd, a.cfg),
+			Coordinator: cmp.Or(cmd.Coordinator, a.cfg.Deployer),
 			Comp:        comp,
 			Requester:   a.arch.Host(),
 			Source:      src,
@@ -841,15 +831,6 @@ func epochKey(coordinator model.HostID, epoch int) string {
 	return fmt.Sprintf("%s/%d", coordinator, epoch)
 }
 
-// coordinatorOf resolves a command's coordinator, defaulting to the
-// configured (master) deployer.
-func coordinatorOf(cmd ReconfigCommand, cfg AdminConfig) model.HostID {
-	if cmd.Coordinator != "" {
-		return cmd.Coordinator
-	}
-	return cfg.Deployer
-}
-
 // handleFetch serializes and ships the requested component, but only
 // *prepares* the departure (phase one of the two-phase migration): the
 // detached instance and its buffered traffic are retained until the
@@ -859,14 +840,14 @@ func (a *AdminComponent) handleFetch(req FetchRequest) {
 	ck := epochKey(req.Coordinator, req.Epoch)
 	key := ck + "/" + req.Comp
 	a.mu.Lock()
-	if a.aborted[ck] {
+	if a.settled[ck] {
 		a.mu.Unlock()
-		return // wave already rolled back: never re-detach
+		return // wave already settled: never re-detach
 	}
-	if tp, ok := a.shipped[key]; ok {
+	if p, ok := a.prepared[key]; ok {
 		// Duplicate request (retry): re-ship the cached payload.
 		a.mu.Unlock()
-		a.ship(tp, req)
+		a.ship(p.shipped, req)
 		return
 	}
 	a.mu.Unlock()
@@ -934,9 +915,8 @@ func (a *AdminComponent) handleFetch(req FetchRequest) {
 		tp.Dedup = dc.SnapshotDedup(req.Comp)
 	}
 	a.mu.Lock()
-	a.shipped[key] = tp
 	a.prepared[key] = &preparedComp{
-		id: req.Comp, comp: mig, welds: welds, requester: req.Requester,
+		id: req.Comp, comp: mig, welds: welds, requester: req.Requester, shipped: tp,
 	}
 	a.mu.Unlock()
 	a.ship(tp, req)
@@ -947,10 +927,7 @@ func (a *AdminComponent) handleFetch(req FetchRequest) {
 func (a *AdminComponent) ship(tp TransferPayload, req FetchRequest) {
 	dst, target := req.Requester, AdminID
 	if !a.sender.isPeer(dst) && dst != a.arch.Host() {
-		dst, target = req.Coordinator, DeployerID
-		if dst == "" {
-			dst = a.cfg.Deployer
-		}
+		dst, target = cmp.Or(req.Coordinator, a.cfg.Deployer), DeployerID
 	}
 	// Delivery failures are tolerated here: the deployer's re-dispatch
 	// makes the requester fetch again.
@@ -1019,9 +996,9 @@ func (a *AdminComponent) handleTransfer(tp TransferPayload) {
 	ck := epochKey(tp.Coordinator, tp.Epoch)
 	key := ck + "/" + tp.Comp
 	a.mu.Lock()
-	if a.aborted[ck] {
+	if a.settled[ck] {
 		a.mu.Unlock()
-		return // wave already rolled back: refuse late arrivals
+		return // wave already settled: refuse late arrivals
 	}
 	if a.arrived[key] {
 		a.mu.Unlock()
@@ -1082,22 +1059,14 @@ func (a *AdminComponent) handleTransfer(tp TransferPayload) {
 // maybeDone reports completion to the coordinating deployer once every
 // expected arrival is in.
 func (a *AdminComponent) maybeDone(coordinator model.HostID, epoch int) {
-	if coordinator == "" {
-		coordinator = a.cfg.Deployer
-	}
 	a.mu.Lock()
-	prog := a.expect[epochKey(coordinator, epoch)]
-	if prog == nil || prog.done || prog.received < prog.want {
+	prog := a.expect[epochKey(cmp.Or(coordinator, a.cfg.Deployer), epoch)]
+	if prog == nil || prog.done || prog.received < len(prog.arrivals) {
 		a.mu.Unlock()
 		return
 	}
 	prog.done = true
-	received := prog.received
-	relayed := a.relayed
-	coord := prog.coordinator
-	if coord == "" {
-		coord = a.cfg.Deployer
-	}
+	received, relayed, coord := prog.received, a.relayed, cmp.Or(prog.coordinator, a.cfg.Deployer)
 	a.mu.Unlock()
 	a.sendDone(coord, epoch, received, relayed)
 }
@@ -1120,17 +1089,11 @@ func (a *AdminComponent) sendDone(coord model.HostID, epoch, received, relayed i
 // frames — and the ack is always sent, since a lost ack means the
 // coordinator will ask again.
 func (a *AdminComponent) handleOutcome(out WaveOutcome) {
-	coord := out.Coordinator
-	if coord == "" {
-		coord = a.cfg.Deployer
-	}
 	// The epoch key always derives from the ORIGINAL coordinator (that is
 	// the name the wave was prepared under); acks and bounce authority go
 	// to the live leader when a failover resumed the wave.
-	authority := out.ReplyTo
-	if authority == "" {
-		authority = coord
-	}
+	coord := cmp.Or(out.Coordinator, a.cfg.Deployer)
+	authority := cmp.Or(out.ReplyTo, coord)
 	if !a.fenceCheck(out.Term, authority) {
 		return // stale leader's outcome: drop, no ack
 	}
@@ -1155,20 +1118,9 @@ func (a *AdminComponent) handleOutcome(out WaveOutcome) {
 // detachment to each component's new host; destinations release the
 // arrivals' held traffic.
 func (a *AdminComponent) commitWave(ck string, coordinator model.HostID) {
-	prefix := ck + "/"
 	a.mu.Lock()
-	var preps []*preparedComp
-	for key, p := range a.prepared {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			preps = append(preps, p)
-			delete(a.prepared, key)
-		}
-	}
-	for key := range a.shipped {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			delete(a.shipped, key)
-		}
-	}
+	a.settled[ck] = true
+	preps := a.takePreparedLocked(ck)
 	prog := a.expect[ck]
 	var arrivals map[string]model.HostID
 	if prog != nil && prog.outcome == outcomePending {
@@ -1203,6 +1155,19 @@ func (a *AdminComponent) commitWave(ck string, coordinator model.HostID) {
 	}
 }
 
+// takePreparedLocked removes and returns the wave's prepared departures.
+// Caller holds a.mu.
+func (a *AdminComponent) takePreparedLocked(ck string) []*preparedComp {
+	var preps []*preparedComp
+	for key, p := range a.prepared {
+		if strings.HasPrefix(key, ck+"/") {
+			preps = append(preps, p)
+			delete(a.prepared, key)
+		}
+	}
+	return preps
+}
+
 // abortWave rolls a wave back locally: sources reattach their prepared
 // components and release the buffered traffic to them; destinations evict
 // uncommitted arrivals (and their imported dedup state) and bounce
@@ -1210,25 +1175,14 @@ func (a *AdminComponent) commitWave(ck string, coordinator model.HostID) {
 func (a *AdminComponent) abortWave(ck string, coordinator model.HostID) {
 	prefix := ck + "/"
 	a.mu.Lock()
-	if a.aborted[ck] {
+	if a.settled[ck] {
 		a.mu.Unlock()
-		return // already rolled back; the caller still re-acks
+		return // already settled; the caller still re-acks
 	}
-	a.aborted[ck] = true
+	a.settled[ck] = true
 	// A late reconfig for an aborted wave must not restart it.
 	a.epochSeen[ck] = true
-	var preps []*preparedComp
-	for key, p := range a.prepared {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			preps = append(preps, p)
-			delete(a.prepared, key)
-		}
-	}
-	for key := range a.shipped {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			delete(a.shipped, key)
-		}
-	}
+	preps := a.takePreparedLocked(ck)
 	prog := a.expect[ck]
 	var arrivals map[string]model.HostID
 	arrived := make(map[string]bool)

@@ -468,3 +468,26 @@ func TestAdminCloseRacesReconfig(t *testing.T) {
 		admin.Close() // idempotent after the race
 	}
 }
+
+// TestStaleFetchAfterCommitLeavesComponent: c1 moves s1→s2 and back in
+// two committed waves, then a duplicate fetch of the first wave — delayed
+// in the network all that time — reaches s1. The first wave is settled at
+// s1, so the fetch is stale: s1 must keep the live c1 instead of
+// detaching it under a wave that will never send an outcome again.
+func TestStaleFetchAfterCommitLeavesComponent(t *testing.T) {
+	dw := newDeployWorld(t, 1.0, "m", "s1", "s2")
+	dw.addCounter(t, "s1", "c1", 7)
+	for _, hop := range [][2]model.HostID{{"s1", "s2"}, {"s2", "s1"}} {
+		res, err := dw.deployer.Enact(
+			map[string]model.HostID{"c1": hop[1]}, map[string]model.HostID{"c1": hop[0]}, 5*time.Second)
+		if err != nil || !res.Committed {
+			t.Fatalf("wave %v: res %+v err %v", hop, res, err)
+		}
+	}
+	dw.admins["s1"].Handle(Event{Name: EvFetch, Kind: KindControl, Target: AdminID, Payload: FetchRequest{
+		Epoch: 1, Coordinator: "m", Comp: "c1", Requester: "s2", Source: "s1",
+	}})
+	if dw.archs["s1"].Component("c1") == nil {
+		t.Fatal("a stale fetch of a settled wave detached the live c1 at s1")
+	}
+}

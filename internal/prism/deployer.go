@@ -2,7 +2,7 @@ package prism
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,8 +35,9 @@ type DeployerComponent struct {
 	// so a restarted deployer does not repeat its previous lifetime's
 	// rounds (an admin answers a repeated round from its cache).
 	reportRound uint64
-	// epochs tracks outstanding redeployment waves.
-	epochs    map[int]*epochState
+	// shells are the wave shells running; each drives its waves (wave.go)
+	// to the end.
+	shells    map[*waveShell]bool
 	nextEpoch int
 	// detector, when attached, feeds heartbeats into liveness tracking
 	// and lets a participant's death abort in-flight waves.
@@ -64,52 +65,10 @@ type DeployerComponent struct {
 	// the registry wired by SetObservability.
 	health *HealthScorer
 
-	// stop aborts in-flight waves on Close so shutdown never deadlocks on
-	// doneCh waiters.
+	// stop aborts in-flight waves on Close so shutdown never waits on a
+	// wave.
 	stop     chan struct{}
 	stopOnce sync.Once
-}
-
-type epochState struct {
-	pendingHosts map[model.HostID]bool
-	doneCh       chan struct{}
-	relayed      int
-	received     int
-	// coordinator is the wave's original coordinator identity; empty
-	// means this deployer (the normal case). A promoted standby resuming
-	// an inherited wave keeps the dead leader's identity here so
-	// participant admins find their (coordinator, epoch)-keyed state.
-	coordinator model.HostID
-	// participants are every host the wave touches (sources and
-	// destinations) — the audience of the commit/abort broadcast.
-	participants map[model.HostID]bool
-	// ackPending tracks outstanding outcome acknowledgements during phase
-	// two; ackCh is signalled as they arrive.
-	ackPending map[model.HostID]bool
-	ackCh      chan struct{}
-	// abortCh is closed when a participant dies mid-wave: the death is an
-	// abort vote, not something to retry forever. deadAborted guards the
-	// close and names the casualty.
-	abortCh     chan struct{}
-	deadAborted bool
-	deadHost    model.HostID
-	// gens are the participants' goal generations published with a
-	// committed outcome (set between the decision checkpoint and the
-	// outcome broadcast).
-	gens map[model.HostID]uint64
-	// mediated holds, per migrating component, the last fetch or
-	// transfer this coordinator forwarded between two hosts that are not
-	// directly connected. The re-dispatch tick re-forwards it while the
-	// destination is pending, so each leg of a mediated move is re-driven
-	// on its own instead of only by a fresh end-to-end round.
-	mediated map[string]mediatedFrame
-}
-
-// mediatedFrame is one forwarded fetch or transfer and where it went.
-type mediatedFrame struct {
-	to       model.HostID
-	ev       Event
-	transfer bool
 }
 
 // NewDeployerComponent builds a deployer for the master architecture.
@@ -123,7 +82,7 @@ func NewDeployerComponent(arch *Architecture, cfg AdminConfig) *DeployerComponen
 		sender:        newControlSender(arch, cfg, DeployerID),
 		reports:       make(map[model.HostID]MonitoringReport),
 		reportWait:    make(chan struct{}, 1),
-		epochs:        make(map[int]*epochState),
+		shells:        make(map[*waveShell]bool),
 		nextEpoch:     1,
 		goal:          newGoalTable(),
 		reportRound:   uint64(cfg.Clock().UnixNano()),
@@ -133,8 +92,8 @@ func NewDeployerComponent(arch *Architecture, cfg AdminConfig) *DeployerComponen
 }
 
 // Close aborts every in-flight wave and report collection. A wave that
-// was mid-flight returns as rolled back; shutdown never blocks on doneCh
-// waiters (the World.Close ordering fix).
+// was mid-flight returns as rolled back; shutdown never blocks on a wave
+// (the World.Close ordering fix).
 func (d *DeployerComponent) Close() {
 	d.stopOnce.Do(func() { close(d.stop) })
 }
@@ -221,39 +180,25 @@ func (d *DeployerComponent) DegradedHosts() []model.HostID {
 	return fd.DegradedHosts()
 }
 
-// hostDead reports whether the attached detector currently declares the
-// host dead.
-func (d *DeployerComponent) hostDead(h model.HostID) bool {
+// NoteHostDead feeds a participant's death to every wave in flight: in
+// phase one it is an abort vote, in phase two its acknowledgement is
+// waived so the outcome never waits on a corpse.
+func (d *DeployerComponent) NoteHostDead(h model.HostID) {
+	d.feedWave(waveInput{kind: inDead, host: h})
+}
+
+// deadAmong lists the hosts the attached detector currently holds dead.
+func (d *DeployerComponent) deadAmong(hosts []model.HostID) []model.HostID {
 	d.mu.Lock()
 	fd := d.detector
 	d.mu.Unlock()
-	return fd != nil && fd.State(h) == HostDead
-}
-
-// NoteHostDead records a participant's death: every in-flight wave the
-// host touches is aborted (its death is an abort vote), and its pending
-// outcome acknowledgements are waived so phase two never spins on a
-// corpse.
-func (d *DeployerComponent) NoteHostDead(h model.HostID) {
-	d.mu.Lock()
-	for _, st := range d.epochs {
-		if !st.participants[h] {
-			continue
-		}
-		if !st.deadAborted && st.abortCh != nil {
-			st.deadAborted = true
-			st.deadHost = h
-			close(st.abortCh)
-		}
-		if st.ackPending != nil && st.ackPending[h] {
-			delete(st.ackPending, h)
-			select {
-			case st.ackCh <- struct{}{}:
-			default:
-			}
+	var dead []model.HostID
+	for _, h := range hosts {
+		if fd != nil && fd.State(h) == HostDead {
+			dead = append(dead, h)
 		}
 	}
-	d.mu.Unlock()
+	return dead
 }
 
 // InstallDeployer creates a deployer, adds it to the architecture, and
@@ -288,39 +233,23 @@ func (d *DeployerComponent) Handle(e Event) {
 		default:
 		}
 	case EvFetch:
-		// Mediated fetch: forward to the component's source host.
-		req, ok := e.Payload.(FetchRequest)
-		if !ok || !req.Mediated || req.Source == "" {
-			return
+		// Mediated fetch: the wave forwards it to the component's source.
+		if req, ok := e.Payload.(FetchRequest); ok && req.Mediated && req.Source != "" {
+			d.feedWave(waveInput{kind: inMediated, epoch: req.Epoch, comp: req.Comp, leg: waveOutput{to: req.Source,
+				ev: Event{Name: EvFetch, Target: AdminID, Payload: req, SizeKB: 0.5}}})
 		}
-		fwd := Event{Name: EvFetch, Target: AdminID, Payload: req, SizeKB: 0.5}
-		d.noteMediated(req.Coordinator, req.Epoch, req.Comp, mediatedFrame{to: req.Source, ev: fwd})
-		_ = d.sender.send(req.Source, fwd)
 	case EvTransfer:
-		// Mediated transfer: forward toward its final destination (the
-		// local admin, which owns reconstitution, when that is this host).
-		tp, ok := e.Payload.(TransferPayload)
-		if !ok || tp.FinalDst == "" {
-			return
+		// Mediated transfer: the wave forwards it toward its final
+		// destination (the local admin, which owns reconstitution, when
+		// that is this host).
+		if tp, ok := e.Payload.(TransferPayload); ok && tp.FinalDst != "" {
+			d.feedWave(waveInput{kind: inMediated, epoch: tp.Epoch, comp: tp.Comp, leg: waveOutput{to: tp.FinalDst,
+				ev: Event{Name: EvTransfer, Target: AdminID, Payload: tp, SizeKB: tp.SizeKB}}})
 		}
-		fwd := Event{Name: EvTransfer, Target: AdminID, Payload: tp, SizeKB: tp.SizeKB}
-		d.noteMediated(tp.Coordinator, tp.Epoch, tp.Comp, mediatedFrame{to: tp.FinalDst, ev: fwd, transfer: true})
-		_ = d.sender.send(tp.FinalDst, fwd)
 	case EvDone:
-		rep, ok := e.Payload.(DoneReport)
-		if !ok {
-			return
+		if rep, ok := e.Payload.(DoneReport); ok {
+			d.feedWave(waveInput{kind: inDone, epoch: rep.Epoch, host: rep.Host, done: rep})
 		}
-		d.mu.Lock()
-		if st, exists := d.epochs[rep.Epoch]; exists && st.pendingHosts[rep.Host] {
-			delete(st.pendingHosts, rep.Host)
-			st.received += rep.Received
-			st.relayed += rep.Relayed
-			if len(st.pendingHosts) == 0 {
-				close(st.doneCh)
-			}
-		}
-		d.mu.Unlock()
 	case EvHeartbeat:
 		hb, ok := e.Payload.(Heartbeat)
 		if !ok {
@@ -337,19 +266,9 @@ func (d *DeployerComponent) Handle(e Event) {
 		// alive/dead detector is blind to.
 		d.healthScorer().RecordHeartbeat(hb.Host, d.cfg.Clock())
 	case EvOutcomeAck:
-		ack, ok := e.Payload.(OutcomeAck)
-		if !ok {
-			return
+		if ack, ok := e.Payload.(OutcomeAck); ok {
+			d.feedWave(waveInput{kind: inAck, epoch: ack.Epoch, host: ack.Host})
 		}
-		d.mu.Lock()
-		if st, exists := d.epochs[ack.Epoch]; exists && st.ackPending != nil && st.ackPending[ack.Host] {
-			delete(st.ackPending, ack.Host)
-			select {
-			case st.ackCh <- struct{}{}:
-			default:
-			}
-		}
-		d.mu.Unlock()
 	case EvGoalAnnounce:
 		ga, ok := e.Payload.(GoalAnnounce)
 		if !ok {
@@ -389,25 +308,6 @@ func (d *DeployerComponent) Handle(e Event) {
 	}
 }
 
-// noteMediated records a forwarded fetch or transfer of one of this
-// deployer's live waves for re-forwarding (see epochState.mediated). A
-// transfer supersedes the fetch that asked for it, never the reverse.
-func (d *DeployerComponent) noteMediated(coord model.HostID, epoch int, comp string, f mediatedFrame) {
-	if coord != d.arch.Host() {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.epochs[epoch]
-	if st == nil || st.coordinator != "" || st.mediated[comp].transfer {
-		return
-	}
-	if st.mediated == nil {
-		st.mediated = make(map[string]mediatedFrame)
-	}
-	st.mediated[comp] = f
-}
-
 // RequestReports asks every listed host's admin for a monitoring report
 // and waits until all have arrived or the timeout expires, re-requesting
 // the missing ones every EnactResendInterval. It returns the reports
@@ -439,8 +339,9 @@ func (d *DeployerComponent) RequestReports(hosts []model.HostID, timeout time.Du
 		case <-d.reportWait:
 		case <-resend.C:
 			got = d.snapshotReports()
+			dead := d.deadAmong(hosts)
 			for _, h := range hosts {
-				if _, ok := got[h]; ok || d.hostDead(h) {
+				if _, ok := got[h]; ok || slices.Contains(dead, h) {
 					continue
 				}
 				// A re-request means the request or its report was lost:
@@ -512,13 +413,13 @@ type EnactResult struct {
 // component to its destination host; current describes where every
 // component lives now.
 //
-// The wave runs as a two-phase migration. Phase one: each destination is
-// told its arrivals (EvReconfig, re-dispatched to unresponsive hosts
-// every EnactResendInterval), fetches them, and reports done; sources
-// only *prepare* departures. Phase two: once
-// every destination reported done — or the deadline expired — the
-// outcome (commit or abort) is broadcast to every participating host and
-// re-sent until acknowledged, so a failed transfer never strands a
+// The wave runs as a two-phase migration (wave.go). Phase one: each
+// destination is told its arrivals (EvReconfig, re-dispatched to
+// unresponsive hosts every EnactResendInterval), fetches them, and
+// reports done; sources only *prepare* departures. Phase two: once every
+// destination reported done — or the deadline expired — the outcome
+// (commit or abort) is made durable, then broadcast to every participant
+// and re-sent until acknowledged, so a failed transfer never strands a
 // component: aborted sources reattach their prepared instances and
 // aborted destinations evict uncommitted arrivals.
 func (d *DeployerComponent) Enact(moves map[string]model.HostID, current map[string]model.HostID, timeout time.Duration) (EnactResult, error) {
@@ -532,418 +433,208 @@ func (d *DeployerComponent) Enact(moves map[string]model.HostID, current map[str
 	d.mu.Lock()
 	epoch := d.nextEpoch
 	d.nextEpoch++
-	d.mu.Unlock()
-	res := EnactResult{Epoch: epoch}
-
-	// Group arrivals per destination host.
-	arrivals := make(map[model.HostID]map[string]model.HostID)
+	// A wave is a fenced goal-generation bump: each destination learns the
+	// generation it reaches if the wave commits.
+	nextGen := make(map[model.HostID]uint64)
 	for comp, dst := range moves {
-		src, ok := current[comp]
-		if !ok {
-			return res, fmt.Errorf("enact: unknown current host for component %s", comp)
+		if src, ok := current[comp]; ok && src != dst {
+			nextGen[dst] = d.goal.entry(dst).Gen + 1
 		}
-		if src == dst {
-			continue
-		}
-		if arrivals[dst] == nil {
-			arrivals[dst] = make(map[string]model.HostID)
-		}
-		arrivals[dst][comp] = src
-		res.Moved++
-	}
-	if res.Moved == 0 {
-		res.Committed = true
-		return res, nil
-	}
-
-	// Wave duration reads the injected clock (AdminConfig.Clock), not
-	// time.Now directly: under traced drills this was the one
-	// nondeterministic metric in otherwise byte-identical runs.
-	waveStart := d.cfg.Clock()
-	wave := d.arch.Tracer().Start("wave")
-	wave.SetAttr("epoch", epoch).SetAttr("moves", res.Moved)
-	prep := wave.Child("prepare")
-
-	st := &epochState{
-		pendingHosts: make(map[model.HostID]bool, len(arrivals)),
-		doneCh:       make(chan struct{}),
-		participants: make(map[model.HostID]bool),
-		abortCh:      make(chan struct{}),
-	}
-	cmds := make(map[model.HostID]Event, len(arrivals))
-	dsts := make([]model.HostID, 0, len(arrivals))
-	for dst, arr := range arrivals {
-		st.pendingHosts[dst] = true
-		st.participants[dst] = true
-		for _, src := range arr {
-			st.participants[src] = true
-		}
-		cmds[dst] = Event{
-			Name: EvReconfig, Target: AdminID, SizeKB: 1,
-			Payload: ReconfigCommand{
-				Epoch: epoch, Arrivals: arr, Coordinator: d.arch.Host(), Term: term,
-				Gen: d.pendingGen(dst),
-			},
-		}
-		dsts = append(dsts, dst)
-	}
-	sortHostIDs(dsts)
-	d.mu.Lock()
-	d.epochs[epoch] = st
-	parts := make([]model.HostID, 0, len(st.participants))
-	for p := range st.participants {
-		parts = append(parts, p)
 	}
 	d.mu.Unlock()
-	// Epoch-open checkpoint: the wave's identity is durable before the
-	// first command goes out, so a crash from here on restarts into an
-	// epoch the recovery path knows how to abort or resume.
-	if err := d.ckptOpened(epoch, moves, parts); err != nil {
-		prep.SetAttr("outcome", "checkpoint_failed")
-		prep.End()
-		wave.SetAttr("outcome", "abort")
-		wave.End()
-		d.mu.Lock()
-		delete(d.epochs, epoch)
-		d.mu.Unlock()
-		d.waveMetrics(false, res.Moved, waveStart)
-		res.Degraded = true
-		return res, fmt.Errorf("enact epoch %d: open checkpoint failed (wave not started): %w", epoch, err)
+	c, err := enactWave(epoch, d.arch.Host(), term, moves, current, nextGen, timeout, d.cfg.OutcomeAckTimeout)
+	if err != nil || c.res.Moved == 0 {
+		return EnactResult{Epoch: epoch, Committed: err == nil}, err
 	}
-	// A wave that already includes a known-dead participant aborts up
-	// front instead of retrying into a corpse until the deadline.
-	for _, p := range parts {
-		if d.hostDead(p) {
-			d.NoteHostDead(p)
+	d.newWaveShell(c).run()
+	return c.res, c.err
+}
+
+// waveShell is the I/O half of the two-phase wave, the one loop Enact
+// and Resume drive their waves with. It owns the deadline timer and the
+// re-drive ticker, feeds each wave its inputs — the frames Handle routes
+// to it, deaths, ticks, lost leadership, shutdown — and performs the
+// outputs in order: sends, appends (each result goes straight back to
+// the wave), spans, and a finished wave's bookkeeping.
+type waveShell struct {
+	d     *DeployerComponent
+	waves []*shellWave
+	inbox []waveInput // routed by other goroutines, under d.mu
+	wake  chan struct{}
+}
+
+type shellWave struct {
+	*waveCore
+	spans []*obs.Span // open, outermost first
+	// start is read from the injected clock (AdminConfig.Clock), so wave
+	// durations are byte-identical across same-seed traced drills.
+	start time.Time
+}
+
+// newWaveShell registers a shell for the waves, so Handle and
+// NoteHostDead reach them.
+func (d *DeployerComponent) newWaveShell(cores ...*waveCore) *waveShell {
+	sh := &waveShell{d: d, wake: make(chan struct{}, 1)}
+	for _, c := range cores {
+		sh.waves = append(sh.waves, &shellWave{waveCore: c, start: d.cfg.Clock()})
+	}
+	d.mu.Lock()
+	d.shells[sh] = true
+	d.mu.Unlock()
+	return sh
+}
+
+// feedWave hands an input to every running shell; each routes it to the
+// wave it names, and a frame naming no wave in flight is a straggler.
+func (d *DeployerComponent) feedWave(in waveInput) {
+	d.mu.Lock()
+	shells := make([]*waveShell, 0, len(d.shells))
+	for sh := range d.shells {
+		sh.inbox = append(sh.inbox, in)
+		shells = append(shells, sh)
+	}
+	d.mu.Unlock()
+	for _, sh := range shells {
+		select {
+		case sh.wake <- struct{}{}:
+		default:
 		}
 	}
+}
 
-	for _, dst := range dsts {
-		// A failed dispatch leaves the host pending; the resend loop below
-		// keeps trying within the deadline.
-		_ = d.sender.send(dst, cmds[dst])
+// run drives the shell's waves until every one has finished.
+func (sh *waveShell) run() {
+	d := sh.d
+	defer func() {
+		d.mu.Lock()
+		delete(d.shells, sh)
+		d.mu.Unlock()
+	}()
+	for _, w := range sh.waves {
+		sh.feed(w, waveInput{kind: inStart, dead: d.deadAmong(w.parts)})
 	}
-
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	completed := false
-	closed := false
-	fenced := false
 	resend := time.NewTicker(d.cfg.EnactResendInterval)
-	defer resend.Stop()
-wait:
+	defer func() { resend.Stop() }()
+	stop := d.stop
+	var phase time.Time
 	for {
+		// Every unfinished wave is waiting out a deadline.
+		var due time.Time
+		for _, w := range sh.waves {
+			if !w.finished() && (due.IsZero() || w.deadline.Before(due)) {
+				due = w.deadline
+			}
+		}
+		if due.IsZero() {
+			return
+		}
+		if !due.Equal(phase) {
+			// A phase began: its first re-drive is a full interval away.
+			resend.Stop()
+			resend, phase = time.NewTicker(d.cfg.EnactResendInterval), due
+		}
+		deadline := time.NewTimer(time.Until(due))
 		select {
-		case <-st.doneCh:
-			completed = true
-			break wait
-		case <-st.abortCh:
-			break wait
-		case <-d.stop:
-			closed = true
-			break wait
-		case <-deadline.C:
-			break wait
+		case <-stop:
+			stop = nil
+			sh.route(waveInput{kind: inClosed})
+		case <-sh.wake:
+			d.mu.Lock()
+			inbox := sh.inbox
+			sh.inbox = nil
+			d.mu.Unlock()
+			for _, in := range inbox {
+				sh.route(in)
+			}
 		case <-resend.C:
 			if d.deposed() {
-				// The quorum moved past our term mid-wave: every agent
-				// fences our frames, so no done report will ever come.
-				// Abort the wave now instead of waiting out the deadline.
-				fenced = true
-				break wait
+				// The quorum moved past our term: every agent fences us.
+				sh.route(waveInput{kind: inDeposed, term: d.term()})
+			} else {
+				sh.route(waveInput{kind: inTick})
 			}
-			// Re-issue the command to every host still pending: the
-			// receiving admin dedups by epoch and re-reports done if
-			// its earlier report was lost.
-			d.mu.Lock()
-			pend := make([]model.HostID, 0, len(st.pendingHosts))
-			for h := range st.pendingHosts {
-				pend = append(pend, h)
-			}
-			d.mu.Unlock()
-			sortHostIDs(pend)
-			for _, h := range pend {
-				// A dead destination never reports done (NoteHostDead is
-				// already aborting the wave).
-				if d.hostDead(h) {
-					continue
-				}
-				// Re-dispatch means the earlier command or its done
-				// report was lost — retry pressure is health evidence.
-				d.healthScorer().RecordRetry(h)
-				_ = d.sender.send(h, cmds[h])
-				for _, f := range d.mediatedFor(st, arrivals[h]) {
-					_ = d.sender.send(f.to, f.ev)
-				}
-			}
+		case <-deadline.C:
+			// The earliest wave expires; any other takes it as a re-drive.
+			sh.route(waveInput{kind: inTick})
 		}
+		deadline.Stop()
 	}
+}
 
-	d.mu.Lock()
-	deadBy := st.deadHost
-	wasDeadAbort := st.deadAborted
-	d.mu.Unlock()
-	switch {
-	case completed:
-		prep.SetAttr("outcome", "done")
-	case closed:
-		prep.SetAttr("outcome", "closed")
-	case wasDeadAbort:
-		prep.SetAttr("outcome", "dead_abort").SetAttr("dead", deadBy)
-	case fenced:
-		prep.SetAttr("outcome", "fenced")
-	default:
-		prep.SetAttr("outcome", "timeout")
-	}
-	prep.End()
-	decision := "rollback"
-	if completed {
-		decision = "commit"
-	}
-	// Decision checkpoint (durable rule): the outcome is persisted before
-	// any participant hears it, so a restarted deployer can only ever
-	// re-announce the same decision. A checkpoint failure IS a crash at
-	// this transition — no outcome goes out, the error defers the epoch
-	// to the restart path, which aborts it (still undecided in the log).
-	if !closed {
-		if err := d.ckptDecision(epoch, completed); err != nil {
-			outSp := wave.Child("outcome").SetAttr("decision", "deferred")
-			outSp.End()
-			wave.SetAttr("outcome", "crash")
-			wave.End()
-			d.mu.Lock()
-			for h := range st.pendingHosts {
-				res.Incomplete = append(res.Incomplete, h)
-			}
-			res.Relayed = st.relayed
-			res.Received = st.received
-			delete(d.epochs, epoch)
-			d.mu.Unlock()
-			sortHostIDs(res.Incomplete)
-			res.Degraded = true
-			d.waveMetrics(false, res.Moved, waveStart)
-			return res, fmt.Errorf("enact epoch %d: decision checkpoint failed (%v); outcome deferred to restart", epoch, err)
+// route feeds an input to the unfinished waves it names.
+func (sh *waveShell) route(in waveInput) {
+	for _, w := range sh.waves {
+		if !w.finished() && (in.epoch == 0 || in.epoch == w.epoch) {
+			sh.feed(w, in)
 		}
 	}
-	if completed && !closed {
-		// A committed wave IS a goal-state transition: fold the moves into
-		// the goal table (bumping the touched generations, checkpointed and
-		// replicated when a store is attached) so the outcome broadcast can
-		// publish the new generations. Idempotent — a crash between the
-		// decision record and the goal records is healed by Resume
-		// re-applying the same moves.
-		gens := d.applyWaveToGoal(moves)
-		d.mu.Lock()
-		st.gens = gens
-		d.mu.Unlock()
-	}
-	outSp := wave.Child("outcome").SetAttr("decision", decision)
-	if closed {
-		// Shutting down: best-effort single-shot rollback so reachable
-		// participants clean up, but never wait on acks. Unpersisted by
-		// design — the epoch stays undecided in the log, and the restart
-		// path can only abort an undecided epoch, never contradict this.
-		d.broadcastOutcomeOnce(epoch, st, false)
-	} else {
-		d.broadcastOutcome(epoch, st, completed)
-		d.mu.Lock()
-		drained := len(st.ackPending) == 0
-		d.mu.Unlock()
-		if drained {
-			// Fully-acked checkpoint: nothing left for a restart to do.
-			d.ckptClosed(epoch)
-		}
-	}
-	outSp.End()
+}
 
-	d.mu.Lock()
-	for h := range st.pendingHosts {
-		res.Incomplete = append(res.Incomplete, h)
+// feed steps one wave and performs its outputs; an append's result is the
+// wave's next input.
+func (sh *waveShell) feed(w *shellWave, in waveInput) {
+	d := sh.d
+	for more := true; more; {
+		in.now, more = time.Now(), false
+		for _, o := range w.step(in) {
+			switch o.kind {
+			case outSend:
+				if o.retry {
+					// A re-drive means a frame or its answer was lost: retry
+					// pressure is health evidence.
+					d.healthScorer().RecordRetry(o.to)
+				}
+				_ = d.sender.send(o.to, o.ev)
+			case outAppend:
+				in, more = d.checkpoint(w.waveCore, o), true
+			case outBegin:
+				var sp *obs.Span
+				if n := len(w.spans); n > 0 {
+					sp = w.spans[n-1].Child(o.phase)
+				} else {
+					sp = d.arch.Tracer().Start(o.phase)
+				}
+				w.spans = append(w.spans, setAttrs(sp, o.attrs))
+			case outEnd:
+				setAttrs(w.spans[len(w.spans)-1], o.attrs).End()
+				w.spans = w.spans[:len(w.spans)-1]
+			case outFinish:
+				d.settleWave(w)
+			}
+		}
 	}
-	res.Relayed = st.relayed
-	res.Received = st.received
-	deadAborted, deadHost := st.deadAborted, st.deadHost
-	delete(d.epochs, epoch)
-	d.mu.Unlock()
-	sortHostIDs(res.Incomplete)
-	res.Committed = completed
-	res.Degraded = res.Received != res.Moved || len(res.Incomplete) > 0
-	if completed {
-		wave.SetAttr("outcome", "commit")
-	} else {
-		wave.SetAttr("outcome", "abort")
+}
+
+// settleWave does a finished wave's bookkeeping: the metrics (Enact),
+// the committed relocations, and the soft-state snapshot behind every
+// decided Enact wave (Resume takes one for all its waves).
+func (d *DeployerComponent) settleWave(w *shellWave) {
+	if !w.resume {
+		reg, host := d.arch.Obs(), string(d.arch.Host())
+		outcome := map[bool]string{true: "committed", false: "aborted"}[w.res.Committed]
+		reg.Counter(obs.Name("prism_wave_"+outcome+"_total", "host", host)).Inc()
+		reg.Counter(obs.Name("prism_wave_moves_total", "host", host)).Add(float64(w.res.Moved))
+		reg.Histogram(obs.Name("prism_wave_duration_ms", "host", host), nil).
+			Observe(float64(d.cfg.Clock().Sub(w.start).Milliseconds()))
 	}
-	wave.End()
-	d.waveMetrics(completed, res.Moved, waveStart)
-	if completed {
+	if w.committed() {
 		// The coordinator is the authoritative relocation authority:
 		// hop-exhausted relays detour here and are bounced back to their
 		// origin with each component's committed location.
 		if dc := d.arch.DistributionConnector(d.cfg.Bus); dc != nil {
-			for comp, dst := range moves {
+			for comp, dst := range w.moves {
 				dc.RecordRelocation(comp, dst)
 			}
 		}
 	}
-	if !closed {
-		// Soft-state snapshot (relocation table, dedup windows,
-		// incarnations) rides behind every wave, best-effort.
+	if !w.resume && w.decided {
 		d.ckptSnapshot()
 	}
-	if !completed {
-		switch {
-		case closed:
-			return res, fmt.Errorf("enact epoch %d: deployer closed mid-wave (wave rolled back)", epoch)
-		case deadAborted:
-			return res, fmt.Errorf("enact epoch %d: participant %s died mid-wave (wave rolled back)",
-				epoch, deadHost)
-		case fenced:
-			return res, fmt.Errorf("enact epoch %d: leadership lost at term %d (wave fenced and rolled back)",
-				epoch, term)
-		default:
-			return res, fmt.Errorf("enact epoch %d: %d hosts incomplete after %v (wave rolled back)",
-				epoch, len(res.Incomplete), timeout)
-		}
-	}
-	return res, nil
 }
 
-// mediatedFor returns the recorded mediated frames for one destination's
-// arrivals, in component order.
-func (d *DeployerComponent) mediatedFor(st *epochState, arrivals map[string]model.HostID) []mediatedFrame {
-	comps := make([]string, 0, len(arrivals))
-	for comp := range arrivals {
-		comps = append(comps, comp)
+func setAttrs(sp *obs.Span, kv []string) *obs.Span {
+	for i := 0; i+1 < len(kv); i += 2 {
+		sp.SetAttr(kv[i], kv[i+1])
 	}
-	sort.Strings(comps)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []mediatedFrame
-	for _, comp := range comps {
-		if f, ok := st.mediated[comp]; ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// waveMetrics records a finished wave's outcome, moved-component count,
-// and wall-clock duration in the architecture's registry.
-func (d *DeployerComponent) waveMetrics(committed bool, moved int, start time.Time) {
-	reg := d.arch.Obs()
-	host := string(d.arch.Host())
-	outcome := "aborted"
-	if committed {
-		outcome = "committed"
-	}
-	reg.Counter(obs.Name("prism_wave_"+outcome+"_total", "host", host)).Inc()
-	reg.Counter(obs.Name("prism_wave_moves_total", "host", host)).Add(float64(moved))
-	reg.Histogram(obs.Name("prism_wave_duration_ms", "host", host), nil).
-		Observe(float64(d.cfg.Clock().Sub(start).Milliseconds()))
-}
-
-// broadcastOutcome drives phase two: it tells every participant to commit
-// or roll back and re-sends the outcome until each host acknowledges or
-// the ack budget expires. It returns the number of participants that
-// acknowledged.
-func (d *DeployerComponent) broadcastOutcome(epoch int, st *epochState, commit bool) int {
-	e, parts := d.broadcastOutcomeOnce(epoch, st, commit)
-	budget := time.NewTimer(d.cfg.OutcomeAckTimeout)
-	defer budget.Stop()
-	resend := time.NewTicker(d.cfg.EnactResendInterval)
-	defer resend.Stop()
-	for {
-		d.mu.Lock()
-		remaining := make([]model.HostID, 0, len(st.ackPending))
-		for h := range st.ackPending {
-			remaining = append(remaining, h)
-		}
-		d.mu.Unlock()
-		if len(remaining) == 0 {
-			return len(parts)
-		}
-		sortHostIDs(remaining)
-		select {
-		case <-st.ackCh:
-		case <-resend.C:
-			if d.deposed() {
-				// Fenced: every remaining participant rejects our term, and
-				// the new leader re-announces the same durable outcome.
-				return len(parts) - len(remaining)
-			}
-			for _, h := range remaining {
-				if d.hostDead(h) {
-					d.mu.Lock()
-					delete(st.ackPending, h)
-					d.mu.Unlock()
-					continue
-				}
-				// An unacknowledged outcome re-broadcast is retry
-				// pressure toward a still-pending host.
-				d.healthScorer().RecordRetry(h)
-				_ = d.sender.send(h, e)
-			}
-		case <-d.stop:
-			return len(parts) - len(remaining)
-		case <-budget.C:
-			return len(parts) - len(remaining)
-		}
-	}
-}
-
-// broadcastOutcomeOnce is phase two's first pass, and all of it on the
-// shutdown path: it arms the ack table and sends the outcome once to
-// every live participant, returning the frame and the hosts it went to.
-// Dead participants never ack, so they are waived up front and phase two
-// converges on the survivors alone.
-func (d *DeployerComponent) broadcastOutcomeOnce(epoch int, st *epochState, commit bool) (Event, []model.HostID) {
-	e := Event{
-		Name: EvOutcome, Target: AdminID, SizeKB: 0.3,
-		Payload: d.outcomePayload(epoch, st, commit),
-	}
-	d.mu.Lock()
-	all := make([]model.HostID, 0, len(st.participants))
-	for h := range st.participants {
-		all = append(all, h)
-	}
-	d.mu.Unlock()
-	sortHostIDs(all)
-	parts := all[:0]
-	for _, h := range all {
-		if !d.hostDead(h) {
-			parts = append(parts, h)
-		}
-	}
-	d.mu.Lock()
-	st.ackPending = make(map[model.HostID]bool, len(parts))
-	st.ackCh = make(chan struct{}, 1)
-	for _, h := range parts {
-		st.ackPending[h] = true
-	}
-	d.mu.Unlock()
-	for _, h := range parts {
-		_ = d.sender.send(h, e)
-	}
-	return e, parts
-}
-
-// outcomePayload builds a wave outcome under the wave's original
-// coordinator identity (participants key their state by it), stamped
-// with the current fencing term and with this host as the ack/bounce
-// target — after a failover the two differ.
-func (d *DeployerComponent) outcomePayload(epoch int, st *epochState, commit bool) WaveOutcome {
-	coord := st.coordinator
-	if coord == "" {
-		coord = d.arch.Host()
-	}
-	d.mu.Lock()
-	gens := st.gens
-	d.mu.Unlock()
-	if !commit {
-		gens = nil // aborted waves never advance a generation
-	}
-	return WaveOutcome{
-		Epoch: epoch, Coordinator: coord, Commit: commit,
-		Term: d.term(), ReplyTo: d.arch.Host(), Gens: gens,
-	}
+	return sp
 }

@@ -2,6 +2,7 @@ package prism
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -469,26 +470,6 @@ func (ds *DeployerStore) SaveTerm(term uint64) error {
 	return ds.append(RecSnapshot, snap)
 }
 
-func (ds *DeployerStore) epochOpened(epoch int, moves map[string]model.HostID, participants []model.HostID, coordinator model.HostID) error {
-	sorted := append([]model.HostID(nil), participants...)
-	sortHostIDs(sorted)
-	return ds.append(RecEpochOpen, epochOpenRec{
-		Epoch: epoch, Moves: moves, Participants: sorted, Coordinator: coordinator,
-	})
-}
-
-func (ds *DeployerStore) epochPrepared(epoch int) error {
-	return ds.append(RecEpochPrepared, epochMarkRec{Epoch: epoch})
-}
-
-func (ds *DeployerStore) epochDecided(epoch int, commit bool) error {
-	return ds.append(RecEpochDecided, epochDecidedRec{Epoch: epoch, Commit: commit})
-}
-
-func (ds *DeployerStore) epochClosed(epoch int) error {
-	return ds.append(RecEpochClosed, epochMarkRec{Epoch: epoch})
-}
-
 // saveGoal durably records one host's goal-state entry (last-wins). The
 // replication send is deferred to the next flush: goal records trail the
 // wave records they are derived from, and Resume re-applies committed
@@ -693,9 +674,13 @@ type ResumedWave struct {
 // persisted outcome (participant admins apply outcomes idempotently and
 // always re-ack, so this is safe no matter how far the dead lifetime's
 // broadcast got); an undecided epoch durably records an abort and
-// broadcasts that. No epoch is ever re-planned or re-dispatched. Waves
-// whose outcome is fully acknowledged are closed in the log; stragglers
-// stay open for the next restart.
+// broadcasts that. Each wave keeps its ORIGINAL coordinator identity,
+// which the participants keyed their two-phase state by; this deployer
+// stamps itself as ReplyTo so acks and bounces reach the live leader. No
+// epoch is ever re-planned or re-dispatched. All open waves run through
+// one shell together, so a straggler costs one ack budget, not one per
+// wave. Waves whose outcome is fully acknowledged are closed in the log;
+// stragglers stay open for the next restart.
 func (d *DeployerComponent) Resume() ([]ResumedWave, error) {
 	d.mu.Lock()
 	ds := d.store
@@ -707,65 +692,21 @@ func (d *DeployerComponent) Resume() ([]ResumedWave, error) {
 	// since AttachStore: the promoted-standby path answers announces from
 	// this table the moment Resume returns.
 	d.mergeGoalFromStore(ds)
-	var out []ResumedWave
+	term := d.term()
+	var cores []*waveCore
 	for _, wv := range ds.OpenWaves() {
-		rw := ResumedWave{Epoch: wv.Epoch, Resumed: wv.Decided, Committed: wv.Decided && wv.Commit}
-		if !wv.Decided {
-			// The durable rule holds here too: the abort is persisted
-			// before any participant hears it.
-			if err := ds.epochDecided(wv.Epoch, false); err != nil {
-				return out, fmt.Errorf("resume epoch %d: abort checkpoint: %w", wv.Epoch, err)
-			}
+		cores = append(cores, resumeWave(wv, d.arch.Host(), term, d.cfg.OutcomeAckTimeout))
+	}
+	d.newWaveShell(cores...).run()
+	var out []ResumedWave
+	var errs []error
+	for _, c := range cores {
+		if errs = append(errs, c.err); c.err == nil {
+			out = append(out, ResumedWave{Epoch: c.epoch, Committed: c.committed(), Resumed: c.inherited})
 		}
-		st := &epochState{
-			participants: make(map[model.HostID]bool, len(wv.Participants)),
-			// Resume under the wave's ORIGINAL coordinator identity: the
-			// participants keyed their two-phase state by it. A promoted
-			// standby stamps itself as ReplyTo so acks and bounces reach
-			// the live leader.
-			coordinator: wv.Coordinator,
-		}
-		for _, h := range wv.Participants {
-			st.participants[h] = true
-		}
-		d.mu.Lock()
-		d.epochs[wv.Epoch] = st
-		d.mu.Unlock()
-		decision := "rollback"
-		if rw.Committed {
-			// Re-fold the committed moves into the goal table before the
-			// broadcast. Idempotent: if the dead lifetime already wrote the
-			// goal records, nothing bumps; if it crashed between the decision
-			// record and the goal records, this heals the gap. The resumed
-			// outcome then publishes the CURRENT generations (level
-			// semantics — agents only ever move forward).
-			gens := d.applyWaveToGoal(wv.Moves)
-			d.mu.Lock()
-			st.gens = gens
-			d.mu.Unlock()
-		}
-		sp := d.arch.Tracer().Start("wave_resume")
-		sp.SetAttr("epoch", wv.Epoch).SetAttr("decision", decision).SetAttr("resumed", rw.Resumed)
-		d.broadcastOutcome(wv.Epoch, st, rw.Committed)
-		sp.End()
-		if rw.Committed {
-			if dc := d.arch.DistributionConnector(d.cfg.Bus); dc != nil {
-				for comp, dst := range wv.Moves {
-					dc.RecordRelocation(comp, dst)
-				}
-			}
-		}
-		d.mu.Lock()
-		drained := len(st.ackPending) == 0
-		delete(d.epochs, wv.Epoch)
-		d.mu.Unlock()
-		if drained {
-			_ = ds.epochClosed(wv.Epoch)
-		}
-		out = append(out, rw)
 	}
 	d.ckptSnapshot()
-	return out, nil
+	return out, errors.Join(errs...)
 }
 
 // RelocationView returns the coordinator's committed relocation table
@@ -778,44 +719,28 @@ func (d *DeployerComponent) RelocationView() map[string]model.HostID {
 	return nil
 }
 
-// ckptOpened persists a wave's admission (no-op without a store).
-func (d *DeployerComponent) ckptOpened(epoch int, moves map[string]model.HostID, participants []model.HostID) error {
+// checkpoint performs the append a wave asked for and returns its result,
+// with the detector's current verdicts, as the wave's next input.
+// RecGoalState folds the wave's moves into the goal table, which
+// checkpoints each touched host; without a store every other record is a
+// no-op that succeeds.
+func (d *DeployerComponent) checkpoint(c *waveCore, o waveOutput) waveInput {
 	d.mu.Lock()
 	ds := d.store
 	d.mu.Unlock()
-	if ds == nil {
-		return nil
+	in := waveInput{kind: inCheckpoint, dead: d.deadAmong(c.parts)}
+	switch {
+	case o.rec == RecGoalState:
+		in.gens = d.applyWaveToGoal(c.moves)
+	case ds == nil:
+	case o.rec == RecEpochOpen:
+		in.err = ds.append(o.rec, epochOpenRec{Epoch: c.epoch, Moves: c.moves, Participants: c.parts, Coordinator: c.coordinator})
+	case o.rec == RecEpochDecided:
+		in.err = ds.append(o.rec, epochDecidedRec{Epoch: c.epoch, Commit: o.commit})
+	default: // prepared, closed
+		in.err = ds.append(o.rec, epochMarkRec{Epoch: c.epoch})
 	}
-	return ds.epochOpened(epoch, moves, participants, d.arch.Host())
-}
-
-// ckptDecision persists the all-prepared transition (commit waves only)
-// and then the decision itself. Enact treats a failure here as a crash:
-// the outcome must not be broadcast unless it is durable first.
-func (d *DeployerComponent) ckptDecision(epoch int, commit bool) error {
-	d.mu.Lock()
-	ds := d.store
-	d.mu.Unlock()
-	if ds == nil {
-		return nil
-	}
-	if commit {
-		if err := ds.epochPrepared(epoch); err != nil {
-			return err
-		}
-	}
-	return ds.epochDecided(epoch, commit)
-}
-
-// ckptClosed marks an epoch's outcome fully acknowledged (best-effort:
-// a failure only means a redundant re-broadcast after the next restart).
-func (d *DeployerComponent) ckptClosed(epoch int) {
-	d.mu.Lock()
-	ds := d.store
-	d.mu.Unlock()
-	if ds != nil {
-		_ = ds.epochClosed(epoch)
-	}
+	return in
 }
 
 // ckptGoal persists one host's goal-state entry (best-effort: a dead

@@ -463,27 +463,6 @@ func (d *DeployerComponent) applyWaveToGoal(moves map[string]model.HostID) map[m
 	return gens
 }
 
-// pendingGen returns the generation host h would reach if an in-flight
-// wave touching it commits (stamped on ReconfigCommand.Gen).
-func (d *DeployerComponent) pendingGen(h model.HostID) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.goal.entry(h).Gen + 1
-}
-
-// goalGensFor snapshots the current generations of the given
-// participant set (the resumed-outcome broadcast's Gens: level
-// semantics, agents adopt the latest).
-func (d *DeployerComponent) goalGensFor(participants map[model.HostID]bool) map[model.HostID]uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	gens := make(map[model.HostID]uint64, len(participants))
-	for h := range participants {
-		gens[h] = d.goal.entry(h).Gen
-	}
-	return gens
-}
-
 // GoalGeneration returns the deployer's current goal generation for h.
 func (d *DeployerComponent) GoalGeneration(h model.HostID) uint64 {
 	d.mu.Lock()

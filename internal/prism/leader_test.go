@@ -215,7 +215,7 @@ func TestStaleTermOutcomeFencedByEveryParticipant(t *testing.T) {
 	for _, h := range []model.HostID{"h1", "h2", "h3"} {
 		a := ha.admins[h]
 		a.mu.Lock()
-		applied := a.aborted[ck]
+		applied := a.settled[ck]
 		a.mu.Unlock()
 		if applied {
 			t.Fatalf("agent %s applied a stale-term outcome", h)
@@ -231,7 +231,7 @@ func TestStaleTermOutcomeFencedByEveryParticipant(t *testing.T) {
 		ha.admins[h].Handle(live)
 		a := ha.admins[h]
 		a.mu.Lock()
-		applied := a.aborted[ck]
+		applied := a.settled[ck]
 		a.mu.Unlock()
 		if !applied {
 			t.Fatalf("agent %s dropped a live-term outcome", h)
@@ -261,19 +261,19 @@ func leaderStream(t *testing.T, ds *DeployerStore) []store.Record {
 	moves := map[string]model.HostID{"c1": "h2"}
 	parts := []model.HostID{"h1", "h2"}
 	for epoch := 1; epoch <= 2; epoch++ {
-		if err := ds.epochOpened(epoch, moves, parts, "h1"); err != nil {
+		if err := ds.append(RecEpochOpen, epochOpenRec{Epoch: epoch, Moves: moves, Participants: parts, Coordinator: "h1"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ds.epochPrepared(epoch); err != nil {
+		if err := ds.append(RecEpochPrepared, epochMarkRec{Epoch: epoch}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ds.epochDecided(epoch, epoch%2 == 1); err != nil {
+		if err := ds.append(RecEpochDecided, epochDecidedRec{Epoch: epoch, Commit: epoch%2 == 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Epoch 2 stays open (decided, unclosed) — the shape a failover
 	// resumes. Epoch 1 closes.
-	if err := ds.epochClosed(1); err != nil {
+	if err := ds.append(RecEpochClosed, epochMarkRec{Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	return stream

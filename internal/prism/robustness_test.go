@@ -127,7 +127,7 @@ func (fw *faultWorld) placement(comps ...string) map[string][]model.HostID {
 func (fw *faultWorld) epochsOutstanding() int {
 	fw.deployer.mu.Lock()
 	defer fw.deployer.mu.Unlock()
-	return len(fw.deployer.epochs)
+	return len(fw.deployer.shells)
 }
 
 // wave20 is the acceptance scenario: four hosts, four migrating
