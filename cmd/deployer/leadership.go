@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -73,9 +74,10 @@ func leaseTick(ttl time.Duration) time.Duration {
 
 // standBy blocks until this deployer wins a leadership term: it watches
 // the leader's replication keepalives, campaigns once the leader has
-// been silent past the watch thresholds, and goes back to shadowing
-// when another standby wins the race (or the old leader resurfaces at a
-// higher term). Failover resumes the replicated waves — decided epochs
+// been silent past the watch thresholds (counted from this standby's
+// start when it never heard one, as after starting once the leader died),
+// and goes back to shadowing when another standby wins the race (or the
+// old leader resurfaces at a higher term). Failover resumes the replicated waves — decided epochs
 // driven to their persisted outcome, undecided ones aborted, none
 // replanned or renumbered.
 func standBy(lead *prism.Leadership, ttl time.Duration, out io.Writer) ([]prism.ResumedWave, error) {
@@ -85,7 +87,8 @@ func standBy(lead *prism.Leadership, ttl time.Duration, out io.Writer) ([]prism.
 		if !lead.LeaderSuspect(time.Now()) {
 			continue
 		}
-		fmt.Fprintf(out, "leader %s silent past the watch threshold: campaigning\n", lead.Leader())
+		leader := cmp.Or(string(lead.Leader()), "(none heard)")
+		fmt.Fprintf(out, "leader %s silent past the watch threshold: campaigning\n", leader)
 		waves, won, err := lead.Failover()
 		if errors.Is(err, prism.ErrNoQuorum) {
 			// Not enough live agents to elect anyone right now — the old

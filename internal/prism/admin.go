@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"time"
@@ -154,7 +155,10 @@ type OutcomeAck struct {
 // events cross host boundaries.
 func registerControlPayloads() {
 	registerRelayPayload()
-	registerLeaderPayloadsOnce.Do(registerLeaderPayloads)
+	gob.Register(LeaseRequest{})
+	gob.Register(LeaseGrant{})
+	gob.Register(ReplBatch{})
+	gob.Register(ReplAck{})
 	gob.Register(MonitoringReport{})
 	gob.Register(ReportRequest{})
 	gob.Register(ReconfigCommand{})
@@ -288,24 +292,10 @@ type AdminComponent struct {
 	reportFrom  model.HostID
 	lastReport  MonitoringReport
 
-	// Leadership lease state (this admin is one voting agent):
-	// fenceTerm is the highest term acknowledged — control frames
-	// carrying a lower non-zero term are rejected; leaseHolder/
-	// leaseExpiry track the current grant; grantLog records which
-	// candidate each term was granted to (the soak invariant's witness:
-	// at most one accepted leader per term).
-	fenceTerm   uint64
-	leaseHolder model.HostID
-	leaseExpiry time.Time
-	grantLog    map[uint64]model.HostID
-
-	// goalGen is the goal-state generation this agent last converged to
-	// (level-triggered reconciliation; see goalstate.go).
-	goalGen uint64
-	// announcePending is set by AnnounceGoalState and cleared when a
-	// delta from the lease holder is applied; while set, every heartbeat
-	// re-announces.
-	announcePending bool
+	// voter is this agent's lease and goal-state record (lease.go): the
+	// fence, the current grant, the term → candidate log, the goal
+	// generation and the pending announce.
+	voter voterCore
 }
 
 type reconfigProgress struct {
@@ -356,7 +346,7 @@ func NewAdminComponent(arch *Architecture, cfg AdminConfig) *AdminComponent {
 		expect:        make(map[string]*reconfigProgress),
 		prepared:      make(map[string]*preparedComp),
 		settled:       make(map[string]bool),
-		grantLog:      make(map[uint64]model.HostID),
+		voter:         newVoterCore(arch.Host(), cfg.Deployer),
 		stop:          make(chan struct{}),
 	}
 	return a
@@ -422,38 +412,14 @@ func (a *AdminComponent) SetIncarnation(inc uint64) {
 	}
 }
 
-// SendHeartbeat emits one liveness beacon to the deployer, carrying this
-// host's incarnation and component manifest, and re-announces the goal
-// state while an announce is still unanswered (the heartbeat tick is the
+// SendHeartbeat emits one liveness beacon to the lease holder (the
+// configured deployer while none is known), carrying this host's
+// incarnation and component manifest, and re-announces the goal state
+// while an announce is still unanswered (the heartbeat tick is the
 // announce's re-driver). It is safe to drive manually (deterministic
 // drills) or from StartHeartbeats.
 func (a *AdminComponent) SendHeartbeat() error {
-	hb := Heartbeat{Host: a.arch.Host(), Incarnation: a.Incarnation()}
-	a.mu.Lock()
-	a.hbSeq++
-	hb.Seq = a.hbSeq
-	reannounce := a.announcePending
-	a.mu.Unlock()
-	for _, id := range a.arch.ComponentIDs() {
-		if id == AdminID || id == DeployerID {
-			continue
-		}
-		hb.Components = append(hb.Components, id)
-	}
-	// Beacons follow the lease: once a standby wins, this agent's
-	// heartbeats feed the new leader's failure detector, not the corpse's.
-	a.mu.Lock()
-	dep := a.leaseHolder
-	a.mu.Unlock()
-	if dep == "" {
-		dep = a.cfg.Deployer
-	}
-	err := a.sender.send(dep, Event{
-		Name: EvHeartbeat, Target: DeployerID, Payload: hb, SizeKB: 0.2,
-	})
-	if reannounce {
-		_ = a.AnnounceGoalState()
-	}
+	_, err := a.vote(voterInput{kind: vBeat})
 	return err
 }
 
@@ -517,13 +483,7 @@ func (a *AdminComponent) ReliabilityMonitor() *NetworkReliabilityMonitor {
 // Report assembles the local monitoring report: deployment description,
 // interaction frequencies (window reset), and link reliabilities.
 func (a *AdminComponent) Report(resetWindow bool) MonitoringReport {
-	rep := MonitoringReport{Host: a.arch.Host()}
-	for _, id := range a.arch.ComponentIDs() {
-		if id == AdminID || id == DeployerID {
-			continue
-		}
-		rep.Components = append(rep.Components, id)
-	}
+	rep := MonitoringReport{Host: a.arch.Host(), Components: a.localManifest()}
 	a.mu.Lock()
 	freqMon, relMon := a.freqMon, a.relMon
 	a.mu.Unlock()
@@ -577,7 +537,7 @@ func (a *AdminComponent) Handle(e Event) {
 		if !ok {
 			return
 		}
-		a.handleGoalDelta(gd)
+		a.vote(voterInput{kind: vDelta, delta: gd})
 	case EvLeaseRequest:
 		req, ok := e.Payload.(LeaseRequest)
 		if !ok {
@@ -611,48 +571,10 @@ func (a *AdminComponent) answerReport(round uint64, from model.HostID) Monitorin
 	return rep
 }
 
-// handleLeaseRequest is this agent's vote in a leadership election.
-// The grant rule: a strictly higher term wins if the current lease has
-// expired (or the candidate already holds it, so a restarted leader
-// reclaims without waiting); an equal term is renewed only for the
-// holder; anything lower is rejected with the current fence term. A
-// term is granted to at most one candidate, ever — the quorum
-// intersection argument that makes split brain impossible.
+// handleLeaseRequest is this agent's vote in a leadership election
+// (voterCore.vote has the grant rule).
 func (a *AdminComponent) handleLeaseRequest(req LeaseRequest) {
-	if req.Candidate == "" || req.Term == 0 {
-		return
-	}
-	now := a.cfg.Clock()
-	a.mu.Lock()
-	grant := false
-	switch {
-	case req.Term < a.fenceTerm:
-		// Stale candidate.
-	case req.Term == a.fenceTerm:
-		grant = a.fenceTerm != 0 && req.Candidate == a.leaseHolder
-	default:
-		grant = a.leaseHolder == "" || req.Candidate == a.leaseHolder || !now.Before(a.leaseExpiry)
-	}
-	reply := LeaseGrant{Host: a.arch.Host(), Term: a.fenceTerm, Granted: false}
-	if grant {
-		a.fenceTerm = req.Term
-		a.leaseHolder = req.Candidate
-		a.leaseExpiry = now.Add(req.TTL)
-		if _, ok := a.grantLog[req.Term]; !ok {
-			a.grantLog[req.Term] = req.Candidate
-		}
-		reply = LeaseGrant{Host: a.arch.Host(), Term: req.Term, Granted: true}
-	}
-	a.mu.Unlock()
-	host := string(a.arch.Host())
-	if !grant {
-		a.arch.Obs().Counter(obs.Name("prism_lease_rejections_total", "host", host)).Inc()
-	} else if req.Renewal {
-		a.arch.Obs().Counter(obs.Name("prism_lease_renewals_total", "host", host)).Inc()
-	}
-	_ = a.sender.send(req.Candidate, Event{
-		Name: EvLeaseGrant, Target: DeployerID, Payload: reply, SizeKB: 0.2,
-	})
+	a.vote(voterInput{kind: vLease, req: req})
 }
 
 // LeaseGrants returns this agent's term → granted-candidate record
@@ -661,50 +583,68 @@ func (a *AdminComponent) handleLeaseRequest(req LeaseRequest) {
 func (a *AdminComponent) LeaseGrants() map[uint64]model.HostID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make(map[uint64]model.HostID, len(a.grantLog))
-	for t, h := range a.grantLog {
-		out[t] = h
-	}
-	return out
+	return maps.Clone(a.voter.grants)
 }
 
 // FenceTerm returns the highest fencing term this agent acknowledged.
 func (a *AdminComponent) FenceTerm() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.fenceTerm
+	return a.voter.fence
 }
 
-// fenceCheck applies the fencing rule to an inbound control frame: a
-// non-zero term below the fence is rejected — and the frame's origin is
-// told the current fence term (as an ungranted LeaseGrant), so a
-// paused-then-revived leader deposes itself promptly — while a higher
-// term raises the fence (the frame proves a quorum granted it). Returns
-// false when the frame must be dropped.
+// fenceCheck feeds an inbound control frame's term and origin to the
+// voter and reports whether the frame may be applied (voterCore.fenced
+// has the rule).
 func (a *AdminComponent) fenceCheck(term uint64, origin model.HostID) bool {
-	if term == 0 {
-		return true // legacy unfenced frame (solo deployer)
+	ok, _ := a.vote(voterInput{kind: vFrame, term: term, origin: origin})
+	return ok
+}
+
+// vote steps the voter and performs its outputs in order. It reports
+// whether a fenced frame was accepted, and the result of the first send
+// (the heartbeat's or the announce's, for their callers).
+func (a *AdminComponent) vote(in voterInput) (accepted bool, err error) {
+	if in.kind == vLease {
+		in.now = a.cfg.Clock()
 	}
 	a.mu.Lock()
-	if term < a.fenceTerm {
-		fence := a.fenceTerm
-		a.mu.Unlock()
-		a.arch.Obs().Counter(obs.Name("prism_fenced_frames_total",
-			"host", string(a.arch.Host()))).Inc()
-		if origin != "" {
-			_ = a.sender.send(origin, Event{
-				Name: EvLeaseGrant, Target: DeployerID, SizeKB: 0.2,
-				Payload: LeaseGrant{Host: a.arch.Host(), Term: fence, Granted: false},
-			})
-		}
-		return false
-	}
-	if term > a.fenceTerm {
-		a.fenceTerm = term
-		a.leaseHolder = origin
-	}
+	outs := a.voter.step(in)
 	a.mu.Unlock()
-	return true
+	sent := false
+	send := func(to model.HostID, ev Event) {
+		if e := a.sender.send(to, ev); !sent {
+			sent, err = true, e
+		}
+	}
+	self := a.arch.Host()
+	for _, o := range outs {
+		switch o.kind {
+		case vSend:
+			send(o.to, o.ev)
+		case vAccept:
+			accepted = true
+		case vApply:
+			a.applyDelta(o.delta)
+			a.vote(voterInput{kind: vApplied, delta: o.delta})
+		case vAnnounceTo:
+			send(o.to, Event{Name: EvGoalAnnounce, Target: DeployerID, SizeKB: 0.4, Payload: GoalAnnounce{
+				Host: self, Incarnation: a.Incarnation(), Generation: o.gen, Manifest: a.localManifest()}})
+		case vBeatTo:
+			hb := Heartbeat{Host: self, Incarnation: a.Incarnation(), Components: a.localManifest()}
+			a.mu.Lock()
+			a.hbSeq++
+			hb.Seq = a.hbSeq
+			a.mu.Unlock()
+			send(o.to, Event{Name: EvHeartbeat, Target: DeployerID, Payload: hb, SizeKB: 0.2})
+		case vAckTo:
+			send(o.to, Event{Name: EvGoalAck, Target: DeployerID, SizeKB: 0.3,
+				Payload: GoalAck{Host: self, Generation: o.gen, Manifest: a.localManifest()}})
+		case vCount:
+			a.arch.Obs().Counter(obs.Name(o.metric, "host", string(self))).Inc()
+		}
+	}
+	return accepted, err
 }
 
 // handleReconfig starts acquiring this host's arrivals.
@@ -1100,7 +1040,7 @@ func (a *AdminComponent) handleOutcome(out WaveOutcome) {
 	ck := epochKey(coord, out.Epoch)
 	if out.Commit {
 		a.commitWave(ck, authority)
-		a.noteCommittedGens(out.Gens)
+		a.vote(voterInput{kind: vGens, gens: out.Gens})
 	} else {
 		a.abortWave(ck, authority)
 	}

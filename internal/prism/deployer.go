@@ -270,40 +270,16 @@ func (d *DeployerComponent) Handle(e Event) {
 			d.feedWave(waveInput{kind: inAck, epoch: ack.Epoch, host: ack.Host})
 		}
 	case EvGoalAnnounce:
-		ga, ok := e.Payload.(GoalAnnounce)
-		if !ok {
-			return
+		if ga, ok := e.Payload.(GoalAnnounce); ok {
+			d.handleGoalAnnounce(ga)
 		}
-		d.handleGoalAnnounce(ga)
 	case EvGoalAck:
-		ack, ok := e.Payload.(GoalAck)
-		if !ok {
-			return
+		if ack, ok := e.Payload.(GoalAck); ok {
+			d.handleGoalAck(ack)
 		}
-		d.handleGoalAck(ack)
-	case EvLeaseGrant:
-		g, ok := e.Payload.(LeaseGrant)
-		if !ok {
-			return
-		}
+	case EvLeaseGrant, EvReplicate, EvReplicateAck:
 		if le := d.Leadership(); le != nil {
-			le.onGrant(g)
-		}
-	case EvReplicate:
-		b, ok := e.Payload.(ReplBatch)
-		if !ok {
-			return
-		}
-		if le := d.Leadership(); le != nil {
-			le.onReplicate(b)
-		}
-	case EvReplicateAck:
-		a, ok := e.Payload.(ReplAck)
-		if !ok {
-			return
-		}
-		if le := d.Leadership(); le != nil {
-			le.onReplicateAck(a)
+			le.handle(e.Payload)
 		}
 	}
 }

@@ -584,22 +584,21 @@ func (ds *DeployerStore) Close() error {
 // table, the dedup windows (stricter-wins merge into the bus connector),
 // and the incarnation map (primed into the detector now or when one is
 // attached). In-flight waves are NOT resolved here — call Resume once
-// the control plane is ready to carry the outcome broadcast.
+// the control plane is ready to carry the outcome broadcast. Attach the
+// store before leadership: AttachLeadership inherits its term and taps
+// its appends.
 func (d *DeployerComponent) AttachStore(ds *DeployerStore) error {
 	d.mu.Lock()
+	if d.leadership != nil {
+		d.mu.Unlock()
+		return fmt.Errorf("prism: attach the store before leadership")
+	}
 	d.store = ds
 	if ne := ds.NextEpoch(); ne > d.nextEpoch {
 		d.nextEpoch = ne
 	}
 	fd := d.detector
-	le := d.leadership
 	d.mu.Unlock()
-	if le != nil {
-		// Leadership attached first: tap the store now and inherit its
-		// persisted fencing term.
-		ds.SetReplicator(le.enqueue, le.flush)
-		le.observe(ds.Term(), "")
-	}
 	snap := ds.snapshot()
 	if dc := d.arch.DistributionConnector(d.cfg.Bus); dc != nil {
 		for comp, host := range snap.Reloc {
@@ -620,10 +619,7 @@ func (d *DeployerComponent) AttachStore(ds *DeployerStore) error {
 	// new (the restart and promoted-standby cases); entries only the
 	// in-memory table knows (seeded before the store was attached) are
 	// pushed into the log now.
-	push := d.mergeGoalFromStore(ds)
-	for _, h := range push {
-		d.ckptGoal(h)
-	}
+	d.ckptGoal(d.mergeGoalFromStore(ds)...)
 	return nil
 }
 
@@ -654,7 +650,6 @@ func (d *DeployerComponent) mergeGoalFromStore(ds *DeployerStore) []model.HostID
 		}
 	}
 	d.mu.Unlock()
-	sortHostIDs(push)
 	return push
 }
 
@@ -743,24 +738,27 @@ func (d *DeployerComponent) checkpoint(c *waveCore, o waveOutput) waveInput {
 	return in
 }
 
-// ckptGoal persists one host's goal-state entry (best-effort: a dead
-// store must never fail a wave — Resume's idempotent re-apply heals the
-// gap, and a memory-only deployer simply keeps the table soft).
-func (d *DeployerComponent) ckptGoal(h model.HostID) {
-	d.mu.Lock()
-	ds := d.store
-	var rec goalStateRec
-	if ds != nil {
-		e := d.goal.entry(h)
-		rec = goalStateRec{Host: h, Gen: e.Gen}
-		ids := e.sortedIDs()
-		for _, id := range ids {
-			rec.Manifest = append(rec.Manifest, GoalComponent{ID: id, Type: e.Manifest[id]})
+// ckptGoal persists the hosts' goal-state entries in host order
+// (best-effort: a dead store must never fail a wave — Resume's idempotent
+// re-apply heals the gap, and a memory-only deployer simply keeps the
+// table soft).
+func (d *DeployerComponent) ckptGoal(hosts ...model.HostID) {
+	sortHostIDs(hosts)
+	for _, h := range hosts {
+		d.mu.Lock()
+		ds := d.store
+		var rec goalStateRec
+		if ds != nil {
+			e := d.goal.entry(h)
+			rec = goalStateRec{Host: h, Gen: e.Gen}
+			for _, id := range e.sortedIDs() {
+				rec.Manifest = append(rec.Manifest, GoalComponent{ID: id, Type: e.Manifest[id]})
+			}
 		}
-	}
-	d.mu.Unlock()
-	if ds != nil {
-		_ = ds.saveGoal(rec)
+		d.mu.Unlock()
+		if ds != nil {
+			_ = ds.saveGoal(rec)
+		}
 	}
 }
 

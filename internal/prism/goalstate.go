@@ -78,8 +78,7 @@ type GoalDelta struct {
 	// Term is the issuing leader's fencing term (zero = legacy unfenced);
 	// agents drop deltas below their fence exactly like wave frames.
 	Term uint64
-	// FromGen is the generation the delta assumes the agent is at (the
-	// announced one for Full deltas).
+	// FromGen is the generation the agent announced.
 	FromGen uint64
 	// Generation is the goal generation reached after applying.
 	Generation uint64
@@ -360,26 +359,21 @@ func (t *goalTable) ownerOf(comp string) (model.HostID, bool) {
 // resume never rolls a generation back.
 func (d *DeployerComponent) SeedGoalState(manifests map[model.HostID][]GoalComponent) {
 	d.mu.Lock()
-	hosts := make([]model.HostID, 0, len(manifests))
-	for h := range manifests {
-		if e := d.goal.entries[h]; e != nil && e.Gen > 0 {
+	var hosts []model.HostID
+	for h, comps := range manifests {
+		e := d.goal.entry(h)
+		if e.Gen > 0 {
 			continue
+		}
+		e.Gen = 1
+		e.Manifest = make(map[string]string, len(comps))
+		for _, gc := range comps {
+			e.Manifest[gc.ID] = gc.Type
 		}
 		hosts = append(hosts, h)
 	}
-	sortHostIDs(hosts)
-	for _, h := range hosts {
-		e := d.goal.entry(h)
-		e.Gen = 1
-		e.Manifest = make(map[string]string, len(manifests[h]))
-		for _, gc := range manifests[h] {
-			e.Manifest[gc.ID] = gc.Type
-		}
-	}
 	d.mu.Unlock()
-	for _, h := range hosts {
-		d.ckptGoal(h)
-	}
+	d.ckptGoal(hosts...)
 }
 
 // RelocateGoal records an out-of-band placement in the goal table: comp
@@ -411,10 +405,7 @@ func (d *DeployerComponent) RelocateGoal(comp, typeName string, to model.HostID)
 		touched = append(touched, to)
 	}
 	d.mu.Unlock()
-	sortHostIDs(touched)
-	for _, h := range touched {
-		d.ckptGoal(h)
-	}
+	d.ckptGoal(touched...)
 }
 
 // applyWaveToGoal folds a committed wave's moves into the goal table
@@ -456,10 +447,7 @@ func (d *DeployerComponent) applyWaveToGoal(moves map[string]model.HostID) map[m
 		gens[h] = e.Gen
 	}
 	d.mu.Unlock()
-	sortHostIDs(hosts)
-	for _, h := range hosts {
-		d.ckptGoal(h)
-	}
+	d.ckptGoal(hosts...)
 	return gens
 }
 
@@ -494,66 +482,22 @@ func (d *DeployerComponent) GoalManifest(h model.HostID) []string {
 }
 
 // handleGoalAnnounce answers an agent's level report with one full
-// delta converging it to the current goal state. Only the lease holder
-// answers; a deposed deployer's reply would be fenced anyway. An agent
-// announcing a generation AHEAD of the table (a diverged lifetime, or a
-// deployer that lost state) is clamped back to the authoritative goal
-// and counted as divergence.
+// delta converging it to the current goal state (goalDelta). Only the
+// lease holder answers; a deposed deployer's reply would be fenced anyway.
 func (d *DeployerComponent) handleGoalAnnounce(ga GoalAnnounce) {
 	if ga.Host == "" || d.deposed() {
 		return
 	}
-	host := string(d.arch.Host())
-	d.mu.Lock()
-	e := d.goal.entry(ga.Host)
-	gen := e.Gen
-	goalSet := make(map[string]string, len(e.Manifest))
-	for id, typ := range e.Manifest {
-		goalSet[id] = typ
-	}
-	d.mu.Unlock()
-	if ga.Generation > gen {
-		d.arch.Obs().Counter(obs.Name("prism_goal_divergence_total", "host", host)).Inc()
-	}
-
-	have := make(map[string]bool, len(ga.Manifest))
-	for _, id := range ga.Manifest {
-		have[id] = true
-	}
-	delta := GoalDelta{
-		Host:        ga.Host,
-		Coordinator: d.arch.Host(),
-		Term:        d.term(),
-		FromGen:     ga.Generation,
-		Generation:  gen,
-		Full:        true,
-	}
-	acqIDs := make([]string, 0, len(goalSet))
-	for id := range goalSet {
-		if !have[id] {
-			acqIDs = append(acqIDs, id)
-		}
-	}
-	sort.Strings(acqIDs)
-	for _, id := range acqIDs {
-		delta.Acquire = append(delta.Acquire, GoalComponent{ID: id, Type: goalSet[id]})
-	}
-	for _, id := range ga.Manifest {
-		if _, ok := goalSet[id]; !ok {
-			delta.Remove = append(delta.Remove, id)
-		}
-	}
-	sort.Strings(delta.Remove)
+	var reloc map[string]model.HostID
 	if dc := d.arch.DistributionConnector(d.cfg.Bus); dc != nil {
-		reloc := dc.RelocationSnapshot()
-		comps := make([]string, 0, len(reloc))
-		for comp := range reloc {
-			comps = append(comps, comp)
-		}
-		sort.Strings(comps)
-		for _, comp := range comps {
-			delta.Reloc = append(delta.Reloc, RelocEntry{Comp: comp, Host: reloc[comp]})
-		}
+		reloc = dc.RelocationSnapshot()
+	}
+	term, host := d.term(), string(d.arch.Host())
+	d.mu.Lock()
+	delta, diverged := goalDelta(*d.goal.entry(ga.Host), ga, reloc, d.arch.Host(), term)
+	d.mu.Unlock()
+	if diverged {
+		d.arch.Obs().Counter(obs.Name("prism_goal_divergence_total", "host", host)).Inc()
 	}
 	d.arch.Obs().Counter(obs.Name("prism_goal_delta_sent_total", "host", host)).Inc()
 	_ = d.sender.send(ga.Host, Event{
@@ -561,37 +505,19 @@ func (d *DeployerComponent) handleGoalAnnounce(ga GoalAnnounce) {
 	})
 }
 
-// handleGoalAck records an agent's acknowledged generation and checks
-// the resync invariant: an ack at the current generation must carry a
-// manifest byte-for-byte equal to the goal manifest.
+// handleGoalAck records an agent's acknowledged generation and counts a
+// break of the resync invariant (goalEntry.noteAck).
 func (d *DeployerComponent) handleGoalAck(ack GoalAck) {
 	if ack.Host == "" {
 		return
 	}
 	d.mu.Lock()
-	e := d.goal.entry(ack.Host)
-	if ack.Generation > e.Acked {
-		e.Acked = ack.Generation
-	}
-	current := ack.Generation == e.Gen
-	goalIDs := e.sortedIDs()
+	mismatch := d.goal.entry(ack.Host).noteAck(ack)
 	d.mu.Unlock()
-	if current && !equalStrings(goalIDs, ack.Manifest) {
+	if mismatch {
 		d.arch.Obs().Counter(obs.Name("prism_goal_resync_mismatch_total",
 			"host", string(d.arch.Host()))).Inc()
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // localManifest is the sorted list of application components the agent
@@ -599,12 +525,10 @@ func equalStrings(a, b []string) bool {
 func (a *AdminComponent) localManifest() []string {
 	var out []string
 	for _, id := range a.arch.ComponentIDs() {
-		if id == AdminID || id == DeployerID {
-			continue
+		if id != AdminID && id != DeployerID {
+			out = append(out, id)
 		}
-		out = append(out, id)
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -612,7 +536,7 @@ func (a *AdminComponent) localManifest() []string {
 func (a *AdminComponent) GoalGeneration() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.goalGen
+	return a.voter.gen
 }
 
 // AnnounceGoalState sends the agent's level report (generation +
@@ -622,52 +546,19 @@ func (a *AdminComponent) GoalGeneration() uint64 {
 // missed in between. Until a delta from the lease holder is applied the
 // announce stays pending, and every heartbeat repeats it.
 func (a *AdminComponent) AnnounceGoalState() error {
-	a.mu.Lock()
-	a.announcePending = true
-	gen := a.goalGen
-	dep := a.leaseHolder
-	a.mu.Unlock()
-	if dep == "" {
-		dep = a.cfg.Deployer
-	}
-	ga := GoalAnnounce{
-		Host:        a.arch.Host(),
-		Incarnation: a.Incarnation(),
-		Generation:  gen,
-		Manifest:    a.localManifest(),
-	}
-	return a.sender.send(dep, Event{
-		Name: EvGoalAnnounce, Target: DeployerID, Payload: ga, SizeKB: 0.4,
-	})
+	_, err := a.vote(voterInput{kind: vAnnounce})
+	return err
 }
 
-// handleGoalDelta applies one goal-state delta: evict components the
-// goal no longer assigns here (their buffered traffic is relayed toward
-// the relocation hint, or the coordinator when there is none), re-
-// instantiate missing ones from the factory registry, prime the bounce
-// table with the relocation hints, and acknowledge with the post-apply
-// manifest. Application is idempotent — a re-announced resync computes
-// an empty delta — and fenced: a stale leader's delta is dropped.
-func (a *AdminComponent) handleGoalDelta(gd GoalDelta) {
-	if gd.Host != "" && gd.Host != a.arch.Host() {
-		return
-	}
-	if !a.fenceCheck(gd.Term, gd.Coordinator) {
-		return
-	}
+// applyDelta does the architecture work of a goal delta the voter
+// accepted, before the ack reports the post-apply manifest: evict
+// components the goal no longer assigns here (their buffered traffic is
+// relayed toward the relocation hint, or the coordinator when there is
+// none), re-instantiate missing ones from the factory registry, and prime
+// the bounce table with the relocation hints. Idempotent — a re-announced
+// resync computes an empty delta.
+func (a *AdminComponent) applyDelta(gd GoalDelta) {
 	host := string(a.arch.Host())
-	a.mu.Lock()
-	if !gd.Full && gd.FromGen != a.goalGen {
-		// A generation-diff delta against a level we are not at cannot be
-		// applied safely; drop it and let the next announce trigger a full
-		// resync.
-		a.mu.Unlock()
-		a.arch.Obs().Counter(obs.Name("prism_goal_delta_stale_total", "host", host)).Inc()
-		_ = a.AnnounceGoalState()
-		return
-	}
-	a.mu.Unlock()
-
 	reloc := make(map[string]model.HostID, len(gd.Reloc))
 	dc := a.arch.DistributionConnector(a.cfg.Bus)
 	for _, re := range gd.Reloc {
@@ -713,43 +604,4 @@ func (a *AdminComponent) handleGoalDelta(gd GoalDelta) {
 		}
 		a.arch.Obs().Counter(obs.Name("prism_goal_acquired_total", "host", host)).Inc()
 	}
-	a.mu.Lock()
-	if gd.Generation > a.goalGen || gd.Full {
-		a.goalGen = gd.Generation
-	}
-	gen := a.goalGen
-	holder := a.leaseHolder
-	if holder == "" {
-		holder = a.cfg.Deployer
-	}
-	if gd.Coordinator == holder {
-		a.announcePending = false
-	}
-	a.mu.Unlock()
-	a.arch.Obs().Counter(obs.Name("prism_goal_delta_applied_total", "host", host)).Inc()
-	_ = a.sender.send(gd.Coordinator, Event{
-		Name:   EvGoalAck,
-		Target: DeployerID,
-		Payload: GoalAck{
-			Host: a.arch.Host(), Generation: gen, Manifest: a.localManifest(),
-		},
-		SizeKB: 0.3,
-	})
-}
-
-// noteCommittedGens adopts the generations a committed wave outcome
-// published (level semantics: only ever forward).
-func (a *AdminComponent) noteCommittedGens(gens map[model.HostID]uint64) {
-	if len(gens) == 0 {
-		return
-	}
-	g, ok := gens[a.arch.Host()]
-	if !ok {
-		return
-	}
-	a.mu.Lock()
-	if g > a.goalGen {
-		a.goalGen = g
-	}
-	a.mu.Unlock()
 }

@@ -96,45 +96,6 @@ func counterValue(reg *obs.Registry, metric string, host model.HostID) int {
 	return int(v)
 }
 
-// TestStaleGenerationDeltaDropped pins the stale-generation fence: a
-// generation-diff delta whose FromGen does not match the agent's level
-// is dropped (not applied, generation untouched) and answered with a
-// fresh announce so the next exchange is a full resync.
-func TestStaleGenerationDeltaDropped(t *testing.T) {
-	dw, reg := goalWorld(t, "m", "s1")
-	dw.addCounter(t, "s1", "c1", 5)
-	dw.deployer.SeedGoalState(map[model.HostID][]GoalComponent{
-		"m": nil, "s1": {{ID: "c1", Type: "counter"}},
-	})
-	agent := dw.admins["s1"]
-	if err := agent.AnnounceGoalState(); err != nil {
-		t.Fatal(err)
-	}
-	waitForCond(t, func() bool {
-		return agent.GoalGeneration() == 1 && dw.deployer.GoalAcked("s1") == 1
-	})
-
-	sentBefore := counterValue(reg, "prism_goal_delta_sent_total", "m")
-	agent.handleGoalDelta(GoalDelta{
-		Host: "s1", Coordinator: "m", FromGen: 7, Generation: 8,
-		Remove: []string{"c1"},
-	})
-	if got := agent.GoalGeneration(); got != 1 {
-		t.Fatalf("stale delta advanced the agent to generation %d", got)
-	}
-	if dw.archs["s1"].Component("c1") == nil {
-		t.Fatal("stale delta evicted a component")
-	}
-	if got := counterValue(reg, "prism_goal_delta_stale_total", "s1"); got != 1 {
-		t.Fatalf("stale counter = %d, want 1", got)
-	}
-	// The drop re-announces, and the deployer answers with a fresh full
-	// delta — the level-triggered recovery from any missed exchange.
-	waitForCond(t, func() bool {
-		return counterValue(reg, "prism_goal_delta_sent_total", "m") > sentBefore
-	})
-}
-
 // TestDivergedAnnounceClampedBack pins the deployer side of the fence:
 // an agent announcing a generation AHEAD of the goal table (a diverged
 // lifetime, or a deployer that lost state) is counted as divergence and

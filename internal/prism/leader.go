@@ -1,7 +1,6 @@
 package prism
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -81,13 +80,6 @@ type ReplAck struct {
 	Applied uint64
 }
 
-func registerLeaderPayloads() {
-	gob.Register(LeaseRequest{})
-	gob.Register(LeaseGrant{})
-	gob.Register(ReplBatch{})
-	gob.Register(ReplAck{})
-}
-
 // ErrNoQuorum marks a campaign that timed out before a strict majority
 // of agents granted the lease. It is retryable: a standby keeps
 // shadowing and campaigns again when its leader watch next fires.
@@ -123,12 +115,9 @@ type LeaderConfig struct {
 	// natural cadence for ReplicationTick in live binaries. Zero selects
 	// the admin layer's EnactResendInterval.
 	RebroadcastInterval time.Duration
-	// Watch is the standby-side leader failure detector policy; nil
-	// selects a LeasePolicy scaled to the lease TTL. The detector runs
-	// on Clock.
-	Watch SuspicionPolicy
-	// Clock supplies every time read (lease arithmetic, watch
-	// observations); nil inherits the deployer's AdminConfig clock.
+	// Clock supplies every time read of the lease arithmetic and the
+	// standby's leader watch (suspect after 2×LeaseTTL of silence, dead
+	// after 4×); nil inherits the deployer's AdminConfig clock.
 	Clock func() time.Time
 }
 
@@ -145,71 +134,46 @@ func (c LeaderConfig) withDefaults(adminClock func() time.Time, resend time.Dura
 	if c.Clock == nil {
 		c.Clock = adminClock
 	}
-	if c.Watch == nil {
-		c.Watch = NewLeasePolicy(2*c.LeaseTTL, 4*c.LeaseTTL)
-	}
 	return c
 }
 
-// Leadership is a deployer's view of the election and replication
-// state: its current fencing term, whether it leads, the leader-side
-// replication log, and the standby-side leader watch.
+// Leadership is the shell around a deployer's leaseCore (lease.go): it
+// feeds the core frames, calls and ticks, and performs its outputs —
+// sends, term appends, replicated-log ingest, and a campaign's end.
 type Leadership struct {
 	dep *DeployerComponent
 	cfg LeaderConfig
 
-	mu      sync.Mutex
-	term    uint64
-	leading bool
-	leader  model.HostID // last known leader (self while leading)
-	// campaignTerm/grants/grantCh are live only during a Campaign call.
-	campaignTerm uint64
-	grants       map[model.HostID]bool
-	grantCh      chan struct{}
-
-	// Leader-side replication: records since the last leadership reset,
-	// 1-based sequence numbers, per-peer acked high-water marks.
-	replLog []ReplRecord
-	acked   map[model.HostID]uint64
-
-	// watch is the standby-side leader failure detector (term doubles as
-	// the incarnation, so a new leader at a higher term "resurrects" the
-	// watched identity).
-	watch *FailureDetector
+	mu    sync.Mutex
+	core  leaseCore
+	ended *leaseOutput  // the campaign's finish, for the Campaign loop
+	wake  chan struct{} // poked when ended is set
 }
 
 // AttachLeadership wires the deployer into the leadership protocol. The
 // fencing term persisted in the durable snapshot (if a store is
 // attached) is restored, and the store's append stream is tapped for
-// replication. Call before the first Campaign.
+// replication. The leader watch starts now: a standby that hears no
+// leader for 2×LeaseTTL suspects one, known or not. Call before the
+// first Campaign.
 func (d *DeployerComponent) AttachLeadership(cfg LeaderConfig) (*Leadership, error) {
-	registerLeaderPayloadsOnce.Do(registerLeaderPayloads)
 	cfg = cfg.withDefaults(d.cfg.Clock, d.cfg.EnactResendInterval)
 	if len(cfg.Agents) == 0 {
 		return nil, fmt.Errorf("prism: leadership needs a non-empty agent set")
 	}
-	le := &Leadership{
-		dep:   d,
-		cfg:   cfg,
-		acked: make(map[model.HostID]uint64),
-		watch: NewFailureDetector(cfg.Watch),
-	}
-	le.watch.SetClock(cfg.Clock)
-	// Restore the persisted term before publishing le: once d.leadership
-	// is visible, delivery goroutines read le.term under le.mu, and this
-	// constructor must not keep writing it behind their back.
-	d.mu.Lock()
-	ds := d.store
-	d.mu.Unlock()
+	ds := d.durable()
+	var term uint64
 	if ds != nil {
-		le.term = ds.Term()
+		term = ds.Term()
 	}
-	le.setTermGauge(le.term)
+	le := &Leadership{dep: d, cfg: cfg, wake: make(chan struct{}, 1),
+		core: newLeaseCore(d.arch.Host(), cfg.Agents, cfg.Peers, cfg.LeaseTTL, cfg.CampaignTimeout, term, cfg.Clock())}
+	le.setTermGauge(term)
 	d.mu.Lock()
 	d.leadership = le
 	d.mu.Unlock()
 	if ds != nil {
-		ds.SetReplicator(le.enqueue, le.flush)
+		ds.SetReplicator(le.enqueue, le.ReplicationTick)
 	}
 	return le, nil
 }
@@ -222,64 +186,51 @@ func (d *DeployerComponent) Leadership() *Leadership {
 	return d.leadership
 }
 
+func (d *DeployerComponent) durable() *DeployerStore {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.store
+}
+
 // deposed reports whether this deployer participates in leadership but
 // does not currently hold it — the fencing condition for its own wave
 // traffic. A solo deployer is never deposed.
 func (d *DeployerComponent) deposed() bool {
-	d.mu.Lock()
-	le := d.leadership
-	d.mu.Unlock()
-	if le == nil {
-		return false
-	}
-	return !le.IsLeader()
+	le := d.Leadership()
+	return le != nil && !le.IsLeader()
 }
 
 // term returns the fencing term stamped on outgoing control frames
 // (zero — the unfenced legacy value — without leadership).
 func (d *DeployerComponent) term() uint64 {
-	d.mu.Lock()
-	le := d.leadership
-	d.mu.Unlock()
-	if le == nil {
-		return 0
+	if le := d.Leadership(); le != nil {
+		return le.Term()
 	}
-	return le.Term()
+	return 0
+}
+
+// read returns f of the core, read under the lock.
+func read[T any](le *Leadership, f func(*leaseCore) T) T {
+	le.mu.Lock()
+	defer le.mu.Unlock()
+	return f(&le.core)
 }
 
 // Term returns the highest fencing term this deployer has seen.
-func (le *Leadership) Term() uint64 {
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	return le.term
-}
+func (le *Leadership) Term() uint64 { return read(le, func(c *leaseCore) uint64 { return c.term }) }
 
 // IsLeader reports whether this deployer currently holds the lease.
-func (le *Leadership) IsLeader() bool {
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	return le.leading
-}
+func (le *Leadership) IsLeader() bool { return read(le, func(c *leaseCore) bool { return c.leading }) }
 
 // Leader returns the last known leader host ("" before any is known).
 func (le *Leadership) Leader() model.HostID {
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	return le.leader
+	return read(le, func(c *leaseCore) model.HostID { return c.leader })
 }
 
 func (le *Leadership) setTermGauge(term uint64) {
 	le.dep.arch.Obs().Gauge(obs.Name("prism_leader_term",
 		"host", string(le.dep.arch.Host()))).Set(float64(term))
 }
-
-func (le *Leadership) transitionMetric() {
-	le.dep.arch.Obs().Counter(obs.Name("prism_leader_transitions_total",
-		"host", string(le.dep.arch.Host()))).Inc()
-}
-
-// quorum is the strict majority of the agent set.
-func (le *Leadership) quorum() int { return len(le.cfg.Agents)/2 + 1 }
 
 // Campaign runs one election round: it bumps the term past everything
 // seen, persists it, and re-broadcasts the lease request at that SAME
@@ -294,120 +245,135 @@ func (le *Leadership) Campaign() (bool, error) {
 	return le.campaign(sp)
 }
 
+// campaign is the campaign's one wait loop: the deadline, the
+// re-broadcast ticker, and the wake-up of a finish another goroutine's
+// input caused.
 func (le *Leadership) campaign(sp *obs.Span) (bool, error) {
-	d := le.dep
-	le.mu.Lock()
-	if le.leading {
-		le.mu.Unlock()
-		sp.SetAttr("term", le.Term()).SetAttr("outcome", "already_leading")
-		return true, nil
-	}
-	le.term++
-	term := le.term
-	le.campaignTerm = term
-	le.grants = make(map[model.HostID]bool, len(le.cfg.Agents))
-	le.grantCh = make(chan struct{}, 1)
-	le.mu.Unlock()
-	sp.SetAttr("term", term)
-	le.persistTerm(term)
-	le.setTermGauge(term)
-
-	req := Event{
-		Name: EvLeaseRequest, Target: AdminID, SizeKB: 0.2,
-		Payload: LeaseRequest{Candidate: d.arch.Host(), Term: term, TTL: le.cfg.LeaseTTL},
-	}
-	agents := append([]model.HostID(nil), le.cfg.Agents...)
-	sortHostIDs(agents)
-	broadcast := func() {
-		for _, h := range agents {
-			le.mu.Lock()
-			voted := le.grants[h]
-			le.mu.Unlock()
-			if voted {
-				continue
-			}
-			_ = d.sender.send(h, req)
-		}
-	}
-	broadcast()
-	deadline := time.NewTimer(le.cfg.CampaignTimeout)
-	defer deadline.Stop()
+	le.feed(leaseInput{kind: lCampaign})
 	resend := time.NewTicker(le.cfg.RebroadcastInterval)
 	defer resend.Stop()
+	stop := le.dep.stop
 	for {
 		le.mu.Lock()
-		if le.term != term {
-			// A higher term appeared mid-campaign: someone else won a later
-			// election. Stand down.
-			le.campaignTerm = 0
-			le.mu.Unlock()
-			sp.SetAttr("outcome", "superseded")
-			return false, nil
+		f, due := le.ended, le.core.due
+		le.ended = nil
+		le.mu.Unlock()
+		if f != nil {
+			sp.SetAttr("term", f.term).SetAttr("outcome", f.outcome)
+			switch f.outcome {
+			case "won":
+				sp.SetAttr("grants", f.grants)
+				return true, nil
+			case "already_leading":
+				return true, nil
+			case "timeout":
+				return false, fmt.Errorf("campaign for term %d: %w", f.term, ErrNoQuorum)
+			case "closed":
+				return false, fmt.Errorf("prism: deployer closed mid-campaign")
+			}
+			return false, nil // superseded: someone else won a later election
 		}
-		if len(le.grants) >= le.quorum() {
-			le.leading = true
-			le.leader = d.arch.Host()
-			le.campaignTerm = 0
-			le.resetReplLocked()
-			le.mu.Unlock()
-			le.transitionMetric()
-			sp.SetAttr("outcome", "won").SetAttr("grants", len(agents))
+		deadline := time.NewTimer(time.Until(due))
+		select {
+		case <-le.wake:
+		case <-resend.C:
+			le.feed(leaseInput{kind: lTick})
+		case <-deadline.C:
+			le.feed(leaseInput{kind: lTick})
+		case <-stop:
+			stop = nil
+			le.feed(leaseInput{kind: lClosed})
+		}
+		deadline.Stop()
+	}
+}
+
+// feed steps the core and performs its outputs in order.
+func (le *Leadership) feed(in leaseInput) {
+	in.now = time.Now()
+	if in.at.IsZero() {
+		in.at = le.cfg.Clock()
+	}
+	le.mu.Lock()
+	outs := le.core.step(in)
+	le.mu.Unlock()
+	le.perform(outs)
+}
+
+func (le *Leadership) perform(outs []leaseOutput) {
+	d := le.dep
+	ds := d.durable()
+	for _, o := range outs {
+		switch o.kind {
+		case lSend:
+			_ = d.sender.send(o.to, o.ev)
+		case lAppend:
+			if ds != nil {
+				_ = ds.SaveTerm(o.term)
+				ds.ResetReplProgress()
+			}
+			le.setTermGauge(o.term)
+		case lIngest:
+			var applied uint64
+			if ds != nil {
+				recs := make([]store.Record, len(o.batch.Records))
+				for i, r := range o.batch.Records {
+					recs[i] = store.Record{Kind: r.Kind, Data: r.Data}
+				}
+				applied, _ = ds.Ingest(o.batch.Seq, o.batch.Reset, recs)
+			}
+			_ = d.sender.send(o.batch.Leader, Event{Name: EvReplicateAck, Target: DeployerID, SizeKB: 0.2,
+				Payload: ReplAck{Host: d.arch.Host(), Term: o.batch.Term, Applied: applied}})
+		case lWon, lDeposed:
+			d.arch.Obs().Counter(obs.Name("prism_leader_transitions_total", "host", string(d.arch.Host()))).Inc()
+			if o.kind == lDeposed {
+				continue
+			}
 			// Adopt the replicated epoch high-water mark: records ingested
 			// while standing by advanced the store past the counter
 			// AttachStore restored, and a resumed wave must never renumber.
 			d.mu.Lock()
-			if ds := d.store; ds != nil {
-				if ne := ds.NextEpoch(); ne > d.nextEpoch {
-					d.nextEpoch = ne
-				}
+			if ds != nil {
+				d.nextEpoch = max(d.nextEpoch, ds.NextEpoch())
 			}
 			d.mu.Unlock()
-			// Prime the freshly won replication state toward every peer so
-			// standbys converge without waiting for the first wave.
-			le.flush()
-			return true, nil
-		}
-		le.mu.Unlock()
-		select {
-		case <-le.grantCh:
-		case <-resend.C:
-			broadcast()
-		case <-deadline.C:
+			// The stream a new leadership offers its standbys starts with the
+			// store's live state (a Reset batch), so a standby in any prior
+			// state converges without waiting for the first wave.
+			var recs []ReplRecord
+			if ds != nil {
+				for _, r := range ds.LiveRecords() {
+					recs = append(recs, ReplRecord{Kind: r.Kind, Data: r.Data})
+				}
+			}
+			le.feed(leaseInput{kind: lLog, recs: recs})
+		case lFinish:
 			le.mu.Lock()
-			le.campaignTerm = 0
+			le.ended = &o
 			le.mu.Unlock()
-			sp.SetAttr("outcome", "timeout")
-			return false, fmt.Errorf("campaign for term %d: %w", term, ErrNoQuorum)
-		case <-d.stop:
-			le.mu.Lock()
-			le.campaignTerm = 0
-			le.mu.Unlock()
-			sp.SetAttr("outcome", "closed")
-			return false, fmt.Errorf("prism: deployer closed mid-campaign")
+			select {
+			case le.wake <- struct{}{}:
+			default:
+			}
 		}
+	}
+}
+
+// handle feeds the core a leadership frame's payload.
+func (le *Leadership) handle(p any) {
+	switch p := p.(type) {
+	case LeaseGrant:
+		le.feed(leaseInput{kind: lGrant, grant: p})
+	case ReplBatch:
+		le.feed(leaseInput{kind: lReplicate, batch: p})
+	case ReplAck:
+		le.feed(leaseInput{kind: lReplAck, ack: p})
 	}
 }
 
 // Renew re-broadcasts the current lease at the held term (agents extend
 // their expiry for the same holder). Only meaningful while leading.
-func (le *Leadership) Renew() {
-	le.mu.Lock()
-	leading, term := le.leading, le.term
-	le.mu.Unlock()
-	if !leading {
-		return
-	}
-	d := le.dep
-	req := Event{
-		Name: EvLeaseRequest, Target: AdminID, SizeKB: 0.2,
-		Payload: LeaseRequest{Candidate: d.arch.Host(), Term: term, TTL: le.cfg.LeaseTTL, Renewal: true},
-	}
-	agents := append([]model.HostID(nil), le.cfg.Agents...)
-	sortHostIDs(agents)
-	for _, h := range agents {
-		_ = d.sender.send(h, req)
-	}
-}
+func (le *Leadership) Renew() { le.feed(leaseInput{kind: lRenew}) }
 
 // Failover is the standby's promotion path: campaign, and on victory
 // run the deployer's existing Resume — decided epochs re-announce their
@@ -432,226 +398,30 @@ func (le *Leadership) Failover() ([]ResumedWave, bool, error) {
 	return waves, true, rerr
 }
 
-// LeaderSuspect reports whether the standby-side watch currently
-// declares the known leader suspect or dead at the given time — the
-// campaign trigger. A host that is itself leading never suspects.
+// LeaderSuspect reports whether the leader watch holds the leader silent
+// at the given time — the campaign trigger. A host that is itself
+// leading never suspects.
 func (le *Leadership) LeaderSuspect(now time.Time) bool {
-	le.mu.Lock()
-	leader, leading := le.leader, le.leading
-	le.mu.Unlock()
-	if leading || leader == "" {
-		return false
-	}
-	le.watch.EvaluateAt(now)
-	st := le.watch.State(leader)
-	return st == HostSuspect || st == HostDead
+	return read(le, func(c *leaseCore) bool { return c.suspect(now) })
 }
 
-// persistTerm records the fencing term durably (best-effort: a lost
-// term is re-learned from the first frame that carries a higher one).
-func (le *Leadership) persistTerm(term uint64) {
-	le.dep.mu.Lock()
-	ds := le.dep.store
-	le.dep.mu.Unlock()
-	if ds != nil {
-		_ = ds.SaveTerm(term)
-	}
-}
-
-// observe folds an incoming term into the leadership state (Paxos-style
-// term learning): a higher term always wins, and a leader seeing one is
-// deposed — its wave loops notice on their next re-drive tick and stop.
-func (le *Leadership) observe(term uint64, from model.HostID) {
-	le.mu.Lock()
-	if term <= le.term {
-		if term == le.term && from != "" {
-			le.leader = from
-		}
-		le.mu.Unlock()
-		return
-	}
-	le.term = term
-	wasLeading := le.leading
-	le.leading = false
-	if from != "" {
-		le.leader = from
-	}
-	if le.campaignTerm != 0 {
-		// Wake a pending campaign so it notices it was superseded.
-		select {
-		case le.grantCh <- struct{}{}:
-		default:
-		}
-	}
-	le.mu.Unlock()
-	// A new term means a new leader with a freshly rebuilt replication
-	// log: its stream restarts at seq 1, so the high-water mark from the
-	// old term must not make Ingest skip the new Reset batch as covered.
-	le.dep.mu.Lock()
-	ds := le.dep.store
-	le.dep.mu.Unlock()
-	if ds != nil {
-		ds.ResetReplProgress()
-	}
-	le.persistTerm(term)
-	le.setTermGauge(term)
-	if wasLeading {
-		le.transitionMetric()
-	}
-}
-
-// onGrant processes an agent's vote (or the fencing feedback an admin
-// sends a stale coordinator).
-func (le *Leadership) onGrant(g LeaseGrant) {
-	if !g.Granted {
-		le.observe(g.Term, "")
-		return
-	}
-	le.mu.Lock()
-	if g.Term == le.campaignTerm && le.campaignTerm != 0 {
-		le.grants[g.Host] = true
-		select {
-		case le.grantCh <- struct{}{}:
-		default:
-		}
-	}
-	le.mu.Unlock()
-}
-
-// --- Leader-side replication -------------------------------------------
-
-// resetReplLocked rebuilds the replication log from the store's live
-// state: the stream a new leadership session offers its standbys starts
-// with a full prefix (Reset batch), so a standby in any prior state
-// converges. Caller holds le.mu.
-func (le *Leadership) resetReplLocked() {
-	le.replLog = nil
-	le.acked = make(map[model.HostID]uint64, len(le.cfg.Peers))
-	le.dep.mu.Lock()
-	ds := le.dep.store
-	le.dep.mu.Unlock()
-	if ds == nil {
-		return
-	}
-	for _, r := range ds.LiveRecords() {
-		le.replLog = append(le.replLog, ReplRecord{Kind: r.Kind, Data: r.Data})
-	}
-}
-
-// enqueue appends one checkpoint record to the replication log. It runs
-// under the store's mutex (ordering matches the WAL exactly); the
-// send happens in flush.
+// enqueue hands one checkpoint record to the replication log. It runs
+// under the store's mutex (ordering matches the WAL exactly); the send
+// happens in ReplicationTick.
 func (le *Leadership) enqueue(kind byte, data []byte) {
-	le.mu.Lock()
-	if le.leading {
-		le.replLog = append(le.replLog, ReplRecord{Kind: kind, Data: data})
-	}
-	le.mu.Unlock()
+	le.feed(leaseInput{kind: lRecord, recs: []ReplRecord{{Kind: kind, Data: data}}})
 }
 
-// flush streams each peer's unacknowledged suffix. Invoked after every
-// WAL append — strictly before any armed crash hook runs, so a record
-// that became durable on the leader is offered to standbys before the
-// leader can die of it — and from ReplicationTick for retransmission.
-func (le *Leadership) flush() {
-	le.mu.Lock()
-	if !le.leading {
-		le.mu.Unlock()
-		return
-	}
-	term := le.term
-	type out struct {
-		peer  model.HostID
-		batch ReplBatch
-	}
-	var outs []out
-	peers := append([]model.HostID(nil), le.cfg.Peers...)
-	sortHostIDs(peers)
-	for _, p := range peers {
-		start := le.acked[p] + 1
-		if start < 1 {
-			start = 1
-		}
-		var recs []ReplRecord
-		if int(start) <= len(le.replLog) {
-			recs = append([]ReplRecord(nil), le.replLog[start-1:]...)
-		} else {
-			start = uint64(len(le.replLog)) + 1 // empty batch: leader heartbeat
-		}
-		outs = append(outs, out{peer: p, batch: ReplBatch{
-			Leader: le.dep.arch.Host(), Term: term, Seq: start,
-			Reset: start == 1, Records: recs,
-		}})
-	}
-	le.mu.Unlock()
-	for _, o := range outs {
-		_ = le.dep.sender.send(o.peer, Event{
-			Name: EvReplicate, Target: DeployerID, Payload: o.batch,
-			SizeKB: 0.3 + float64(len(o.batch.Records))*0.2,
-		})
-	}
-}
-
-// ReplicationTick retransmits every peer's unacknowledged suffix (or an
-// empty heartbeat batch once a peer is caught up, feeding its leader
-// watch). Drive it periodically while leading.
-func (le *Leadership) ReplicationTick() { le.flush() }
+// ReplicationTick streams every peer's unacknowledged suffix (or an empty
+// heartbeat batch once a peer is caught up, feeding its leader watch).
+// The store invokes it after every WAL append — strictly before any armed
+// crash hook runs, so a record that became durable on the leader is
+// offered to standbys before the leader can die of it. Drive it
+// periodically while leading, for retransmission.
+func (le *Leadership) ReplicationTick() { le.feed(leaseInput{kind: lFlush}) }
 
 // Synced reports whether the given peer has acknowledged the entire
 // replication log (drills gate leader-kill on a converged standby).
 func (le *Leadership) Synced(peer model.HostID) bool {
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	return le.leading && le.acked[peer] >= uint64(len(le.replLog))
+	return read(le, func(c *leaseCore) bool { return c.synced(peer) })
 }
-
-// onReplicate is the standby side: adopt the term, observe the leader
-// for the watch, ingest the batch idempotently, and ack how far the
-// local WAL has applied.
-func (le *Leadership) onReplicate(b ReplBatch) {
-	le.mu.Lock()
-	stale := b.Term < le.term
-	le.mu.Unlock()
-	if stale {
-		// A deposed leader is still streaming: tell it the world moved on.
-		_ = le.dep.sender.send(b.Leader, Event{
-			Name: EvReplicateAck, Target: DeployerID, SizeKB: 0.2,
-			Payload: ReplAck{Host: le.dep.arch.Host(), Term: le.Term(), Applied: 0},
-		})
-		return
-	}
-	le.observe(b.Term, b.Leader)
-	le.watch.ObserveAt(b.Leader, b.Term, le.cfg.Clock())
-	le.dep.mu.Lock()
-	ds := le.dep.store
-	le.dep.mu.Unlock()
-	var applied uint64
-	if ds != nil {
-		recs := make([]store.Record, len(b.Records))
-		for i, r := range b.Records {
-			recs[i] = store.Record{Kind: r.Kind, Data: r.Data}
-		}
-		applied, _ = ds.Ingest(b.Seq, b.Reset, recs)
-	}
-	_ = le.dep.sender.send(b.Leader, Event{
-		Name: EvReplicateAck, Target: DeployerID, SizeKB: 0.2,
-		Payload: ReplAck{Host: le.dep.arch.Host(), Term: b.Term, Applied: applied},
-	})
-}
-
-// onReplicateAck advances a peer's acked high-water mark (leader side),
-// or deposes us when the ack carries a higher term.
-func (le *Leadership) onReplicateAck(a ReplAck) {
-	le.mu.Lock()
-	if a.Term > le.term {
-		le.mu.Unlock()
-		le.observe(a.Term, "")
-		return
-	}
-	if le.leading && a.Term == le.term && a.Applied > le.acked[a.Host] {
-		le.acked[a.Host] = a.Applied
-	}
-	le.mu.Unlock()
-}
-
-var registerLeaderPayloadsOnce sync.Once

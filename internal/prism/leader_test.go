@@ -3,11 +3,13 @@ package prism
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"dif/internal/model"
+	"dif/internal/obs"
 	"dif/internal/store"
 )
 
@@ -48,7 +50,13 @@ type haWorld struct {
 
 func newHAWorld(t *testing.T, hosts ...model.HostID) *haWorld {
 	t.Helper()
-	w := newWorld(t, 1.0, hosts...)
+	return newHAWorldOn(t, newWorld(t, 1.0, hosts...), 20*time.Millisecond, hosts...)
+}
+
+// newHAWorldOn builds the haWorld over w, re-broadcasting campaigns at
+// the given interval.
+func newHAWorldOn(t *testing.T, w *world, rebroadcast time.Duration, hosts ...model.HostID) *haWorld {
+	t.Helper()
 	clk := newTestClock()
 	dw := &deployWorld{
 		world:    w,
@@ -73,7 +81,7 @@ func newHAWorld(t *testing.T, hosts ...model.HostID) *haWorld {
 	}
 	lcfg := LeaderConfig{
 		Agents: hosts, Clock: clk.Now,
-		RebroadcastInterval: 20 * time.Millisecond,
+		RebroadcastInterval: rebroadcast,
 		CampaignTimeout:     5 * time.Second,
 	}
 	for i, h := range hosts[:2] {
@@ -180,6 +188,118 @@ func TestCampaignWinsQuorum(t *testing.T) {
 	if _, err := ha.standby.Enact(nil, nil, time.Second); err != ErrNotLeader {
 		t.Fatalf("standby Enact err = %v, want ErrNotLeader", err)
 	}
+}
+
+// TestAttachStoreAfterLeadershipRejected: leadership inherits the store's
+// term and taps its appends when it attaches, so a store offered after it
+// is refused rather than left unreplicated.
+func TestAttachStoreAfterLeadershipRejected(t *testing.T) {
+	ha := newHAWorld(t, "h1", "h2", "h3")
+	ds, err := OpenDeployerStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	if err := ha.deployer.AttachStore(ds); err == nil {
+		t.Fatal("a store attached after leadership was accepted")
+	}
+}
+
+// TestStandbySuspectsUnheardLeader: a standby attached after the leader
+// died hears no leader at all. Its watch runs from attach time, so 2×TTL
+// of silence makes it suspect, and it campaigns.
+func TestStandbySuspectsUnheardLeader(t *testing.T) {
+	ha := newHAWorld(t, "h1", "h2", "h3")
+	if ha.leadB.LeaderSuspect(ha.clk.Now()) {
+		t.Fatal("standby suspects a leader at attach time")
+	}
+	if ha.leadB.LeaderSuspect(ha.clk.Advance(2*DefaultLeaseTTL - time.Millisecond)) {
+		t.Fatal("standby suspects before 2×TTL of silence")
+	}
+	if !ha.leadB.LeaderSuspect(ha.clk.Advance(time.Millisecond)) {
+		t.Fatal("standby never suspects a leader it has never heard")
+	}
+}
+
+// TestCampaignSpanCountsGrants: with one of three agents partitioned
+// away, the campaign wins on two grants, and its span says two.
+func TestCampaignSpanCountsGrants(t *testing.T) {
+	ha := newHAWorld(t, "h1", "h2", "h3")
+	tracer := obs.NewTracer()
+	ha.archs["h1"].SetObservability(nil, tracer)
+	if err := ha.fabric.SetPartitioned("h1", "h3", true); err != nil {
+		t.Fatal(err)
+	}
+	if won, err := ha.leadA.Campaign(); err != nil || !won {
+		t.Fatalf("campaign: won=%v err=%v", won, err)
+	}
+	spans := tracer.Snapshot()
+	if len(spans) != 1 || spans[0].Name != "campaign" {
+		t.Fatalf("spans = %+v, want one campaign", spans)
+	}
+	if got := spans[0].Attr("grants"); got != "2" {
+		t.Fatalf("campaign span grants = %q, want 2", got)
+	}
+}
+
+// TestLeadershipFrameMix pins the frames a lossless world of three agents
+// and two deployers puts on the wire, per kind, for each leadership
+// exchange: a campaign (a request and a grant per agent, then the won
+// leadership's first replication batch and its ack), a renewal and a
+// replication tick, and one goal announce answered by a delta and an ack.
+func TestLeadershipFrameMix(t *testing.T) {
+	hosts := []model.HostID{"h1", "h2", "h3"}
+	taps := make(map[model.HostID]*tapTransport)
+	w := newWrappedWorld(t, 1.0, func(h model.HostID, tr Transport) Transport {
+		taps[h] = newTap(tr, "", 0)
+		return taps[h]
+	}, hosts...)
+	ha := newHAWorldOn(t, w, time.Hour, hosts...)
+	kinds := []string{EvLeaseRequest, EvLeaseGrant, EvReplicate, EvReplicateAck, EvGoalAnnounce, EvGoalDelta, EvGoalAck, EvHeartbeat}
+	total := func() map[string]int {
+		n := make(map[string]int)
+		for _, tap := range taps {
+			for _, k := range kinds {
+				n[k] += tap.sent(k)
+			}
+		}
+		return n
+	}
+	// exchange runs one exchange and checks the frames it added, once they
+	// match or two seconds have passed.
+	exchange := func(name string, run func(), want map[string]int) {
+		t.Helper()
+		before := total()
+		run()
+		var got map[string]int
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+			got = make(map[string]int)
+			for k, n := range total() {
+				if d := n - before[k]; d != 0 {
+					got[k] = d
+				}
+			}
+			if reflect.DeepEqual(got, want) {
+				return
+			}
+		}
+		t.Fatalf("%s: frames per kind = %v, want %v", name, got, want)
+	}
+	// h1's own vote and grant stay on the host: they never reach the wire.
+	exchange("campaign", func() {
+		if won, err := ha.leadA.Campaign(); err != nil || !won {
+			t.Fatalf("campaign: won=%v err=%v", won, err)
+		}
+	}, map[string]int{EvLeaseRequest: 2, EvLeaseGrant: 2, EvReplicate: 1, EvReplicateAck: 1})
+	exchange("renew and replication tick", func() {
+		ha.leadA.Renew()
+		ha.leadA.ReplicationTick()
+	}, map[string]int{EvLeaseRequest: 2, EvLeaseGrant: 2, EvReplicate: 1, EvReplicateAck: 1})
+	exchange("announce", func() {
+		if err := ha.admins["h3"].AnnounceGoalState(); err != nil {
+			t.Fatal(err)
+		}
+	}, map[string]int{EvGoalAnnounce: 1, EvGoalDelta: 1, EvGoalAck: 1})
 }
 
 // TestStaleTermOutcomeFencedByEveryParticipant is the split-brain drill
