@@ -33,12 +33,14 @@ fmt:
 # property test, the lost-frame hole, the wide-span settle) run in the
 # first pass with the rest of ./internal/prism/, and so do the two
 # explorers: TestWaveExplore walks every interleaving of a small two-phase
-# wave through the real waveCore.step (about 4.9·10⁵ states, about 16 s
-# under the race detector), TestLeaseExplore every interleaving of a small
-# election and of a failover with an agent resync through the real
-# leaseCore.step and voterCore.step (about 3.9·10⁵ states, about 36 s
-# under the race detector), and their
-# Mutants tests check that each catches three broken steps.
+# wave through the real waveCore.step and, for every participant, the
+# real partCore.step and voterCore.step (about 5.3·10⁵ states, a
+# participant restart included, about 37 s under the race detector),
+# TestLeaseExplore every interleaving of
+# a small election and of a failover with an agent resync through the
+# real leaseCore.step and voterCore.step (about 3.9·10⁵ states, about
+# 36 s under the race detector), and their Mutants tests check that each
+# catches its broken steps (seven for the wave, three for the lease).
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/... ./cmd/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/

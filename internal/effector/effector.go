@@ -139,7 +139,6 @@ type Report struct {
 	// Received counts components actually reconstituted at their
 	// destinations; a clean wave has Received == Moved.
 	Received int
-	Relayed  int
 	Elapsed  time.Duration
 	// Degraded flags partial outcomes: the wave finished (or was rolled
 	// back) without accounting for every move.
@@ -198,7 +197,6 @@ func (e *PrismEnactor) Enact(plan Plan, timeout time.Duration) (Report, error) {
 	rep := Report{
 		Moved:    res.Moved,
 		Received: res.Received,
-		Relayed:  res.Relayed,
 		Elapsed:  time.Since(start),
 		Degraded: res.Degraded,
 	}

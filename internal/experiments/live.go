@@ -188,7 +188,6 @@ type E5Row struct {
 	Moves       int
 	BytesKB     float64
 	Elapsed     time.Duration
-	Relayed     int
 	EstimatedMS float64
 }
 
@@ -250,7 +249,6 @@ func RunE5(moveCounts []int) ([]E5Row, error) {
 				return nil, fmt.Errorf("e5 enact %d moves: %w", n, err)
 			}
 			row.Moves += rep.Moved
-			row.Relayed += rep.Relayed
 			row.Elapsed += rep.Elapsed
 		}
 		w.Close()

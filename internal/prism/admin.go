@@ -3,9 +3,8 @@ package prism
 import (
 	"cmp"
 	"encoding/gob"
-	"fmt"
 	"maps"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,7 +116,6 @@ type DoneReport struct {
 	Epoch    int
 	Host     model.HostID
 	Received int
-	Relayed  int // events buffered during migration and relayed onward
 }
 
 // WaveOutcome ends a redeployment wave (phase two of the two-phase
@@ -249,23 +247,9 @@ type AdminComponent struct {
 	cfg  AdminConfig
 
 	mu sync.Mutex
-	// epochSeen dedups reconfig commands. All keys are
-	// coordinator-scoped ("coord/epoch[/comp]"): every deployer numbers
-	// its waves independently.
-	epochSeen map[string]bool
-	arrived   map[string]bool
-	expect    map[string]*reconfigProgress
-	// prepared holds detached-but-uncommitted source-side components
-	// ("coord/epoch/comp"): phase one of the two-phase migration retains
-	// the live instance until the wave's outcome arrives, so an abort can
-	// reattach it instead of stranding it, and caches the serialized
-	// payload, so a duplicate fetch is answered again.
-	prepared map[string]*preparedComp
-	// settled marks waves ("coord/epoch") whose outcome this host applied,
-	// commit or abort, so late reconfig, fetch, or transfer messages for
-	// them are ignored: a duplicate fetch of a committed wave must not
-	// detach a component that came back here in a later wave.
-	settled map[string]bool
+	// part is this host's side of the two-phase waves (wave.go): one
+	// record per open wave, and the epochs it settled per coordinator.
+	part partCore
 
 	freqMon *EvtFrequencyMonitor
 	relMon  *NetworkReliabilityMonitor
@@ -278,9 +262,6 @@ type AdminComponent struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// relayed counts events that were held during a migration and
-	// re-routed to the component's new host.
-	relayed int
 	// incarnation and hbSeq stamp outgoing heartbeats.
 	incarnation uint64
 	hbSeq       uint64
@@ -298,35 +279,6 @@ type AdminComponent struct {
 	voter voterCore
 }
 
-type reconfigProgress struct {
-	received    int
-	done        bool
-	coordinator model.HostID
-	// arrivals (component → source host) must all be received before
-	// done is reported; commit then releases their held traffic, abort
-	// evicts them and bounces buffered traffic back to the source.
-	arrivals map[string]model.HostID
-	outcome  waveOutcomeState
-}
-
-type waveOutcomeState int
-
-const (
-	outcomePending waveOutcomeState = iota
-	outcomeCommitted
-	outcomeAborted
-)
-
-// preparedComp is a source-side component detached in phase one and
-// awaiting the wave outcome.
-type preparedComp struct {
-	id        string
-	comp      Migratable
-	welds     []string
-	requester model.HostID
-	shipped   TransferPayload
-}
-
 // NewAdminComponent builds an admin for the architecture. The admin must
 // then be added to the architecture and welded to cfg.Bus by the caller
 // (or use InstallAdmin).
@@ -341,11 +293,7 @@ func NewAdminComponent(arch *Architecture, cfg AdminConfig) *AdminComponent {
 		arch:          arch,
 		cfg:           cfg,
 		sender:        newControlSender(arch, cfg, AdminID),
-		epochSeen:     make(map[string]bool),
-		arrived:       make(map[string]bool),
-		expect:        make(map[string]*reconfigProgress),
-		prepared:      make(map[string]*preparedComp),
-		settled:       make(map[string]bool),
+		part:          newPartCore(arch.Host(), cfg.Deployer),
 		voter:         newVoterCore(arch.Host(), cfg.Deployer),
 		stop:          make(chan struct{}),
 	}
@@ -419,8 +367,7 @@ func (a *AdminComponent) SetIncarnation(inc uint64) {
 // announce's re-driver). It is safe to drive manually (deterministic
 // drills) or from StartHeartbeats.
 func (a *AdminComponent) SendHeartbeat() error {
-	_, err := a.vote(voterInput{kind: vBeat})
-	return err
+	return a.vote(voterInput{kind: vBeat})
 }
 
 // StartHeartbeats launches a background pump emitting heartbeats at the
@@ -509,29 +456,27 @@ func (a *AdminComponent) Handle(e Event) {
 			Name: EvReport, Target: DeployerID, Payload: a.answerReport(req.Round, e.SrcHost), SizeKB: 2,
 		})
 	case EvReconfig:
-		cmd, ok := e.Payload.(ReconfigCommand)
-		if !ok {
-			return
+		if cmd, ok := e.Payload.(ReconfigCommand); ok {
+			a.wave(partInput{kind: pReconfig, cmd: cmd})
 		}
-		a.handleReconfig(cmd)
 	case EvFetch:
-		req, ok := e.Payload.(FetchRequest)
-		if !ok {
-			return
+		if req, ok := e.Payload.(FetchRequest); ok {
+			a.wave(partInput{kind: pFetch, req: req})
 		}
-		a.handleFetch(req)
 	case EvTransfer:
 		tp, ok := e.Payload.(TransferPayload)
-		if !ok {
-			return
+		switch {
+		case !ok:
+		case tp.FinalDst != "" && tp.FinalDst != a.arch.Host():
+			// Mediation: pass it along.
+			_ = a.sender.send(tp.FinalDst, Event{Name: EvTransfer, Target: AdminID, Payload: tp, SizeKB: tp.SizeKB})
+		default:
+			a.wave(partInput{kind: pTransfer, tp: tp})
 		}
-		a.handleTransfer(tp)
 	case EvOutcome:
-		out, ok := e.Payload.(WaveOutcome)
-		if !ok {
-			return
+		if out, ok := e.Payload.(WaveOutcome); ok {
+			a.wave(partInput{kind: pOutcome, out: out})
 		}
-		a.handleOutcome(out)
 	case EvGoalDelta:
 		gd, ok := e.Payload.(GoalDelta)
 		if !ok {
@@ -593,24 +538,21 @@ func (a *AdminComponent) FenceTerm() uint64 {
 	return a.voter.fence
 }
 
-// fenceCheck feeds an inbound control frame's term and origin to the
-// voter and reports whether the frame may be applied (voterCore.fenced
-// has the rule).
-func (a *AdminComponent) fenceCheck(term uint64, origin model.HostID) bool {
-	ok, _ := a.vote(voterInput{kind: vFrame, term: term, origin: origin})
-	return ok
-}
-
-// vote steps the voter and performs its outputs in order. It reports
-// whether a fenced frame was accepted, and the result of the first send
-// (the heartbeat's or the announce's, for their callers).
-func (a *AdminComponent) vote(in voterInput) (accepted bool, err error) {
+// vote steps the voter and performs its outputs. It returns the result
+// of the first send (the heartbeat's or the announce's, for their
+// callers).
+func (a *AdminComponent) vote(in voterInput) error {
 	if in.kind == vLease {
 		in.now = a.cfg.Clock()
 	}
 	a.mu.Lock()
 	outs := a.voter.step(in)
 	a.mu.Unlock()
+	return a.performVotes(outs)
+}
+
+// performVotes performs the voter's outputs in order.
+func (a *AdminComponent) performVotes(outs []voterOutput) (err error) {
 	sent := false
 	send := func(to model.HostID, ev Event) {
 		if e := a.sender.send(to, ev); !sent {
@@ -622,8 +564,6 @@ func (a *AdminComponent) vote(in voterInput) (accepted bool, err error) {
 		switch o.kind {
 		case vSend:
 			send(o.to, o.ev)
-		case vAccept:
-			accepted = true
 		case vApply:
 			a.applyDelta(o.delta)
 			a.vote(voterInput{kind: vApplied, delta: o.delta})
@@ -644,65 +584,55 @@ func (a *AdminComponent) vote(in voterInput) (accepted bool, err error) {
 			a.arch.Obs().Counter(obs.Name(o.metric, "host", string(self))).Inc()
 		}
 	}
-	return accepted, err
+	return err
 }
 
-// handleReconfig starts acquiring this host's arrivals.
-func (a *AdminComponent) handleReconfig(cmd ReconfigCommand) {
-	coord := cmp.Or(cmd.Coordinator, a.cfg.Deployer)
-	if !a.fenceCheck(cmd.Term, coord) {
-		return
-	}
-	ck := epochKey(coord, cmd.Epoch)
+// wave steps the participant core behind the voter's fence and performs
+// what it returns, in order: the sends, and the architecture work of
+// holding, detaching, reconstituting, committing and rolling back. A lost
+// fetch, transfer or done report is re-driven by the coordinator's
+// re-dispatch of the reconfig.
+func (a *AdminComponent) wave(in partInput) {
 	a.mu.Lock()
-	if a.epochSeen[ck] {
-		// Duplicate command — re-dispatch or duplicated frame. If we
-		// already finished, our done report may have been lost: repeat it.
-		// If not, a fetch or its transfer may have been: re-fetch every
-		// arrival still missing.
-		prog := a.expect[ck]
-		if prog == nil || prog.outcome != outcomePending {
-			a.mu.Unlock()
-			return
-		}
-		done, received, relayed := prog.done, prog.received, a.relayed
-		var arrived map[string]bool
-		if !done {
-			arrived = make(map[string]bool, len(cmd.Arrivals))
-			for comp := range cmd.Arrivals {
-				arrived[comp] = a.arrived[ck+"/"+comp]
-			}
-		}
-		a.mu.Unlock()
-		if done {
-			a.sendDone(coord, cmd.Epoch, received, relayed)
-		} else {
-			a.sendFetches(cmd, arrived)
-		}
-		return
-	}
-	a.epochSeen[ck] = true
-	arrivals := make(map[string]model.HostID, len(cmd.Arrivals))
-	for comp, src := range cmd.Arrivals {
-		arrivals[comp] = src
-	}
-	a.expect[ck] = &reconfigProgress{coordinator: coord, arrivals: arrivals}
+	vouts, outs := participate(&a.voter, &a.part, in, (*partCore).step)
 	a.mu.Unlock()
-
-	if len(cmd.Arrivals) == 0 {
-		a.maybeDone(coord, cmd.Epoch)
-		return
-	}
-	bus := a.arch.Connector(a.cfg.Bus)
-	for comp := range cmd.Arrivals {
-		// Buffer traffic addressed to the component until it attaches.
-		if bus != nil {
-			bus.Hold(comp)
+	_ = a.performVotes(vouts)
+	for _, o := range outs {
+		switch o.kind {
+		case pSend:
+			_ = a.sender.send(o.to, o.ev)
+		case pLeg:
+			a.sendLeg(o)
+		case pHold:
+			if bus := a.arch.Connector(a.cfg.Bus); bus != nil {
+				bus.Hold(o.comp)
+			}
+		case pDetach:
+			a.detach(o.req)
+		case pRestore:
+			a.wave(partInput{kind: pRestored, tp: o.tp, ok: a.restore(o.tp)})
+		case pCommit:
+			a.commitWave(o.wave, o.to)
+		case pAbort:
+			a.abortWave(o.wave, o.to)
 		}
 	}
-	// A lost fetch or transfer is re-driven by the deployer's re-dispatch
-	// of this command (the duplicate branch above).
-	a.sendFetches(cmd, nil)
+}
+
+// sendLeg sends a fetch or a transfer to its host, or, when that host is
+// not a peer, to the wave's coordinator to forward (the paper's mediation
+// rule): the coordinator's re-dispatch tick also re-forwards what it
+// mediates.
+func (a *AdminComponent) sendLeg(o partOutput) {
+	to, ev := o.to, o.ev
+	if !a.sender.isPeer(to) && to != a.arch.Host() {
+		if req, ok := ev.Payload.(FetchRequest); ok {
+			req.Mediated = true
+			ev.Payload = req
+		}
+		to, ev.Target = o.coord, DeployerID
+	}
+	_ = a.sender.send(to, ev)
 }
 
 // every runs f at the given interval on a goroutine Close waits for;
@@ -741,68 +671,17 @@ func (a *AdminComponent) Close() {
 	a.wg.Wait()
 }
 
-// sendFetches requests the epoch's arrivals, skipping components already
-// arrived (per the filter).
-func (a *AdminComponent) sendFetches(cmd ReconfigCommand, skip map[string]bool) {
-	for comp, src := range cmd.Arrivals {
-		if skip[comp] {
-			continue
-		}
-		req := FetchRequest{
-			Epoch:       cmd.Epoch,
-			Coordinator: cmp.Or(cmd.Coordinator, a.cfg.Deployer),
-			Comp:        comp,
-			Requester:   a.arch.Host(),
-			Source:      src,
-		}
-		dst, target := src, AdminID
-		if !a.sender.isPeer(src) && src != a.arch.Host() {
-			// Route via the wave's deployer (the paper's mediation rule):
-			// its re-dispatch tick also re-forwards what it mediates.
-			req.Mediated = true
-			dst, target = req.Coordinator, DeployerID
-		}
-		_ = a.sender.send(dst, Event{Name: EvFetch, Target: target, Payload: req, SizeKB: 0.5})
-	}
-}
-
-// epochKey scopes per-wave state by its coordinating deployer.
-func epochKey(coordinator model.HostID, epoch int) string {
-	return fmt.Sprintf("%s/%d", coordinator, epoch)
-}
-
-// handleFetch serializes and ships the requested component, but only
-// *prepares* the departure (phase one of the two-phase migration): the
-// detached instance and its buffered traffic are retained until the
-// wave's outcome arrives — commit discards them and relays the traffic
-// onward, abort reattaches the component as if nothing happened.
-func (a *AdminComponent) handleFetch(req FetchRequest) {
-	ck := epochKey(req.Coordinator, req.Epoch)
-	key := ck + "/" + req.Comp
-	a.mu.Lock()
-	if a.settled[ck] {
-		a.mu.Unlock()
-		return // wave already settled: never re-detach
-	}
-	if p, ok := a.prepared[key]; ok {
-		// Duplicate request (retry): re-ship the cached payload.
-		a.mu.Unlock()
-		a.ship(p.shipped, req)
-		return
-	}
-	a.mu.Unlock()
-
-	comp := a.arch.Component(req.Comp)
-	if comp == nil {
-		return // not here (stale request)
-	}
-	mig, ok := comp.(Migratable)
+// detach takes a component out for a wave and serializes it, but only
+// *prepares* the departure (phase one of the two-phase migration): its
+// traffic is held on every connector it is welded to, and the live
+// instance is kept with its welds until the wave's outcome — a commit
+// drops it and relays the traffic onward, an abort re-attaches it as if
+// nothing happened.
+func (a *AdminComponent) detach(req FetchRequest) {
+	mig, ok := a.arch.Component(req.Comp).(Migratable)
 	if !ok {
-		return // unmigratable components never ship
+		return // not here (a stale request), or unmigratable: never ships
 	}
-
-	// Buffer events addressed to the component on every connector it is
-	// welded to, then detach it from the architecture.
 	welds := a.arch.WeldsOf(req.Comp)
 	for _, w := range welds {
 		if conn := a.arch.Connector(w); conn != nil {
@@ -812,34 +691,22 @@ func (a *AdminComponent) handleFetch(req FetchRequest) {
 	if _, err := a.arch.RemoveComponent(req.Comp); err != nil {
 		return
 	}
+	prep := &preparedComp{id: req.Comp, comp: mig, welds: welds, requester: req.Requester}
 	state, err := mig.Snapshot()
 	if err != nil {
-		// Reattach: the component cannot ship.
-		_ = a.arch.AddComponent(mig)
-		for _, w := range welds {
-			_ = a.arch.Weld(req.Comp, w)
-			if conn := a.arch.Connector(w); conn != nil {
-				conn.Release(req.Comp, true)
-			}
-		}
+		a.wave(partInput{kind: pPrepared, req: req, prep: prep})
 		return
 	}
 	tp := TransferPayload{
-		Epoch:       req.Epoch,
-		Coordinator: req.Coordinator,
-		Comp:        req.Comp,
-		TypeName:    mig.TypeName(),
-		State:       state,
-		SizeKB:      float64(len(state))/1024 + 1,
-		FinalDst:    req.Requester,
-		Source:      a.arch.Host(),
+		Epoch: req.Epoch, Coordinator: req.Coordinator, Comp: req.Comp, TypeName: mig.TypeName(),
+		State: state, SizeKB: float64(len(state))/1024 + 1, FinalDst: req.Requester, Source: a.arch.Host(),
 	}
 	// Crash-safe handoff: stamped traffic buffered here travels inside
 	// the payload, so it commits or aborts with the wave even if this
 	// host dies before relaying. Receiver-side dedup filters the overlap
 	// with the commit-time relay of the same buffer. Unstamped events
 	// stay out: they have no identity to dedup by and ride the relay
-	// path alone, as before.
+	// path alone.
 	if bus := a.arch.Connector(a.cfg.Bus); bus != nil {
 		for _, held := range bus.HeldSnapshot(req.Comp) {
 			if held.Seq == 0 {
@@ -854,26 +721,8 @@ func (a *AdminComponent) handleFetch(req FetchRequest) {
 	if dc := a.arch.DistributionConnector(a.cfg.Bus); dc != nil {
 		tp.Dedup = dc.SnapshotDedup(req.Comp)
 	}
-	a.mu.Lock()
-	a.prepared[key] = &preparedComp{
-		id: req.Comp, comp: mig, welds: welds, requester: req.Requester, shipped: tp,
-	}
-	a.mu.Unlock()
-	a.ship(tp, req)
-}
-
-// ship delivers a transfer payload to the requester, via the wave's
-// deployer when the requester is unreachable.
-func (a *AdminComponent) ship(tp TransferPayload, req FetchRequest) {
-	dst, target := req.Requester, AdminID
-	if !a.sender.isPeer(dst) && dst != a.arch.Host() {
-		dst, target = cmp.Or(req.Coordinator, a.cfg.Deployer), DeployerID
-	}
-	// Delivery failures are tolerated here: the deployer's re-dispatch
-	// makes the requester fetch again.
-	_ = a.sender.send(dst, Event{
-		Name: EvTransfer, Target: target, Payload: tp, SizeKB: tp.SizeKB,
-	})
+	prep.shipped = tp
+	a.wave(partInput{kind: pPrepared, req: req, prep: prep, ok: true})
 }
 
 // relayHeld re-routes events buffered for a departed component to its
@@ -882,8 +731,8 @@ func (a *AdminComponent) ship(tp TransferPayload, req FetchRequest) {
 // stamped event whose hop budget is spent detours via the wave
 // coordinator — whose relocation table knows the authoritative location
 // and bounces it back to the origin — instead of chasing a component
-// that moves faster than its traffic. The relayed counter is updated
-// once per batch, not once per event.
+// that moves faster than its traffic. The relay counter is updated once
+// per batch, not once per event.
 func (a *AdminComponent) relayHeld(conn *Connector, comp string, newHost, coordinator model.HostID) {
 	conn.mu.Lock()
 	events := conn.held[comp]
@@ -904,9 +753,6 @@ func (a *AdminComponent) relayHeld(conn *Connector, comp string, newHost, coordi
 		}
 		conn.Route(held)
 	}
-	a.mu.Lock()
-	a.relayed += len(events)
-	a.mu.Unlock()
 	a.arch.Obs().Counter(obs.Name("prism_app_relayed_total", "host", string(a.arch.Host()))).
 		Add(float64(len(events)))
 }
@@ -923,48 +769,22 @@ func (a *AdminComponent) maxAppHops() int {
 	return dc.delivery.cfg.MaxHops
 }
 
-// handleTransfer reconstitutes an arriving component (or forwards a
-// mediated payload onward).
-func (a *AdminComponent) handleTransfer(tp TransferPayload) {
-	if tp.FinalDst != "" && tp.FinalDst != a.arch.Host() {
-		// Mediation: pass it along.
-		_ = a.sender.send(tp.FinalDst, Event{
-			Name: EvTransfer, Target: AdminID, Payload: tp, SizeKB: tp.SizeKB,
-		})
-		return
-	}
-	ck := epochKey(tp.Coordinator, tp.Epoch)
-	key := ck + "/" + tp.Comp
-	a.mu.Lock()
-	if a.settled[ck] {
-		a.mu.Unlock()
-		return // wave already settled: refuse late arrivals
-	}
-	if a.arrived[key] {
-		a.mu.Unlock()
-		return // duplicate transfer
-	}
-	a.arrived[key] = true
-	prog := a.expect[ck]
-	a.mu.Unlock()
-
+// restore reconstitutes an arriving component and reports whether it
+// attached. The arrival stays held until the wave commits, so an aborted
+// wave can evict it before it observed an event here: the migrated dedup
+// windows are installed before any traffic can reach it, and the
+// source's buffered events join the local hold, to deliver on commit
+// (dedup filtering the overlap with the source's own relay) or bounce
+// back on abort.
+func (a *AdminComponent) restore(tp TransferPayload) bool {
 	comp, err := a.cfg.Registry.New(tp.TypeName, tp.Comp)
-	if err != nil {
-		return
-	}
-	if err := comp.Restore(tp.State); err != nil {
-		return
-	}
-	if err := a.arch.AddComponent(comp); err != nil {
-		return
+	if err != nil || comp.Restore(tp.State) != nil || a.arch.AddComponent(comp) != nil {
+		return false
 	}
 	if err := a.arch.Weld(tp.Comp, a.cfg.Bus); err != nil {
-		return
+		_, _ = a.arch.RemoveComponent(tp.Comp)
+		return false
 	}
-	// Install the migrated dedup windows before any traffic can reach
-	// the component here, then append the source's buffered events to
-	// the local hold: they deliver on commit (dedup filtering the
-	// overlap with the source's own relay) or bounce back on abort.
 	if dc := a.arch.DistributionConnector(a.cfg.Bus); dc != nil {
 		dc.RestoreDedup(tp.Dedup)
 	}
@@ -985,106 +805,29 @@ func (a *AdminComponent) handleTransfer(tp TransferPayload) {
 			}
 		}
 	}
-	// The arrival stays held (its buffered traffic undelivered) until the
-	// wave commits: an aborted wave must be able to evict it without the
-	// component ever having observed an event here.
-	if prog != nil {
-		a.mu.Lock()
-		prog.received++
-		a.mu.Unlock()
-		a.maybeDone(tp.Coordinator, tp.Epoch)
-	}
+	return true
 }
 
-// maybeDone reports completion to the coordinating deployer once every
-// expected arrival is in.
-func (a *AdminComponent) maybeDone(coordinator model.HostID, epoch int) {
-	a.mu.Lock()
-	prog := a.expect[epochKey(cmp.Or(coordinator, a.cfg.Deployer), epoch)]
-	if prog == nil || prog.done || prog.received < len(prog.arrivals) {
-		a.mu.Unlock()
-		return
-	}
-	prog.done = true
-	received, relayed, coord := prog.received, a.relayed, cmp.Or(prog.coordinator, a.cfg.Deployer)
-	a.mu.Unlock()
-	a.sendDone(coord, epoch, received, relayed)
-}
-
-// sendDone reports this host's completion of an epoch to its coordinator.
-func (a *AdminComponent) sendDone(coord model.HostID, epoch, received, relayed int) {
-	_ = a.sender.send(coord, Event{
-		Name:   EvDone,
-		Target: DeployerID,
-		Payload: DoneReport{
-			Epoch: epoch, Host: a.arch.Host(), Received: received, Relayed: relayed,
-		},
-		SizeKB: 0.5,
-	})
-}
-
-// handleOutcome applies a wave's commit/abort decision (phase two of the
-// two-phase migration) and acknowledges it. Application is idempotent —
-// outcomes are re-broadcast until acked, and faulty links can duplicate
-// frames — and the ack is always sent, since a lost ack means the
-// coordinator will ask again.
-func (a *AdminComponent) handleOutcome(out WaveOutcome) {
-	// The epoch key always derives from the ORIGINAL coordinator (that is
-	// the name the wave was prepared under); acks and bounce authority go
-	// to the live leader when a failover resumed the wave.
-	coord := cmp.Or(out.Coordinator, a.cfg.Deployer)
-	authority := cmp.Or(out.ReplyTo, coord)
-	if !a.fenceCheck(out.Term, authority) {
-		return // stale leader's outcome: drop, no ack
-	}
-	ck := epochKey(coord, out.Epoch)
-	if out.Commit {
-		a.commitWave(ck, authority)
-		a.vote(voterInput{kind: vGens, gens: out.Gens})
-	} else {
-		a.abortWave(ck, authority)
-	}
-	_ = a.sender.send(authority, Event{
-		Name:    EvOutcomeAck,
-		Target:  DeployerID,
-		Payload: OutcomeAck{Epoch: out.Epoch, Host: a.arch.Host()},
-		SizeKB:  0.2,
-	})
-}
-
-// commitWave finalizes a wave locally: sources discard their prepared
-// instances, record each departure in the relocation table, hand the
-// migrated dedup state over, and relay traffic buffered during
-// detachment to each component's new host; destinations release the
-// arrivals' held traffic.
-func (a *AdminComponent) commitWave(ck string, coordinator model.HostID) {
-	a.mu.Lock()
-	a.settled[ck] = true
-	preps := a.takePreparedLocked(ck)
-	prog := a.expect[ck]
-	var arrivals map[string]model.HostID
-	if prog != nil && prog.outcome == outcomePending {
-		prog.outcome = outcomeCommitted
-		arrivals = prog.arrivals
-	}
-	a.mu.Unlock()
-
+// commitWave finalizes a wave locally: each departure's instance is
+// dropped — its dedup state travelled with it, the relocation table
+// records where it went, and the traffic buffered during detachment is
+// relayed there — and each arrival's held traffic is released.
+func (a *AdminComponent) commitWave(w *partWave, authority model.HostID) {
 	dc := a.arch.DistributionConnector(a.cfg.Bus)
-	for _, p := range preps {
+	for _, p := range w.departs {
 		if dc != nil {
-			// The component left: its dedup state travelled with it, and
-			// stale routes arriving here now bounce with the new location.
+			// Stale routes arriving here now bounce with the new location.
 			dc.dropDedup(p.id)
 			dc.RecordRelocation(p.id, p.requester)
 		}
-		for _, w := range p.welds {
-			if conn := a.arch.Connector(w); conn != nil {
-				a.relayHeld(conn, p.id, p.requester, coordinator)
+		for _, weld := range p.welds {
+			if conn := a.arch.Connector(weld); conn != nil {
+				a.relayHeld(conn, p.id, p.requester, authority)
 			}
 		}
 	}
 	bus := a.arch.Connector(a.cfg.Bus)
-	for comp := range arrivals {
+	for comp := range w.arrivals {
 		if dc != nil {
 			// It lives here now; stop bouncing and stop hinting elsewhere.
 			dc.RecordRelocation(comp, a.arch.Host())
@@ -1095,70 +838,34 @@ func (a *AdminComponent) commitWave(ck string, coordinator model.HostID) {
 	}
 }
 
-// takePreparedLocked removes and returns the wave's prepared departures.
-// Caller holds a.mu.
-func (a *AdminComponent) takePreparedLocked(ck string) []*preparedComp {
-	var preps []*preparedComp
-	for key, p := range a.prepared {
-		if strings.HasPrefix(key, ck+"/") {
-			preps = append(preps, p)
-			delete(a.prepared, key)
-		}
-	}
-	return preps
-}
-
-// abortWave rolls a wave back locally: sources reattach their prepared
-// components and release the buffered traffic to them; destinations evict
-// uncommitted arrivals (and their imported dedup state) and bounce
-// buffered traffic back to the (still authoritative) source host.
-func (a *AdminComponent) abortWave(ck string, coordinator model.HostID) {
-	prefix := ck + "/"
-	a.mu.Lock()
-	if a.settled[ck] {
-		a.mu.Unlock()
-		return // already settled; the caller still re-acks
-	}
-	a.settled[ck] = true
-	// A late reconfig for an aborted wave must not restart it.
-	a.epochSeen[ck] = true
-	preps := a.takePreparedLocked(ck)
-	prog := a.expect[ck]
-	var arrivals map[string]model.HostID
-	arrived := make(map[string]bool)
-	if prog != nil && prog.outcome == outcomePending {
-		prog.outcome = outcomeAborted
-		arrivals = prog.arrivals
-		for comp := range arrivals {
-			arrived[comp] = a.arrived[prefix+comp]
-		}
-	}
-	a.mu.Unlock()
-
-	for _, p := range preps {
+// abortWave rolls a wave back locally: departures are re-attached with
+// their welds and their buffered traffic released to them; arrivals
+// reconstituted here are evicted with their imported dedup windows (the
+// source keeps the originals), and traffic held for every arrival
+// bounces back to its still authoritative source.
+func (a *AdminComponent) abortWave(w *partWave, authority model.HostID) {
+	for _, p := range w.departs {
 		if err := a.arch.AddComponent(p.comp); err != nil {
 			continue
 		}
-		for _, w := range p.welds {
-			_ = a.arch.Weld(p.id, w)
-			if conn := a.arch.Connector(w); conn != nil {
+		for _, weld := range p.welds {
+			_ = a.arch.Weld(p.id, weld)
+			if conn := a.arch.Connector(weld); conn != nil {
 				conn.Release(p.id, true)
 			}
 		}
 	}
 	bus := a.arch.Connector(a.cfg.Bus)
 	dc := a.arch.DistributionConnector(a.cfg.Bus)
-	for comp, src := range arrivals {
-		if arrived[comp] {
+	for comp, src := range w.arrivals {
+		if slices.Contains(w.arrived, comp) {
 			_, _ = a.arch.RemoveComponent(comp)
 			if dc != nil {
-				// The imported dedup windows belong to the instance that
-				// never committed here; the source keeps the originals.
 				dc.dropDedup(comp)
 			}
 		}
 		if bus != nil {
-			a.relayHeld(bus, comp, src, coordinator)
+			a.relayHeld(bus, comp, src, authority)
 		}
 	}
 }

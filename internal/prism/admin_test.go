@@ -491,3 +491,63 @@ func TestStaleFetchAfterCommitLeavesComponent(t *testing.T) {
 		t.Fatal("a stale fetch of a settled wave detached the live c1 at s1")
 	}
 }
+
+// TestOrphanTransferDropped: s1 prepares c1 for epoch 5 and ships it to
+// s2, whose admin has no record of the wave (it restarted after its fetch
+// went out). Reconstituted, the copy would come up unheld beside s1's,
+// and the abort that follows would re-attach s1's too. s2 drops it, so
+// after the abort c1 is live at s1 only.
+func TestOrphanTransferDropped(t *testing.T) {
+	dw := newDeployWorld(t, 1.0, "m", "s1", "s2")
+	dw.addCounter(t, "s1", "c1", 7)
+	s1, s2 := dw.admins["s1"], dw.admins["s2"]
+	s1.Handle(Event{Name: EvFetch, Kind: KindControl, Target: AdminID, Payload: FetchRequest{
+		Epoch: 5, Coordinator: "m", Comp: "c1", Requester: "s2", Source: "s1",
+	}})
+	s1.mu.Lock()
+	w := s1.part.open[waveKey{"m", 5}]
+	s1.mu.Unlock()
+	if w == nil || len(w.departs) != 1 {
+		t.Fatal("s1 did not prepare c1 for epoch 5")
+	}
+	s2.Handle(Event{Name: EvTransfer, Kind: KindControl, Target: AdminID, Payload: w.departs[0].shipped})
+	abort := Event{Name: EvOutcome, Kind: KindControl, Target: AdminID, Payload: WaveOutcome{Epoch: 5, Coordinator: "m"}}
+	s1.Handle(abort)
+	s2.Handle(abort)
+	live := func(h model.HostID) bool {
+		bus := dw.archs[h].Connector("bus")
+		bus.mu.RLock()
+		_, held := bus.held["c1"]
+		bus.mu.RUnlock()
+		return dw.archs[h].Component("c1") != nil && !held
+	}
+	if at1, at2 := live("s1"), live("s2"); !at1 || at2 {
+		t.Fatalf("c1 live at s1=%v s2=%v, want s1 only", at1, at2)
+	}
+}
+
+// TestParticipantMemoryBounded: 200 committed waves move c1 back and
+// forth between s1 and s2. Afterwards neither admin holds an open wave,
+// and each one's settled window for the coordinator is a bare floor.
+func TestParticipantMemoryBounded(t *testing.T) {
+	dw := newDeployWorld(t, 1.0, "m", "s1", "s2")
+	dw.addCounter(t, "s1", "c1", 0)
+	hosts := [2]model.HostID{"s1", "s2"}
+	const waves = 200
+	for i := range waves {
+		src, dst := hosts[i%2], hosts[(i+1)%2]
+		res, err := dw.deployer.Enact(map[string]model.HostID{"c1": dst}, map[string]model.HostID{"c1": src}, 5*time.Second)
+		if err != nil || !res.Committed {
+			t.Fatalf("wave %d: res %+v err %v", i+1, res, err)
+		}
+	}
+	for _, h := range hosts {
+		a := dw.admins[h]
+		a.mu.Lock()
+		open, win := len(a.part.open), a.part.settled["m"]
+		a.mu.Unlock()
+		if open != 0 || win == nil || win.floor != waves || len(win.spans) != 0 {
+			t.Fatalf("%s after %d waves: %d open records, settled window %+v; want none and a bare floor of %d", h, waves, open, win, waves)
+		}
+	}
+}

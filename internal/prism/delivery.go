@@ -181,6 +181,14 @@ func (w *dedupWindow) observe(seq uint64) bool {
 	return w.add(SeqSpan{seq, seq})
 }
 
+// has reports whether seq was observed.
+func (w *dedupWindow) has(seq uint64) bool {
+	i, _ := slices.BinarySearchFunc(w.spans, seq, func(sp SeqSpan, seq uint64) int {
+		return cmp.Compare(sp.Hi, seq)
+	})
+	return seq <= w.floor || i < len(w.spans) && w.spans[i].Lo <= seq
+}
+
 // add folds one span lying wholly above the floor into the interval set,
 // coalescing every span it overlaps or touches, and reports whether it
 // covered anything new.

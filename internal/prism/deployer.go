@@ -373,7 +373,6 @@ type EnactResult struct {
 	// Received sums the destination admins' reconstitution counts; a
 	// fully successful wave has Received == Moved.
 	Received   int
-	Relayed    int
 	Incomplete []model.HostID // hosts that never reported done (timeout)
 	// Committed reports whether phase two committed the wave; false means
 	// it was rolled back (or the rollback broadcast was at least

@@ -546,8 +546,7 @@ func (a *AdminComponent) GoalGeneration() uint64 {
 // missed in between. Until a delta from the lease holder is applied the
 // announce stays pending, and every heartbeat repeats it.
 func (a *AdminComponent) AnnounceGoalState() error {
-	_, err := a.vote(voterInput{kind: vAnnounce})
-	return err
+	return a.vote(voterInput{kind: vAnnounce})
 }
 
 // applyDelta does the architecture work of a goal delta the voter

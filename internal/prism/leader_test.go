@@ -331,11 +331,11 @@ func TestStaleTermOutcomeFencedByEveryParticipant(t *testing.T) {
 	for _, h := range []model.HostID{"h1", "h2", "h3"} {
 		ha.admins[h].Handle(stale)
 	}
-	ck := epochKey("h1", 9)
+	k := waveKey{"h1", 9}
 	for _, h := range []model.HostID{"h1", "h2", "h3"} {
 		a := ha.admins[h]
 		a.mu.Lock()
-		applied := a.settled[ck]
+		applied := a.part.isSettled(k)
 		a.mu.Unlock()
 		if applied {
 			t.Fatalf("agent %s applied a stale-term outcome", h)
@@ -351,7 +351,7 @@ func TestStaleTermOutcomeFencedByEveryParticipant(t *testing.T) {
 		ha.admins[h].Handle(live)
 		a := ha.admins[h]
 		a.mu.Lock()
-		applied := a.settled[ck]
+		applied := a.part.isSettled(k)
 		a.mu.Unlock()
 		if !applied {
 			t.Fatalf("agent %s dropped a live-term outcome", h)

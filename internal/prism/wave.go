@@ -293,7 +293,6 @@ func (c *waveCore) answered(in waveInput) []waveOutput {
 	}
 	c.waiting[i] = false
 	c.res.Received += in.done.Received
-	c.res.Relayed += in.done.Relayed
 	switch {
 	case slices.Contains(c.waiting, true):
 		return nil
@@ -445,4 +444,290 @@ func (c *waveCore) finish(verdict string) []waveOutput {
 
 func endPhase(outcome string) waveOutput {
 	return waveOutput{kind: outEnd, attrs: []string{"outcome", outcome}}
+}
+
+// waveKey names a wave at a participant: every deployer numbers its own
+// waves, so the epoch is scoped by the coordinator the wave is keyed by.
+type waveKey struct {
+	coord model.HostID
+	epoch int
+}
+
+// partCore is the participant side of the two-phase wave as a pure state
+// machine. Like waveCore it reads no clock, sends nothing and never
+// touches the architecture: the admin performs its outputs and feeds back
+// how a detach or a reconstitution went. The admin and
+// wave_explore_test.go both drive it through participate. DESIGN.md
+// ("Two-phase migration") has the transition table.
+type partCore struct {
+	self     model.HostID
+	deployer model.HostID // the coordinator of a frame that names none
+	open     map[waveKey]*partWave
+	// settled holds, per coordinator, the epochs whose outcome this host
+	// applied (epochs start at 1): a floor, plus one span per run of
+	// waves it sat out.
+	settled map[model.HostID]*dedupWindow
+}
+
+// partWave is one open wave at a participant.
+type partWave struct {
+	// arrivals (component → source) come with the reconfig; nil until it
+	// arrives, which a pure source never sees. Never mutated once set.
+	arrivals map[string]model.HostID
+	arrived  []string // arrivals reconstituted here
+	done     bool     // done was reported
+	departs  []*preparedComp
+}
+
+// preparedComp is a departure detached and serialized in phase one: the
+// live instance (the core carries it and never calls it), its welds, the
+// requester, and the payload, cached so a duplicate fetch is answered
+// again.
+type preparedComp struct {
+	id        string
+	comp      Migratable
+	welds     []string
+	requester model.HostID
+	shipped   TransferPayload
+}
+
+type partInputKind int
+
+const (
+	pReconfig partInputKind = iota // fenced
+	pFetch
+	pPrepared // req.Comp detached: prep, ok unless its snapshot failed
+	pTransfer
+	pRestored // tp reconstituted: ok if it attached
+	pOutcome  // fenced
+)
+
+type partInput struct {
+	kind     partInputKind
+	accepted bool // reconfig, outcome: the voter's fence let the frame through
+	cmd      ReconfigCommand
+	req      FetchRequest    // fetch, prepared
+	prep     *preparedComp   // prepared
+	tp       TransferPayload // transfer, restored
+	ok       bool            // prepared, restored
+	out      WaveOutcome
+}
+
+type partOutputKind int
+
+const (
+	pSend    partOutputKind = iota // ev to to
+	pLeg                           // a fetch or transfer to to, mediated by coord when to is no peer
+	pHold                          // buffer comp's traffic until it attaches
+	pDetach                        // detach and snapshot req.Comp, then feed pPrepared
+	pRestore                       // reconstitute tp, held, then feed pRestored
+	pCommit                        // wave: drop and relay its departures, release its arrivals
+	pAbort                         // wave: re-attach its departures, evict what arrived, bounce the arrivals' traffic
+	pGens                          // a commit's generations, for the voter
+)
+
+type partOutput struct {
+	kind  partOutputKind
+	to    model.HostID // send, leg; commit, abort: the bounce authority
+	coord model.HostID // leg
+	ev    Event
+	comp  string // hold
+	req   FetchRequest
+	tp    TransferPayload
+	wave  *partWave // commit, abort
+	gens  map[model.HostID]uint64
+}
+
+func newPartCore(self, deployer model.HostID) partCore {
+	return partCore{self: self, deployer: deployer,
+		open: make(map[waveKey]*partWave), settled: make(map[model.HostID]*dedupWindow)}
+}
+
+// key names the wave a frame belongs to; an empty coordinator is the
+// configured deployer (the centralized master).
+func (p *partCore) key(coord model.HostID, epoch int) waveKey {
+	return waveKey{cmp.Or(coord, p.deployer), epoch}
+}
+
+// isSettled reports whether this host applied the wave's outcome.
+func (p *partCore) isSettled(k waveKey) bool {
+	w := p.settled[k.coord]
+	return w != nil && w.has(uint64(k.epoch))
+}
+
+// participate feeds one wave input to an agent. A reconfig or an outcome
+// first passes the voter's fence, with its term and the coordinator it
+// answers to, and the verdict rides into step; a commit's generations go
+// to the voter. The admin and the wave explorer both call it.
+func participate(v *voterCore, p *partCore, in partInput, step func(*partCore, partInput) []partOutput) (vouts []voterOutput, outs []partOutput) {
+	switch in.kind {
+	case pReconfig:
+		vouts = v.step(voterInput{kind: vFrame, term: in.cmd.Term, origin: cmp.Or(in.cmd.Coordinator, p.deployer)})
+	case pOutcome:
+		vouts = v.step(voterInput{kind: vFrame, term: in.out.Term, origin: cmp.Or(in.out.ReplyTo, in.out.Coordinator, p.deployer)})
+	}
+	in.accepted = len(vouts) == 1 && vouts[0].kind == vAccept
+	for _, o := range step(p, in) {
+		if o.kind == pGens {
+			vouts = append(vouts, v.step(voterInput{kind: vGens, gens: o.gens})...)
+		} else {
+			outs = append(outs, o)
+		}
+	}
+	return vouts, outs
+}
+
+func (p *partCore) step(in partInput) []partOutput {
+	switch in.kind {
+	case pReconfig:
+		if in.accepted {
+			return p.reconfig(in.cmd)
+		}
+	case pFetch:
+		k := p.key(in.req.Coordinator, in.req.Epoch)
+		if p.isSettled(k) {
+			return nil // never re-detach for a settled wave
+		}
+		if w := p.open[k]; w != nil {
+			if i := slices.IndexFunc(w.departs, func(d *preparedComp) bool { return d.id == in.req.Comp }); i >= 0 {
+				return []partOutput{ship(k, w.departs[i])} // a duplicate: the cached payload again
+			}
+		}
+		in.req.Coordinator = k.coord
+		return []partOutput{{kind: pDetach, req: in.req}}
+	case pPrepared:
+		k := p.key(in.req.Coordinator, in.req.Epoch)
+		if !in.ok || p.isSettled(k) {
+			// The snapshot failed, or the wave settled meanwhile: it stays.
+			return []partOutput{{kind: pAbort, wave: &partWave{departs: []*preparedComp{in.prep}}}}
+		}
+		w := p.open[k]
+		if w == nil {
+			w = &partWave{}
+			p.open[k] = w
+		}
+		w.departs = append(w.departs, in.prep)
+		return []partOutput{ship(k, in.prep)}
+	case pTransfer:
+		// A transfer answers this host's own fetch, which followed its own
+		// reconfig in this lifetime. One with no arrival recorded here (the
+		// host restarted after the fetch) is dropped: reconstituted, it
+		// would come up unheld beside its source. So is a duplicate, and
+		// one for a settled wave (its record is gone).
+		w := p.open[p.key(in.tp.Coordinator, in.tp.Epoch)]
+		if w == nil || w.arrivals[in.tp.Comp] == "" || slices.Contains(w.arrived, in.tp.Comp) {
+			return nil
+		}
+		return []partOutput{{kind: pRestore, tp: in.tp}}
+	case pRestored:
+		k := p.key(in.tp.Coordinator, in.tp.Epoch)
+		w := p.open[k]
+		switch {
+		case !in.ok:
+		case w == nil:
+			// The wave settled while the component was reconstituted.
+			return []partOutput{{kind: pAbort, to: k.coord, wave: &partWave{
+				arrivals: map[string]model.HostID{in.tp.Comp: in.tp.Source}, arrived: []string{in.tp.Comp}}}}
+		case !slices.Contains(w.arrived, in.tp.Comp):
+			w.arrived = append(w.arrived, in.tp.Comp)
+			return p.progress(k, w)
+		}
+	case pOutcome:
+		if in.accepted {
+			return p.outcome(in.out)
+		}
+	}
+	return nil
+}
+
+// reconfig opens the wave's arrivals: hold their traffic and fetch them.
+// A repeat (a re-dispatch, or a duplicate frame) re-reports done, in case
+// the report was lost, or fetches again what is still missing.
+func (p *partCore) reconfig(cmd ReconfigCommand) []partOutput {
+	k := p.key(cmd.Coordinator, cmd.Epoch)
+	if p.isSettled(k) {
+		return nil
+	}
+	w := p.open[k]
+	switch {
+	case w == nil:
+		w = &partWave{}
+		p.open[k] = w
+	case w.arrivals != nil && w.done:
+		return []partOutput{p.doneReport(k, w)}
+	case w.arrivals != nil:
+		return p.fetches(k, w)
+	}
+	w.arrivals = make(map[string]model.HostID, len(cmd.Arrivals))
+	var out []partOutput
+	for comp, src := range cmd.Arrivals {
+		w.arrivals[comp] = src
+		out = append(out, partOutput{kind: pHold, comp: comp})
+	}
+	out = append(out, p.fetches(k, w)...)
+	return append(out, p.progress(k, w)...)
+}
+
+// fetches asks each source for the arrivals still missing.
+func (p *partCore) fetches(k waveKey, w *partWave) []partOutput {
+	var out []partOutput
+	for comp, src := range w.arrivals {
+		if !slices.Contains(w.arrived, comp) {
+			out = append(out, partOutput{kind: pLeg, to: src, coord: k.coord, ev: Event{Name: EvFetch, Target: AdminID, SizeKB: 0.5,
+				Payload: FetchRequest{Epoch: k.epoch, Coordinator: k.coord, Comp: comp, Requester: p.self, Source: src}}})
+		}
+	}
+	return out
+}
+
+// ship sends a departure's payload to its requester.
+func ship(k waveKey, d *preparedComp) partOutput {
+	return partOutput{kind: pLeg, to: d.requester, coord: k.coord,
+		ev: Event{Name: EvTransfer, Target: AdminID, Payload: d.shipped, SizeKB: d.shipped.SizeKB}}
+}
+
+// progress reports done once every arrival is in.
+func (p *partCore) progress(k waveKey, w *partWave) []partOutput {
+	if w.done || len(w.arrived) < len(w.arrivals) {
+		return nil
+	}
+	w.done = true
+	return []partOutput{p.doneReport(k, w)}
+}
+
+func (p *partCore) doneReport(k waveKey, w *partWave) partOutput {
+	return partOutput{kind: pSend, to: k.coord, ev: Event{Name: EvDone, Target: DeployerID, SizeKB: 0.5,
+		Payload: DoneReport{Epoch: k.epoch, Host: p.self, Received: len(w.arrived)}}}
+}
+
+// outcome settles the wave the first time it arrives — outcomes are
+// re-sent until acked, and links duplicate them — and acknowledges it
+// every time, since a lost ack means the coordinator asks again. The
+// wave is keyed by its original coordinator; the ack and the bounce
+// authority go to the live leader when a failover resumed it.
+func (p *partCore) outcome(wo WaveOutcome) []partOutput {
+	k := p.key(wo.Coordinator, wo.Epoch)
+	authority := cmp.Or(wo.ReplyTo, k.coord)
+	var out []partOutput
+	if !p.isSettled(k) {
+		if w := p.open[k]; w != nil {
+			kind := pAbort
+			if wo.Commit {
+				kind = pCommit
+			}
+			out = append(out, partOutput{kind: kind, to: authority, wave: w})
+			delete(p.open, k)
+		}
+		win := p.settled[k.coord]
+		if win == nil {
+			win = &dedupWindow{}
+			p.settled[k.coord] = win
+		}
+		win.observe(uint64(k.epoch))
+	}
+	if wo.Commit {
+		out = append(out, partOutput{kind: pGens, gens: wo.Gens})
+	}
+	return append(out, partOutput{kind: pSend, to: authority, ev: Event{Name: EvOutcomeAck, Target: DeployerID, SizeKB: 0.2,
+		Payload: OutcomeAck{Epoch: wo.Epoch, Host: p.self}}})
 }

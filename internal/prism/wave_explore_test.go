@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"math/bits"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -15,21 +15,25 @@ import (
 )
 
 // The wave explorer: a breadth-first walk of every interleaving of one
-// small wave, driving the real waveCore.step. One coordinator (and, after
-// a crash, a standby resuming from the same durable records) runs against
-// participant admins modelled on admin.go's rules: epochs deduplicated by
-// (coordinator, epoch), done re-sent on a duplicate reconfig, outcomes
-// applied idempotently and always acknowledged, stale terms fenced. Each
-// pending frame may be delivered, dropped or duplicated in any order;
-// ticks, the deadlines and a participant's death interleave with them;
-// and every append may land and crash the coordinator, or fail, after
-// which the standby resumes. Budgets bound the drops, duplicates, ticks,
-// deaths and crashes; within them the walk is exhaustive.
+// small wave through the real cores of both sides. The coordinator is
+// waveCore.step (and, after a crash, a standby resuming from the same
+// durable records); every participant is its own partCore and voterCore,
+// fed through participate, the entry point the admin uses. The explorer
+// models only the network, each participant's architecture — which
+// components are attached, held, or detached awaiting the outcome there,
+// as the participant's outputs leave it — the durable log and the clock.
+// Each pending frame may be delivered, dropped or duplicated in any order;
+// ticks, the deadlines, and a participant's death or restart interleave
+// with them; and every append may land and crash the coordinator, or
+// fail, after which the standby resumes. Budgets bound the drops,
+// duplicates, ticks, deaths, restarts and crashes; within them the walk is
+// exhaustive.
 //
 // Reading a failure: the trace lists the actions from the initial state,
 // shortest first (BFS). Hosts are m (the coordinator), sb (the standby)
 // and p1..p3; "append decided(commit): crash" means the record landed and
-// the coordinator died right after it, "fail" that the append errored.
+// the coordinator died right after it, "fail" that the append errored;
+// "restart of p2" gives p2 fresh cores and none of its components.
 
 // exHosts are the explorer's hosts, by index.
 var exHosts = []model.HostID{"m", "sb", "p1", "p2", "p3"}
@@ -52,8 +56,8 @@ type exScope struct {
 	current map[string]model.HostID // component → source
 	// unlinked pairs of participants reach each other only through the
 	// coordinator's mediation.
-	unlinked                            [][2]model.HostID
-	drops, dups, ticks, deaths, crashes int
+	unlinked                                      [][2]model.HostID
+	drops, dups, ticks, deaths, restarts, crashes int
 }
 
 type exKind uint8
@@ -116,18 +120,16 @@ type exSlot struct {
 	n uint8
 }
 
-// exAgent is one participant admin's state for the explored epoch.
+// exAgent is one participant: its real cores, and its architecture as
+// their outputs left it, one bit per explored component.
 type exAgent struct {
 	alive    bool
-	fence    uint8
-	seen     bool // reconfig seen (or the epoch aborted)
-	done     bool
-	outcome  uint8 // 0 pending, 1 committed, 2 aborted (destinations)
-	settled  bool  // an outcome was applied: later fetches and transfers are stale
-	arrived  uint8 // components reconstituted here
-	owns     uint8 // components live here
-	prepared uint8 // components detached, awaiting the outcome
-	applied  uint8 // outcomes applied: 1 commit, 2 abort
+	voter    voterCore
+	part     partCore
+	attached uint8 // components attached here
+	held     uint8 // components whose traffic is held here
+	prepared uint8 // components detached here, awaiting the outcome
+	applied  uint8 // outcomes acknowledged: 1 commit, 2 abort
 }
 
 // exLog is the durable record of the explored epoch.
@@ -139,17 +141,24 @@ type exWorld struct {
 	term     uint8
 	clock    time.Time
 	log      exLog
-	agents   []exAgent
-	net      []exSlot // sorted
+	agents   []*exAgent // shared between clones until owned
+	net      []exSlot   // sorted
 	drops    int8
 	dups     int8
 	ticks    int8
 	deaths   int8
+	restarts int8
 	crashes  int8
 	doneIn   uint8 // participants whose done report reached the live coordinator
 	outcomes uint8 // outcome values announced: 1 commit, 2 abort
 	expired  bool  // the live coordinator's ack budget ran out
 	spans    int8  // the live coordinator's open trace spans
+	// gone marks the participants that died or restarted: they, and the
+	// components they sent or received, are exempt from convergence.
+	gone uint8
+	// owned marks the participants this world copied; clones share an
+	// agent until one of them changes it.
+	owned uint8
 	// note and bad describe the transition that made this world: the
 	// branches it took, and the property it broke.
 	note string
@@ -163,6 +172,7 @@ func (w *exWorld) clone() *exWorld {
 	}
 	n.agents = slices.Clone(w.agents)
 	n.net = slices.Clone(w.net)
+	n.owned = 0
 	return &n
 }
 
@@ -175,6 +185,37 @@ func (c *waveCore) clone() *waveCore {
 	n.mediated = slices.Clone(c.mediated)
 	n.res.Incomplete = slices.Clone(c.res.Incomplete)
 	return &n
+}
+
+// clone copies the participant's records and windows; a record's
+// arrivals and its prepared departures are never mutated, so they are
+// shared.
+func (p partCore) clone() partCore {
+	n := p
+	n.open = make(map[waveKey]*partWave, len(p.open))
+	for k, w := range p.open {
+		c := *w
+		c.arrived, c.departs = slices.Clone(w.arrived), slices.Clone(w.departs)
+		n.open[k] = &c
+	}
+	n.settled = make(map[model.HostID]*dedupWindow, len(p.settled))
+	for c, win := range p.settled {
+		n.settled[c] = &dedupWindow{floor: win.floor, spans: slices.Clone(win.spans)}
+	}
+	return n
+}
+
+// own returns participant p, copied first if w still shares it. The
+// voter's copy is shallow: fencing and generations write only its
+// scalar fields.
+func (w *exWorld) own(p int8) *exAgent {
+	if bit := uint8(1) << (p - exP0); w.owned&bit == 0 {
+		w.owned |= bit
+		a := *w.agents[p-exP0]
+		a.part = a.part.clone()
+		w.agents[p-exP0] = &a
+	}
+	return w.agents[p-exP0]
 }
 
 func (w *exWorld) send(f exFrame) {
@@ -217,18 +258,20 @@ func (w *exWorld) addNote(s string) {
 	w.note += s
 }
 
-// explorer walks one scope with one step function: the real waveCore.step
-// or a mutant wrapped around it.
+// explorer walks one scope with one step function per side: the real
+// waveCore.step and partCore.step, or a mutant wrapped around either.
 type explorer struct {
 	scope  exScope
 	step   func(*waveCore, waveInput) []waveOutput
+	pstep  func(*partCore, partInput) []partOutput
 	comps  []string
 	src    []int8 // per component: source host
 	dst    []int8 // per component: destination host
 	linked [8][8]bool
 	gens   map[model.HostID]uint64
-	// fetches and transfers are the legs the coordinator mediates, per
-	// component.
+	// arrivals is each participant's reconfig; fetches and transfers are
+	// the legs per component, as the coordinator mediates them.
+	arrivals           []map[string]model.HostID
 	fetches, transfers []waveOutput
 	dstMask            uint8 // hosts that are destinations, as participant bits
 
@@ -238,8 +281,9 @@ type explorer struct {
 	trace     []string
 }
 
-func newExplorer(s exScope, step func(*waveCore, waveInput) []waveOutput) *explorer {
-	x := &explorer{scope: s, step: step, gens: make(map[model.HostID]uint64)}
+func newExplorer(s exScope, step func(*waveCore, waveInput) []waveOutput, pstep func(*partCore, partInput) []partOutput) *explorer {
+	x := &explorer{scope: s, step: step, pstep: pstep, gens: make(map[model.HostID]uint64),
+		arrivals: make([]map[string]model.HostID, s.parts)}
 	for comp := range s.moves {
 		x.comps = append(x.comps, comp)
 	}
@@ -259,6 +303,10 @@ func newExplorer(s exScope, step func(*waveCore, waveInput) []waveOutput) *explo
 		x.dstMask |= 1 << (dst - exP0)
 		x.gens[s.moves[comp]] = 1
 		x.gens[s.current[comp]] = 1
+		if x.arrivals[dst-exP0] == nil {
+			x.arrivals[dst-exP0] = make(map[string]model.HostID)
+		}
+		x.arrivals[dst-exP0][comp] = s.current[comp]
 		x.fetches = append(x.fetches, waveOutput{to: s.current[comp], ev: Event{
 			Name: EvFetch, Target: AdminID, SizeKB: 0.5, Payload: FetchRequest{
 				Epoch: 1, Coordinator: "m", Comp: comp, Requester: s.moves[comp], Source: s.current[comp], Mediated: true,
@@ -279,7 +327,24 @@ func (x *explorer) compIndex(comp string) int8 {
 	return int8(slices.Index(x.comps, comp))
 }
 
+func (x *explorer) bit(comp string) uint8 {
+	return 1 << x.compIndex(comp)
+}
+
+func (x *explorer) mask(comps []string) uint8 {
+	var m uint8
+	for _, c := range comps {
+		m |= x.bit(c)
+	}
+	return m
+}
+
 var exT0 = time.Unix(0, 0)
+
+// fresh is a participant's new lifetime: fresh cores, no components.
+func fresh(p int8) *exAgent {
+	return &exAgent{alive: true, voter: newVoterCore(exHosts[p], "m"), part: newPartCore(exHosts[p], "m")}
+}
 
 // initial builds the coordinator's wave and starts it; the open append
 // already branches.
@@ -291,15 +356,15 @@ func (x *explorer) initial() []*exWorld {
 	}
 	w := &exWorld{
 		core: c, coord: exM, term: 1, clock: exT0,
-		agents: make([]exAgent, s.parts),
+		agents: make([]*exAgent, s.parts),
 		drops:  int8(s.drops), dups: int8(s.dups), ticks: int8(s.ticks),
-		deaths: int8(s.deaths), crashes: int8(s.crashes),
+		deaths: int8(s.deaths), restarts: int8(s.restarts), crashes: int8(s.crashes),
 	}
 	for i := range w.agents {
-		w.agents[i].alive = true
+		w.agents[i] = fresh(exP0 + int8(i))
 	}
 	for i, src := range x.src {
-		w.agents[src-exP0].owns |= 1 << i
+		w.agents[src-exP0].attached |= 1 << i
 	}
 	return x.feed(w, waveInput{kind: inStart, now: w.clock})
 }
@@ -457,8 +522,8 @@ func (x *explorer) coordSend(w *exWorld, o waveOutput) {
 }
 
 // deliver hands a frame to its host: the live coordinator's wave, or a
-// participant admin. Frames to a dead host, or to a deployer with no
-// wave in flight, vanish.
+// participant. Frames to a dead host, or to a deployer with no wave in
+// flight, vanish.
 func (x *explorer) deliver(w *exWorld, f exFrame) []*exWorld {
 	if f.toDep {
 		if f.to != w.coord || w.core == nil || w.core.finished() {
@@ -478,127 +543,108 @@ func (x *explorer) deliver(w *exWorld, f exFrame) []*exWorld {
 		}
 		return []*exWorld{w}
 	}
-	if a := &w.agents[f.to-exP0]; a.alive {
-		x.admin(w, f.to, f)
+	if w.agents[f.to-exP0].alive {
+		x.participant(w, f.to, x.input(f))
 	}
 	return []*exWorld{w}
 }
 
-// admin applies admin.go's rules for one frame at participant p.
-func (x *explorer) admin(w *exWorld, p int8, f exFrame) {
-	a := &w.agents[p-exP0]
+// input rebuilds the payload a frame carries to a participant.
+func (x *explorer) input(f exFrame) partInput {
 	switch f.kind {
 	case exReconfig:
-		if !a.fenceOK(f.term) {
-			return
-		}
-		if a.seen {
-			// A duplicate: re-report done, or re-fetch what is missing.
-			if a.outcome != 0 {
-				return
-			}
-			if a.done {
-				x.sendDone(w, p)
-			} else {
-				x.sendFetches(w, p, a.arrived)
-			}
-			return
-		}
-		a.seen = true
-		x.sendFetches(w, p, 0)
+		return partInput{kind: pReconfig, cmd: ReconfigCommand{
+			Epoch: 1, Arrivals: x.arrivals[f.to-exP0], Coordinator: "m", Term: uint64(f.term), Gen: 1}}
 	case exFetch:
-		bit := uint8(1) << f.comp
-		switch {
-		case a.settled:
-		case a.prepared&bit != 0:
-			x.ship(w, p, f.comp) // the cached payload, again
-		case a.owns&bit != 0:
-			a.owns &^= bit
-			a.prepared |= bit
-			x.ship(w, p, f.comp)
-		}
+		return partInput{kind: pFetch, req: x.fetches[f.comp].ev.Payload.(FetchRequest)}
 	case exTransfer:
-		bit := uint8(1) << f.comp
-		if a.settled || a.arrived&bit != 0 {
-			return
-		}
-		a.arrived |= bit
-		if !a.done && a.seen && a.arrived&x.arrivals(p) == x.arrivals(p) {
-			a.done = true
-			x.sendDone(w, p)
-		}
-	case exOutcome:
-		if !a.fenceOK(f.term) {
-			return // a stale leader's outcome: dropped, no ack
-		}
-		if f.commit {
-			a.settled = true
-			a.prepared = 0
-			if a.seen && a.outcome == 0 && x.arrivals(p) != 0 {
-				a.outcome = 1
+		return partInput{kind: pTransfer, tp: x.transfers[f.comp].ev.Payload.(TransferPayload)}
+	}
+	wo := WaveOutcome{Epoch: 1, Coordinator: "m", Commit: f.commit, Term: uint64(f.term), ReplyTo: exHosts[f.replyTo]}
+	if f.gens {
+		wo.Gens = x.gens
+	}
+	return partInput{kind: pOutcome, out: wo}
+}
+
+// participant feeds one input to participant p through participate, as
+// the admin does, and performs the outputs on the modelled architecture
+// the way the admin's shell performs them on the real one: a detach or a
+// reconstitution succeeds unless the component is absent or already
+// there, and its result is the next input. The fence's reply to a stale
+// leader is not modelled: nothing here deposes a coordinator.
+func (x *explorer) participant(w *exWorld, p int8, in partInput) {
+	a := w.own(p)
+	_, outs := participate(&a.voter, &a.part, in, x.pstep)
+	for _, o := range outs {
+		switch o.kind {
+		case pSend, pLeg:
+			x.partSend(w, p, o, in)
+		case pHold:
+			a.held |= x.bit(o.comp)
+		case pDetach:
+			b := x.bit(o.req.Comp)
+			if a.attached&b == 0 {
+				continue
 			}
-			a.applied |= 1
-		} else {
-			if !a.settled {
-				a.settled, a.seen = true, true
-				a.owns |= a.prepared // sources re-attach
-				a.prepared = 0
-				if x.arrivals(p) != 0 && a.outcome == 0 {
-					a.outcome = 2 // destinations evict
-				}
+			a.attached &^= b
+			a.held |= b
+			a.prepared |= b
+			x.participant(w, p, partInput{kind: pPrepared, req: o.req, ok: true, prep: &preparedComp{
+				id: o.req.Comp, requester: o.req.Requester, shipped: TransferPayload{Epoch: o.req.Epoch,
+					Coordinator: o.req.Coordinator, Comp: o.req.Comp, FinalDst: o.req.Requester, Source: exHosts[p]}}})
+		case pRestore:
+			b := x.bit(o.tp.Comp)
+			ok := a.attached&b == 0
+			a.attached |= b
+			x.participant(w, p, partInput{kind: pRestored, tp: o.tp, ok: ok})
+		case pCommit:
+			for _, d := range o.wave.departs {
+				a.prepared &^= x.bit(d.id)
+				a.held &^= x.bit(d.id)
 			}
-			a.applied |= 2
+			for comp := range o.wave.arrivals {
+				a.held &^= x.bit(comp)
+			}
+		case pAbort:
+			for _, d := range o.wave.departs {
+				a.prepared &^= x.bit(d.id)
+				a.held &^= x.bit(d.id)
+				a.attached |= x.bit(d.id)
+			}
+			a.attached &^= x.mask(o.wave.arrived)
+			for comp := range o.wave.arrivals {
+				a.held &^= x.bit(comp)
+			}
 		}
-		if a.applied == 3 {
+	}
+}
+
+// partSend puts one of participant p's frames on the network: a leg to a
+// host p has no link to goes to the coordinator to mediate, as the
+// admin's sendLeg routes it. An ack records the outcome p applied.
+func (x *explorer) partSend(w *exWorld, p int8, o partOutput, in partInput) {
+	f := exFrame{from: p, to: exIndex(o.to)}
+	switch pl := o.ev.Payload.(type) {
+	case DoneReport:
+		f.kind, f.toDep, f.recv = exDone, true, int8(pl.Received)
+	case OutcomeAck:
+		f.kind, f.toDep = exAck, true
+		a := w.agents[p-exP0]
+		if a.applied |= 1 << b2i(!in.out.Commit); a.applied == 3 {
 			w.fail("%s applied both commit and abort", exHosts[p])
 		}
-		w.send(exFrame{kind: exAck, from: p, to: f.replyTo, toDep: true})
+	case FetchRequest:
+		f.kind, f.comp = exFetch, x.compIndex(pl.Comp)
+	case TransferPayload:
+		f.kind, f.comp = exTransfer, x.compIndex(pl.Comp)
+	default:
+		panic(fmt.Sprintf("explorer: unexpected participant send %s", o.ev.Name))
 	}
-}
-
-func (a *exAgent) fenceOK(term uint8) bool {
-	if term < a.fence {
-		return false
+	if o.kind == pLeg && !x.linked[p][f.to] {
+		f.to, f.toDep = exIndex(o.coord), true
 	}
-	a.fence = term
-	return true
-}
-
-// arrivals is the component mask that lands at participant p.
-func (x *explorer) arrivals(p int8) uint8 {
-	var m uint8
-	for i, d := range x.dst {
-		if d == p {
-			m |= 1 << i
-		}
-	}
-	return m
-}
-
-func (x *explorer) sendFetches(w *exWorld, p int8, skip uint8) {
-	for i, d := range x.dst {
-		if d != p || skip&(1<<i) != 0 {
-			continue
-		}
-		if src := x.src[i]; x.linked[p][src] {
-			w.send(exFrame{kind: exFetch, from: p, to: src, comp: int8(i)})
-		} else {
-			w.send(exFrame{kind: exFetch, from: p, to: exM, toDep: true, comp: int8(i)})
-		}
-	}
-}
-
-func (x *explorer) ship(w *exWorld, p, comp int8) {
-	if dst := x.dst[comp]; x.linked[p][dst] {
-		w.send(exFrame{kind: exTransfer, from: p, to: dst, comp: comp})
-	} else {
-		w.send(exFrame{kind: exTransfer, from: p, to: exM, toDep: true, comp: comp})
-	}
-}
-
-func (x *explorer) sendDone(w *exWorld, p int8) {
-	n := bits.OnesCount8(x.arrivals(p))
-	w.send(exFrame{kind: exDone, from: p, to: exM, toDep: true, recv: int8(n)})
+	w.send(f)
 }
 
 // exAction is one explorer move.
@@ -616,6 +662,7 @@ const (
 	actTick
 	actDeadline
 	actDeath
+	actRestart
 )
 
 func (a exAction) String() string {
@@ -632,6 +679,8 @@ func (a exAction) String() string {
 		return "tick"
 	case actDeadline:
 		return "deadline"
+	case actRestart:
+		return "restart of " + string(exHosts[a.host])
 	}
 	return "death of " + string(exHosts[a.host])
 }
@@ -655,11 +704,13 @@ func (x *explorer) moves(w *exWorld) []exAction {
 		acts = append(acts, exAction{kind: actTick})
 	}
 	acts = append(acts, exAction{kind: actDeadline})
-	if w.deaths > 0 {
-		for i, a := range w.agents {
-			if a.alive {
-				acts = append(acts, exAction{kind: actDeath, host: exP0 + int8(i)})
-			}
+	for i, a := range w.agents {
+		p := exP0 + int8(i)
+		if a.alive && w.deaths > 0 {
+			acts = append(acts, exAction{kind: actDeath, host: p})
+		}
+		if a.alive && w.restarts > 0 {
+			acts = append(acts, exAction{kind: actRestart, host: p})
 		}
 	}
 	return acts
@@ -686,15 +737,43 @@ func (x *explorer) apply(w *exWorld, a exAction) []*exWorld {
 		n.clock = n.core.deadline
 		n.expired = n.core.stage == stageAnnouncing
 		return x.feed(n, waveInput{kind: inTick, now: n.clock})
+	case actRestart:
+		// A new lifetime the detector never noticed: frames in flight
+		// still reach it.
+		n.restarts--
+		n.agents[a.host-exP0] = fresh(a.host)
+		n.gone |= 1 << (a.host - exP0)
+		return []*exWorld{n}
 	}
 	n.deaths--
-	n.agents[a.host-exP0].alive = false
+	n.own(a.host).alive = false
+	n.gone |= 1 << (a.host - exP0)
 	return x.feed(n, waveInput{kind: inDead, host: exHosts[a.host], now: n.clock})
 }
 
+// checkLive asserts that no component is live — attached and not held —
+// on two live hosts.
+func (x *explorer) checkLive(w *exWorld) {
+	for i, comp := range x.comps {
+		first := -1
+		for j, a := range w.agents {
+			switch {
+			case !a.alive || (a.attached&^a.held)&(1<<i) == 0:
+			case first < 0:
+				first = j
+			default:
+				w.fail("%s live on two hosts: %s and %s", comp, exHosts[exP0+int8(first)], exHosts[exP0+int8(j)])
+			}
+		}
+	}
+}
+
 // checkQuiescent asserts convergence once nothing is in flight and the
-// coordinator is done: every live participant applied the decided
-// outcome, unless the ack budget ran out.
+// coordinator is done, unless the ack budget ran out: every participant
+// applied the decided outcome, and each moved component is live only at
+// its destination after a commit, only at its source after an abort. A
+// participant that died or restarted is exempt, and so are the
+// components it sent or received.
 func (x *explorer) checkQuiescent(w *exWorld) {
 	if len(w.net) != 0 || (w.core != nil && !w.core.finished()) {
 		return
@@ -703,13 +782,28 @@ func (x *explorer) checkQuiescent(w *exWorld) {
 	if !w.log.decided || w.expired {
 		return
 	}
-	want := uint8(1)
+	want, decision := uint8(1), "commit"
 	if !w.log.commit {
-		want = 2
+		want, decision = 2, "abort"
 	}
 	for i, a := range w.agents {
-		if a.alive && a.applied&want == 0 {
+		if w.gone&(1<<i) == 0 && a.applied&want == 0 {
 			w.fail("quiescent, but live %s never applied the decided outcome (commit=%v)", exHosts[exP0+int8(i)], w.log.commit)
+		}
+	}
+	for i, comp := range x.comps {
+		if w.gone&(1<<(x.src[i]-exP0)|1<<(x.dst[i]-exP0)) != 0 {
+			continue
+		}
+		home := x.dst[i]
+		if !w.log.commit {
+			home = x.src[i]
+		}
+		for j, a := range w.agents {
+			p := exP0 + int8(j)
+			if live := (a.attached&^a.held)&(1<<i) != 0; live != (p == home) {
+				w.fail("quiescent after %s, but %s live at %s is %v (want it live at %s only)", decision, comp, exHosts[p], live, exHosts[home])
+			}
 		}
 	}
 }
@@ -720,15 +814,14 @@ var exSeed = maphash.MakeSeed()
 
 // key hashes the canonical encoding of everything that decides w's
 // future.
-func (w *exWorld) key(buf []byte) (uint64, []byte) {
+func (x *explorer) key(w *exWorld, buf []byte) (uint64, []byte) {
 	buf = buf[:0]
-	buf = append(buf, byte(w.coord), w.term, byte(w.drops), byte(w.dups), byte(w.ticks), byte(w.deaths), byte(w.crashes),
-		w.doneIn, w.outcomes, byte(b2i(w.expired)), byte(w.spans),
+	buf = append(buf, byte(w.coord), w.term, byte(w.drops), byte(w.dups), byte(w.ticks), byte(w.deaths), byte(w.restarts), byte(w.crashes),
+		w.doneIn, w.outcomes, byte(b2i(w.expired)), byte(w.spans), w.gone,
 		byte(b2i(w.log.open)), byte(b2i(w.log.prepared)), byte(b2i(w.log.decided)), byte(b2i(w.log.commit)), byte(b2i(w.log.closed)))
 	buf = binary.AppendVarint(buf, w.clock.UnixNano())
 	for _, a := range w.agents {
-		buf = append(buf, byte(b2i(a.alive)), a.fence, byte(b2i(a.seen)), byte(b2i(a.done)), a.outcome,
-			byte(b2i(a.settled)), a.arrived, a.owns, a.prepared, a.applied)
+		buf = x.keyAgent(buf, a)
 	}
 	buf = append(buf, 0xff)
 	for _, s := range w.net {
@@ -756,6 +849,29 @@ func (w *exWorld) key(buf []byte) (uint64, []byte) {
 	return maphash.Bytes(exSeed, buf), buf
 }
 
+// keyAgent encodes a participant: its architecture, its voter's fence,
+// holder and generation, and its partCore's records and windows. A
+// change to partCore's, partWave's or voterCore's fields must be
+// mirrored here and in clone, or the walk merges distinct states.
+func (x *explorer) keyAgent(buf []byte, a *exAgent) []byte {
+	v := &a.voter
+	buf = append(buf, byte(b2i(a.alive)), a.attached, a.held, a.prepared, a.applied,
+		byte(v.fence), byte(exIndex(v.holder)), byte(v.gen))
+	if len(a.part.open) > 1 || len(a.part.settled) > 1 {
+		panic("explorer: a participant holds more than the explored wave")
+	}
+	for k, pw := range a.part.open {
+		buf = append(buf, 0xfc, byte(exIndex(k.coord)), byte(k.epoch), byte(b2i(pw.arrivals != nil)), byte(b2i(pw.done)), x.mask(pw.arrived))
+		for _, d := range pw.departs {
+			buf = append(buf, byte(x.compIndex(d.id)), byte(exIndex(d.requester)))
+		}
+	}
+	for c, win := range a.part.settled {
+		buf = append(buf, 0xfb, byte(exIndex(c)), byte(win.floor), byte(len(win.spans)))
+	}
+	return append(buf, 0xfa)
+}
+
 type exNode struct {
 	parent int32
 	act    exAction
@@ -775,7 +891,7 @@ func (x *explorer) explore(maxStates int) bool {
 	}
 	var frontier []item
 	visit := func(w *exWorld, parent int32, act exAction) bool {
-		k, b := w.key(buf)
+		k, b := x.key(w, buf)
 		buf = b
 		if _, dup := seen[k]; dup {
 			// A violation on the way in belongs to the transition, not to
@@ -785,6 +901,7 @@ func (x *explorer) explore(maxStates int) bool {
 			}
 		} else {
 			seen[k] = struct{}{}
+			x.checkLive(w)
 			x.checkQuiescent(w)
 		}
 		nodes = append(nodes, exNode{parent: parent, act: act, note: w.note})
@@ -845,7 +962,7 @@ func swapScope(name string) exScope {
 }
 
 // exScopes are tier-1's walks; the budgets keep each exhaustive and the
-// three under a few seconds together.
+// four under a few seconds together.
 func exScopes() []exScope {
 	lossy := swapScope("swap: one drop, one tick, two crashes")
 	lossy.drops, lossy.ticks, lossy.crashes = 1, 1, 2
@@ -861,7 +978,9 @@ func exScopes() []exScope {
 		unlinked: [][2]model.HostID{{"p1", "p3"}},
 		crashes:  1,
 	}
-	return []exScope{lossy, faulty, mediated}
+	restart := swapScope("swap: one restart, one tick")
+	restart.restarts, restart.ticks = 1, 1
+	return []exScope{lossy, faulty, mediated, restart}
 }
 
 // exploreFloor is the number of distinct states tier-1 must cover;
@@ -882,14 +1001,18 @@ func (x *explorer) report(t *testing.T) {
 // TestWaveExplore walks every interleaving of each scope within its
 // budgets and checks, at every state, that no outcome precedes its
 // durable decision, that the decision never changes, that an abort
-// carries no generations, that a commit had every done report, and, at
-// every quiescent state, that each live participant applied the decided
-// outcome unless the ack budget ran out.
+// carries no generations, that a commit had every done report, and that
+// no component is live on two hosts; and, at every quiescent state, that
+// each participant applied the decided outcome and each moved component
+// is live only where that outcome leaves it, unless the ack budget ran
+// out.
 func TestWaveExplore(t *testing.T) {
+	// The walk keeps every frontier world live: collect less often.
+	defer debug.SetGCPercent(debug.SetGCPercent(400))
 	start := time.Now()
 	total := 0
 	for _, s := range exScopes() {
-		x := newExplorer(s, (*waveCore).step)
+		x := newExplorer(s, (*waveCore).step, (*partCore).step)
 		if !x.explore(exploreLimit) {
 			x.report(t)
 			return
@@ -906,7 +1029,7 @@ func TestWaveExplore(t *testing.T) {
 	t.Logf("%d states in %v", total, time.Since(start))
 }
 
-// The mutants wrap the real step; each must break a property, and BFS
+// The mutants wrap the real steps; each must break a property, and BFS
 // reports the shortest way there.
 
 // outcomeBeforeDecision sends the outcome ahead of its decided record.
@@ -959,18 +1082,78 @@ func decideResumedAgain(c *waveCore, in waveInput) []waveOutput {
 	return c.step(in)
 }
 
+// detachAfterSettle forgets which waves settled while a fetch is served,
+// so a late fetch detaches the component again: the defect a delayed
+// duplicate fetch once caused under load.
+func detachAfterSettle(p *partCore, in partInput) []partOutput {
+	if in.kind == pFetch || in.kind == pPrepared {
+		settled := p.settled
+		p.settled = nil
+		defer func() { p.settled = settled }()
+	}
+	return p.step(in)
+}
+
+// doneOneShort reports done while one arrival is still missing.
+func doneOneShort(p *partCore, in partInput) []partOutput {
+	out := p.step(in)
+	for k, w := range p.open {
+		if w.arrivals != nil && !w.done && len(w.arrived)+1 == len(w.arrivals) {
+			w.done = true
+			out = append(out, p.doneReport(k, w))
+		}
+	}
+	return out
+}
+
+// abortKeepsDetached rolls a wave back without re-attaching what it
+// detached.
+func abortKeepsDetached(p *partCore, in partInput) []partOutput {
+	out := p.step(in)
+	for i, o := range out {
+		if o.kind == pAbort && in.kind == pOutcome {
+			w := *o.wave
+			w.departs = nil
+			out[i].wave = &w
+		}
+	}
+	return out
+}
+
+// restoreOrphan reconstitutes a transfer that no reconfig of this
+// lifetime asked for, and forgets it: the rule before such transfers
+// were dropped.
+func restoreOrphan(p *partCore, in partInput) []partOutput {
+	k := p.key(in.tp.Coordinator, in.tp.Epoch)
+	if w := p.open[k]; (in.kind == pTransfer || in.kind == pRestored) && (w == nil || w.arrivals == nil) && !p.isSettled(k) {
+		if in.kind == pTransfer {
+			return []partOutput{{kind: pRestore, tp: in.tp}}
+		}
+		return nil
+	}
+	return p.step(in)
+}
+
 func TestWaveExploreMutants(t *testing.T) {
+	scopes := exScopes()
+	wave, part := (*waveCore).step, (*partCore).step
 	for _, m := range []struct {
-		name string
-		step func(*waveCore, waveInput) []waveOutput
-		want string
+		name  string
+		scope exScope
+		step  func(*waveCore, waveInput) []waveOutput
+		pstep func(*partCore, partInput) []partOutput
+		want  string
 	}{
-		{"outcome before the decided record", outcomeBeforeDecision, "before its decided record is durable"},
-		{"commit with a done report missing", commitWithDoneMissing, "commit decided with done reports"},
-		{"resumed epoch decided again", decideResumedAgain, "decision changed"},
+		{"outcome before the decided record", scopes[0], outcomeBeforeDecision, part, "before its decided record is durable"},
+		{"commit with a done report missing", scopes[0], commitWithDoneMissing, part, "commit decided with done reports"},
+		{"resumed epoch decided again", scopes[0], decideResumedAgain, part, "decision changed"},
+		{"a fetch of a settled wave detaches again", scopes[0], wave, detachAfterSettle, "quiescent after abort"},
+		{"done reported with an arrival missing", scopes[0], wave, doneOneShort, "quiescent after commit"},
+		{"an abort leaves a prepared instance detached", scopes[0], wave, abortKeepsDetached, "quiescent after abort"},
+		{"an orphan transfer is reconstituted", scopes[3], wave, restoreOrphan, "live on two hosts"},
 	} {
 		t.Run(m.name, func(t *testing.T) {
-			x := newExplorer(exScopes()[0], m.step)
+			x := newExplorer(m.scope, m.step, m.pstep)
 			if x.explore(exploreLimit) {
 				t.Fatalf("mutant survived %d states", x.states)
 			}
