@@ -31,7 +31,7 @@ fmt:
 # flight per peer), and the admin's Close-versus-reconfig race run 50
 # times for the same reason. The dedup-window tests (reference-model
 # property test, the lost-frame hole, the wide-span settle) run in the
-# first pass with the rest of ./internal/prism/, and so do the two
+# first pass with the rest of ./internal/prism/, and so do the three
 # explorers: TestWaveExplore walks every interleaving of a small two-phase
 # wave through the real waveCore.step and, for every participant, the
 # real partCore.step and voterCore.step (about 5.3·10⁵ states, a
@@ -39,8 +39,12 @@ fmt:
 # TestLeaseExplore every interleaving of
 # a small election and of a failover with an agent resync through the
 # real leaseCore.step and voterCore.step (about 3.9·10⁵ states, about
-# 36 s under the race detector), and their Mutants tests check that each
-# catches its broken steps (seven for the wave, three for the lease).
+# 36 s under the race detector), TestPeerExplore every sequence of ten
+# inputs to one peer's record through the real peerCore.step (about
+# 1.7·10⁵ states, a few seconds under the race detector; the CI race job
+# also runs it by name, with TestDegradedReMarkedAfterSuspectLapse), and
+# their Mutants tests check that each catches its broken steps (seven for
+# the wave, three for the lease, three for the peer).
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/... ./cmd/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/
@@ -62,11 +66,13 @@ SOAK_SEEDS ?= 10
 soak:
 	$(GO) test -race -count=1 -timeout 20m -run TestChaosSoak -v ./internal/chaos/ -args -chaos.seeds=$(SOAK_SEEDS)
 
-# fuzz: short live fuzzing of everything that consumes socket bytes —
-# the event codecs (gob and binary, ack spans included), the TCP stream
-# framing (hello, length prefix, maxFrameBytes), and the dedup window
+# fuzz: short live fuzzing of everything that consumes socket or disk
+# bytes — the event codecs (gob and binary, ack spans included), the TCP
+# stream framing (hello, length prefix, maxFrameBytes), the dedup window
 # that sequence numbers and imported spans land in (against the
-# map-based reference model). The seed corpora already run as plain
+# map-based reference model), and the deployer's write-ahead log replay
+# (a refused open leaves the file byte-identical; a kept prefix drops
+# only a genuine torn record). The seed corpora already run as plain
 # unit tests inside `make test`.
 FUZZTIME ?= 10s
 fuzz:
@@ -74,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzBinaryDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzTCPReadLoop -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzDedupWindow -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -run xxx -bench . ./internal/algo/

@@ -68,7 +68,7 @@ func TestAgentJoinsHostsAndRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer host.Close()
-	fd := prism.NewFailureDetector(prism.NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := prism.NewFailureDetector(2*time.Second, 5*time.Second)
 	host.Deployer.AttachDetector(fd)
 	sys := model.NewSystem()
 	sys.AddComponent("c1", model.Params{model.ParamMemory: 1})

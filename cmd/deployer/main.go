@@ -57,9 +57,8 @@ func run(args []string, out io.Writer) error {
 	cycles := fs.Int("cycles", 2, "monitor/analyze cycles to run")
 	interval := fs.Duration("interval", 3*time.Second, "pause between cycles (lets agents generate traffic)")
 	joinTimeout := fs.Duration("join-timeout", 60*time.Second, "how long to wait for agents")
-	detector := fs.String("detector", "lease", "failure detection policy: lease or phi")
-	suspectAfter := fs.Duration("suspect-after", 2*time.Second, "lease policy: silence before a host is suspected")
-	deadAfter := fs.Duration("dead-after", 5*time.Second, "lease policy: silence before a host is declared dead")
+	suspectAfter := fs.Duration("suspect-after", prism.DefaultSuspectAfter, "failure detector: silence before a host is suspected")
+	deadAfter := fs.Duration("dead-after", prism.DefaultDeadAfter, "failure detector: silence before a host is declared dead")
 	common := cliflags.Register(fs)
 	durable := cliflags.RegisterDurable(fs)
 	ha := cliflags.RegisterHA(fs)
@@ -177,16 +176,7 @@ func run(args []string, out io.Writer) error {
 	var deadMu sync.Mutex
 	pendingDead := make(map[model.HostID]bool)
 	if common.Heartbeat > 0 {
-		var policy prism.SuspicionPolicy
-		switch *detector {
-		case "lease":
-			policy = prism.NewLeasePolicy(*suspectAfter, *deadAfter)
-		case "phi":
-			policy = prism.NewPhiAccrualPolicy(0, 0)
-		default:
-			return fmt.Errorf("unknown -detector %q (want lease or phi)", *detector)
-		}
-		fd = prism.NewFailureDetector(policy)
+		fd = prism.NewFailureDetector(*suspectAfter, *deadAfter)
 		dep.AttachDetector(fd)
 		fd.Subscribe(func(tr prism.Transition) {
 			fmt.Fprintf(out, "liveness: %s %s -> %s (incarnation %d)\n",

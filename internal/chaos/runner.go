@@ -137,7 +137,7 @@ func Run(cfg Config) (*Result, error) {
 	// feeds it through whichever deployer receives the beacon, and every
 	// HostDead verdict it ever publishes is recorded for the
 	// no-false-dead invariant.
-	r.fd = prism.NewFailureDetector(prism.NewLeasePolicy(chaosSuspectAfter, chaosDeadAfter))
+	r.fd = prism.NewFailureDetector(chaosSuspectAfter, chaosDeadAfter)
 	r.fd.Subscribe(func(tr prism.Transition) {
 		if tr.To == prism.HostDead {
 			r.deadMu.Lock()

@@ -1,5 +1,5 @@
 // Package cliflags defines the command-line surface the deployer and
-// agent binaries share, so the fault-injection, retry, liveness, and
+// agent binaries share, so the fault-injection, liveness, and
 // observability knobs stay name- and default-compatible across both
 // halves of a drill: a flag you pass the master means the same thing on
 // every slave.
@@ -31,14 +31,10 @@ type Common struct {
 	TraceOut      string
 	BatchBytes    int
 
-	// Gray-failure protection: the per-peer circuit breaker on the
-	// control-send path and the class-prioritized admission controller on
-	// the receive path. Both default off — drills opt in.
-	Breaker         bool
-	BreakerCooldown time.Duration
-	BreakerProbes   int
-	Shed            bool
-	ShedCapacity    int
+	// Overload protection: the class-prioritized admission controller on
+	// the receive path. Off by default — drills opt in.
+	Shed         bool
+	ShedCapacity int
 }
 
 // Register installs the shared flags on fs and returns the struct the
@@ -54,9 +50,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve /metrics, /trace and /debug/pprof on this address (empty disables)")
 	fs.StringVar(&c.TraceOut, "trace-out", "", "write recorded span trees as JSONL to this file on exit (empty disables)")
 	fs.IntVar(&c.BatchBytes, "batch-bytes", 0, "per-connection TCP send-buffer high-water mark in bytes: Send blocks while that much is unwritten (0 means 64 KiB)")
-	fs.BoolVar(&c.Breaker, "breaker", false, "enable the per-peer circuit breaker on control sends: consecutive observable failures open the circuit, and later sends toward that peer fail fast until a half-open probe gets through")
-	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 500*time.Millisecond, "how long an open circuit rejects sends before half-opening for a probe")
-	fs.IntVar(&c.BreakerProbes, "breaker-probes", 1, "concurrent half-open probes allowed per peer")
 	fs.BoolVar(&c.Shed, "shed", false, "enable class-prioritized admission on the receive path: bounded per-class queues dispatched liveness > control > app, shedding the arriving class when its queue is full")
 	fs.IntVar(&c.ShedCapacity, "shed-capacity", prism.DefaultQueueCap, "admission queue capacity per class (queues grow on demand up to it)")
 	return c
@@ -170,16 +163,6 @@ func (c *Common) FaultConfig(reg *obs.Registry) prism.FaultConfig {
 	}
 }
 
-// BreakerConfig builds the per-peer circuit breaker configuration;
-// disabled unless -breaker was passed.
-func (c *Common) BreakerConfig() prism.BreakerConfig {
-	return prism.BreakerConfig{
-		Enabled:     c.Breaker,
-		Cooldown:    c.BreakerCooldown,
-		ProbeBudget: c.BreakerProbes,
-	}
-}
-
 // Admission builds the receive-path admission configuration; it is
 // Enabled only when -shed was passed.
 func (c *Common) Admission() prism.AdmissionConfig {
@@ -229,17 +212,15 @@ func KeepDialing(tr *prism.TCPTransport, peer model.HostID, stop <-chan struct{}
 
 // HostConfig maps the shared flags onto the one host recipe
 // (framework.NewHost) both binaries are built from: a started scaffold,
-// the delivery layer and its pump, the heartbeat pump, admission, retry
-// and breaker policy. master names the host running the deployer. The
-// caller adds what only it knows — incarnation, deployer, state dir.
+// the delivery layer and its pump, the heartbeat pump and admission.
+// master names the host running the deployer. The caller adds what only
+// it knows — incarnation, deployer, state dir.
 func (c *Common) HostConfig(id, master model.HostID, bus prism.Transport, reg *obs.Registry, tracer *obs.Tracer) framework.HostConfig {
 	delivery := c.Delivery()
 	return framework.HostConfig{
-		ID:        id,
-		Transport: bus,
-		Admin: prism.AdminConfig{
-			Deployer: master, Breaker: c.BreakerConfig(),
-		},
+		ID:           id,
+		Transport:    bus,
+		Admin:        prism.AdminConfig{Deployer: master},
 		Workers:      4,
 		Delivery:     &delivery,
 		DeliveryTick: c.AppRetransmit,

@@ -65,12 +65,6 @@ func TestSharedFlagParity(t *testing.T) {
 				AppRetransmit: 250 * time.Millisecond},
 		},
 		{
-			name: "breaker on with tuning",
-			args: []string{"-breaker", "-breaker-cooldown", "200ms", "-breaker-probes", "2"},
-			want: Common{FaultSeed: 1, AppRetransmit: 250 * time.Millisecond,
-				Breaker: true, BreakerCooldown: 200 * time.Millisecond, BreakerProbes: 2},
-		},
-		{
 			name: "shedding on with capacity",
 			args: []string{"-shed", "-shed-capacity", "64"},
 			want: Common{FaultSeed: 1, AppRetransmit: 250 * time.Millisecond,
@@ -79,15 +73,9 @@ func TestSharedFlagParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The gray-protection knobs default to the library's values;
-			// cases only spell them out when the flags are exercised.
+			// The admission capacity defaults to the library's value;
+			// cases only spell it out when the flag is exercised.
 			want := tc.want
-			if want.BreakerCooldown == 0 {
-				want.BreakerCooldown = 500 * time.Millisecond
-			}
-			if want.BreakerProbes == 0 {
-				want.BreakerProbes = 1
-			}
 			if want.ShedCapacity == 0 {
 				want.ShedCapacity = prism.DefaultQueueCap
 			}
@@ -104,6 +92,13 @@ func TestSharedFlagParity(t *testing.T) {
 				}
 			}
 		})
+	}
+	fs := flag.NewFlagSet("agent", flag.ContinueOnError)
+	Register(fs)
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 11 {
+		t.Fatalf("shared set registers %d flags, want 11", n)
 	}
 }
 
@@ -256,25 +251,25 @@ func TestFaultConfig(t *testing.T) {
 	}
 }
 
-// TestBreakerAndAdmissionConfig pins the builders behind -breaker and
-// -shed: off by default, and the tuning knobs land where the prism
-// layer expects them.
+// TestBreakerAndAdmissionConfig pins that the circuit breaker's flags
+// are gone (every control send is one attempt its owning loop re-drives,
+// and the detector's health score judges gray peers) and the builder
+// behind -shed: off by default, and the capacity lands where the prism
+// layer expects it.
 func TestBreakerAndAdmissionConfig(t *testing.T) {
-	var off Common
-	if off.BreakerConfig().Enabled {
-		t.Fatal("breaker enabled without -breaker")
+	for _, args := range [][]string{{"-breaker"}, {"-breaker-cooldown", "200ms"}, {"-breaker-probes", "2"}} {
+		fs := flag.NewFlagSet("agent", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Fatalf("%s still parses", args[0])
+		}
 	}
+	var off Common
 	if off.Admission().Enabled {
 		t.Fatal("admission enabled without -shed")
 	}
-	on := Common{
-		Breaker: true, BreakerCooldown: 200 * time.Millisecond, BreakerProbes: 2,
-		Shed: true, ShedCapacity: 64,
-	}
-	bc := on.BreakerConfig()
-	if !bc.Enabled || bc.Cooldown != 200*time.Millisecond || bc.ProbeBudget != 2 {
-		t.Fatalf("BreakerConfig = %+v", bc)
-	}
+	on := Common{Shed: true, ShedCapacity: 64}
 	ac := on.Admission()
 	if !ac.Enabled || ac.QueueCap != 64 {
 		t.Fatalf("Admission = %+v", ac)

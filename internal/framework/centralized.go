@@ -121,11 +121,11 @@ func (c *Centralized) Monitor() (int, int, error) {
 }
 
 // syncDegraded folds the deployer's gray-failure view into the
-// centralized model: the health scorer's hysteresis flips become the
-// detector's HostDegraded overlay (EvaluateHealth), and the overlay
-// becomes per-host soft penalties that steer planning off limping hosts
-// without force-migrating what they still serve. Returns the number of
-// degraded hosts.
+// centralized model: a grade (EvaluateHealth) moves limping hosts to
+// HostDegraded and recovered ones back, and the degraded hosts become
+// per-host soft penalties that steer planning off them without
+// force-migrating what they still serve. Returns the number of degraded
+// hosts.
 func (c *Centralized) syncDegraded() int {
 	c.Master.Deployer.EvaluateHealth()
 	degraded := make(map[model.HostID]bool)

@@ -49,7 +49,7 @@ func TestChurnDrill(t *testing.T) {
 	c := NewCentralized(w, analyzer.Policy{})
 
 	clk := newDrillClock()
-	fd := prism.NewFailureDetector(prism.NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := prism.NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 	w.Deployer.AttachDetector(fd)
 

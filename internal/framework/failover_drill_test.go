@@ -309,8 +309,6 @@ func TestLeaderCrashFailoverDoesNotRetryIntoCorpse(t *testing.T) {
 		current[string(c)] = h
 	}
 
-	w.CrashHost(corpse)
-	clk.Advance(5 * ttl) // every agent's term-1 lease lapses
 	toward := func(h model.HostID) float64 {
 		var n float64
 		for _, x := range w.Hosts() {
@@ -323,12 +321,26 @@ func TestLeaderCrashFailoverDoesNotRetryIntoCorpse(t *testing.T) {
 	witnessSent := obs.Name("prism_fault_sent_total", "host", string(witness))
 	framesToWitness := func() float64 {
 		// The witness link carries both directions; everything the
-		// witness sends in this window goes to the heir.
+		// witness sends from the crash on goes to the heir.
 		s, _ := w.Fabric.Stats(heir, witness)
 		own, _ := reg.Snapshot().Value(witnessSent)
 		return float64(s.Sent) - own
 	}
-	corpse0, witness0 := toward(corpse), framesToWitness()
+	// settled reads both counts once they hold still: a flush or a
+	// witness's ack may be in flight, and the witness's own send counter
+	// moves before the fabric's link counter does.
+	settled := func() (corpseN, witnessN float64) {
+		waitUntil(t, func() bool {
+			c, w := toward(corpse), framesToWitness()
+			time.Sleep(20 * time.Millisecond)
+			corpseN, witnessN = toward(corpse), framesToWitness()
+			return c == corpseN && w == witnessN
+		})
+		return corpseN, witnessN
+	}
+	corpse0, witness0 := settled()
+	w.CrashHost(corpse)
+	clk.Advance(5 * ttl) // every agent's term-1 lease lapses
 
 	if _, won, err := ha.Leads[heir].Failover(); err != nil || !won {
 		t.Fatalf("failover: won=%v err=%v", won, err)
@@ -338,7 +350,8 @@ func TestLeaderCrashFailoverDoesNotRetryIntoCorpse(t *testing.T) {
 		t.Fatalf("first wave under the new term = %+v err=%v", res, err)
 	}
 
-	attempts, rounds := toward(corpse)-corpse0, framesToWitness()-witness0
+	corpse1, witness1 := settled()
+	attempts, rounds := corpse1-corpse0, witness1-witness0
 	if attempts < 1 {
 		t.Fatal("the new leader never addressed the corpse; the drill measures nothing")
 	}

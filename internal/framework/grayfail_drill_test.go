@@ -15,9 +15,9 @@ import (
 // TestGrayFailureDrill is the gray-failure acceptance drill: one host
 // keeps heartbeating cleanly while silently dropping 60% of its inbound
 // frames — the canonical asymmetric fault a lease detector cannot see.
-// The stack must (1) flip the host to HostDegraded via the health
-// scorer's end-to-end evidence without ever declaring it dead, (2) fold
-// the overlay into the centralized model so planning stops placing new
+// The stack must (1) flip the host to HostDegraded via its health
+// score's end-to-end evidence without ever declaring it dead, (2) fold
+// the verdict into the centralized model so planning stops placing new
 // components on it, and (3) still commit an in-flight wave across the
 // lossy link through the control plane's re-drive loops.
 func TestGrayFailureDrill(t *testing.T) {
@@ -35,7 +35,7 @@ func TestGrayFailureDrill(t *testing.T) {
 	c := NewCentralized(w, analyzer.Policy{})
 	c.ReportTimeout = 150 * time.Millisecond
 
-	fd := prism.NewFailureDetector(prism.NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := prism.NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 	var wentDead atomic.Bool
 	fd.Subscribe(func(tr prism.Transition) {
@@ -140,7 +140,7 @@ func TestOverloadShedsAppTrafficFirst(t *testing.T) {
 	w, _ := newTestWorld(t, 3, 12, 23, WorldConfig{Obs: reg})
 	master := w.Master
 
-	fd := prism.NewFailureDetector(prism.NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := prism.NewFailureDetector(2*time.Second, 5*time.Second)
 	w.Deployer.AttachDetector(fd)
 
 	adm := w.BusConnector(master).EnableAdmission(prism.AdmissionConfig{

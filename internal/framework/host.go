@@ -20,8 +20,8 @@ type HostConfig struct {
 	// injects faults). The host owns it from here on: Close closes it.
 	Transport prism.Transport
 	// Admin configures the admin and, with Deployer, the deployer
-	// component: the master's host ID, retry and breaker policy, this
-	// lifetime's incarnation, tuned timers. Bus is always BusName; a nil
+	// component: the master's host ID, this lifetime's incarnation,
+	// tuned timers. Bus is always BusName; a nil
 	// Registry is replaced by NewRegistry().
 	Admin prism.AdminConfig
 	// Deployer installs a deployer component; StateDir additionally opens

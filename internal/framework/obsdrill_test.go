@@ -63,7 +63,7 @@ func runTracedChurnDrill(t *testing.T, seed int64) (render, faults string, dropp
 	t.Cleanup(w.Close)
 	c := NewCentralized(w, analyzer.Policy{})
 
-	fd := prism.NewFailureDetector(prism.NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := prism.NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 	w.Deployer.AttachDetector(fd)
 	for _, h := range w.SlaveHosts() {

@@ -206,12 +206,6 @@ type AdminConfig struct {
 	// stepped clock here (via WorldConfig.Tune) so traced runs are
 	// byte-identical across same-seed repetitions.
 	Clock func() time.Time
-	// Breaker, when Enabled, wraps every direct control send in a
-	// per-peer circuit breaker (closed/open/half-open with a probe
-	// budget). Disabled by default: symmetric partitions are meant to be
-	// ridden out by the re-drive loops, and the breaker is aimed at
-	// *gray* peers.
-	Breaker BreakerConfig
 }
 
 // Control-plane reliability defaults.

@@ -59,11 +59,6 @@ type DeployerComponent struct {
 	// the source of truth the level-triggered resync path converges
 	// agents to.
 	goal *goalTable
-	// health scores per-peer liveness quality from gray-failure signals
-	// (unanswered report requests, resend pressure, observable send
-	// failures, heartbeat jitter). Built lazily so its gauges land in
-	// the registry wired by SetObservability.
-	health *HealthScorer
 
 	// stop aborts in-flight waves on Close so shutdown never waits on a
 	// wave.
@@ -99,8 +94,8 @@ func (d *DeployerComponent) Close() {
 }
 
 // AttachDetector wires a failure detector into the deployer: incoming
-// heartbeats feed it, and HostDead transitions abort any wave the dead
-// host participates in.
+// heartbeats and control-send outcomes feed it, and HostDead transitions
+// abort any wave the dead host participates in.
 func (d *DeployerComponent) AttachDetector(fd *FailureDetector) {
 	d.mu.Lock()
 	d.detector = fd
@@ -115,9 +110,6 @@ func (d *DeployerComponent) AttachDetector(fd *FailureDetector) {
 			"host", string(d.arch.Host()), "to", tr.To.String())).Inc()
 		if tr.To == HostDead {
 			d.NoteHostDead(tr.Host)
-			// A dead host's health history must not shade its rejoin: a
-			// restarted incarnation starts with a clean score.
-			d.healthScorer().Forget(tr.Host)
 		}
 	})
 }
@@ -129,55 +121,39 @@ func (d *DeployerComponent) Detector() *FailureDetector {
 	return d.detector
 }
 
-// healthScorer returns the per-peer gray-failure scorer, built on first
-// use so its gauges land in whatever registry SetObservability installed
-// after construction.
-func (d *DeployerComponent) healthScorer() *HealthScorer {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.health == nil {
-		d.health = NewHealthScorer(HealthConfig{Host: d.arch.Host(), Obs: d.arch.Obs()})
+// recordSend feeds one control-send outcome toward h to the attached
+// detector's health score; with none attached nothing is recorded.
+func (d *DeployerComponent) recordSend(h model.HostID, ok bool) {
+	if fd := d.Detector(); fd != nil {
+		fd.RecordSend(h, ok)
 	}
-	return d.health
 }
 
-// Health exposes the per-peer gray-failure scorer.
-func (d *DeployerComponent) Health() *HealthScorer {
-	return d.healthScorer()
-}
-
-// EvaluateHealth applies the scorer's hysteresis band and folds every
-// flip into the failure detector's HostDegraded overlay, returning the
-// resulting liveness transitions. Callers run it on their monitoring
-// cadence (the centralized loop calls it each Cycle).
+// EvaluateHealth grades every peer the attached detector tracks — a
+// limping up peer becomes degraded, a recovered one up — sets each peer's
+// prism_peer_health_score gauge, and returns the transitions. Callers run
+// it on their monitoring cadence (the centralized loop calls it each
+// Cycle).
 func (d *DeployerComponent) EvaluateHealth() []Transition {
-	flips := d.healthScorer().Evaluate()
-	if len(flips) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	fd := d.detector
-	d.mu.Unlock()
+	fd := d.Detector()
 	if fd == nil {
 		return nil
 	}
-	var out []Transition
-	for _, f := range flips {
-		out = append(out, fd.MarkDegraded(f.Peer, f.Degraded, d.cfg.Clock())...)
+	trs := fd.Grade()
+	reg, host := d.arch.Obs(), string(d.arch.Host())
+	for peer, s := range fd.Scores() {
+		reg.Gauge(obs.Name("prism_peer_health_score", "host", host, "peer", string(peer))).Set(s)
 	}
-	return out
+	return trs
 }
 
-// DegradedHosts lists hosts the detector currently holds in the
-// HostDegraded overlay (nil when no detector is attached).
+// DegradedHosts lists hosts the detector currently holds degraded (nil
+// when no detector is attached).
 func (d *DeployerComponent) DegradedHosts() []model.HostID {
-	d.mu.Lock()
-	fd := d.detector
-	d.mu.Unlock()
-	if fd == nil {
-		return nil
+	if fd := d.Detector(); fd != nil {
+		return fd.DegradedHosts()
 	}
-	return fd.DegradedHosts()
+	return nil
 }
 
 // NoteHostDead feeds a participant's death to every wave in flight: in
@@ -189,9 +165,7 @@ func (d *DeployerComponent) NoteHostDead(h model.HostID) {
 
 // deadAmong lists the hosts the attached detector currently holds dead.
 func (d *DeployerComponent) deadAmong(hosts []model.HostID) []model.HostID {
-	d.mu.Lock()
-	fd := d.detector
-	d.mu.Unlock()
+	fd := d.Detector()
 	var dead []model.HostID
 	for _, h := range hosts {
 		if fd != nil && fd.State(h) == HostDead {
@@ -255,16 +229,10 @@ func (d *DeployerComponent) Handle(e Event) {
 		if !ok {
 			return
 		}
-		d.mu.Lock()
-		fd := d.detector
-		d.mu.Unlock()
-		if fd != nil {
+		if fd := d.Detector(); fd != nil {
 			fd.SetManifest(hb.Host, hb.Components)
 			fd.Observe(hb.Host, hb.Incarnation)
 		}
-		// Inter-arrival jitter is a gray-failure signal the binary
-		// alive/dead detector is blind to.
-		d.healthScorer().RecordHeartbeat(hb.Host, d.cfg.Clock())
 	case EvOutcomeAck:
 		if ack, ok := e.Payload.(OutcomeAck); ok {
 			d.feedWave(waveInput{kind: inAck, epoch: ack.Epoch, host: ack.Host})
@@ -321,8 +289,8 @@ func (d *DeployerComponent) RequestReports(hosts []model.HostID, timeout time.Du
 					continue
 				}
 				// A re-request means the request or its report was lost:
-				// retry pressure, like Enact's re-dispatch.
-				d.healthScorer().RecordRetry(h)
+				// a failed send, like Enact's re-dispatch.
+				d.recordSend(h, false)
 				_ = d.sender.send(h, req)
 			}
 		case <-d.stop:
@@ -336,7 +304,7 @@ func (d *DeployerComponent) RequestReports(hosts []model.HostID, timeout time.Du
 	}
 }
 
-// recordReportOutcomes feeds the health scorer one end-to-end outcome
+// recordReportOutcomes feeds the health score one end-to-end outcome
 // per polled host: an answered report request is the strongest positive
 // evidence the deployer gets (the full round trip worked), and an
 // unanswered one is the canonical gray-failure signal — the host may
@@ -345,14 +313,11 @@ func (d *DeployerComponent) RequestReports(hosts []model.HostID, timeout time.Du
 // nothing.
 func (d *DeployerComponent) recordReportOutcomes(hosts []model.HostID) {
 	got := d.snapshotReports()
-	hs := d.healthScorer()
-	self := d.arch.Host()
 	for _, h := range hosts {
-		if h == self {
-			continue
+		if h != d.arch.Host() {
+			_, ok := got[h]
+			d.recordSend(h, ok)
 		}
-		_, ok := got[h]
-		hs.RecordSend(h, ok)
 	}
 }
 
@@ -555,9 +520,9 @@ func (sh *waveShell) feed(w *shellWave, in waveInput) {
 			switch o.kind {
 			case outSend:
 				if o.retry {
-					// A re-drive means a frame or its answer was lost: retry
-					// pressure is health evidence.
-					d.healthScorer().RecordRetry(o.to)
+					// A re-drive means a frame or its answer was lost: a
+					// failed send.
+					d.recordSend(o.to, false)
 				}
 				_ = d.sender.send(o.to, o.ev)
 			case outAppend:

@@ -1,21 +1,16 @@
-// Liveness layer: admins and the deployer exchange heartbeats over the
-// existing Transport, and a pluggable suspicion policy turns heartbeat
-// silence into HostUp → HostSuspect → HostDead transitions. The paper's
-// motivating scenario is hosts *disappearing* (PDAs dropping off the
-// network); this layer is what lets the framework notice and replan
-// instead of wedging.
-//
-// Every decision is driven by explicit timestamps (an injected clock),
-// never by wall-clock sleeps, so whole-stack crash drills are seeded and
-// deterministic. Rejoin is incarnation-gated: a host declared dead is
-// only resurrected by a heartbeat carrying a strictly greater incarnation
-// number, so replayed or delayed frames from the dead incarnation can
-// never mask a crash.
+// Liveness layer: admins heartbeat the deployer over the existing
+// Transport, and its failure detector keeps one record per peer (peerCore,
+// peer.go) that turns silence into HostSuspect and HostDead, gray-failure
+// evidence into HostDegraded, and only a greater incarnation back from
+// dead. The paper's motivating scenario is hosts *disappearing* (PDAs
+// dropping off the network); this layer lets the framework notice and
+// replan instead of wedging. Time is always an injected clock, never a
+// sleep, so whole-stack crash drills are seeded and deterministic.
 package prism
 
 import (
-	"math"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,11 +36,9 @@ type HostState int
 
 // Liveness states. Unknown hosts have never been watched or heard from.
 // HostDegraded sits between Up and Suspect: the host is limping — its
-// heartbeats still arrive, but the health scorer sees gray-failure
-// signals (one-way loss, retry pressure, jitter) — so the planner
-// steers new placements away without the detector ever declaring it
-// dead. The suspicion policies never emit Degraded themselves; it is an
-// overlay driven by MarkDegraded.
+// heartbeats still arrive, but its health score (failed sends, heartbeat
+// jitter) fell below the band — so the planner steers new placements
+// away without the detector ever declaring it dead.
 const (
 	HostUnknown HostState = iota
 	HostUp
@@ -54,20 +47,14 @@ const (
 	HostDead
 )
 
+var hostStateNames = [...]string{"unknown", "up", "degraded", "suspect", "dead"}
+
 // String returns the state name.
 func (s HostState) String() string {
-	switch s {
-	case HostUp:
-		return "up"
-	case HostDegraded:
-		return "degraded"
-	case HostSuspect:
-		return "suspect"
-	case HostDead:
-		return "dead"
-	default:
+	if s < HostUp || s > HostDead {
 		return "unknown"
 	}
+	return hostStateNames[s]
 }
 
 // Transition is one published liveness state change.
@@ -78,258 +65,36 @@ type Transition struct {
 	At          time.Time
 }
 
-// SuspicionPolicy turns a host's heartbeat arrival history into a
-// liveness assessment. Implementations need not be goroutine-safe; the
-// FailureDetector serializes access.
-type SuspicionPolicy interface {
-	Name() string
-	// Observe records a heartbeat arrival.
-	Observe(host model.HostID, at time.Time)
-	// Assess judges the host's state at the given instant.
-	Assess(host model.HostID, now time.Time) HostState
-	// Forget clears the host's history (crash or rejoin resets it).
-	Forget(host model.HostID)
-}
-
-// LeasePolicy is the fixed-timeout suspicion policy: a host is suspected
-// after SuspectAfter without a heartbeat and declared dead after
-// DeadAfter.
-type LeasePolicy struct {
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-
-	last map[model.HostID]time.Time
-}
-
-// Default lease windows: suspect after two missed 1s heartbeats, dead
+// Default silence bounds: suspect after two missed 1s heartbeats, dead
 // after five.
 const (
 	DefaultSuspectAfter = 2 * time.Second
 	DefaultDeadAfter    = 5 * time.Second
 )
 
-// NewLeasePolicy returns a lease policy; zero durations select defaults.
-func NewLeasePolicy(suspectAfter, deadAfter time.Duration) *LeasePolicy {
-	if suspectAfter <= 0 {
-		suspectAfter = DefaultSuspectAfter
-	}
-	if deadAfter <= 0 {
-		deadAfter = DefaultDeadAfter
-	}
-	return &LeasePolicy{
-		SuspectAfter: suspectAfter,
-		DeadAfter:    deadAfter,
-		last:         make(map[model.HostID]time.Time),
-	}
-}
-
-// Name implements SuspicionPolicy.
-func (*LeasePolicy) Name() string { return "lease" }
-
-// Observe implements SuspicionPolicy.
-func (p *LeasePolicy) Observe(host model.HostID, at time.Time) {
-	if prev, ok := p.last[host]; !ok || at.After(prev) {
-		p.last[host] = at
-	}
-}
-
-// Assess implements SuspicionPolicy.
-func (p *LeasePolicy) Assess(host model.HostID, now time.Time) HostState {
-	last, ok := p.last[host]
-	if !ok {
-		return HostUnknown
-	}
-	elapsed := now.Sub(last)
-	switch {
-	case elapsed >= p.DeadAfter:
-		return HostDead
-	case elapsed >= p.SuspectAfter:
-		return HostSuspect
-	default:
-		return HostUp
-	}
-}
-
-// Forget implements SuspicionPolicy.
-func (p *LeasePolicy) Forget(host model.HostID) { delete(p.last, host) }
-
-// PhiAccrualPolicy is a phi-accrual-style adaptive detector: it keeps a
-// window of heartbeat inter-arrival times per host and computes the
-// suspicion level φ = -log10(P(no heartbeat for this long)) under a
-// normal approximation of the observed inter-arrival distribution. Hosts
-// with jittery heartbeat delivery earn wider tolerance automatically.
-type PhiAccrualPolicy struct {
-	// SuspectPhi and DeadPhi are the φ thresholds for the two downgrades.
-	SuspectPhi float64
-	DeadPhi    float64
-	// MinStdDev floors the inter-arrival standard deviation so a host
-	// with metronomic heartbeats is not declared dead microseconds late.
-	MinStdDev time.Duration
-	// WindowSize bounds the per-host inter-arrival history.
-	WindowSize int
-	// Bootstrap is the assumed mean inter-arrival before two heartbeats
-	// have been seen.
-	Bootstrap time.Duration
-
-	hist map[model.HostID]*arrivalWindow
-}
-
-type arrivalWindow struct {
-	last      time.Time
-	hasLast   bool
-	intervals []float64 // seconds, ring-buffered
-	next      int
-	filled    bool
-}
-
-// Phi-accrual defaults: the conventional φ=8 death threshold with an
-// earlier φ=3 suspicion level.
-const (
-	DefaultSuspectPhi = 3.0
-	DefaultDeadPhi    = 8.0
-	DefaultPhiWindow  = 100
-)
-
-// NewPhiAccrualPolicy returns an adaptive policy; zero values select the
-// defaults.
-func NewPhiAccrualPolicy(suspectPhi, deadPhi float64) *PhiAccrualPolicy {
-	if suspectPhi <= 0 {
-		suspectPhi = DefaultSuspectPhi
-	}
-	if deadPhi <= 0 {
-		deadPhi = DefaultDeadPhi
-	}
-	return &PhiAccrualPolicy{
-		SuspectPhi: suspectPhi,
-		DeadPhi:    deadPhi,
-		MinStdDev:  50 * time.Millisecond,
-		WindowSize: DefaultPhiWindow,
-		Bootstrap:  time.Second,
-		hist:       make(map[model.HostID]*arrivalWindow),
-	}
-}
-
-// Name implements SuspicionPolicy.
-func (*PhiAccrualPolicy) Name() string { return "phi" }
-
-// Observe implements SuspicionPolicy.
-func (p *PhiAccrualPolicy) Observe(host model.HostID, at time.Time) {
-	w, ok := p.hist[host]
-	if !ok {
-		w = &arrivalWindow{intervals: make([]float64, p.WindowSize)}
-		p.hist[host] = w
-	}
-	if w.hasLast {
-		iv := at.Sub(w.last).Seconds()
-		if iv <= 0 {
-			return // replayed or reordered frame: no new information
-		}
-		w.intervals[w.next] = iv
-		w.next++
-		if w.next == len(w.intervals) {
-			w.next = 0
-			w.filled = true
-		}
-	}
-	w.last = at
-	w.hasLast = true
-}
-
-// Phi returns the host's current suspicion level.
-func (p *PhiAccrualPolicy) Phi(host model.HostID, now time.Time) float64 {
-	w, ok := p.hist[host]
-	if !ok || !w.hasLast {
-		return 0
-	}
-	mean, std := w.moments(p.Bootstrap.Seconds())
-	if min := p.MinStdDev.Seconds(); std < min {
-		std = min
-	}
-	t := now.Sub(w.last).Seconds()
-	if t <= 0 {
-		return 0
-	}
-	// P(interval > t) under N(mean, std²) via the complementary error
-	// function; φ = -log10 of that survival probability.
-	surv := 0.5 * math.Erfc((t-mean)/(std*math.Sqrt2))
-	if surv < 1e-300 {
-		surv = 1e-300
-	}
-	return -math.Log10(surv)
-}
-
-func (w *arrivalWindow) moments(bootstrap float64) (mean, std float64) {
-	n := w.next
-	if w.filled {
-		n = len(w.intervals)
-	}
-	if n == 0 {
-		return bootstrap, bootstrap / 4
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += w.intervals[i]
-	}
-	mean = sum / float64(n)
-	if n < 2 {
-		return mean, mean / 4
-	}
-	varsum := 0.0
-	for i := 0; i < n; i++ {
-		d := w.intervals[i] - mean
-		varsum += d * d
-	}
-	return mean, math.Sqrt(varsum / float64(n))
-}
-
-// Assess implements SuspicionPolicy.
-func (p *PhiAccrualPolicy) Assess(host model.HostID, now time.Time) HostState {
-	w, ok := p.hist[host]
-	if !ok || !w.hasLast {
-		return HostUnknown
-	}
-	phi := p.Phi(host, now)
-	switch {
-	case phi >= p.DeadPhi:
-		return HostDead
-	case phi >= p.SuspectPhi:
-		return HostSuspect
-	default:
-		return HostUp
-	}
-}
-
-// Forget implements SuspicionPolicy.
-func (p *PhiAccrualPolicy) Forget(host model.HostID) { delete(p.hist, host) }
-
-// FailureDetector is the deployer-side liveness state machine: it folds
-// heartbeat observations through a SuspicionPolicy into per-host states,
-// publishes transitions to subscribers, and gates rejoin on incarnation
-// numbers. All methods are safe for concurrent use. Time always arrives
-// as an argument or through the injected clock — the detector itself
-// never sleeps.
+// FailureDetector is the shell of the per-peer records: it feeds each
+// peerCore its heartbeats, send outcomes, ticks and grades, publishes the
+// transitions to subscribers, and keeps the peers' manifests. All methods
+// are safe for concurrent use.
 type FailureDetector struct {
-	mu       sync.Mutex
-	policy   SuspicionPolicy
-	now      func() time.Time
-	states   map[model.HostID]HostState
-	incs     map[model.HostID]uint64
-	manifest map[model.HostID][]string
-	subs     []func(Transition)
+	mu                      sync.Mutex
+	now                     func() time.Time
+	suspectAfter, deadAfter time.Duration
+	peers                   map[model.HostID]*peerCore
+	manifest                map[model.HostID][]string
+	subs                    []func(Transition)
 }
 
-// NewFailureDetector returns a detector over the policy (nil selects a
-// default LeasePolicy).
-func NewFailureDetector(policy SuspicionPolicy) *FailureDetector {
-	if policy == nil {
-		policy = NewLeasePolicy(0, 0)
-	}
+// NewFailureDetector returns a detector that suspects a peer after
+// suspectAfter without a heartbeat and declares it dead after deadAfter;
+// zero durations select the defaults.
+func NewFailureDetector(suspectAfter, deadAfter time.Duration) *FailureDetector {
 	return &FailureDetector{
-		policy:   policy,
-		now:      time.Now,
-		states:   make(map[model.HostID]HostState),
-		incs:     make(map[model.HostID]uint64),
-		manifest: make(map[model.HostID][]string),
+		now:          time.Now,
+		suspectAfter: cmp.Or(suspectAfter, DefaultSuspectAfter),
+		deadAfter:    cmp.Or(deadAfter, DefaultDeadAfter),
+		peers:        make(map[model.HostID]*peerCore),
+		manifest:     make(map[model.HostID][]string),
 	}
 }
 
@@ -348,24 +113,55 @@ func (fd *FailureDetector) Subscribe(fn func(Transition)) {
 	fd.mu.Unlock()
 }
 
+// peer returns host's record, creating it. Callers hold fd.mu.
+func (fd *FailureDetector) peer(host model.HostID) *peerCore {
+	if fd.peers[host] == nil {
+		c := newPeerCore(host, fd.suspectAfter, fd.deadAfter)
+		fd.peers[host] = &c
+	}
+	return fd.peers[host]
+}
+
+// step feeds in to the hosts' records, or to every record in host order
+// when none is named; a zero in.at is read from the clock. It publishes
+// the transitions outside the lock and returns them.
+func (fd *FailureDetector) step(in peerInput, hosts ...model.HostID) []Transition {
+	fd.mu.Lock()
+	if in.at.IsZero() {
+		in.at = fd.now()
+	}
+	if len(hosts) == 0 {
+		hosts = fd.hosts()
+	}
+	var trans []Transition
+	for _, h := range hosts {
+		trans = append(trans, fd.peer(h).step(in)...)
+	}
+	subs := append([]func(Transition){}, fd.subs...)
+	fd.mu.Unlock()
+	for _, tr := range trans {
+		for _, fn := range subs {
+			fn(tr)
+		}
+	}
+	return trans
+}
+
 // Watch registers a host as expected-alive at the given instant, so its
-// silence is noticed even if it never heartbeats.
+// silence is noticed even if it never heartbeats. A host already heard
+// from is left as it is.
 func (fd *FailureDetector) Watch(host model.HostID, at time.Time) {
 	fd.mu.Lock()
-	if _, ok := fd.states[host]; !ok {
-		fd.states[host] = HostUp
+	p := fd.peer(host)
+	if p.verdict == HostUnknown {
+		p.step(peerInput{kind: peerBeat, inc: p.inc, at: at})
 	}
-	fd.policy.Observe(host, at)
 	fd.mu.Unlock()
 }
 
-// Observe feeds a heartbeat using the injected clock for the arrival
-// time and returns any transitions it caused.
+// Observe is ObserveAt the injected clock's current time.
 func (fd *FailureDetector) Observe(host model.HostID, incarnation uint64) []Transition {
-	fd.mu.Lock()
-	at := fd.now()
-	fd.mu.Unlock()
-	return fd.ObserveAt(host, incarnation, at)
+	return fd.step(peerInput{kind: peerBeat, inc: incarnation}, host)
 }
 
 // ObserveAt feeds a heartbeat with an explicit arrival time. A heartbeat
@@ -373,116 +169,71 @@ func (fd *FailureDetector) Observe(host model.HostID, incarnation uint64) []Tran
 // greater than the one that died; equal-or-lower incarnations are
 // replayed frames from the dead lifetime and are ignored.
 func (fd *FailureDetector) ObserveAt(host model.HostID, incarnation uint64, at time.Time) []Transition {
-	fd.mu.Lock()
-	prev := fd.states[host]
-	var trans []Transition
-	switch prev {
-	case HostDead:
-		if incarnation <= fd.incs[host] {
-			fd.mu.Unlock()
-			return nil // stale heartbeat from the dead incarnation
-		}
-		fd.policy.Forget(host)
-		fd.policy.Observe(host, at)
-		fd.states[host] = HostUp
-		fd.incs[host] = incarnation
-		trans = append(trans, Transition{Host: host, From: HostDead, To: HostUp, Incarnation: incarnation, At: at})
-	default:
-		if incarnation > fd.incs[host] {
-			fd.incs[host] = incarnation
-		}
-		fd.policy.Observe(host, at)
-		// A degraded host's heartbeats keep arriving by definition —
-		// the observation refreshes the policy but the Degraded overlay
-		// stays until the health scorer clears it via MarkDegraded.
-		if prev != HostUp && prev != HostDegraded {
-			fd.states[host] = HostUp
-			if prev == HostSuspect {
-				trans = append(trans, Transition{Host: host, From: HostSuspect, To: HostUp, Incarnation: fd.incs[host], At: at})
-			}
-		}
-	}
-	subs := append([]func(Transition){}, fd.subs...)
-	fd.mu.Unlock()
-	publish(subs, trans)
-	return trans
+	return fd.step(peerInput{kind: peerBeat, inc: incarnation, at: at}, host)
 }
 
-// Evaluate re-assesses every watched host at the injected clock's current
-// time.
+// RecordSend folds one control-send outcome toward host into its health
+// score: ok for an answered request, not ok for an unanswered one or a
+// re-drive (the previous attempt did not land).
+func (fd *FailureDetector) RecordSend(host model.HostID, ok bool) {
+	fd.step(peerInput{kind: peerSent, ok: ok}, host)
+}
+
+// Evaluate is EvaluateAt the injected clock's current time.
 func (fd *FailureDetector) Evaluate() []Transition {
-	fd.mu.Lock()
-	at := fd.now()
-	fd.mu.Unlock()
-	return fd.EvaluateAt(at)
+	return fd.step(peerInput{kind: peerTick})
 }
 
-// EvaluateAt re-assesses every watched host at the given instant and
+// EvaluateAt judges every host's silence at the given instant and
 // returns (and publishes) the transitions, in sorted host order. Dead
 // hosts stay dead until an incarnation-bumped heartbeat resurrects them.
 func (fd *FailureDetector) EvaluateAt(now time.Time) []Transition {
-	fd.mu.Lock()
-	hosts := make([]model.HostID, 0, len(fd.states))
-	for h := range fd.states {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	var trans []Transition
-	for _, h := range hosts {
-		prev := fd.states[h]
-		if prev == HostDead {
-			continue
-		}
-		next := fd.policy.Assess(h, now)
-		if next == HostUnknown || next == prev {
-			continue
-		}
-		// The policy only knows Up/Suspect/Dead. While a host is
-		// Degraded, a healthy assessment keeps the overlay (recovery
-		// belongs to the health scorer); an unhealthy one — heartbeats
-		// actually stopped — escalates past it normally.
-		if prev == HostDegraded && next == HostUp {
-			continue
-		}
-		fd.states[h] = next
-		trans = append(trans, Transition{Host: h, From: prev, To: next, Incarnation: fd.incs[h], At: now})
-	}
-	subs := append([]func(Transition){}, fd.subs...)
-	fd.mu.Unlock()
-	publish(subs, trans)
-	return trans
+	return fd.step(peerInput{kind: peerTick, at: now})
 }
 
-func publish(subs []func(Transition), trans []Transition) {
-	for _, tr := range trans {
-		for _, fn := range subs {
-			fn(tr)
-		}
+// Grade applies the health band to every host at the injected clock's
+// time and returns (and publishes) the transitions, in sorted host order.
+func (fd *FailureDetector) Grade() []Transition {
+	return fd.step(peerInput{kind: peerGrade})
+}
+
+// Scores returns every tracked host's health score.
+func (fd *FailureDetector) Scores() map[model.HostID]float64 {
+	fd.mu.Lock()
+	defer fd.mu.Unlock()
+	out := make(map[model.HostID]float64, len(fd.peers))
+	for h, p := range fd.peers {
+		out[h] = p.score()
 	}
+	return out
 }
 
 // State returns a host's current liveness state.
-func (fd *FailureDetector) State(host model.HostID) HostState {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	return fd.states[host]
-}
+func (fd *FailureDetector) State(host model.HostID) HostState { return fd.record(host).verdict }
 
 // Incarnation returns the highest incarnation observed for the host.
-func (fd *FailureDetector) Incarnation(host model.HostID) uint64 {
+func (fd *FailureDetector) Incarnation(host model.HostID) uint64 { return fd.record(host).inc }
+
+// record returns a copy of host's record (the zero record when unknown).
+func (fd *FailureDetector) record(host model.HostID) (p peerCore) {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	return fd.incs[host]
+	if q := fd.peers[host]; q != nil {
+		p = *q
+	}
+	return p
 }
 
-// Incarnations returns a copy of the full incarnation map — the
-// deployer's durable checkpoint of which lifetimes it has seen.
+// Incarnations returns every nonzero incarnation — the deployer's
+// durable checkpoint of which lifetimes it has seen.
 func (fd *FailureDetector) Incarnations() map[model.HostID]uint64 {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
-	out := make(map[model.HostID]uint64, len(fd.incs))
-	for h, inc := range fd.incs {
-		out[h] = inc
+	out := make(map[model.HostID]uint64)
+	for h, p := range fd.peers {
+		if p.inc > 0 {
+			out[h] = p.inc
+		}
 	}
 	return out
 }
@@ -493,61 +244,31 @@ func (fd *FailureDetector) Incarnations() map[model.HostID]uint64 {
 // stay ignored.
 func (fd *FailureDetector) PrimeIncarnation(host model.HostID, inc uint64) {
 	fd.mu.Lock()
-	if inc > fd.incs[host] {
-		fd.incs[host] = inc
-	}
+	p := fd.peer(host)
+	p.inc = max(p.inc, inc)
 	fd.mu.Unlock()
 }
 
-// MarkDegraded sets (on=true) or clears (on=false) the Degraded overlay
-// for a host at the given instant, publishing the transition. The
-// overlay only attaches to an Up host — a Suspect, Dead, or Unknown
-// host keeps its stronger state — and only a Degraded host can be
-// cleared back to Up. Returns the transitions it caused.
-func (fd *FailureDetector) MarkDegraded(host model.HostID, on bool, at time.Time) []Transition {
-	fd.mu.Lock()
-	prev := fd.states[host]
-	var trans []Transition
-	switch {
-	case on && prev == HostUp:
-		fd.states[host] = HostDegraded
-		trans = append(trans, Transition{Host: host, From: HostUp, To: HostDegraded, Incarnation: fd.incs[host], At: at})
-	case !on && prev == HostDegraded:
-		fd.states[host] = HostUp
-		trans = append(trans, Transition{Host: host, From: HostDegraded, To: HostUp, Incarnation: fd.incs[host], At: at})
-	}
-	subs := append([]func(Transition){}, fd.subs...)
-	fd.mu.Unlock()
-	publish(subs, trans)
-	return trans
-}
-
-// DegradedHosts returns every host currently carrying the Degraded
-// overlay, sorted.
+// DegradedHosts returns every host currently degraded, sorted.
 func (fd *FailureDetector) DegradedHosts() []model.HostID {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
 	var out []model.HostID
-	for h, st := range fd.states {
-		if st == HostDegraded {
+	for _, h := range fd.hosts() {
+		if fd.peers[h].verdict == HostDegraded {
 			out = append(out, h)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// DeadHosts returns every host currently declared dead, sorted.
-func (fd *FailureDetector) DeadHosts() []model.HostID {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	var out []model.HostID
-	for h, st := range fd.states {
-		if st == HostDead {
-			out = append(out, h)
-		}
+// hosts lists every tracked host, sorted. Callers hold fd.mu.
+func (fd *FailureDetector) hosts() []model.HostID {
+	out := make([]model.HostID, 0, len(fd.peers))
+	for h := range fd.peers {
+		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -32,9 +32,11 @@ func (c *fakeClock) Advance(d time.Duration) time.Time {
 	return c.t
 }
 
+// TestLeasePolicyTransitions pins the silence rule: suspect after
+// suspectAfter without a heartbeat, dead after deadAfter, and dead stays.
 func TestLeasePolicyTransitions(t *testing.T) {
 	clk := newFakeClock()
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 
 	fd.ObserveAt("h1", 0, clk.Now())
@@ -58,8 +60,8 @@ func TestLeasePolicyTransitions(t *testing.T) {
 	if len(trans) != 1 || trans[0].To != HostDead {
 		t.Fatalf("10s silence transitions = %v, want →dead", trans)
 	}
-	if dead := fd.DeadHosts(); len(dead) != 1 || dead[0] != "h1" {
-		t.Fatalf("DeadHosts = %v", dead)
+	if st := fd.State("h1"); st != HostDead {
+		t.Fatalf("state = %v, want dead", st)
 	}
 	// Dead hosts stay dead under further evaluation.
 	if trans := fd.EvaluateAt(clk.Advance(time.Second)); len(trans) != 0 {
@@ -69,7 +71,7 @@ func TestLeasePolicyTransitions(t *testing.T) {
 
 func TestIncarnationGatedRejoin(t *testing.T) {
 	clk := newFakeClock()
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 
 	fd.ObserveAt("h1", 3, clk.Now())
@@ -96,7 +98,7 @@ func TestIncarnationGatedRejoin(t *testing.T) {
 
 func TestWatchNoticesNeverHeartbeatingHost(t *testing.T) {
 	clk := newFakeClock()
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 	fd.Watch("mute", clk.Now())
 	trans := fd.EvaluateAt(clk.Advance(10 * time.Second))
@@ -105,48 +107,103 @@ func TestWatchNoticesNeverHeartbeatingHost(t *testing.T) {
 	}
 }
 
-func TestPhiAccrualAdaptsAndAccrues(t *testing.T) {
-	clk := newFakeClock()
-	p := NewPhiAccrualPolicy(0, 0)
-	fd := NewFailureDetector(p)
-	fd.SetClock(clk.Now)
-
-	// Metronomic 1s heartbeats.
+// TestHealthScorerDegradeAndRecover: failed sends drag the peer record's
+// health score below the band and a grade degrades the peer; one success
+// does not bounce it back (hysteresis), a sustained clean streak does.
+func TestHealthScorerDegradeAndRecover(t *testing.T) {
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
+	fd.Observe("p", 1)
+	for i := 0; i < 10; i++ {
+		fd.RecordSend("p", true)
+	}
+	if got := fd.Scores()["p"]; got != 1 {
+		t.Fatalf("score after clean streak = %v, want 1", got)
+	}
+	if tr := fd.Grade(); len(tr) != 0 {
+		t.Fatalf("clean peer produced transitions: %v", tr)
+	}
 	for i := 0; i < 20; i++ {
-		fd.ObserveAt("h1", 0, clk.Now())
-		clk.Advance(time.Second)
+		fd.RecordSend("p", false)
 	}
-	// The clock now sits 1s after the last heartbeat: φ should be modest.
-	low := p.Phi("h1", clk.Now())
-	if low >= DefaultSuspectPhi {
-		t.Fatalf("φ right after an on-time interval = %v, want < %v", low, DefaultSuspectPhi)
+	if tr := fd.Grade(); len(tr) != 1 || tr[0].Host != "p" || tr[0].To != HostDegraded {
+		t.Fatalf("failing peer transitions = %v, want p degraded", tr)
 	}
-	// Long silence accrues past the death threshold.
-	high := p.Phi("h1", clk.Advance(8*time.Second))
-	if high <= DefaultDeadPhi {
-		t.Fatalf("φ after long silence = %v, want > %v", high, DefaultDeadPhi)
+	fd.RecordSend("p", true)
+	if tr := fd.Grade(); len(tr) != 0 {
+		t.Fatalf("one success cleared degraded: %v", tr)
 	}
-	if high <= low {
-		t.Fatalf("φ did not accrue: %v → %v", low, high)
+	for i := 0; i < 30; i++ {
+		fd.RecordSend("p", true)
 	}
-	trans := fd.EvaluateAt(clk.Now())
-	if len(trans) != 1 || trans[0].To != HostDead {
-		t.Fatalf("transitions = %v, want →dead", trans)
+	if tr := fd.Grade(); len(tr) != 1 || tr[0].To != HostUp {
+		t.Fatalf("recovered peer transitions = %v, want p up", tr)
 	}
+}
 
-	// A jittery host earns wider tolerance: with 2s–4s inter-arrivals, a
-	// 5s gap should suspect later than it would for the metronomic host.
-	clk2 := newFakeClock()
-	p2 := NewPhiAccrualPolicy(0, 0)
-	gaps := []time.Duration{2 * time.Second, 4 * time.Second, 3 * time.Second, 2 * time.Second, 4 * time.Second, 3 * time.Second}
-	for _, g := range gaps {
-		p2.Observe("h2", clk2.Now())
-		clk2.Advance(g)
+// TestHealthScorerRetryCountsAsFailure: a re-drive is recorded as a
+// failed send, so pure retries drive the score below the degrade band.
+func TestHealthScorerRetryCountsAsFailure(t *testing.T) {
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
+	fd.Observe("p", 1)
+	for i := 0; i < 20; i++ {
+		fd.RecordSend("p", false)
 	}
-	jitterPhi := p2.Phi("h2", clk2.Now().Add(2*time.Second))
-	steadyPhi := p.Phi("h1", clk.Now())
-	if jitterPhi >= steadyPhi {
-		t.Fatalf("jittery host φ %v not more tolerant than steady host φ %v", jitterPhi, steadyPhi)
+	if s := fd.Scores()["p"]; s > degradeBelow {
+		t.Fatalf("score after pure retries = %v, want below degrade band", s)
+	}
+}
+
+// TestHealthScorerHeartbeatJitter: regular heartbeats keep a clean peer at
+// 1; wildly jittered ones drag the regularity term down.
+func TestHealthScorerHeartbeatJitter(t *testing.T) {
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
+	at := time.Unix(0, 0)
+	for i := 0; i < 10; i++ {
+		at = at.Add(100 * time.Millisecond)
+		fd.ObserveAt("steady", 1, at)
+	}
+	at = time.Unix(0, 0)
+	for _, iv := range []time.Duration{10 * time.Millisecond, 900 * time.Millisecond,
+		5 * time.Millisecond, 1200 * time.Millisecond, 15 * time.Millisecond,
+		800 * time.Millisecond, 20 * time.Millisecond, 1100 * time.Millisecond} {
+		at = at.Add(iv)
+		fd.ObserveAt("jittery", 1, at)
+	}
+	scores := fd.Scores()
+	if s := scores["steady"]; s != 1 {
+		t.Fatalf("steady heartbeat score = %v, want 1", s)
+	}
+	if s := scores["jittery"]; s >= 0.95 {
+		t.Fatalf("jittery heartbeat score = %v, want visibly below 1", s)
+	}
+}
+
+// TestHealthScorerForget: a degraded peer that dies and rejoins under a
+// greater incarnation starts with a clean record — score 1, not degraded.
+func TestHealthScorerForget(t *testing.T) {
+	clk := newFakeClock()
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
+	fd.SetClock(clk.Now)
+	fd.ObserveAt("p", 1, clk.Now())
+	for i := 0; i < 20; i++ {
+		fd.RecordSend("p", false)
+	}
+	if tr := fd.Grade(); len(tr) != 1 || tr[0].To != HostDegraded {
+		t.Fatalf("failing peer transitions = %v, want p degraded", tr)
+	}
+	fd.EvaluateAt(clk.Advance(10 * time.Second))
+	if st := fd.State("p"); st != HostDead {
+		t.Fatalf("state after silence = %v, want dead", st)
+	}
+	fd.ObserveAt("p", 2, clk.Now())
+	if s := fd.Scores()["p"]; s != 1 {
+		t.Fatalf("forgotten peer score = %v, want fresh 1", s)
+	}
+	if got := fd.DegradedHosts(); len(got) != 0 {
+		t.Fatalf("forgotten peer still degraded: %v", got)
+	}
+	if tr := fd.Grade(); len(tr) != 0 {
+		t.Fatalf("forgotten peer re-graded: %v", tr)
 	}
 }
 
@@ -154,7 +211,7 @@ func TestHeartbeatOverNetsimFeedsDetector(t *testing.T) {
 	dw := newDeployWorld(t, 1.0, "m", "s1")
 	dw.addCounter(t, "s1", "c1", 7)
 	clk := newFakeClock()
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 	dw.deployer.AttachDetector(fd)
 
@@ -187,7 +244,7 @@ func TestEnactAbortsWhenParticipantDies(t *testing.T) {
 	dw := newDeployWorld(t, 1.0, "m", "s1", "s2")
 	dw.addCounter(t, "s1", "c1", 3)
 	clk := newFakeClock()
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 	dw.deployer.AttachDetector(fd)
 
@@ -229,7 +286,7 @@ func TestEnactAbortsUpFrontOnKnownDeadParticipant(t *testing.T) {
 	dw := newDeployWorld(t, 1.0, "m", "s1", "s2")
 	dw.addCounter(t, "s1", "c1", 3)
 	clk := newFakeClock()
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 	dw.deployer.AttachDetector(fd)
 
@@ -277,25 +334,34 @@ func TestDeployerCloseAbortsInFlightWave(t *testing.T) {
 	}
 }
 
-// TestDegradedOverlay pins the HostDegraded state machine: the overlay
-// only attaches to an Up host, heartbeats refresh the policy without
-// clearing it, Evaluate keeps it while heartbeats flow, and only
-// MarkDegraded(off) returns it to Up.
+// degrade feeds host failed sends until a grade degrades it, and returns
+// the grade's transitions.
+func degrade(fd *FailureDetector, host model.HostID) []Transition {
+	for i := 0; i < 20; i++ {
+		fd.RecordSend(host, false)
+	}
+	return fd.Grade()
+}
+
+// TestDegradedOverlay pins the HostDegraded state machine: degraded only
+// attaches to an Up host, heartbeats refresh the record without clearing
+// it, Evaluate keeps it while heartbeats flow, and only a grade above the
+// band returns it to Up.
 func TestDegradedOverlay(t *testing.T) {
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	t0 := time.Unix(0, 0)
 	var seen []Transition
 	fd.Subscribe(func(tr Transition) { seen = append(seen, tr) })
 
 	// Degrading an unknown host is a no-op.
-	if tr := fd.MarkDegraded("h", true, t0); len(tr) != 0 {
+	if tr := degrade(fd, "h"); len(tr) != 0 {
 		t.Fatalf("degrading an unknown host produced %v", tr)
 	}
 
 	fd.ObserveAt("h", 1, t0)
-	tr := fd.MarkDegraded("h", true, t0.Add(time.Second))
+	tr := fd.Grade()
 	if len(tr) != 1 || tr[0].From != HostUp || tr[0].To != HostDegraded {
-		t.Fatalf("MarkDegraded transitions = %v, want Up→Degraded", tr)
+		t.Fatalf("grade transitions = %v, want Up→Degraded", tr)
 	}
 	if st := fd.State("h"); st != HostDegraded {
 		t.Fatalf("state = %v, want degraded", st)
@@ -317,8 +383,11 @@ func TestDegradedOverlay(t *testing.T) {
 		t.Fatalf("Evaluate cleared the overlay: state = %v", st)
 	}
 
-	// Recovery is explicit.
-	tr = fd.MarkDegraded("h", false, t0.Add(4*time.Second))
+	// Recovery takes a grade above the band.
+	for i := 0; i < 40; i++ {
+		fd.RecordSend("h", true)
+	}
+	tr = fd.Grade()
 	if len(tr) != 1 || tr[0].From != HostDegraded || tr[0].To != HostUp {
 		t.Fatalf("recovery transitions = %v, want Degraded→Up", tr)
 	}
@@ -327,14 +396,14 @@ func TestDegradedOverlay(t *testing.T) {
 	}
 }
 
-// TestDegradedHostStillDiesOnSilence pins that the overlay never shields
-// a host whose heartbeats actually stop: Degraded escalates through
-// Suspect to Dead on the normal policy schedule.
+// TestDegradedHostStillDiesOnSilence pins that degraded never shields a
+// host whose heartbeats actually stop: Degraded escalates through
+// Suspect to Dead on the normal silence schedule.
 func TestDegradedHostStillDiesOnSilence(t *testing.T) {
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	t0 := time.Unix(0, 0)
 	fd.ObserveAt("h", 1, t0)
-	fd.MarkDegraded("h", true, t0)
+	degrade(fd, "h")
 
 	tr := fd.EvaluateAt(t0.Add(3 * time.Second))
 	if len(tr) != 1 || tr[0].From != HostDegraded || tr[0].To != HostSuspect {
@@ -344,9 +413,12 @@ func TestDegradedHostStillDiesOnSilence(t *testing.T) {
 	if len(tr) != 1 || tr[0].To != HostDead {
 		t.Fatalf("transitions = %v, want →Dead", tr)
 	}
-	// Dead is absorbing: clearing the overlay cannot resurrect it.
-	if tr := fd.MarkDegraded("h", false, t0.Add(7*time.Second)); len(tr) != 0 {
-		t.Fatalf("MarkDegraded(off) on a dead host produced %v", tr)
+	// Dead is absorbing: a grade above the band cannot resurrect it.
+	for i := 0; i < 40; i++ {
+		fd.RecordSend("h", true)
+	}
+	if tr := fd.Grade(); len(tr) != 0 {
+		t.Fatalf("grading a dead host produced %v", tr)
 	}
 	if st := fd.State("h"); st != HostDead {
 		t.Fatalf("state = %v, want dead", st)
@@ -355,12 +427,13 @@ func TestDegradedHostStillDiesOnSilence(t *testing.T) {
 
 // TestDegradedSuspectRecoversToUp pins that a degraded host whose
 // heartbeats pause briefly (Suspect) and resume comes back as Up — the
-// health scorer re-marks it if the gray fault persists.
+// next grade re-marks it if the gray fault persists
+// (TestDegradedReMarkedAfterSuspectLapse).
 func TestDegradedSuspectRecoversToUp(t *testing.T) {
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	t0 := time.Unix(0, 0)
 	fd.ObserveAt("h", 1, t0)
-	fd.MarkDegraded("h", true, t0)
+	degrade(fd, "h")
 	fd.EvaluateAt(t0.Add(3 * time.Second)) // → Suspect
 	tr := fd.ObserveAt("h", 1, t0.Add(4*time.Second))
 	if len(tr) != 1 || tr[0].From != HostSuspect || tr[0].To != HostUp {

@@ -99,20 +99,12 @@ type controlSender struct {
 	// inc is the sender's lifetime number, folded into relay envelope
 	// identities; AdminComponent.SetIncarnation updates it on rejoin.
 	inc atomic.Uint64
-	// breaker, when non-nil (AdminConfig.Breaker.Enabled), fail-fasts
-	// sends toward peers whose circuits are open.
-	breaker *circuitBreaker
 }
 
 func newControlSender(arch *Architecture, cfg AdminConfig, from string) *controlSender {
 	registerPayloadsOnce.Do(registerControlPayloads)
 	cs := &controlSender{arch: arch, cfg: cfg.withDefaults(), from: from, relay: newRelayState()}
 	cs.inc.Store(cfg.Incarnation)
-	if cs.cfg.Breaker.Enabled {
-		cs.breaker = newCircuitBreaker(cs.cfg.Breaker, cs.cfg.Clock, func(base string, peer model.HostID) *obs.Counter {
-			return cs.arch.Obs().Counter(obs.Name(base, "host", string(cs.arch.Host()), "peer", string(peer)))
-		})
-	}
 	return cs
 }
 
@@ -154,19 +146,9 @@ func (cs *controlSender) isPeer(h model.HostID) bool {
 	return dc != nil && slices.Contains(dc.Transport().Peers(), h)
 }
 
-// sendDirect makes one transport attempt toward a peer: the breaker, when
-// enabled, may fail it fast, and otherwise hears how it went.
+// sendDirect makes one transport attempt toward a peer.
 func (cs *controlSender) sendDirect(dc *DistributionConnector, to model.HostID, data []byte, sizeKB float64, name string) error {
-	release := func(bool) {}
-	if cs.breaker != nil {
-		var err error
-		if release, err = cs.breaker.Acquire(to); err != nil {
-			return fmt.Errorf("%s %s → %s: %s: %w", cs.from, cs.arch.Host(), to, name, err)
-		}
-	}
-	err := dc.Transport().Send(to, data, sizeKB)
-	release(err == nil)
-	if err != nil {
+	if err := dc.Transport().Send(to, data, sizeKB); err != nil {
 		cs.arch.Obs().Counter(obs.Name("prism_control_send_failures_total", "host", string(cs.arch.Host()))).Inc()
 		return fmt.Errorf("%s %s → %s: %s: %w", cs.from, cs.arch.Host(), to, name, err)
 	}

@@ -80,7 +80,7 @@ func TestEnactDispatchesNothingAfterUpFrontAbort(t *testing.T) {
 	dw, taps := tappedDeployWorld(t, "m", "s1", "s2", "s3")
 	dw.addCounter(t, "s1", "c1", 3)
 	clk := newFakeClock()
-	fd := NewFailureDetector(NewLeasePolicy(2*time.Second, 5*time.Second))
+	fd := NewFailureDetector(2*time.Second, 5*time.Second)
 	fd.SetClock(clk.Now)
 	dw.deployer.AttachDetector(fd)
 	fd.ObserveAt("s3", 0, clk.Now())

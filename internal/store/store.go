@@ -144,18 +144,21 @@ func replay(f *os.File) ([]Record, int64, error) {
 		if _, err := io.ReadFull(f, hdr); err != nil {
 			return nil, 0, err
 		}
+		// A torn write leaves a prefix of a valid record, so a complete
+		// header carries the real version and length: a defect in either is
+		// corruption, never a torn tail to truncate.
 		n := int64(binary.BigEndian.Uint32(hdr[2:6]))
-		if size-off-headerLen < n+trailerLen {
-			return recs, off, nil // torn payload/trailer at tail
-		}
-		// The record is structurally complete from here on: any defect is
-		// corruption, not a torn write.
 		if hdr[0] != recVersion {
 			return nil, 0, &CorruptError{Offset: off, Reason: fmt.Sprintf("unknown version %d", hdr[0])}
 		}
 		if n > maxRecordLen {
 			return nil, 0, &CorruptError{Offset: off, Reason: fmt.Sprintf("record length %d exceeds limit", n)}
 		}
+		if size-off-headerLen < n+trailerLen {
+			return recs, off, nil // torn payload/trailer at tail
+		}
+		// The record is structurally complete from here on: any defect is
+		// corruption, not a torn write.
 		body := make([]byte, n+trailerLen)
 		if _, err := io.ReadFull(f, body); err != nil {
 			return nil, 0, err

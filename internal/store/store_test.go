@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -270,4 +271,97 @@ func TestAppendBatch(t *testing.T) {
 		t.Fatalf("batch on dead log: err = %v, want ErrClosed", err)
 	}
 	l.Close()
+}
+
+// corruptFirstLength writes three records and sets the first one's
+// length field to 0xFFFFFFFF: a complete header whose length is corrupt.
+func corruptFirstLength() []byte {
+	var data []byte
+	for i, s := range []string{"one", "two", "three"} {
+		data = append(data, encodeRecord(byte(i+1), []byte(s))...)
+	}
+	binary.BigEndian.PutUint32(data[2:6], 0xFFFFFFFF)
+	return data
+}
+
+// TestCorruptLengthMidLogIsHardError: a corrupt length field must not be
+// taken for a torn tail. Were it, Open would truncate the log at that
+// record and silently drop it and every record after it.
+func TestCorruptLengthMidLogIsHardError(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, logName)
+	data := corruptFirstLength()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, recs, err := Open(dir, Options{})
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		if l != nil {
+			l.Close()
+		}
+		t.Fatalf("open: %d records, err = %v, want CorruptError", len(recs), err)
+	}
+	if ce.Offset != 0 {
+		t.Fatalf("corrupt offset = %d, want 0", ce.Offset)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("log changed by a refused open: %d bytes, want %d (%v)", len(got), len(data), err)
+	}
+}
+
+// FuzzReplay writes arbitrary bytes as the log and opens it. Open either
+// refuses with a CorruptError and leaves the file byte-identical, or
+// keeps a prefix that the recovered records re-encode to exactly and
+// drops a genuine torn record: fewer bytes than a header, or a valid
+// header whose payload and trailer run past the end. Either way the
+// kept log must then take an append and replay it after the records.
+func FuzzReplay(f *testing.F) {
+	f.Add(corruptFirstLength())
+	f.Add([]byte{})
+	f.Add(append(encodeRecord(1, []byte("kept")), encodeRecord(2, []byte("torn"))[:9]...))
+	f.Add(append(encodeRecord(1, nil), 1, 2, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, logName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := Open(dir, Options{NoSync: true})
+		var ce *CorruptError
+		if errors.As(err, &ce) {
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+				t.Fatalf("refused open changed the log: %x → %x", data, got)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		var kept []byte
+		for _, r := range recs {
+			kept = append(kept, encodeRecord(r.Kind, r.Data)...)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("records re-encode to %x, not a prefix of %x", kept, data)
+		}
+		if tail := data[len(kept):]; len(tail) >= headerLen {
+			n := int(binary.BigEndian.Uint32(tail[2:6]))
+			if tail[0] != recVersion || n > maxRecordLen || len(tail) >= headerLen+n+trailerLen {
+				t.Fatalf("dropped %x, which is no torn record", tail)
+			}
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, kept) {
+			t.Fatalf("log after open = %x, want the kept prefix %x", got, kept)
+		}
+		if err := l.Append(9, []byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		l, again := openOrDie(t, dir)
+		defer l.Close()
+		if len(again) != len(recs)+1 || again[len(recs)].Kind != 9 || string(again[len(recs)].Data) != "after" {
+			t.Fatalf("reopen replayed %d records, want the %d kept plus the append", len(again), len(recs))
+		}
+	})
 }
