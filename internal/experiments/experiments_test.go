@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -175,5 +176,28 @@ func TestE9BothInstantiationsImprove(t *testing.T) {
 	PrintE9(&buf, rows)
 	if !strings.Contains(buf.String(), "centralized") {
 		t.Fatal("E9 table malformed")
+	}
+}
+
+// TestE2ScalingShape pins E2's growth on deterministic node counts only:
+// Exact is exponential in the component count, Avala polynomial, and
+// Stochastic visits one node per trial at every size.
+func TestE2ScalingShape(t *testing.T) {
+	rows, err := RunE2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := map[string]int{}
+	for _, r := range rows {
+		nodes[fmt.Sprintf("%s %dx%d", r.Algorithm, r.Hosts, r.Comps)] = r.Nodes
+		if r.Algorithm == "stochastic" && r.Nodes != 20 {
+			t.Errorf("stochastic at %dx%d visited %d nodes, want its 20 trials", r.Hosts, r.Comps, r.Nodes)
+		}
+	}
+	if small, large := nodes["exact 4x10"], nodes["exact 4x12"]; small == 0 || large < 10*small {
+		t.Errorf("exact nodes %d at 10 components, %d at 12: want at least ×10", small, large)
+	}
+	if small, large := nodes["avala 5x50"], nodes["avala 20x400"]; small == 0 || large < 8*small || large > 512*small {
+		t.Errorf("avala nodes %d at 5x50, %d at 20x400: want between ×8 and ×512", small, large)
 	}
 }

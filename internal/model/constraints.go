@@ -57,21 +57,6 @@ func (cs Constraints) Clone() Constraints {
 	return out
 }
 
-// usedCPU totals the CPU demand of the components deployment d places on
-// host h.
-func usedCPU(s *System, d Deployment, h HostID) float64 {
-	total := 0.0
-	for c, hh := range d {
-		if hh != h {
-			continue
-		}
-		if comp, ok := s.Components[c]; ok {
-			total += comp.Params.Get(ParamCPU)
-		}
-	}
-	return total
-}
-
 // Restrict adds a location constraint: component c may only be deployed
 // on the listed hosts. Calling Restrict again for the same component
 // replaces the allowed set.
@@ -167,45 +152,43 @@ func (cs Constraints) Check(s *System, d Deployment) error {
 	if err := d.Validate(s); err != nil {
 		return &ViolationError{Kind: "incomplete", Detail: err.Error()}
 	}
-	// Location and liveness constraints, in sorted component order for
-	// determinism.
-	for _, c := range s.ComponentIDs() {
-		h := d[c]
-		if !cs.Allows(c, h) {
-			return &ViolationError{Kind: "location", Component: c, Host: h}
+	// One pass over the deployment totals each host's load and looks for
+	// location and liveness violations. Validate made d's components
+	// exactly s's, on known hosts.
+	hosts := s.HostIDs()
+	hostIdx := make(map[HostID]int, len(hosts))
+	for i, h := range hosts {
+		hostIdx[h] = i
+	}
+	memory := make([]float64, len(hosts))
+	cpu := make([]float64, len(hosts))
+	for c, h := range d {
+		if cs.misplaced(s, c, h) != nil {
+			// Report the first one in sorted component order, for
+			// determinism.
+			for _, first := range s.ComponentIDs() {
+				if err := cs.misplaced(s, first, d[first]); err != nil {
+					return err
+				}
+			}
 		}
-		if host, ok := s.Hosts[h]; ok && host.Down {
-			return &ViolationError{Kind: "down", Component: c, Host: h}
+		p, i := s.Components[c].Params, hostIdx[h]
+		if cs.CheckMemory {
+			memory[i] += p.Get(ParamMemory)
+		}
+		if cs.CheckCPU {
+			cpu[i] += p.Get(ParamCPU)
 		}
 	}
-	// Memory capacity per host.
+	// Capacities: memory on every host before CPU on any.
 	if cs.CheckMemory {
-		for _, h := range s.HostIDs() {
-			used := d.UsedMemory(s, h)
-			capacity := s.Hosts[h].Memory()
-			if used > capacity {
-				return &ViolationError{
-					Kind: "memory",
-					Host: h,
-					Detail: fmt.Sprintf("required %.1f > available %.1f",
-						used, capacity),
-				}
-			}
+		if err := overCapacity(s, hosts, memory, "memory", ParamMemory); err != nil {
+			return err
 		}
 	}
-	// CPU capacity per host.
 	if cs.CheckCPU {
-		for _, h := range s.HostIDs() {
-			used := usedCPU(s, d, h)
-			capacity := s.Hosts[h].Params.Get(ParamCPU)
-			if used > capacity {
-				return &ViolationError{
-					Kind: "cpu",
-					Host: h,
-					Detail: fmt.Sprintf("required %.1f > available %.1f",
-						used, capacity),
-				}
-			}
+		if err := overCapacity(s, hosts, cpu, "cpu", ParamCPU); err != nil {
+			return err
 		}
 	}
 	// Collocation constraints.
@@ -222,17 +205,42 @@ func (cs Constraints) Check(s *System, d Deployment) error {
 	return nil
 }
 
+// misplaced reports a location or liveness violation by component c on
+// host h.
+func (cs Constraints) misplaced(s *System, c ComponentID, h HostID) error {
+	if !cs.Allows(c, h) {
+		return &ViolationError{Kind: "location", Component: c, Host: h}
+	}
+	if host, ok := s.Hosts[h]; ok && host.Down {
+		return &ViolationError{Kind: "down", Component: c, Host: h}
+	}
+	return nil
+}
+
+// overCapacity returns the first host, in sorted order, whose load
+// used[i] exceeds its capacity parameter.
+func overCapacity(s *System, hosts []HostID, used []float64, kind, param string) error {
+	for i, h := range hosts {
+		if capacity := s.Hosts[h].Params.Get(param); used[i] > capacity {
+			return &ViolationError{
+				Kind: kind,
+				Host: h,
+				Detail: fmt.Sprintf("required %.1f > available %.1f",
+					used[i], capacity),
+			}
+		}
+	}
+	return nil
+}
+
 // CheckPartial validates the constraints that can be evaluated on a
 // partial deployment (used by incremental algorithms while they build a
 // solution). Unplaced components are ignored; memory is checked for the
 // hosts that appear in d.
 func (cs Constraints) CheckPartial(s *System, d Deployment) error {
 	for c, h := range d {
-		if !cs.Allows(c, h) {
-			return &ViolationError{Kind: "location", Component: c, Host: h}
-		}
-		if host, ok := s.Hosts[h]; ok && host.Down {
-			return &ViolationError{Kind: "down", Component: c, Host: h}
+		if err := cs.misplaced(s, c, h); err != nil {
+			return err
 		}
 	}
 	if cs.CheckMemory {

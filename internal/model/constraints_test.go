@@ -2,6 +2,8 @@ package model
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -216,3 +218,139 @@ func TestCPUConstraintUnsetParamsAreFree(t *testing.T) {
 		t.Fatalf("no-CPU-params deployment rejected: %v", err)
 	}
 }
+
+func TestCheckMemoryBeforeCPU(t *testing.T) {
+	s := testSystem(t)
+	s.Constraints.CheckCPU = true
+	for _, h := range s.HostIDs() {
+		s.Hosts[h].Params.Set(ParamCPU, 10)
+	}
+	// CPU is over on hostA (c1+c2: 12 > 10), memory on hostB and hostC
+	// (10 > 5 each): the memory violation on the lowest host comes first.
+	s.Components["c1"].Params.Set(ParamCPU, 6)
+	s.Components["c2"].Params.Set(ParamCPU, 6)
+	s.Hosts["hostB"].Params.Set(ParamMemory, 5)
+	s.Hosts["hostC"].Params.Set(ParamMemory, 5)
+	err := s.Constraints.Check(s, testDeployment())
+	var v *ViolationError
+	if !errors.As(err, &v) || v.Kind != "memory" || v.Host != "hostB" {
+		t.Fatalf("want memory violation on hostB, got %v", err)
+	}
+}
+
+// checkPerHost is the per-host reference for Check's location, liveness
+// and capacity verdicts: it totals each host's load with its own walk of
+// the deployment.
+func checkPerHost(cs Constraints, s *System, d Deployment) error {
+	if err := d.Validate(s); err != nil {
+		return &ViolationError{Kind: "incomplete", Detail: err.Error()}
+	}
+	for _, c := range s.ComponentIDs() {
+		h := d[c]
+		if !cs.Allows(c, h) {
+			return &ViolationError{Kind: "location", Component: c, Host: h}
+		}
+		if host, ok := s.Hosts[h]; ok && host.Down {
+			return &ViolationError{Kind: "down", Component: c, Host: h}
+		}
+	}
+	used := func(h HostID, param string) float64 {
+		total := 0.0
+		for c, hh := range d {
+			if hh == h {
+				total += s.Components[c].Params.Get(param)
+			}
+		}
+		return total
+	}
+	for _, kind := range []struct {
+		on          bool
+		name, param string
+	}{
+		{cs.CheckMemory, "memory", ParamMemory},
+		{cs.CheckCPU, "cpu", ParamCPU},
+	} {
+		if !kind.on {
+			continue
+		}
+		for _, h := range s.HostIDs() {
+			if used(h, kind.param) > s.Hosts[h].Params.Get(kind.param) {
+				return &ViolationError{Kind: kind.name, Host: h}
+			}
+		}
+	}
+	return nil
+}
+
+func TestCheckMatchesPerHostReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := NewSystem()
+	s.Constraints = NewConstraints()
+	s.Constraints.CheckCPU = true
+	hosts := make([]HostID, 10)
+	for i := range hosts {
+		hosts[i] = HostID(fmt.Sprintf("h%02d", i))
+		s.AddHost(hosts[i], nil)
+	}
+	comps := make([]ComponentID, 100)
+	for i := range comps {
+		comps[i] = ComponentID(fmt.Sprintf("c%03d", i))
+		s.AddComponent(comps[i], Params{ParamMemory: float64(1 + rng.Intn(10)), ParamCPU: float64(1 + rng.Intn(10))})
+	}
+	s.Constraints.Restrict(comps[7], hosts[:8]...)
+	verdicts := map[string]int{}
+	for trial := 0; trial < 600; trial++ {
+		// Integer loads sum exactly in any order. A random deployment
+		// puts about 55 memory and 55 CPU on a host, so capacities of
+		// 60–99 are violated often, by either resource or both.
+		for _, h := range hosts {
+			s.Hosts[h].Params = Params{ParamMemory: float64(60 + rng.Intn(40)), ParamCPU: float64(60 + rng.Intn(40))}
+			s.Hosts[h].Down = false
+		}
+		if trial%10 == 0 {
+			s.Hosts[hosts[rng.Intn(len(hosts))]].Down = true
+		}
+		d := NewDeployment(len(comps))
+		for _, c := range comps {
+			d[c] = hosts[rng.Intn(len(hosts))]
+		}
+		got, want := s.Constraints.Check(s, d), checkPerHost(s.Constraints, s, d)
+		var gv, wv *ViolationError
+		errors.As(got, &gv)
+		errors.As(want, &wv)
+		if (gv == nil) != (wv == nil) ||
+			gv != nil && (gv.Kind != wv.Kind || gv.Host != wv.Host || gv.Component != wv.Component) {
+			t.Fatalf("trial %d: Check = %v, reference = %v", trial, got, want)
+		}
+		if wv == nil {
+			verdicts["valid"]++
+		} else {
+			verdicts[wv.Kind]++
+		}
+	}
+	t.Logf("verdicts: %v", verdicts)
+	for _, kind := range []string{"valid", "memory", "cpu", "location", "down"} {
+		if verdicts[kind] == 0 {
+			t.Errorf("no %s verdict among %v", kind, verdicts)
+		}
+	}
+}
+
+// BenchmarkConstraintsCheck times a full Check of a valid generated
+// deployment.
+func BenchmarkConstraintsCheck(b *testing.B) {
+	for _, size := range [][2]int{{20, 400}, {40, 800}} {
+		s, d, err := NewGenerator(DefaultGeneratorConfig(size[0], size[1]), 1).Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Constraints.CheckCPU = true
+		b.Run(fmt.Sprintf("%dx%d", size[0], size[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				checkSink = s.Constraints.Check(s, d)
+			}
+		})
+	}
+}
+
+var checkSink error

@@ -13,10 +13,14 @@ import (
 // delay matrices and a per-component interaction adjacency — so scoring
 // does zero map lookups.
 //
-// The view is cached on the System and rebuilt lazily when the model
-// mutates through its own methods or through a Modifier. Code that writes
-// element Params directly (rather than via Modifier.Set*Param) must call
-// System.Touch afterwards or the cached matrices go stale.
+// The view is cached on the System in two parts. Its shape — the sorted
+// IDs, their indices, and each link's and interaction's index pair — is
+// rebuilt only when an element is added or removed through the System's
+// methods or a Modifier. Its values — the matrices, Edges, Adj and
+// TotalFreq — are re-read from the shape's elements after any mutation.
+// Code that writes element Params directly (rather than via
+// Modifier.Set*Param) must call System.Touch afterwards or the cached
+// values go stale.
 
 // DenseEdge is one positive-frequency logical link in integer component
 // indices (A < B in ComponentIDs order).
@@ -59,8 +63,6 @@ type DenseSystem struct {
 
 	hostIdx map[HostID]int
 	compIdx map[ComponentID]int
-	// Structural counts at build time, used as a staleness backstop.
-	nLinks, nInteracts int
 }
 
 // HostIndex returns the dense index of h, or -1 if h is unknown.
@@ -117,103 +119,165 @@ func (ds *DenseSystem) Deployment(assign []int) Deployment {
 func (s *System) Dense() *DenseSystem {
 	s.denseMu.Lock()
 	defer s.denseMu.Unlock()
-	if s.dense != nil && s.denseEpoch == s.epoch &&
-		len(s.dense.Hosts) == len(s.Hosts) &&
-		len(s.dense.Comps) == len(s.Components) &&
-		s.dense.nLinks == len(s.Links) &&
-		s.dense.nInteracts == len(s.Interacts) {
-		return s.dense
+	if s.shape == nil || !s.shape.current(s) {
+		s.shape = buildShape(s)
+		s.dense = nil
 	}
-	s.dense = buildDense(s)
-	s.denseEpoch = s.epoch
+	if s.dense == nil {
+		s.dense = s.shape.values()
+	}
 	return s.dense
 }
 
-// Touch invalidates the cached dense view. Call it after mutating element
-// Params directly (the System's own mutators and the Modifier call it for
-// you).
+// Touch invalidates the cached dense values. Call it after mutating
+// element Params directly (the System's own mutators and the Modifier
+// call it for you).
 func (s *System) Touch() {
 	s.denseMu.Lock()
-	s.epoch++
 	s.dense = nil
 	s.denseMu.Unlock()
 }
 
-func buildDense(s *System) *DenseSystem {
-	ds := &DenseSystem{
-		Hosts:      s.HostIDs(),
-		Comps:      s.ComponentIDs(),
+// reshape invalidates the whole cached dense view; the mutators that add
+// or remove elements call it.
+func (s *System) reshape() {
+	s.denseMu.Lock()
+	s.shape, s.dense = nil, nil
+	s.denseMu.Unlock()
+}
+
+// denseShape is the part of the dense view that only adding or removing
+// elements changes.
+type denseShape struct {
+	hosts   []HostID
+	comps   []ComponentID
+	hostIdx map[HostID]int
+	compIdx map[ComponentID]int
+	links   []shapeLink
+	// inters holds every interaction between known components, ordered
+	// by (A, B) index whatever its frequency: a monitor write can take a
+	// frequency from 0 to positive without reshaping.
+	inters []shapeInteraction
+	// Structural counts at build time, used as a staleness backstop.
+	nLinks, nInteracts int
+}
+
+type shapeLink struct {
+	i, j int
+	l    *PhysicalLink
+}
+
+type shapeInteraction struct {
+	a, b int
+	l    *LogicalLink
+}
+
+// current reports whether the system still has the element counts the
+// shape was built from.
+func (sh *denseShape) current(s *System) bool {
+	return len(sh.hosts) == len(s.Hosts) &&
+		len(sh.comps) == len(s.Components) &&
+		sh.nLinks == len(s.Links) &&
+		sh.nInteracts == len(s.Interacts)
+}
+
+func buildShape(s *System) *denseShape {
+	sh := &denseShape{
+		hosts:      s.HostIDs(),
+		comps:      s.ComponentIDs(),
 		nLinks:     len(s.Links),
 		nInteracts: len(s.Interacts),
 	}
-	ds.NH = len(ds.Hosts)
-	ds.hostIdx = make(map[HostID]int, ds.NH)
-	for i, h := range ds.Hosts {
-		ds.hostIdx[h] = i
+	sh.hostIdx = make(map[HostID]int, len(sh.hosts))
+	for i, h := range sh.hosts {
+		sh.hostIdx[h] = i
 	}
-	ds.compIdx = make(map[ComponentID]int, len(ds.Comps))
-	for i, c := range ds.Comps {
-		ds.compIdx[c] = i
+	sh.compIdx = make(map[ComponentID]int, len(sh.comps))
+	for i, c := range sh.comps {
+		sh.compIdx[c] = i
 	}
 
-	nh := ds.NH
-	ds.Rel = make([]float64, nh*nh)
-	ds.BW = make([]float64, nh*nh)
-	ds.Delay = make([]float64, nh*nh)
+	sh.links = make([]shapeLink, 0, len(s.Links))
+	for pair, l := range s.Links {
+		i, iok := sh.hostIdx[pair.A]
+		j, jok := sh.hostIdx[pair.B]
+		if !iok || !jok {
+			continue // dangling link (host removed directly)
+		}
+		sh.links = append(sh.links, shapeLink{i, j, l})
+	}
+
+	// Interactions are ordered by (A, B) index. Indices follow the sorted
+	// ComponentIDs order, so this is InteractionKeys' order without
+	// comparing strings: bucket the interactions by A, then sort each
+	// bucket by B.
+	nc := len(sh.comps)
+	raw := make([]shapeInteraction, 0, len(s.Interacts))
+	bucket := make([]int, nc+1) // bucket[a] is where a's interactions start
+	for key, l := range s.Interacts {
+		a, aok := sh.compIdx[key.A]
+		b, bok := sh.compIdx[key.B]
+		if !aok || !bok {
+			continue
+		}
+		raw = append(raw, shapeInteraction{a, b, l})
+		bucket[a+1]++
+	}
+	for a := 0; a < nc; a++ {
+		bucket[a+1] += bucket[a]
+	}
+	sh.inters = make([]shapeInteraction, len(raw))
+	next := slices.Clone(bucket[:nc])
+	for _, e := range raw {
+		sh.inters[next[e.a]] = e
+		next[e.a]++
+	}
+	for a := 0; a < nc; a++ {
+		slices.SortFunc(sh.inters[bucket[a]:bucket[a+1]], func(x, y shapeInteraction) int { return cmp.Compare(x.b, y.b) })
+	}
+	return sh
+}
+
+// values reads the elements' current parameters into a fresh view.
+func (sh *denseShape) values() *DenseSystem {
+	nh := len(sh.hosts)
+	ds := &DenseSystem{
+		Hosts:   sh.hosts,
+		Comps:   sh.comps,
+		NH:      nh,
+		hostIdx: sh.hostIdx,
+		compIdx: sh.compIdx,
+		Rel:     make([]float64, nh*nh),
+		BW:      make([]float64, nh*nh),
+		Delay:   make([]float64, nh*nh),
+	}
 	for i := 0; i < nh; i++ {
 		ds.Rel[i*nh+i] = 1
 		ds.BW[i*nh+i] = LocalBandwidth
 	}
-	for pair, l := range s.Links {
-		i, iok := ds.hostIdx[pair.A]
-		j, jok := ds.hostIdx[pair.B]
-		if !iok || !jok {
-			continue // dangling link (host removed directly)
-		}
+	for _, sl := range sh.links {
+		i, j, l := sl.i, sl.j, sl.l
 		rel, bw, delay := l.Reliability(), l.Bandwidth(), l.Delay()
 		ds.Rel[i*nh+j], ds.Rel[j*nh+i] = rel, rel
 		ds.BW[i*nh+j], ds.BW[j*nh+i] = bw, bw
 		ds.Delay[i*nh+j], ds.Delay[j*nh+i] = delay, delay
 	}
 
-	// Edges are ordered by (A, B) index. Indices follow the sorted
-	// ComponentIDs order, so this is InteractionKeys' order without
-	// comparing strings: bucket the edges by A, then sort each bucket by B.
-	nc := len(ds.Comps)
-	raw := make([]DenseEdge, 0, len(s.Interacts))
-	bucket := make([]int, nc+1) // bucket[a] is where a's edges start
-	degree := make([]int, nc)
-	for key, link := range s.Interacts {
-		f := link.Frequency()
+	degree := make([]int, len(sh.comps))
+	ds.Edges = make([]DenseEdge, 0, len(sh.inters))
+	for _, it := range sh.inters {
+		f := it.l.Frequency()
 		if f <= 0 {
 			continue // objectives skip non-positive frequencies
 		}
-		a, aok := ds.compIdx[key.A]
-		b, bok := ds.compIdx[key.B]
-		if !aok || !bok {
-			continue
-		}
-		raw = append(raw, DenseEdge{A: a, B: b, Freq: f, Size: link.EventSize()})
-		bucket[a+1]++
-		degree[a]++
-		degree[b]++
-	}
-	for a := 0; a < nc; a++ {
-		bucket[a+1] += bucket[a]
-	}
-	ds.Edges = make([]DenseEdge, len(raw))
-	next := slices.Clone(bucket[:nc])
-	for _, e := range raw {
-		ds.Edges[next[e.A]] = e
-		next[e.A]++
-	}
-	for a := 0; a < nc; a++ {
-		slices.SortFunc(ds.Edges[bucket[a]:bucket[a+1]], func(x, y DenseEdge) int { return cmp.Compare(x.B, y.B) })
+		ds.Edges = append(ds.Edges, DenseEdge{A: it.a, B: it.b, Freq: f, Size: it.l.EventSize()})
+		degree[it.a]++
+		degree[it.b]++
 	}
 
 	// Every component's arcs are a window of one backing array.
 	arcs := make([]DenseArc, 2*len(ds.Edges))
-	ds.Adj = make([][]DenseArc, nc)
+	ds.Adj = make([][]DenseArc, len(sh.comps))
 	off := 0
 	for c, n := range degree {
 		ds.Adj[c] = arcs[off : off : off+n]

@@ -1,8 +1,11 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -125,3 +128,245 @@ func TestDenseAssignRoundTrip(t *testing.T) {
 		t.Fatalf("partial round trip = %v, want %v", got, partial)
 	}
 }
+
+// denseEqual reports the first field in which got differs from a view
+// built from scratch. Sums must agree exactly: they add in edge order.
+func denseEqual(got, want *DenseSystem) error {
+	switch {
+	case !reflect.DeepEqual(got.Hosts, want.Hosts):
+		return fmt.Errorf("Hosts = %v, want %v", got.Hosts, want.Hosts)
+	case !reflect.DeepEqual(got.Comps, want.Comps):
+		return fmt.Errorf("Comps = %v, want %v", got.Comps, want.Comps)
+	case got.NH != want.NH:
+		return fmt.Errorf("NH = %d, want %d", got.NH, want.NH)
+	case !reflect.DeepEqual(got.Rel, want.Rel):
+		return fmt.Errorf("Rel differs")
+	case !reflect.DeepEqual(got.BW, want.BW):
+		return fmt.Errorf("BW differs")
+	case !reflect.DeepEqual(got.Delay, want.Delay):
+		return fmt.Errorf("Delay differs")
+	case !reflect.DeepEqual(got.Edges, want.Edges):
+		return fmt.Errorf("Edges differ: %d edges, want %d", len(got.Edges), len(want.Edges))
+	case !reflect.DeepEqual(got.Adj, want.Adj):
+		return fmt.Errorf("Adj differs")
+	case got.TotalFreq != want.TotalFreq:
+		return fmt.Errorf("TotalFreq = %v, want %v", got.TotalFreq, want.TotalFreq)
+	}
+	for i, h := range want.Hosts {
+		if got.HostIndex(h) != i {
+			return fmt.Errorf("HostIndex(%s) = %d, want %d", h, got.HostIndex(h), i)
+		}
+	}
+	for i, c := range want.Comps {
+		if got.CompIndex(c) != i {
+			return fmt.Errorf("CompIndex(%s) = %d, want %d", c, got.CompIndex(c), i)
+		}
+	}
+	if got.HostIndex("no-such-host") != -1 || got.CompIndex("no-such-comp") != -1 {
+		return fmt.Errorf("unknown IDs have an index")
+	}
+	return nil
+}
+
+// TestDenseMatchesFreshBuild keeps the cached view warm through a seeded
+// sequence of value and structure mutations; after each one it must equal
+// the view of a clone, which starts cold.
+func TestDenseMatchesFreshBuild(t *testing.T) {
+	s, _ := denseTestSystem(t, 6, 30, 11)
+	rng := rand.New(rand.NewSource(3))
+	mod := NewModifier(s)
+	pickLink := func() *PhysicalLink { // nil once RemoveHost took every link
+		keys := s.LinkKeys()
+		if len(keys) == 0 {
+			return nil
+		}
+		return s.Links[keys[rng.Intn(len(keys))]]
+	}
+	pickInteraction := func() *LogicalLink {
+		keys := s.InteractionKeys()
+		return s.Interacts[keys[rng.Intn(len(keys))]]
+	}
+	pickComps := func() (ComponentID, ComponentID) {
+		ids := s.ComponentIDs()
+		a := ids[rng.Intn(len(ids))]
+		for {
+			if b := ids[rng.Intn(len(ids))]; b != a {
+				return a, b
+			}
+		}
+	}
+	newComps, newHosts := 0, 0
+	mutations := []struct {
+		name string
+		do   func() error
+	}{
+		{"Modifier.SetLinkParam", func() error {
+			pl := pickLink()
+			if pl == nil {
+				return nil
+			}
+			return mod.SetLinkParam(pl.Hosts.A, pl.Hosts.B, []string{ParamReliability, ParamBandwidth, ParamDelay}[rng.Intn(3)], rng.Float64())
+		}},
+		{"Modifier.SetInteractionParam", func() error {
+			ll := pickInteraction()
+			return mod.SetInteractionParam(ll.Components.A, ll.Components.B, ParamEventSize, rng.Float64())
+		}},
+		{"Modifier.SetHostParam", func() error {
+			ids := s.HostIDs()
+			return mod.SetHostParam(ids[rng.Intn(len(ids))], ParamMemory, rng.Float64()*100)
+		}},
+		{"Params.Set+Touch", func() error {
+			if pl := pickLink(); pl != nil {
+				pl.Params.Set(ParamReliability, rng.Float64())
+			}
+			pickInteraction().Params.Set(ParamFrequency, rng.Float64()*10)
+			s.Touch()
+			return nil
+		}},
+		{"frequency to 0", func() error {
+			pickInteraction().Params.Set(ParamFrequency, 0)
+			s.Touch()
+			return nil
+		}},
+		{"frequency from 0", func() error {
+			for _, k := range s.InteractionKeys() {
+				if l := s.Interacts[k]; l.Frequency() == 0 {
+					l.Params.Set(ParamFrequency, 1+rng.Float64())
+					break
+				}
+			}
+			s.Touch()
+			return nil
+		}},
+		{"AddInteraction replacing a pair", func() error {
+			ll := pickInteraction()
+			var p Params
+			p.Set(ParamFrequency, rng.Float64()*10)
+			p.Set(ParamEventSize, rng.Float64())
+			_, err := s.AddInteraction(ll.Components.A, ll.Components.B, p)
+			return err
+		}},
+		{"RemoveInteraction+AddInteraction", func() error {
+			ll := pickInteraction()
+			a, b := pickComps()
+			for s.Interaction(a, b) != nil {
+				a, b = pickComps()
+			}
+			if err := mod.RemoveInteraction(ll.Components.A, ll.Components.B); err != nil {
+				return err
+			}
+			var p Params
+			p.Set(ParamFrequency, 1+rng.Float64())
+			_, err := s.AddInteraction(a, b, p)
+			return err
+		}},
+		{"AddHost+AddLink", func() error {
+			newHosts++
+			h := HostID(fmt.Sprintf("new-host-%d", newHosts))
+			s.AddHost(h, nil)
+			var p Params
+			p.Set(ParamReliability, rng.Float64())
+			peer := s.HostIDs()[0]
+			if peer == h {
+				peer = s.HostIDs()[1]
+			}
+			_, err := s.AddLink(h, peer, p)
+			return err
+		}},
+		{"RemoveHost", func() error {
+			ids := s.HostIDs()
+			return mod.RemoveHost(ids[rng.Intn(len(ids))], nil)
+		}},
+		{"AddComponent+AddInteraction", func() error {
+			newComps++
+			c := ComponentID(fmt.Sprintf("new-comp-%d", newComps))
+			s.AddComponent(c, nil)
+			var p Params
+			p.Set(ParamFrequency, 1+rng.Float64())
+			peer := s.ComponentIDs()[0]
+			if peer == c {
+				peer = s.ComponentIDs()[1]
+			}
+			_, err := s.AddInteraction(c, peer, p)
+			return err
+		}},
+		{"RemoveComponent", func() error {
+			ids := s.ComponentIDs()
+			return mod.RemoveComponent(ids[rng.Intn(len(ids))], nil)
+		}},
+		{"SetHostDown", func() error {
+			ids := s.HostIDs()
+			s.SetHostDown(ids[rng.Intn(len(ids))], rng.Intn(2) == 0)
+			return nil
+		}},
+	}
+	if err := denseEqual(s.Dense(), s.Clone().Dense()); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 400; step++ {
+		m := mutations[rng.Intn(len(mutations))]
+		// Keep enough elements around for every mutation to apply.
+		if len(s.Hosts) < 3 && m.name == "RemoveHost" || len(s.Components) < 10 && m.name == "RemoveComponent" {
+			continue
+		}
+		if err := m.do(); err != nil {
+			t.Fatalf("step %d, %s: %v", step, m.name, err)
+		}
+		if err := denseEqual(s.Dense(), s.Clone().Dense()); err != nil {
+			t.Fatalf("step %d, after %s: %v", step, m.name, err)
+		}
+	}
+}
+
+// TestDenseConcurrentTouch has several goroutines drop and rebuild the
+// values while others read the view, as Stochastic's workers do.
+func TestDenseConcurrentTouch(t *testing.T) {
+	s, _ := denseTestSystem(t, 5, 25, 2)
+	want := s.Clone().Dense()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(touch bool) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if touch {
+					s.Touch()
+				}
+				if err := denseEqual(s.Dense(), want); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w%2 == 0)
+	}
+	wg.Wait()
+}
+
+// BenchmarkDenseRebuild times the two rebuilds a replan can pay for:
+// values only after Touch (a monitor cycle), and shape plus values after
+// a structural mutation (a new interaction).
+func BenchmarkDenseRebuild(b *testing.B) {
+	for _, size := range [][2]int{{20, 400}, {40, 800}} {
+		s, _, err := NewGenerator(DefaultGeneratorConfig(size[0], size[1]), 1).Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("%dx%d", size[0], size[1])
+		b.Run("values/"+name, func(b *testing.B) {
+			s.Dense()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Touch()
+				denseSink = s.Dense()
+			}
+		})
+		b.Run("structure+values/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.reshape()
+				denseSink = s.Dense()
+			}
+		})
+	}
+}
+
+var denseSink *DenseSystem

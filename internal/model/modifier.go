@@ -68,7 +68,7 @@ func (m *Modifier) RemoveLink(a, b HostID) error {
 		return fmt.Errorf("no physical link between %s and %s", a, b)
 	}
 	delete(m.sys.Links, pair)
-	m.sys.Touch()
+	m.sys.reshape()
 	return nil
 }
 
@@ -79,7 +79,7 @@ func (m *Modifier) RemoveInteraction(a, b ComponentID) error {
 		return fmt.Errorf("no logical link between %s and %s", a, b)
 	}
 	delete(m.sys.Interacts, pair)
-	m.sys.Touch()
+	m.sys.reshape()
 	return nil
 }
 
@@ -105,7 +105,7 @@ func (m *Modifier) RemoveHost(h HostID, d Deployment) error {
 		delete(set, h)
 		_ = c
 	}
-	m.sys.Touch()
+	m.sys.reshape()
 	return nil
 }
 
@@ -136,7 +136,7 @@ func (m *Modifier) RemoveComponent(c ComponentID, d Deployment) error {
 	if d != nil {
 		delete(d, c)
 	}
-	m.sys.Touch()
+	m.sys.reshape()
 	return nil
 }
 

@@ -111,13 +111,11 @@ type System struct {
 	Interacts   map[ComponentPair]*LogicalLink
 	Constraints Constraints
 
-	// Cached dense view (see dense.go). epoch counts mutations made
-	// through the System's methods or a Modifier; Dense rebuilds when it
-	// moves past denseEpoch.
-	denseMu    sync.Mutex
-	epoch      uint64
-	dense      *DenseSystem
-	denseEpoch uint64
+	// Cached dense view (see dense.go): Touch drops dense, reshape drops
+	// both parts.
+	denseMu sync.Mutex
+	shape   *denseShape
+	dense   *DenseSystem
 }
 
 // NewSystem returns an empty system model.
@@ -135,7 +133,7 @@ func NewSystem() *System {
 func (s *System) AddHost(id HostID, params Params) *Host {
 	h := &Host{ID: id, Params: params.Clone()}
 	s.Hosts[id] = h
-	s.Touch()
+	s.reshape()
 	return h
 }
 
@@ -144,7 +142,7 @@ func (s *System) AddHost(id HostID, params Params) *Host {
 func (s *System) AddComponent(id ComponentID, params Params) *Component {
 	c := &Component{ID: id, Params: params.Clone()}
 	s.Components[id] = c
-	s.Touch()
+	s.reshape()
 	return c
 }
 
@@ -162,7 +160,7 @@ func (s *System) AddLink(a, b HostID, params Params) (*PhysicalLink, error) {
 	pair := MakeHostPair(a, b)
 	l := &PhysicalLink{Hosts: pair, Params: params.Clone()}
 	s.Links[pair] = l
-	s.Touch()
+	s.reshape()
 	return l, nil
 }
 
@@ -180,7 +178,7 @@ func (s *System) AddInteraction(a, b ComponentID, params Params) (*LogicalLink, 
 	pair := MakeComponentPair(a, b)
 	l := &LogicalLink{Components: pair, Params: params.Clone()}
 	s.Interacts[pair] = l
-	s.Touch()
+	s.reshape()
 	return l, nil
 }
 

@@ -33,8 +33,8 @@ type FaultTransport struct {
 	cfg   FaultConfig
 
 	mu          sync.Mutex
-	rng         *rand.Rand // outbound fault process
-	rngIn       *rand.Rand // inbound fault process (decoupled from outbound)
+	rng         *rand.Rand // outbound fault process; nil until its first draw
+	rngIn       *rand.Rand // inbound fault process (decoupled from outbound); nil until its first draw
 	partitioned map[model.HostID]partitionState
 	flaps       map[flapKey]*flapCursor
 	clock       func() time.Time
@@ -227,16 +227,34 @@ func (f *FaultTransport) SetFaultConfig(cfg FaultConfig) {
 // hold f.mu (or are the constructor).
 func (f *FaultTransport) applyConfig(cfg FaultConfig) {
 	f.cfg = cfg
-	f.rng = rand.New(rand.NewSource(cfg.Seed))
-	// The inbound process draws from its own stream so inbound and
-	// outbound decisions cannot perturb each other's sequences.
-	f.rngIn = rand.New(rand.NewSource(int64(splitmix64(uint64(cfg.Seed) + 0x9e37))))
+	f.rng, f.rngIn = nil, nil
 	f.flaps = make(map[flapKey]*flapCursor)
 	f.clock = cfg.Clock
 	if f.clock == nil {
 		f.clock = time.Now
 	}
 	f.start = f.clock()
+}
+
+// outRNG returns the outbound fault process, seeding it on its first
+// draw: a transport configured without loss, duplication or delay never
+// draws, and seeding a math/rand source costs far more than the rest of
+// construction. Callers hold f.mu.
+func (f *FaultTransport) outRNG() *rand.Rand {
+	if f.rng == nil {
+		f.rng = rand.New(rand.NewSource(f.cfg.Seed))
+	}
+	return f.rng
+}
+
+// inRNG returns the inbound fault process, seeded like outRNG. It draws
+// from its own stream so inbound and outbound decisions cannot perturb
+// each other's sequences. Callers hold f.mu.
+func (f *FaultTransport) inRNG() *rand.Rand {
+	if f.rngIn == nil {
+		f.rngIn = rand.New(rand.NewSource(int64(splitmix64(uint64(f.cfg.Seed) + 0x9e37))))
+	}
+	return f.rngIn
 }
 
 // dirFault resolves the directional fault process for one peer and
@@ -309,13 +327,13 @@ func (f *FaultTransport) SetReceiver(recv func(from model.HostID, data []byte)) 
 			f.mu.Unlock()
 			return
 		}
-		if df.DropRate > 0 && f.rngIn.Float64() < df.DropRate {
+		if df.DropRate > 0 && f.inRNG().Float64() < df.DropRate {
 			f.dropped.Inc()
 			f.mu.Unlock()
 			return
 		}
 		var d time.Duration
-		if df.DelayRate > 0 && df.Delay > 0 && f.rngIn.Float64() < df.DelayRate {
+		if df.DelayRate > 0 && df.Delay > 0 && f.inRNG().Float64() < df.DelayRate {
 			d = df.Delay
 			f.delayed.Inc()
 			f.wg.Add(1)
@@ -369,16 +387,16 @@ func (f *FaultTransport) Send(to model.HostID, data []byte, sizeKB float64) erro
 		return fmt.Errorf("%w: %s (link flap)", ErrPeerPartitioned, to)
 	}
 	f.sent.Inc()
-	drop := f.cfg.DropRate > 0 && f.rng.Float64() < f.cfg.DropRate
+	drop := f.cfg.DropRate > 0 && f.outRNG().Float64() < f.cfg.DropRate
 	if !drop && df.DropRate > 0 {
-		drop = f.rng.Float64() < df.DropRate
+		drop = f.outRNG().Float64() < df.DropRate
 	}
-	dup := f.cfg.DupRate > 0 && f.rng.Float64() < f.cfg.DupRate
+	dup := f.cfg.DupRate > 0 && f.outRNG().Float64() < f.cfg.DupRate
 	var delayDur time.Duration
-	if f.cfg.DelayRate > 0 && f.cfg.Delay > 0 && f.rng.Float64() < f.cfg.DelayRate {
+	if f.cfg.DelayRate > 0 && f.cfg.Delay > 0 && f.outRNG().Float64() < f.cfg.DelayRate {
 		delayDur = f.cfg.Delay
 	}
-	if df.DelayRate > 0 && df.Delay > 0 && f.rng.Float64() < df.DelayRate && df.Delay > delayDur {
+	if df.DelayRate > 0 && df.Delay > 0 && f.outRNG().Float64() < df.DelayRate && df.Delay > delayDur {
 		delayDur = df.Delay
 	}
 	delay := delayDur > 0

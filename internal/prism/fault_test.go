@@ -121,11 +121,26 @@ func TestFaultTransportPartition(t *testing.T) {
 }
 
 func TestFaultTransportDeterministicDrops(t *testing.T) {
-	pattern := func() []bool {
+	// pattern records which of 50 frames survive under seed 99. With
+	// reconfigure, the transport first drops under another seed and is
+	// then switched to seed 99, which must restart the fault stream.
+	pattern := func(reconfigure bool) []bool {
 		reg := obs.NewRegistry()
-		fa, _ := faultPair(t, FaultConfig{Seed: 99, DropRate: 0.5, Obs: reg}, FaultConfig{})
+		cfg := FaultConfig{Seed: 99, DropRate: 0.5, Obs: reg}
+		if reconfigure {
+			cfg.Seed = 7
+		}
+		fa, _ := faultPair(t, cfg, FaultConfig{})
+		if reconfigure {
+			for i := 0; i < 20; i++ {
+				if err := fa.Send("b", []byte("x"), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fa.SetFaultConfig(FaultConfig{Seed: 99, DropRate: 0.5})
+		}
 		out := make([]bool, 0, 50)
-		last := 0
+		last := faultCounters(reg, "a")["dropped"]
 		for i := 0; i < 50; i++ {
 			if err := fa.Send("b", []byte("x"), 1); err != nil {
 				t.Fatal(err)
@@ -139,10 +154,13 @@ func TestFaultTransportDeterministicDrops(t *testing.T) {
 		}
 		return out
 	}
-	first, second := pattern(), pattern()
+	first, second, reseeded := pattern(false), pattern(false), pattern(true)
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("drop pattern diverged at frame %d despite identical seeds", i)
+		}
+		if first[i] != reseeded[i] {
+			t.Fatalf("drop pattern after SetFaultConfig diverged at frame %d", i)
 		}
 	}
 	drops := 0
@@ -400,3 +418,24 @@ func TestFaultTransportDelayedFramePartitionCut(t *testing.T) {
 		t.Fatalf("dropped delayed frame resurrected after heal (%d delivered)", n)
 	}
 }
+
+// BenchmarkNewFaultTransport measures wrapping a transport, which every
+// netsim world does once per host.
+func BenchmarkNewFaultTransport(b *testing.B) {
+	fabric := netsim.NewFabric(7)
+	defer fabric.Close()
+	if err := fabric.AddHost("a", nil); err != nil {
+		b.Fatal(err)
+	}
+	inner, err := NewNetsimTransport(fabric, "a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		faultSink = NewFaultTransport(inner, FaultConfig{Seed: int64(i), DropRate: 0.1})
+	}
+}
+
+var faultSink *FaultTransport
