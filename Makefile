@@ -28,12 +28,13 @@ fmt:
 # unnoticed. The TCP writer tests (flush without a timer, order under
 # concurrent senders, release of blocked senders, drain on retire, the
 # yielded dial), the two racing first Sends to one peer (one dial in
-# flight per peer), and the admin's Close-versus-reconfig race run 50
-# times for the same reason. The dedup-window tests (reference-model
-# property test, the lost-frame hole, the wide-span settle) run in the
-# first pass with the rest of ./internal/prism/, and so do the three
-# explorers: TestWaveExplore walks every interleaving of a small two-phase
-# wave through the real waveCore.step and, for every participant, the
+# flight per peer), the admin's Close-versus-reconfig race, and the
+# deployer loop's Close against its open records and its re-drive pacing
+# run 50 times for the same reason. The dedup-window tests
+# (reference-model property test, the lost-frame hole, the wide-span
+# settle) run in the first pass with the rest of ./internal/prism/, and
+# so do the three explorers: TestWaveExplore walks every interleaving
+# of a small two-phase wave through the real waveCore.step and, for every participant, the
 # real partCore.step and voterCore.step (about 5.3·10⁵ states, a
 # participant restart included, about 37 s under the race detector),
 # TestLeaseExplore every interleaving of
@@ -49,6 +50,7 @@ test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/... ./cmd/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/
 	$(GO) test -race -count=50 -run 'TestTCPWriter|TestTCPTransportConcurrentFirstSends$$|TestAdminCloseRacesReconfig$$' ./internal/prism/
+	$(GO) test -race -count=50 -run 'TestDeployerCloseEndsEveryRecord|TestDeployerRedrivePacing' ./internal/prism/
 
 race: test-race
 

@@ -122,10 +122,9 @@ func Run(cfg Config) (*Result, error) {
 		Standbys:  []model.HostID{hosts[1]},
 		StateDirs: dirs,
 		Lease: prism.LeaderConfig{
-			Agents:              hosts,
-			LeaseTTL:            chaosLeaseTTL,
-			CampaignTimeout:     chaosCampaignTimeout,
-			RebroadcastInterval: 15 * time.Millisecond,
+			Agents:          hosts,
+			LeaseTTL:        chaosLeaseTTL,
+			CampaignTimeout: chaosCampaignTimeout,
 		},
 	})
 	if err != nil {
@@ -249,10 +248,9 @@ const (
 // shape for the initial pair).
 func (r *runner) leaseFor(h model.HostID) prism.LeaderConfig {
 	lc := prism.LeaderConfig{
-		Agents:              r.hosts,
-		LeaseTTL:            chaosLeaseTTL,
-		CampaignTimeout:     chaosCampaignTimeout,
-		RebroadcastInterval: 15 * time.Millisecond,
+		Agents:          r.hosts,
+		LeaseTTL:        chaosLeaseTTL,
+		CampaignTimeout: chaosCampaignTimeout,
 	}
 	for _, p := range []model.HostID{r.hosts[0], r.hosts[1]} {
 		if p != h {

@@ -39,7 +39,9 @@ func TestLeaderFailoverResumesDecidedWave(t *testing.T) {
 		Fault:    &prism.FaultConfig{},
 		Obs:      reg,
 		Trace:    tracer,
-		Tune:     func(ac *prism.AdminConfig) { ac.Clock = clk.Now },
+		Tune: func(ac *prism.AdminConfig) {
+			ac.Clock, ac.EnactResendInterval = clk.Now, 20*time.Millisecond
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +57,8 @@ func TestLeaderFailoverResumesDecidedWave(t *testing.T) {
 			standby:  t.TempDir(),
 		},
 		Lease: prism.LeaderConfig{
-			LeaseTTL:            ttl,
-			Clock:               clk.Now,
-			RebroadcastInterval: 20 * time.Millisecond,
+			LeaseTTL: ttl,
+			Clock:    clk.Now,
 		},
 	})
 	if err != nil {
@@ -257,7 +258,9 @@ func TestLeaderCrashFailoverDoesNotRetryIntoCorpse(t *testing.T) {
 		Monitors: true,
 		Fault:    &prism.FaultConfig{},
 		Obs:      reg,
-		Tune:     func(ac *prism.AdminConfig) { ac.Clock = clk.Now },
+		Tune: func(ac *prism.AdminConfig) {
+			ac.Clock, ac.EnactResendInterval = clk.Now, time.Hour
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +275,9 @@ func TestLeaderCrashFailoverDoesNotRetryIntoCorpse(t *testing.T) {
 			corpse: t.TempDir(), heir: t.TempDir(), witness: t.TempDir(),
 		},
 		// Every agent is live and every link lossless, so each campaign
-		// wins on its first broadcast and never re-broadcasts.
-		Lease: prism.LeaderConfig{LeaseTTL: ttl, Clock: clk.Now, RebroadcastInterval: time.Hour},
+		// wins on its first broadcast and never re-broadcasts (the world's
+		// EnactResendInterval is an hour).
+		Lease: prism.LeaderConfig{LeaseTTL: ttl, Clock: clk.Now},
 	})
 	if err != nil {
 		t.Fatal(err)

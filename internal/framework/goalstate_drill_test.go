@@ -143,7 +143,9 @@ func TestGoalStateSurvivesLeaderFailover(t *testing.T) {
 	w, err := NewWorld(sys, dep0, WorldConfig{
 		Monitors: true,
 		Obs:      reg,
-		Tune:     func(ac *prism.AdminConfig) { ac.Clock = clk.Now },
+		Tune: func(ac *prism.AdminConfig) {
+			ac.Clock, ac.EnactResendInterval = clk.Now, 20*time.Millisecond
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,9 +161,8 @@ func TestGoalStateSurvivesLeaderFailover(t *testing.T) {
 			standby:  t.TempDir(),
 		},
 		Lease: prism.LeaderConfig{
-			LeaseTTL:            ttl,
-			Clock:               clk.Now,
-			RebroadcastInterval: 20 * time.Millisecond,
+			LeaseTTL: ttl,
+			Clock:    clk.Now,
 		},
 	})
 	if err != nil {

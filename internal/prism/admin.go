@@ -33,7 +33,9 @@ const AdminID = "prism.admin"
 // deployment architecture and the monitored data ... to the
 // DeployerComponent").
 type MonitoringReport struct {
-	Host         model.HostID
+	Host model.HostID
+	// Round is the request round the report answers (zero when unasked).
+	Round        uint64
 	Components   []string
 	Interactions []InteractionSample
 	Links        []ReliabilitySample
@@ -185,11 +187,12 @@ type AdminConfig struct {
 	Bus string
 	// Registry reconstitutes migrated components.
 	Registry *FactoryRegistry
-	// EnactResendInterval paces the deployer's re-dispatch of reconfig
-	// commands to hosts that have not reported done (each re-dispatch
-	// also makes the destination re-fetch its missing arrivals), the
-	// re-request of missing monitoring reports, and the re-broadcast of
-	// unacknowledged wave outcomes. Zero selects the default.
+	// EnactResendInterval paces every re-drive of the deployer loop: the
+	// re-dispatch of reconfig commands to hosts that have not reported
+	// done (each re-dispatch also makes the destination re-fetch its
+	// missing arrivals), the re-request of missing monitoring reports,
+	// the re-broadcast of unacknowledged wave outcomes, and a campaign's
+	// lease-request re-broadcast. Zero selects the default.
 	EnactResendInterval time.Duration
 	// OutcomeAckTimeout bounds how long the deployer waits for every
 	// participant to acknowledge a wave's commit/abort outcome. Zero
@@ -504,6 +507,7 @@ func (a *AdminComponent) answerReport(round uint64, from model.HostID) Monitorin
 	}
 	a.mu.Unlock()
 	rep := a.Report(true)
+	rep.Round = round
 	a.mu.Lock()
 	a.reportRound, a.reportFrom, a.lastReport = round, from, rep
 	a.mu.Unlock()

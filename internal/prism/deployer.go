@@ -27,17 +27,7 @@ type DeployerComponent struct {
 	cfg    AdminConfig
 	sender *controlSender
 
-	mu      sync.Mutex
-	reports map[model.HostID]MonitoringReport
-	// reportWait is signalled whenever a report arrives.
-	reportWait chan struct{}
-	// reportRound numbers RequestReports calls. It starts from the clock
-	// so a restarted deployer does not repeat its previous lifetime's
-	// rounds (an admin answers a repeated round from its cache).
-	reportRound uint64
-	// shells are the wave shells running; each drives its waves (wave.go)
-	// to the end.
-	shells    map[*waveShell]bool
+	mu        sync.Mutex
 	nextEpoch int
 	// detector, when attached, feeds heartbeats into liveness tracking
 	// and lets a participant's death abort in-flight waves.
@@ -60,10 +50,19 @@ type DeployerComponent struct {
 	// agents to.
 	goal *goalTable
 
-	// stop aborts in-flight waves on Close so shutdown never waits on a
-	// wave.
-	stop     chan struct{}
-	stopOnce sync.Once
+	// The deployer loop (run): inbox queues its inputs and wake pokes it;
+	// running marks a loop goroutine alive. The records it waits out are
+	// stepped only by the loop, and join or leave under mu.
+	inbox   []func()
+	wake    chan struct{}
+	running bool
+	records []record
+	// Owned by the loop: closed marks a Close it ran, and reportRound
+	// numbers the report rounds. The count starts from the clock so a
+	// restarted deployer does not repeat its previous lifetime's rounds
+	// (an admin answers a repeated round from its cache).
+	closed      bool
+	reportRound uint64
 }
 
 // NewDeployerComponent builds a deployer for the master architecture.
@@ -75,22 +74,25 @@ func NewDeployerComponent(arch *Architecture, cfg AdminConfig) *DeployerComponen
 		arch:          arch,
 		cfg:           cfg,
 		sender:        newControlSender(arch, cfg, DeployerID),
-		reports:       make(map[model.HostID]MonitoringReport),
-		reportWait:    make(chan struct{}, 1),
-		shells:        make(map[*waveShell]bool),
 		nextEpoch:     1,
 		goal:          newGoalTable(),
 		reportRound:   uint64(cfg.Clock().UnixNano()),
-		stop:          make(chan struct{}),
+		wake:          make(chan struct{}, 1),
 	}
 	return d
 }
 
-// Close aborts every in-flight wave and report collection. A wave that
-// was mid-flight returns as rolled back; shutdown never blocks on a wave
-// (the World.Close ordering fix).
+// Close ends every open exchange: a wave that was mid-flight returns as
+// rolled back, a campaign as closed, a report round with what it has;
+// shutdown never blocks on a wave (the World.Close ordering fix). One
+// opened later ends at once.
 func (d *DeployerComponent) Close() {
-	d.stopOnce.Do(func() { close(d.stop) })
+	d.post(func() {
+		d.closed = true
+		for _, r := range d.records {
+			r.close(d)
+		}
+	}, true)
 }
 
 // AttachDetector wires a failure detector into the deployer: incoming
@@ -195,16 +197,8 @@ func (d *DeployerComponent) Handle(e Event) {
 	}
 	switch e.Name {
 	case EvReport:
-		rep, ok := e.Payload.(MonitoringReport)
-		if !ok {
-			return
-		}
-		d.mu.Lock()
-		d.reports[rep.Host] = rep
-		d.mu.Unlock()
-		select {
-		case d.reportWait <- struct{}{}:
-		default:
+		if rep, ok := e.Payload.(MonitoringReport); ok {
+			d.post(func() { each(d, func(r *reportRound) { r.take(d, &rep) }) }, false)
 		}
 	case EvFetch:
 		// Mediated fetch: the wave forwards it to the component's source.
@@ -257,78 +251,91 @@ func (d *DeployerComponent) Handle(e Event) {
 // the missing ones every EnactResendInterval. It returns the reports
 // received so far keyed by host.
 func (d *DeployerComponent) RequestReports(hosts []model.HostID, timeout time.Duration) (map[model.HostID]MonitoringReport, error) {
-	d.mu.Lock()
-	d.reports = make(map[model.HostID]MonitoringReport, len(hosts))
-	d.reportRound++
-	req := Event{
-		Name: EvReportRequest, Target: AdminID, SizeKB: 0.2,
-		Payload: ReportRequest{Round: d.reportRound},
-	}
-	d.mu.Unlock()
+	r := &reportRound{hosts: hosts, timeout: timeout, got: make(map[model.HostID]MonitoringReport, len(hosts)),
+		done: make(chan error, 1)}
+	d.post(func() { d.open(r) }, true)
+	err := <-r.done
+	return r.got, err
+}
 
-	for _, h := range hosts {
-		_ = d.sender.send(h, req)
+// reportRound is a RequestReports call's record. It takes only reports
+// stamped with its own round: a report a timed-out round was still owed
+// is not the next round's answer.
+type reportRound struct {
+	pace
+	round   uint64
+	hosts   []model.HostID
+	req     Event
+	got     map[model.HostID]MonitoringReport
+	timeout time.Duration
+	done    chan error
+}
+
+func (r *reportRound) open(d *DeployerComponent) {
+	d.reportRound++
+	r.round = d.reportRound
+	r.req = Event{Name: EvReportRequest, Target: AdminID, SizeKB: 0.2, Payload: ReportRequest{Round: r.round}}
+	for _, h := range r.hosts {
+		_ = d.sender.send(h, r.req)
 	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	resend := time.NewTicker(d.cfg.EnactResendInterval)
-	defer resend.Stop()
-	for {
-		got := d.snapshotReports()
-		if len(got) >= len(hosts) {
-			d.recordReportOutcomes(hosts)
-			return got, nil
-		}
-		select {
-		case <-d.reportWait:
-		case <-resend.C:
-			got = d.snapshotReports()
-			dead := d.deadAmong(hosts)
-			for _, h := range hosts {
-				if _, ok := got[h]; ok || slices.Contains(dead, h) {
-					continue
-				}
-				// A re-request means the request or its report was lost:
-				// a failed send, like Enact's re-dispatch.
-				d.recordSend(h, false)
-				_ = d.sender.send(h, req)
-			}
-		case <-d.stop:
-			got := d.snapshotReports()
-			return got, fmt.Errorf("deployer: closed with %d of %d reports", len(got), len(hosts))
-		case <-deadline.C:
-			d.recordReportOutcomes(hosts)
-			got := d.snapshotReports()
-			return got, fmt.Errorf("deployer: %d of %d reports after %v", len(got), len(hosts), timeout)
-		}
+	r.pace = d.phase(time.Now().Add(r.timeout))
+	r.take(d, nil)
+}
+
+// take adds a report that answers this round; the last one missing ends
+// the round.
+func (r *reportRound) take(d *DeployerComponent, rep *MonitoringReport) {
+	if rep != nil && rep.Round == r.round {
+		r.got[rep.Host] = *rep
 	}
+	if len(r.got) >= len(r.hosts) {
+		d.recordReportOutcomes(r)
+		r.end(d, nil)
+	}
+}
+
+// tick re-requests every live host still missing, or ends the round.
+func (r *reportRound) tick(d *DeployerComponent, expired bool) {
+	if expired {
+		d.recordReportOutcomes(r)
+		r.end(d, fmt.Errorf("deployer: %d of %d reports after %v", len(r.got), len(r.hosts), r.timeout))
+		return
+	}
+	dead := d.deadAmong(r.hosts)
+	for _, h := range r.hosts {
+		if _, ok := r.got[h]; ok || slices.Contains(dead, h) {
+			continue
+		}
+		// A re-request means the request or its report was lost: a failed
+		// send, like Enact's re-dispatch.
+		d.recordSend(h, false)
+		_ = d.sender.send(h, r.req)
+	}
+}
+
+func (r *reportRound) close(d *DeployerComponent) {
+	r.end(d, fmt.Errorf("deployer: closed with %d of %d reports", len(r.got), len(r.hosts)))
+}
+
+func (r *reportRound) end(d *DeployerComponent, err error) {
+	d.drop(r)
+	r.done <- err
 }
 
 // recordReportOutcomes feeds the health score one end-to-end outcome
-// per polled host: an answered report request is the strongest positive
-// evidence the deployer gets (the full round trip worked), and an
-// unanswered one is the canonical gray-failure signal — the host may
+// per host a round polled: an answered report request is the strongest
+// positive evidence the deployer gets (the full round trip worked), and
+// an unanswered one is the canonical gray-failure signal — the host may
 // still be heartbeating while silently dropping our requests or its
 // replies. Not recorded on the shutdown path, where silence proves
 // nothing.
-func (d *DeployerComponent) recordReportOutcomes(hosts []model.HostID) {
-	got := d.snapshotReports()
-	for _, h := range hosts {
+func (d *DeployerComponent) recordReportOutcomes(r *reportRound) {
+	for _, h := range r.hosts {
 		if h != d.arch.Host() {
-			_, ok := got[h]
+			_, ok := r.got[h]
 			d.recordSend(h, ok)
 		}
 	}
-}
-
-func (d *DeployerComponent) snapshotReports() map[model.HostID]MonitoringReport {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[model.HostID]MonitoringReport, len(d.reports))
-	for h, r := range d.reports {
-		out[h] = r
-	}
-	return out
 }
 
 // EnactResult summarizes a completed redeployment wave.
@@ -386,134 +393,70 @@ func (d *DeployerComponent) Enact(moves map[string]model.HostID, current map[str
 	if err != nil || c.res.Moved == 0 {
 		return EnactResult{Epoch: epoch, Committed: err == nil}, err
 	}
-	d.newWaveShell(c).run()
+	d.drive(c)
 	return c.res, c.err
 }
 
-// waveShell is the I/O half of the two-phase wave, the one loop Enact
-// and Resume drive their waves with. It owns the deadline timer and the
-// re-drive ticker, feeds each wave its inputs — the frames Handle routes
-// to it, deaths, ticks, lost leadership, shutdown — and performs the
-// outputs in order: sends, appends (each result goes straight back to
-// the wave), spans, and a finished wave's bookkeeping.
-type waveShell struct {
-	d     *DeployerComponent
-	waves []*shellWave
-	inbox []waveInput // routed by other goroutines, under d.mu
-	wake  chan struct{}
-}
-
+// shellWave is a wave's record: its core, its open spans, and the pace
+// of the wave's phase under way.
 type shellWave struct {
 	*waveCore
+	pace
 	spans []*obs.Span // open, outermost first
 	// start is read from the injected clock (AdminConfig.Clock), so wave
 	// durations are byte-identical across same-seed traced drills.
 	start time.Time
+	done  chan struct{}
 }
 
-// newWaveShell registers a shell for the waves, so Handle and
-// NoteHostDead reach them.
-func (d *DeployerComponent) newWaveShell(cores ...*waveCore) *waveShell {
-	sh := &waveShell{d: d, wake: make(chan struct{}, 1)}
-	for _, c := range cores {
-		sh.waves = append(sh.waves, &shellWave{waveCore: c, start: d.cfg.Clock()})
+// drive hands waves to the deployer loop and waits until each finished.
+func (d *DeployerComponent) drive(cores ...*waveCore) {
+	ws := make([]*shellWave, len(cores))
+	for i, c := range cores {
+		ws[i] = &shellWave{waveCore: c, start: d.cfg.Clock(), done: make(chan struct{})}
 	}
-	d.mu.Lock()
-	d.shells[sh] = true
-	d.mu.Unlock()
-	return sh
+	d.post(func() {
+		for _, w := range ws {
+			d.open(w)
+		}
+	}, true)
+	for _, w := range ws {
+		<-w.done
+	}
 }
 
-// feedWave hands an input to every running shell; each routes it to the
-// wave it names, and a frame naming no wave in flight is a straggler.
+func (w *shellWave) open(d *DeployerComponent) {
+	d.feed(w, waveInput{kind: inStart, dead: d.deadAmong(w.parts)})
+}
+
+// tick re-drives the wave — as a fence once the quorum moved past our
+// term, since every agent rejects our frames then — or expires it.
+func (w *shellWave) tick(d *DeployerComponent, expired bool) {
+	if !expired && d.deposed() {
+		d.feed(w, waveInput{kind: inDeposed, term: d.term()})
+	} else {
+		d.feed(w, waveInput{kind: inTick})
+	}
+}
+
+func (w *shellWave) close(d *DeployerComponent) { d.feed(w, waveInput{kind: inClosed}) }
+
+// feedWave hands the loop an input for the waves it names (epoch zero
+// names all); one naming no open wave is a straggler.
 func (d *DeployerComponent) feedWave(in waveInput) {
-	d.mu.Lock()
-	shells := make([]*waveShell, 0, len(d.shells))
-	for sh := range d.shells {
-		sh.inbox = append(sh.inbox, in)
-		shells = append(shells, sh)
-	}
-	d.mu.Unlock()
-	for _, sh := range shells {
-		select {
-		case sh.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// run drives the shell's waves until every one has finished.
-func (sh *waveShell) run() {
-	d := sh.d
-	defer func() {
-		d.mu.Lock()
-		delete(d.shells, sh)
-		d.mu.Unlock()
-	}()
-	for _, w := range sh.waves {
-		sh.feed(w, waveInput{kind: inStart, dead: d.deadAmong(w.parts)})
-	}
-	resend := time.NewTicker(d.cfg.EnactResendInterval)
-	defer func() { resend.Stop() }()
-	stop := d.stop
-	var phase time.Time
-	for {
-		// Every unfinished wave is waiting out a deadline.
-		var due time.Time
-		for _, w := range sh.waves {
-			if !w.finished() && (due.IsZero() || w.deadline.Before(due)) {
-				due = w.deadline
+	d.post(func() {
+		each(d, func(w *shellWave) {
+			if in.epoch == 0 || in.epoch == w.epoch {
+				d.feed(w, in)
 			}
-		}
-		if due.IsZero() {
-			return
-		}
-		if !due.Equal(phase) {
-			// A phase began: its first re-drive is a full interval away.
-			resend.Stop()
-			resend, phase = time.NewTicker(d.cfg.EnactResendInterval), due
-		}
-		deadline := time.NewTimer(time.Until(due))
-		select {
-		case <-stop:
-			stop = nil
-			sh.route(waveInput{kind: inClosed})
-		case <-sh.wake:
-			d.mu.Lock()
-			inbox := sh.inbox
-			sh.inbox = nil
-			d.mu.Unlock()
-			for _, in := range inbox {
-				sh.route(in)
-			}
-		case <-resend.C:
-			if d.deposed() {
-				// The quorum moved past our term: every agent fences us.
-				sh.route(waveInput{kind: inDeposed, term: d.term()})
-			} else {
-				sh.route(waveInput{kind: inTick})
-			}
-		case <-deadline.C:
-			// The earliest wave expires; any other takes it as a re-drive.
-			sh.route(waveInput{kind: inTick})
-		}
-		deadline.Stop()
-	}
-}
-
-// route feeds an input to the unfinished waves it names.
-func (sh *waveShell) route(in waveInput) {
-	for _, w := range sh.waves {
-		if !w.finished() && (in.epoch == 0 || in.epoch == w.epoch) {
-			sh.feed(w, in)
-		}
-	}
+		})
+	}, false)
 }
 
 // feed steps one wave and performs its outputs; an append's result is the
-// wave's next input.
-func (sh *waveShell) feed(w *shellWave, in waveInput) {
-	d := sh.d
+// wave's next input. A finished wave leaves the loop and releases its
+// caller.
+func (d *DeployerComponent) feed(w *shellWave, in waveInput) {
 	for more := true; more; {
 		in.now, more = time.Now(), false
 		for _, o := range w.step(in) {
@@ -540,7 +483,139 @@ func (sh *waveShell) feed(w *shellWave, in waveInput) {
 				w.spans = w.spans[:len(w.spans)-1]
 			case outFinish:
 				d.settleWave(w)
+				d.drop(w)
+				close(w.done)
 			}
+		}
+	}
+	if !w.waveCore.deadline.Equal(w.pace.deadline) {
+		w.pace = d.phase(w.waveCore.deadline)
+	}
+}
+
+// record is one exchange the deployer loop waits out: a wave, the lease
+// campaign or a report round.
+type record interface {
+	clock() *pace
+	open(d *DeployerComponent)
+	// tick re-drives the record, or ends its phase once expired.
+	tick(d *DeployerComponent, expired bool)
+	close(d *DeployerComponent)
+}
+
+// pace is a record's phase clock: the phase's deadline, and its next
+// re-drive — one EnactResendInterval after the phase began, then one
+// every interval.
+type pace struct{ deadline, next time.Time }
+
+func (p *pace) clock() *pace { return p }
+
+// at is when the record next needs the loop.
+func (p *pace) at() time.Time {
+	if p.next.Before(p.deadline) {
+		return p.next
+	}
+	return p.deadline
+}
+
+// phase paces a phase that begins now.
+func (d *DeployerComponent) phase(deadline time.Time) pace {
+	return pace{deadline, time.Now().Add(d.cfg.EnactResendInterval)}
+}
+
+// post hands the deployer loop an input. A call opens a record, and
+// starts the loop when none runs; any other input with no loop running
+// names no open record and is dropped.
+func (d *DeployerComponent) post(in func(), call bool) {
+	d.mu.Lock()
+	start := call && !d.running
+	if d.running || call {
+		d.inbox = append(d.inbox, in)
+		d.running = true
+	}
+	d.mu.Unlock()
+	if start {
+		go d.run()
+		return
+	}
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
+}
+
+// run is the deployer loop, the one goroutine that waits out every
+// exchange the deployer drives. It runs its inbox in order, then arms one
+// timer at the earliest deadline or re-drive of any open record, and
+// exits once none is open. A lease frame steps the core on the receive
+// goroutine and reaches the loop only as a campaign's finish; the store's
+// appends offer their records to the standbys synchronously.
+func (d *DeployerComponent) run() {
+	for {
+		d.mu.Lock()
+		inbox, open := d.inbox, d.records
+		d.inbox = nil
+		d.running = len(inbox) > 0 || len(open) > 0
+		d.mu.Unlock()
+		switch {
+		case len(inbox) > 0:
+			for _, in := range inbox {
+				in()
+			}
+			continue
+		case len(open) == 0:
+			return
+		}
+		when := open[0].clock().at()
+		for _, r := range open[1:] {
+			if t := r.clock().at(); t.Before(when) {
+				when = t
+			}
+		}
+		timer := time.NewTimer(time.Until(when))
+		select {
+		case <-d.wake:
+		case now := <-timer.C:
+			for _, r := range open {
+				switch p := r.clock(); {
+				case !now.Before(p.deadline):
+					r.tick(d, true)
+				case !now.Before(p.next):
+					for !now.Before(p.next) {
+						p.next = p.next.Add(d.cfg.EnactResendInterval)
+					}
+					r.tick(d, false)
+				}
+			}
+		}
+		timer.Stop()
+	}
+}
+
+// open adds a record to the loop and starts it; on a closed deployer it
+// ends at once.
+func (d *DeployerComponent) open(r record) {
+	d.mu.Lock()
+	d.records = append(d.records, r)
+	d.mu.Unlock()
+	if r.open(d); d.closed && slices.Contains(d.records, r) {
+		r.close(d)
+	}
+}
+
+// drop removes a record from the loop. The list is copied: a pass over
+// the old one may be under way.
+func (d *DeployerComponent) drop(r record) {
+	d.mu.Lock()
+	d.records = slices.DeleteFunc(slices.Clone(d.records), func(x record) bool { return x == r })
+	d.mu.Unlock()
+}
+
+// each calls f with every open record of type T.
+func each[T record](d *DeployerComponent, f func(T)) {
+	for _, r := range d.records {
+		if t, ok := r.(T); ok {
+			f(t)
 		}
 	}
 }

@@ -95,12 +95,11 @@ func TestDegradedReMarkedAfterSuspectLapse(t *testing.T) {
 // host is never scored.
 func TestDeployerReportOutcomesFeedHealth(t *testing.T) {
 	dep, fd, _ := healthWorld(t)
-	dep.mu.Lock()
-	dep.reports = map[model.HostID]MonitoringReport{"b": {Host: "b"}}
-	dep.mu.Unlock()
+	round := &reportRound{hosts: []model.HostID{"a", "b", "c"},
+		got: map[model.HostID]MonitoringReport{"b": {Host: "b"}}}
 
 	for i := 0; i < 10; i++ {
-		dep.recordReportOutcomes([]model.HostID{"a", "b", "c"})
+		dep.recordReportOutcomes(round)
 	}
 	scores := fd.Scores()
 	if s := scores["b"]; s != 1 {

@@ -672,9 +672,9 @@ type ResumedWave struct {
 // broadcasts that. Each wave keeps its ORIGINAL coordinator identity,
 // which the participants keyed their two-phase state by; this deployer
 // stamps itself as ReplyTo so acks and bounces reach the live leader. No
-// epoch is ever re-planned or re-dispatched. All open waves run through
-// one shell together, so a straggler costs one ack budget, not one per
-// wave. Waves whose outcome is fully acknowledged are closed in the log;
+// epoch is ever re-planned or re-dispatched. All open waves run in the
+// deployer loop together, so a straggler costs one ack budget, not one
+// per wave. Waves whose outcome is fully acknowledged are closed in the log;
 // stragglers stay open for the next restart.
 func (d *DeployerComponent) Resume() ([]ResumedWave, error) {
 	d.mu.Lock()
@@ -692,7 +692,7 @@ func (d *DeployerComponent) Resume() ([]ResumedWave, error) {
 	for _, wv := range ds.OpenWaves() {
 		cores = append(cores, resumeWave(wv, d.arch.Host(), term, d.cfg.OutcomeAckTimeout))
 	}
-	d.newWaveShell(cores...).run()
+	d.drive(cores...)
 	var out []ResumedWave
 	var errs []error
 	for _, c := range cores {

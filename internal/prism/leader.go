@@ -107,29 +107,22 @@ type LeaderConfig struct {
 	// selects the default.
 	LeaseTTL time.Duration
 	// CampaignTimeout bounds one Campaign call, which keeps
-	// re-broadcasting the same term until quorum or timeout (so lease
-	// expiry during the campaign is absorbed without burning terms).
-	// Zero selects the default.
+	// re-broadcasting the same term every EnactResendInterval until quorum
+	// or timeout (so lease expiry during the campaign is absorbed without
+	// burning terms). Zero selects the default.
 	CampaignTimeout time.Duration
-	// RebroadcastInterval paces the campaign re-broadcast and is also the
-	// natural cadence for ReplicationTick in live binaries. Zero selects
-	// the admin layer's EnactResendInterval.
-	RebroadcastInterval time.Duration
 	// Clock supplies every time read of the lease arithmetic and the
 	// standby's leader watch (suspect after 2×LeaseTTL of silence, dead
 	// after 4×); nil inherits the deployer's AdminConfig clock.
 	Clock func() time.Time
 }
 
-func (c LeaderConfig) withDefaults(adminClock func() time.Time, resend time.Duration) LeaderConfig {
+func (c LeaderConfig) withDefaults(adminClock func() time.Time) LeaderConfig {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = DefaultLeaseTTL
 	}
 	if c.CampaignTimeout <= 0 {
 		c.CampaignTimeout = DefaultCampaignTimeout
-	}
-	if c.RebroadcastInterval <= 0 {
-		c.RebroadcastInterval = resend
 	}
 	if c.Clock == nil {
 		c.Clock = adminClock
@@ -139,15 +132,14 @@ func (c LeaderConfig) withDefaults(adminClock func() time.Time, resend time.Dura
 
 // Leadership is the shell around a deployer's leaseCore (lease.go): it
 // feeds the core frames, calls and ticks, and performs its outputs —
-// sends, term appends, replicated-log ingest, and a campaign's end.
+// sends, term appends, replicated-log ingest, and a campaign's end, which
+// goes to the deployer loop that waits out the campaign.
 type Leadership struct {
 	dep *DeployerComponent
 	cfg LeaderConfig
 
-	mu    sync.Mutex
-	core  leaseCore
-	ended *leaseOutput  // the campaign's finish, for the Campaign loop
-	wake  chan struct{} // poked when ended is set
+	mu   sync.Mutex
+	core leaseCore
 }
 
 // AttachLeadership wires the deployer into the leadership protocol. The
@@ -157,7 +149,7 @@ type Leadership struct {
 // leader for 2×LeaseTTL suspects one, known or not. Call before the
 // first Campaign.
 func (d *DeployerComponent) AttachLeadership(cfg LeaderConfig) (*Leadership, error) {
-	cfg = cfg.withDefaults(d.cfg.Clock, d.cfg.EnactResendInterval)
+	cfg = cfg.withDefaults(d.cfg.Clock)
 	if len(cfg.Agents) == 0 {
 		return nil, fmt.Errorf("prism: leadership needs a non-empty agent set")
 	}
@@ -166,7 +158,7 @@ func (d *DeployerComponent) AttachLeadership(cfg LeaderConfig) (*Leadership, err
 	if ds != nil {
 		term = ds.Term()
 	}
-	le := &Leadership{dep: d, cfg: cfg, wake: make(chan struct{}, 1),
+	le := &Leadership{dep: d, cfg: cfg,
 		core: newLeaseCore(d.arch.Host(), cfg.Agents, cfg.Peers, cfg.LeaseTTL, cfg.CampaignTimeout, term, cfg.Clock())}
 	le.setTermGauge(term)
 	d.mu.Lock()
@@ -245,48 +237,54 @@ func (le *Leadership) Campaign() (bool, error) {
 	return le.campaign(sp)
 }
 
-// campaign is the campaign's one wait loop: the deadline, the
-// re-broadcast ticker, and the wake-up of a finish another goroutine's
-// input caused.
+// campaign hands the campaign to the deployer loop, which re-broadcasts
+// and waits out its deadline, and interprets its finish.
 func (le *Leadership) campaign(sp *obs.Span) (bool, error) {
-	le.feed(leaseInput{kind: lCampaign})
-	resend := time.NewTicker(le.cfg.RebroadcastInterval)
-	defer resend.Stop()
-	stop := le.dep.stop
-	for {
-		le.mu.Lock()
-		f, due := le.ended, le.core.due
-		le.ended = nil
-		le.mu.Unlock()
-		if f != nil {
-			sp.SetAttr("term", f.term).SetAttr("outcome", f.outcome)
-			switch f.outcome {
-			case "won":
-				sp.SetAttr("grants", f.grants)
-				return true, nil
-			case "already_leading":
-				return true, nil
-			case "timeout":
-				return false, fmt.Errorf("campaign for term %d: %w", f.term, ErrNoQuorum)
-			case "closed":
-				return false, fmt.Errorf("prism: deployer closed mid-campaign")
-			}
-			return false, nil // superseded: someone else won a later election
+	d, ch := le.dep, make(chan leaseOutput, 1)
+	d.post(func() {
+		var open *campaign
+		each(d, func(c *campaign) { open = c })
+		if open != nil {
+			// At most one campaign: a second bump of the term would
+			// strand the first caller's record.
+			open.waiters = append(open.waiters, ch)
+			return
 		}
-		deadline := time.NewTimer(time.Until(due))
-		select {
-		case <-le.wake:
-		case <-resend.C:
-			le.feed(leaseInput{kind: lTick})
-		case <-deadline.C:
-			le.feed(leaseInput{kind: lTick})
-		case <-stop:
-			stop = nil
-			le.feed(leaseInput{kind: lClosed})
-		}
-		deadline.Stop()
+		d.open(&campaign{le: le, waiters: []chan leaseOutput{ch}})
+	}, true)
+	f := <-ch
+	sp.SetAttr("term", f.term).SetAttr("outcome", f.outcome)
+	switch f.outcome {
+	case "won":
+		sp.SetAttr("grants", f.grants)
+		return true, nil
+	case "already_leading":
+		return true, nil
+	case "timeout":
+		return false, fmt.Errorf("campaign for term %d: %w", f.term, ErrNoQuorum)
+	case "closed":
+		return false, fmt.Errorf("prism: deployer closed mid-campaign")
 	}
+	return false, nil // superseded: someone else won a later election
 }
+
+// campaign is the lease campaign's record in the deployer loop, with the
+// Campaign callers awaiting its finish.
+type campaign struct {
+	pace
+	le      *Leadership
+	waiters []chan leaseOutput
+}
+
+func (c *campaign) open(d *DeployerComponent) {
+	c.le.feed(leaseInput{kind: lCampaign})
+	c.pace = d.phase(time.Now().Add(c.le.cfg.CampaignTimeout))
+}
+
+// tick re-broadcasts to the agents that have not granted, or times out.
+func (c *campaign) tick(*DeployerComponent, bool) { c.le.feed(leaseInput{kind: lTick}) }
+
+func (c *campaign) close(*DeployerComponent) { c.le.feed(leaseInput{kind: lClosed}) }
 
 // feed steps the core and performs its outputs in order.
 func (le *Leadership) feed(in leaseInput) {
@@ -348,13 +346,14 @@ func (le *Leadership) perform(outs []leaseOutput) {
 			}
 			le.feed(leaseInput{kind: lLog, recs: recs})
 		case lFinish:
-			le.mu.Lock()
-			le.ended = &o
-			le.mu.Unlock()
-			select {
-			case le.wake <- struct{}{}:
-			default:
-			}
+			d.post(func() {
+				each(d, func(c *campaign) {
+					d.drop(c)
+					for _, ch := range c.waiters {
+						ch <- o
+					}
+				})
+			}, false)
 		}
 	}
 }

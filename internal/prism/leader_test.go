@@ -53,8 +53,8 @@ func newHAWorld(t *testing.T, hosts ...model.HostID) *haWorld {
 	return newHAWorldOn(t, newWorld(t, 1.0, hosts...), 20*time.Millisecond, hosts...)
 }
 
-// newHAWorldOn builds the haWorld over w, re-broadcasting campaigns at
-// the given interval.
+// newHAWorldOn builds the haWorld over w, with the deployers re-driving
+// campaigns (and every other exchange) at the given interval.
 func newHAWorldOn(t *testing.T, w *world, rebroadcast time.Duration, hosts ...model.HostID) *haWorld {
 	t.Helper()
 	clk := newTestClock()
@@ -65,7 +65,8 @@ func newHAWorldOn(t *testing.T, w *world, rebroadcast time.Duration, hosts ...mo
 		master:   hosts[0],
 	}
 	dw.registry.Register("counter", func(id string) Migratable { return newCounter(id) })
-	cfg := AdminConfig{Deployer: dw.master, Bus: "bus", Registry: dw.registry, Clock: clk.Now}
+	cfg := AdminConfig{Deployer: dw.master, Bus: "bus", Registry: dw.registry, Clock: clk.Now,
+		EnactResendInterval: rebroadcast}
 	for _, h := range hosts {
 		admin, err := InstallAdmin(w.archs[h], cfg)
 		if err != nil {
@@ -81,8 +82,7 @@ func newHAWorldOn(t *testing.T, w *world, rebroadcast time.Duration, hosts ...mo
 	}
 	lcfg := LeaderConfig{
 		Agents: hosts, Clock: clk.Now,
-		RebroadcastInterval: rebroadcast,
-		CampaignTimeout:     5 * time.Second,
+		CampaignTimeout: 5 * time.Second,
 	}
 	for i, h := range hosts[:2] {
 		dep, err := InstallDeployer(w.archs[h], cfg)

@@ -125,9 +125,7 @@ func (fw *faultWorld) placement(comps ...string) map[string][]model.HostID {
 }
 
 func (fw *faultWorld) epochsOutstanding() int {
-	fw.deployer.mu.Lock()
-	defer fw.deployer.mu.Unlock()
-	return len(fw.deployer.shells)
+	return len(openRecords[*shellWave](fw.deployer))
 }
 
 // wave20 is the acceptance scenario: four hosts, four migrating
