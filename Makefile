@@ -72,9 +72,11 @@ soak:
 # bytes — the event codecs (gob and binary, ack spans included), the TCP
 # stream framing (hello, length prefix, maxFrameBytes), the dedup window
 # that sequence numbers and imported spans land in (against the
-# map-based reference model), and the deployer's write-ahead log replay
+# map-based reference model), the deployer's write-ahead log replay
 # (a refused open leaves the file byte-identical; a kept prefix drops
-# only a genuine torn record). The seed corpora already run as plain
+# only a genuine torn record), and the deployer store's record decoding
+# through Open and Ingest (a refused record leaves the log
+# byte-identical; an accepted one gives canonical live records). The seed corpora already run as plain
 # unit tests inside `make test`.
 FUZZTIME ?= 10s
 fuzz:
@@ -82,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzBinaryDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzTCPReadLoop -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzDedupWindow -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzDeployerStore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME)
 
 bench:

@@ -65,8 +65,6 @@ type ReconfigCommand struct {
 	Term uint64
 	// Gen is the goal-state generation this host reaches if the wave
 	// commits (a wave is a fenced generation bump; see goalstate.go).
-	// Zero on frames from a pre-goal-state deployer — the gob-compatible
-	// version-skew path.
 	Gen uint64
 }
 
@@ -140,7 +138,7 @@ type WaveOutcome struct {
 	ReplyTo model.HostID
 	// Gens publishes the participants' goal-state generations reached by
 	// this commit (the generation-bump half of wave-on-goal-state). Nil
-	// on frames from a pre-goal-state deployer and on aborts.
+	// on aborts.
 	Gens map[model.HostID]uint64
 }
 
@@ -151,22 +149,13 @@ type OutcomeAck struct {
 	Host  model.HostID
 }
 
-// registerControlPayloads makes the protocol payloads gob-encodable when
-// events cross host boundaries.
+// registerControlPayloads makes the control payloads that still travel
+// on gob encodable when events cross host boundaries; the wave and
+// leadership payloads ride the binary codec's control family.
 func registerControlPayloads() {
 	registerRelayPayload()
-	gob.Register(LeaseRequest{})
-	gob.Register(LeaseGrant{})
-	gob.Register(ReplBatch{})
-	gob.Register(ReplAck{})
 	gob.Register(MonitoringReport{})
 	gob.Register(ReportRequest{})
-	gob.Register(ReconfigCommand{})
-	gob.Register(FetchRequest{})
-	gob.Register(TransferPayload{})
-	gob.Register(DoneReport{})
-	gob.Register(WaveOutcome{})
-	gob.Register(OutcomeAck{})
 	gob.Register(Heartbeat{})
 	// Goal-state payloads normally ride the binary codec; the gob
 	// registrations keep relay envelopes and test harnesses general.

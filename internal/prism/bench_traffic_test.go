@@ -72,6 +72,45 @@ func BenchmarkDecodeEventGob(b *testing.B) {
 	}
 }
 
+// BenchmarkControlCodec times the wave's smallest and largest control
+// frames — a committed outcome and a 64 KiB component transfer — through
+// the binary control family and through gob.
+func BenchmarkControlCodec(b *testing.B) {
+	codecs := []struct {
+		name string
+		enc  func(Event) ([]byte, error)
+		dec  func([]byte) (Event, error)
+	}{
+		{"binary", EncodeEvent, decodeBinaryEvent},
+		{"gob", encodeEventGob, decodeEventGob},
+	}
+	for _, frame := range []struct{ name, event string }{{"outcome", "outcome commit"}, {"transfer64k", "transfer"}} {
+		e := codecCases()[frame.event]
+		for _, c := range codecs {
+			data, err := c.enc(e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(frame.name+"/"+c.name+"/encode", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.enc(e); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(frame.name+"/"+c.name+"/decode", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.dec(data); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // trafficResult is one sustained loopback run's outcome.
 type trafficResult struct {
 	EventsPerSec float64

@@ -5,30 +5,33 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"time"
 
 	"dif/internal/model"
 )
 
 // Wire format (binary codec v1)
 //
-// The event hot path — stamped application traffic, acks, bounces —
-// is encoded with a hand-rolled, length-delimited binary layout instead
-// of gob: no reflection, no per-frame encoder state, near-zero decode
-// allocations. Gob remains the codec for arbitrary payloads (control
-// plane TransferPayload, MonitoringReport, application payload values)
-// so nothing loses generality.
+// Everything the data plane and the redeployment and failover journeys
+// put on the wire — stamped application traffic, acks, bounces,
+// goal-state frames and the wave and lease control frames — is encoded
+// with a hand-rolled, length-delimited binary layout instead of gob: no
+// reflection, no per-frame encoder state, near-zero decode allocations.
+// Gob remains the codec for heartbeats, monitoring reports and their
+// requests, relay envelopes and application payload values.
 //
 // Frame selection happens on the first byte. A gob stream's first byte
 // is a message-length uint, which gob encodes either as a single byte
 // <= 0x7F or as a negated byte count in 0xF8..0xFF; bytes in
 // 0x80..0xF7 can never start a gob stream. The binary codec claims
 // 0xB1 ("Binary v1") from that dead zone, so binary and gob frames
-// coexist on one connection and an old peer's frames still decode.
+// coexist on one connection.
 //
 //	[0]  tag 0xB1
 //	[1]  flags:  bits0-2  payload kind (0 none, 1 reserved, 2 AppBounce,
-//	                      3 AppAckBatch, 4 goal-state)
+//	                      3 AppAckBatch, 4 goal-state, 5 control)
 //	             bit3     has SizeKB (8-byte LE float64 follows strings)
 //	             bit4     has delivery stamp (Seq/SeqOrigin/SeqInc)
 //	             bit5     has Hops
@@ -37,7 +40,7 @@ import (
 //	     [SizeKB float64 LE]                     (flag bit3)
 //	     [Seq uvarint, SeqOrigin string, SeqInc uvarint]  (bit4)
 //	     [Hops uvarint]                          (bit5)
-//	     payload per kind (see appendPayload/decodePayload)
+//	     payload per kind (see AppendEvent/decodeBinaryEvent)
 //
 // An AppAckBatch range is Target, Inc, Floor, nSpans, then per span the
 // uvarint pair (Lo - prev, Hi - Lo), prev being the Floor for the first
@@ -47,12 +50,20 @@ import (
 // bytes, sequence overflow and spans that do not ascend are errors,
 // never panics (FuzzBinaryDecodeEvent enforces it).
 //
-// The goal-state kind (4) is the self-describing control family:
-// its payload opens with a schema version uvarint and an op byte
-// (announce/delta/ack) and closes with a length-prefixed extension
-// tail, so same-version peers can append fields without breaking old
-// decoders and newer major versions are rejected cleanly — the wire
-// contract that makes rolling upgrades possible (see goalstate.go).
+// The goal-state (4) and control (5) kinds are self-describing
+// families: the payload opens with a schema version uvarint and an op
+// byte and closes with a length-prefixed extension tail, so same-version
+// peers can append fields without breaking old decoders and newer
+// versions are rejected cleanly — the wire contract that makes rolling
+// upgrades possible (see goalstate.go). The control family carries the
+// wave (reconfig, fetch, transfer, done, outcome, outcome ack) and the
+// leadership (lease request, grant, replication batch, ack) payloads,
+// with these field encodings shared with the deployer's write-ahead
+// log (durable.go): ints are zigzag varints, bools one byte 0/1, SizeKB
+// 8-byte LE float64 bits, byte fields uvarint-length-prefixed, maps a
+// count then entries in strictly ascending key order, and a dedup
+// snapshot an origin then AppAckBatch-shaped ranges. Empty maps and
+// slices decode as nil, and decoded byte fields never alias the frame.
 
 // binTag is the first byte of every binary-codec frame. Bump the tag —
 // not the layout — for incompatible revisions, so every version stays
@@ -66,6 +77,7 @@ const (
 	payAppBounce
 	payAckBatch
 	payGoalState
+	payControl
 )
 
 // Flag bits.
@@ -75,7 +87,7 @@ const (
 	flagHasHops = 1 << 5
 )
 
-var errBinTruncated = errors.New("binary event: truncated")
+var errBinTruncated = errors.New("binary: truncated")
 
 // binaryPayloadKind classifies a payload for the binary codec; ok is
 // false for payloads only gob can carry.
@@ -89,6 +101,9 @@ func binaryPayloadKind(p any) (kind byte, ok bool) {
 		return payAckBatch, true
 	case GoalAnnounce, GoalDelta, GoalAck:
 		return payGoalState, true
+	case ReconfigCommand, FetchRequest, TransferPayload, DoneReport, WaveOutcome, OutcomeAck,
+		LeaseRequest, LeaseGrant, ReplBatch, ReplAck:
+		return payControl, true
 	default:
 		return 0, false
 	}
@@ -108,6 +123,94 @@ func appendUvarint(b []byte, v uint64) []byte {
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendBytes(b []byte, p []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p)))
+	return append(b, p...)
+}
+
+func appendFloat(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+func appendStrings[S ~string](b []byte, ss []S) []byte {
+	b = appendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, string(s))
+	}
+	return b
+}
+
+// sortedKeys returns a string-keyed map's keys in ascending order: the
+// one encoding order every binary map field uses.
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// appendHostMap encodes a component → host map in ascending key order.
+func appendHostMap(b []byte, m map[string]model.HostID) []byte {
+	b = appendUvarint(b, uint64(len(m)))
+	for _, k := range sortedKeys(m) {
+		b = appendString(b, k)
+		b = appendString(b, string(m[k]))
+	}
+	return b
+}
+
+// appendHostCounts encodes a host → counter map (generations,
+// incarnations) in ascending key order.
+func appendHostCounts(b []byte, m map[model.HostID]uint64) []byte {
+	b = appendUvarint(b, uint64(len(m)))
+	for _, k := range sortedKeys(m) {
+		b = appendString(b, string(k))
+		b = appendUvarint(b, m[k])
+	}
+	return b
+}
+
+func appendAckRange(b []byte, r AckRange) []byte {
+	b = appendString(b, r.Target)
+	b = appendUvarint(b, r.Inc)
+	b = appendUvarint(b, r.Floor)
+	b = appendUvarint(b, uint64(len(r.Spans)))
+	prev := r.Floor
+	for _, s := range r.Spans {
+		b = appendUvarint(b, s.Lo-prev) // ascending: gaps only
+		b = appendUvarint(b, s.Hi-s.Lo)
+		prev = s.Hi
+	}
+	return b
+}
+
+func appendAckRanges(b []byte, rs []AckRange) []byte {
+	b = appendUvarint(b, uint64(len(rs)))
+	for _, r := range rs {
+		b = appendAckRange(b, r)
+	}
+	return b
+}
+
+func appendDedup(b []byte, ds []DedupSnapshot) []byte {
+	b = appendUvarint(b, uint64(len(ds)))
+	for _, d := range ds {
+		b = appendAckRanges(appendString(b, string(d.Origin)), d.Ranges)
+	}
+	return b
 }
 
 // AppendEvent appends the binary encoding of e to dst and returns the
@@ -134,7 +237,7 @@ func AppendEvent(dst []byte, e Event) ([]byte, error) {
 	dst = appendString(dst, string(e.SrcHost))
 	dst = appendString(dst, string(e.DstHost))
 	if flags&flagHasSize != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.SizeKB))
+		dst = appendFloat(dst, e.SizeKB)
 	}
 	if flags&flagHasSeq != 0 {
 		dst = appendUvarint(dst, e.Seq)
@@ -151,226 +254,446 @@ func AppendEvent(dst []byte, e Event) ([]byte, error) {
 		dst = appendUvarint(dst, p.Seq)
 		dst = appendString(dst, string(p.Location))
 	case AppAckBatch:
-		dst = appendString(dst, string(p.Host))
-		dst = appendUvarint(dst, uint64(len(p.Ranges)))
-		for _, r := range p.Ranges {
-			dst = appendString(dst, r.Target)
-			dst = appendUvarint(dst, r.Inc)
-			dst = appendUvarint(dst, r.Floor)
-			dst = appendUvarint(dst, uint64(len(r.Spans)))
-			prev := r.Floor
-			for _, s := range r.Spans {
-				dst = appendUvarint(dst, s.Lo-prev) // ascending: gaps only
-				dst = appendUvarint(dst, s.Hi-s.Lo)
-				prev = s.Hi
-			}
-		}
+		dst = appendAckRanges(appendString(dst, string(p.Host)), p.Ranges)
 	case GoalAnnounce, GoalDelta, GoalAck:
 		dst = appendGoalPayload(dst, p)
+	default:
+		if kind == payControl {
+			dst = appendControlPayload(dst, p)
+		}
 	}
 	return dst, nil
 }
 
-// binReader walks a binary frame with strict bounds checking.
+// binReader walks a binary frame with strict bounds checking. Errors
+// are sticky: after the first, every read returns a zero value and err
+// keeps the first cause, so decoders check once per record.
 type binReader struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (r *binReader) byte() (byte, error) {
-	if r.off >= len(r.b) {
-		return 0, errBinTruncated
+func (r *binReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+func (r *binReader) failf(format string, args ...any) {
+	r.fail(fmt.Errorf(format, args...))
+}
+
+func (r *binReader) byte() byte {
+	if r.err != nil || r.off >= len(r.b) {
+		r.fail(errBinTruncated)
+		return 0
 	}
 	c := r.b[r.off]
 	r.off++
-	return c, nil
+	return c
 }
 
-func (r *binReader) uvarint() (uint64, error) {
+func (r *binReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, errBinTruncated
+		r.fail(errBinTruncated)
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
-func (r *binReader) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(r.b)-r.off) {
-		return nil, errBinTruncated
+func (r *binReader) int() int {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b[r.off:])
+	if n <= 0 || v != int64(int(v)) {
+		r.fail(errBinTruncated)
+		return 0
+	}
+	r.off += n
+	return int(v)
+}
+
+func (r *binReader) bool() bool {
+	switch c := r.byte(); c {
+	case 0, 1:
+		return c == 1
+	default:
+		r.failf("binary: bool byte %d", c)
+		return false
+	}
+}
+
+// bytes returns the next n bytes, aliasing the frame.
+func (r *binReader) bytes(n uint64) []byte {
+	if r.err != nil || n > uint64(len(r.b)-r.off) {
+		r.fail(errBinTruncated)
+		return nil
 	}
 	out := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return out, nil
+	return out
 }
 
-func (r *binReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
+// blob returns a length-prefixed byte field as a copy (nil when empty),
+// so a decoded value never aliases a frame its reader may reuse.
+func (r *binReader) blob() []byte {
+	raw := r.bytes(r.uvarint())
+	if len(raw) == 0 {
+		return nil
 	}
-	raw, err := r.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return internString(raw), nil
+	return slices.Clone(raw)
 }
 
-func (r *binReader) float64() (float64, error) {
-	raw, err := r.bytes(8)
-	if err != nil {
-		return 0, err
+func (r *binReader) str() string {
+	return internString(r.bytes(r.uvarint()))
+}
+
+func (r *binReader) host() model.HostID { return model.HostID(r.str()) }
+
+func (r *binReader) float64() float64 {
+	raw := r.bytes(8)
+	if raw == nil {
+		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw)), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw))
+}
+
+// count reads a list length, bounded by the bytes left: every entry
+// takes at least one, so a larger claim is corruption and must not
+// size an allocation.
+func (r *binReader) count(what string) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)-r.off) {
+		r.failf("binary: %d %s exceed frame", n, what)
+		return 0
+	}
+	return int(n)
+}
+
+// skipTail skips a family payload's length-prefixed extension tail.
+func (r *binReader) skipTail() { r.bytes(r.uvarint()) }
+
+func readStrings[S ~string](r *binReader) []S {
+	n := r.count("list entries")
+	var out []S
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, S(r.str()))
+	}
+	return out
+}
+
+// ascending enforces the canonical map order: strictly ascending keys,
+// so a decoded map re-encodes to the bytes it came from.
+func (r *binReader) ascending(i int, prev, key string) {
+	if i > 0 && key <= prev {
+		r.failf("binary: map key %q not above %q", key, prev)
+	}
+}
+
+func (r *binReader) hostMap() map[string]model.HostID {
+	n := r.count("map entries")
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]model.HostID, n)
+	prev := ""
+	for i := 0; i < n && r.err == nil; i++ {
+		k := r.str()
+		r.ascending(i, prev, k)
+		m[k], prev = r.host(), k
+	}
+	return m
+}
+
+func (r *binReader) hostCounts() map[model.HostID]uint64 {
+	n := r.count("map entries")
+	if n == 0 {
+		return nil
+	}
+	m := make(map[model.HostID]uint64, n)
+	prev := ""
+	for i := 0; i < n && r.err == nil; i++ {
+		k := r.str()
+		r.ascending(i, prev, k)
+		m[model.HostID(k)], prev = r.uvarint(), k
+	}
+	return m
+}
+
+func (r *binReader) ackRange() AckRange {
+	ar := AckRange{Target: r.str(), Inc: r.uvarint(), Floor: r.uvarint()}
+	n := r.count("spans")
+	if n > 0 {
+		ar.Spans = make([]SeqSpan, 0, n)
+	}
+	prev := ar.Floor
+	for j := 0; j < n && r.err == nil; j++ {
+		gap, width := r.uvarint(), r.uvarint()
+		lo := prev + gap
+		hi := lo + width
+		if gap == 0 || lo < prev || hi < lo {
+			r.failf("binary: span %d does not ascend from %d", j, prev)
+		}
+		ar.Spans = append(ar.Spans, SeqSpan{lo, hi})
+		prev = hi
+	}
+	return ar
+}
+
+func (r *binReader) ackRanges() []AckRange {
+	n := r.count("ack ranges")
+	var out []AckRange
+	if n > 0 {
+		out = make([]AckRange, 0, n)
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, r.ackRange())
+	}
+	return out
+}
+
+func (r *binReader) dedup() []DedupSnapshot {
+	n := r.count("dedup origins")
+	var out []DedupSnapshot
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, DedupSnapshot{Origin: r.host(), Ranges: r.ackRanges()})
+	}
+	return out
 }
 
 // decodeBinaryEvent decodes a frame produced by AppendEvent. It never
 // panics on corrupt input; trailing bytes are an error.
 func decodeBinaryEvent(data []byte) (Event, error) {
 	r := &binReader{b: data, off: 1} // tag already checked
-	var e Event
-	flags, err := r.byte()
-	if err != nil {
-		return Event{}, err
-	}
-	kind, err := r.byte()
-	if err != nil {
-		return Event{}, err
-	}
-	e.Kind = EventKind(kind)
-	if e.Name, err = r.str(); err != nil {
-		return Event{}, err
-	}
-	if e.Sender, err = r.str(); err != nil {
-		return Event{}, err
-	}
-	if e.Target, err = r.str(); err != nil {
-		return Event{}, err
-	}
-	var s string
-	if s, err = r.str(); err != nil {
-		return Event{}, err
-	}
-	e.SrcHost = model.HostID(s)
-	if s, err = r.str(); err != nil {
-		return Event{}, err
-	}
-	e.DstHost = model.HostID(s)
+	flags := r.byte()
+	e := Event{Kind: EventKind(r.byte()), Name: r.str(), Sender: r.str(), Target: r.str(), SrcHost: r.host(), DstHost: r.host()}
 	if flags&flagHasSize != 0 {
-		if e.SizeKB, err = r.float64(); err != nil {
-			return Event{}, err
-		}
+		e.SizeKB = r.float64()
 	}
 	if flags&flagHasSeq != 0 {
-		if e.Seq, err = r.uvarint(); err != nil {
-			return Event{}, err
-		}
-		if s, err = r.str(); err != nil {
-			return Event{}, err
-		}
-		e.SeqOrigin = model.HostID(s)
-		if e.SeqInc, err = r.uvarint(); err != nil {
-			return Event{}, err
-		}
+		e.Seq, e.SeqOrigin, e.SeqInc = r.uvarint(), r.host(), r.uvarint()
 	}
 	if flags&flagHasHops != 0 {
-		hops, err := r.uvarint()
-		if err != nil {
-			return Event{}, err
-		}
+		hops := r.uvarint()
 		if hops > math.MaxInt32 {
-			return Event{}, fmt.Errorf("binary event: hop count %d out of range", hops)
+			r.failf("binary event: hop count %d out of range", hops)
 		}
 		e.Hops = int(hops)
 	}
 	switch flags & 0x07 {
 	case payNone:
 	case payAppBounce:
-		var p AppBounce
-		if s, err = r.str(); err != nil {
-			return Event{}, err
-		}
-		p.Host = model.HostID(s)
-		if p.Target, err = r.str(); err != nil {
-			return Event{}, err
-		}
-		if p.Seq, err = r.uvarint(); err != nil {
-			return Event{}, err
-		}
-		if s, err = r.str(); err != nil {
-			return Event{}, err
-		}
-		p.Location = model.HostID(s)
-		e.Payload = p
+		e.Payload = AppBounce{Host: r.host(), Target: r.str(), Seq: r.uvarint(), Location: r.host()}
 	case payAckBatch:
-		var p AppAckBatch
-		if s, err = r.str(); err != nil {
-			return Event{}, err
-		}
-		p.Host = model.HostID(s)
-		nRanges, err := r.uvarint()
-		if err != nil {
-			return Event{}, err
-		}
-		if nRanges > uint64(len(data)) {
-			return Event{}, fmt.Errorf("binary event: %d ack ranges exceed frame", nRanges)
-		}
-		if nRanges > 0 {
-			p.Ranges = make([]AckRange, 0, nRanges)
-		}
-		for i := uint64(0); i < nRanges; i++ {
-			var ar AckRange
-			if ar.Target, err = r.str(); err != nil {
-				return Event{}, err
-			}
-			if ar.Inc, err = r.uvarint(); err != nil {
-				return Event{}, err
-			}
-			if ar.Floor, err = r.uvarint(); err != nil {
-				return Event{}, err
-			}
-			nSpans, err := r.uvarint()
-			if err != nil {
-				return Event{}, err
-			}
-			if nSpans > uint64(len(data)) {
-				return Event{}, fmt.Errorf("binary event: %d spans exceed frame", nSpans)
-			}
-			if nSpans > 0 {
-				ar.Spans = make([]SeqSpan, 0, nSpans)
-			}
-			prev := ar.Floor
-			for j := uint64(0); j < nSpans; j++ {
-				gap, err := r.uvarint()
-				if err != nil {
-					return Event{}, err
-				}
-				width, err := r.uvarint()
-				if err != nil {
-					return Event{}, err
-				}
-				lo := prev + gap
-				hi := lo + width
-				if gap == 0 || lo < prev || hi < lo {
-					return Event{}, fmt.Errorf("binary event: span %d does not ascend from %d", j, prev)
-				}
-				ar.Spans = append(ar.Spans, SeqSpan{lo, hi})
-				prev = hi
-			}
-			p.Ranges = append(p.Ranges, ar)
-		}
-		e.Payload = p
+		e.Payload = AppAckBatch{Host: r.host(), Ranges: r.ackRanges()}
 	case payGoalState:
-		if e.Payload, err = decodeGoalPayload(r); err != nil {
-			return Event{}, err
-		}
+		e.Payload, _ = decodeGoalPayload(r) // the error is r.err
+	case payControl:
+		e.Payload, _ = decodeControlPayload(r)
 	default:
-		return Event{}, fmt.Errorf("binary event: unknown payload kind %d", flags&0x07)
+		r.failf("binary event: unknown payload kind %d", flags&0x07)
+	}
+	if r.err != nil {
+		return Event{}, r.err
 	}
 	if r.off != len(data) {
 		return Event{}, fmt.Errorf("binary event: %d trailing bytes", len(data)-r.off)
 	}
 	return e, nil
+}
+
+// controlVersion is the schema version stamped on every control-family
+// payload (kind 5); the version gate and extension tail work as for the
+// goal-state family.
+const controlVersion = 1
+
+// Control-family op codes (after the version field).
+const (
+	ctlReconfig byte = iota + 1
+	ctlFetch
+	ctlTransfer
+	ctlDone
+	ctlOutcome
+	ctlOutcomeAck
+	ctlLeaseRequest
+	ctlLeaseGrant
+	ctlReplBatch
+	ctlReplAck
+)
+
+// appendControlPayload encodes a wave or leadership payload: version,
+// op, the op's fields in declaration order, then an empty extension
+// tail.
+func appendControlPayload(dst []byte, p any) []byte {
+	dst = appendUvarint(dst, controlVersion)
+	switch c := p.(type) {
+	case ReconfigCommand:
+		dst = append(dst, ctlReconfig)
+		dst = appendInt(dst, c.Epoch)
+		dst = appendHostMap(dst, c.Arrivals)
+		dst = appendString(dst, string(c.Coordinator))
+		dst = appendUvarint(dst, c.Term)
+		dst = appendUvarint(dst, c.Gen)
+	case FetchRequest:
+		dst = append(dst, ctlFetch)
+		dst = appendInt(dst, c.Epoch)
+		dst = appendString(dst, string(c.Coordinator))
+		dst = appendString(dst, c.Comp)
+		dst = appendString(dst, string(c.Requester))
+		dst = appendString(dst, string(c.Source))
+		dst = appendBool(dst, c.Mediated)
+	case TransferPayload:
+		dst = append(dst, ctlTransfer)
+		dst = appendInt(dst, c.Epoch)
+		dst = appendString(dst, string(c.Coordinator))
+		dst = appendString(dst, c.Comp)
+		dst = appendString(dst, c.TypeName)
+		dst = appendBytes(dst, c.State)
+		dst = appendFloat(dst, c.SizeKB)
+		dst = appendString(dst, string(c.FinalDst))
+		dst = appendString(dst, string(c.Source))
+		dst = appendUvarint(dst, uint64(len(c.Held)))
+		for _, h := range c.Held {
+			dst = appendBytes(dst, h)
+		}
+		dst = appendDedup(dst, c.Dedup)
+	case DoneReport:
+		dst = append(dst, ctlDone)
+		dst = appendInt(dst, c.Epoch)
+		dst = appendString(dst, string(c.Host))
+		dst = appendInt(dst, c.Received)
+	case WaveOutcome:
+		dst = append(dst, ctlOutcome)
+		dst = appendInt(dst, c.Epoch)
+		dst = appendString(dst, string(c.Coordinator))
+		dst = appendBool(dst, c.Commit)
+		dst = appendUvarint(dst, c.Term)
+		dst = appendString(dst, string(c.ReplyTo))
+		dst = appendHostCounts(dst, c.Gens)
+	case OutcomeAck:
+		dst = append(dst, ctlOutcomeAck)
+		dst = appendInt(dst, c.Epoch)
+		dst = appendString(dst, string(c.Host))
+	case LeaseRequest:
+		dst = append(dst, ctlLeaseRequest)
+		dst = appendString(dst, string(c.Candidate))
+		dst = appendUvarint(dst, c.Term)
+		dst = binary.AppendVarint(dst, int64(c.TTL))
+		dst = appendBool(dst, c.Renewal)
+	case LeaseGrant:
+		dst = append(dst, ctlLeaseGrant)
+		dst = appendString(dst, string(c.Host))
+		dst = appendUvarint(dst, c.Term)
+		dst = appendBool(dst, c.Granted)
+	case ReplBatch:
+		dst = append(dst, ctlReplBatch)
+		dst = appendString(dst, string(c.Leader))
+		dst = appendUvarint(dst, c.Term)
+		dst = appendUvarint(dst, c.Seq)
+		dst = appendBool(dst, c.Reset)
+		dst = appendUvarint(dst, uint64(len(c.Records)))
+		for _, rec := range c.Records {
+			dst = append(dst, rec.Kind)
+			dst = appendBytes(dst, rec.Data)
+		}
+	case ReplAck:
+		dst = append(dst, ctlReplAck)
+		dst = appendString(dst, string(c.Host))
+		dst = appendUvarint(dst, c.Term)
+		dst = appendUvarint(dst, c.Applied)
+	}
+	return appendUvarint(dst, 0) // extension tail: empty at v1
+}
+
+// controlSizeHint bounds a control payload's encoded size beyond the
+// event header: its byte fields and dedup spans, plus an allowance for
+// the short fields, so a component transfer — state, held frames,
+// dedup windows — or a replication batch encodes in one allocation.
+func controlSizeHint(p any) int {
+	const field = binary.MaxVarintLen64
+	n := 256
+	switch c := p.(type) {
+	case TransferPayload:
+		n += len(c.State)
+		for _, h := range c.Held {
+			n += field + len(h)
+		}
+		for _, d := range c.Dedup {
+			for _, r := range d.Ranges {
+				n += 64 + 2*field*len(r.Spans)
+			}
+		}
+	case ReplBatch:
+		for _, rec := range c.Records {
+			n += 1 + field + len(rec.Data)
+		}
+	}
+	return n
+}
+
+// decodeControlPayload decodes a control-family payload from r; the
+// error is also left in r.err. A newer version or an unknown op is
+// rejected; a same-version extension tail is skipped.
+func decodeControlPayload(r *binReader) (any, error) {
+	switch version := r.uvarint(); {
+	case r.err != nil:
+	case version > controlVersion:
+		r.failf("binary event: unsupported control version %d (this peer speaks v%d)", version, controlVersion)
+	case version == 0:
+		r.failf("binary event: control version 0 is invalid")
+	}
+	var payload any
+	switch op := r.byte(); {
+	case r.err != nil:
+	case op == ctlReconfig:
+		payload = ReconfigCommand{Epoch: r.int(), Arrivals: r.hostMap(), Coordinator: r.host(), Term: r.uvarint(), Gen: r.uvarint()}
+	case op == ctlFetch:
+		payload = FetchRequest{Epoch: r.int(), Coordinator: r.host(), Comp: r.str(), Requester: r.host(),
+			Source: r.host(), Mediated: r.bool()}
+	case op == ctlTransfer:
+		c := TransferPayload{Epoch: r.int(), Coordinator: r.host(), Comp: r.str(), TypeName: r.str(),
+			State: r.blob(), SizeKB: r.float64(), FinalDst: r.host(), Source: r.host()}
+		n := r.count("held frames")
+		for i := 0; i < n && r.err == nil; i++ {
+			c.Held = append(c.Held, r.blob())
+		}
+		c.Dedup = r.dedup()
+		payload = c
+	case op == ctlDone:
+		payload = DoneReport{Epoch: r.int(), Host: r.host(), Received: r.int()}
+	case op == ctlOutcome:
+		payload = WaveOutcome{Epoch: r.int(), Coordinator: r.host(), Commit: r.bool(), Term: r.uvarint(),
+			ReplyTo: r.host(), Gens: r.hostCounts()}
+	case op == ctlOutcomeAck:
+		payload = OutcomeAck{Epoch: r.int(), Host: r.host()}
+	case op == ctlLeaseRequest:
+		payload = LeaseRequest{Candidate: r.host(), Term: r.uvarint(), TTL: time.Duration(r.int()), Renewal: r.bool()}
+	case op == ctlLeaseGrant:
+		payload = LeaseGrant{Host: r.host(), Term: r.uvarint(), Granted: r.bool()}
+	case op == ctlReplBatch:
+		b := ReplBatch{Leader: r.host(), Term: r.uvarint(), Seq: r.uvarint(), Reset: r.bool()}
+		n := r.count("replicated records")
+		for i := 0; i < n && r.err == nil; i++ {
+			b.Records = append(b.Records, ReplRecord{Kind: r.byte(), Data: r.blob()})
+		}
+		payload = b
+	case op == ctlReplAck:
+		payload = ReplAck{Host: r.host(), Term: r.uvarint(), Applied: r.uvarint()}
+	default:
+		r.failf("binary event: unknown control op %d", op)
+	}
+	r.skipTail()
+	if r.err != nil {
+		return nil, r.err
+	}
+	return payload, nil
 }
 
 // internShards is the decode-side string intern cache. Event names,

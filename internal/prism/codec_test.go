@@ -2,9 +2,42 @@ package prism
 
 import (
 	"bytes"
+	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"dif/internal/model"
+	"dif/internal/obs"
 )
+
+// The control family travels on the binary codec only; the gob side of
+// TestBinaryGobParity needs its types registered.
+func init() {
+	for _, p := range []any{ReconfigCommand{}, FetchRequest{}, TransferPayload{}, DoneReport{}, WaveOutcome{},
+		OutcomeAck{}, LeaseRequest{}, LeaseGrant{}, ReplBatch{}, ReplAck{}} {
+		gob.Register(p)
+	}
+}
+
+// transferCase is a 64 KiB component transfer with held frames and
+// dedup windows — the largest frame a wave sends.
+func transferCase() TransferPayload {
+	state := make([]byte, 64<<10)
+	for i := range state {
+		state[i] = byte(i * 7)
+	}
+	return TransferPayload{
+		Epoch: 7, Coordinator: "m", Comp: "c1", TypeName: "counter", State: state, SizeKB: 64.5,
+		FinalDst: "h3", Source: "h1",
+		Held: [][]byte{{binTag, 1, 2}, bytes.Repeat([]byte{0xab}, 300)},
+		Dedup: []DedupSnapshot{
+			{Origin: "h1", Ranges: []AckRange{{Target: "c1", Inc: 2, Floor: 10, Spans: []SeqSpan{{12, 14}, {20, 20}}}}},
+			{Origin: "h2", Ranges: []AckRange{{Target: "c1", Floor: 3}}},
+		},
+	}
+}
 
 // codecCases enumerates every Event field combination the binary codec
 // claims: empty/zero values, unstamped vs stamped, hops, every
@@ -66,6 +99,67 @@ func codecCases() map[string]Event {
 		"goal ack": {
 			Name: EvGoalAck, Kind: KindControl, Target: DeployerID, SizeKB: 0.3,
 			Payload: GoalAck{Host: "h3", Generation: 12, Manifest: []string{"c1", "c2"}},
+		},
+		"reconfig": {
+			Name: EvReconfig, Kind: KindControl, Target: AdminID, SizeKB: 1,
+			Payload: ReconfigCommand{Epoch: 3, Arrivals: map[string]model.HostID{"c2": "h1", "c1": "h2"},
+				Coordinator: "m", Term: 2, Gen: 5},
+		},
+		"reconfig no arrivals": {
+			Name: EvReconfig, Kind: KindControl, Target: AdminID,
+			Payload: ReconfigCommand{Epoch: -1, Coordinator: "m"},
+		},
+		"fetch": {
+			Name: EvFetch, Kind: KindControl, Target: AdminID, SizeKB: 0.2,
+			Payload: FetchRequest{Epoch: 3, Coordinator: "m", Comp: "c1", Requester: "h2", Source: "h1", Mediated: true},
+		},
+		"transfer": {
+			Name: EvTransfer, Kind: KindControl, Target: AdminID, DstHost: "h2", SizeKB: 64.5,
+			Payload: transferCase(),
+		},
+		"transfer empty": {
+			Name: EvTransfer, Kind: KindControl, Target: AdminID,
+			Payload: TransferPayload{Epoch: 1, Comp: "c1", TypeName: "counter"},
+		},
+		"done": {
+			Name: EvDone, Kind: KindControl, Target: DeployerID, SizeKB: 0.2,
+			Payload: DoneReport{Epoch: 3, Host: "h2", Received: 2},
+		},
+		"outcome commit": {
+			Name: EvOutcome, Kind: KindControl, Target: AdminID, SizeKB: 0.2,
+			Payload: WaveOutcome{Epoch: 3, Coordinator: "m", Commit: true, Term: 2, ReplyTo: "m2",
+				Gens: map[model.HostID]uint64{"h2": 5, "h1": 1 << 40}},
+		},
+		"outcome abort": {
+			Name: EvOutcome, Kind: KindControl, Target: AdminID, SizeKB: 0.2,
+			Payload: WaveOutcome{Epoch: 3, Coordinator: "m"},
+		},
+		"outcome ack": {
+			Name: EvOutcomeAck, Kind: KindControl, Target: DeployerID, SizeKB: 0.2,
+			Payload: OutcomeAck{Epoch: 3, Host: "h1"},
+		},
+		"lease request": {
+			Name: EvLeaseRequest, Kind: KindControl, Target: AdminID, SizeKB: 0.2,
+			Payload: LeaseRequest{Candidate: "m", Term: 4, TTL: 2 * time.Second, Renewal: true},
+		},
+		"lease grant": {
+			Name: EvLeaseGrant, Kind: KindControl, Target: DeployerID, SizeKB: 0.2,
+			Payload: LeaseGrant{Host: "h1", Term: 4, Granted: true},
+		},
+		"repl batch": {
+			Name: EvReplicate, Kind: KindControl, Target: DeployerID, SizeKB: 0.5,
+			Payload: ReplBatch{Leader: "m", Term: 4, Seq: 9, Reset: true, Records: []ReplRecord{
+				{Kind: RecSnapshot, Data: encodeRecord(snapshotRec{NextEpoch: 3, Term: 4})},
+				{Kind: RecEpochClosed, Data: encodeRecord(epochMarkRec{Epoch: 2})},
+			}},
+		},
+		"repl heartbeat": {
+			Name: EvReplicate, Kind: KindControl, Target: DeployerID,
+			Payload: ReplBatch{Leader: "m", Term: 4, Seq: 11},
+		},
+		"repl ack": {
+			Name: EvReplicateAck, Kind: KindControl, Target: DeployerID, SizeKB: 0.2,
+			Payload: ReplAck{Host: "m2", Term: 4, Applied: 10},
 		},
 	}
 }
@@ -273,6 +367,152 @@ func TestInternStringBounds(t *testing.T) {
 	}
 }
 
+// TestControlPayloadVersionGate pins the rolling-upgrade contract of the
+// control family, as TestGoalPayloadVersionGate does for goal-state: a
+// newer version is rejected cleanly, version zero and unknown ops are
+// rejected, and a same-version extension tail is skipped.
+func TestControlPayloadVersionGate(t *testing.T) {
+	want := codecCases()["outcome commit"].Payload.(WaveOutcome)
+	valid := appendControlPayload(nil, want)
+	decode := func(data []byte) (any, error) {
+		r := &binReader{b: data}
+		p, err := decodeControlPayload(r)
+		if err == nil && r.off != len(data) {
+			t.Fatalf("decode left %d trailing bytes", len(data)-r.off)
+		}
+		return p, err
+	}
+	if valid[0] != controlVersion {
+		t.Fatalf("leading version byte = %d, want %d", valid[0], controlVersion)
+	}
+	patched := func(off int, v byte) []byte {
+		out := append([]byte(nil), valid...)
+		out[off] = v
+		return out
+	}
+	if _, err := decode(patched(0, controlVersion+1)); err == nil || !strings.Contains(err.Error(), "unsupported control version") {
+		t.Fatalf("newer-version payload: err = %v, want unsupported-version", err)
+	}
+	if _, err := decode(patched(0, 0)); err == nil {
+		t.Fatal("version-0 payload decoded")
+	}
+	if _, err := decode(patched(1, 0x7f)); err == nil || !strings.Contains(err.Error(), "unknown control op") {
+		t.Fatalf("unknown-op payload: err = %v, want unknown-op", err)
+	}
+	ext := append(append([]byte(nil), valid[:len(valid)-1]...), 3, 0xde, 0xad, 0xbf)
+	p, err := decode(ext)
+	if err != nil {
+		t.Fatalf("extension tail rejected: %v", err)
+	}
+	if !reflect.DeepEqual(p, want) {
+		t.Fatalf("extension-tail decode = %+v, want %+v", p, want)
+	}
+	for i := 0; i < len(valid); i++ {
+		if _, err := decode(valid[:i]); err == nil {
+			t.Fatalf("truncated payload of %d/%d bytes decoded", i, len(valid))
+		}
+	}
+}
+
+// TestDecodedBytesDoNotAliasFrame overwrites each frame after decoding
+// it: the state, held frames and replicated records must be copies, so
+// a reader may reuse its buffer.
+func TestDecodedBytesDoNotAliasFrame(t *testing.T) {
+	for _, name := range []string{"transfer", "repl batch"} {
+		e := codecCases()[name]
+		frame, err := AppendEvent(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBinaryEvent(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range frame {
+			frame[i] = 0xff
+		}
+		if !reflect.DeepEqual(got, e) {
+			t.Errorf("%s: decoded payload changed when the frame was overwritten", name)
+		}
+	}
+}
+
+// TestControlFrameOneAllocation pins binarySizeHint for the largest
+// control frame: a 64 KiB transfer encodes in one allocation.
+func TestControlFrameOneAllocation(t *testing.T) {
+	e := codecCases()["transfer"]
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := EncodeEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("64 KiB transfer encodes in %.0f allocations, want 1", allocs)
+	}
+}
+
+// TestWaveFramesAreBinary commits a wave over TCP between a deployer and
+// two agents: every frame the wave puts on the sockets — reconfig,
+// fetch, transfer, done, outcome, ack — decodes on the binary codec.
+func TestWaveFramesAreBinary(t *testing.T) {
+	hosts := []model.HostID{"m", "s1", "s2"}
+	trs := map[model.HostID]*TCPTransport{}
+	for _, h := range hosts {
+		tr, err := NewTCPTransport(h, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		trs[h] = tr
+	}
+	for _, a := range hosts {
+		for _, b := range hosts {
+			if a != b {
+				trs[a].AddPeer(b, trs[b].Addr())
+			}
+		}
+	}
+	registry := NewFactoryRegistry()
+	registry.Register("counter", func(id string) Migratable { return newCounter(id) })
+	cfg := AdminConfig{Deployer: "m", Bus: "bus", Registry: registry}
+	reg := obs.NewRegistry()
+	archs := map[model.HostID]*Architecture{}
+	for _, h := range hosts {
+		archs[h] = NewArchitecture(h, nil)
+		archs[h].SetObservability(reg, nil)
+		if _, err := archs[h].AddDistributionConnector("bus", trs[h]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := InstallAdmin(archs[h], cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dep, err := InstallDeployer(archs["m"], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCounter("c1")
+	c.Count = 41
+	if err := archs["s1"].AddComponent(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := archs["s1"].Weld("c1", "bus"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := dep.Enact(map[string]model.HostID{"c1": "s2"}, map[string]model.HostID{"c1": "s1"}, 5*time.Second)
+	if err != nil || !res.Committed {
+		t.Fatalf("enact over tcp: %v (%+v)", err, res)
+	}
+	waitFor(t, func() bool { return archs["s2"].Component("c1") != nil })
+	snap := reg.Snapshot()
+	for _, h := range hosts {
+		bin, _ := snap.Value(obs.Name("prism_codec_decode_total", "codec", "binary", "host", string(h)))
+		gobN, _ := snap.Value(obs.Name("prism_codec_decode_total", "codec", "gob", "host", string(h)))
+		if gobN != 0 || bin == 0 {
+			t.Errorf("%s decoded %v gob and %v binary frames, want 0 gob and some binary", h, gobN, bin)
+		}
+	}
+}
+
 // FuzzBinaryDecodeEvent throws corrupt, truncated, and adversarial
 // binary frames at the strict decoder: it must return an error or an
 // event, never panic, and every successfully decoded event must
@@ -313,6 +553,18 @@ func FuzzBinaryDecodeEvent(f *testing.F) {
 	f.Add(patch(goalFrame, 1, 0x7f)[1:])
 	f.Add(append(append([]byte(nil), goalFrame[1:len(goalFrame)-1]...), 3, 0xde, 0xad, 0xbf))
 	f.Add(goalFrame[1 : len(head)+len(goalPayload)/2])
+	ctlFrame, err := AppendEvent(nil, codecCases()["outcome commit"])
+	if err != nil {
+		f.Fatal(err)
+	}
+	ctlPayload := appendControlPayload(nil, codecCases()["outcome commit"].Payload)
+	ctlHead := len(ctlFrame) - len(ctlPayload)
+	for _, p := range [][2]int{{0, controlVersion + 1}, {0, 0}, {1, 0x7f}} {
+		b := append([]byte(nil), ctlFrame...)
+		b[ctlHead+p[0]] = byte(p[1])
+		f.Add(b[1:])
+	}
+	f.Add(append(append([]byte(nil), ctlFrame[1:len(ctlFrame)-1]...), 3, 0xde, 0xad, 0xbf))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := decodeBinaryEvent(append([]byte{binTag}, data...))
 		if err != nil {

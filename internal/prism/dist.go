@@ -222,12 +222,14 @@ func (dc *DistributionConnector) instrument(reg *obs.Registry, host model.HostID
 
 // encodeFrame encodes an outbound event. Binary-encodable events on a
 // non-retaining transport encode into a pooled scratch buffer — the
-// caller must putEncBuf(pooled) after its last Send returns. pooled is
-// nil when the frame owns its allocation.
+// caller must putEncBuf(pooled) after its last Send returns — except
+// control frames, whose component state would bloat the pool: they get
+// one right-sized allocation. pooled is nil when the frame owns its
+// allocation.
 func (dc *DistributionConnector) encodeFrame(e Event) (data []byte, pooled *[]byte, err error) {
-	if BinaryEncodable(e) {
+	if kind, ok := binaryPayloadKind(e.Payload); ok {
 		dc.instr.encBin.Inc()
-		if dc.poolSafe {
+		if dc.poolSafe && kind != payControl {
 			pooled = getEncBuf()
 			*pooled, err = AppendEvent(*pooled, e)
 			if err != nil {

@@ -8,7 +8,7 @@
 // Connectors; a Scaffold schedules and dispatches events on a thread
 // pool. DistributionConnectors bridge architectures across host
 // boundaries over a pluggable Transport (the netsim fabric in simulation,
-// TCP/gob between real processes).
+// TCP between real processes, frames in the binary codec or gob).
 //
 // Architectural self-awareness follows the paper's design: monitors
 // (EvtFrequencyMonitor, NetworkReliabilityMonitor) attach to bricks via

@@ -1,7 +1,6 @@
 package prism
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -43,43 +42,124 @@ const (
 // before it is rewritten down to live state.
 const compactAfter = 64
 
+// walFormat leads every record this build writes: a uvarint, then the
+// record's fields in the binary codec's encodings (codec.go), then a
+// length-prefixed extension tail that same-format readers skip. Format 1
+// was JSON; a log holding it, or any other format, is refused at Open
+// and at Ingest — there is no compatibility reader.
+const walFormat = 2
+
+// walRecord is a record body: it appends its fields after the format.
+type walRecord interface {
+	appendFields(dst []byte) []byte
+}
+
 type epochOpenRec struct {
-	Epoch        int                     `json:"epoch"`
-	Moves        map[string]model.HostID `json:"moves"`
-	Participants []model.HostID          `json:"participants"`
+	Epoch        int
+	Moves        map[string]model.HostID
+	Participants []model.HostID
 	// Coordinator is the host whose deployer opened the wave. A standby
 	// promoted mid-wave resumes under the ORIGINAL coordinator identity —
 	// participant admins key their two-phase state by (coordinator,
 	// epoch), and renaming the wave would strand it.
-	Coordinator model.HostID `json:"coordinator,omitempty"`
+	Coordinator model.HostID
 }
 
 type epochMarkRec struct {
-	Epoch int `json:"epoch"`
+	Epoch int
 }
 
 type goalStateRec struct {
-	Host     model.HostID    `json:"host"`
-	Gen      uint64          `json:"gen"`
-	Manifest []GoalComponent `json:"manifest,omitempty"`
+	Host     model.HostID
+	Gen      uint64
+	Manifest []GoalComponent
 }
 
 type epochDecidedRec struct {
-	Epoch  int  `json:"epoch"`
-	Commit bool `json:"commit"`
+	Epoch  int
+	Commit bool
 }
 
 type snapshotRec struct {
 	// NextEpoch preserves epoch monotonicity across compactions that
 	// drop every numbered record.
-	NextEpoch    int                     `json:"nextEpoch,omitempty"`
-	Reloc        map[string]model.HostID `json:"reloc,omitempty"`
-	Dedup        []DedupSnapshot         `json:"dedup,omitempty"`
-	Incarnations map[model.HostID]uint64 `json:"incarnations,omitempty"`
+	NextEpoch    int
+	Reloc        map[string]model.HostID
+	Dedup        []DedupSnapshot
+	Incarnations map[model.HostID]uint64
 	// Term is the highest fencing term this deployer has seen; persisted
 	// so a restarted deployer never campaigns below a term it already
 	// acknowledged, and replicated so standbys inherit it.
-	Term uint64 `json:"term,omitempty"`
+	Term uint64
+}
+
+func (r epochOpenRec) appendFields(b []byte) []byte {
+	b = appendInt(b, r.Epoch)
+	b = appendHostMap(b, r.Moves)
+	b = appendStrings(b, r.Participants)
+	return appendString(b, string(r.Coordinator))
+}
+
+func (r epochMarkRec) appendFields(b []byte) []byte { return appendInt(b, r.Epoch) }
+
+func (r epochDecidedRec) appendFields(b []byte) []byte {
+	return appendBool(appendInt(b, r.Epoch), r.Commit)
+}
+
+func (r goalStateRec) appendFields(b []byte) []byte {
+	b = appendString(b, string(r.Host))
+	b = appendUvarint(b, r.Gen)
+	return appendGoalComponents(b, r.Manifest)
+}
+
+func (r snapshotRec) appendFields(b []byte) []byte {
+	b = appendInt(b, r.NextEpoch)
+	b = appendHostMap(b, r.Reloc)
+	b = appendDedup(b, r.Dedup)
+	b = appendHostCounts(b, r.Incarnations)
+	return appendUvarint(b, r.Term)
+}
+
+// encodeRecord serializes a record body at walFormat.
+func encodeRecord(rec walRecord) []byte {
+	b := appendUvarint(make([]byte, 0, 64), walFormat)
+	return appendUvarint(rec.appendFields(b), 0) // extension tail: empty
+}
+
+// decodeRecord parses one record strictly: a foreign format, an unknown
+// kind, a malformed field or trailing bytes are errors.
+func decodeRecord(rec store.Record) (walRecord, error) {
+	if len(rec.Data) > 0 && rec.Data[0] == '{' {
+		return nil, fmt.Errorf("deployer store: kind-%d record is format 1 (JSON, an older build); this build reads format %d only",
+			rec.Kind, walFormat)
+	}
+	r := &binReader{b: rec.Data}
+	if f := r.uvarint(); r.err == nil && f != walFormat {
+		return nil, fmt.Errorf("deployer store: kind-%d record is format %d; this build reads format %d only", rec.Kind, f, walFormat)
+	}
+	var out walRecord
+	switch rec.Kind {
+	case RecEpochOpen:
+		out = epochOpenRec{Epoch: r.int(), Moves: r.hostMap(), Participants: readStrings[model.HostID](r), Coordinator: r.host()}
+	case RecEpochPrepared, RecEpochClosed:
+		out = epochMarkRec{Epoch: r.int()}
+	case RecEpochDecided:
+		out = epochDecidedRec{Epoch: r.int(), Commit: r.bool()}
+	case RecSnapshot:
+		out = snapshotRec{NextEpoch: r.int(), Reloc: r.hostMap(), Dedup: r.dedup(), Incarnations: r.hostCounts(), Term: r.uvarint()}
+	case RecGoalState:
+		out = goalStateRec{Host: r.host(), Gen: r.uvarint(), Manifest: r.goalComponents()}
+	default:
+		return nil, fmt.Errorf("deployer store: unknown record kind %d", rec.Kind)
+	}
+	r.skipTail()
+	if r.err == nil && r.off != len(r.b) {
+		r.failf("%d trailing bytes", len(r.b)-r.off)
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("deployer store: bad kind-%d record: %w", rec.Kind, r.err)
+	}
+	return out, nil
 }
 
 // DurableWave is one epoch's reconstructed two-phase progress.
@@ -148,87 +228,59 @@ func OpenDeployerStore(dir string) (*DeployerStore, error) {
 		goals: make(map[model.HostID]goalStateRec),
 	}
 	for _, r := range recs {
-		if err := ds.applyLocked(r); err != nil {
+		rec, err := decodeRecord(r)
+		if err != nil {
 			log.Close()
 			return nil, err
 		}
+		ds.foldLocked(r.Kind, rec)
 	}
 	return ds, nil
 }
 
-// applyLocked folds one record into the in-memory mirror. Decode is
-// strict: a record that does not parse or references an unknown epoch
-// mid-protocol is corruption.
-func (ds *DeployerStore) applyLocked(r store.Record) error {
+// foldLocked folds one decoded record into the in-memory mirror.
+func (ds *DeployerStore) foldLocked(kind byte, rec walRecord) {
 	bump := func(epoch int) {
 		if epoch >= ds.nextEpoch {
 			ds.nextEpoch = epoch + 1
 		}
 	}
-	switch r.Kind {
-	case RecEpochOpen:
-		var rec epochOpenRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return fmt.Errorf("deployer store: bad epoch-open record: %w", err)
-		}
+	switch rec := rec.(type) {
+	case epochOpenRec:
 		ds.waves[rec.Epoch] = &DurableWave{
 			Epoch: rec.Epoch, Moves: rec.Moves, Participants: rec.Participants,
 			Coordinator: rec.Coordinator,
 		}
 		bump(rec.Epoch)
-	case RecEpochPrepared:
-		var rec epochMarkRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return fmt.Errorf("deployer store: bad epoch-prepared record: %w", err)
-		}
-		if wv := ds.waves[rec.Epoch]; wv != nil {
+	case epochMarkRec:
+		if kind == RecEpochClosed {
+			delete(ds.waves, rec.Epoch)
+			ds.closedN++
+		} else if wv := ds.waves[rec.Epoch]; wv != nil {
 			wv.Prepared = true
 		}
 		bump(rec.Epoch)
-	case RecEpochDecided:
-		var rec epochDecidedRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return fmt.Errorf("deployer store: bad epoch-decided record: %w", err)
-		}
+	case epochDecidedRec:
 		if wv := ds.waves[rec.Epoch]; wv != nil {
 			wv.Decided = true
 			wv.Commit = rec.Commit
 		}
 		bump(rec.Epoch)
-	case RecEpochClosed:
-		var rec epochMarkRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return fmt.Errorf("deployer store: bad epoch-closed record: %w", err)
-		}
-		delete(ds.waves, rec.Epoch)
-		ds.closedN++
-		bump(rec.Epoch)
-	case RecSnapshot:
-		var rec snapshotRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return fmt.Errorf("deployer store: bad snapshot record: %w", err)
-		}
+	case snapshotRec:
 		ds.snap = rec
 		if rec.NextEpoch > ds.nextEpoch {
 			ds.nextEpoch = rec.NextEpoch
 		}
-	case RecGoalState:
-		var rec goalStateRec
-		if err := json.Unmarshal(r.Data, &rec); err != nil {
-			return fmt.Errorf("deployer store: bad goal-state record: %w", err)
-		}
+	case goalStateRec:
 		ds.goals[rec.Host] = rec
-	default:
-		return fmt.Errorf("deployer store: unknown record kind %d", r.Kind)
 	}
-	return nil
 }
 
-// append marshals and durably writes one record, keeps the mirror
+// append encodes and durably writes one record, keeps the mirror
 // current, fires an armed crash hook, and compacts when enough closed
 // epochs have piled up.
-func (ds *DeployerStore) append(kind byte, v any) error {
-	return ds.appendPolicy(kind, v, true)
+func (ds *DeployerStore) append(kind byte, rec walRecord) error {
+	return ds.appendPolicy(kind, rec, true)
 }
 
 // appendPolicy is append with the replication flush made optional.
@@ -239,8 +291,12 @@ func (ds *DeployerStore) append(kind byte, v any) error {
 // a standby that misses the eager send reconstructs them during Resume,
 // and a burst of per-host checkpoints must not spawn a matching burst of
 // control sends.
-func (ds *DeployerStore) appendPolicy(kind byte, v any, eager bool) error {
-	data, err := json.Marshal(v)
+//
+// The mirror folds the record decoded from its bytes, never the value
+// passed in, so it is always what replay would build.
+func (ds *DeployerStore) appendPolicy(kind byte, rec walRecord, eager bool) error {
+	data := encodeRecord(rec)
+	decoded, err := decodeRecord(store.Record{Kind: kind, Data: data})
 	if err != nil {
 		return err
 	}
@@ -253,10 +309,7 @@ func (ds *DeployerStore) appendPolicy(kind byte, v any, eager bool) error {
 		ds.mu.Unlock()
 		return err
 	}
-	if err := ds.applyLocked(store.Record{Kind: kind, Data: data}); err != nil {
-		ds.mu.Unlock()
-		return err
-	}
+	ds.foldLocked(kind, decoded)
 	if ds.replEnqueue != nil {
 		ds.replEnqueue(kind, data)
 	}
@@ -304,25 +357,12 @@ func (ds *DeployerStore) appendPolicy(kind byte, v any, eager bool) error {
 // plus the record chain of every still-open wave. This is both the
 // compaction rewrite and the replication iterator — the full prefix a
 // new leadership session streams to its standbys. Caller holds ds.mu.
-func (ds *DeployerStore) liveRecordsLocked() ([]store.Record, snapshotRec, error) {
+func (ds *DeployerStore) liveRecordsLocked() ([]store.Record, snapshotRec) {
 	snap := ds.snap
 	snap.NextEpoch = ds.nextEpoch
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return nil, snap, err
-	}
-	recs := []store.Record{{Kind: RecSnapshot, Data: data}}
-	ghosts := make([]model.HostID, 0, len(ds.goals))
-	for h := range ds.goals {
-		ghosts = append(ghosts, h)
-	}
-	sortHostIDs(ghosts)
-	for _, h := range ghosts {
-		g, err := json.Marshal(ds.goals[h])
-		if err != nil {
-			return nil, snap, err
-		}
-		recs = append(recs, store.Record{Kind: RecGoalState, Data: g})
+	recs := []store.Record{{Kind: RecSnapshot, Data: encodeRecord(snap)}}
+	for _, h := range sortedKeys(ds.goals) {
+		recs = append(recs, store.Record{Kind: RecGoalState, Data: encodeRecord(ds.goals[h])})
 	}
 	epochs := make([]int, 0, len(ds.waves))
 	for e := range ds.waves {
@@ -331,44 +371,29 @@ func (ds *DeployerStore) liveRecordsLocked() ([]store.Record, snapshotRec, error
 	sort.Ints(epochs)
 	for _, e := range epochs {
 		wv := ds.waves[e]
-		open, err := json.Marshal(epochOpenRec{
-			Epoch: wv.Epoch, Moves: wv.Moves, Participants: wv.Participants,
-			Coordinator: wv.Coordinator,
-		})
-		if err != nil {
-			return nil, snap, err
-		}
-		recs = append(recs, store.Record{Kind: RecEpochOpen, Data: open})
+		open := epochOpenRec{Epoch: wv.Epoch, Moves: wv.Moves, Participants: wv.Participants, Coordinator: wv.Coordinator}
+		recs = append(recs, store.Record{Kind: RecEpochOpen, Data: encodeRecord(open)})
 		if wv.Prepared {
-			mark, _ := json.Marshal(epochMarkRec{Epoch: wv.Epoch})
-			recs = append(recs, store.Record{Kind: RecEpochPrepared, Data: mark})
+			recs = append(recs, store.Record{Kind: RecEpochPrepared, Data: encodeRecord(epochMarkRec{Epoch: wv.Epoch})})
 		}
 		if wv.Decided {
-			dec, _ := json.Marshal(epochDecidedRec{Epoch: wv.Epoch, Commit: wv.Commit})
-			recs = append(recs, store.Record{Kind: RecEpochDecided, Data: dec})
+			recs = append(recs, store.Record{Kind: RecEpochDecided, Data: encodeRecord(epochDecidedRec{Epoch: wv.Epoch, Commit: wv.Commit})})
 		}
 	}
-	return recs, snap, nil
+	return recs, snap
 }
 
-// LiveRecords returns the store's live state as a record stream (nil on
-// a serialization error — callers treat that as an empty base).
+// LiveRecords returns the store's live state as a record stream.
 func (ds *DeployerStore) LiveRecords() []store.Record {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	recs, _, err := ds.liveRecordsLocked()
-	if err != nil {
-		return nil
-	}
+	recs, _ := ds.liveRecordsLocked()
 	return recs
 }
 
 // compactLocked rewrites the log down to live state. Caller holds ds.mu.
 func (ds *DeployerStore) compactLocked() error {
-	recs, snap, err := ds.liveRecordsLocked()
-	if err != nil {
-		return err
-	}
+	recs, snap := ds.liveRecordsLocked()
 	if err := ds.log.Compact(recs); err != nil {
 		return err
 	}
@@ -382,8 +407,9 @@ func (ds *DeployerStore) compactLocked() error {
 // no-op (duplicate delivery), a batch beyond the high-water mark is
 // ignored (out-of-order delivery; the leader retransmits the suffix),
 // and a Reset batch replaces the log with exactly its records (the new
-// leadership session's full live prefix). Returns the high-water mark
-// after the call — the ack value.
+// leadership session's full live prefix). A batch holding a record that
+// does not decode is refused whole, before anything is written. Returns
+// the high-water mark after the call — the ack value.
 func (ds *DeployerStore) Ingest(seq uint64, reset bool, recs []store.Record) (uint64, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -394,7 +420,24 @@ func (ds *DeployerStore) Ingest(seq uint64, reset bool, recs []store.Record) (ui
 	if len(recs) == 0 || last <= ds.replSeq {
 		return ds.replSeq, nil // fully covered: duplicate or stale redelivery
 	}
-	if reset && seq == 1 {
+	reset = reset && seq == 1
+	if !reset && seq > ds.replSeq+1 {
+		return ds.replSeq, nil // gap: wait for the retransmitted suffix
+	}
+	if !reset {
+		recs = recs[ds.replSeq-seq+1:]
+	}
+	// Decode the whole batch before anything is written: a record that
+	// does not parse must leave neither the log nor the mirror touched.
+	decoded := make([]walRecord, len(recs))
+	for i, r := range recs {
+		rec, err := decodeRecord(r)
+		if err != nil {
+			return ds.replSeq, err
+		}
+		decoded[i] = rec
+	}
+	if reset {
 		if err := ds.log.Compact(recs); err != nil {
 			return ds.replSeq, err
 		}
@@ -403,25 +446,11 @@ func (ds *DeployerStore) Ingest(seq uint64, reset bool, recs []store.Record) (ui
 		ds.snap = snapshotRec{}
 		ds.goals = make(map[model.HostID]goalStateRec)
 		ds.closedN = 0
-		for _, r := range recs {
-			if err := ds.applyLocked(r); err != nil {
-				return ds.replSeq, err
-			}
-		}
-		ds.replSeq = last
-		return ds.replSeq, nil
-	}
-	if seq > ds.replSeq+1 {
-		return ds.replSeq, nil // gap: wait for the retransmitted suffix
-	}
-	fresh := recs[ds.replSeq-seq+1:]
-	if err := ds.log.AppendBatch(fresh); err != nil {
+	} else if err := ds.log.AppendBatch(recs); err != nil {
 		return ds.replSeq, err
 	}
-	for _, r := range fresh {
-		if err := ds.applyLocked(r); err != nil {
-			return ds.replSeq, err
-		}
+	for i, r := range recs {
+		ds.foldLocked(r.Kind, decoded[i])
 	}
 	ds.replSeq = last
 	return ds.replSeq, nil

@@ -1,7 +1,6 @@
 package prism
 
 import (
-	"fmt"
 	"sort"
 
 	"dif/internal/model"
@@ -117,10 +116,7 @@ func appendGoalPayload(dst []byte, p any) []byte {
 		dst = appendString(dst, string(g.Host))
 		dst = appendUvarint(dst, g.Incarnation)
 		dst = appendUvarint(dst, g.Generation)
-		dst = appendUvarint(dst, uint64(len(g.Manifest)))
-		for _, id := range g.Manifest {
-			dst = appendString(dst, id)
-		}
+		dst = appendStrings(dst, g.Manifest)
 	case GoalDelta:
 		dst = append(dst, goalOpDelta)
 		dst = appendString(dst, string(g.Host))
@@ -128,20 +124,9 @@ func appendGoalPayload(dst []byte, p any) []byte {
 		dst = appendUvarint(dst, g.Term)
 		dst = appendUvarint(dst, g.FromGen)
 		dst = appendUvarint(dst, g.Generation)
-		full := byte(0)
-		if g.Full {
-			full = 1
-		}
-		dst = append(dst, full)
-		dst = appendUvarint(dst, uint64(len(g.Acquire)))
-		for _, gc := range g.Acquire {
-			dst = appendString(dst, gc.ID)
-			dst = appendString(dst, gc.Type)
-		}
-		dst = appendUvarint(dst, uint64(len(g.Remove)))
-		for _, id := range g.Remove {
-			dst = appendString(dst, id)
-		}
+		dst = appendBool(dst, g.Full)
+		dst = appendGoalComponents(dst, g.Acquire)
+		dst = appendStrings(dst, g.Remove)
 		dst = appendUvarint(dst, uint64(len(g.Reloc)))
 		for _, re := range g.Reloc {
 			dst = appendString(dst, re.Comp)
@@ -151,159 +136,68 @@ func appendGoalPayload(dst []byte, p any) []byte {
 		dst = append(dst, goalOpAck)
 		dst = appendString(dst, string(g.Host))
 		dst = appendUvarint(dst, g.Generation)
-		dst = appendUvarint(dst, uint64(len(g.Manifest)))
-		for _, id := range g.Manifest {
-			dst = appendString(dst, id)
-		}
+		dst = appendStrings(dst, g.Manifest)
 	}
 	dst = appendUvarint(dst, 0) // extension tail: empty at v1
 	return dst
 }
 
-// decodeGoalPayload decodes a goal-state payload from r.
+// appendGoalComponents encodes a manifest: a delta's acquisitions and a
+// goal-state WAL record's entries.
+func appendGoalComponents(dst []byte, gcs []GoalComponent) []byte {
+	dst = appendUvarint(dst, uint64(len(gcs)))
+	for _, gc := range gcs {
+		dst = appendString(appendString(dst, gc.ID), gc.Type)
+	}
+	return dst
+}
+
+func (r *binReader) goalComponents() []GoalComponent {
+	n := r.count("manifest entries")
+	var out []GoalComponent
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, GoalComponent{ID: r.str(), Type: r.str()})
+	}
+	return out
+}
+
+// decodeGoalPayload decodes a goal-state payload from r; the error is
+// also left in r.err.
 func decodeGoalPayload(r *binReader) (any, error) {
-	version, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if version > GoalStateVersion {
-		return nil, fmt.Errorf("binary event: unsupported goal-state version %d (this peer speaks v%d)",
-			version, GoalStateVersion)
-	}
-	if version == 0 {
-		return nil, fmt.Errorf("binary event: goal-state version 0 is invalid")
-	}
-	op, err := r.byte()
-	if err != nil {
-		return nil, err
+	switch version := r.uvarint(); {
+	case r.err != nil:
+	case version > GoalStateVersion:
+		r.failf("binary event: unsupported goal-state version %d (this peer speaks v%d)", version, GoalStateVersion)
+	case version == 0:
+		r.failf("binary event: goal-state version 0 is invalid")
 	}
 	var payload any
-	var s string
-	switch op {
-	case goalOpAnnounce:
-		var g GoalAnnounce
-		if s, err = r.str(); err != nil {
-			return nil, err
-		}
-		g.Host = model.HostID(s)
-		if g.Incarnation, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if g.Generation, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if g.Manifest, err = decodeStringList(r); err != nil {
-			return nil, err
+	switch op := r.byte(); {
+	case r.err != nil:
+	case op == goalOpAnnounce:
+		payload = GoalAnnounce{Host: r.host(), Incarnation: r.uvarint(), Generation: r.uvarint(), Manifest: readStrings[string](r)}
+	case op == goalOpDelta:
+		g := GoalDelta{Host: r.host(), Coordinator: r.host(), Term: r.uvarint(), FromGen: r.uvarint(),
+			Generation: r.uvarint(), Full: r.byte() != 0}
+		g.Acquire = r.goalComponents()
+		g.Remove = readStrings[string](r)
+		n := r.count("relocation hints")
+		for i := 0; i < n && r.err == nil; i++ {
+			g.Reloc = append(g.Reloc, RelocEntry{Comp: r.str(), Host: r.host()})
 		}
 		payload = g
-	case goalOpDelta:
-		var g GoalDelta
-		if s, err = r.str(); err != nil {
-			return nil, err
-		}
-		g.Host = model.HostID(s)
-		if s, err = r.str(); err != nil {
-			return nil, err
-		}
-		g.Coordinator = model.HostID(s)
-		if g.Term, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if g.FromGen, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if g.Generation, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		full, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		g.Full = full != 0
-		nAcq, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nAcq > uint64(len(r.b)) {
-			return nil, fmt.Errorf("binary event: %d goal acquisitions exceed frame", nAcq)
-		}
-		for i := uint64(0); i < nAcq; i++ {
-			var gc GoalComponent
-			if gc.ID, err = r.str(); err != nil {
-				return nil, err
-			}
-			if gc.Type, err = r.str(); err != nil {
-				return nil, err
-			}
-			g.Acquire = append(g.Acquire, gc)
-		}
-		if g.Remove, err = decodeStringList(r); err != nil {
-			return nil, err
-		}
-		nReloc, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nReloc > uint64(len(r.b)) {
-			return nil, fmt.Errorf("binary event: %d relocation hints exceed frame", nReloc)
-		}
-		for i := uint64(0); i < nReloc; i++ {
-			var re RelocEntry
-			if re.Comp, err = r.str(); err != nil {
-				return nil, err
-			}
-			if s, err = r.str(); err != nil {
-				return nil, err
-			}
-			re.Host = model.HostID(s)
-			g.Reloc = append(g.Reloc, re)
-		}
-		payload = g
-	case goalOpAck:
-		var g GoalAck
-		if s, err = r.str(); err != nil {
-			return nil, err
-		}
-		g.Host = model.HostID(s)
-		if g.Generation, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if g.Manifest, err = decodeStringList(r); err != nil {
-			return nil, err
-		}
-		payload = g
+	case op == goalOpAck:
+		payload = GoalAck{Host: r.host(), Generation: r.uvarint(), Manifest: readStrings[string](r)}
 	default:
-		return nil, fmt.Errorf("binary event: unknown goal-state op %d", op)
+		r.failf("binary event: unknown goal-state op %d", op)
 	}
 	// Skip the extension tail: fields appended by a same-version peer we
 	// do not know about yet.
-	extLen, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.bytes(extLen); err != nil {
-		return nil, err
+	r.skipTail()
+	if r.err != nil {
+		return nil, r.err
 	}
 	return payload, nil
-}
-
-func decodeStringList(r *binReader) ([]string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)) {
-		return nil, fmt.Errorf("binary event: %d list entries exceed frame", n)
-	}
-	var out []string
-	for i := uint64(0); i < n; i++ {
-		s, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 // goalEntry is one agent's goal state as the deployer tracks it.

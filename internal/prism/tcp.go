@@ -25,8 +25,11 @@ import (
 // side registering it for replies — queues it ahead of its first frame.
 const (
 	helloMagic = "PRSM"
-	wireMajor  = 1 // a reader hangs up on any other major
-	wireMinor  = 0 // informational
+	// wireMajor 2: wave and lease control frames are binary (codec.go's
+	// control family) — a v1 peer would fail on every one of them, so it
+	// is refused at hello instead. A reader hangs up on any other major.
+	wireMajor = 2
+	wireMinor = 0 // informational
 	// maxFrameBytes bounds what the reader allocates on a length prefix's
 	// say-so; Send refuses larger frames rather than have the peer hang up.
 	maxFrameBytes = 16 << 20

@@ -311,6 +311,7 @@ func TestTCPReadLoopClosesOnProtocolViolation(t *testing.T) {
 		{"frame before hello", ok, 0},
 		{"bad magic", wire([]byte("PRSX\x01\x00\x04peer"), ok), 0},
 		{"unknown major version", wire(helloBytes("peer", wireMajor+1), ok), 0},
+		{"previous major version", wire(helloBytes("peer", wireMajor-1), ok), 0},
 		{"empty host", wire(helloBytes("", wireMajor), ok), 0},
 		{"length above maxFrameBytes", wire(hello, ok, binary.BigEndian.AppendUint32(nil, maxFrameBytes+1), ok), 1},
 	}
