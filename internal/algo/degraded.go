@@ -60,6 +60,9 @@ func (d DegradationAware) Incremental(s *model.System) *DenseConstraints {
 // Allowed implements ConstraintChecker.
 func (d DegradationAware) Allowed(s *model.System, c model.ComponentID) []model.HostID {
 	all := d.inner().Allowed(s, c)
+	if len(s.DegradedHostIDs()) == 0 {
+		return all
+	}
 	cur, onCur := model.HostID(""), false
 	if d.Current != nil {
 		cur, onCur = d.Current[c], true

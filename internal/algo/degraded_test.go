@@ -2,6 +2,8 @@ package algo
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dif/internal/model"
@@ -109,5 +111,60 @@ func TestDegradationAwareSteersPlanning(t *testing.T) {
 				t.Fatalf("%s newly placed %s on degraded host %s", name, c, bad)
 			}
 		}
+	}
+}
+
+// degradedFilter is the reference for DegradationAware.Allowed: the
+// inner checker's hosts minus the degraded ones other than the
+// component's current host, or all of them when that leaves none.
+func degradedFilter(s *model.System, current model.Deployment, c model.ComponentID) []model.HostID {
+	all := SystemConstraints{}.Allowed(s, c)
+	var kept []model.HostID
+	for _, h := range all {
+		if s.HostDegraded(h) == 0 || (current != nil && current[c] == h) {
+			kept = append(kept, h)
+		}
+	}
+	if len(kept) == 0 {
+		return all
+	}
+	return kept
+}
+
+// TestDegradationAwareAllowedMatchesReference compares Allowed with the
+// reference filter on random systems with no, one, several and every
+// host degraded, with and without a current deployment.
+func TestDegradationAwareAllowedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cases := map[string]int{}
+	for i, s := range denseTrialSystems(100) {
+		hosts := s.HostIDs()
+		if i%4 == 0 {
+			for _, h := range hosts {
+				s.SetHostDegraded(h, 1)
+			}
+		} else if i%4 == 1 {
+			s.SetHostDegraded(hosts[rng.Intn(len(hosts))], 0.3)
+		}
+		for _, current := range []model.Deployment{nil, randomDeployment(rng, s)} {
+			for _, c := range s.ComponentIDs() {
+				got, want := DegradationAware{Current: current}.Allowed(s, c), degradedFilter(s, current, c)
+				if !slices.Equal(got, want) {
+					t.Fatalf("system %d, %s, current %v: Allowed %v, reference %v", i, c, current[c], got, want)
+				}
+				all := SystemConstraints{}.Allowed(s, c)
+				switch {
+				case len(got) == len(all):
+					cases["full set"]++
+				case current != nil && slices.Contains(got, current[c]) && s.HostDegraded(current[c]) > 0:
+					cases["current degraded host kept"]++
+				default:
+					cases["filtered"]++
+				}
+			}
+		}
+	}
+	if cases["full set"] < 100 || cases["current degraded host kept"] < 50 || cases["filtered"] < 100 {
+		t.Fatalf("too little coverage: %v", cases)
 	}
 }

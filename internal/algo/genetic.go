@@ -89,7 +89,7 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 	// variation step escapes the checker's Allowed set (crossover only
 	// recombines assignments that already passed it).
 	v := newSearchSpace(s, check)
-	comps, hosts := v.ds.Comps, v.upHosts()
+	comps := v.ds.Comps
 
 	// scoreAll evaluates deployments in parallel; results land at fixed
 	// indices so they are independent of worker scheduling. On
@@ -114,22 +114,7 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 		return out, err
 	}
 
-	// Seed the population: the initial deployment (when valid) plus
-	// randomized fills.
-	seeds := make([]model.Deployment, 0, popSize)
-	if initial != nil && check.Check(s, initial) == nil {
-		seeds = append(seeds, initial.Clone())
-	}
-	for tries := 0; len(seeds) < popSize && tries < popSize*10; tries++ {
-		hostOrder := make([]int, len(hosts))
-		for i, p := range rng.Perm(len(hosts)) {
-			hostOrder[i] = hosts[p]
-		}
-		if d, ok := fillInOrder(v, hostOrder, rng.Perm(len(comps))); ok && check.Check(s, d) == nil {
-			seeds = append(seeds, d)
-		}
-	}
-	population, err := scoreAll(seeds)
+	population, err := scoreAll(seedPopulation(v, rng, initial, popSize))
 	if len(population) == 0 {
 		res.Elapsed = time.Since(start)
 		if err != nil {
@@ -205,6 +190,32 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 	res.Score = population[0].score
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// seedPopulation returns the first generation: the initial deployment
+// (when valid) plus randomized fills, at most popSize in all and at most
+// popSize*10 fills tried.
+func seedPopulation(v *searchSpace, rng *rand.Rand, initial model.Deployment, popSize int) []model.Deployment {
+	seeds := make([]model.Deployment, 0, popSize)
+	if initial != nil && v.check.Check(v.s, initial) == nil {
+		seeds = append(seeds, initial.Clone())
+	}
+	firstFill := len(seeds)
+	hosts := v.upHosts()
+	for tries := 0; len(seeds) < popSize && tries < popSize*10; tries++ {
+		hostOrder := make([]int, len(hosts))
+		for i, p := range rng.Perm(len(hosts)) {
+			hostOrder[i] = hosts[p]
+		}
+		if assign, ok := fillInOrder(v, hostOrder, rng.Perm(len(v.ds.Comps))); ok && v.fillValid(assign) {
+			seeds = append(seeds, v.ds.Deployment(assign))
+		}
+	}
+	// The fills share one verdict: the first one's.
+	if len(seeds) > firstFill && !v.confirmFill(seeds[firstFill]) {
+		seeds = seeds[:firstFill]
+	}
+	return seeds
 }
 
 // crossover splices two parents at a random point over the sorted

@@ -66,11 +66,11 @@ func TestStochasticInfeasible(t *testing.T) {
 func TestFillInOrderPacksEverything(t *testing.T) {
 	s, _ := genSystem(t, 3, 9, 4)
 	v := newSearchSpace(s, SystemConstraints{})
-	d, ok := fillInOrder(v, v.upHosts(), []int{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	assign, ok := fillInOrder(v, v.upHosts(), []int{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	if !ok {
 		t.Fatal("fill failed on feasible system")
 	}
-	if err := s.Constraints.Check(s, d); err != nil {
+	if err := s.Constraints.Check(s, v.ds.Deployment(assign)); err != nil {
 		t.Fatalf("fill produced invalid deployment: %v", err)
 	}
 }

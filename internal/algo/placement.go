@@ -322,15 +322,21 @@ func newSearchSpace(s *model.System, check ConstraintChecker) *searchSpace {
 		v.cons = newDenseConstraints(s)
 	}
 	v.ds = v.cons.ds
-	nh := v.ds.NH
-	v.allowed = make([][]int, len(v.ds.Comps))
-	v.admits = make([]bool, len(v.ds.Comps)*nh)
+	nc, nh := len(v.ds.Comps), v.ds.NH
+	v.allowed = make([][]int, nc)
+	v.admits = make([]bool, nc*nh)
+	// Every component's list is a window of one backing array.
+	backing := make([]int, 0, nc*nh)
 	for ci, c := range v.ds.Comps {
+		start := len(backing)
 		for _, h := range check.Allowed(s, c) {
 			if hi := v.ds.HostIndex(h); hi >= 0 {
-				v.allowed[ci] = append(v.allowed[ci], hi)
+				backing = append(backing, hi)
 				v.admits[ci*nh+hi] = true
 			}
+		}
+		if len(backing) > start {
+			v.allowed[ci] = backing[start:len(backing):len(backing)]
 		}
 	}
 	return v
@@ -338,6 +344,21 @@ func newSearchSpace(s *model.System, check ConstraintChecker) *searchSpace {
 
 // allows reports whether the checker's Allowed set for ci contains hi.
 func (v *searchSpace) allows(ci, hi int) bool { return v.admits[ci*v.ds.NH+hi] }
+
+// fillValid reports whether a complete fill satisfies the checker. An
+// incremental fill does by construction but for one thing only Check
+// sees: a collocation pair naming an unknown component, whose verdict is
+// the same on every complete deployment. So one confirmFill of one fill
+// (Stochastic's winner, Genetic's first seed) stands for all of them;
+// a checker without the hook is asked about every fill.
+func (v *searchSpace) fillValid(assign []int) bool {
+	return v.incremental || v.check.Check(v.s, v.ds.Deployment(assign)) == nil
+}
+
+// confirmFill is the one Check an incremental search makes of a fill.
+func (v *searchSpace) confirmFill(d model.Deployment) bool {
+	return !v.incremental || v.check.Check(v.s, d) == nil
+}
 
 // upHosts returns the indices of the hosts not marked down, ascending
 // (s.UpHostIDs' order).

@@ -19,6 +19,12 @@ import (
 // trial must evaluate the objective over all interactions, the complexity
 // is O(n²) per trial.
 //
+// A trial stays in dense form: its fill is scored as an assignment by
+// the sum QuantifyFast runs, and only the best becomes a Deployment.
+// Under an incremental checker a fill is valid by construction, so the
+// winner alone is checked and its verdict stands for every trial (see
+// fillValid); any other checker checks every fill.
+//
 // Trials are independent, so they fan out across Config.Workers
 // goroutines. Each trial's RNG is derived from splitmix64(Config.Seed,
 // trialIndex) and ties between equal-scoring trials break toward the
@@ -52,19 +58,18 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 	if trials <= 0 {
 		trials = defaultStochasticTrials
 	}
-	check := cfg.checker()
 	met := cfg.metrics(a.Name())
 	// The allowed sets and constraint tables are built once and shared,
 	// read-only, by every trial.
-	v := newSearchSpace(s, check)
+	v := newSearchSpace(s, cfg.checker())
 	hosts := v.upHosts()
 	nc := len(v.ds.Comps)
 
 	var (
-		mu        sync.Mutex
-		best      float64
-		bestD     model.Deployment
-		bestTrial int
+		mu         sync.Mutex
+		best       float64
+		bestAssign []int
+		bestTrial  int
 	)
 	err := parallelFor(ctx, cfg.workerCount(), trials, func(trial int) {
 		rng := deriveRNG(cfg.Seed, trial)
@@ -72,33 +77,38 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 		for i, p := range rng.Perm(len(hosts)) {
 			hostOrder[i] = hosts[p]
 		}
-		d, ok := fillInOrder(v, hostOrder, rng.Perm(nc))
-		if ok {
-			ok = check.Check(s, d) == nil
-		}
+		assign, ok := fillInOrder(v, hostOrder, rng.Perm(nc))
+		ok = ok && v.fillValid(assign)
 		var score float64
 		if ok {
-			score = objective.QuantifyFast(cfg.Objective, s, d)
+			score = objective.QuantifyDense(cfg.Objective, s, v.ds, assign)
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		res.Nodes++
-		met.iterations.Inc()
 		if !ok {
-			met.rejected.Inc()
 			return
 		}
 		res.Evaluations++
-		met.accepted.Inc()
 		// Keep the strictly best score; among equal scores the lowest
 		// trial index wins, matching a serial sweep exactly.
-		if bestD == nil || objective.Better(cfg.Objective, score, best) ||
+		if bestAssign == nil || objective.Better(cfg.Objective, score, best) ||
 			(score == best && trial < bestTrial) {
-			best, bestD, bestTrial = score, d, trial
+			best, bestAssign, bestTrial = score, assign, trial
 		}
 	})
+	if bestAssign != nil {
+		res.Deployment = v.ds.Deployment(bestAssign)
+		if !v.confirmFill(res.Deployment) {
+			// Every trial shares the winner's verdict.
+			res.Deployment, res.Evaluations = nil, 0
+		}
+	}
+	met.iterations.Add(float64(res.Nodes))
+	met.accepted.Add(float64(res.Evaluations))
+	met.rejected.Add(float64(res.Nodes - res.Evaluations))
 	res.Elapsed = time.Since(start)
-	if bestD == nil {
+	if res.Deployment == nil {
 		// No trial produced a valid deployment — either the problem is
 		// infeasible or the context was cancelled before any trial
 		// finished. Never report an infinite score with a nil deployment.
@@ -107,7 +117,6 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 		}
 		return res, ErrNoValidDeployment
 	}
-	res.Deployment = bestD
 	res.Score = best
 	return res, err
 }
@@ -116,8 +125,9 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 // current host while the constraints hold. A component that does not fit
 // the current host is retried on later hosts, and a component rejected
 // by every host fails the fill (nil, false). Hosts and components are
-// dense indices of v's system.
-func fillInOrder(v *searchSpace, hosts, comps []int) (model.Deployment, bool) {
+// dense indices of v's system, and so is the assignment returned
+// (component index → host index).
+func fillInOrder(v *searchSpace, hosts, comps []int) ([]int, bool) {
 	p := v.begin(nil)
 	remaining := append([]int(nil), comps...)
 	for _, hi := range hosts {
@@ -141,5 +151,5 @@ func fillInOrder(v *searchSpace, hosts, comps []int) (model.Deployment, bool) {
 	if len(remaining) > 0 {
 		return nil, false
 	}
-	return v.ds.Deployment(p.assignment()), true
+	return p.assignment(), true
 }

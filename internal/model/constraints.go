@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Constraints restrict the space of valid deployment architectures
@@ -89,22 +88,14 @@ func (cs *Constraints) ForbidCollocation(a, b ComponentID) {
 }
 
 // AllowedHosts returns the sorted list of hosts component c may occupy in
-// system s (every host when unconstrained).
+// system s: the up hosts its location constraint admits (every up host
+// when unconstrained).
 func (cs Constraints) AllowedHosts(s *System, c ComponentID) []HostID {
 	set, constrained := cs.Location[c]
 	if !constrained {
 		return s.UpHostIDs()
 	}
-	out := make([]HostID, 0, len(set))
-	for h, ok := range set {
-		if ok {
-			if host, exists := s.Hosts[h]; exists && !host.Down {
-				out = append(out, h)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.hostIDsWhere(func(id HostID, h *Host) bool { return !h.Down && set[id] })
 }
 
 // Allows reports whether component c may be placed on host h.

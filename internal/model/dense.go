@@ -119,14 +119,41 @@ func (ds *DenseSystem) Deployment(assign []int) Deployment {
 func (s *System) Dense() *DenseSystem {
 	s.denseMu.Lock()
 	defer s.denseMu.Unlock()
+	sh := s.currentShape()
+	if s.dense == nil {
+		s.dense = sh.values()
+	}
+	return s.dense
+}
+
+// currentShape returns the cached shape, rebuilding it (and dropping the
+// values) if elements were added or removed. The caller holds denseMu.
+func (s *System) currentShape() *denseShape {
 	if s.shape == nil || !s.shape.current(s) {
 		s.shape = buildShape(s)
 		s.dense = nil
 	}
-	if s.dense == nil {
-		s.dense = s.shape.values()
+	return s.shape
+}
+
+// hostIDsWhere returns the IDs of the hosts for which keep holds, in
+// sorted order (nil when none does). It walks the shape's sorted host
+// list and reads each host live, so marking a host down, up or degraded
+// needs no rebuild and nothing is sorted.
+func (s *System) hostIDsWhere(keep func(HostID, *Host) bool) []HostID {
+	s.denseMu.Lock()
+	sh := s.currentShape()
+	s.denseMu.Unlock()
+	var out []HostID
+	for i, h := range sh.hostElems {
+		if keep(sh.hosts[i], h) {
+			if out == nil {
+				out = make([]HostID, 0, len(sh.hosts)-i)
+			}
+			out = append(out, sh.hosts[i])
+		}
 	}
-	return s.dense
+	return out
 }
 
 // Touch invalidates the cached dense values. Call it after mutating
@@ -149,11 +176,13 @@ func (s *System) reshape() {
 // denseShape is the part of the dense view that only adding or removing
 // elements changes.
 type denseShape struct {
-	hosts   []HostID
-	comps   []ComponentID
-	hostIdx map[HostID]int
-	compIdx map[ComponentID]int
-	links   []shapeLink
+	hosts []HostID
+	// hostElems[i] is hosts[i]'s element, which hostIDsWhere reads.
+	hostElems []*Host
+	comps     []ComponentID
+	hostIdx   map[HostID]int
+	compIdx   map[ComponentID]int
+	links     []shapeLink
 	// inters holds every interaction between known components, ordered
 	// by (A, B) index whatever its frequency: a monitor write can take a
 	// frequency from 0 to positive without reshaping.
@@ -189,8 +218,10 @@ func buildShape(s *System) *denseShape {
 		nInteracts: len(s.Interacts),
 	}
 	sh.hostIdx = make(map[HostID]int, len(sh.hosts))
+	sh.hostElems = make([]*Host, len(sh.hosts))
 	for i, h := range sh.hosts {
 		sh.hostIdx[h] = i
+		sh.hostElems[i] = s.Hosts[h]
 	}
 	sh.compIdx = make(map[ComponentID]int, len(sh.comps))
 	for i, c := range sh.comps {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -340,6 +342,113 @@ func TestDenseConcurrentTouch(t *testing.T) {
 		}(w%2 == 0)
 	}
 	wg.Wait()
+}
+
+// sortedHostsWhere is the reference for the host lists the shape walks:
+// every host in the map that keep admits, sorted.
+func sortedHostsWhere(s *System, keep func(HostID, *Host) bool) []HostID {
+	var out []HostID
+	for id, h := range s.Hosts {
+		if keep(id, h) {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestDenseHostListsMatchSortedReference holds UpHostIDs, DegradedHostIDs
+// and AllowedHosts, which walk the dense shape's sorted hosts and read
+// each host live, to a sort over the map after every kind of change: a
+// host added, replaced or removed, marked down or up (through
+// SetHostDown and by writing the field), degraded, and a component
+// pinned, to a known host or to one the system lacks.
+func TestDenseHostListsMatchSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ops := map[string]int{}
+	for sys := 0; sys < 30; sys++ {
+		s := NewSystem()
+		s.Constraints = NewConstraints()
+		hostName := func() HostID { return HostID(fmt.Sprintf("h%02d", rng.Intn(30))) }
+		for i := 0; i < 6; i++ {
+			s.AddHost(hostName(), nil)
+		}
+		comps := make([]ComponentID, 8)
+		for i := range comps {
+			comps[i] = ComponentID(fmt.Sprintf("c%d", i))
+			s.AddComponent(comps[i], nil)
+		}
+		// Kept apart from itself, comps[0] can go nowhere, but that is
+		// Check's verdict: its location is unconstrained, so
+		// AllowedHosts lists every up host for it.
+		s.Constraints.ForbidCollocation(comps[0], comps[0])
+		s.Constraints.Restrict(comps[1], hostName(), hostName())
+		compare := func(op string) {
+			t.Helper()
+			ops[op]++
+			up := sortedHostsWhere(s, func(_ HostID, h *Host) bool { return !h.Down })
+			if got := s.UpHostIDs(); !slices.Equal(got, up) {
+				t.Fatalf("system %d after %s: UpHostIDs %v, reference %v", sys, op, got, up)
+			}
+			degraded := sortedHostsWhere(s, func(_ HostID, h *Host) bool { return h.Degraded > 0 })
+			if got := s.DegradedHostIDs(); !slices.Equal(got, degraded) {
+				t.Fatalf("system %d after %s: DegradedHostIDs %v, reference %v", sys, op, got, degraded)
+			}
+			for _, c := range comps {
+				set, constrained := s.Constraints.Location[c]
+				want := sortedHostsWhere(s, func(id HostID, h *Host) bool { return !h.Down && (!constrained || set[id]) })
+				if got := s.Constraints.AllowedHosts(s, c); !slices.Equal(got, want) {
+					t.Fatalf("system %d after %s: AllowedHosts(%s) %v, reference %v", sys, op, c, got, want)
+				}
+			}
+			if got := s.Constraints.AllowedHosts(s, comps[0]); !slices.Equal(got, up) {
+				t.Fatalf("system %d after %s: self-excluded %s allowed on %v, want every up host %v", sys, op, comps[0], got, up)
+			}
+		}
+		compare("build")
+		for step := 0; step < 40; step++ {
+			if step%5 == 0 {
+				s.Dense() // cache a shape for the next change to outdate
+			}
+			hosts := s.HostIDs()
+			h := hosts[rng.Intn(len(hosts))]
+			switch rng.Intn(8) {
+			case 0:
+				s.AddHost(hostName(), nil) // new, or replacing one
+				compare("AddHost")
+			case 1:
+				if len(hosts) > 1 {
+					if err := NewModifier(s).RemoveHost(h, nil); err != nil {
+						t.Fatal(err)
+					}
+					compare("RemoveHost")
+				}
+			case 2:
+				s.SetHostDown(h, true)
+				compare("SetHostDown(true)")
+			case 3:
+				s.SetHostDown(h, false)
+				compare("SetHostDown(false)")
+			case 4:
+				s.Hosts[h].Down = !s.Hosts[h].Down
+				compare("Down written")
+			case 5:
+				s.SetHostDegraded(h, float64(rng.Intn(2))*rng.Float64())
+				compare("SetHostDegraded")
+			case 6:
+				s.Constraints.Pin(comps[1+rng.Intn(len(comps)-1)], h)
+				compare("Pin")
+			default:
+				s.Constraints.Pin(comps[1+rng.Intn(len(comps)-1)], "h99")
+				compare("Pin to unknown host")
+			}
+		}
+	}
+	for _, op := range []string{"AddHost", "RemoveHost", "SetHostDown(true)", "SetHostDown(false)", "Down written", "SetHostDegraded", "Pin", "Pin to unknown host"} {
+		if ops[op] < 20 {
+			t.Fatalf("only %d checks after %s: %v", ops[op], op, ops)
+		}
+	}
 }
 
 // BenchmarkDenseRebuild times the two rebuilds a replan can pay for:

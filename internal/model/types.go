@@ -291,26 +291,12 @@ func (s *System) HostDegraded(id HostID) float64 {
 // DegradedHostIDs returns the IDs of hosts carrying a degradation
 // penalty, in sorted order.
 func (s *System) DegradedHostIDs() []HostID {
-	var ids []HostID
-	for id, h := range s.Hosts {
-		if h.Degraded > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return s.hostIDsWhere(func(_ HostID, h *Host) bool { return h.Degraded > 0 })
 }
 
 // UpHostIDs returns the IDs of hosts not marked down, in sorted order.
 func (s *System) UpHostIDs() []HostID {
-	ids := make([]HostID, 0, len(s.Hosts))
-	for id, h := range s.Hosts {
-		if !h.Down {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return s.hostIDsWhere(func(_ HostID, h *Host) bool { return !h.Down })
 }
 
 // HostIDs returns all host IDs in sorted order (deterministic iteration).

@@ -48,8 +48,13 @@ type DeltaState interface {
 // incremental evaluation of moves and swaps.
 type DeltaQuantifier interface {
 	Quantifier
-	// Begin returns a DeltaState for deployment d of system s.
+	// Begin returns a DeltaState for deployment d of system s. It is
+	// BeginDense over s.Dense() and d's assignment.
 	Begin(s *model.System, d model.Deployment) DeltaState
+	// BeginDense returns a DeltaState for an assignment over ds
+	// (component index → host index, -1 while undeployed). The state
+	// owns assign from then on: Move and SwapPair write to it.
+	BeginDense(ds *model.DenseSystem, assign []int) DeltaState
 }
 
 // BeginDelta returns a DeltaState for any quantifier: the quantifier's
@@ -73,6 +78,17 @@ func QuantifyFast(q Quantifier, s *model.System, d model.Deployment) float64 {
 		return dq.Begin(s, d).Score()
 	}
 	return q.Quantify(s, d)
+}
+
+// QuantifyDense scores an assignment over ds, s's dense view, without
+// building a Deployment when the quantifier has a dense evaluator: the
+// same sum QuantifyFast runs, so the two agree to the bit. Any other
+// quantifier scores the materialized Deployment. assign is only read.
+func QuantifyDense(q Quantifier, s *model.System, ds *model.DenseSystem, assign []int) float64 {
+	if dq, ok := q.(DeltaQuantifier); ok {
+		return dq.BeginDense(ds, assign).Score()
+	}
+	return q.Quantify(s, ds.Deployment(assign))
 }
 
 // deltaRebaseInterval bounds floating-point drift: after this many
@@ -177,10 +193,15 @@ type availDelta struct {
 var _ DeltaState = (*availDelta)(nil)
 
 // Begin implements DeltaQuantifier.
-func (Availability) Begin(s *model.System, d model.Deployment) DeltaState {
+func (a Availability) Begin(s *model.System, d model.Deployment) DeltaState {
 	ds := s.Dense()
+	return a.BeginDense(ds, ds.Assign(d))
+}
+
+// BeginDense implements DeltaQuantifier.
+func (Availability) BeginDense(ds *model.DenseSystem, assign []int) DeltaState {
 	st := &availDelta{
-		denseDelta: denseDelta{ds: ds, assign: ds.Assign(d)},
+		denseDelta: denseDelta{ds: ds, assign: assign},
 		den:        ds.TotalFreq,
 	}
 	st.runningDelta = &st.num
@@ -273,13 +294,18 @@ var _ DeltaState = (*latencyDelta)(nil)
 
 // Begin implements DeltaQuantifier.
 func (l Latency) Begin(s *model.System, d model.Deployment) DeltaState {
+	ds := s.Dense()
+	return l.BeginDense(ds, ds.Assign(d))
+}
+
+// BeginDense implements DeltaQuantifier.
+func (l Latency) BeginDense(ds *model.DenseSystem, assign []int) DeltaState {
 	penalty := l.PartitionPenalty
 	if penalty == 0 {
 		penalty = DefaultPartitionPenalty
 	}
-	ds := s.Dense()
 	st := &latencyDelta{
-		denseDelta: denseDelta{ds: ds, assign: ds.Assign(d)},
+		denseDelta: denseDelta{ds: ds, assign: assign},
 		penalty:    penalty,
 	}
 	st.runningDelta = &st.total

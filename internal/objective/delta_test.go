@@ -3,6 +3,7 @@ package objective
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dif/internal/model"
@@ -165,4 +166,28 @@ func TestDeltaProtocolPanics(t *testing.T) {
 	st2 := Availability{}.Begin(s, d)
 	mustPanic("commit without stage", func() { st2.Commit() })
 	mustPanic("revert without stage", func() { st2.Revert() })
+}
+
+// TestQuantifyDenseMatchesQuantifyFast: on a dense evaluator
+// QuantifyDense is QuantifyFast's sum to the bit; any other quantifier
+// (here a composite) scores the deployment the assignment spells. The
+// assignment is left as it was.
+func TestQuantifyDenseMatchesQuantifyFast(t *testing.T) {
+	s, d := deltaTestSystem(t, 6, 24, 3)
+	ds := s.Dense()
+	assign := ds.Assign(d)
+	comp, err := NewComposite(Term{Quantifier: Availability{}, Weight: 1}, Term{Quantifier: Latency{}, Weight: 0.5, Scale: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Quantifier{Availability{}, Latency{}, comp} {
+		got, want := QuantifyDense(q, s, ds, assign), QuantifyFast(q, s, d)
+		_, dense := q.(DeltaQuantifier)
+		if dense && math.Float64bits(got) != math.Float64bits(want) || !relClose(got, want, 1e-12) {
+			t.Errorf("%s: QuantifyDense %v, QuantifyFast %v", q.Name(), got, want)
+		}
+	}
+	if !slices.Equal(assign, ds.Assign(d)) {
+		t.Fatal("QuantifyDense wrote to the assignment")
+	}
 }
