@@ -44,7 +44,7 @@ fmt:
 # inputs to one peer's record through the real peerCore.step (about
 # 1.7·10⁵ states, a few seconds under the race detector; the CI race job
 # also runs it by name, with TestDegradedReMarkedAfterSuspectLapse), and
-# their Mutants tests check that each catches its broken steps (seven for
+# their Mutants tests check that each catches its broken steps (eight for
 # the wave, three for the lease, three for the peer).
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/... ./cmd/...

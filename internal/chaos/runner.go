@@ -609,18 +609,24 @@ func (r *runner) migrate(op Op, abort bool) error {
 	return nil
 }
 
-// crashKinds maps OpDeployerCrash.Phase to the durable record whose
-// fsync the deployer dies after.
-var crashKinds = [3]byte{prism.RecEpochOpen, prism.RecEpochPrepared, prism.RecEpochDecided}
-
-// deployerWaveCrash runs one wave with the deployer armed to die right
-// after the op's phase checkpoint lands durably, then restarts it from
-// the log and asserts the phase-determined resolution: a decided crash
-// resumes its persisted commit; an open or prepared crash cleanly aborts.
-// Mid-wave traffic at the moving component must survive either way.
+// deployerWaveCrash runs one wave with the deployer armed to die at the
+// op's phase checkpoint, then restarts it from the log and asserts the
+// phase-determined resolution: a decided crash resumes its persisted
+// commit; an open crash, or a prepared one (the decision write dies with
+// nothing landed, the participants holding prepared state), cleanly
+// aborts. Mid-wave traffic at the moving component must survive either
+// way.
 func (r *runner) deployerWaveCrash(op Op) error {
 	dep := r.ha.Deps[r.leader]
-	r.ha.Stores[r.leader].CrashAfter(crashKinds[op.Phase], func() { dep.Close() })
+	kill := func() { dep.Close() }
+	switch ds := r.ha.Stores[r.leader]; op.Phase {
+	case 0:
+		ds.CrashAfter(prism.RecEpochOpen, kill)
+	case 1:
+		ds.CrashBefore(prism.RecEpochDecided, kill)
+	case 2:
+		ds.CrashAfter(prism.RecEpochDecided, kill)
+	}
 
 	current := make(map[string]model.HostID, len(r.placement))
 	for p, h := range r.placement {

@@ -84,11 +84,12 @@ const (
 	OpPartition
 	OpHeal
 	// OpDeployerCrash runs a migration wave (Comp from A to B) with the
-	// deployer armed to die — kill -9 style — right after the checkpoint
-	// named by Phase lands durably: 0 = epoch opened, 1 = all prepared,
-	// 2 = outcome decided. The runner restarts the deployer from its log
-	// and asserts the wave resumes (phase 2 commits) or cleanly aborts
-	// (phases 0–1) without replanning.
+	// deployer armed to die — kill -9 style — at the checkpoint named by
+	// Phase: 0 = right after the epoch's open lands, 1 = at the decision
+	// write once every destination prepared, with nothing of it landed,
+	// 2 = right after the decision lands. The runner restarts the
+	// deployer from its log and asserts the wave resumes (phase 2
+	// commits) or cleanly aborts (phases 0–1) without replanning.
 	OpDeployerCrash
 	// OpDeployerRestart bounces the deployer process between waves: close,
 	// restart, replay the log, resume. Nothing undecided may surface.

@@ -621,8 +621,9 @@ func each[T record](d *DeployerComponent, f func(T)) {
 }
 
 // settleWave does a finished wave's bookkeeping: the metrics (Enact),
-// the committed relocations, and the soft-state snapshot behind every
-// decided Enact wave (Resume takes one for all its waves).
+// and for a wave that never wrote its close — which does the rest — the
+// committed relocations and, behind a decided Enact wave, the soft-state
+// snapshot (Resume takes one for all its waves).
 func (d *DeployerComponent) settleWave(w *shellWave) {
 	if !w.resume {
 		reg, host := d.arch.Obs(), string(d.arch.Host())
@@ -632,18 +633,26 @@ func (d *DeployerComponent) settleWave(w *shellWave) {
 		reg.Histogram(obs.Name("prism_wave_duration_ms", "host", host), nil).
 			Observe(float64(d.cfg.Clock().Sub(w.start).Milliseconds()))
 	}
+	if w.appending == RecEpochClosed {
+		return // the close recorded the relocations and carried the snapshot
+	}
 	if w.committed() {
-		// The coordinator is the authoritative relocation authority:
-		// hop-exhausted relays detour here and are bounced back to their
-		// origin with each component's committed location.
-		if dc := d.arch.DistributionConnector(d.cfg.Bus); dc != nil {
-			for comp, dst := range w.moves {
-				dc.RecordRelocation(comp, dst)
-			}
-		}
+		d.recordRelocations(w.moves)
 	}
 	if !w.resume && w.decided {
 		d.ckptSnapshot()
+	}
+}
+
+// recordRelocations records a committed wave's moves at the coordinator,
+// the authoritative relocation authority: hop-exhausted relays detour
+// here and are bounced back to their origin with each component's
+// committed location.
+func (d *DeployerComponent) recordRelocations(moves map[string]model.HostID) {
+	if dc := d.arch.DistributionConnector(d.cfg.Bus); dc != nil {
+		for comp, dst := range moves {
+			dc.RecordRelocation(comp, dst)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package prism
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,15 +19,18 @@ const (
 	// moves, and participant set are durable before the first reconfig
 	// command is dispatched.
 	RecEpochOpen byte = 1
-	// RecEpochPrepared marks every destination's done report in: the
-	// wave may commit.
+	// RecEpochPrepared is read, never written: older builds marked every
+	// destination's done report in with it. Recovery never needed it, so
+	// a log that holds one folds it as nothing.
 	RecEpochPrepared byte = 2
 	// RecEpochDecided persists the commit/abort decision. The outcome is
 	// never broadcast before this record is durable, so a restart can
-	// only ever re-announce the same decision.
+	// only ever re-announce the same decision. A commit's goal-state
+	// records ride in the same write, after it.
 	RecEpochDecided byte = 3
 	// RecEpochClosed marks the outcome fully acknowledged; the epoch
-	// needs nothing from a restart.
+	// needs nothing from a restart. The post-wave snapshot rides in the
+	// same write, after it.
 	RecEpochClosed byte = 4
 	// RecSnapshot is the last-wins snapshot of the relocation table,
 	// dedup windows, and incarnation map.
@@ -49,8 +53,10 @@ const compactAfter = 64
 // and at Ingest — there is no compatibility reader.
 const walFormat = 2
 
-// walRecord is a record body: it appends its fields after the format.
+// walRecord is a record body: its kind, and its fields appended after
+// the format.
 type walRecord interface {
+	kind() byte
 	appendFields(dst []byte) []byte
 }
 
@@ -65,7 +71,9 @@ type epochOpenRec struct {
 	Coordinator model.HostID
 }
 
+// epochMarkRec is a closed record, or an older build's prepared one.
 type epochMarkRec struct {
+	Kind  byte
 	Epoch int
 }
 
@@ -99,6 +107,12 @@ func (r epochOpenRec) appendFields(b []byte) []byte {
 	b = appendStrings(b, r.Participants)
 	return appendString(b, string(r.Coordinator))
 }
+
+func (epochOpenRec) kind() byte    { return RecEpochOpen }
+func (r epochMarkRec) kind() byte  { return r.Kind }
+func (epochDecidedRec) kind() byte { return RecEpochDecided }
+func (snapshotRec) kind() byte     { return RecSnapshot }
+func (goalStateRec) kind() byte    { return RecGoalState }
 
 func (r epochMarkRec) appendFields(b []byte) []byte { return appendInt(b, r.Epoch) }
 
@@ -142,7 +156,7 @@ func decodeRecord(rec store.Record) (walRecord, error) {
 	case RecEpochOpen:
 		out = epochOpenRec{Epoch: r.int(), Moves: r.hostMap(), Participants: readStrings[model.HostID](r), Coordinator: r.host()}
 	case RecEpochPrepared, RecEpochClosed:
-		out = epochMarkRec{Epoch: r.int()}
+		out = epochMarkRec{Kind: rec.Kind, Epoch: r.int()}
 	case RecEpochDecided:
 		out = epochDecidedRec{Epoch: r.int(), Commit: r.bool()}
 	case RecSnapshot:
@@ -168,7 +182,6 @@ type DurableWave struct {
 	Moves        map[string]model.HostID
 	Participants []model.HostID
 	Coordinator  model.HostID
-	Prepared     bool
 	Decided      bool
 	Commit       bool
 }
@@ -189,10 +202,13 @@ type DeployerStore struct {
 	// generations are soft state: agents re-announce after any restart).
 	goals map[model.HostID]goalStateRec
 
-	// crashKind/onCrash are the kill -9 stand-in: after the next record
-	// of crashKind lands durably, the store dies and onCrash runs.
-	crashKind byte
-	onCrash   func()
+	// crashKind/onCrash are the kill -9 stand-in: at the next write that
+	// carries a record of crashKind the store dies and onCrash runs —
+	// after the write is durable (CrashAfter), or before any of it lands
+	// when crashBefore is set (CrashBefore).
+	crashKind   byte
+	crashBefore bool
+	onCrash     func()
 
 	// observeKind/onObserve are the non-fatal sibling of CrashAfter:
 	// after the next record of observeKind lands (and has been offered
@@ -233,13 +249,14 @@ func OpenDeployerStore(dir string) (*DeployerStore, error) {
 			log.Close()
 			return nil, err
 		}
-		ds.foldLocked(r.Kind, rec)
+		ds.foldLocked(rec)
 	}
 	return ds, nil
 }
 
-// foldLocked folds one decoded record into the in-memory mirror.
-func (ds *DeployerStore) foldLocked(kind byte, rec walRecord) {
+// foldLocked folds one decoded record into the in-memory mirror. An
+// older build's prepared record folds as nothing.
+func (ds *DeployerStore) foldLocked(rec walRecord) {
 	bump := func(epoch int) {
 		if epoch >= ds.nextEpoch {
 			ds.nextEpoch = epoch + 1
@@ -253,13 +270,11 @@ func (ds *DeployerStore) foldLocked(kind byte, rec walRecord) {
 		}
 		bump(rec.Epoch)
 	case epochMarkRec:
-		if kind == RecEpochClosed {
+		if rec.Kind == RecEpochClosed {
 			delete(ds.waves, rec.Epoch)
 			ds.closedN++
-		} else if wv := ds.waves[rec.Epoch]; wv != nil {
-			wv.Prepared = true
+			bump(rec.Epoch)
 		}
-		bump(rec.Epoch)
 	case epochDecidedRec:
 		if wv := ds.waves[rec.Epoch]; wv != nil {
 			wv.Decided = true
@@ -276,80 +291,115 @@ func (ds *DeployerStore) foldLocked(kind byte, rec walRecord) {
 	}
 }
 
-// append encodes and durably writes one record, keeps the mirror
-// current, fires an armed crash hook, and compacts when enough closed
-// epochs have piled up.
-func (ds *DeployerStore) append(kind byte, rec walRecord) error {
-	return ds.appendPolicy(kind, rec, true)
+// append durably writes recs as one batch and offers them to the
+// standbys at once.
+func (ds *DeployerStore) append(recs ...walRecord) error {
+	return ds.appendPolicy(true, recs...)
 }
 
-// appendPolicy is append with the replication flush made optional.
-// eager=false still enqueues the record into the replication log in WAL
-// order, but leaves the network send to the next natural flush (a later
-// append, a campaign win, or a replication tick). Goal-state records use
-// this: they are derivable from the decided wave records they trail, so
-// a standby that misses the eager send reconstructs them during Resume,
-// and a burst of per-host checkpoints must not spawn a matching burst of
-// control sends.
+// appendPolicy durably writes recs, in order, as one batch — one write
+// and one fsync; a single record is a batch of one. Every record is
+// decoded from its bytes before anything is written, and the mirror
+// folds those decoded values, never the ones passed in, so it is always
+// what replay would build. Once the batch is durable, each record is
+// folded and enqueued into the replication log in WAL order, then the
+// armed hooks fire per matching record, in record order, and enough
+// closed epochs compact the log.
 //
-// The mirror folds the record decoded from its bytes, never the value
-// passed in, so it is always what replay would build.
-func (ds *DeployerStore) appendPolicy(kind byte, rec walRecord, eager bool) error {
-	data := encodeRecord(rec)
-	decoded, err := decodeRecord(store.Record{Kind: kind, Data: data})
-	if err != nil {
-		return err
+// eager=false leaves the replication send to the next natural flush (a
+// later eager append, a campaign win, or a replication tick). Goal-state
+// records written on their own use this: they are derivable from the
+// decided wave records they trail, so a standby that misses the eager
+// send reconstructs them during Resume, and a burst of per-host
+// checkpoints must not spawn a matching burst of control sends.
+func (ds *DeployerStore) appendPolicy(eager bool, recs ...walRecord) error {
+	batch := make([]store.Record, len(recs))
+	decoded := make([]walRecord, len(recs))
+	for i, rec := range recs {
+		batch[i] = store.Record{Kind: rec.kind(), Data: encodeRecord(rec)}
+		d, err := decodeRecord(batch[i])
+		if err != nil {
+			return err
+		}
+		decoded[i] = d
 	}
 	ds.mu.Lock()
 	if ds.dead {
 		ds.mu.Unlock()
 		return store.ErrClosed
 	}
-	if err := ds.log.Append(kind, data); err != nil {
+	crashAt := -1 // the record an armed crash fires after
+	if ds.crashKind != 0 {
+		crashAt = slices.IndexFunc(batch, func(r store.Record) bool { return r.Kind == ds.crashKind })
+	}
+	if crashAt >= 0 && ds.crashBefore {
+		// The kill lands before the write: nothing of the batch survives.
+		hook := ds.die()
+		ds.mu.Unlock()
+		if hook != nil {
+			hook()
+		}
+		return store.ErrClosed
+	}
+	if err := ds.log.AppendBatch(batch); err != nil {
 		ds.mu.Unlock()
 		return err
 	}
-	ds.foldLocked(kind, decoded)
-	if ds.replEnqueue != nil {
-		ds.replEnqueue(kind, data)
+	for i, r := range batch {
+		ds.foldLocked(decoded[i])
+		if ds.replEnqueue != nil {
+			ds.replEnqueue(r.Kind, r.Data)
+		}
 	}
-	var hook func()
-	if ds.crashKind != 0 && kind == ds.crashKind {
-		// The record IS durable — the crash happens strictly after the
+	var crash func()
+	if crashAt >= 0 {
+		// The batch IS durable — the crash happens strictly after the
 		// checkpoint, which is the transition the drills target.
-		ds.dead = true
-		ds.crashKind = 0
-		hook = ds.onCrash
-		ds.onCrash = nil
-		ds.log.MarkDead()
-	}
-	var observe func()
-	if ds.observeKind != 0 && kind == ds.observeKind {
-		observe = ds.onObserve
-		ds.observeKind = 0
-		ds.onObserve = nil
+		crash = ds.die()
+	} else if ds.closedN >= compactAfter {
+		_ = ds.compactLocked()
 	}
 	var flush func()
 	if eager {
 		flush = ds.replFlush
 	}
-	if hook == nil && ds.closedN >= compactAfter {
-		_ = ds.compactLocked()
-	}
 	ds.mu.Unlock()
-	// Replication strictly precedes the hooks: even when this append was
-	// the arranged crash point, the now-durable record streams out first
+	// Replication strictly precedes the hooks: even when this batch held
+	// the arranged crash point, the now-durable records stream out first
 	// — matching a real crash, where the fsync'd write survives.
 	if flush != nil {
 		flush()
 	}
-	if observe != nil {
-		observe()
+	observed := batch
+	if crashAt >= 0 {
+		observed = batch[:crashAt+1] // the process dies at the crash record
 	}
-	if hook != nil {
-		hook()
+	for _, r := range observed {
+		// A hook re-armed from its own callback sees the later records.
+		ds.mu.Lock()
+		var observe func()
+		if ds.observeKind != 0 && r.Kind == ds.observeKind {
+			observe, ds.observeKind, ds.onObserve = ds.onObserve, 0, nil
+		}
+		ds.mu.Unlock()
+		if observe != nil {
+			observe()
+		}
+	}
+	if crash != nil {
+		crash()
 	}
 	return nil
+}
+
+// die marks the store dead — every later write fails with
+// store.ErrClosed — disarms the crash, and returns its hook. Caller
+// holds ds.mu.
+func (ds *DeployerStore) die() func() {
+	hook := ds.onCrash
+	ds.dead, ds.crashKind, ds.crashBefore, ds.onCrash = true, 0, false, nil
+	ds.log.MarkDead()
+	return hook
 }
 
 // liveRecordsLocked serializes the mirror down to live state: one
@@ -373,9 +423,6 @@ func (ds *DeployerStore) liveRecordsLocked() ([]store.Record, snapshotRec) {
 		wv := ds.waves[e]
 		open := epochOpenRec{Epoch: wv.Epoch, Moves: wv.Moves, Participants: wv.Participants, Coordinator: wv.Coordinator}
 		recs = append(recs, store.Record{Kind: RecEpochOpen, Data: encodeRecord(open)})
-		if wv.Prepared {
-			recs = append(recs, store.Record{Kind: RecEpochPrepared, Data: encodeRecord(epochMarkRec{Epoch: wv.Epoch})})
-		}
 		if wv.Decided {
 			recs = append(recs, store.Record{Kind: RecEpochDecided, Data: encodeRecord(epochDecidedRec{Epoch: wv.Epoch, Commit: wv.Commit})})
 		}
@@ -449,8 +496,8 @@ func (ds *DeployerStore) Ingest(seq uint64, reset bool, recs []store.Record) (ui
 	} else if err := ds.log.AppendBatch(recs); err != nil {
 		return ds.replSeq, err
 	}
-	for i, r := range recs {
-		ds.foldLocked(r.Kind, decoded[i])
+	for _, rec := range decoded {
+		ds.foldLocked(rec)
 	}
 	ds.replSeq = last
 	return ds.replSeq, nil
@@ -496,16 +543,7 @@ func (ds *DeployerStore) SaveTerm(term uint64) error {
 	snap.Term = term
 	snap.NextEpoch = ds.nextEpoch
 	ds.mu.Unlock()
-	return ds.append(RecSnapshot, snap)
-}
-
-// saveGoal durably records one host's goal-state entry (last-wins). The
-// replication send is deferred to the next flush: goal records trail the
-// wave records they are derived from, and Resume re-applies committed
-// moves to the goal table, so a standby never depends on seeing them
-// eagerly.
-func (ds *DeployerStore) saveGoal(rec goalStateRec) error {
-	return ds.appendPolicy(RecGoalState, rec, false)
+	return ds.append(snap)
 }
 
 // GoalStates returns the mirrored goal-state records keyed by host.
@@ -533,15 +571,16 @@ func (ds *DeployerStore) GoalGenerations() map[model.HostID]uint64 {
 	return out
 }
 
-func (ds *DeployerStore) saveSnapshot(snap snapshotRec) error {
+// stamp fills a soft-state snapshot's epoch high-water mark and the
+// persisted fencing term, which soft-state snapshots never carry.
+func (ds *DeployerStore) stamp(snap snapshotRec) snapshotRec {
 	ds.mu.Lock()
+	defer ds.mu.Unlock()
 	snap.NextEpoch = ds.nextEpoch
 	if snap.Term == 0 {
-		// Soft-state snapshots never carry a term; keep the persisted one.
 		snap.Term = ds.snap.Term
 	}
-	ds.mu.Unlock()
-	return ds.append(RecSnapshot, snap)
+	return snap
 }
 
 // HasState reports whether the log held any records when opened — the
@@ -575,21 +614,34 @@ func (ds *DeployerStore) snapshot() snapshotRec {
 }
 
 // CrashAfter arms the kill -9 stand-in used by torture tests and chaos
-// drills: immediately after the next record of the given kind lands
-// durably, the store marks itself dead — every later write fails with
-// store.ErrClosed — and fn runs (typically closing the deployer). The
-// checkpoint itself survives; only everything after it is lost, exactly
-// like a crash between the fsync and the next instruction.
+// drills: once the next write carrying a record of the given kind lands
+// durably, whole, the store marks itself dead — every later write fails
+// with store.ErrClosed — and, after the observers of the records up to
+// that one, fn runs (typically closing the deployer). The checkpoint
+// itself survives; only everything after it is lost, exactly like a
+// crash between the fsync and the next instruction.
 func (ds *DeployerStore) CrashAfter(kind byte, fn func()) {
+	ds.armCrash(kind, false, fn)
+}
+
+// CrashBefore arms the same stand-in one step earlier: the next write
+// carrying a record of the given kind never lands — nothing of it is
+// durable — the store marks itself dead, fn runs, and the write fails
+// with store.ErrClosed, as a crash just before the fsync would leave it.
+func (ds *DeployerStore) CrashBefore(kind byte, fn func()) {
+	ds.armCrash(kind, true, fn)
+}
+
+func (ds *DeployerStore) armCrash(kind byte, before bool, fn func()) {
 	ds.mu.Lock()
-	ds.crashKind = kind
-	ds.onCrash = fn
+	ds.crashKind, ds.crashBefore, ds.onCrash = kind, before, fn
 	ds.mu.Unlock()
 }
 
 // ObserveAppend arms a one-shot, NON-fatal hook: fn runs immediately
-// after the next record of the given kind lands durably (and has been
-// offered to replication), with the store still alive. Failover drills
+// after the next record of the given kind lands durably (its whole
+// write, offered to replication), with the store still alive; re-armed
+// from fn, it sees the later records of the same write. Failover drills
 // use it to partition the network at a named checkpoint while the
 // doomed leader keeps running.
 func (ds *DeployerStore) ObserveAppend(kind byte, fn func()) {
@@ -743,64 +795,80 @@ func (d *DeployerComponent) RelocationView() map[string]model.HostID {
 	return nil
 }
 
-// checkpoint performs the append a wave asked for and returns its result,
-// with the detector's current verdicts, as the wave's next input.
-// RecGoalState folds the wave's moves into the goal table, which
-// checkpoints each touched host; without a store every other record is a
-// no-op that succeeds.
+// checkpoint performs the write a wave asked for and returns its result,
+// with the detector's current verdicts, as the wave's next input. The
+// write carries the records o.recs names, in that order, as one batch:
+// RecGoalState folds the wave's moves into the goal table (one record
+// per touched host), and RecSnapshot records a committed wave's
+// relocations first so the snapshot carries them. The goal table takes
+// the fold only once the write is durable, except for a goal-only write
+// (a resumed commit's re-fold, whose decision already is), which is
+// best-effort. Without a store every write succeeds.
 func (d *DeployerComponent) checkpoint(c *waveCore, o waveOutput) waveInput {
 	d.mu.Lock()
 	ds := d.store
 	d.mu.Unlock()
 	in := waveInput{kind: inCheckpoint, dead: d.deadAmong(c.parts)}
-	switch {
-	case o.rec == RecGoalState:
-		in.gens = d.applyWaveToGoal(c.moves)
-	case ds == nil:
-	case o.rec == RecEpochOpen:
-		in.err = ds.append(o.rec, epochOpenRec{Epoch: c.epoch, Moves: c.moves, Participants: c.parts, Coordinator: c.coordinator})
-	case o.rec == RecEpochDecided:
-		in.err = ds.append(o.rec, epochDecidedRec{Epoch: c.epoch, Commit: o.commit})
-	default: // prepared, closed
-		in.err = ds.append(o.rec, epochMarkRec{Epoch: c.epoch})
+	var recs []walRecord
+	var fold map[model.HostID]*goalEntry
+	for _, kind := range o.recs {
+		switch kind {
+		case RecEpochOpen:
+			recs = append(recs, epochOpenRec{Epoch: c.epoch, Moves: c.moves, Participants: c.parts, Coordinator: c.coordinator})
+		case RecEpochDecided:
+			recs = append(recs, epochDecidedRec{Epoch: c.epoch, Commit: o.commit})
+		case RecGoalState:
+			var goals []walRecord
+			fold, goals = d.foldWave(c.moves)
+			recs = append(recs, goals...)
+		case RecEpochClosed:
+			recs = append(recs, epochMarkRec{Kind: RecEpochClosed, Epoch: c.epoch})
+		case RecSnapshot:
+			if c.committed() {
+				d.recordRelocations(c.moves)
+			}
+			if ds != nil {
+				recs = append(recs, d.softSnapshot(ds))
+			}
+		}
+	}
+	goalOnly := o.recs[0] == RecGoalState
+	if ds != nil && len(recs) > 0 {
+		in.err = ds.appendPolicy(!goalOnly, recs...)
+	}
+	if fold != nil && (in.err == nil || goalOnly) {
+		in.gens = d.installFold(fold)
+	}
+	if goalOnly {
+		in.err = nil
 	}
 	return in
 }
 
-// ckptGoal persists the hosts' goal-state entries in host order
-// (best-effort: a dead store must never fail a wave — Resume's idempotent
-// re-apply heals the gap, and a memory-only deployer simply keeps the
-// table soft).
+// ckptGoal persists the hosts' goal-state entries as one write, in host
+// order (best-effort: a dead store must never fail a wave — Resume's
+// idempotent re-apply heals the gap, and a memory-only deployer simply
+// keeps the table soft). The replication send waits for the next flush.
 func (d *DeployerComponent) ckptGoal(hosts ...model.HostID) {
 	sortHostIDs(hosts)
-	for _, h := range hosts {
-		d.mu.Lock()
-		ds := d.store
-		var rec goalStateRec
-		if ds != nil {
-			e := d.goal.entry(h)
-			rec = goalStateRec{Host: h, Gen: e.Gen}
-			for _, id := range e.sortedIDs() {
-				rec.Manifest = append(rec.Manifest, GoalComponent{ID: id, Type: e.Manifest[id]})
-			}
+	d.mu.Lock()
+	ds := d.store
+	var recs []walRecord
+	if ds != nil {
+		for _, h := range hosts {
+			recs = append(recs, d.goal.entry(h).record(h))
 		}
-		d.mu.Unlock()
-		if ds != nil {
-			_ = ds.saveGoal(rec)
-		}
+	}
+	d.mu.Unlock()
+	if len(recs) > 0 {
+		_ = ds.appendPolicy(false, recs...)
 	}
 }
 
-// ckptSnapshot persists the relocation table, dedup windows, and
-// incarnation map (best-effort, last-wins).
-func (d *DeployerComponent) ckptSnapshot() {
-	d.mu.Lock()
-	ds := d.store
-	fd := d.detector
-	d.mu.Unlock()
-	if ds == nil {
-		return
-	}
+// softSnapshot captures the relocation table, dedup windows, and
+// incarnation map, stamped by ds.
+func (d *DeployerComponent) softSnapshot(ds *DeployerStore) snapshotRec {
+	fd := d.Detector()
 	var snap snapshotRec
 	if dc := d.arch.DistributionConnector(d.cfg.Bus); dc != nil {
 		snap.Reloc = dc.RelocationSnapshot()
@@ -809,5 +877,15 @@ func (d *DeployerComponent) ckptSnapshot() {
 	if fd != nil {
 		snap.Incarnations = fd.Incarnations()
 	}
-	_ = ds.saveSnapshot(snap)
+	return ds.stamp(snap)
+}
+
+// ckptSnapshot persists the soft state (best-effort, last-wins).
+func (d *DeployerComponent) ckptSnapshot() {
+	d.mu.Lock()
+	ds := d.store
+	d.mu.Unlock()
+	if ds != nil {
+		_ = ds.append(d.softSnapshot(ds))
+	}
 }

@@ -1,6 +1,7 @@
 package prism
 
 import (
+	"maps"
 	"sort"
 
 	"dif/internal/model"
@@ -207,6 +208,15 @@ type goalEntry struct {
 	Manifest map[string]string // component ID → factory type
 }
 
+// record is h's goal-state WAL record.
+func (g *goalEntry) record(h model.HostID) goalStateRec {
+	rec := goalStateRec{Host: h, Gen: g.Gen}
+	for _, id := range g.sortedIDs() {
+		rec.Manifest = append(rec.Manifest, GoalComponent{ID: id, Type: g.Manifest[id]})
+	}
+	return rec
+}
+
 func (g *goalEntry) sortedIDs() []string {
 	out := make([]string, 0, len(g.Manifest))
 	for id := range g.Manifest {
@@ -302,20 +312,25 @@ func (d *DeployerComponent) RelocateGoal(comp, typeName string, to model.HostID)
 	d.ckptGoal(touched...)
 }
 
-// applyWaveToGoal folds a committed wave's moves into the goal table
-// and returns the participants' new generations (the outcome
-// broadcast's Gens). Idempotent: a move whose destination already owns
-// the component is skipped, so Resume can re-apply a decided wave whose
-// goal checkpoints were lost between the decision record and the crash.
-func (d *DeployerComponent) applyWaveToGoal(moves map[string]model.HostID) map[model.HostID]uint64 {
-	comps := make([]string, 0, len(moves))
-	for comp := range moves {
-		comps = append(comps, comp)
-	}
-	sort.Strings(comps)
+// foldWave folds a committed wave's moves into copies of the goal
+// entries they touch, each at its next generation, and returns those
+// entries with their goal-state records in host order; installFold puts
+// them in the table once they are durable. Idempotent: a move whose
+// destination already owns the component is skipped, so Resume can
+// re-fold a decided wave whose goal records were lost between the
+// decision and the crash.
+func (d *DeployerComponent) foldWave(moves map[string]model.HostID) (map[model.HostID]*goalEntry, []walRecord) {
 	d.mu.Lock()
-	touched := make(map[model.HostID]bool)
-	for _, comp := range comps {
+	defer d.mu.Unlock()
+	next := make(map[model.HostID]*goalEntry)
+	touch := func(h model.HostID) *goalEntry {
+		if next[h] == nil {
+			e := d.goal.entry(h)
+			next[h] = &goalEntry{Gen: e.Gen + 1, Manifest: maps.Clone(e.Manifest)}
+		}
+		return next[h]
+	}
+	for _, comp := range sortedKeys(moves) {
 		dst := moves[comp]
 		from, ok := d.goal.ownerOf(comp)
 		if ok && from == dst {
@@ -323,25 +338,31 @@ func (d *DeployerComponent) applyWaveToGoal(moves map[string]model.HostID) map[m
 		}
 		typeName := ""
 		if ok {
-			e := d.goal.entry(from)
-			typeName = e.Manifest[comp]
-			delete(e.Manifest, comp)
-			touched[from] = true
+			typeName = d.goal.entries[from].Manifest[comp]
+			delete(touch(from).Manifest, comp)
 		}
-		d.goal.entry(dst).Manifest[comp] = typeName
-		touched[dst] = true
+		touch(dst).Manifest[comp] = typeName
 	}
-	hosts := make([]model.HostID, 0, len(touched))
-	for h := range touched {
-		d.goal.entry(h).Gen++
-		hosts = append(hosts, h)
+	var recs []walRecord
+	for _, h := range sortedKeys(next) {
+		recs = append(recs, next[h].record(h))
+	}
+	return next, recs
+}
+
+// installFold puts folded entries in the goal table and returns every
+// host's generation — a commit outcome's Gens.
+func (d *DeployerComponent) installFold(next map[model.HostID]*goalEntry) map[model.HostID]uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for h, ne := range next {
+		e := d.goal.entry(h)
+		e.Gen, e.Manifest = ne.Gen, ne.Manifest
 	}
 	gens := make(map[model.HostID]uint64, len(d.goal.entries))
 	for h, e := range d.goal.entries {
 		gens[h] = e.Gen
 	}
-	d.mu.Unlock()
-	d.ckptGoal(hosts...)
 	return gens
 }
 

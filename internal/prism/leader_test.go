@@ -381,19 +381,16 @@ func leaderStream(t *testing.T, ds *DeployerStore) []store.Record {
 	moves := map[string]model.HostID{"c1": "h2"}
 	parts := []model.HostID{"h1", "h2"}
 	for epoch := 1; epoch <= 2; epoch++ {
-		if err := ds.append(RecEpochOpen, epochOpenRec{Epoch: epoch, Moves: moves, Participants: parts, Coordinator: "h1"}); err != nil {
+		if err := ds.append(epochOpenRec{Epoch: epoch, Moves: moves, Participants: parts, Coordinator: "h1"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ds.append(RecEpochPrepared, epochMarkRec{Epoch: epoch}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.append(RecEpochDecided, epochDecidedRec{Epoch: epoch, Commit: epoch%2 == 1}); err != nil {
+		if err := ds.append(epochDecidedRec{Epoch: epoch, Commit: epoch%2 == 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Epoch 2 stays open (decided, unclosed) — the shape a failover
 	// resumes. Epoch 1 closes.
-	if err := ds.append(RecEpochClosed, epochMarkRec{Epoch: 1}); err != nil {
+	if err := ds.append(epochMarkRec{Kind: RecEpochClosed, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	return stream

@@ -35,7 +35,7 @@ type waveCore struct {
 
 	term      uint64
 	stage     waveStage
-	appending byte // the record whose result the wave awaits
+	appending byte // the lead record of the write whose result the wave awaits
 	// waiting marks, per participant, the answer outstanding: a done
 	// report in phase one, an outcome ack in phase two.
 	waiting  []bool
@@ -109,9 +109,9 @@ type waveOutput struct {
 	to    model.HostID
 	ev    Event
 	retry bool // a re-drive toward a host that has not answered
-	// rec is the record to append; RecGoalState folds the committed moves
-	// into the goal table.
-	rec    byte
+	// recs are the records one write carries, in order; RecGoalState
+	// folds the committed moves into the goal table.
+	recs   []byte
 	commit bool
 	phase  string
 	attrs  []string // span attributes: key, value, key, value...
@@ -216,9 +216,10 @@ func (c *waveCore) step(in waveInput) []waveOutput {
 	return nil
 }
 
-func (c *waveCore) appendRec(rec byte) []waveOutput {
-	c.stage, c.appending = stageAppending, rec
-	return []waveOutput{{kind: outAppend, rec: rec, commit: c.commit}}
+// appendRec asks for one write of recs, in order; the first leads.
+func (c *waveCore) appendRec(recs ...byte) []waveOutput {
+	c.stage, c.appending = stageAppending, recs[0]
+	return []waveOutput{{kind: outAppend, recs: recs, commit: c.commit}}
 }
 
 func (c *waveCore) start(now time.Time) []waveOutput {
@@ -231,11 +232,11 @@ func (c *waveCore) start(now time.Time) []waveOutput {
 		}, c.appendRec(RecEpochOpen)...)
 	case !c.decided:
 		// The durable rule holds on resume too: the abort is persisted first.
-		return c.appendRec(RecEpochDecided)
+		return c.decide(false)
 	case c.commit:
 		// Re-fold the committed moves into the goal table before the
-		// broadcast: idempotent, it heals a crash between the decision and
-		// the goal records.
+		// broadcast: idempotent, it heals a crash that kept the decision
+		// but lost the goal records behind it.
 		return c.appendRec(RecGoalState)
 	}
 	return c.startOutcome(now)
@@ -268,16 +269,10 @@ func (c *waveCore) checkpointed(in waveInput) []waveOutput {
 		}
 		c.deadline = in.now.Add(c.timeout)
 		return c.resend(false)
-	case RecEpochPrepared:
-		return c.appendRec(RecEpochDecided)
-	case RecEpochDecided:
-		if c.decided = true; c.commit {
-			// A committed wave IS a goal-state transition: the outcome
-			// publishes the generations the fold reaches.
-			return c.appendRec(RecGoalState)
-		}
-	case RecGoalState:
-		c.gens = in.gens
+	case RecEpochDecided, RecGoalState:
+		// A committed wave IS a goal-state transition: the outcome
+		// publishes the generations the fold reached.
+		c.decided, c.gens = true, in.gens
 	case RecEpochClosed:
 		return c.finish("") // a failure only costs a re-broadcast after a restart
 	}
@@ -299,7 +294,7 @@ func (c *waveCore) answered(in waveInput) []waveOutput {
 	case c.stage == stagePreparing:
 		return c.endPrepare("done")
 	}
-	return c.appendRec(RecEpochClosed)
+	return c.closeEpoch()
 }
 
 // resend sends what is unanswered: the reconfig to each pending
@@ -364,10 +359,16 @@ func (c *waveCore) endPrepare(why string) []waveOutput {
 		out = append(out, c.beginOutcome()...)
 		return append(out, c.finish("")...)
 	}
-	if c.commit = why == "done"; c.commit {
-		return append(out, c.appendRec(RecEpochPrepared)...)
+	return append(out, c.decide(why == "done")...)
+}
+
+// decide makes the decision durable in one write: a commit's goal fold
+// rides behind its decided record.
+func (c *waveCore) decide(commit bool) []waveOutput {
+	if c.commit = commit; commit {
+		return c.appendRec(RecEpochDecided, RecGoalState)
 	}
-	return append(out, c.appendRec(RecEpochDecided)...)
+	return c.appendRec(RecEpochDecided)
 }
 
 // startOutcome begins phase two: the durable outcome is re-sent until
@@ -376,10 +377,14 @@ func (c *waveCore) startOutcome(now time.Time) []waveOutput {
 	out := c.beginOutcome()
 	c.deadline = now.Add(c.ackTimeout)
 	if !slices.Contains(c.waiting, true) {
-		return append(out, c.appendRec(RecEpochClosed)...)
+		return append(out, c.closeEpoch()...)
 	}
 	return out
 }
+
+// closeEpoch ends the epoch in one write: the soft-state snapshot rides
+// behind its closed record.
+func (c *waveCore) closeEpoch() []waveOutput { return c.appendRec(RecEpochClosed, RecSnapshot) }
 
 // beginOutcome opens the outcome span and sends the outcome to every
 // participant not known dead.

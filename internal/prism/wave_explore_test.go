@@ -24,15 +24,19 @@ import (
 // as the participant's outputs leave it — the durable log and the clock.
 // Each pending frame may be delivered, dropped or duplicated in any order;
 // ticks, the deadlines, and a participant's death or restart interleave
-// with them; and every append may land and crash the coordinator, or
-// fail, after which the standby resumes. Budgets bound the drops,
-// duplicates, ticks, deaths, restarts and crashes; within them the walk is
-// exhaustive.
+// with them; and every write may land whole, crash the coordinator
+// after any whole-record prefix of it (none included) has landed, or
+// fail with nothing landed, after which the standby resumes. Budgets
+// bound the drops, duplicates, ticks, deaths, restarts and crashes;
+// within them the walk is exhaustive.
 //
 // Reading a failure: the trace lists the actions from the initial state,
 // shortest first (BFS). Hosts are m (the coordinator), sb (the standby)
-// and p1..p3; "append decided(commit): crash" means the record landed and
-// the coordinator died right after it, "fail" that the append errored;
+// and p1..p3; "append decided(commit=true)+goal" is one write of two
+// records, "append decided(commit=true)+goal: crash" means it landed and
+// the coordinator died right after it, "append decided(commit=true) of
+// decided(commit=true)+goal: crash" that only that prefix landed before
+// the crash, and "fail" that the write errored with nothing landed;
 // "restart of p2" gives p2 fresh cores and none of its components.
 
 // exHosts are the explorer's hosts, by index.
@@ -133,7 +137,7 @@ type exAgent struct {
 }
 
 // exLog is the durable record of the explored epoch.
-type exLog struct{ open, prepared, decided, commit, closed bool }
+type exLog struct{ open, decided, commit, closed bool }
 
 type exWorld struct {
 	core     *waveCore
@@ -401,24 +405,33 @@ func (x *explorer) perform(w *exWorld, outs []waveOutput) []*exWorld {
 }
 
 func (x *explorer) appendBranches(w *exWorld, o waveOutput) []*exWorld {
-	rec := recName(o)
+	batch := recName(o, len(o.recs))
 	var out []*exWorld
 	land := w.clone()
-	x.write(land, o)
-	land.addNote("append " + rec)
+	x.write(land, o, len(o.recs))
+	land.addNote("append " + batch)
 	out = append(out, x.feed(land, waveInput{kind: inCheckpoint, now: land.clock, gens: x.gens, dead: x.dead(land)})...)
 	if w.crashes == 0 {
 		return out
 	}
-	crash := w.clone()
-	x.write(crash, o)
-	crash.addNote("append " + rec + ": crash")
-	out = append(out, x.resume(crash)...)
-	if o.rec != RecGoalState {
-		// A failed append is a crash too: the wave reacts to the error,
+	for k := 0; k <= len(o.recs); k++ {
+		crash := w.clone()
+		x.write(crash, o, k)
+		switch k {
+		case 0:
+			crash.addNote("append " + batch + ": crash, nothing landed")
+		case len(o.recs):
+			crash.addNote("append " + batch + ": crash")
+		default:
+			crash.addNote("append " + recName(o, k) + " of " + batch + ": crash")
+		}
+		out = append(out, x.resume(crash)...)
+	}
+	if o.recs[0] != RecGoalState {
+		// A failed write is a crash too: the wave reacts to the error,
 		// then the process restarts.
 		failed := w.clone()
-		failed.addNote("append " + rec + ": fail")
+		failed.addNote("append " + batch + ": fail")
 		for _, f := range x.feed(failed, waveInput{kind: inCheckpoint, now: failed.clock, err: errExplore, dead: x.dead(failed)}) {
 			out = append(out, x.resume(f)...)
 		}
@@ -428,37 +441,48 @@ func (x *explorer) appendBranches(w *exWorld, o waveOutput) []*exWorld {
 
 var errExplore = errors.New("injected append failure")
 
-func recName(o waveOutput) string {
-	switch o.rec {
-	case RecEpochOpen:
-		return "open"
-	case RecEpochPrepared:
-		return "prepared"
-	case RecEpochDecided:
-		return fmt.Sprintf("decided(commit=%v)", o.commit)
-	case RecGoalState:
-		return "goal"
+// recName names the first k records of a write.
+func recName(o waveOutput, k int) string {
+	names := make([]string, k)
+	for i, rec := range o.recs[:k] {
+		switch rec {
+		case RecEpochOpen:
+			names[i] = "open"
+		case RecEpochDecided:
+			names[i] = fmt.Sprintf("decided(commit=%v)", o.commit)
+		case RecGoalState:
+			names[i] = "goal"
+		case RecEpochClosed:
+			names[i] = "closed"
+		default:
+			names[i] = "snapshot"
+		}
 	}
-	return "closed"
+	return strings.Join(names, "+")
 }
 
-// write makes a record durable, checking the decision properties.
-func (x *explorer) write(w *exWorld, o waveOutput) {
-	switch o.rec {
-	case RecEpochOpen:
-		w.log.open = true
-	case RecEpochPrepared:
-		w.log.prepared = true
-	case RecEpochDecided:
-		if w.log.decided && w.log.commit != o.commit {
-			w.fail("decision changed: durable commit=%v, appended commit=%v", w.log.commit, o.commit)
+// write makes the first k records of a write durable, in order,
+// checking the decision properties.
+func (x *explorer) write(w *exWorld, o waveOutput, k int) {
+	for _, rec := range o.recs[:k] {
+		switch rec {
+		case RecEpochOpen:
+			w.log.open = true
+		case RecEpochDecided:
+			if w.log.decided && w.log.commit != o.commit {
+				w.fail("decision changed: durable commit=%v, appended commit=%v", w.log.commit, o.commit)
+			}
+			if o.commit && w.doneIn&x.dstMask != x.dstMask {
+				w.fail("commit decided with done reports from %08b of destinations %08b", w.doneIn, x.dstMask)
+			}
+			w.log.decided, w.log.commit = true, o.commit
+		case RecGoalState:
+			if !w.log.decided || !w.log.commit {
+				w.fail("goal generations durable before the commit decision")
+			}
+		case RecEpochClosed:
+			w.log.closed = true
 		}
-		if o.commit && w.doneIn&x.dstMask != x.dstMask {
-			w.fail("commit decided with done reports from %08b of destinations %08b", w.doneIn, x.dstMask)
-		}
-		w.log.decided, w.log.commit = true, o.commit
-	case RecEpochClosed:
-		w.log.closed = true
 	}
 }
 
@@ -477,7 +501,7 @@ func (x *explorer) resume(w *exWorld) []*exWorld {
 	}
 	w.core = resumeWave(DurableWave{
 		Epoch: 1, Moves: x.scope.moves, Participants: parts, Coordinator: "m",
-		Prepared: w.log.prepared, Decided: w.log.decided, Commit: w.log.commit,
+		Decided: w.log.decided, Commit: w.log.commit,
 	}, "sb", uint64(w.term), time.Hour)
 	return x.feed(w, waveInput{kind: inStart, now: w.clock, dead: x.dead(w)})
 }
@@ -818,7 +842,7 @@ func (x *explorer) key(w *exWorld, buf []byte) (uint64, []byte) {
 	buf = buf[:0]
 	buf = append(buf, byte(w.coord), w.term, byte(w.drops), byte(w.dups), byte(w.ticks), byte(w.deaths), byte(w.restarts), byte(w.crashes),
 		w.doneIn, w.outcomes, byte(b2i(w.expired)), byte(w.spans), w.gone,
-		byte(b2i(w.log.open)), byte(b2i(w.log.prepared)), byte(b2i(w.log.decided)), byte(b2i(w.log.commit)), byte(b2i(w.log.closed)))
+		byte(b2i(w.log.open)), byte(b2i(w.log.decided)), byte(b2i(w.log.commit)), byte(b2i(w.log.closed)))
 	buf = binary.AppendVarint(buf, w.clock.UnixNano())
 	for _, a := range w.agents {
 		buf = x.keyAgent(buf, a)
@@ -1036,7 +1060,7 @@ func TestWaveExplore(t *testing.T) {
 func outcomeBeforeDecision(c *waveCore, in waveInput) []waveOutput {
 	out := c.step(in)
 	for i, o := range out {
-		if o.kind == outAppend && o.rec == RecEpochDecided {
+		if o.kind == outAppend && o.recs[0] == RecEpochDecided {
 			early := make([]waveOutput, 0, len(c.parts))
 			for _, p := range c.parts {
 				early = append(early, waveOutput{kind: outSend, to: p, ev: Event{Name: EvOutcome, Payload: WaveOutcome{
@@ -1071,6 +1095,19 @@ func commitWithDoneMissing(c *waveCore, in waveInput) []waveOutput {
 	host := c.parts[missing]
 	forged := waveInput{kind: inDone, host: host, done: DoneReport{Epoch: c.epoch, Host: host, Received: 1}, now: in.now}
 	return append(out, c.step(forged)...)
+}
+
+// goalsBeforeDecision writes a commit's goal records ahead of its
+// decided record: a crash between them leaves generations advanced for a
+// wave whose decision never landed.
+func goalsBeforeDecision(c *waveCore, in waveInput) []waveOutput {
+	out := c.step(in)
+	for i, o := range out {
+		if o.kind == outAppend && slices.Equal(o.recs, []byte{RecEpochDecided, RecGoalState}) {
+			out[i].recs = []byte{RecGoalState, RecEpochDecided}
+		}
+	}
+	return out
 }
 
 // decideResumedAgain forgets the log's decision when a resumed wave
@@ -1147,6 +1184,7 @@ func TestWaveExploreMutants(t *testing.T) {
 		{"outcome before the decided record", scopes[0], outcomeBeforeDecision, part, "before its decided record is durable"},
 		{"commit with a done report missing", scopes[0], commitWithDoneMissing, part, "commit decided with done reports"},
 		{"resumed epoch decided again", scopes[0], decideResumedAgain, part, "decision changed"},
+		{"goal records ahead of the decided record", scopes[0], goalsBeforeDecision, part, "goal generations durable before the commit decision"},
 		{"a fetch of a settled wave detaches again", scopes[0], wave, detachAfterSettle, "quiescent after abort"},
 		{"done reported with an arrival missing", scopes[0], wave, doneOneShort, "quiescent after commit"},
 		{"an abort leaves a prepared instance detached", scopes[0], wave, abortKeepsDetached, "quiescent after abort"},

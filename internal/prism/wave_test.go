@@ -118,10 +118,10 @@ func TestResumeDrivesOpenWavesTogether(t *testing.T) {
 	parts := []model.HostID{"s1", "s2"}
 	for epoch, comp := range map[int]string{1: "c1", 2: "c2"} {
 		open := epochOpenRec{Epoch: epoch, Moves: map[string]model.HostID{comp: "s2"}, Participants: parts, Coordinator: "m"}
-		if err := ds.append(RecEpochOpen, open); err != nil {
+		if err := ds.append(open); err != nil {
 			t.Fatal(err)
 		}
-		if err := ds.append(RecEpochDecided, epochDecidedRec{Epoch: epoch, Commit: true}); err != nil {
+		if err := ds.append(epochDecidedRec{Epoch: epoch, Commit: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

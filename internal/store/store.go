@@ -73,6 +73,7 @@ type Log struct {
 	nosync   bool
 	appended int // records appended since open/compact
 	replayed int // records recovered at open
+	syncs    int // fsyncs forced since open
 }
 
 // Options tunes Open.
@@ -175,56 +176,40 @@ func replay(f *os.File) ([]Record, int64, error) {
 	return recs, off, nil
 }
 
-func encodeRecord(kind byte, data []byte) []byte {
-	buf := make([]byte, headerLen+len(data)+trailerLen)
-	buf[0] = recVersion
-	buf[1] = kind
-	binary.BigEndian.PutUint32(buf[2:6], uint32(len(data)))
-	copy(buf[headerLen:], data)
-	sum := crc32.ChecksumIEEE(buf[:headerLen+len(data)])
-	binary.BigEndian.PutUint32(buf[headerLen+len(data):], sum)
-	return buf
+// appendRecord appends one framed record to dst.
+func appendRecord(dst []byte, kind byte, data []byte) []byte {
+	off := len(dst)
+	dst = append(dst, recVersion, kind, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(dst[off+2:], uint32(len(data)))
+	dst = append(dst, data...)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[off:]))
 }
 
-// Append durably adds one record: written, then fsynced, before
-// returning nil. A failed append leaves at worst a torn tail, which the
-// next Open drops.
+// Append durably adds one record: a batch of one.
 func (l *Log) Append(kind byte, data []byte) error {
-	if len(data) > maxRecordLen {
-		return fmt.Errorf("store: record length %d exceeds limit", len(data))
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if _, err := l.f.Write(encodeRecord(kind, data)); err != nil {
-		return err
-	}
-	if !l.nosync {
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-	}
-	l.appended++
-	return nil
+	return l.AppendBatch([]Record{{Kind: kind, Data: data}})
 }
 
-// AppendBatch durably adds a run of records with a single write and a
-// single fsync — the replication-ingest fast path: a standby applying a
-// replicated batch pays one disk round trip per batch, not per record.
-// Atomicity matches Append's: a crash mid-batch leaves at worst a torn
-// tail, and the next Open truncates back to the last complete record.
+// AppendBatch durably adds a run of records, encoded into one buffer,
+// with a single write and a single fsync before returning nil: a caller
+// pays one disk round trip per batch, not per record. A failed or
+// interrupted write leaves at worst a torn tail, which the next Open
+// truncates back to the last complete record — so a crash mid-batch
+// keeps a whole-record prefix of it.
 func (l *Log) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var buf []byte
+	n := 0
 	for _, r := range recs {
 		if len(r.Data) > maxRecordLen {
 			return fmt.Errorf("store: record length %d exceeds limit", len(r.Data))
 		}
-		buf = append(buf, encodeRecord(r.Kind, r.Data)...)
+		n += headerLen + len(r.Data) + trailerLen
+	}
+	buf := make([]byte, 0, n)
+	for _, r := range recs {
+		buf = appendRecord(buf, r.Kind, r.Data)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -234,13 +219,21 @@ func (l *Log) AppendBatch(recs []Record) error {
 	if _, err := l.f.Write(buf); err != nil {
 		return err
 	}
-	if !l.nosync {
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
+	if err := l.sync(l.f); err != nil {
+		return err
 	}
 	l.appended += len(recs)
 	return nil
+}
+
+// sync forces f to disk unless the log was opened with NoSync, and
+// counts it. Caller holds l.mu.
+func (l *Log) sync(f *os.File) error {
+	if l.nosync {
+		return nil
+	}
+	l.syncs++
+	return f.Sync()
 }
 
 // Compact atomically replaces the log's contents with exactly recs: the
@@ -258,13 +251,16 @@ func (l *Log) Compact(recs []Record) error {
 	if err != nil {
 		return err
 	}
+	var buf []byte
 	for _, r := range recs {
-		if _, err := tmp.Write(encodeRecord(r.Kind, r.Data)); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
+		buf = appendRecord(buf, r.Kind, r.Data)
 	}
+	if _, err := tmp.Write(buf); err != nil {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return err
+	}
+	l.syncs++
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmpPath)
@@ -304,6 +300,14 @@ func (l *Log) Appended() int {
 
 // Replayed reports how many records the opening replay recovered.
 func (l *Log) Replayed() int { return l.replayed }
+
+// Syncs reports how many fsyncs the log has forced since it was opened —
+// what tests pin the per-wave write count with.
+func (l *Log) Syncs() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.syncs
+}
 
 // MarkDead makes every subsequent Append and Compact fail with ErrClosed
 // without releasing the lock or file — the torture-test and chaos-drill

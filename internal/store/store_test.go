@@ -54,8 +54,8 @@ func TestRoundTrip(t *testing.T) {
 // torn tail, and leave the log appendable on a clean boundary.
 func TestTornTailRecovered(t *testing.T) {
 	dir := t.TempDir()
-	full := encodeRecord(7, []byte("survives"))
-	torn := encodeRecord(8, []byte("torn away"))
+	full := appendRecord(nil, 7, []byte("survives"))
+	torn := appendRecord(nil, 8, []byte("torn away"))
 	for cut := 1; cut < len(torn); cut++ {
 		path := filepath.Join(dir, logName)
 		if err := os.WriteFile(path, append(append([]byte{}, full...), torn[:cut]...), 0o644); err != nil {
@@ -115,7 +115,7 @@ func TestCorruptMidLogIsHardError(t *testing.T) {
 
 func TestUnknownVersionIsHardError(t *testing.T) {
 	dir := t.TempDir()
-	rec := encodeRecord(1, []byte("x"))
+	rec := appendRecord(nil, 1, []byte("x"))
 	rec[0] = 99 // bogus version; CRC check is after the version check
 	if err := os.WriteFile(filepath.Join(dir, logName), rec, 0o644); err != nil {
 		t.Fatal(err)
@@ -273,12 +273,99 @@ func TestAppendBatch(t *testing.T) {
 	l.Close()
 }
 
+// TestAppendBatchTornAtEveryOffset cuts a batched write at every byte
+// offset — the crash a batch of several records can die in — and
+// requires the log to replay the records before it plus a whole-record
+// prefix of the batch, never a partial record.
+func TestAppendBatchTornAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	before := Record{Kind: 1, Data: []byte("open")}
+	batch := []Record{
+		{Kind: 3, Data: []byte("decided")},
+		{Kind: 6, Data: []byte("goal h1")},
+		{Kind: 6, Data: nil},
+		{Kind: 6, Data: []byte("goal h2, a longer manifest")},
+	}
+	l, _ := openOrDie(t, dir)
+	if err := l.Append(before.Kind, before.Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	whole, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := len(appendRecord(nil, before.Kind, before.Data))
+	// ends[k] is the byte length of the log holding k records of the batch.
+	ends := []int{start}
+	for _, r := range batch {
+		ends = append(ends, ends[len(ends)-1]+headerLen+len(r.Data)+trailerLen)
+	}
+	if ends[len(batch)] != len(whole) {
+		t.Fatalf("log is %d bytes, want %d", len(whole), ends[len(batch)])
+	}
+	cutDir := t.TempDir()
+	for cut := start; cut <= len(whole); cut++ {
+		if err := os.WriteFile(filepath.Join(cutDir, logName), whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := Open(cutDir, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		l.Close()
+		k := 0
+		for k < len(batch) && ends[k+1] <= cut {
+			k++
+		}
+		want := append([]Record{before}, batch[:k]...)
+		if len(recs) != len(want) {
+			t.Fatalf("cut %d: replayed %d records, want %d (a whole-record prefix of %d)", cut, len(recs), len(want), k)
+		}
+		for i, r := range recs {
+			if r.Kind != want[i].Kind || !bytes.Equal(r.Data, want[i].Data) {
+				t.Fatalf("cut %d: record %d = %+v, want %+v", cut, i, r, want[i])
+			}
+		}
+	}
+}
+
+// TestSyncsCountForcedWrites pins the fsync count: one per append or
+// batch, however many records the batch carries, and none under NoSync.
+func TestSyncsCountForcedWrites(t *testing.T) {
+	l, _ := openOrDie(t, t.TempDir())
+	defer l.Close()
+	if err := l.Append(1, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendBatch([]Record{{Kind: 2}, {Kind: 3}, {Kind: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Syncs(); got != 2 {
+		t.Fatalf("Syncs() = %d after one append and one batch of three, want 2", got)
+	}
+	nl, _, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nl.Close()
+	if err := nl.AppendBatch([]Record{{Kind: 2}, {Kind: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := nl.Syncs(); got != 0 {
+		t.Fatalf("NoSync log counted %d fsyncs, want 0", got)
+	}
+}
+
 // corruptFirstLength writes three records and sets the first one's
 // length field to 0xFFFFFFFF: a complete header whose length is corrupt.
 func corruptFirstLength() []byte {
 	var data []byte
 	for i, s := range []string{"one", "two", "three"} {
-		data = append(data, encodeRecord(byte(i+1), []byte(s))...)
+		data = append(data, appendRecord(nil, byte(i+1), []byte(s))...)
 	}
 	binary.BigEndian.PutUint32(data[2:6], 0xFFFFFFFF)
 	return data
@@ -319,8 +406,8 @@ func TestCorruptLengthMidLogIsHardError(t *testing.T) {
 func FuzzReplay(f *testing.F) {
 	f.Add(corruptFirstLength())
 	f.Add([]byte{})
-	f.Add(append(encodeRecord(1, []byte("kept")), encodeRecord(2, []byte("torn"))[:9]...))
-	f.Add(append(encodeRecord(1, nil), 1, 2, 0))
+	f.Add(append(appendRecord(nil, 1, []byte("kept")), appendRecord(nil, 2, []byte("torn"))[:9]...))
+	f.Add(append(appendRecord(nil, 1, nil), 1, 2, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, logName)
@@ -340,7 +427,7 @@ func FuzzReplay(f *testing.F) {
 		}
 		var kept []byte
 		for _, r := range recs {
-			kept = append(kept, encodeRecord(r.Kind, r.Data)...)
+			kept = append(kept, appendRecord(nil, r.Kind, r.Data)...)
 		}
 		if !bytes.HasPrefix(data, kept) {
 			t.Fatalf("records re-encode to %x, not a prefix of %x", kept, data)
