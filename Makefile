@@ -28,7 +28,9 @@ fmt:
 # unnoticed. The TCP writer tests (flush without a timer, order under
 # concurrent senders, release of blocked senders, drain on retire, the
 # yielded dial), the two racing first Sends to one peer (one dial in
-# flight per peer), the admin's Close-versus-reconfig race, and the
+# flight per peer), the admin's Close-versus-reconfig race, a frame held
+# by FaultTransport's inbound delay while later frames reuse the
+# socket's read buffer, and the
 # deployer loop's Close against its open records and its re-drive pacing
 # run 50 times for the same reason. The dedup-window tests
 # (reference-model property test, the lost-frame hole, the wide-span
@@ -49,7 +51,7 @@ fmt:
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/... ./cmd/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/
-	$(GO) test -race -count=50 -run 'TestTCPWriter|TestTCPTransportConcurrentFirstSends$$|TestAdminCloseRacesReconfig$$' ./internal/prism/
+	$(GO) test -race -count=50 -run 'TestTCPWriter|TestTCPTransportConcurrentFirstSends$$|TestAdminCloseRacesReconfig$$|TestTCPDelayedFrameSurvivesBufferReuse$$' ./internal/prism/
 	$(GO) test -race -count=50 -run 'TestDeployerCloseEndsEveryRecord|TestDeployerRedrivePacing' ./internal/prism/
 
 race: test-race

@@ -453,3 +453,70 @@ func TestBandwidthAccurateOffIsLegacy(t *testing.T) {
 		t.Fatalf("legacy latency = %v, want %v", lat, want)
 	}
 }
+
+// scaledPair returns a two-host fabric whose one link charges exactly
+// delay per send (no bandwidth term), at the given time scale.
+func scaledPair(tb testing.TB, delay time.Duration, scale float64) *Fabric {
+	tb.Helper()
+	f := NewFabric(1)
+	tb.Cleanup(f.Close)
+	for _, h := range []model.HostID{"a", "b"} {
+		if err := f.AddHost(h, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := f.Connect("a", "b", LinkState{Reliability: 1, Delay: delay}); err != nil {
+		tb.Fatal(err)
+	}
+	f.SetTimeScale(scale)
+	return f
+}
+
+// TestScaledDelayNeverShort pins the wait rule on both sides of
+// timerResolution: a Send returns no earlier than its scaled latency,
+// whether it waited by yielding (1 µs, 50 µs) or by sleeping (2 ms), and
+// a time scale of 0 never waits. The scaled sends have deliberately no
+// upper bound, since under a loaded test run the scheduler may add any
+// amount; the unscaled one need only return far inside its link's hour.
+func TestScaledDelayNeverShort(t *testing.T) {
+	const scale = 0.001
+	for _, scaled := range []time.Duration{time.Microsecond, 50 * time.Microsecond, 2 * time.Millisecond} {
+		f := scaledPair(t, time.Duration(float64(scaled)/scale), scale)
+		for i := 0; i < 20; i++ {
+			start := time.Now()
+			lat, err := f.Send("a", "b", 1, i)
+			took := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := time.Duration(float64(lat) * scale); took < want {
+				t.Fatalf("scaled %v: send %d returned after %v, before its scaled latency %v", scaled, i, took, want)
+			}
+		}
+	}
+	f := scaledPair(t, time.Hour, 0)
+	start := time.Now()
+	lat, err := f.Send("a", "b", 1, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat != time.Hour {
+		t.Fatalf("latency = %v, want the link's 1h reported unscaled", lat)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("time scale 0 waited %v for a 1h link", took)
+	}
+}
+
+// BenchmarkScaledSend times one Send over a link whose scaled delay is
+// 1 µs (a 1 ms modelled delay at the time scale of 0.001 the failover
+// benchmark and E5 run at). ns/op is the wall time the sender pays.
+func BenchmarkScaledSend(b *testing.B) {
+	f := scaledPair(b, time.Millisecond, 0.001)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Send("a", "b", 1, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

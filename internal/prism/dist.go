@@ -24,7 +24,11 @@ type Transport interface {
 	// against link bandwidth).
 	Send(to model.HostID, data []byte, sizeKB float64) error
 	// SetReceiver installs the inbound frame callback. Frames received
-	// before a receiver is set are dropped.
+	// before a receiver is set are dropped. data is valid only for the
+	// duration of the call: a transport may reuse it for the next frame
+	// (TCPTransport does), so a receiver that keeps bytes past its
+	// return copies them. DecodeEvent already does — its binary decoder
+	// clones blobs and interns strings, and gob copies.
 	SetReceiver(recv func(from model.HostID, data []byte))
 	// Close releases the transport's resources.
 	Close() error

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -346,6 +347,8 @@ func (f *FaultTransport) SetReceiver(recv func(from model.HostID, data []byte)) 
 			return
 		}
 		if d > 0 {
+			// The inner transport may reuse data once this call returns.
+			data := slices.Clone(data)
 			go func() {
 				defer f.wg.Done()
 				time.Sleep(d)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dif/internal/model"
@@ -59,9 +60,11 @@ type TCPTransport struct {
 	// with its write side if it has one (registered, or retired and
 	// still draining), so the readLoop closes the socket only after it.
 	socks  map[net.Conn]*tcpConn
-	recv   func(from model.HostID, data []byte)
 	closed bool
 	wg     sync.WaitGroup // accept, every readLoop, every writeLoop
+
+	// recv is loaded once per frame by every readLoop, outside mu.
+	recv atomic.Pointer[func(from model.HostID, data []byte)]
 
 	// Snapshotted by each connection when it is created.
 	highWater int
@@ -279,9 +282,7 @@ func (t *TCPTransport) Hello(to model.HostID) error {
 
 // SetReceiver implements Transport.
 func (t *TCPTransport) SetReceiver(recv func(from model.HostID, data []byte)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.recv = recv
+	t.recv.Store(&recv)
 }
 
 // Send implements Transport. sizeKB is ignored — real sockets charge
@@ -497,6 +498,9 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		retire(existing)
 	}
 	var hdr [4]byte
+	// One frame buffer per connection, grown to its largest frame: the
+	// receiver must not keep data past its call (see SetReceiver).
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
@@ -505,15 +509,15 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		if n > maxFrameBytes {
 			return
 		}
-		data := make([]byte, n)
+		if uint32(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		data := buf[:n]
 		if _, err := io.ReadFull(br, data); err != nil {
 			return
 		}
-		t.mu.Lock()
-		recv := t.recv
-		t.mu.Unlock()
-		if recv != nil {
-			recv(from, data)
+		if recv := t.recv.Load(); recv != nil && *recv != nil {
+			(*recv)(from, data)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func FuzzTCPReadLoop(f *testing.F) {
 		got := make(chan []byte, 16)
 		tr.SetReceiver(func(from model.HostID, data []byte) {
 			select {
-			case got <- data:
+			case got <- bytes.Clone(data):
 			default:
 			}
 		})

@@ -1,6 +1,7 @@
 package prism
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"dif/internal/model"
+	"dif/internal/obs"
 )
 
 func newTCPPair(t *testing.T) (*TCPTransport, *TCPTransport) {
@@ -107,6 +109,43 @@ func TestTCPTransportManyFrames(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { return sink.count() == 200 })
+}
+
+// TestTCPDelayedFrameSurvivesBufferReuse holds one frame in
+// FaultTransport's inbound delay path while later frames of the same
+// size pass through the connection's one read buffer: the held frame
+// must still arrive byte-identical, after them.
+func TestTCPDelayedFrameSurvivesBufferReuse(t *testing.T) {
+	a, b := newTCPPair(t)
+	reg := obs.NewRegistry()
+	fb := NewFaultTransport(b, FaultConfig{
+		Inbound: DirFault{DelayRate: 1, Delay: 200 * time.Millisecond},
+		Obs:     reg,
+	})
+	var sink frameSink
+	fb.SetReceiver(sink.recv)
+	frame := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 256) }
+	if err := a.Send("hostB", frame('A'), 1); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return faultCounters(reg, "hostB")["delayed"] == 1 })
+	fb.SetFaultConfig(FaultConfig{})
+	const later = 8
+	for i := 0; i < later; i++ {
+		if err := a.Send("hostB", frame('B'+byte(i)), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return sink.count() == later+1 })
+	got := sink.all()
+	for i := 0; i < later; i++ {
+		if got[i] != string(frame('B'+byte(i))) {
+			t.Fatalf("frame %d arrived as %.8q…, want %c×256", i, got[i], 'B'+i)
+		}
+	}
+	if got[later] != string(frame('A')) {
+		t.Fatalf("delayed frame arrived as %.8q…, want A×256 unchanged by the frames read after it", got[later])
+	}
 }
 
 func TestTCPTransportClose(t *testing.T) {
