@@ -1,8 +1,9 @@
 package algo
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"dif/internal/model"
@@ -27,6 +28,12 @@ import (
 // slice, affinity scoring walks the dense interaction adjacency, and
 // each placement is judged by the run's placer (the incremental
 // constraint checker under the stock constraints).
+//
+// Cost model: an affinity is an O(deg) walk of one component's arcs.
+// Each ranking round reads C of them and each tried candidate up to H
+// more. The run caches each (component, host) affinity until one of the
+// component's partners is placed, so a round recomputes only its stale
+// entries, heapifies the C candidates in O(C) and pops a try in O(log C).
 type Avala struct{}
 
 var _ Algorithm = (*Avala)(nil)
@@ -44,7 +51,29 @@ type avalaRun struct {
 	res    *Result
 
 	rounds, accepted int              // ranking rounds and placed candidates
-	cands            []avalaCandidate // ranking buffer
+	cands            []avalaCandidate // ranking heap, best first
+	hosts            []avalaHost      // repair's ranking buffer
+
+	// aff[ci*NH+hi] caches affinity(ci, hi) while its stamp is 1 +
+	// ver[ci] (0: never computed). Placing a component bumps its
+	// partners' ver; the first placement bumps every row.
+	aff []avalaAffinity
+	ver []uint32
+	// weight row hi (NH+1 wide) is what a partner adds per unit of
+	// frequency: at 1+oh, Rel to its host oh; at 0, for an unplaced
+	// partner, 1 until the first placement and 0 after it.
+	weight []float64
+}
+
+type avalaAffinity struct {
+	v     float64
+	stamp uint32
+}
+
+// avalaHost is one allowed host ranked for a straggler by repair.
+type avalaHost struct {
+	hi             int
+	affinity, free float64
 }
 
 // avalaCandidate is one unplaced component ranked for a host.
@@ -62,8 +91,15 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 		InitialScore: scoreInitial(cfg.Objective, s, initial),
 	}
 	v := newSearchSpace(s, cfg.checker())
-	r := &avalaRun{searchSpace: v, p: v.begin(nil), used: make([]float64, v.ds.NH), res: &res}
+	r := &avalaRun{searchSpace: v, p: v.begin(nil), used: make([]float64, v.ds.NH), res: &res,
+		aff: make([]avalaAffinity, len(v.ds.Comps)*v.ds.NH), ver: make([]uint32, len(v.ds.Comps))}
 	r.assign = r.p.assignment()
+	nh := v.ds.NH
+	r.weight = make([]float64, nh*(nh+1))
+	for hi := 0; hi < nh; hi++ {
+		r.weight[hi*(nh+1)] = 1
+		copy(r.weight[hi*(nh+1)+1:], v.ds.Rel[hi*nh:hi*nh+nh])
+	}
 	defer func() {
 		met := cfg.metrics(a.Name())
 		met.iterations.Add(float64(r.rounds))
@@ -85,7 +121,7 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 		r.place(ci, hosts[0])
 	}
 
-	filled := make([]model.HostID, 0, len(s.Hosts))
+	filled := make([]int, 0, len(s.Hosts))
 	for len(filled) < len(s.Hosts) {
 		select {
 		case <-ctx.Done():
@@ -93,12 +129,12 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 			return res, ctx.Err()
 		default:
 		}
-		h := nextBestHost(s, filled)
-		if h == "" {
+		hi := nextBestHost(s, filled)
+		if hi < 0 {
 			break // every live host filled; stragglers go to repair
 		}
-		r.packHost(v.ds.HostIndex(h))
-		filled = append(filled, h)
+		r.packHost(hi)
+		filled = append(filled, hi)
 		if r.placed == len(r.assign) {
 			break
 		}
@@ -120,9 +156,21 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 	return res, ErrNoValidDeployment
 }
 
+// place records ci on hi and stales the cached affinities that changes.
 func (r *avalaRun) place(ci, hi int) {
 	r.p.place(ci, hi)
 	r.used[hi] += r.cons.compMem[ci]
+	if r.placed == 0 {
+		for i := range r.ver {
+			r.ver[i]++
+		}
+		for i := 0; i < len(r.weight); i += r.ds.NH + 1 {
+			r.weight[i] = 0
+		}
+	}
+	for _, arc := range r.ds.Adj[ci] {
+		r.ver[arc.Other]++
+	}
 	r.placed++
 }
 
@@ -132,7 +180,8 @@ func (r *avalaRun) packHost(hi int) {
 	for {
 		r.rounds++
 		placedAny := false
-		for _, c := range r.rank(hi) {
+		for r.rank(hi); len(r.cands) > 0; {
+			c := r.pop()
 			// Once anything is placed, only components that positively
 			// benefit from host hi join it; the rest wait for a host
 			// they actually interact well with (or the repair pass).
@@ -165,28 +214,24 @@ func (r *avalaRun) packHost(hi int) {
 // most (breaking ties toward free memory). Reports whether every
 // component ended up placed.
 func (r *avalaRun) repair() bool {
-	type hostRank struct {
-		hi             int
-		affinity, free float64
-	}
 	for ci, hi := range r.assign {
 		if hi >= 0 {
 			continue
 		}
-		ranked := make([]hostRank, 0, len(r.allowed[ci]))
+		ranked := r.hosts[:0]
 		for _, h := range r.allowed[ci] {
-			ranked = append(ranked, hostRank{h, r.affinity(ci, h), r.cons.hostMem[h] - r.used[h]})
+			ranked = append(ranked, avalaHost{h, r.affinity(ci, h), r.cons.hostMem[h] - r.used[h]})
 		}
-		sort.Slice(ranked, func(i, j int) bool {
-			x, y := ranked[i], ranked[j]
-			if x.affinity != y.affinity {
-				return x.affinity > y.affinity
+		slices.SortFunc(ranked, func(x, y avalaHost) int {
+			if c := cmp.Compare(y.affinity, x.affinity); c != 0 {
+				return c
 			}
-			if x.free != y.free {
-				return x.free > y.free
+			if c := cmp.Compare(y.free, x.free); c != 0 {
+				return c
 			}
-			return x.hi < y.hi
+			return cmp.Compare(x.hi, y.hi)
 		})
+		r.hosts = ranked
 		placed := false
 		for _, h := range ranked {
 			if r.p.canPlace(ci, h.hi) {
@@ -202,85 +247,63 @@ func (r *avalaRun) repair() bool {
 	return true
 }
 
-// nextBestHost picks the host to fill next. The first host is the
-// globally best-connected one (the paper's criterion: highest sum of
-// network reliabilities and bandwidths with other hosts, and highest
-// memory). Subsequent hosts are chosen by their reliability and bandwidth
-// toward the hosts already filled — the links that the resulting
-// deployment will actually route its remote interactions over.
-func nextBestHost(s *model.System, filled []model.HostID) model.HostID {
-	isFilled := make(map[model.HostID]bool, len(filled))
-	for _, h := range filled {
-		isFilled[h] = true
-	}
-	if len(filled) == 0 {
-		if ranked := rankHosts(s); len(ranked) > 0 {
-			return ranked[0]
-		}
-		return ""
-	}
-	maxBW, maxMem := 1.0, 1.0
-	for _, l := range s.Links {
-		if bw := l.Bandwidth(); bw > maxBW {
-			maxBW = bw
-		}
-	}
-	for _, h := range s.Hosts {
-		if m := h.Memory(); m > maxMem {
-			maxMem = m
-		}
-	}
-	var best model.HostID
-	bestScore := 0.0
-	first := true
-	for _, h := range s.UpHostIDs() {
-		if isFilled[h] {
+// nextBestHost picks the host to fill next, as a dense index (-1 once
+// every live host is filled): the live unfilled host with the highest
+// hostScore toward the filled hosts, the lowest index among equals. The
+// first host is scored toward every other host, the paper's best-host
+// criterion (highest sum of network reliabilities and bandwidths with
+// other hosts, and highest memory); later ones toward the filled hosts
+// only — the links that the resulting deployment will actually route
+// its remote interactions over.
+func nextBestHost(s *model.System, filled []int) int {
+	ds := s.Dense()
+	maxBW, maxMem := hostScales(s, ds)
+	best, bestScore := -1, 0.0
+	for hi, h := range ds.Hosts {
+		if s.Hosts[h].Down || slices.Contains(filled, hi) {
 			continue
 		}
-		score := s.Hosts[h].Memory() / maxMem
-		for _, f := range filled {
-			if l := s.Link(h, f); l != nil {
-				score += l.Reliability() + l.Bandwidth()/maxBW
-			}
-		}
-		if first || score > bestScore {
-			best, bestScore, first = h, score, false
+		if score := hostScore(s, ds, hi, filled, maxBW, maxMem); best < 0 || score > bestScore {
+			best, bestScore = hi, score
 		}
 	}
 	return best
 }
 
-// rankHosts orders hosts by descending (Σ reliability + Σ normalized
-// bandwidth + normalized memory), the paper's best-host criterion.
-func rankHosts(s *model.System) []model.HostID {
-	hosts := s.UpHostIDs()
-	maxBW, maxMem := 1.0, 1.0
-	for _, l := range s.Links {
-		if bw := l.Bandwidth(); bw > maxBW {
-			maxBW = bw
+// hostScore is host hi's normalized memory plus the reliability and
+// normalized bandwidth of its links toward the given hosts, or toward
+// every other host when none is given. It sums in host index order, so
+// its bits do not depend on the order of the Links map; an unlinked
+// pair's Rel and BW are 0 and add nothing.
+func hostScore(s *model.System, ds *model.DenseSystem, hi int, toward []int, maxBW, maxMem float64) float64 {
+	nh := ds.NH
+	score := s.Hosts[ds.Hosts[hi]].Memory() / maxMem
+	add := func(j int) { score += ds.Rel[hi*nh+j] + ds.BW[hi*nh+j]/maxBW }
+	if len(toward) > 0 {
+		for _, j := range toward {
+			add(j)
+		}
+		return score
+	}
+	for j := 0; j < nh; j++ {
+		if j != hi {
+			add(j)
 		}
 	}
-	for _, h := range s.Hosts {
-		if m := h.Memory(); m > maxMem {
-			maxMem = m
+	return score
+}
+
+// hostScales returns the largest link bandwidth and host memory, each
+// at least 1, which normalize hostScore.
+func hostScales(s *model.System, ds *model.DenseSystem) (maxBW, maxMem float64) {
+	maxBW, maxMem = 1.0, 1.0
+	for i, h := range ds.Hosts {
+		for j := i + 1; j < ds.NH; j++ {
+			maxBW = max(maxBW, ds.BW[i*ds.NH+j])
 		}
+		maxMem = max(maxMem, s.Hosts[h].Memory())
 	}
-	score := make(map[model.HostID]float64, len(hosts))
-	for pair, l := range s.Links {
-		v := l.Reliability() + l.Bandwidth()/maxBW
-		score[pair.A] += v
-		score[pair.B] += v
-	}
-	for _, h := range hosts {
-		score[h] += s.Hosts[h].Memory() / maxMem
-	}
-	sort.Slice(hosts, func(i, j int) bool {
-		if score[hosts[i]] != score[hosts[j]] {
-			return score[hosts[i]] > score[hosts[j]]
-		}
-		return hosts[i] < hosts[j]
-	})
-	return hosts
+	return maxBW, maxMem
 }
 
 // betterHostExists reports whether some other allowed host with free
@@ -305,23 +328,26 @@ func (r *avalaRun) betterHostExists(ci, hi int, affinityOnH float64) bool {
 // affinity scores placing component ci on host hi given the partial
 // assignment: full frequency for partners already on hi, link-reliability
 // weighted frequency for partners elsewhere, and (only while nothing at
-// all is placed) full frequency for unplaced partners.
+// all is placed) full frequency for unplaced partners. A stale cache
+// entry is summed afresh in arc order, never adjusted by a delta, so
+// every value has the bits of a from-scratch sum.
 func (r *avalaRun) affinity(ci, hi int) float64 {
-	nh := r.ds.NH
-	rel := r.ds.Rel[hi*nh : hi*nh+nh]
-	empty := r.placed == 0
+	e := &r.aff[ci*r.ds.NH+hi]
+	if e.stamp != r.ver[ci]+1 {
+		e.v, e.stamp = r.sumAffinity(ci, hi), r.ver[ci]+1
+	}
+	return e.v
+}
+
+// sumAffinity weighs every arc through host hi's weight row, where an
+// unplaced partner's weight is 1 or 0 and a partner on hi has Rel 1. A
+// frequency is positive and finite, so f·1 is f and adding f·0 leaves
+// the sum as it was: the bits are those of adding only what counts.
+func (r *avalaRun) sumAffinity(ci, hi int) float64 {
+	w := r.weight[hi*(r.ds.NH+1):]
 	a := 0.0
 	for _, arc := range r.ds.Adj[ci] {
-		switch oh := r.assign[arc.Other]; {
-		case oh < 0:
-			if empty {
-				a += arc.Freq
-			}
-		case oh == hi:
-			a += arc.Freq
-		default:
-			a += arc.Freq * rel[oh]
-		}
+		a += arc.Freq * w[r.assign[arc.Other]+1]
 	}
 	return a
 }
@@ -332,8 +358,9 @@ func (r *avalaRun) affinity(ci, hi int) float64 {
 // and frequency with components on other hosts at the connecting link's
 // reliability. When nothing is placed yet, the seed component is the one
 // with the highest total interaction frequency (the paper's criterion).
-// The returned slice is reused by the next call.
-func (r *avalaRun) rank(hi int) []avalaCandidate {
+// It leaves the candidates in r.cands as a heap that pop empties in
+// that order.
+func (r *avalaRun) rank(hi int) {
 	cands := r.cands[:0]
 	maxMem := 1.0
 	for ci, h := range r.assign {
@@ -348,12 +375,44 @@ func (r *avalaRun) rank(hi int) []avalaCandidate {
 	for i := range cands {
 		cands[i].key = cands[i].affinity - r.cons.compMem[cands[i].ci]/maxMem
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].key != cands[j].key {
-			return cands[i].key > cands[j].key
-		}
-		return cands[i].ci < cands[j].ci
-	})
+	for i := len(cands)/2 - 1; i >= 0; i-- {
+		siftDown(cands, i)
+	}
 	r.cands = cands
-	return cands
+}
+
+// pop removes and returns the best candidate left in the heap.
+func (r *avalaRun) pop() avalaCandidate {
+	h := r.cands
+	c, n := h[0], len(h)-1
+	h[0] = h[n]
+	r.cands = h[:n]
+	siftDown(r.cands, 0)
+	return c
+}
+
+// before is the ranking order: key descending, then index ascending.
+func (c avalaCandidate) before(o avalaCandidate) bool {
+	if c.key != o.key {
+		return c.key > o.key
+	}
+	return c.ci < o.ci
+}
+
+// siftDown moves h[i] down until neither child comes before it.
+func siftDown(h []avalaCandidate, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if l+1 < len(h) && h[l+1].before(h[l]) {
+			l++
+		}
+		if !h[l].before(h[i]) {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
 }

@@ -50,13 +50,32 @@ func BenchmarkStochastic(b *testing.B) {
 	}
 }
 
+// BenchmarkAvala times one search. The two small sizes run the tight
+// benchSystem under the stock checker; 20x400 and 40x800 run Avala as
+// the analyzer runs a first plan (plan_scale's journey): the default
+// generated system under DegradationAware, with Touch before each run
+// so every op rebuilds the dense values.
 func BenchmarkAvala(b *testing.B) {
-	for _, size := range []struct{ h, c int }{{5, 50}, {10, 100}} {
+	for _, size := range []struct {
+		h, c     int
+		analyzer bool
+	}{{5, 50, false}, {10, 100, false}, {20, 400, true}, {40, 800, true}} {
 		b.Run(fmt.Sprintf("%dx%d", size.h, size.c), func(b *testing.B) {
-			s, d := benchSystem(b, size.h, size.c)
 			cfg := Config{Objective: objective.Availability{}}
+			var s *model.System
+			var d model.Deployment
+			if size.analyzer {
+				s, d = genSystem(b, size.h, size.c, 1)
+				cfg.Constraints = DegradationAware{Current: d}
+			} else {
+				s, d = benchSystem(b, size.h, size.c)
+			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if size.analyzer {
+					s.Touch()
+				}
 				if _, err := (&Avala{}).Run(context.Background(), s, d, cfg); err != nil {
 					b.Fatal(err)
 				}

@@ -2,6 +2,9 @@ package algo
 
 import (
 	"context"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"dif/internal/model"
@@ -135,13 +138,72 @@ func TestAvalaDeterministic(t *testing.T) {
 	}
 }
 
+// firstHostScores is every host's hostScore toward all the others, the
+// criterion nextBestHost picks the first host by.
+func firstHostScores(s *model.System) []float64 {
+	ds := s.Dense()
+	maxBW, maxMem := hostScales(s, ds)
+	score := make([]float64, ds.NH)
+	for hi := range score {
+		score[hi] = hostScore(s, ds, hi, nil, maxBW, maxMem)
+	}
+	return score
+}
+
+// TestHostScoresIgnoreLinksOrder: the best-host scores sum each host's
+// links in dense index order, so their bits repeat from call to call
+// and do not depend on the order the Links map was filled in.
+func TestHostScoresIgnoreLinksOrder(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		s, _ := genSystem(t, 20, 40, seed)
+		want, wantFirst := firstHostScores(s), nextBestHost(s, nil)
+		same := func(what string) {
+			t.Helper()
+			got := firstHostScores(s)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d, %s: host %d scores %v, first call %v", seed, what, i, got[i], want[i])
+				}
+			}
+			if got := nextBestHost(s, nil); got != wantFirst {
+				t.Fatalf("seed %d, %s: first host %d, first call %d", seed, what, got, wantFirst)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			same("repeated call")
+		}
+		pairs := make([]model.HostPair, 0, len(s.Links))
+		for p := range s.Links {
+			pairs = append(pairs, p)
+		}
+		slices.SortFunc(pairs, func(a, b model.HostPair) int {
+			if a.A != b.A {
+				return -strings.Compare(string(a.A), string(b.A))
+			}
+			return -strings.Compare(string(a.B), string(b.B))
+		})
+		rebuilt := make(map[model.HostPair]*model.PhysicalLink, len(pairs))
+		for _, p := range pairs {
+			rebuilt[p] = s.Links[p]
+		}
+		s.Links = rebuilt
+		s.Touch()
+		same("Links rebuilt in reverse order")
+	}
+}
+
 func TestAvalaRepairPlacesConstrainedComponent(t *testing.T) {
 	s, d := genSystem(t, 4, 10, 8)
 	comps := s.ComponentIDs()
 	hosts := s.HostIDs()
 	// Force one component onto the worst-ranked host; the greedy pass
 	// may skip it, the repair pass must still place it there.
-	worst := rankHosts(s)[len(hosts)-1]
+	worst, worstScore := hosts[0], math.Inf(1)
+	for hi, score := range firstHostScores(s) {
+		if score <= worstScore {
+			worst, worstScore = hosts[hi], score
+		}
+	}
 	s.Constraints.Pin(comps[0], worst)
 	res := runAll(t, &Avala{}, s, d, Config{Objective: availability()})
 	if res.Deployment[comps[0]] != worst {
