@@ -78,8 +78,13 @@ soak:
 # (a refused open leaves the file byte-identical; a kept prefix drops
 # only a genuine torn record), and the deployer store's record decoding
 # through Open and Ingest (a refused record leaves the log
-# byte-identical; an accepted one gives canonical live records). The seed corpora already run as plain
-# unit tests inside `make test`.
+# byte-identical; an accepted one gives canonical live records), and the
+# xADL architecture reader cmd/desi and cmd/deployer load from disk (an
+# accepted document round-trips through WriteXADL with every parameter's
+# bits kept). The seed corpora already run as plain unit tests inside
+# `make test`. The xADL seed is a whole generated system, so minimizing
+# each new input gets 5 s instead of the default minute, which would
+# use up the fuzz time.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
@@ -88,6 +93,7 @@ fuzz:
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzDedupWindow -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/prism/ -run '^$$' -fuzz FuzzDeployerStore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/model/ -run '^$$' -fuzz FuzzReadXADL -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
 bench:
 	$(GO) test -run xxx -bench . ./internal/algo/

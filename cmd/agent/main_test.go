@@ -71,7 +71,7 @@ func TestAgentJoinsHostsAndRejoins(t *testing.T) {
 	fd := prism.NewFailureDetector(2*time.Second, 5*time.Second)
 	host.Deployer.AttachDetector(fd)
 	sys := model.NewSystem()
-	sys.AddComponent("c1", model.Params{model.ParamMemory: 1})
+	sys.AddComponent("c1", model.ParamsFrom(map[string]float64{model.ParamMemory: 1}))
 	if err := host.Place(sys, "c1", 1); err != nil {
 		t.Fatal(err)
 	}

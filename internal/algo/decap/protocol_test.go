@@ -91,7 +91,7 @@ func TestAnnouncementCarriesInteractionProfile(t *testing.T) {
 
 func TestAgentContributionUsesLocalKnowledgeOnly(t *testing.T) {
 	s, d := buildTwoClusterSystem(t)
-	s.AddHost("h3", nil) // isolated host an agent cannot see
+	s.AddHost("h3", model.Params{}) // isolated host an agent cannot see
 	agents := buildAgents(s, LinkAwareness{}, nil)
 	ag := agents["h1"]
 	ann := makeAnnouncement(s, "a1")

@@ -33,16 +33,16 @@ func Run(cfg Config) (*Result, error) {
 	sys := model.NewSystem()
 	hosts := hostIDs(cfg.Hosts)
 	for _, h := range hosts {
-		sys.AddHost(h, model.Params{model.ParamMemory: 64})
+		sys.AddHost(h, model.ParamsFrom(map[string]float64{model.ParamMemory: 64}))
 	}
 	for i, a := range hosts {
 		for _, b := range hosts[i+1:] {
 			// The fabric itself is perfect; all chaos is injected above it
 			// by the per-host FaultTransports and explicit partitions.
-			if _, err := sys.AddLink(a, b, model.Params{
+			if _, err := sys.AddLink(a, b, model.ParamsFrom(map[string]float64{
 				model.ParamReliability: 1,
 				model.ParamBandwidth:   1 << 20,
-			}); err != nil {
+			})); err != nil {
 				return nil, err
 			}
 		}

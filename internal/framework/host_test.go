@@ -13,14 +13,14 @@ import (
 func pairSystem(t *testing.T) (*model.System, model.Deployment) {
 	t.Helper()
 	sys := model.NewSystem()
-	sys.AddHost("a", model.Params{model.ParamMemory: 64})
-	sys.AddHost("b", model.Params{model.ParamMemory: 64})
-	if _, err := sys.AddLink("a", "b", model.Params{
+	sys.AddHost("a", model.ParamsFrom(map[string]float64{model.ParamMemory: 64}))
+	sys.AddHost("b", model.ParamsFrom(map[string]float64{model.ParamMemory: 64}))
+	if _, err := sys.AddLink("a", "b", model.ParamsFrom(map[string]float64{
 		model.ParamReliability: 1, model.ParamBandwidth: 1 << 20,
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
-	sys.AddComponent("victim", model.Params{model.ParamMemory: 1})
+	sys.AddComponent("victim", model.ParamsFrom(map[string]float64{model.ParamMemory: 1}))
 	return sys, model.Deployment{"victim": "b"}
 }
 

@@ -163,12 +163,12 @@ func (cs Constraints) Check(s *System, d Deployment) error {
 				}
 			}
 		}
-		p, i := s.Components[c].Params, hostIdx[h]
+		comp, i := s.Components[c], hostIdx[h]
 		if cs.CheckMemory {
-			memory[i] += p.Get(ParamMemory)
+			memory[i] += comp.Memory()
 		}
 		if cs.CheckCPU {
-			cpu[i] += p.Get(ParamCPU)
+			cpu[i] += comp.Params.Get(ParamCPU)
 		}
 	}
 	// Capacities: memory on every host before CPU on any.

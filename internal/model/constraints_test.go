@@ -290,12 +290,12 @@ func TestCheckMatchesPerHostReference(t *testing.T) {
 	hosts := make([]HostID, 10)
 	for i := range hosts {
 		hosts[i] = HostID(fmt.Sprintf("h%02d", i))
-		s.AddHost(hosts[i], nil)
+		s.AddHost(hosts[i], Params{})
 	}
 	comps := make([]ComponentID, 100)
 	for i := range comps {
 		comps[i] = ComponentID(fmt.Sprintf("c%03d", i))
-		s.AddComponent(comps[i], Params{ParamMemory: float64(1 + rng.Intn(10)), ParamCPU: float64(1 + rng.Intn(10))})
+		s.AddComponent(comps[i], ParamsFrom(map[string]float64{ParamMemory: float64(1 + rng.Intn(10)), ParamCPU: float64(1 + rng.Intn(10))}))
 	}
 	s.Constraints.Restrict(comps[7], hosts[:8]...)
 	verdicts := map[string]int{}
@@ -304,7 +304,7 @@ func TestCheckMatchesPerHostReference(t *testing.T) {
 		// puts about 55 memory and 55 CPU on a host, so capacities of
 		// 60–99 are violated often, by either resource or both.
 		for _, h := range hosts {
-			s.Hosts[h].Params = Params{ParamMemory: float64(60 + rng.Intn(40)), ParamCPU: float64(60 + rng.Intn(40))}
+			s.Hosts[h].Params = ParamsFrom(map[string]float64{ParamMemory: float64(60 + rng.Intn(40)), ParamCPU: float64(60 + rng.Intn(40))})
 			s.Hosts[h].Down = false
 		}
 		if trial%10 == 0 {

@@ -6,18 +6,20 @@ import (
 )
 
 // Dense precomputed views of a System's scoring inputs. The search
-// algorithms evaluate objectives millions of times per run; going through
-// the System's hash maps (Link, Reliability, Interacts) on every
-// interaction dominates their inner loops. DenseSystem flattens the hot
-// inputs into integer-indexed slices — host-pair reliability/bandwidth/
-// delay matrices and a per-component interaction adjacency — so scoring
-// does zero map lookups.
+// algorithms evaluate objectives millions of times per run; finding each
+// interaction's link by its ID pair (Link, Reliability, Interacts) would
+// dominate their inner loops. DenseSystem flattens the hot inputs into
+// integer-indexed slices — host-pair reliability/bandwidth/delay matrices
+// and a per-component interaction adjacency — so scoring does zero map
+// lookups.
 //
 // The view is cached on the System in two parts. Its shape — the sorted
-// IDs, their indices, and each link's and interaction's index pair — is
-// rebuilt only when an element is added or removed through the System's
-// methods or a Modifier. Its values — the matrices, Edges, Adj and
-// TotalFreq — are re-read from the shape's elements after any mutation.
+// IDs, their indices, and each link's and interaction's index pair and
+// element — is rebuilt only when an element is added or removed through
+// the System's methods or a Modifier. Its values — the matrices, Edges,
+// Adj and TotalFreq — are re-read from the shape's elements after any
+// mutation; each parameter they need has a fixed slot in its element's
+// Params, so the re-read is a field load per value and hashes nothing.
 // Code that writes element Params directly (rather than via
 // Modifier.Set*Param) must call System.Touch afterwards or the cached
 // values go stale.

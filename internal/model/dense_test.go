@@ -103,7 +103,7 @@ func TestDenseCacheReuseAndInvalidation(t *testing.T) {
 	}
 
 	// Structural mutations rebuild too.
-	s.AddHost("extra-host", nil)
+	s.AddHost("extra-host", Params{})
 	d4 := s.Dense()
 	if d4 == d3 || d4.NH != d3.NH+1 {
 		t.Fatalf("Dense() after AddHost: NH = %d, want %d", d4.NH, d3.NH+1)
@@ -265,7 +265,7 @@ func TestDenseMatchesFreshBuild(t *testing.T) {
 		{"AddHost+AddLink", func() error {
 			newHosts++
 			h := HostID(fmt.Sprintf("new-host-%d", newHosts))
-			s.AddHost(h, nil)
+			s.AddHost(h, Params{})
 			var p Params
 			p.Set(ParamReliability, rng.Float64())
 			peer := s.HostIDs()[0]
@@ -282,7 +282,7 @@ func TestDenseMatchesFreshBuild(t *testing.T) {
 		{"AddComponent+AddInteraction", func() error {
 			newComps++
 			c := ComponentID(fmt.Sprintf("new-comp-%d", newComps))
-			s.AddComponent(c, nil)
+			s.AddComponent(c, Params{})
 			var p Params
 			p.Set(ParamFrequency, 1+rng.Float64())
 			peer := s.ComponentIDs()[0]
@@ -371,12 +371,12 @@ func TestDenseHostListsMatchSortedReference(t *testing.T) {
 		s.Constraints = NewConstraints()
 		hostName := func() HostID { return HostID(fmt.Sprintf("h%02d", rng.Intn(30))) }
 		for i := 0; i < 6; i++ {
-			s.AddHost(hostName(), nil)
+			s.AddHost(hostName(), Params{})
 		}
 		comps := make([]ComponentID, 8)
 		for i := range comps {
 			comps[i] = ComponentID(fmt.Sprintf("c%d", i))
-			s.AddComponent(comps[i], nil)
+			s.AddComponent(comps[i], Params{})
 		}
 		// Kept apart from itself, comps[0] can go nowhere, but that is
 		// Check's verdict: its location is unconstrained, so
@@ -414,7 +414,7 @@ func TestDenseHostListsMatchSortedReference(t *testing.T) {
 			h := hosts[rng.Intn(len(hosts))]
 			switch rng.Intn(8) {
 			case 0:
-				s.AddHost(hostName(), nil) // new, or replacing one
+				s.AddHost(hostName(), Params{}) // new, or replacing one
 				compare("AddHost")
 			case 1:
 				if len(hosts) > 1 {

@@ -142,12 +142,14 @@ func (g *Generator) ensureHeadroom(s *System) {
 	if g.cfg.MemoryHeadroom < 1 {
 		return
 	}
+	// Sum in ID order: a float sum in map order differs in its last bits
+	// from run to run, and so would every scaled host memory.
 	var totalComp, totalHost float64
-	for _, c := range s.Components {
-		totalComp += c.Memory()
+	for _, id := range s.ComponentIDs() {
+		totalComp += s.Components[id].Memory()
 	}
-	for _, h := range s.Hosts {
-		totalHost += h.Memory()
+	for _, id := range s.HostIDs() {
+		totalHost += s.Hosts[id].Memory()
 	}
 	want := totalComp * g.cfg.MemoryHeadroom
 	if totalHost >= want || totalHost == 0 {

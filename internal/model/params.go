@@ -2,8 +2,10 @@ package model
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -29,19 +31,75 @@ const (
 	ParamPower    = "power"    // battery budget, host-only
 )
 
+// Slot indices of the well-known names.
+const (
+	slotBandwidth = iota
+	slotCPU
+	slotDelay
+	slotEventSize
+	slotFrequency
+	slotMemory
+	slotPower
+	slotReliability
+	slotSecurity
+	numSlots
+)
+
+var slotNames = [numSlots]string{
+	ParamBandwidth, ParamCPU, ParamDelay, ParamEventSize, ParamFrequency,
+	ParamMemory, ParamPower, ParamReliability, ParamSecurity,
+}
+
+// slotOf returns the slot of a well-known name, or -1 for any other name.
+func slotOf(name string) int {
+	for i, n := range slotNames {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Params is an extensible set of named numeric parameters attached to a
-// model element. The zero value is ready to use for reads; use Set (or the
-// element constructors) to write.
-type Params map[string]float64
+// model element. Each well-known name has a fixed slot, so the typed
+// accessors (Memory, Frequency, Reliability, ...) are a field load; any
+// other name lives in an overflow map. The zero value is an empty set
+// ready to use.
+//
+// Params is a value: assigning it copies the slots but shares the
+// overflow map, so copy a set with Clone.
+type Params struct {
+	set  uint16             // bit i: slot i holds a value
+	slot [numSlots]float64  // well-known values; 0 while unset
+	ext  map[string]float64 // every other name; nil until one is set
+}
+
+// ParamsFrom returns a parameter set holding every entry of m.
+func ParamsFrom(m map[string]float64) Params {
+	var p Params
+	for name, v := range m {
+		p.Set(name, v)
+	}
+	return p
+}
+
+func (p *Params) lookup(name string) (float64, bool) {
+	if i := slotOf(name); i >= 0 {
+		return p.slot[i], p.set&(1<<i) != 0
+	}
+	v, ok := p.ext[name]
+	return v, ok
+}
 
 // Get returns the value of the named parameter, or 0 if unset.
 func (p Params) Get(name string) float64 {
-	return p[name]
+	v, _ := p.lookup(name)
+	return v
 }
 
 // GetDefault returns the value of the named parameter, or def if unset.
 func (p Params) GetDefault(name string, def float64) float64 {
-	if v, ok := p[name]; ok {
+	if v, ok := p.lookup(name); ok {
 		return v
 	}
 	return def
@@ -49,48 +107,53 @@ func (p Params) GetDefault(name string, def float64) float64 {
 
 // Has reports whether the named parameter is set.
 func (p Params) Has(name string) bool {
-	_, ok := p[name]
+	_, ok := p.lookup(name)
 	return ok
 }
 
-// Set assigns the named parameter and returns the (possibly newly
-// allocated) map so callers holding a nil Params can chain assignments.
+// Set assigns the named parameter.
 func (p *Params) Set(name string, value float64) {
-	if *p == nil {
-		*p = make(Params, 4)
+	if i := slotOf(name); i >= 0 {
+		p.slot[i] = value
+		p.set |= 1 << i
+		return
 	}
-	(*p)[name] = value
+	if p.ext == nil {
+		p.ext = make(map[string]float64, 1)
+	}
+	p.ext[name] = value
 }
 
-// Clone returns a deep copy of the parameter set.
+// Clone returns a copy of the parameter set that shares nothing with p.
 func (p Params) Clone() Params {
-	if p == nil {
-		return nil
-	}
-	out := make(Params, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
+	p.ext = maps.Clone(p.ext)
+	return p
 }
 
 // Names returns the parameter names in sorted order.
 func (p Params) Names() []string {
-	names := make([]string, 0, len(p))
-	for k := range p {
-		names = append(names, k)
+	names := make([]string, 0, bits.OnesCount16(p.set)+len(p.ext))
+	for i, name := range slotNames {
+		if p.set&(1<<i) != 0 {
+			names = append(names, name)
+		}
 	}
-	sort.Strings(names)
+	for name := range p.ext {
+		names = append(names, name)
+	}
+	slices.Sort(names)
 	return names
 }
 
 // Equal reports whether two parameter sets hold the same keys and values.
+// An unset slot is 0 on both sides, so comparing the arrays compares the
+// set slots (and, as with any float comparison, NaN equals nothing).
 func (p Params) Equal(q Params) bool {
-	if len(p) != len(q) {
+	if p.set != q.set || p.slot != q.slot || len(p.ext) != len(q.ext) {
 		return false
 	}
-	for k, v := range p {
-		w, ok := q[k]
+	for k, v := range p.ext {
+		w, ok := q.ext[k]
 		if !ok || v != w {
 			return false
 		}
@@ -104,30 +167,38 @@ func (p Params) Equal(q Params) bool {
 // monitor's ε-stability detector.
 func (p Params) MaxDelta(q Params) float64 {
 	max := 0.0
-	seen := make(map[string]bool, len(p)+len(q))
-	check := func(a, b Params) {
-		for k, v := range a {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			w, ok := b[k]
-			if !ok {
-				max = math.Max(max, 1)
-				continue
-			}
-			denom := math.Max(math.Abs(v), math.Abs(w))
-			if denom == 0 {
-				continue
-			}
-			// Divide before subtracting so extreme magnitudes cannot
-			// overflow the numerator.
-			max = math.Max(max, math.Abs(v/denom-w/denom))
+	if p.set != q.set {
+		max = 1
+	}
+	for i := range p.slot {
+		if p.set&q.set&(1<<i) != 0 {
+			max = math.Max(max, relDelta(p.slot[i], q.slot[i]))
 		}
 	}
-	check(p, q)
-	check(q, p)
+	for k, v := range p.ext {
+		if w, ok := q.ext[k]; ok {
+			max = math.Max(max, relDelta(v, w))
+		} else {
+			max = math.Max(max, 1)
+		}
+	}
+	for k := range q.ext {
+		if _, ok := p.ext[k]; !ok {
+			max = math.Max(max, 1)
+		}
+	}
 	return max
+}
+
+// relDelta is |v-w| / max(|v|, |w|), and 0 when both are 0.
+func relDelta(v, w float64) float64 {
+	denom := math.Max(math.Abs(v), math.Abs(w))
+	if denom == 0 {
+		return 0
+	}
+	// Divide before subtracting so extreme magnitudes cannot overflow
+	// the numerator.
+	return math.Abs(v/denom - w/denom)
 }
 
 // String renders the parameters as "k1=v1 k2=v2" in sorted key order.
@@ -137,7 +208,7 @@ func (p Params) String() string {
 		if i > 0 {
 			sb.WriteByte(' ')
 		}
-		fmt.Fprintf(&sb, "%s=%g", name, p[name])
+		fmt.Fprintf(&sb, "%s=%g", name, p.Get(name))
 	}
 	return sb.String()
 }

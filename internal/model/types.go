@@ -29,7 +29,7 @@ type Host struct {
 }
 
 // Memory returns the host's available memory capacity.
-func (h *Host) Memory() float64 { return h.Params.Get(ParamMemory) }
+func (h *Host) Memory() float64 { return h.Params.slot[slotMemory] }
 
 // Component is a software component in the deployment architecture.
 type Component struct {
@@ -38,7 +38,7 @@ type Component struct {
 }
 
 // Memory returns the component's required memory.
-func (c *Component) Memory() float64 { return c.Params.Get(ParamMemory) }
+func (c *Component) Memory() float64 { return c.Params.slot[slotMemory] }
 
 // HostPair is a canonical (sorted) unordered pair of host IDs keying a
 // physical link.
@@ -76,13 +76,13 @@ type PhysicalLink struct {
 }
 
 // Reliability returns the link's delivery probability.
-func (l *PhysicalLink) Reliability() float64 { return l.Params.Get(ParamReliability) }
+func (l *PhysicalLink) Reliability() float64 { return l.Params.slot[slotReliability] }
 
 // Bandwidth returns the link's bandwidth in KB/s.
-func (l *PhysicalLink) Bandwidth() float64 { return l.Params.Get(ParamBandwidth) }
+func (l *PhysicalLink) Bandwidth() float64 { return l.Params.slot[slotBandwidth] }
 
 // Delay returns the link's one-way delay in ms.
-func (l *PhysicalLink) Delay() float64 { return l.Params.Get(ParamDelay) }
+func (l *PhysicalLink) Delay() float64 { return l.Params.slot[slotDelay] }
 
 // LogicalLink models an interaction path between two software components:
 // frequency of interaction, average event size, and extensions.
@@ -92,10 +92,10 @@ type LogicalLink struct {
 }
 
 // Frequency returns the interaction frequency (events/s).
-func (l *LogicalLink) Frequency() float64 { return l.Params.Get(ParamFrequency) }
+func (l *LogicalLink) Frequency() float64 { return l.Params.slot[slotFrequency] }
 
 // EventSize returns the average event size (KB).
-func (l *LogicalLink) EventSize() float64 { return l.Params.Get(ParamEventSize) }
+func (l *LogicalLink) EventSize() float64 { return l.Params.slot[slotEventSize] }
 
 // System is the model of a distributed system's deployment architecture:
 // hosts, components, physical links, logical links, and the constraints

@@ -70,16 +70,16 @@ func TestMakeComponentPairCanonical(t *testing.T) {
 
 func TestAddLinkValidation(t *testing.T) {
 	s := testSystem(t)
-	if _, err := s.AddLink("hostA", "hostA", nil); err == nil {
+	if _, err := s.AddLink("hostA", "hostA", Params{}); err == nil {
 		t.Fatal("self-link accepted")
 	}
-	if _, err := s.AddLink("hostA", "nosuch", nil); err == nil {
+	if _, err := s.AddLink("hostA", "nosuch", Params{}); err == nil {
 		t.Fatal("link to unknown host accepted")
 	}
-	if _, err := s.AddInteraction("c1", "c1", nil); err == nil {
+	if _, err := s.AddInteraction("c1", "c1", Params{}); err == nil {
 		t.Fatal("self-interaction accepted")
 	}
-	if _, err := s.AddInteraction("c1", "ghost", nil); err == nil {
+	if _, err := s.AddInteraction("c1", "ghost", Params{}); err == nil {
 		t.Fatal("interaction with unknown component accepted")
 	}
 }

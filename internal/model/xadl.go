@@ -62,9 +62,10 @@ type xadlPlacement struct {
 }
 
 func paramsToXADL(p Params) []xadlParam {
-	out := make([]xadlParam, 0, len(p))
-	for _, name := range p.Names() {
-		out = append(out, xadlParam{Name: name, Value: p[name]})
+	names := p.Names()
+	out := make([]xadlParam, 0, len(names))
+	for _, name := range names {
+		out = append(out, xadlParam{Name: name, Value: p.Get(name)})
 	}
 	return out
 }

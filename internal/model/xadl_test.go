@@ -2,6 +2,8 @@ package model
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,4 +155,86 @@ func TestXADLRoundTripPreservesStructureProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameParamBits reports whether p and q hold the same names with the same
+// float bits, so a NaN read from disk compares equal to itself.
+func sameParamBits(p, q Params) bool {
+	names := p.Names()
+	if !slices.Equal(names, q.Names()) {
+		return false
+	}
+	for _, name := range names {
+		if math.Float64bits(p.Get(name)) != math.Float64bits(q.Get(name)) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzReadXADL feeds arbitrary bytes to ReadXADL, the decoder cmd/desi and
+// cmd/deployer run on architecture files. A document is either refused
+// with an error, or it survives WriteXADL → ReadXADL with the same
+// elements, the same parameters on each (bit for bit) and the same
+// deployment.
+func FuzzReadXADL(f *testing.F) {
+	s, d, err := NewGenerator(DefaultGeneratorConfig(4, 10), 3).Generate()
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Components[ComponentName(0)].Params.Set("owner", 7)
+	var buf bytes.Buffer
+	if err := WriteXADL(&buf, s, d); err != nil {
+		f.Fatal(err)
+	}
+	generated := buf.String()
+	f.Add(generated)
+	// The same document with the first host's memory named twice: the
+	// later value, a NaN, wins.
+	i := strings.Index(generated, "</param>") + len("</param>")
+	f.Add(generated[:i] + `<param name="memory" value="NaN"></param>` + generated[i:])
+	f.Add(`<architecture><hosts><host id="h"><param name="memory" value="1"></param><param name="memory" value="2"></param></host></hosts></architecture>`)
+	f.Add("not xml")
+
+	f.Fuzz(func(t *testing.T, doc string) {
+		s1, d1, err := ReadXADL(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteXADL(&out, s1, d1); err != nil {
+			t.Fatalf("WriteXADL of an accepted document: %v", err)
+		}
+		s2, d2, err := ReadXADL(&out)
+		if err != nil {
+			t.Fatalf("ReadXADL of WriteXADL's output: %v\n%s", err, out.String())
+		}
+		if !d2.Equal(d1) {
+			t.Fatalf("deployment %v became %v", d1, d2)
+		}
+		if len(s2.Hosts) != len(s1.Hosts) || len(s2.Components) != len(s1.Components) ||
+			len(s2.Links) != len(s1.Links) || len(s2.Interacts) != len(s1.Interacts) {
+			t.Fatal("element counts changed in the round trip")
+		}
+		for id, h := range s1.Hosts {
+			if h2, ok := s2.Hosts[id]; !ok || !sameParamBits(h.Params, h2.Params) {
+				t.Fatalf("host %q: %v became %v", id, h.Params, s2.Hosts[id])
+			}
+		}
+		for id, c := range s1.Components {
+			if c2, ok := s2.Components[id]; !ok || !sameParamBits(c.Params, c2.Params) {
+				t.Fatalf("component %q: %v became %v", id, c.Params, s2.Components[id])
+			}
+		}
+		for pair, l := range s1.Links {
+			if l2, ok := s2.Links[pair]; !ok || !sameParamBits(l.Params, l2.Params) {
+				t.Fatalf("link %v: %v became %v", pair, l.Params, s2.Links[pair])
+			}
+		}
+		for pair, l := range s1.Interacts {
+			if l2, ok := s2.Interacts[pair]; !ok || !sameParamBits(l.Params, l2.Params) {
+				t.Fatalf("interaction %v: %v became %v", pair, l.Params, s2.Interacts[pair])
+			}
+		}
+	})
 }

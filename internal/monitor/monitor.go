@@ -344,7 +344,7 @@ func (ap *Applier) Apply(rep prism.MonitoringReport, d model.Deployment) int {
 		link := ap.sys.Interaction(is.Pair.A, is.Pair.B)
 		if link == nil {
 			var err error
-			link, err = ap.sys.AddInteraction(is.Pair.A, is.Pair.B, nil)
+			link, err = ap.sys.AddInteraction(is.Pair.A, is.Pair.B, model.Params{})
 			if err != nil {
 				continue // endpoints unknown to the model
 			}

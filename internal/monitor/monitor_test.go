@@ -194,10 +194,10 @@ func buildSys(t *testing.T) *model.System {
 	t.Helper()
 	s := model.NewSystem()
 	s.Constraints = model.NewConstraints()
-	s.AddHost("h1", nil)
-	s.AddHost("h2", nil)
-	s.AddComponent("c1", nil)
-	s.AddComponent("c2", nil)
+	s.AddHost("h1", model.Params{})
+	s.AddHost("h2", model.Params{})
+	s.AddComponent("c1", model.Params{})
+	s.AddComponent("c2", model.Params{})
 	var lp model.Params
 	lp.Set(model.ParamReliability, 0.9)
 	if _, err := s.AddLink("h1", "h2", lp); err != nil {
@@ -269,7 +269,7 @@ func TestApplierGateBlocksUnstableData(t *testing.T) {
 
 func TestApplierCreatesMissingInteraction(t *testing.T) {
 	s := buildSys(t)
-	s.AddComponent("c3", nil)
+	s.AddComponent("c3", model.Params{})
 	ap := NewApplier(s, nil)
 	rep := prism.MonitoringReport{
 		Host: "h1",

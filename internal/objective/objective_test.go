@@ -86,8 +86,8 @@ func TestAvailabilityUndeployedEndpoints(t *testing.T) {
 
 func TestAvailabilityNoInteractions(t *testing.T) {
 	s := model.NewSystem()
-	s.AddHost("h", nil)
-	s.AddComponent("c", nil)
+	s.AddHost("h", model.Params{})
+	s.AddComponent("c", model.Params{})
 	d := model.Deployment{"c": "h"}
 	if got := (Availability{}).Quantify(s, d); got != 1 {
 		t.Fatalf("availability with no interactions = %v, want 1", got)

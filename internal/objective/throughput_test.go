@@ -50,10 +50,10 @@ func TestThroughputSharedLinkContention(t *testing.T) {
 	// Two interactions over the same link: their combined demand counts
 	// against one bandwidth budget.
 	s := model.NewSystem()
-	s.AddHost("h1", nil)
-	s.AddHost("h2", nil)
+	s.AddHost("h1", model.Params{})
+	s.AddHost("h2", model.Params{})
 	for _, c := range []model.ComponentID{"a", "b", "x", "y"} {
-		s.AddComponent(c, nil)
+		s.AddComponent(c, model.Params{})
 	}
 	var lp model.Params
 	lp.Set(model.ParamBandwidth, 25)
@@ -80,8 +80,8 @@ func TestThroughputSharedLinkContention(t *testing.T) {
 
 func TestThroughputNoInteractions(t *testing.T) {
 	s := model.NewSystem()
-	s.AddHost("h", nil)
-	s.AddComponent("c", nil)
+	s.AddHost("h", model.Params{})
+	s.AddComponent("c", model.Params{})
 	if got := (Throughput{}).Quantify(s, model.Deployment{"c": "h"}); got != 1 {
 		t.Fatalf("no-interaction throughput = %v, want 1", got)
 	}
