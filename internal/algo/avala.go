@@ -63,6 +63,10 @@ type avalaRun struct {
 	// frequency: at 1+oh, Rel to its host oh; at 0, for an unplaced
 	// partner, 1 until the first placement and 0 after it.
 	weight []float64
+	// arcFreq[ci][k] is the frequency of the arc ds.Adj[ci][k], laid out
+	// beside the arcs so that sumAffinity streams it rather than reading
+	// Freq at each arc's edge.
+	arcFreq [][]float64
 }
 
 type avalaAffinity struct {
@@ -99,6 +103,16 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 	for hi := 0; hi < nh; hi++ {
 		r.weight[hi*(nh+1)] = 1
 		copy(r.weight[hi*(nh+1)+1:], v.ds.Rel[hi*nh:hi*nh+nh])
+	}
+	r.arcFreq = make([][]float64, len(v.ds.Comps))
+	freqs := make([]float64, 2*len(v.ds.Edges))
+	for ci, arcs := range v.ds.Adj {
+		fs := freqs[:len(arcs):len(arcs)]
+		freqs = freqs[len(arcs):]
+		for k, arc := range arcs {
+			fs[k] = v.ds.Freq[arc.Edge]
+		}
+		r.arcFreq[ci] = fs
 	}
 	defer func() {
 		met := cfg.metrics(a.Name())
@@ -341,13 +355,16 @@ func (r *avalaRun) affinity(ci, hi int) float64 {
 
 // sumAffinity weighs every arc through host hi's weight row, where an
 // unplaced partner's weight is 1 or 0 and a partner on hi has Rel 1. A
-// frequency is positive and finite, so f·1 is f and adding f·0 leaves
-// the sum as it was: the bits are those of adding only what counts.
+// frequency is finite and positive or 0, so f·1 is f and adding f·0 or
+// 0·w leaves the sum as it was: the bits are those of adding only what
+// counts.
 func (r *avalaRun) sumAffinity(ci, hi int) float64 {
 	w := r.weight[hi*(r.ds.NH+1):]
+	arcs, fs := r.ds.Adj[ci], r.arcFreq[ci]
+	fs = fs[:len(arcs)]
 	a := 0.0
-	for _, arc := range r.ds.Adj[ci] {
-		a += arc.Freq * w[r.assign[arc.Other]+1]
+	for k, arc := range arcs {
+		a += fs[k] * w[r.assign[arc.Other]+1]
 	}
 	return a
 }

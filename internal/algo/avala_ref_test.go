@@ -302,12 +302,12 @@ func (r *refAvalaRun) affinity(ci, hi int) float64 {
 		switch oh := r.assign[arc.Other]; {
 		case oh < 0:
 			if empty {
-				a += arc.Freq
+				a += r.ds.Freq[arc.Edge]
 			}
 		case oh == hi:
-			a += arc.Freq
+			a += r.ds.Freq[arc.Edge]
 		default:
-			a += arc.Freq * rel[oh]
+			a += r.ds.Freq[arc.Edge] * rel[oh]
 		}
 	}
 	return a

@@ -97,7 +97,7 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 	scoreAll := func(ds []model.Deployment) ([]individual, error) {
 		out := make([]individual, len(ds))
 		scored := make([]bool, len(ds))
-		err := parallelFor(ctx, cfg.workerCount(), len(ds), func(i int) {
+		err := parallelFor(ctx, cfg.workerCount(), len(ds), func(_, i int) {
 			out[i] = individual{d: ds[i], score: objective.QuantifyFast(cfg.Objective, s, ds[i])}
 			scored[i] = true
 		})
@@ -202,12 +202,9 @@ func seedPopulation(v *searchSpace, rng *rand.Rand, initial model.Deployment, po
 	}
 	firstFill := len(seeds)
 	hosts := v.upHosts()
+	f := fillArena{rng: rng}
 	for tries := 0; len(seeds) < popSize && tries < popSize*10; tries++ {
-		hostOrder := make([]int, len(hosts))
-		for i, p := range rng.Perm(len(hosts)) {
-			hostOrder[i] = hosts[p]
-		}
-		if assign, ok := fillInOrder(v, hostOrder, rng.Perm(len(v.ds.Comps))); ok && v.fillValid(assign) {
+		if assign, ok := f.fillRandom(v, hosts); ok && v.fillValid(assign) {
 			seeds = append(seeds, v.ds.Deployment(assign))
 		}
 	}

@@ -44,8 +44,9 @@ func (st *availState) place(ci, hi int) {
 		if oi < 0 {
 			continue
 		}
-		st.num += arc.Freq * st.ds.Rel[hi*nh+oi]
-		st.pendingFreq -= arc.Freq
+		f := st.ds.Freq[arc.Edge]
+		st.num += f * st.ds.Rel[hi*nh+oi]
+		st.pendingFreq -= f
 	}
 }
 
@@ -60,8 +61,9 @@ func (st *availState) unplace(ci int) {
 		if oi < 0 {
 			continue
 		}
-		st.num -= arc.Freq * st.ds.Rel[hi*nh+oi]
-		st.pendingFreq += arc.Freq
+		f := st.ds.Freq[arc.Edge]
+		st.num -= f * st.ds.Rel[hi*nh+oi]
+		st.pendingFreq += f
 	}
 }
 

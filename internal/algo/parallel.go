@@ -2,7 +2,6 @@ package algo
 
 import (
 	"context"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,11 +33,6 @@ func deriveSeed(seed int64, idx int) int64 {
 	return int64(splitmix64(uint64(seed) + (uint64(idx)+1)*0x9E3779B97F4A7C15))
 }
 
-// deriveRNG returns the deterministic RNG for unit idx under seed.
-func deriveRNG(seed int64, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(deriveSeed(seed, idx)))
-}
-
 // workerCount resolves Config.Workers: zero (or negative) selects all
 // available cores.
 func (c Config) workerCount() int {
@@ -48,12 +42,14 @@ func (c Config) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parallelFor runs fn(i) for every i in [0, n) on up to `workers`
-// goroutines, handing out indices through a shared counter. When ctx is
-// cancelled it stops issuing new indices, waits for in-flight calls to
-// drain, and returns ctx.Err(); indices not yet started are skipped.
-// With workers <= 1 it runs inline with no goroutines.
-func parallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
+// parallelFor runs fn(w, i) for every i in [0, n) on up to `workers`
+// goroutines, handing out indices through a shared counter; w is the
+// calling goroutine's number in [0, workers), so fn may keep per-worker
+// buffers. When ctx is cancelled it stops issuing new indices, waits for
+// in-flight calls to drain, and returns ctx.Err(); indices not yet
+// started are skipped. With workers <= 1 it runs inline with no
+// goroutines.
+func parallelFor(ctx context.Context, workers, n int, fn func(w, i int)) error {
 	if workers > n {
 		workers = n
 	}
@@ -64,7 +60,7 @@ func parallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
 				return ctx.Err()
 			default:
 			}
-			fn(i)
+			fn(0, i)
 		}
 		return nil
 	}
@@ -84,7 +80,7 @@ func parallelFor(ctx context.Context, workers, n int, fn func(i int)) error {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

@@ -115,6 +115,8 @@ type placer interface {
 	move(ci, hi int)
 	canSwap(c1, c2 int) bool
 	swap(c1, c2 int)
+	// reset unplaces every component, as begin(nil) would start.
+	reset()
 }
 
 // incChecker is the placer over DenseConstraints. It mirrors
@@ -206,6 +208,14 @@ func (c *incChecker) place(ci, hi int) {
 	c.cpu[hi] += c.compCPU[ci]
 }
 
+func (c *incChecker) reset() {
+	for ci := range c.assign {
+		c.assign[ci] = -1
+	}
+	clear(c.mem)
+	clear(c.cpu)
+}
+
 func (c *incChecker) unplace(ci int) {
 	hi := c.assign[ci]
 	c.assign[ci] = -1
@@ -282,6 +292,13 @@ func (a *checkAdapter) place(ci, hi int) {
 func (a *checkAdapter) unplace(ci int) {
 	a.assign[ci] = -1
 	delete(a.d, a.ds.Comps[ci])
+}
+
+func (a *checkAdapter) reset() {
+	for ci := range a.assign {
+		a.assign[ci] = -1
+	}
+	clear(a.d)
 }
 
 func (a *checkAdapter) move(ci, hi int) { a.place(ci, hi) }

@@ -3,6 +3,8 @@ package algo
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,10 +28,14 @@ import (
 // fillValid); any other checker checks every fill.
 //
 // Trials are independent, so they fan out across Config.Workers
-// goroutines. Each trial's RNG is derived from splitmix64(Config.Seed,
-// trialIndex) and ties between equal-scoring trials break toward the
-// lowest trial index, so the result is bit-identical for any worker
-// count.
+// goroutines. Each trial draws from a math/rand source seeded with
+// splitmix64(Config.Seed, trialIndex), and ties between equal-scoring
+// trials break toward the lowest trial index, so the result is
+// bit-identical for any worker count. Each worker keeps one fillArena for
+// the whole run: its source is re-seeded per trial, which gives the
+// trial the stream a fresh source would, and its orders, assignment,
+// remaining list and per-host loads are rewritten in place. Only a new
+// best trial's assignment is copied out, under the lock.
 type Stochastic struct {
 	// DefaultTrials is used when Config.Trials is zero.
 	DefaultTrials int
@@ -63,21 +69,22 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 	// read-only, by every trial.
 	v := newSearchSpace(s, cfg.checker())
 	hosts := v.upHosts()
-	nc := len(v.ds.Comps)
 
 	var (
 		mu         sync.Mutex
 		best       float64
 		bestAssign []int
-		bestTrial  int
+		bestTrial  = -1
 	)
-	err := parallelFor(ctx, cfg.workerCount(), trials, func(trial int) {
-		rng := deriveRNG(cfg.Seed, trial)
-		hostOrder := make([]int, len(hosts))
-		for i, p := range rng.Perm(len(hosts)) {
-			hostOrder[i] = hosts[p]
+	workers := cfg.workerCount()
+	arenas := make([]fillArena, workers)
+	err := parallelFor(ctx, workers, trials, func(w, trial int) {
+		f := &arenas[w]
+		if f.rng == nil {
+			f.rng = rand.New(rand.NewSource(0))
 		}
-		assign, ok := fillInOrder(v, hostOrder, rng.Perm(nc))
+		f.rng.Seed(deriveSeed(cfg.Seed, trial))
+		assign, ok := f.fillRandom(v, hosts)
 		ok = ok && v.fillValid(assign)
 		var score float64
 		if ok {
@@ -92,12 +99,13 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 		res.Evaluations++
 		// Keep the strictly best score; among equal scores the lowest
 		// trial index wins, matching a serial sweep exactly.
-		if bestAssign == nil || objective.Better(cfg.Objective, score, best) ||
+		if bestTrial < 0 || objective.Better(cfg.Objective, score, best) ||
 			(score == best && trial < bestTrial) {
-			best, bestAssign, bestTrial = score, assign, trial
+			best, bestTrial = score, trial
+			bestAssign = append(bestAssign[:0], assign...)
 		}
 	})
-	if bestAssign != nil {
+	if bestTrial >= 0 {
 		res.Deployment = v.ds.Deployment(bestAssign)
 		if !v.confirmFill(res.Deployment) {
 			// Every trial shares the winner's verdict.
@@ -121,15 +129,54 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 	return res, err
 }
 
+// fillArena is the scratch one goroutine's fills reuse over one
+// searchSpace: the source and the host and component orders a random fill
+// is drawn with, and the placer (assignment and per-host loads) and
+// remaining list the fill packs with.
+type fillArena struct {
+	rng                             *rand.Rand
+	hostOrder, compOrder, remaining []int
+	p                               placer
+}
+
+// fillRandom fills in a random order of hosts and one of all of v's
+// components, drawn from the arena's source with exactly rand.Perm's
+// draws, hosts first.
+func (f *fillArena) fillRandom(v *searchSpace, hosts []int) ([]int, bool) {
+	f.hostOrder = permInto(f.rng, f.hostOrder, len(hosts))
+	for i, p := range f.hostOrder {
+		f.hostOrder[i] = hosts[p]
+	}
+	f.compOrder = permInto(f.rng, f.compOrder, len(v.ds.Comps))
+	return f.fillInOrder(v, f.hostOrder, f.compOrder)
+}
+
+// permInto returns rand.Perm(n) written into dst's storage, grown if it
+// is short: the same draws from rng give the same permutation.
+func permInto(rng *rand.Rand, dst []int, n int) []int {
+	m := slices.Grow(dst[:0], n)[:n]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
 // fillInOrder walks hosts in order, packing components in order onto the
 // current host while the constraints hold. A component that does not fit
 // the current host is retried on later hosts, and a component rejected
 // by every host fails the fill (nil, false). Hosts and components are
 // dense indices of v's system, and so is the assignment returned
-// (component index → host index).
-func fillInOrder(v *searchSpace, hosts, comps []int) ([]int, bool) {
-	p := v.begin(nil)
-	remaining := append([]int(nil), comps...)
+// (component index → host index), which the arena's next fill rewrites.
+func (f *fillArena) fillInOrder(v *searchSpace, hosts, comps []int) ([]int, bool) {
+	if f.p == nil {
+		f.p = v.begin(nil)
+	} else {
+		f.p.reset()
+	}
+	remaining := append(f.remaining[:0], comps...)
+	f.remaining = remaining
 	for _, hi := range hosts {
 		next := remaining[:0]
 		for _, ci := range remaining {
@@ -137,8 +184,8 @@ func fillInOrder(v *searchSpace, hosts, comps []int) ([]int, bool) {
 			// honor it even where CheckPartial alone would admit the
 			// placement (wrappers like DegradationAware are stricter in
 			// Allowed than in Check).
-			if v.allows(ci, hi) && p.canPlace(ci, hi) {
-				p.place(ci, hi)
+			if v.allows(ci, hi) && f.p.canPlace(ci, hi) {
+				f.p.place(ci, hi)
 				continue
 			}
 			next = append(next, ci)
@@ -151,5 +198,5 @@ func fillInOrder(v *searchSpace, hosts, comps []int) ([]int, bool) {
 	if len(remaining) > 0 {
 		return nil, false
 	}
-	return p.assignment(), true
+	return f.p.assignment(), true
 }

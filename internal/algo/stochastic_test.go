@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dif/internal/model"
@@ -70,6 +71,17 @@ func checkedSeeds(v *searchSpace, rng *rand.Rand, initial model.Deployment, popS
 		}
 	}
 	return seeds
+}
+
+// deriveRNG is the references' per-trial source: a fresh one, where
+// Stochastic re-seeds its worker's.
+func deriveRNG(seed int64, idx int) *rand.Rand {
+	return rand.New(rand.NewSource(deriveSeed(seed, idx)))
+}
+
+// fillInOrder is the references' fill: a fresh arena for every fill.
+func fillInOrder(v *searchSpace, hosts, comps []int) ([]int, bool) {
+	return new(fillArena).fillInOrder(v, hosts, comps)
 }
 
 // denseTrialSystems builds the systems the dense-trial tests run on:
@@ -223,5 +235,52 @@ func TestGeneticSeedsDenseMatchChecked(t *testing.T) {
 	t.Logf("%d populations seeded, %d dropped on one Check", seeded, dropped)
 	if seeded < 200 || dropped < 5 {
 		t.Fatal("too little coverage")
+	}
+}
+
+// TestStochasticArenaDeterministic holds the per-worker arena to what a
+// fresh trial would do: permInto draws rand.Perm's permutation and leaves
+// the source where Perm leaves it, into a new, a short or a dirty buffer;
+// and Stochastic's Result is the same for 1, 2 and 4 workers and for a
+// second Run of the same value, under the incremental checker and the
+// CheckPartial adapter.
+func TestStochasticArenaDeterministic(t *testing.T) {
+	var buf []int
+	for seed := int64(0); seed < 5; seed++ {
+		for _, up := range []bool{true, false} {
+			for k := 0; k <= 64; k++ {
+				n := k
+				if !up {
+					n = 64 - k
+				}
+				ref, rng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				want := ref.Perm(n)
+				if buf = permInto(rng, buf, n); !slices.Equal(buf, want) {
+					t.Fatalf("seed %d: permInto(%d) = %v, rand.Perm = %v", seed, n, buf, want)
+				}
+				if rng.Int63() != ref.Int63() {
+					t.Fatalf("seed %d: permInto(%d) left the source elsewhere than rand.Perm", seed, n)
+				}
+			}
+		}
+	}
+
+	s, _ := genSystem(t, 10, 100, 4)
+	for _, check := range []ConstraintChecker{SystemConstraints{}, fullCheckOnly{}} {
+		for _, q := range []objective.Quantifier{objective.Availability{}, objective.Latency{}} {
+			a := &Stochastic{}
+			var want Result
+			for i, workers := range []int{1, 2, 4, 4} {
+				res, err := a.Run(context.Background(), s, nil, Config{Objective: q, Constraints: check, Seed: 9, Trials: 24, Workers: workers})
+				if err != nil {
+					t.Fatalf("%T, %s, %d workers: %v", check, q.Name(), workers, err)
+				}
+				if i == 0 {
+					want = res
+				} else if !sameResult(res, want) {
+					t.Fatalf("%T, %s, run %d on %d workers: %+v, want %+v", check, q.Name(), i, workers, res, want)
+				}
+			}
+		}
 	}
 }

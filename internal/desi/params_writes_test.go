@@ -41,10 +41,10 @@ func paramsSystem(t *testing.T) (*model.System, model.Deployment) {
 // edge returns the dense frequency and size of the a–b interaction.
 func edge(t *testing.T, ds *model.DenseSystem, a, b model.ComponentID) (freq, size float64) {
 	t.Helper()
-	ai, bi := ds.CompIndex(a), ds.CompIndex(b)
-	for _, e := range ds.Edges {
+	ai, bi := int32(ds.CompIndex(a)), int32(ds.CompIndex(b))
+	for i, e := range ds.Edges {
 		if (e.A == ai && e.B == bi) || (e.A == bi && e.B == ai) {
-			return e.Freq, e.Size
+			return ds.Freq[i], ds.Size[i]
 		}
 	}
 	t.Fatalf("no dense edge %s-%s", a, b)

@@ -1,10 +1,5 @@
 package model
 
-import (
-	"cmp"
-	"slices"
-)
-
 // Dense precomputed views of a System's scoring inputs. The search
 // algorithms evaluate objectives millions of times per run; finding each
 // interaction's link by its ID pair (Link, Reliability, Interacts) would
@@ -14,28 +9,28 @@ import (
 // lookups.
 //
 // The view is cached on the System in two parts. Its shape — the sorted
-// IDs, their indices, and each link's and interaction's index pair and
-// element — is rebuilt only when an element is added or removed through
-// the System's methods or a Modifier. Its values — the matrices, Edges,
-// Adj and TotalFreq — are re-read from the shape's elements after any
-// mutation; each parameter they need has a fixed slot in its element's
-// Params, so the re-read is a field load per value and hashes nothing.
-// Code that writes element Params directly (rather than via
-// Modifier.Set*Param) must call System.Touch afterwards or the cached
-// values go stale.
+// IDs, their indices, each link's index pair and element, and the
+// interaction structure (Edges and Adj) — is rebuilt only when an element
+// is added or removed through the System's methods or a Modifier. Its
+// values — the three matrices, Freq, Size and TotalFreq — are re-read from
+// the shape's elements after any mutation; each parameter they need has a
+// fixed slot in its element's Params, so the re-read is a field load per
+// value and hashes nothing. Successive views of one shape share Edges and
+// Adj, and no one writes them. Code that writes element Params directly
+// (rather than via Modifier.Set*Param) must call System.Touch afterwards
+// or the cached values go stale.
 
-// DenseEdge is one positive-frequency logical link in integer component
-// indices (A < B in ComponentIDs order).
+// DenseEdge is one interaction in integer component indices (A < B in
+// ComponentIDs order). Its frequency and event size are the view's
+// Freq and Size at the edge's index.
 type DenseEdge struct {
-	A, B       int
-	Freq, Size float64
+	A, B int32
 }
 
-// DenseArc is one end of a DenseEdge as seen from a component: the peer's
-// index plus the link's frequency and event size.
+// DenseArc is one end of a DenseEdge as seen from a component: the
+// partner's index and the edge's index in Edges, Freq and Size.
 type DenseArc struct {
-	Other      int
-	Freq, Size float64
+	Other, Edge int32
 }
 
 // DenseSystem is an integer-indexed snapshot of a System's scoring
@@ -56,11 +51,19 @@ type DenseSystem struct {
 	// Delay[i*NH+j] is the one-way delay in ms (0 local/disconnected).
 	Delay []float64
 
-	// Edges lists every logical link with positive frequency exactly once.
+	// Edges lists every interaction between known components exactly
+	// once, in InteractionKeys (A, B) order, whatever its frequency. It
+	// belongs to the shape, as does Adj.
 	Edges []DenseEdge
-	// Adj[c] lists the positive-frequency links incident to component c.
+	// Adj[c] lists the arcs of the edges incident to component c, in
+	// edge order; every component's list is a window of one array.
 	Adj [][]DenseArc
-	// TotalFreq is Σ Freq over Edges (the availability denominator).
+	// Freq[e] and Size[e] are edge e's frequency and event size. Where
+	// the frequency is not positive both are 0, so the edge adds +0 to
+	// every sum over Edges or Adj, which leaves the sum's bits as they
+	// would be without it.
+	Freq, Size []float64
+	// TotalFreq is Σ Freq in edge order (the availability denominator).
 	TotalFreq float64
 
 	hostIdx map[HostID]int
@@ -185,10 +188,13 @@ type denseShape struct {
 	hostIdx   map[HostID]int
 	compIdx   map[ComponentID]int
 	links     []shapeLink
-	// inters holds every interaction between known components, ordered
+	// edges holds every interaction between known components, ordered
 	// by (A, B) index whatever its frequency: a monitor write can take a
-	// frequency from 0 to positive without reshaping.
-	inters []shapeInteraction
+	// frequency from 0 to positive without reshaping. inters[e] is edge
+	// e's element, and adj its arcs per component.
+	edges  []DenseEdge
+	inters []*LogicalLink
+	adj    [][]DenseArc
 	// Structural counts at build time, used as a staleness backstop.
 	nLinks, nInteracts int
 }
@@ -196,11 +202,6 @@ type denseShape struct {
 type shapeLink struct {
 	i, j int
 	l    *PhysicalLink
-}
-
-type shapeInteraction struct {
-	a, b int
-	l    *LogicalLink
 }
 
 // current reports whether the system still has the element counts the
@@ -242,38 +243,75 @@ func buildShape(s *System) *denseShape {
 
 	// Interactions are ordered by (A, B) index. Indices follow the sorted
 	// ComponentIDs order, so this is InteractionKeys' order without
-	// comparing strings: bucket the interactions by A, then sort each
-	// bucket by B.
+	// comparing strings: two stable counting passes over the
+	// interactions' positions, by B and then by A, order them without a
+	// comparison and without moving an element pointer.
 	nc := len(sh.comps)
-	raw := make([]shapeInteraction, 0, len(s.Interacts))
-	bucket := make([]int, nc+1) // bucket[a] is where a's interactions start
+	as := make([]int32, 0, len(s.Interacts))
+	bs := make([]int32, 0, len(s.Interacts))
+	links := make([]*LogicalLink, 0, len(s.Interacts))
 	for key, l := range s.Interacts {
 		a, aok := sh.compIdx[key.A]
 		b, bok := sh.compIdx[key.B]
 		if !aok || !bok {
 			continue
 		}
-		raw = append(raw, shapeInteraction{a, b, l})
-		bucket[a+1]++
+		as, bs, links = append(as, int32(a)), append(bs, int32(b)), append(links, l)
 	}
-	for a := 0; a < nc; a++ {
-		bucket[a+1] += bucket[a]
+	order := stableOrder(stableOrder(nil, bs, nc), as, nc)
+
+	sh.edges = make([]DenseEdge, len(order))
+	sh.inters = make([]*LogicalLink, len(order))
+	degree := make([]int, nc)
+	for e, p := range order {
+		a, b := as[p], bs[p]
+		sh.edges[e] = DenseEdge{A: a, B: b}
+		sh.inters[e] = links[p]
+		degree[a]++
+		degree[b]++
 	}
-	sh.inters = make([]shapeInteraction, len(raw))
-	next := slices.Clone(bucket[:nc])
-	for _, e := range raw {
-		sh.inters[next[e.a]] = e
-		next[e.a]++
+	// Every component's arcs are a window of one backing array.
+	arcs := make([]DenseArc, 2*len(order))
+	sh.adj = make([][]DenseArc, nc)
+	off := 0
+	for c, n := range degree {
+		sh.adj[c] = arcs[off : off : off+n]
+		off += n
 	}
-	for a := 0; a < nc; a++ {
-		slices.SortFunc(sh.inters[bucket[a]:bucket[a+1]], func(x, y shapeInteraction) int { return cmp.Compare(x.b, y.b) })
+	for e, de := range sh.edges {
+		sh.adj[de.A] = append(sh.adj[de.A], DenseArc{Other: de.B, Edge: int32(e)})
+		sh.adj[de.B] = append(sh.adj[de.B], DenseArc{Other: de.A, Edge: int32(e)})
 	}
 	return sh
 }
 
-// values reads the elements' current parameters into a fresh view.
+// stableOrder returns the positions in (nil: 0, 1, … in turn) ordered
+// stably by keys[p], each key in [0, nk).
+func stableOrder(in, keys []int32, nk int) []int32 {
+	next := make([]int32, nk+1) // next[k] is where key k's next position goes
+	for _, k := range keys {
+		next[k+1]++
+	}
+	for k := 0; k < nk; k++ {
+		next[k+1] += next[k]
+	}
+	out := make([]int32, len(keys))
+	for i := range out {
+		p := int32(i)
+		if in != nil {
+			p = in[i]
+		}
+		out[next[keys[p]]] = p
+		next[keys[p]]++
+	}
+	return out
+}
+
+// values reads the elements' current parameters into a fresh view that
+// shares the shape's structure.
 func (sh *denseShape) values() *DenseSystem {
-	nh := len(sh.hosts)
+	nh, ne := len(sh.hosts), len(sh.edges)
+	perEdge := make([]float64, 2*ne)
 	ds := &DenseSystem{
 		Hosts:   sh.hosts,
 		Comps:   sh.comps,
@@ -283,6 +321,10 @@ func (sh *denseShape) values() *DenseSystem {
 		Rel:     make([]float64, nh*nh),
 		BW:      make([]float64, nh*nh),
 		Delay:   make([]float64, nh*nh),
+		Edges:   sh.edges,
+		Adj:     sh.adj,
+		Freq:    perEdge[:ne:ne],
+		Size:    perEdge[ne:],
 	}
 	for i := 0; i < nh; i++ {
 		ds.Rel[i*nh+i] = 1
@@ -295,31 +337,13 @@ func (sh *denseShape) values() *DenseSystem {
 		ds.BW[i*nh+j], ds.BW[j*nh+i] = bw, bw
 		ds.Delay[i*nh+j], ds.Delay[j*nh+i] = delay, delay
 	}
-
-	degree := make([]int, len(sh.comps))
-	ds.Edges = make([]DenseEdge, 0, len(sh.inters))
-	for _, it := range sh.inters {
-		f := it.l.Frequency()
+	for e, l := range sh.inters {
+		f := l.Frequency()
 		if f <= 0 {
-			continue // objectives skip non-positive frequencies
+			continue // stays 0: the objectives count no such interaction
 		}
-		ds.Edges = append(ds.Edges, DenseEdge{A: it.a, B: it.b, Freq: f, Size: it.l.EventSize()})
-		degree[it.a]++
-		degree[it.b]++
-	}
-
-	// Every component's arcs are a window of one backing array.
-	arcs := make([]DenseArc, 2*len(ds.Edges))
-	ds.Adj = make([][]DenseArc, len(sh.comps))
-	off := 0
-	for c, n := range degree {
-		ds.Adj[c] = arcs[off : off : off+n]
-		off += n
-	}
-	for _, e := range ds.Edges {
-		ds.Adj[e.A] = append(ds.Adj[e.A], DenseArc{Other: e.B, Freq: e.Freq, Size: e.Size})
-		ds.Adj[e.B] = append(ds.Adj[e.B], DenseArc{Other: e.A, Freq: e.Freq, Size: e.Size})
-		ds.TotalFreq += e.Freq
+		ds.Freq[e], ds.Size[e] = f, l.EventSize()
+		ds.TotalFreq += f
 	}
 	return ds
 }

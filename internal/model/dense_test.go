@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -39,30 +38,38 @@ func TestDenseMatricesMatchSystem(t *testing.T) {
 			}
 		}
 	}
-	// Edges come in InteractionKeys order: the scoring sums and Avala's
-	// affinities add in this order, so it must not depend on how the
-	// view was built.
-	var keys []ComponentPair
-	for _, k := range s.InteractionKeys() {
-		if s.Interacts[k].Frequency() > 0 {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) != len(ds.Edges) {
-		t.Fatalf("%d dense edges, %d positive interactions", len(ds.Edges), len(keys))
+	// Edges are every interaction, in InteractionKeys order: the scoring
+	// sums and Avala's affinities add in this order, so it must not
+	// depend on how the view was built. A non-positive frequency reads 0,
+	// with size 0, so its edge adds +0 to every sum.
+	keys := s.InteractionKeys()
+	s.Interacts[keys[1]].Params.Set(ParamFrequency, 0)
+	s.Interacts[keys[2]].Params.Set(ParamFrequency, -3)
+	s.Touch()
+	ds = s.Dense()
+	if len(keys) != len(ds.Edges) || len(keys) != len(ds.Freq) || len(keys) != len(ds.Size) {
+		t.Fatalf("%d dense edges, %d frequencies, %d sizes, %d interactions", len(ds.Edges), len(ds.Freq), len(ds.Size), len(keys))
 	}
 	total := 0.0
 	for i, e := range ds.Edges {
-		if e.Freq <= 0 {
-			t.Fatalf("dense edge with freq %v", e.Freq)
-		}
 		if ds.Comps[e.A] != keys[i].A || ds.Comps[e.B] != keys[i].B {
 			t.Fatalf("edge %d is %s-%s, InteractionKeys has %v", i, ds.Comps[e.A], ds.Comps[e.B], keys[i])
 		}
-		total += e.Freq
+		l := s.Interacts[keys[i]]
+		wantFreq, wantSize := l.Frequency(), l.EventSize()
+		if wantFreq <= 0 {
+			wantFreq, wantSize = 0, 0
+		}
+		if ds.Freq[i] != wantFreq || ds.Size[i] != wantSize {
+			t.Fatalf("edge %d: Freq, Size = %v, %v; want %v, %v", i, ds.Freq[i], ds.Size[i], wantFreq, wantSize)
+		}
+		total += wantFreq
 	}
-	if math.Abs(total-ds.TotalFreq) > 1e-9 {
+	if total != ds.TotalFreq {
 		t.Fatalf("TotalFreq = %v, edges sum to %v", ds.TotalFreq, total)
+	}
+	if ds.Freq[1] != 0 || ds.Freq[2] != 0 {
+		t.Fatalf("zero and negative frequencies read %v and %v", ds.Freq[1], ds.Freq[2])
 	}
 }
 
@@ -100,6 +107,13 @@ func TestDenseCacheReuseAndInvalidation(t *testing.T) {
 	}
 	if got := d3.Rel[i*d3.NH+j]; got != 0.456 {
 		t.Fatalf("rebuilt Rel = %v, want 0.456", got)
+	}
+	// The values are new; the structure is the shape's, shared.
+	if &d3.Edges[0] != &d2.Edges[0] || &d3.Adj[0] != &d2.Adj[0] || &d3.Adj[0][0] != &d2.Adj[0][0] {
+		t.Fatal("Touch rebuilt the edge or arc structure")
+	}
+	if &d3.Freq[0] == &d2.Freq[0] || &d3.Size[0] == &d2.Size[0] {
+		t.Fatal("Touch left the new view writing the old view's Freq or Size")
 	}
 
 	// Structural mutations rebuild too.
@@ -151,6 +165,10 @@ func denseEqual(got, want *DenseSystem) error {
 		return fmt.Errorf("Edges differ: %d edges, want %d", len(got.Edges), len(want.Edges))
 	case !reflect.DeepEqual(got.Adj, want.Adj):
 		return fmt.Errorf("Adj differs")
+	case !reflect.DeepEqual(got.Freq, want.Freq):
+		return fmt.Errorf("Freq differs")
+	case !reflect.DeepEqual(got.Size, want.Size):
+		return fmt.Errorf("Size differs")
 	case got.TotalFreq != want.TotalFreq:
 		return fmt.Errorf("TotalFreq = %v, want %v", got.TotalFreq, want.TotalFreq)
 	}
@@ -464,12 +482,14 @@ func BenchmarkDenseRebuild(b *testing.B) {
 		b.Run("values/"+name, func(b *testing.B) {
 			s.Dense()
 			b.ResetTimer()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s.Touch()
 				denseSink = s.Dense()
 			}
 		})
 		b.Run("structure+values/"+name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s.reshape()
 				denseSink = s.Dense()

@@ -211,14 +211,17 @@ func (Availability) BeginDense(ds *model.DenseSystem, assign []int) DeltaState {
 }
 
 func (st *availDelta) rebase() {
-	nh := st.ds.NH
+	// Locals keep the loop's slices in registers: the sweep is Stochastic's
+	// per-trial cost.
+	nh, assign, rel := st.ds.NH, st.assign, st.ds.Rel
+	freq := st.ds.Freq[:len(st.ds.Edges)]
 	num := 0.0
-	for _, e := range st.ds.Edges {
-		a, b := st.assign[e.A], st.assign[e.B]
+	for i, e := range st.ds.Edges {
+		a, b := assign[e.A], assign[e.B]
 		if a < 0 || b < 0 {
 			continue
 		}
-		num += e.Freq * st.ds.Rel[a*nh+b]
+		num += freq[i] * rel[a*nh+b]
 	}
 	st.num = num
 }
@@ -245,7 +248,7 @@ func (st *availDelta) moveDelta(ci, ti int) float64 {
 		if ti >= 0 {
 			after = rel[ti*nh+oi]
 		}
-		d += arc.Freq * (after - before)
+		d += st.ds.Freq[arc.Edge] * (after - before)
 	}
 	return d
 }
@@ -330,8 +333,8 @@ func (st *latencyDelta) arcCost(freq, size float64, a, b int) float64 {
 
 func (st *latencyDelta) rebase() {
 	total := 0.0
-	for _, e := range st.ds.Edges {
-		total += st.arcCost(e.Freq, e.Size, st.assign[e.A], st.assign[e.B])
+	for i, e := range st.ds.Edges {
+		total += st.arcCost(st.ds.Freq[i], st.ds.Size[i], st.assign[e.A], st.assign[e.B])
 	}
 	st.total = total
 }
@@ -344,7 +347,8 @@ func (st *latencyDelta) moveDelta(ci, ti int) float64 {
 	d := 0.0
 	for _, arc := range st.ds.Adj[ci] {
 		oi := st.assign[arc.Other]
-		d += st.arcCost(arc.Freq, arc.Size, ti, oi) - st.arcCost(arc.Freq, arc.Size, fi, oi)
+		freq, size := st.ds.Freq[arc.Edge], st.ds.Size[arc.Edge]
+		d += st.arcCost(freq, size, ti, oi) - st.arcCost(freq, size, fi, oi)
 	}
 	return d
 }
