@@ -46,15 +46,56 @@ func (d DegradationAware) CheckPartial(s *model.System, dep model.Deployment) er
 	return d.inner().CheckPartial(s, dep)
 }
 
-// Incremental implements the Incremental hook by delegating to the inner
-// checker: Check and CheckPartial are the inner checker's, and the
-// degraded-host filter lives in Allowed, which every search consults
-// before it asks about a placement.
+// Incremental implements the Incremental hook: Check and CheckPartial
+// are the inner checker's, so its dense constraints serve, with each
+// allowed row narrowed as Allowed narrows the inner checker's hosts.
 func (d DegradationAware) Incremental(s *model.System) *DenseConstraints {
-	if inc, ok := d.inner().(Incremental); ok {
-		return inc.Incremental(s)
+	inc, ok := d.inner().(Incremental)
+	if !ok {
+		return nil
 	}
-	return nil
+	t := inc.Incremental(s)
+	if t == nil {
+		return nil
+	}
+	ds := t.ds
+	degraded := make([]bool, ds.NH)
+	anyDegraded := false
+	for hi, h := range ds.Hosts {
+		degraded[hi] = s.Hosts[h].Degraded > 0
+		anyDegraded = anyDegraded || degraded[hi]
+	}
+	if !anyDegraded {
+		return t
+	}
+	out := *t
+	out.allowed = make([][]int, len(t.allowed))
+	total := 0
+	for _, row := range t.allowed {
+		total += len(row)
+	}
+	backing := make([]int, 0, total)
+	for ci, row := range t.allowed {
+		// As in Allowed: the host under Current keeps its component (an
+		// empty or unknown host keeps none), and a row the filter would
+		// empty stays whole.
+		cur := -1
+		if h := d.Current[ds.Comps[ci]]; h != "" {
+			cur = ds.HostIndex(h)
+		}
+		start := len(backing)
+		for _, hi := range row {
+			if !degraded[hi] || hi == cur {
+				backing = append(backing, hi)
+			}
+		}
+		out.allowed[ci] = backing[start:len(backing):len(backing)]
+		if len(out.allowed[ci]) == 0 {
+			out.allowed[ci] = row
+		}
+	}
+	out.admits = admitsTable(out.allowed, ds.NH)
+	return &out
 }
 
 // Allowed implements ConstraintChecker.

@@ -6,12 +6,13 @@ import (
 
 // Incremental is an optional ConstraintChecker hook. A checker whose
 // Check and CheckPartial are exactly s.Constraints' returns the dense
-// form of those constraints, and the searches then judge one placement,
-// move or swap in O(partners) against the valid assignment they hold,
-// instead of re-validating the whole deployment. A checker without the
-// hook, or one returning nil, is asked through an adapter that applies
-// the change to a Deployment and calls CheckPartial (a placement into a
-// partial deployment) or Check (a move or swap in a complete one).
+// form of those constraints, with its Allowed sets compiled in, and the
+// searches then judge one placement, move or swap in O(partners) against
+// the valid assignment they hold, instead of re-validating the whole
+// deployment. A checker without the hook, or one returning nil, is asked
+// through an adapter that applies the change to a Deployment and calls
+// CheckPartial (a placement into a partial deployment) or Check (a move
+// or swap in a complete one).
 type Incremental interface {
 	Incremental(s *model.System) *DenseConstraints
 }
@@ -23,9 +24,9 @@ func (SystemConstraints) Incremental(s *model.System) *DenseConstraints {
 
 // DenseConstraints is a system's model.Constraints over its dense
 // indices (model.DenseSystem): per-host capacities and liveness,
-// per-component demands, location rows and collocation partner lists.
-// It is read-only once built, so concurrent searches may share it; each
-// walk keeps its own per-host sums in an incChecker.
+// per-component demands, location rows, allowed hosts and collocation
+// partner lists. It is read-only once built, so concurrent searches may
+// share it; each walk keeps its own per-host sums in an incChecker.
 type DenseConstraints struct {
 	ds                 *model.DenseSystem
 	checkMem, checkCPU bool
@@ -36,6 +37,12 @@ type DenseConstraints struct {
 	// its location constraint admits. A component that may not share a
 	// host with itself gets an all-false row: nothing can satisfy it.
 	loc [][]bool
+	// allowed[ci] lists the hosts the checker's Allowed admits for
+	// component ci, ascending, and admits[ci*NH+hi] is the same as a
+	// membership table. Components without a location constraint share
+	// one row.
+	allowed [][]int
+	admits  []bool
 	// must[ci] and cant[ci] list ci's collocation partners. Pairs naming
 	// an unknown component are left out: CheckPartial never sees such a
 	// component placed, and Check fails them on every deployment, which
@@ -57,27 +64,49 @@ func newDenseConstraints(s *model.System) *DenseConstraints {
 		hostCPU:  make([]float64, nh),
 		down:     make([]bool, nh),
 		loc:      make([][]bool, nc),
+		allowed:  make([][]int, nc),
 		must:     make([][]int, nc),
 		cant:     make([][]int, nc),
 	}
-	for ci, c := range ds.Comps {
-		comp := s.Components[c]
-		t.compMem[ci] = comp.Memory()
-		t.compCPU[ci] = comp.Params.Get(model.ParamCPU)
-		if set, ok := cs.Location[c]; ok {
-			row := make([]bool, nh)
-			for hi, h := range ds.Hosts {
-				row[hi] = set[h]
-			}
-			t.loc[ci] = row
-		}
-	}
+	up := make([]int, 0, nh)
 	for hi, h := range ds.Hosts {
 		host := s.Hosts[h]
 		t.hostMem[hi] = host.Memory()
 		t.hostCPU[hi] = host.Params.Get(model.ParamCPU)
 		t.down[hi] = host.Down
+		if !host.Down {
+			up = append(up, hi)
+		}
 	}
+	up = up[:len(up):len(up)]
+	// The allowed rows are model.Constraints.AllowedHosts': the up hosts
+	// a component's location set admits, every up host without one. They
+	// are taken from the location rows before CannotCollocate(a, a)
+	// empties a's row below, a pair AllowedHosts never sees. Each row is
+	// a window of one backing array, which cannot regrow: it has room for
+	// every location set.
+	backing := make([]int, 0, min(len(cs.Location), nc)*len(up))
+	for ci, c := range ds.Comps {
+		comp := s.Components[c]
+		t.compMem[ci] = comp.Memory()
+		t.compCPU[ci] = comp.Params.Get(model.ParamCPU)
+		set, ok := cs.Location[c]
+		if !ok {
+			t.allowed[ci] = up
+			continue
+		}
+		row := make([]bool, nh)
+		start := len(backing)
+		for hi, h := range ds.Hosts {
+			row[hi] = set[h]
+			if row[hi] && !t.down[hi] {
+				backing = append(backing, hi)
+			}
+		}
+		t.loc[ci] = row
+		t.allowed[ci] = backing[start:len(backing):len(backing)]
+	}
+	t.admits = admitsTable(t.allowed, nh)
 	for _, p := range cs.MustCollocate {
 		a, b := ds.CompIndex(p.A), ds.CompIndex(p.B)
 		if a < 0 || b < 0 || a == b {
@@ -98,6 +127,18 @@ func newDenseConstraints(s *model.System) *DenseConstraints {
 		}
 	}
 	return t
+}
+
+// admitsTable is the membership table of per-component host rows:
+// entry ci*nh+hi is set when row ci lists host hi.
+func admitsTable(rows [][]int, nh int) []bool {
+	admits := make([]bool, len(rows)*nh)
+	for ci, row := range rows {
+		for _, hi := range row {
+			admits[ci*nh+hi] = true
+		}
+	}
+	return admits
 }
 
 // placer validates and records changes to one search walk's assignment
@@ -310,9 +351,10 @@ func (a *checkAdapter) swap(c1, c2 int) {
 }
 
 // searchSpace is one run's read-only view of where components may go:
-// the dense system, the checker's Allowed hosts per component, and the
-// dense constraint tables. Stochastic trials share one; every walk takes
-// its own placer from it.
+// the dense system, the checker's Allowed hosts per component (compiled
+// into the constraint tables when the checker is incremental, asked of
+// Allowed otherwise), and the dense constraint tables. Stochastic trials
+// share one; every walk takes its own placer from it.
 type searchSpace struct {
 	s     *model.System
 	ds    *model.DenseSystem
@@ -335,27 +377,27 @@ func newSearchSpace(s *model.System, check ConstraintChecker) *searchSpace {
 		v.cons = inc.Incremental(s)
 	}
 	v.incremental = v.cons != nil
-	if !v.incremental {
-		v.cons = newDenseConstraints(s)
+	if v.incremental {
+		v.ds, v.allowed, v.admits = v.cons.ds, v.cons.allowed, v.cons.admits
+		return v
 	}
+	v.cons = newDenseConstraints(s)
 	v.ds = v.cons.ds
-	nc, nh := len(v.ds.Comps), v.ds.NH
-	v.allowed = make([][]int, nc)
-	v.admits = make([]bool, nc*nh)
+	v.allowed = make([][]int, len(v.ds.Comps))
 	// Every component's list is a window of one backing array.
-	backing := make([]int, 0, nc*nh)
+	backing := make([]int, 0, len(v.ds.Comps)*v.ds.NH)
 	for ci, c := range v.ds.Comps {
 		start := len(backing)
 		for _, h := range check.Allowed(s, c) {
 			if hi := v.ds.HostIndex(h); hi >= 0 {
 				backing = append(backing, hi)
-				v.admits[ci*nh+hi] = true
 			}
 		}
 		if len(backing) > start {
 			v.allowed[ci] = backing[start:len(backing):len(backing)]
 		}
 	}
+	v.admits = admitsTable(v.allowed, v.ds.NH)
 	return v
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dif/internal/model"
@@ -49,6 +50,104 @@ func randomConstrainedSystem(rng *rand.Rand) *model.System {
 		s.Constraints.ForbidCollocation(pick(), pick())
 	}
 	return s
+}
+
+// TestCompiledAllowedMatchesChecker requires each shipped checker's
+// compiled allowed rows to list exactly the hosts its Allowed returns,
+// in the same order, and the membership table to agree with the rows.
+// The systems carry pins and restrictions (some naming a host the system
+// does not have), a self separation pair, down hosts, degraded hosts (one
+// of them down as well) and Current maps that skip components or name an
+// empty or unknown host.
+func TestCompiledAllowedMatchesChecker(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cases := map[string]int{}
+	for i := 0; i < 200; i++ {
+		s := randomConstrainedSystem(rng)
+		hosts, comps := s.HostIDs(), s.ComponentIDs()
+		for _, c := range comps {
+			switch rng.Intn(6) {
+			case 0:
+				s.Constraints.Pin(c, hosts[rng.Intn(len(hosts))])
+			case 1:
+				s.Constraints.Pin(c, "ghost")
+			case 2:
+				s.Constraints.Restrict(c, "ghost", hosts[rng.Intn(len(hosts))])
+			}
+		}
+		if i%2 == 0 {
+			c := comps[rng.Intn(len(comps))]
+			s.Constraints.ForbidCollocation(c, c)
+		}
+		switch i % 4 {
+		case 1:
+			s.SetHostDegraded(hosts[rng.Intn(len(hosts))], 0.5)
+		case 2:
+			for _, h := range hosts {
+				if rng.Intn(2) == 0 {
+					s.SetHostDegraded(h, 1)
+				}
+			}
+			s.SetHostDown(hosts[0], true)
+			s.SetHostDegraded(hosts[0], 0.7)
+		case 3:
+			for _, h := range hosts {
+				s.SetHostDegraded(h, 0.2)
+			}
+		}
+		current := model.Deployment{}
+		for _, c := range comps {
+			switch rng.Intn(5) {
+			case 0:
+			case 1:
+				current[c] = ""
+			case 2:
+				current[c] = "ghost"
+			default:
+				current[c] = hosts[rng.Intn(len(hosts))]
+			}
+		}
+		checkers := map[string]ConstraintChecker{
+			"system":             SystemConstraints{},
+			"degraded":           DegradationAware{},
+			"degraded+current":   DegradationAware{Current: current},
+			"degraded+degraded":  DegradationAware{Inner: DegradationAware{Current: current}},
+			"degraded+emptyCurr": DegradationAware{Current: model.Deployment{}},
+		}
+		for name, check := range checkers {
+			cons := check.(Incremental).Incremental(s)
+			ds := cons.ds
+			for ci, c := range ds.Comps {
+				var got []model.HostID
+				for _, hi := range cons.allowed[ci] {
+					got = append(got, ds.Hosts[hi])
+				}
+				want := check.Allowed(s, c)
+				if !slices.Equal(got, want) {
+					t.Fatalf("system %d, %s, %s: compiled %v, Allowed %v", i, name, c, got, want)
+				}
+				for hi, h := range ds.Hosts {
+					if cons.admits[ci*ds.NH+hi] != slices.Contains(want, h) {
+						t.Fatalf("system %d, %s, %s: admits %s = %v, Allowed %v", i, name, c, h, cons.admits[ci*ds.NH+hi], want)
+					}
+				}
+				all := s.Constraints.AllowedHosts(s, c)
+				switch {
+				case len(want) == 0:
+					cases["empty"]++
+				case len(want) < len(all):
+					cases["narrowed"]++
+				case slices.ContainsFunc(want, func(h model.HostID) bool { return s.HostDegraded(h) > 0 }):
+					cases["degraded kept"]++
+				default:
+					cases["full"]++
+				}
+			}
+		}
+	}
+	if cases["empty"] < 100 || cases["narrowed"] < 100 || cases["degraded kept"] < 100 || cases["full"] < 100 {
+		t.Fatalf("too little coverage: %v", cases)
+	}
 }
 
 // TestIncrementalCheckerMatchesConstraints drives the incremental

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -126,9 +127,7 @@ func (g *Generator) Generate() (*System, Deployment, error) {
 	if err := g.linkHosts(s); err != nil {
 		return nil, nil, err
 	}
-	if err := g.linkComponents(s); err != nil {
-		return nil, nil, err
-	}
+	g.linkComponents(s)
 
 	d, err := g.initialDeployment(s)
 	if err != nil {
@@ -196,36 +195,61 @@ func (g *Generator) linkHosts(s *System) error {
 	return nil
 }
 
-// linkComponents creates a connected interaction graph analogously.
-func (g *Generator) linkComponents(s *System) error {
+// linkComponents creates a connected interaction graph analogously, in
+// index space: the spanning tree's pairs are a bit set over component
+// indices (comps is sorted, so index order is ID order), every logical
+// link lives in one backing slice, and the interaction map, which
+// Generate's system does not have yet, is built and the dense view
+// dropped once, after the last draw. The draws come in linkHosts'
+// order: the tree's Intn before its link's two draws, and a tree pair is
+// skipped before its Float64 is drawn.
+func (g *Generator) linkComponents(s *System) {
 	comps := s.ComponentIDs()
-	perm := g.rng.Perm(len(comps))
+	n := len(comps)
+	perm := g.rng.Perm(n)
 	drawLink := func() Params {
 		var p Params
 		p.Set(ParamFrequency, g.cfg.Frequency.Draw(g.rng))
 		p.Set(ParamEventSize, g.cfg.EventSize.Draw(g.rng))
 		return p
 	}
-	for i := 1; i < len(perm); i++ {
-		attach := perm[g.rng.Intn(i)]
-		if _, err := s.AddInteraction(comps[perm[i]], comps[attach], drawLink()); err != nil {
-			return err
-		}
+	// A binomial count's standard deviation is at most the square root of
+	// its mean, so four of them above the expected count rarely regrow.
+	density := min(max(g.cfg.InteractionDensity, 0), 1)
+	expected := float64(max(n-1, 0)) + density*float64(n*(n-1)/2)
+	links := make([]LogicalLink, 0, int(expected+4*math.Sqrt(expected)))
+	link := func(a, b int) {
+		links = append(links, LogicalLink{
+			Components: ComponentPair{A: comps[a], B: comps[b]},
+			Params:     drawLink(),
+		})
 	}
-	for i := 0; i < len(comps); i++ {
-		for j := i + 1; j < len(comps); j++ {
-			pair := MakeComponentPair(comps[i], comps[j])
-			if _, exists := s.Interacts[pair]; exists {
+
+	tree := make([]uint64, (n*n+63)/64)
+	for i := 1; i < n; i++ {
+		a, b := perm[i], perm[g.rng.Intn(i)]
+		if b < a {
+			a, b = b, a
+		}
+		tree[(a*n+b)/64] |= 1 << ((a*n + b) % 64)
+		link(a, b)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if tree[(i*n+j)/64]&(1<<((i*n+j)%64)) != 0 {
 				continue
 			}
 			if g.rng.Float64() < g.cfg.InteractionDensity {
-				if _, err := s.AddInteraction(comps[i], comps[j], drawLink()); err != nil {
-					return err
-				}
+				link(i, j)
 			}
 		}
 	}
-	return nil
+
+	s.Interacts = make(map[ComponentPair]*LogicalLink, len(links))
+	for i := range links {
+		s.Interacts[links[i].Components] = &links[i]
+	}
+	s.reshape()
 }
 
 // initialDeployment assigns components to hosts round-robin in random

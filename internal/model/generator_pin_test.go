@@ -20,13 +20,22 @@ var generatedHashes = map[string]string{
 	"20x400/seed1":    "2db860ff35618da41961978e13d3f5855ca8b2623b06cb5023922200f8148266",
 	"20x400/seed42":   "5f10a5f72969e8cdd00e8ad92018eda439541d93d3fd7b021bc2a6ed512e81e1",
 	"20x400/seed5000": "2aacd5cd494b412e8f03add737da4a8b48a1d8762281a8164b9594b5bc112348",
+	"40x800/seed1":    "2d750fb46e7bc8d2099266348b2c32e7d639ac6ed21dc7a6e05a69bdead1e565",
+	"40x800/seed42":   "bb2306e366b30a3f6b9e752ba77c01be1a16322fe8bc07cfb5703519ba8a5ee5",
 }
 
 func TestGeneratorOutputPinned(t *testing.T) {
-	for _, size := range [][2]int{{10, 100}, {20, 400}} {
-		for _, seed := range []int64{1, 42, 5000} {
-			name := fmt.Sprintf("%dx%d/seed%d", size[0], size[1], seed)
-			s, d, err := NewGenerator(DefaultGeneratorConfig(size[0], size[1]), seed).Generate()
+	for _, size := range []struct {
+		hosts, comps int
+		seeds        []int64
+	}{
+		{10, 100, []int64{1, 42, 5000}},
+		{20, 400, []int64{1, 42, 5000}},
+		{40, 800, []int64{1, 42}},
+	} {
+		for _, seed := range size.seeds {
+			name := fmt.Sprintf("%dx%d/seed%d", size.hosts, size.comps, seed)
+			s, d, err := NewGenerator(DefaultGeneratorConfig(size.hosts, size.comps), seed).Generate()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -2,6 +2,7 @@ package objective
 
 import (
 	"fmt"
+	"math"
 
 	"dif/internal/model"
 )
@@ -331,10 +332,29 @@ func (st *latencyDelta) arcCost(freq, size float64, a, b int) float64 {
 	return freq * (size/bw*1000 + st.ds.Delay[a*nh+b])
 }
 
+// rebase is arcCost summed over the edges in order, to the bit. Between
+// two deployed components it computes the linked and the cut cost and
+// selects one by a bit mask: whether a pair of hosts is linked varies
+// from edge to edge, and a branch on it mispredicts.
 func (st *latencyDelta) rebase() {
+	nh, assign, bws, delay, penalty := st.ds.NH, st.assign, st.ds.BW, st.ds.Delay, st.penalty
+	freq, size := st.ds.Freq[:len(st.ds.Edges)], st.ds.Size[:len(st.ds.Edges)]
 	total := 0.0
 	for i, e := range st.ds.Edges {
-		total += st.arcCost(st.ds.Freq[i], st.ds.Size[i], st.assign[e.A], st.assign[e.B])
+		f := freq[i]
+		a, b := assign[e.A], assign[e.B]
+		if a < 0 || b < 0 {
+			total += f * penalty
+			continue
+		}
+		bw := bws[a*nh+b]
+		linked := math.Float64bits(f * (size[i]/bw*1000 + delay[a*nh+b]))
+		cut := math.Float64bits(f * penalty)
+		var keep uint64
+		if !(bw <= 0) {
+			keep = ^uint64(0)
+		}
+		total += math.Float64frombits(linked&keep | cut&^keep)
 	}
 	st.total = total
 }

@@ -191,3 +191,76 @@ func TestQuantifyDenseMatchesQuantifyFast(t *testing.T) {
 		t.Fatal("QuantifyDense wrote to the assignment")
 	}
 }
+
+// TestLatencyRebaseMatchesArcCost: the latency sweep's masked select is
+// the arcCost sum in edge order, to the bit, on sparse host graphs
+// (disconnected pairs), with undeployed components, zero frequencies and
+// links whose bandwidth is zero, negative or NaN. Every other system has
+// two or three components, so that a term's last bit shows in the sum.
+func TestLatencyRebaseMatchesArcCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cases := map[string]int{}
+	for i := 0; i < 400; i++ {
+		comps := 10 + rng.Intn(40)
+		if i%2 == 1 {
+			comps = 2 + rng.Intn(2)
+		}
+		cfg := model.DefaultGeneratorConfig(3+rng.Intn(6), comps)
+		cfg.LinkDensity = 0.2
+		s, d, err := model.NewGenerator(cfg, int64(i)).Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range s.LinkKeys() {
+			// A NaN makes the whole sum NaN, so only every fourth
+			// system has one.
+			switch rng.Intn(8) {
+			case 0:
+				s.Links[k].Params.Set(model.ParamBandwidth, 0)
+			case 1:
+				s.Links[k].Params.Set(model.ParamBandwidth, -5)
+			case 2:
+				if i%4 == 0 {
+					s.Links[k].Params.Set(model.ParamBandwidth, math.NaN())
+				}
+			}
+		}
+		for _, k := range s.InteractionKeys() {
+			if rng.Intn(5) == 0 {
+				s.Interacts[k].Params.Set(model.ParamFrequency, 0)
+			}
+		}
+		s.Touch()
+		ds := s.Dense()
+		assign := ds.Assign(d)
+		for ci := range assign {
+			if rng.Intn(6) == 0 {
+				assign[ci] = -1
+			}
+		}
+		st := Latency{}.BeginDense(ds, assign).(*latencyDelta)
+		want := 0.0
+		for e, edge := range ds.Edges {
+			a, b := assign[edge.A], assign[edge.B]
+			want += st.arcCost(ds.Freq[e], ds.Size[e], a, b)
+			switch {
+			case a < 0 || b < 0:
+				cases["undeployed"]++
+			case ds.Freq[e] == 0:
+				cases["zero frequency"]++
+			case !(ds.BW[a*ds.NH+b] > 0):
+				cases["cut"]++
+			default:
+				cases["linked"]++
+			}
+		}
+		if math.Float64bits(st.Score()) != math.Float64bits(want) {
+			t.Fatalf("system %d: rebase %v, arcCost sum %v", i, st.Score(), want)
+		}
+	}
+	for _, k := range []string{"undeployed", "zero frequency", "cut", "linked"} {
+		if cases[k] < 100 {
+			t.Fatalf("too little coverage: %v", cases)
+		}
+	}
+}
