@@ -3,6 +3,7 @@ package algo
 import (
 	"cmp"
 	"context"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -29,11 +30,16 @@ import (
 // each placement is judged by the run's placer (the incremental
 // constraint checker under the stock constraints).
 //
-// Cost model: an affinity is an O(deg) walk of one component's arcs.
-// Each ranking round reads C of them and each tried candidate up to H
-// more. The run caches each (component, host) affinity until one of the
+// Cost model: an affinity is a walk of one component's arcs to placed
+// partners, O(placed partners): each component keeps a bitset over its
+// arcs, and placing p sets p's bit in each partner's set through the
+// twin index (where p's arc sits in the partner's list). Each ranking
+// round reads C affinities and each tried candidate up to H more. The
+// run caches each (component, host) affinity until one of the
 // component's partners is placed, so a round recomputes only its stale
 // entries, heapifies the C candidates in O(C) and pops a try in O(log C).
+// A reader of a whole row (a tried candidate's better-host test, repair)
+// refreshes a stale row for every host in one pass over the placed arcs.
 type Avala struct{}
 
 var _ Algorithm = (*Avala)(nil)
@@ -54,24 +60,21 @@ type avalaRun struct {
 	cands            []avalaCandidate // ranking heap, best first
 	hosts            []avalaHost      // repair's ranking buffer
 
-	// aff[ci*NH+hi] caches affinity(ci, hi) while its stamp is 1 +
-	// ver[ci] (0: never computed). Placing a component bumps its
-	// partners' ver; the first placement bumps every row.
-	aff []avalaAffinity
-	ver []uint32
-	// weight row hi (NH+1 wide) is what a partner adds per unit of
-	// frequency: at 1+oh, Rel to its host oh; at 0, for an unplaced
-	// partner, 1 until the first placement and 0 after it.
-	weight []float64
-	// arcFreq[ci][k] is the frequency of the arc ds.Adj[ci][k], laid out
-	// beside the arcs so that sumAffinity streams it rather than reading
-	// Freq at each arc's edge.
-	arcFreq [][]float64
-}
-
-type avalaAffinity struct {
-	v     float64
-	stamp uint32
+	// aff[ci*NH+hi] caches affinity(ci, hi) while stamp[ci*NH+hi] is
+	// 1 + ver[ci] (0: never computed). Placing a component bumps its
+	// partners' ver. Nothing is cached before the first placement.
+	aff   []float64
+	stamp []uint32
+	ver   []uint32
+	// total[ci] is the sum of ci's arcs' frequencies in arc order: every
+	// affinity of ci before the first placement.
+	total []float64
+	// twin[ci][k] is the position of the arc ds.Adj[ci][k] in its
+	// partner's list. Bit k of placedArcs[ci] is set once the partner of
+	// ds.Adj[ci][k] is placed. Each is a window of one backing array,
+	// like Adj.
+	twin       [][]int32
+	placedArcs [][]uint64
 }
 
 // avalaHost is one allowed host ranked for a straggler by repair.
@@ -95,25 +98,7 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 		InitialScore: scoreInitial(cfg.Objective, s, initial),
 	}
 	v := newSearchSpace(s, cfg.checker())
-	r := &avalaRun{searchSpace: v, p: v.begin(nil), used: make([]float64, v.ds.NH), res: &res,
-		aff: make([]avalaAffinity, len(v.ds.Comps)*v.ds.NH), ver: make([]uint32, len(v.ds.Comps))}
-	r.assign = r.p.assignment()
-	nh := v.ds.NH
-	r.weight = make([]float64, nh*(nh+1))
-	for hi := 0; hi < nh; hi++ {
-		r.weight[hi*(nh+1)] = 1
-		copy(r.weight[hi*(nh+1)+1:], v.ds.Rel[hi*nh:hi*nh+nh])
-	}
-	r.arcFreq = make([][]float64, len(v.ds.Comps))
-	freqs := make([]float64, 2*len(v.ds.Edges))
-	for ci, arcs := range v.ds.Adj {
-		fs := freqs[:len(arcs):len(arcs)]
-		freqs = freqs[len(arcs):]
-		for k, arc := range arcs {
-			fs[k] = v.ds.Freq[arc.Edge]
-		}
-		r.arcFreq[ci] = fs
-	}
+	r := newAvalaRun(v, &res)
 	defer func() {
 		met := cfg.metrics(a.Name())
 		met.iterations.Add(float64(r.rounds))
@@ -170,19 +155,48 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 	return res, ErrNoValidDeployment
 }
 
-// place records ci on hi and stales the cached affinities that changes.
+// newAvalaRun allocates a search over v with nothing placed.
+func newAvalaRun(v *searchSpace, res *Result) *avalaRun {
+	ds, nc := v.ds, len(v.ds.Comps)
+	r := &avalaRun{searchSpace: v, p: v.begin(nil), used: make([]float64, ds.NH), res: res,
+		aff: make([]float64, nc*ds.NH), stamp: make([]uint32, nc*ds.NH), ver: make([]uint32, nc),
+		total: make([]float64, nc), twin: make([][]int32, nc), placedArcs: make([][]uint64, nc)}
+	r.assign = r.p.assignment()
+	nw := 0
+	for _, arcs := range ds.Adj {
+		nw += (len(arcs) + 63) / 64
+	}
+	twins, words := make([]int32, 2*len(ds.Edges)), make([]uint64, nw)
+	// pos[e] is the position of edge e's arc in the list of its end A,
+	// which comes first in index order (A < B).
+	pos := make([]int32, len(ds.Edges))
+	for ci, arcs := range ds.Adj {
+		tw := twins[:len(arcs):len(arcs)]
+		twins = twins[len(arcs):]
+		for k, arc := range arcs {
+			r.total[ci] += ds.Freq[arc.Edge]
+			if o := int(arc.Other); o > ci {
+				pos[arc.Edge] = int32(k)
+			} else {
+				tw[k], r.twin[o][pos[arc.Edge]] = pos[arc.Edge], int32(k)
+			}
+		}
+		r.twin[ci] = tw
+		n := (len(arcs) + 63) / 64
+		r.placedArcs[ci], words = words[:n:n], words[n:]
+	}
+	return r
+}
+
+// place records ci on hi: it sets ci's bit in each partner's placedArcs
+// and stales the partner's cached affinities.
 func (r *avalaRun) place(ci, hi int) {
 	r.p.place(ci, hi)
 	r.used[hi] += r.cons.compMem[ci]
-	if r.placed == 0 {
-		for i := range r.ver {
-			r.ver[i]++
-		}
-		for i := 0; i < len(r.weight); i += r.ds.NH + 1 {
-			r.weight[i] = 0
-		}
-	}
-	for _, arc := range r.ds.Adj[ci] {
+	tw := r.twin[ci]
+	for k, arc := range r.ds.Adj[ci] {
+		t := tw[k]
+		r.placedArcs[arc.Other][t>>6] |= 1 << (t & 63)
 		r.ver[arc.Other]++
 	}
 	r.placed++
@@ -234,7 +248,7 @@ func (r *avalaRun) repair() bool {
 		}
 		ranked := r.hosts[:0]
 		for _, h := range r.allowed[ci] {
-			ranked = append(ranked, avalaHost{h, r.affinity(ci, h), r.cons.hostMem[h] - r.used[h]})
+			ranked = append(ranked, avalaHost{h, r.rowAffinity(ci, h), r.cons.hostMem[h] - r.used[h]})
 		}
 		slices.SortFunc(ranked, func(x, y avalaHost) int {
 			if c := cmp.Compare(y.affinity, x.affinity); c != 0 {
@@ -332,7 +346,7 @@ func (r *avalaRun) betterHostExists(ci, hi int, affinityOnH float64) bool {
 		if r.cons.checkMem && r.used[other]+need > r.cons.hostMem[other] {
 			continue
 		}
-		if r.affinity(ci, other) > affinityOnH {
+		if r.rowAffinity(ci, other) > affinityOnH {
 			return true
 		}
 	}
@@ -345,28 +359,76 @@ func (r *avalaRun) betterHostExists(ci, hi int, affinityOnH float64) bool {
 // all is placed) full frequency for unplaced partners. A stale cache
 // entry is summed afresh in arc order, never adjusted by a delta, so
 // every value has the bits of a from-scratch sum.
+//
+// An unplaced partner weighs 1 before the first placement and 0 after
+// it. A frequency is finite and positive or 0, so f·1 is f, and adding
+// f·0 = +0 to a sum of such terms leaves it as it was: the sums below
+// add only the terms of placed partners, and their bits are those of
+// weighing every arc.
 func (r *avalaRun) affinity(ci, hi int) float64 {
-	e := &r.aff[ci*r.ds.NH+hi]
-	if e.stamp != r.ver[ci]+1 {
-		e.v, e.stamp = r.sumAffinity(ci, hi), r.ver[ci]+1
+	if r.placed == 0 {
+		return r.total[ci]
 	}
-	return e.v
+	i := ci*r.ds.NH + hi
+	if r.stamp[i] != r.ver[ci]+1 {
+		r.aff[i], r.stamp[i] = r.sumAffinity(ci, hi), r.ver[ci]+1
+	}
+	return r.aff[i]
 }
 
-// sumAffinity weighs every arc through host hi's weight row, where an
-// unplaced partner's weight is 1 or 0 and a partner on hi has Rel 1. A
-// frequency is finite and positive or 0, so f·1 is f and adding f·0 or
-// 0·w leaves the sum as it was: the bits are those of adding only what
-// counts.
+// rowAffinity is affinity for a reader that goes on to ci's other
+// hosts: a stale entry refreshes ci's whole row in one pass.
+func (r *avalaRun) rowAffinity(ci, hi int) float64 {
+	if r.placed > 0 && r.stamp[ci*r.ds.NH+hi] != r.ver[ci]+1 {
+		r.sumRow(ci)
+	}
+	return r.affinity(ci, hi)
+}
+
+// sumAffinity adds f·Rel(hi, host) over ci's arcs to placed partners, in
+// arc order. A partner on hi has Rel 1.
 func (r *avalaRun) sumAffinity(ci, hi int) float64 {
-	w := r.weight[hi*(r.ds.NH+1):]
-	arcs, fs := r.ds.Adj[ci], r.arcFreq[ci]
-	fs = fs[:len(arcs)]
+	nh := r.ds.NH
+	rel := r.ds.Rel[hi*nh : hi*nh+nh]
+	arcs := r.ds.Adj[ci]
 	a := 0.0
-	for k, arc := range arcs {
-		a += fs[k] * w[r.assign[arc.Other]+1]
+	for w, word := range r.placedArcs[ci] {
+		for ; word != 0; word &= word - 1 {
+			k := w<<6 | bits.TrailingZeros64(word)
+			arc := arcs[k]
+			a += r.ds.Freq[arc.Edge] * rel[r.assign[arc.Other]]
+		}
 	}
 	return a
+}
+
+// sumRow computes sumAffinity(ci, h) for every host h in one pass over
+// ci's placed arcs, one accumulator per host, and stamps the row fresh.
+// Each host's sum adds the same terms in the same arc order, so its bits
+// are sumAffinity's.
+func (r *avalaRun) sumRow(ci int) {
+	nh := r.ds.NH
+	row := r.aff[ci*nh : ci*nh+nh]
+	clear(row)
+	arcs := r.ds.Adj[ci]
+	for w, word := range r.placedArcs[ci] {
+		for ; word != 0; word &= word - 1 {
+			k := w<<6 | bits.TrailingZeros64(word)
+			arc := arcs[k]
+			f, oh := r.ds.Freq[arc.Edge], r.assign[arc.Other]
+			// Rel is symmetric (the dense values write both halves), so
+			// the partner host's row holds Rel(h, oh) for every h: it is
+			// read in place of column oh.
+			rel := r.ds.Rel[oh*nh:][:len(row)]
+			for h := range row {
+				row[h] += f * rel[h]
+			}
+		}
+	}
+	stamp := r.stamp[ci*nh : ci*nh+nh]
+	for h := range stamp {
+		stamp[h] = r.ver[ci] + 1
+	}
 }
 
 // rank orders the unplaced components for host hi by descending

@@ -76,6 +76,8 @@ var plannerGolden = map[string]plannerFingerprint{
 	"avala/10x100/seed7/aware":      {"29fdf729daf6b07b", 545, 1, 0.7441050610900218},
 	"avala/10x100/seed4/stock":      {"error: no valid deployment found", 476, 0, 0},
 	"avala/10x100/seed4/aware":      {"error: no valid deployment found", 476, 0, 0},
+	"avala/40x800/seed3/stock":      {"f801b7cbb9f486d0", 28937, 1, 0.6064976380684927},
+	"avala/40x800/seed3/aware":      {"521a5c275dc715b9", 28937, 1, 0.5998453626146364},
 	"stochastic/10x100/seed1/stock": {"3931ff932e9b07fc", 25, 25, 0.6490059195273082},
 	"stochastic/10x100/seed1/aware": {"bbdc7460b8a19899", 25, 25, 0.6469924834709792},
 	"stochastic/20x400/seed2/stock": {"55c45cc8718f2423", 25, 25, 0.5748343003880588},
@@ -110,6 +112,7 @@ func TestPlannersUnchangedGolden(t *testing.T) {
 	}
 	small := system{10, 100, 1, false, false}
 	std := system{20, 400, 2, false, false}
+	big := system{40, 800, 3, false, false} // an arc bitset spans five words
 	smallC := system{10, 100, 7, false, true}
 	infeasible := system{10, 100, 4, false, true} // Avala strands a collocation pair
 	tiny := system{4, 10, 3, true, false}
@@ -120,7 +123,7 @@ func TestPlannersUnchangedGolden(t *testing.T) {
 		aware   bool // also run under DegradationAware
 		cfg     Config
 	}{
-		{"avala", []system{small, std, smallC, infeasible}, true, Config{}},
+		{"avala", []system{small, std, smallC, infeasible, big}, true, Config{}},
 		{"stochastic", []system{small, std, smallC, infeasible}, true, Config{Seed: 7, Trials: 25, Workers: 2}},
 		{"exact", []system{tiny, tinyC}, true, Config{}},
 		{"genetic", []system{small, tinyC}, true, Config{Seed: 5, Trials: 2, Workers: 2}},

@@ -43,7 +43,7 @@ func ComputePlan(s *model.System, current, target model.Deployment) (Plan, error
 		return Plan{}, fmt.Errorf("target deployment: %w", err)
 	}
 	var plan Plan
-	for comp, dst := range target.Clone() {
+	for comp, dst := range target {
 		src := current[comp]
 		if src == dst {
 			continue
