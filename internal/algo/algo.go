@@ -34,8 +34,14 @@ import (
 var ErrNoValidDeployment = errors.New("no valid deployment found")
 
 // ConstraintChecker is the constraint variation point. The default
-// implementation delegates to the system's model.Constraints; callers may
-// substitute stricter or looser checkers.
+// implementation delegates to the system's model.Constraints.
+//
+// The searches place, move and swap through the tables Incremental
+// compiles, which admit exactly what CheckPartial admits, with each
+// component's hosts narrowed to Allowed. Check is the final guard every
+// search applies: Avala's final check, Exact's leaf, Stochastic's
+// winning fill, Genetic's seeds and children, and Swap's initial
+// deployment.
 type ConstraintChecker interface {
 	// Check validates a complete deployment.
 	Check(s *model.System, d model.Deployment) error
@@ -44,6 +50,10 @@ type ConstraintChecker interface {
 	CheckPartial(s *model.System, d model.Deployment) error
 	// Allowed returns the hosts a component may occupy, sorted.
 	Allowed(s *model.System, c model.ComponentID) []model.HostID
+	// Incremental returns the checker's constraints over s's dense
+	// indices, with every component's Allowed hosts compiled in. It
+	// never returns nil.
+	Incremental(s *model.System) *DenseConstraints
 }
 
 // SystemConstraints adapts a system's own model.Constraints to the
@@ -65,6 +75,11 @@ func (SystemConstraints) CheckPartial(s *model.System, d model.Deployment) error
 // Allowed implements ConstraintChecker.
 func (SystemConstraints) Allowed(s *model.System, c model.ComponentID) []model.HostID {
 	return s.Constraints.AllowedHosts(s, c)
+}
+
+// Incremental implements ConstraintChecker.
+func (SystemConstraints) Incremental(s *model.System) *DenseConstraints {
+	return newDenseConstraints(s)
 }
 
 // Config parameterizes an algorithm run.

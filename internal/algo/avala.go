@@ -27,8 +27,8 @@ import (
 //
 // The search runs on the system's dense indices: the assignment is a
 // slice, affinity scoring walks the dense interaction adjacency, and
-// each placement is judged by the run's placer (the incremental
-// constraint checker under the stock constraints).
+// each placement is judged by the run's incremental constraint checker,
+// compiled from the configured checker.
 //
 // Cost model: an affinity is a walk of one component's arcs to placed
 // partners, O(placed partners): each component keeps a bitset over its
@@ -50,7 +50,7 @@ func (*Avala) Name() string { return "avala" }
 // avalaRun is one Avala search's state.
 type avalaRun struct {
 	*searchSpace
-	p      placer
+	p      *incChecker
 	assign []int     // p's live assignment
 	used   []float64 // memory placed per host, in placement order
 	placed int
@@ -161,7 +161,7 @@ func newAvalaRun(v *searchSpace, res *Result) *avalaRun {
 	r := &avalaRun{searchSpace: v, p: v.begin(nil), used: make([]float64, ds.NH), res: res,
 		aff: make([]float64, nc*ds.NH), stamp: make([]uint32, nc*ds.NH), ver: make([]uint32, nc),
 		total: make([]float64, nc), twin: make([][]int32, nc), placedArcs: make([][]uint64, nc)}
-	r.assign = r.p.assignment()
+	r.assign = r.p.assign
 	nw := 0
 	for _, arcs := range ds.Adj {
 		nw += (len(arcs) + 63) / 64

@@ -24,7 +24,7 @@ import (
 // refAvalaRun is one Avala search's state.
 type refAvalaRun struct {
 	*searchSpace
-	p      placer
+	p      *incChecker
 	assign []int     // p's live assignment
 	used   []float64 // memory placed per host, in placement order
 	placed int
@@ -50,7 +50,7 @@ func avalaReference(ctx context.Context, s *model.System, initial model.Deployme
 	}
 	v := newSearchSpace(s, cfg.checker())
 	r := &refAvalaRun{searchSpace: v, p: v.begin(nil), used: make([]float64, v.ds.NH), res: &res}
-	r.assign = r.p.assignment()
+	r.assign = r.p.assign
 	defer func() {
 		met := cfg.metrics("avala")
 		met.iterations.Add(float64(r.rounds))

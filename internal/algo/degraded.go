@@ -46,18 +46,11 @@ func (d DegradationAware) CheckPartial(s *model.System, dep model.Deployment) er
 	return d.inner().CheckPartial(s, dep)
 }
 
-// Incremental implements the Incremental hook: Check and CheckPartial
-// are the inner checker's, so its dense constraints serve, with each
-// allowed row narrowed as Allowed narrows the inner checker's hosts.
+// Incremental implements ConstraintChecker: Check and CheckPartial are
+// the inner checker's, so its dense constraints serve, with each allowed
+// row narrowed as Allowed narrows the inner checker's hosts.
 func (d DegradationAware) Incremental(s *model.System) *DenseConstraints {
-	inc, ok := d.inner().(Incremental)
-	if !ok {
-		return nil
-	}
-	t := inc.Incremental(s)
-	if t == nil {
-		return nil
-	}
+	t := d.inner().Incremental(s)
 	ds := t.ds
 	degraded := make([]bool, ds.NH)
 	anyDegraded := false

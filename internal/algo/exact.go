@@ -83,7 +83,7 @@ type exactSearch struct {
 	cfg   Config
 	order []int // component indices, in assignment order
 
-	p       placer
+	p       *incChecker
 	partial model.Deployment // p's assignment as a Deployment, for scoring and Check
 	avail   *availState      // non-nil for availability fast path
 

@@ -62,7 +62,6 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 		Algorithm:    g.Name(),
 		InitialScore: scoreInitial(cfg.Objective, s, initial),
 	}
-	check := cfg.checker()
 	rng := cfg.rng()
 
 	popSize := g.PopulationSize
@@ -85,10 +84,10 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 		generations = DefaultGenerations
 	}
 
-	// The per-component allowed hosts are honored by mutation too, so no
-	// variation step escapes the checker's Allowed set (crossover only
-	// recombines assignments that already passed it).
-	v := newSearchSpace(s, check)
+	// The per-component allowed hosts are honored by mutation and repair
+	// too, so no variation step escapes the checker's Allowed set
+	// (crossover only recombines assignments that already passed it).
+	v := newSearchSpace(s, cfg.checker())
 	comps := v.ds.Comps
 
 	// scoreAll evaluates deployments in parallel; results land at fixed
@@ -165,10 +164,8 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 			if rng.Float64() < mutRate {
 				mutate(rng, v, child)
 			}
-			if check.Check(s, child) != nil {
-				if !repairDeployment(s, check, rng, comps, child) {
-					continue
-				}
+			if !repairDeployment(v, rng, child) {
+				continue
 			}
 			children = append(children, child)
 		}
@@ -204,7 +201,7 @@ func seedPopulation(v *searchSpace, rng *rand.Rand, initial model.Deployment, po
 	hosts := v.upHosts()
 	f := fillArena{rng: rng}
 	for tries := 0; len(seeds) < popSize && tries < popSize*10; tries++ {
-		if assign, ok := f.fillRandom(v, hosts); ok && v.fillValid(assign) {
+		if assign, ok := f.fillRandom(v, hosts); ok {
 			seeds = append(seeds, v.ds.Deployment(assign))
 		}
 	}
@@ -239,20 +236,20 @@ func mutate(rng *rand.Rand, v *searchSpace, d model.Deployment) {
 	}
 }
 
-// repairDeployment attempts to fix a constraint-violating child by
-// re-placing components onto random allowed hosts. Reports success.
-func repairDeployment(s *model.System, check ConstraintChecker, rng *rand.Rand,
-	comps []model.ComponentID, d model.Deployment) bool {
-	for attempt := 0; attempt < 3*len(comps); attempt++ {
-		if check.Check(s, d) == nil {
+// repairDeployment reports whether d satisfies the checker, first
+// trying to fix a constraint-violating d by re-placing components onto
+// random allowed hosts.
+func repairDeployment(v *searchSpace, rng *rand.Rand, d model.Deployment) bool {
+	for attempt := 0; attempt < 3*len(v.ds.Comps); attempt++ {
+		if v.check.Check(v.s, d) == nil {
 			return true
 		}
-		c := comps[rng.Intn(len(comps))]
-		allowed := check.Allowed(s, c)
-		if len(allowed) == 0 {
+		ci := rng.Intn(len(v.ds.Comps))
+		hs := v.allowed[ci]
+		if len(hs) == 0 {
 			return false
 		}
-		d[c] = allowed[rng.Intn(len(allowed))]
+		d[v.ds.Comps[ci]] = v.ds.Hosts[hs[rng.Intn(len(hs))]]
 	}
-	return check.Check(s, d) == nil
+	return v.check.Check(v.s, d) == nil
 }

@@ -145,7 +145,7 @@ func TestRepairDeployment(t *testing.T) {
 	bad := d.Clone()
 	bad[comps[0]] = hosts[1] // violates the pin
 	cfg := Config{Objective: availability(), Seed: 9}
-	if !repairDeployment(s, SystemConstraints{}, cfg.rng(), comps, bad) {
+	if !repairDeployment(newSearchSpace(s, SystemConstraints{}), cfg.rng(), bad) {
 		t.Fatal("repair failed on a repairable deployment")
 	}
 	if err := s.Constraints.Check(s, bad); err != nil {

@@ -4,24 +4,6 @@ import (
 	"dif/internal/model"
 )
 
-// Incremental is an optional ConstraintChecker hook. A checker whose
-// Check and CheckPartial are exactly s.Constraints' returns the dense
-// form of those constraints, with its Allowed sets compiled in, and the
-// searches then judge one placement, move or swap in O(partners) against
-// the valid assignment they hold, instead of re-validating the whole
-// deployment. A checker without the hook, or one returning nil, is asked
-// through an adapter that applies the change to a Deployment and calls
-// CheckPartial (a placement into a partial deployment) or Check (a move
-// or swap in a complete one).
-type Incremental interface {
-	Incremental(s *model.System) *DenseConstraints
-}
-
-// Incremental implements the Incremental hook.
-func (SystemConstraints) Incremental(s *model.System) *DenseConstraints {
-	return newDenseConstraints(s)
-}
-
 // DenseConstraints is a system's model.Constraints over its dense
 // indices (model.DenseSystem): per-host capacities and liveness,
 // per-component demands, location rows, allowed hosts and collocation
@@ -141,33 +123,20 @@ func admitsTable(rows [][]int, nh int) []bool {
 	return admits
 }
 
-// placer validates and records changes to one search walk's assignment
-// (component index → host index, -1 while unplaced). Every question
-// presumes the current assignment is valid: canPlace asks about an
-// unplaced component, canMove about a placed one going to another host,
-// canSwap about two placed components on different hosts.
-type placer interface {
-	// assignment is the live assignment; callers only read it.
-	assignment() []int
-	canPlace(ci, hi int) bool
-	place(ci, hi int)
-	unplace(ci int)
-	canMove(ci, hi int) bool
-	move(ci, hi int)
-	canSwap(c1, c2 int) bool
-	swap(c1, c2 int)
-	// reset unplaces every component, as begin(nil) would start.
-	reset()
-}
-
-// incChecker is the placer over DenseConstraints. It mirrors
-// model.Constraints exactly — location, down host, memory, CPU, and
-// collocation counted only among placed partners — by looking at the
-// hosts and partners a change touches. Sums grow by addition on place
-// and are re-summed from the assignment on unplace, move and swap, so
-// no rounding error accumulates over a long walk.
+// incChecker validates and records changes to one search walk's
+// assignment over DenseConstraints. Every question presumes the current
+// assignment is valid: canPlace asks about an unplaced component,
+// canMove about a placed one going to another host, canSwap about two
+// placed components on different hosts. It mirrors model.Constraints
+// exactly — location, down host, memory, CPU, and collocation counted
+// only among placed partners — by looking at the hosts and partners a
+// change touches. Sums grow by addition on place and are re-summed from
+// the assignment on unplace, move and swap, so no rounding error
+// accumulates over a long walk.
 type incChecker struct {
 	*DenseConstraints
+	// assign is the live assignment (component index → host index, -1
+	// while unplaced); callers only read it.
 	assign   []int
 	mem, cpu []float64 // per host, over the placed components
 }
@@ -187,8 +156,6 @@ func (t *DenseConstraints) begin(assign []int) *incChecker {
 	}
 	return c
 }
-
-func (c *incChecker) assignment() []int { return c.assign }
 
 // fits reports whether host hi admits component ci on top of the given
 // load of other components.
@@ -249,6 +216,7 @@ func (c *incChecker) place(ci, hi int) {
 	c.cpu[hi] += c.compCPU[ci]
 }
 
+// reset unplaces every component, as begin(nil) would start.
 func (c *incChecker) reset() {
 	for ci := range c.assign {
 		c.assign[ci] = -1
@@ -289,134 +257,36 @@ func (c *incChecker) resum(hi int) {
 	c.mem[hi], c.cpu[hi] = mem, cpu
 }
 
-// checkAdapter is the placer for a checker without the Incremental
-// hook: it tries each change on a Deployment and asks the checker.
-type checkAdapter struct {
-	s      *model.System
-	ds     *model.DenseSystem
-	check  ConstraintChecker
-	assign []int
-	d      model.Deployment
-}
-
-func (a *checkAdapter) assignment() []int { return a.assign }
-
-func (a *checkAdapter) canPlace(ci, hi int) bool {
-	c := a.ds.Comps[ci]
-	a.d[c] = a.ds.Hosts[hi]
-	err := a.check.CheckPartial(a.s, a.d)
-	delete(a.d, c)
-	return err == nil
-}
-
-func (a *checkAdapter) canMove(ci, hi int) bool {
-	c := a.ds.Comps[ci]
-	from := a.d[c]
-	a.d[c] = a.ds.Hosts[hi]
-	err := a.check.Check(a.s, a.d)
-	a.d[c] = from
-	return err == nil
-}
-
-func (a *checkAdapter) canSwap(c1, c2 int) bool {
-	a.swap(c1, c2)
-	err := a.check.Check(a.s, a.d)
-	a.swap(c1, c2)
-	return err == nil
-}
-
-func (a *checkAdapter) place(ci, hi int) {
-	a.assign[ci] = hi
-	a.d[a.ds.Comps[ci]] = a.ds.Hosts[hi]
-}
-
-func (a *checkAdapter) unplace(ci int) {
-	a.assign[ci] = -1
-	delete(a.d, a.ds.Comps[ci])
-}
-
-func (a *checkAdapter) reset() {
-	for ci := range a.assign {
-		a.assign[ci] = -1
-	}
-	clear(a.d)
-}
-
-func (a *checkAdapter) move(ci, hi int) { a.place(ci, hi) }
-
-func (a *checkAdapter) swap(c1, c2 int) {
-	h1, h2 := a.assign[c1], a.assign[c2]
-	a.place(c1, h2)
-	a.place(c2, h1)
-}
-
 // searchSpace is one run's read-only view of where components may go:
-// the dense system, the checker's Allowed hosts per component (compiled
-// into the constraint tables when the checker is incremental, asked of
-// Allowed otherwise), and the dense constraint tables. Stochastic trials
-// share one; every walk takes its own placer from it.
+// the checker's compiled constraint tables, with the dense system and
+// each component's allowed hosts they carry. Stochastic trials share
+// one; every walk takes its own incChecker from it.
 type searchSpace struct {
 	s     *model.System
 	ds    *model.DenseSystem
 	check ConstraintChecker
 	cons  *DenseConstraints
-	// incremental is set when cons came from the checker's Incremental
-	// hook. Otherwise cons only serves the searches' own reads (Avala's
-	// memory heuristics) and placers are checkAdapters.
-	incremental bool
 	// allowed[ci] lists the hosts check.Allowed admits for component ci,
 	// ascending; admits[ci*NH+hi] is the same as a membership table.
-	// Hosts unknown to the system are dropped.
 	allowed [][]int
 	admits  []bool
 }
 
 func newSearchSpace(s *model.System, check ConstraintChecker) *searchSpace {
-	v := &searchSpace{s: s, check: check}
-	if inc, ok := check.(Incremental); ok {
-		v.cons = inc.Incremental(s)
-	}
-	v.incremental = v.cons != nil
-	if v.incremental {
-		v.ds, v.allowed, v.admits = v.cons.ds, v.cons.allowed, v.cons.admits
-		return v
-	}
-	v.cons = newDenseConstraints(s)
-	v.ds = v.cons.ds
-	v.allowed = make([][]int, len(v.ds.Comps))
-	// Every component's list is a window of one backing array.
-	backing := make([]int, 0, len(v.ds.Comps)*v.ds.NH)
-	for ci, c := range v.ds.Comps {
-		start := len(backing)
-		for _, h := range check.Allowed(s, c) {
-			if hi := v.ds.HostIndex(h); hi >= 0 {
-				backing = append(backing, hi)
-			}
-		}
-		if len(backing) > start {
-			v.allowed[ci] = backing[start:len(backing):len(backing)]
-		}
-	}
-	v.admits = admitsTable(v.allowed, v.ds.NH)
-	return v
+	cons := check.Incremental(s)
+	return &searchSpace{s: s, ds: cons.ds, check: check, cons: cons, allowed: cons.allowed, admits: cons.admits}
 }
 
 // allows reports whether the checker's Allowed set for ci contains hi.
 func (v *searchSpace) allows(ci, hi int) bool { return v.admits[ci*v.ds.NH+hi] }
 
-// fillValid reports whether a complete fill satisfies the checker. An
-// incremental fill does by construction but for one thing only Check
-// sees: a collocation pair naming an unknown component, whose verdict is
-// the same on every complete deployment. So one confirmFill of one fill
-// (Stochastic's winner, Genetic's first seed) stands for all of them;
-// a checker without the hook is asked about every fill.
-func (v *searchSpace) fillValid(assign []int) bool {
-	return v.incremental || v.check.Check(v.s, v.ds.Deployment(assign)) == nil
-}
-
-// confirmFill is the one Check an incremental search makes of a fill.
+// confirmFill is the one Check a search makes of its incremental fills.
+// A fill is valid by construction but for one thing only Check sees: a
+// collocation pair naming an unknown component, whose verdict is the
+// same on every complete deployment. So one fill's verdict
+// (Stochastic's winner, Genetic's first seed) stands for all of them.
 func (v *searchSpace) confirmFill(d model.Deployment) bool {
-	return !v.incremental || v.check.Check(v.s, d) == nil
+	return v.check.Check(v.s, d) == nil
 }
 
 // upHosts returns the indices of the hosts not marked down, ascending
@@ -431,12 +301,8 @@ func (v *searchSpace) upHosts() []int {
 	return out
 }
 
-// begin returns a placer starting from deployment d (nil: nothing
+// begin returns an incChecker starting from deployment d (nil: nothing
 // placed), which must satisfy the checker.
-func (v *searchSpace) begin(d model.Deployment) placer {
-	assign := v.ds.Assign(d)
-	if v.incremental {
-		return v.cons.begin(assign)
-	}
-	return &checkAdapter{s: v.s, ds: v.ds, check: v.check, assign: assign, d: v.ds.Deployment(assign)}
+func (v *searchSpace) begin(d model.Deployment) *incChecker {
+	return v.cons.begin(v.ds.Assign(d))
 }

@@ -115,7 +115,7 @@ func TestCompiledAllowedMatchesChecker(t *testing.T) {
 			"degraded+emptyCurr": DegradationAware{Current: model.Deployment{}},
 		}
 		for name, check := range checkers {
-			cons := check.(Incremental).Incremental(s)
+			cons := check.Incremental(s)
 			ds := cons.ds
 			for ci, c := range ds.Comps {
 				var got []model.HostID
@@ -229,29 +229,11 @@ func TestIncrementalCheckerMatchesConstraints(t *testing.T) {
 	}
 }
 
-// fullCheckOnly wraps the stock constraints in a type without the
-// Incremental hook, so every search takes the CheckPartial/Check
-// adapter.
-type fullCheckOnly struct{ inner SystemConstraints }
-
-func (f fullCheckOnly) Check(s *model.System, d model.Deployment) error {
-	return f.inner.Check(s, d)
-}
-func (f fullCheckOnly) CheckPartial(s *model.System, d model.Deployment) error {
-	return f.inner.CheckPartial(s, d)
-}
-func (f fullCheckOnly) Allowed(s *model.System, c model.ComponentID) []model.HostID {
-	return f.inner.Allowed(s, c)
-}
-
-// TestSearchesAgreeAcrossCheckerPaths runs every search under the
-// adapter (fullCheckOnly), the stock checker and DegradationAware with no
-// degraded host: the three see the same constraints, so results and
-// search statistics must be identical.
-func TestSearchesAgreeAcrossCheckerPaths(t *testing.T) {
-	if newSearchSpace(&model.System{}, fullCheckOnly{}).incremental {
-		t.Fatal("fullCheckOnly took the incremental path")
-	}
+// TestSearchesAgreeUnderWrappersWithNoDegradedHost runs every search
+// under the stock checker, DegradationAware and DegradationAware wrapping
+// DegradationAware, on systems with no degraded host: the three see the
+// same constraints, so results and search statistics must be identical.
+func TestSearchesAgreeUnderWrappersWithNoDegradedHost(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		s, _ := genSystem(t, 4, 12, seed)
 		if seed > 0 {
@@ -266,7 +248,7 @@ func TestSearchesAgreeAcrossCheckerPaths(t *testing.T) {
 		}
 		for _, alg := range []Algorithm{&Avala{}, &Stochastic{}, &Exact{}, &Genetic{}, &Swap{}} {
 			var base Result
-			for i, check := range []ConstraintChecker{fullCheckOnly{}, nil, DegradationAware{}} {
+			for i, check := range []ConstraintChecker{nil, DegradationAware{}, DegradationAware{Inner: DegradationAware{}}} {
 				res, err := alg.Run(context.Background(), s, start.Deployment, Config{
 					Objective: availability(), Constraints: check, Seed: 3, Trials: 10,
 				})
@@ -277,21 +259,18 @@ func TestSearchesAgreeAcrossCheckerPaths(t *testing.T) {
 				if i == 0 {
 					base = res
 				} else if !reflect.DeepEqual(res, base) {
-					t.Errorf("seed %d %s: under %T got %+v, adapter got %+v", seed, alg.Name(), check, res, base)
+					t.Errorf("seed %d %s: under %T got %+v, stock checker got %+v", seed, alg.Name(), check, res, base)
 				}
 			}
 		}
 	}
 }
 
-// TestSwapDegradationAwareTakesIncrementalPath: the wrapper must reach
-// the incremental checker through its inner checker, and — with no
-// degraded host — accept exactly the moves the stock checker accepts.
+// TestSwapDegradationAwareTakesIncrementalPath: the wrapper's tables,
+// compiled from its inner checker's, must — with no degraded host —
+// accept exactly the moves the stock checker accepts.
 func TestSwapDegradationAwareTakesIncrementalPath(t *testing.T) {
 	s, d := genSystem(t, 10, 80, 4)
-	if !newSearchSpace(s, DegradationAware{Current: d}).incremental {
-		t.Fatal("DegradationAware did not delegate to the incremental checker")
-	}
 	runs := map[string]Result{}
 	counts := map[string]string{}
 	for name, check := range map[string]ConstraintChecker{"stock": nil, "aware": DegradationAware{Current: d}} {

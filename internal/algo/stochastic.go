@@ -23,9 +23,8 @@ import (
 //
 // A trial stays in dense form: its fill is scored as an assignment by
 // the sum QuantifyFast runs, and only the best becomes a Deployment.
-// Under an incremental checker a fill is valid by construction, so the
-// winner alone is checked and its verdict stands for every trial (see
-// fillValid); any other checker checks every fill.
+// A fill is valid by construction, so the winner alone is checked and
+// its verdict stands for every trial (see confirmFill).
 //
 // Trials are independent, so they fan out across Config.Workers
 // goroutines. Each trial draws from a math/rand source seeded with
@@ -85,7 +84,6 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 		}
 		f.rng.Seed(deriveSeed(cfg.Seed, trial))
 		assign, ok := f.fillRandom(v, hosts)
-		ok = ok && v.fillValid(assign)
 		var score float64
 		if ok {
 			score = objective.QuantifyDense(cfg.Objective, s, v.ds, assign)
@@ -131,12 +129,12 @@ func (a *Stochastic) Run(ctx context.Context, s *model.System, initial model.Dep
 
 // fillArena is the scratch one goroutine's fills reuse over one
 // searchSpace: the source and the host and component orders a random fill
-// is drawn with, and the placer (assignment and per-host loads) and
-// remaining list the fill packs with.
+// is drawn with, and the incremental checker (assignment and per-host
+// loads) and remaining list the fill packs with.
 type fillArena struct {
 	rng                             *rand.Rand
 	hostOrder, compOrder, remaining []int
-	p                               placer
+	p                               *incChecker
 }
 
 // fillRandom fills in a random order of hosts and one of all of v's
@@ -198,5 +196,5 @@ func (f *fillArena) fillInOrder(v *searchSpace, hosts, comps []int) ([]int, bool
 	if len(remaining) > 0 {
 		return nil, false
 	}
-	return f.p.assignment(), true
+	return f.p.assign, true
 }

@@ -155,8 +155,9 @@ func randomDeployment(rng *rand.Rand, s *model.System) model.Deployment {
 // trials are scored as assignments and whose winner alone is checked, to
 // the per-trial reference on 300 random systems, under the stock
 // checker, DegradationAware with and without a current deployment, and
-// the adapter, with one worker and with two: the deployment, the score's
-// bits, the search statistics and the error must all be identical.
+// DegradationAware wrapping DegradationAware, with one worker and with
+// two: the deployment, the score's bits, the search statistics and the
+// error must all be identical.
 func TestStochasticDenseMatchesChecked(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	outcomes := map[string]int{}
@@ -165,7 +166,7 @@ func TestStochasticDenseMatchesChecked(t *testing.T) {
 			SystemConstraints{},
 			DegradationAware{},
 			DegradationAware{Current: randomDeployment(rng, s)},
-			fullCheckOnly{},
+			DegradationAware{Inner: DegradationAware{}},
 		}
 		for k, check := range checkers {
 			cfg := Config{Objective: availability(), Constraints: check, Seed: int64(i), Trials: 12}
@@ -242,8 +243,8 @@ func TestGeneticSeedsDenseMatchChecked(t *testing.T) {
 // fresh trial would do: permInto draws rand.Perm's permutation and leaves
 // the source where Perm leaves it, into a new, a short or a dirty buffer;
 // and Stochastic's Result is the same for 1, 2 and 4 workers and for a
-// second Run of the same value, under the incremental checker and the
-// CheckPartial adapter.
+// second Run of the same value, under the stock checker and
+// DegradationAware.
 func TestStochasticArenaDeterministic(t *testing.T) {
 	var buf []int
 	for seed := int64(0); seed < 5; seed++ {
@@ -266,7 +267,7 @@ func TestStochasticArenaDeterministic(t *testing.T) {
 	}
 
 	s, _ := genSystem(t, 10, 100, 4)
-	for _, check := range []ConstraintChecker{SystemConstraints{}, fullCheckOnly{}} {
+	for _, check := range []ConstraintChecker{SystemConstraints{}, DegradationAware{}} {
 		for _, q := range []objective.Quantifier{objective.Availability{}, objective.Latency{}} {
 			a := &Stochastic{}
 			var want Result

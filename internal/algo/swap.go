@@ -17,8 +17,8 @@ import (
 // Candidates are scored through the objective's incremental delta
 // evaluator (objective.BeginDelta), so trying a move costs O(deg) in the
 // component's interactions rather than a full re-quantification, and are
-// validated by the run's placer: an O(partners) incremental checker for
-// any checker with the Incremental hook, a full Check otherwise.
+// validated in O(partners) by the incremental checker compiled from the
+// configured checker.
 //
 // Unlike the constructive algorithms, Swap requires a valid initial
 // deployment; it is typically chained after Stochastic or Avala.
@@ -59,7 +59,7 @@ func (a *Swap) Run(ctx context.Context, s *model.System, initial model.Deploymen
 	// Check, and local search must not escape through the Check path.
 	v := newSearchSpace(s, check)
 	p := v.begin(initial)
-	assign := p.assignment()
+	assign := p.assign
 	comps, hosts := v.ds.Comps, v.upHosts()
 
 	for pass := 0; pass < passes; pass++ {
