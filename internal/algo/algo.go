@@ -238,5 +238,5 @@ func scoreInitial(q objective.Quantifier, s *model.System, initial model.Deploym
 	if initial == nil {
 		return objective.Worst(q)
 	}
-	return objective.QuantifyFast(q, s, initial)
+	return q.Quantify(s, initial)
 }

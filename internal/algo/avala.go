@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dif/internal/model"
-	"dif/internal/objective"
 )
 
 // Avala is the paper's greedy algorithm (DSN'04 §5.1, [12]): it
@@ -146,7 +145,7 @@ func (a *Avala) Run(ctx context.Context, s *model.System, initial model.Deployme
 		if err := v.check.Check(s, d); err == nil {
 			res.Evaluations++
 			res.Deployment = d
-			res.Score = objective.QuantifyFast(cfg.Objective, s, d)
+			res.Score = cfg.Objective.Quantify(s, d)
 			res.Elapsed = time.Since(start)
 			return res, nil
 		}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dif/internal/model"
-	"dif/internal/objective"
 	"dif/internal/obs"
 )
 
@@ -98,7 +97,7 @@ func avalaReference(ctx context.Context, s *model.System, initial model.Deployme
 		if err := v.check.Check(s, d); err == nil {
 			res.Evaluations++
 			res.Deployment = d
-			res.Score = objective.QuantifyFast(cfg.Objective, s, d)
+			res.Score = cfg.Objective.Quantify(s, d)
 			res.Elapsed = time.Since(start)
 			return res, nil
 		}

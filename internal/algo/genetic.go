@@ -97,7 +97,7 @@ func (g *Genetic) Run(ctx context.Context, s *model.System, initial model.Deploy
 		out := make([]individual, len(ds))
 		scored := make([]bool, len(ds))
 		err := parallelFor(ctx, cfg.workerCount(), len(ds), func(_, i int) {
-			out[i] = individual{d: ds[i], score: objective.QuantifyFast(cfg.Objective, s, ds[i])}
+			out[i] = individual{d: ds[i], score: cfg.Objective.Quantify(s, ds[i])}
 			scored[i] = true
 		})
 		if err != nil {

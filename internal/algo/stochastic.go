@@ -22,7 +22,7 @@ import (
 // is O(n²) per trial.
 //
 // A trial stays in dense form: its fill is scored as an assignment by
-// the sum QuantifyFast runs, and only the best becomes a Deployment.
+// the sum Quantify runs, and only the best becomes a Deployment.
 // A fill is valid by construction, so the winner alone is checked and
 // its verdict stands for every trial (see confirmFill).
 //

@@ -14,7 +14,7 @@ import (
 )
 
 // checkedStochastic is the reference for Stochastic's trial rule: every
-// fill becomes a Deployment, is checked, and is scored by QuantifyFast,
+// fill becomes a Deployment, is checked, and is scored by Quantify,
 // in a serial sweep where the first strictly better trial wins. It also
 // counts the fills Check rejected.
 func checkedStochastic(s *model.System, cfg Config) (res Result, rejected int, err error) {
@@ -40,7 +40,7 @@ func checkedStochastic(s *model.System, cfg Config) (res Result, rejected int, e
 			continue
 		}
 		res.Evaluations++
-		if score := objective.QuantifyFast(cfg.Objective, s, d); res.Deployment == nil || objective.Better(cfg.Objective, score, best) {
+		if score := cfg.Objective.Quantify(s, d); res.Deployment == nil || objective.Better(cfg.Objective, score, best) {
 			best, res.Deployment = score, d
 		}
 	}

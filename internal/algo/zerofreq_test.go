@@ -89,7 +89,7 @@ func TestZeroFrequencyMatchesRemoved(t *testing.T) {
 	}
 	for _, q := range objectives {
 		for _, dep := range []model.Deployment{d, partial} {
-			got, want := objective.QuantifyFast(q, s, dep), objective.QuantifyFast(q, twin, dep)
+			got, want := q.Quantify(s, dep), q.Quantify(twin, dep)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s over %d placed components: %v with the zeroed interactions, %v without", q.Name(), len(dep), got, want)
 			}

@@ -264,7 +264,7 @@ func (a *Analyzer) run(ctx context.Context, alg algo.Algorithm, s *model.System,
 // the dense model, which sums in a fixed order: the guard gives the same
 // verdict every time it sees the same pair.
 func latencies(s *model.System, before, after model.Deployment) (float64, float64) {
-	return objective.QuantifyFast(objective.Latency{}, s, before), objective.QuantifyFast(objective.Latency{}, s, after)
+	return objective.Latency{}.Quantify(s, before), objective.Latency{}.Quantify(s, after)
 }
 
 // accept applies the improvement hysteresis and the latency guard. The

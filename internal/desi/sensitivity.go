@@ -52,14 +52,7 @@ func (c *Controller) SensitivityToLink(a, b model.HostID, param string, values [
 	return c.sensitivity(
 		fmt.Sprintf("link %s-%s %s", a, b, param),
 		objectiveName, values,
-		func(sys *model.System, v float64) error {
-			link := sys.Link(a, b)
-			if link == nil {
-				return fmt.Errorf("desi sensitivity: no link between %s and %s", a, b)
-			}
-			link.Params.Set(param, v)
-			return nil
-		})
+		func(m *model.Modifier, v float64) error { return m.SetLinkParam(a, b, param, v) })
 }
 
 // SensitivityToInteraction sweeps a logical link's parameter.
@@ -67,14 +60,7 @@ func (c *Controller) SensitivityToInteraction(a, b model.ComponentID, param stri
 	return c.sensitivity(
 		fmt.Sprintf("interaction %s-%s %s", a, b, param),
 		objectiveName, values,
-		func(sys *model.System, v float64) error {
-			link := sys.Interaction(a, b)
-			if link == nil {
-				return fmt.Errorf("desi sensitivity: no interaction between %s and %s", a, b)
-			}
-			link.Params.Set(param, v)
-			return nil
-		})
+		func(m *model.Modifier, v float64) error { return m.SetInteractionParam(a, b, param, v) })
 }
 
 // SensitivityToHost sweeps a host parameter.
@@ -82,18 +68,11 @@ func (c *Controller) SensitivityToHost(h model.HostID, param string, values []fl
 	return c.sensitivity(
 		fmt.Sprintf("host %s %s", h, param),
 		objectiveName, values,
-		func(sys *model.System, v float64) error {
-			host, ok := sys.Hosts[h]
-			if !ok {
-				return fmt.Errorf("desi sensitivity: unknown host %s", h)
-			}
-			host.Params.Set(param, v)
-			return nil
-		})
+		func(m *model.Modifier, v float64) error { return m.SetHostParam(h, param, v) })
 }
 
 func (c *Controller) sensitivity(target, objectiveName string, values []float64,
-	perturb func(*model.System, float64) error) (SensitivityReport, error) {
+	perturb func(*model.Modifier, float64) error) (SensitivityReport, error) {
 	sd := c.model.System()
 	if sd.System == nil {
 		return SensitivityReport{}, fmt.Errorf("desi: no system loaded")
@@ -110,8 +89,8 @@ func (c *Controller) sensitivity(target, objectiveName string, values []float64,
 	}
 	for _, v := range values {
 		probe := sd.System.Clone()
-		if err := perturb(probe, v); err != nil {
-			return SensitivityReport{}, err
+		if err := perturb(model.NewModifier(probe), v); err != nil {
+			return SensitivityReport{}, fmt.Errorf("desi sensitivity: %w", err)
 		}
 		rep.Points = append(rep.Points, SensitivityPoint{
 			Value: v,

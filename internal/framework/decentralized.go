@@ -90,9 +90,11 @@ func NewDecentralized(w *World, aware decap.Awareness) *Decentralized {
 }
 
 // localSubset extracts the part of the global model a host can see: the
-// hosts it is aware of, the links among them, and every component (the
-// component catalogue is design-time knowledge; runtime parameters are
-// refined by monitoring).
+// parameters of the hosts it is aware of, the links among them, and every
+// component (the component catalogue is design-time knowledge; runtime
+// parameters are refined by monitoring). Every world host is named, with
+// no parameter and no link where it is not visible, so that components
+// placed on it score as placed rather than undeployed.
 func localSubset(sys *model.System, h model.HostID, aware decap.Awareness) *model.System {
 	visible := map[model.HostID]bool{h: true}
 	for _, nb := range aware.Neighbors(sys, h) {
@@ -101,9 +103,11 @@ func localSubset(sys *model.System, h model.HostID, aware decap.Awareness) *mode
 	sub := model.NewSystem()
 	sub.Constraints = sys.Constraints.Clone()
 	for id, host := range sys.Hosts {
+		var params model.Params
 		if visible[id] {
-			sub.AddHost(id, host.Params)
+			params = host.Params
 		}
+		sub.AddHost(id, params)
 	}
 	for id, comp := range sys.Components {
 		sub.AddComponent(id, comp.Params)
@@ -237,6 +241,9 @@ func (d *Decentralized) SyncModels() int {
 					rl.Params = link.Params.Clone()
 				}
 			}
+			// The writes above bypass the Modifier, so the neighbor's
+			// cached dense values must be invalidated by hand.
+			remote.Touch()
 		}
 	}
 	d.SyncMessages += msgs

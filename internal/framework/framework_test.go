@@ -239,8 +239,17 @@ func TestDecentralizedLocalModelsRespectAwareness(t *testing.T) {
 		for _, nb := range pa.Neighbors(w.Sys, h) {
 			visible[nb] = true
 		}
-		if len(local.Hosts) != len(visible) {
-			t.Fatalf("host %s sees %d hosts, want %d", h, len(local.Hosts), len(visible))
+		// Every world host is named, so that a deployment's placements
+		// score as placements; a host this host cannot see carries no
+		// parameter and no link.
+		for _, id := range w.Sys.HostIDs() {
+			lh, ok := local.Hosts[id]
+			if !ok {
+				t.Fatalf("host %s's model does not name host %s", h, id)
+			}
+			if got := len(lh.Params.Names()); visible[id] != (got > 0) {
+				t.Fatalf("host %s knows %d parameters of host %s, visible %v", h, got, id, visible[id])
+			}
 		}
 		for pair := range local.Links {
 			if !visible[pair.A] || !visible[pair.B] {
@@ -269,6 +278,61 @@ func TestDecentralizedSyncPropagatesParameters(t *testing.T) {
 			if l.Reliability() != 0.123 {
 				t.Fatalf("host %s did not receive synced reliability: %v", h, l.Reliability())
 			}
+		}
+	}
+}
+
+// TestDecentralizedSyncRefreshesScores: a local model scores the link
+// parameters SyncModels pushed into it, in a cycle whose monitoring wrote
+// nothing, although its dense view was cached before the sync.
+func TestDecentralizedSyncRefreshesScores(t *testing.T) {
+	w, _ := newTestWorld(t, 4, 8, 9, WorldConfig{DeployerPerHost: true})
+	d := NewDecentralized(w, decap.FullAwareness{})
+	var pair model.HostPair
+	for _, k := range w.Sys.InteractionKeys() {
+		ha, hb := d.Deployment[k.A], d.Deployment[k.B]
+		if ha != hb && w.Sys.Link(ha, hb) != nil {
+			pair = model.MakeHostPair(ha, hb)
+			break
+		}
+	}
+	if pair.A == "" {
+		t.Fatal("no interaction crosses a link")
+	}
+	for _, local := range d.LocalModels {
+		objective.Availability{}.Quantify(local, d.Deployment)
+	}
+	if err := model.NewModifier(d.LocalModels[pair.A]).SetLinkParam(pair.A, pair.B, model.ParamReliability, 0.123); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.MonitorLocal(); n != 0 {
+		t.Fatalf("monitoring wrote %d parameters, want none", n)
+	}
+	d.SyncModels()
+	for h, local := range d.LocalModels {
+		got := objective.Availability{}.Quantify(local, d.Deployment)
+		if want := (objective.Availability{}).Quantify(local.Clone(), d.Deployment); got != want {
+			t.Errorf("host %s scores %v after the sync, its model's values give %v", h, got, want)
+		}
+	}
+}
+
+// TestDecentralizedPollAcceptsUnchangedDeployment: polled on its own
+// deployment, every host's local model scores the candidate as it scores
+// the current deployment, so the poll passes with every vote, every time.
+func TestDecentralizedPollAcceptsUnchangedDeployment(t *testing.T) {
+	w, _ := newTestWorld(t, 6, 16, 12, WorldConfig{DeployerPerHost: true})
+	d := NewDecentralized(w, decap.NewPartialAwareness(w.Sys, 0.5, 3))
+	same := d.Deployment.Clone()
+	for i := 0; i < 200; i++ {
+		cur := make(map[model.HostID]float64, len(d.LocalModels))
+		cand := make(map[model.HostID]float64, len(d.LocalModels))
+		for h, local := range d.LocalModels {
+			cur[h] = objective.Availability{}.Quantify(local, d.Deployment)
+			cand[h] = objective.Availability{}.Quantify(local, same)
+		}
+		if !analyzer.Poll(cur, cand, 1) {
+			t.Fatalf("call %d: the poll rejected the unchanged deployment: current %v, candidate %v", i, cur, cand)
 		}
 	}
 }

@@ -23,9 +23,10 @@ import (
 //
 // Availability and Latency implement DeltaQuantifier over the system's
 // dense matrices (model.DenseSystem), so a candidate evaluation does zero
-// map lookups. Every other quantifier — composites included — works
-// through BeginDelta's fallback, which re-quantifies in full but honors
-// the same protocol.
+// map lookups; their Quantify is the score a fresh state starts from.
+// Every other quantifier — composites included — works through
+// BeginDelta's fallback, which re-quantifies in full but honors the same
+// protocol.
 
 // DeltaState incrementally evaluates an objective over a mutating
 // deployment. Implementations are not safe for concurrent use.
@@ -69,21 +70,9 @@ func BeginDelta(q Quantifier, s *model.System, d model.Deployment) DeltaState {
 	return beginFull(q, s, d)
 }
 
-// QuantifyFast scores a deployment through the quantifier's dense delta
-// evaluator when it has one — zero map lookups per interaction — and
-// falls back to plain Quantify otherwise. For valid deployments the
-// result differs from Quantify only by floating-point association order
-// (≤ a few ULP).
-func QuantifyFast(q Quantifier, s *model.System, d model.Deployment) float64 {
-	if dq, ok := q.(DeltaQuantifier); ok {
-		return dq.Begin(s, d).Score()
-	}
-	return q.Quantify(s, d)
-}
-
 // QuantifyDense scores an assignment over ds, s's dense view, without
 // building a Deployment when the quantifier has a dense evaluator: the
-// same sum QuantifyFast runs, so the two agree to the bit. Any other
+// same sum Quantify runs, so the two agree to the bit. Any other
 // quantifier scores the materialized Deployment. assign is only read.
 func QuantifyDense(q Quantifier, s *model.System, ds *model.DenseSystem, assign []int) float64 {
 	if dq, ok := q.(DeltaQuantifier); ok {

@@ -83,26 +83,10 @@ func (Availability) Name() string { return "availability" }
 // Direction implements Quantifier.
 func (Availability) Direction() Direction { return Maximize }
 
-// Quantify implements Quantifier.
-func (Availability) Quantify(s *model.System, d model.Deployment) float64 {
-	var num, den float64
-	for pair, link := range s.Interacts {
-		freq := link.Frequency()
-		if freq <= 0 {
-			continue
-		}
-		den += freq
-		ha, aok := d[pair.A]
-		hb, bok := d[pair.B]
-		if !aok || !bok {
-			continue // undeployed endpoints never interact successfully
-		}
-		num += freq * s.Reliability(ha, hb)
-	}
-	if den == 0 {
-		return 1 // a system with no interactions is trivially available
-	}
-	return num / den
+// Quantify implements Quantifier: the score a delta state starts from,
+// summed over the dense view's edges in edge order.
+func (a Availability) Quantify(s *model.System, d model.Deployment) float64 {
+	return a.Begin(s, d).Score()
 }
 
 // Latency scores a deployment by the total expected communication latency
@@ -130,33 +114,10 @@ func (Latency) Name() string { return "latency" }
 // Direction implements Quantifier.
 func (Latency) Direction() Direction { return Minimize }
 
-// Quantify implements Quantifier.
+// Quantify implements Quantifier: the score a delta state starts from,
+// summed over the dense view's edges in edge order.
 func (l Latency) Quantify(s *model.System, d model.Deployment) float64 {
-	penalty := l.PartitionPenalty
-	if penalty == 0 {
-		penalty = DefaultPartitionPenalty
-	}
-	total := 0.0
-	for pair, link := range s.Interacts {
-		freq := link.Frequency()
-		if freq <= 0 {
-			continue
-		}
-		ha, aok := d[pair.A]
-		hb, bok := d[pair.B]
-		if !aok || !bok {
-			total += freq * penalty
-			continue
-		}
-		bw := s.Bandwidth(ha, hb)
-		if bw <= 0 {
-			total += freq * penalty
-			continue
-		}
-		transferMS := link.EventSize() / bw * 1000
-		total += freq * (transferMS + s.Delay(ha, hb))
-	}
-	return total
+	return l.Begin(s, d).Score()
 }
 
 // CommCost scores a deployment by the volume of remote communication per
@@ -172,16 +133,16 @@ func (CommCost) Name() string { return "commCost" }
 // Direction implements Quantifier.
 func (CommCost) Direction() Direction { return Minimize }
 
-// Quantify implements Quantifier.
+// Quantify implements Quantifier. It sums over the dense view's edges in
+// edge order, where an interaction of non-positive frequency weighs 0.
 func (CommCost) Quantify(s *model.System, d model.Deployment) float64 {
+	ds := s.Dense()
+	assign := ds.Assign(d)
 	total := 0.0
-	for pair, link := range s.Interacts {
-		ha, aok := d[pair.A]
-		hb, bok := d[pair.B]
-		if !aok || !bok || ha == hb {
-			continue
+	for i, e := range ds.Edges {
+		if a, b := assign[e.A], assign[e.B]; a >= 0 && b >= 0 && a != b {
+			total += ds.Freq[i] * ds.Size[i]
 		}
-		total += link.Frequency() * link.EventSize()
 	}
 	return total
 }
@@ -201,30 +162,26 @@ func (Security) Name() string { return "security" }
 // Direction implements Quantifier.
 func (Security) Direction() Direction { return Maximize }
 
-// Quantify implements Quantifier.
+// Quantify implements Quantifier. It sums over the dense view's edges in
+// edge order, and looks up the link of each edge that crosses hosts.
 func (Security) Quantify(s *model.System, d model.Deployment) float64 {
-	var num, den float64
-	for pair, link := range s.Interacts {
-		freq := link.Frequency()
-		if freq <= 0 {
-			continue
-		}
-		den += freq
-		ha, aok := d[pair.A]
-		hb, bok := d[pair.B]
-		if !aok || !bok {
-			continue
-		}
-		if ha == hb {
-			num += freq
-			continue
-		}
-		if pl := s.Link(ha, hb); pl != nil {
-			num += freq * pl.Params.Get(model.ParamSecurity)
-		}
-	}
-	if den == 0 {
+	ds := s.Dense()
+	if ds.TotalFreq == 0 {
 		return 1
 	}
-	return num / den
+	assign := ds.Assign(d)
+	num := 0.0
+	for i, e := range ds.Edges {
+		a, b := assign[e.A], assign[e.B]
+		switch {
+		case a < 0 || b < 0 || ds.Freq[i] == 0:
+		case a == b:
+			num += ds.Freq[i]
+		default:
+			if pl := s.Link(ds.Hosts[a], ds.Hosts[b]); pl != nil {
+				num += ds.Freq[i] * pl.Params.Get(model.ParamSecurity)
+			}
+		}
+	}
+	return num / ds.TotalFreq
 }

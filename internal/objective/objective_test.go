@@ -232,6 +232,7 @@ func TestAvailabilityMonotoneInReliabilityProperty(t *testing.T) {
 			r := link.Reliability()
 			link.Params.Set(model.ParamReliability, math.Min(1, r+math.Abs(bump)))
 		}
+		s.Touch()
 		after := (Availability{}).Quantify(s, d)
 		return after >= before-1e-9
 	}
