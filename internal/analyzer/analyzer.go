@@ -170,7 +170,7 @@ func (a *Analyzer) Analyze(ctx context.Context, s *model.System, current model.D
 		// Degradation-aware constraints steer new placements off limping
 		// hosts without force-migrating the components they still serve.
 		Constraints: algo.DegradationAware{Current: current},
-		Seed:        int64(len(a.snapshotHistory())) + 1,
+		Seed:        int64(a.Rounds()) + 1,
 		Trials:      trials,
 		Obs:         a.obs,
 	}
@@ -220,7 +220,7 @@ func (a *Analyzer) Recover(ctx context.Context, s *model.System, current model.D
 		// The replan avoids limping survivors too — resurrecting a dead
 		// host's components onto a gray one trades one outage for another.
 		Constraints: algo.DegradationAware{Current: current},
-		Seed:        int64(len(a.snapshotHistory())) + 1,
+		Seed:        int64(a.Rounds()) + 1,
 		Trials:      a.policy.StableTrials,
 		Obs:         a.obs,
 	}
@@ -307,24 +307,34 @@ func degradedPlacements(s *model.System, d model.Deployment) int {
 
 // History returns a copy of the execution profile.
 func (a *Analyzer) History() []Record {
-	return a.snapshotHistory()
+	return a.lastRecords(0)
 }
 
-func (a *Analyzer) snapshotHistory() []Record {
+// Rounds returns how many rounds the execution profile records.
+func (a *Analyzer) Rounds() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]Record(nil), a.history...)
+	return len(a.history)
+}
+
+// lastRecords returns a copy of the last n records (every record when
+// n <= 0).
+func (a *Analyzer) lastRecords(n int) []Record {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	h := a.history
+	if n > 0 && len(h) > n {
+		h = h[len(h)-n:]
+	}
+	return append([]Record(nil), h...)
 }
 
 // AvailabilityTrend returns the mean absolute change in availability over
 // the last n history records — the analyzer's own fluctuation signal.
 func (a *Analyzer) AvailabilityTrend(n int) float64 {
-	h := a.snapshotHistory()
+	h := a.lastRecords(n)
 	if len(h) < 2 {
 		return 0
-	}
-	if n > 0 && len(h) > n {
-		h = h[len(h)-n:]
 	}
 	total := 0.0
 	for i := 1; i < len(h); i++ {

@@ -197,6 +197,48 @@ func TestAvailabilityTrend(t *testing.T) {
 	}
 }
 
+// seedRecorder is a search that returns its input and notes the seed it
+// was run with.
+type seedRecorder struct{ seeds *[]int64 }
+
+func (seedRecorder) Name() string { return "seed-recorder" }
+
+func (r seedRecorder) Run(_ context.Context, s *model.System, initial model.Deployment, cfg algo.Config) (algo.Result, error) {
+	*r.seeds = append(*r.seeds, cfg.Seed)
+	score := cfg.Objective.Quantify(s, initial)
+	return algo.Result{Deployment: initial.Clone(), Score: score, InitialScore: score}, nil
+}
+
+// TestSeedCountsRounds holds each round's seed to its place in the
+// profile: Analyze and Recover, interleaved, run call N with seed N, and
+// Rounds counts the records History copies.
+func TestSeedCountsRounds(t *testing.T) {
+	s, d := genSystem(t, 4, 10, 3)
+	var seeds []int64
+	reg := algo.NewRegistry()
+	for _, name := range reg.Names() {
+		reg.Register(name, func() algo.Algorithm { return seedRecorder{&seeds} })
+	}
+	a := New(reg, Policy{})
+	for n := 1; n <= 6; n++ {
+		var err error
+		if n%3 == 0 {
+			_, err = a.Recover(context.Background(), s, d)
+		} else {
+			_, err = a.Analyze(context.Background(), s, d, float64(n%2))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := seeds[len(seeds)-1]; got != int64(n) {
+			t.Fatalf("call %d ran with seed %d", n, got)
+		}
+		if a.Rounds() != n || len(a.History()) != n {
+			t.Fatalf("after call %d: Rounds %d, History %d records", n, a.Rounds(), len(a.History()))
+		}
+	}
+}
+
 func TestResolveConflicts(t *testing.T) {
 	s, d := genSystem(t, 3, 8, 5)
 	d2 := d.Clone()

@@ -12,7 +12,8 @@ func TestSensitivityToLinkReliability(t *testing.T) {
 	// Find a link that some remote interaction actually uses.
 	var pair model.HostPair
 	found := false
-	for p := range sd.System.Interacts {
+	for _, l := range sd.System.Interactions() {
+		p := l.Components
 		ha, hb := sd.Deployment[p.A], sd.Deployment[p.B]
 		if ha != hb && sd.System.Link(ha, hb) != nil {
 			pair = model.MakeHostPair(ha, hb)

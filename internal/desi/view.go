@@ -59,8 +59,8 @@ func (v *TableView) renderParameters(sd SystemData) string {
 		fmt.Fprintf(&sb, "%s <-> %s  %s\n", key.A, key.B, s.Links[key].Params)
 	}
 	sb.WriteString("-- Logical links --\n")
-	for _, key := range s.InteractionKeys() {
-		fmt.Fprintf(&sb, "%s <-> %s  %s\n", key.A, key.B, s.Interacts[key].Params)
+	for _, l := range s.Interactions() {
+		fmt.Fprintf(&sb, "%s <-> %s  %s\n", l.Components.A, l.Components.B, l.Params)
 	}
 	return sb.String()
 }

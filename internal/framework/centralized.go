@@ -175,7 +175,7 @@ func (c *Centralized) Cycle(ctx context.Context) (Report, error) {
 	// stability signal: a flat availability history marks a stable
 	// system even when individual parameters jitter (§5.1, "the analyzer
 	// holds a record of the fluctuations in the system's availability").
-	if hist := c.Analyzer.History(); len(hist) >= 2 {
+	if c.Analyzer.Rounds() >= 2 {
 		trend := c.Analyzer.AvailabilityTrend(5)
 		historyStability := 1 - math.Min(1, trend/0.05)
 		rep.Stability = math.Max(rep.Stability, historyStability)

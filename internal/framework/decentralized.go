@@ -119,8 +119,8 @@ func localSubset(sys *model.System, h model.HostID, aware decap.Awareness) *mode
 			}
 		}
 	}
-	for pair, link := range sys.Interacts {
-		if _, err := sub.AddInteraction(pair.A, pair.B, link.Params); err != nil {
+	for _, link := range sys.Interactions() {
+		if _, err := sub.AddInteraction(link.Components.A, link.Components.B, link.Params); err != nil {
 			continue
 		}
 	}
@@ -236,8 +236,8 @@ func (d *Decentralized) SyncModels() int {
 				}
 			}
 			// Push h's interaction knowledge.
-			for pair, link := range local.Interacts {
-				if rl := remote.Interacts[pair]; rl != nil {
+			for _, link := range local.Interactions() {
+				if rl := remote.Interaction(link.Components.A, link.Components.B); rl != nil {
 					rl.Params = link.Params.Clone()
 				}
 			}

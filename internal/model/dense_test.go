@@ -43,8 +43,8 @@ func TestDenseMatricesMatchSystem(t *testing.T) {
 	// depend on how the view was built. A non-positive frequency reads 0,
 	// with size 0, so its edge adds +0 to every sum.
 	keys := s.InteractionKeys()
-	s.Interacts[keys[1]].Params.Set(ParamFrequency, 0)
-	s.Interacts[keys[2]].Params.Set(ParamFrequency, -3)
+	s.Interaction(keys[1].A, keys[1].B).Params.Set(ParamFrequency, 0)
+	s.Interaction(keys[2].A, keys[2].B).Params.Set(ParamFrequency, -3)
 	s.Touch()
 	ds = s.Dense()
 	if len(keys) != len(ds.Edges) || len(keys) != len(ds.Freq) || len(keys) != len(ds.Size) {
@@ -55,7 +55,7 @@ func TestDenseMatricesMatchSystem(t *testing.T) {
 		if ds.Comps[e.A] != keys[i].A || ds.Comps[e.B] != keys[i].B {
 			t.Fatalf("edge %d is %s-%s, InteractionKeys has %v", i, ds.Comps[e.A], ds.Comps[e.B], keys[i])
 		}
-		l := s.Interacts[keys[i]]
+		l := s.Interaction(keys[i].A, keys[i].B)
 		wantFreq, wantSize := l.Frequency(), l.EventSize()
 		if wantFreq <= 0 {
 			wantFreq, wantSize = 0, 0
@@ -203,8 +203,8 @@ func TestDenseMatchesFreshBuild(t *testing.T) {
 		return s.Links[keys[rng.Intn(len(keys))]]
 	}
 	pickInteraction := func() *LogicalLink {
-		keys := s.InteractionKeys()
-		return s.Interacts[keys[rng.Intn(len(keys))]]
+		links := s.Interactions()
+		return links[rng.Intn(len(links))]
 	}
 	pickComps := func() (ComponentID, ComponentID) {
 		ids := s.ComponentIDs()
@@ -249,8 +249,8 @@ func TestDenseMatchesFreshBuild(t *testing.T) {
 			return nil
 		}},
 		{"frequency from 0", func() error {
-			for _, k := range s.InteractionKeys() {
-				if l := s.Interacts[k]; l.Frequency() == 0 {
+			for _, l := range s.Interactions() {
+				if l.Frequency() == 0 {
 					l.Params.Set(ParamFrequency, 1+rng.Float64())
 					break
 				}
@@ -362,6 +362,43 @@ func TestDenseConcurrentTouch(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDenseConcurrentReshape has goroutines drop and rebuild the whole
+// view, each build stamping the component elements, while others read
+// the view, clone the system and walk its interaction slice.
+func TestDenseConcurrentReshape(t *testing.T) {
+	s, _ := denseTestSystem(t, 5, 25, 4)
+	want := s.Clone().Dense()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				switch w {
+				case 0:
+					s.reshape()
+				case 1:
+					if err := denseEqual(s.Clone().Dense(), want); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				case 2:
+					if err := checkInteractionOrder(s); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := denseEqual(s.Dense(), want); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // sortedHostsWhere is the reference for the host lists the shape walks:
 // every host in the map that keep admits, sorted.
 func sortedHostsWhere(s *System, keep func(HostID, *Host) bool) []HostID {
@@ -469,6 +506,132 @@ func TestDenseHostListsMatchSortedReference(t *testing.T) {
 	}
 }
 
+// hashedShape is the shape build as it was before the system kept its
+// interactions in key order, kept as the reference for the edge
+// structure: it walks the index map, finds each endpoint's index by
+// hashing its ID, and orders the edges by (A, B) index with two stable
+// counting passes, by B and then by A.
+func hashedShape(s *System) *denseShape {
+	sh := &denseShape{hosts: s.HostIDs(), comps: s.ComponentIDs()}
+	sh.hostIdx = make(map[HostID]int, len(sh.hosts))
+	for i, h := range sh.hosts {
+		sh.hostIdx[h] = i
+	}
+	sh.compIdx = make(map[ComponentID]int, len(sh.comps))
+	for i, c := range sh.comps {
+		sh.compIdx[c] = i
+	}
+	for pair, l := range s.Links {
+		i, iok := sh.hostIdx[pair.A]
+		j, jok := sh.hostIdx[pair.B]
+		if iok && jok {
+			sh.links = append(sh.links, shapeLink{i, j, l})
+		}
+	}
+	nc := len(sh.comps)
+	var as, bs []int32
+	var links []*LogicalLink
+	for key, l := range s.interacts {
+		a, aok := sh.compIdx[key.A]
+		b, bok := sh.compIdx[key.B]
+		if !aok || !bok {
+			continue
+		}
+		as, bs, links = append(as, int32(a)), append(bs, int32(b)), append(links, l)
+	}
+	stableOrder := func(in, keys []int32) []int32 {
+		next := make([]int32, nc+1)
+		for _, k := range keys {
+			next[k+1]++
+		}
+		for k := 0; k < nc; k++ {
+			next[k+1] += next[k]
+		}
+		out := make([]int32, len(keys))
+		for i := range out {
+			p := int32(i)
+			if in != nil {
+				p = in[i]
+			}
+			out[next[keys[p]]] = p
+			next[keys[p]]++
+		}
+		return out
+	}
+	order := stableOrder(stableOrder(nil, bs), as)
+	sh.edges = make([]DenseEdge, len(order))
+	sh.inters = make([]*LogicalLink, len(order))
+	sh.adj = make([][]DenseArc, nc)
+	for e, p := range order {
+		a, b := as[p], bs[p]
+		sh.edges[e] = DenseEdge{A: a, B: b}
+		sh.inters[e] = links[p]
+		sh.adj[a] = append(sh.adj[a], DenseArc{Other: b, Edge: int32(e)})
+		sh.adj[b] = append(sh.adj[b], DenseArc{Other: a, Edge: int32(e)})
+	}
+	return sh
+}
+
+// TestDenseShapeMatchesHashedBuild holds the dense view's Edges, Adj,
+// Freq and Size, built from the key-ordered interaction slice, to the
+// hashing reference build, on generated systems and after the mutations
+// that insert before the end, remove, replace a component, and delete a
+// component from the map directly (its links then have no edge).
+func TestDenseShapeMatchesHashedBuild(t *testing.T) {
+	compare := func(what string, s *System) {
+		t.Helper()
+		got, want := s.Dense(), hashedShape(s).values()
+		switch {
+		case !reflect.DeepEqual(got.Edges, want.Edges):
+			t.Fatalf("%s: Edges differ: %d edges, reference %d", what, len(got.Edges), len(want.Edges))
+		case !reflect.DeepEqual(got.Adj, want.Adj):
+			t.Fatalf("%s: Adj differs", what)
+		case !reflect.DeepEqual(got.Freq, want.Freq) || !reflect.DeepEqual(got.Size, want.Size):
+			t.Fatalf("%s: Freq or Size differs", what)
+		case got.TotalFreq != want.TotalFreq:
+			t.Fatalf("%s: TotalFreq %v, reference %v", what, got.TotalFreq, want.TotalFreq)
+		}
+	}
+	for _, size := range [][2]int{{4, 12}, {10, 100}, {20, 400}} {
+		for seed := int64(211000); seed < 211003; seed++ {
+			s, _, err := NewGenerator(DefaultGeneratorConfig(size[0], size[1]), seed).Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%dx%d/seed%d", size[0], size[1], seed)
+			compare(name, s)
+			rng := rand.New(rand.NewSource(seed))
+			mod := NewModifier(s)
+			ids := s.ComponentIDs()
+			for i := 0; i < 5; i++ {
+				a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+				if a != b {
+					var p Params
+					p.Set(ParamFrequency, rng.Float64())
+					if _, err := s.AddInteraction(b, a, p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			compare(name+" after AddInteraction", s)
+			links := s.Interactions()
+			l := links[rng.Intn(len(links))]
+			if err := mod.RemoveInteraction(l.Components.A, l.Components.B); err != nil {
+				t.Fatal(err)
+			}
+			compare(name+" after RemoveInteraction", s)
+			if err := mod.RemoveComponent(ids[len(ids)/2], nil); err != nil {
+				t.Fatal(err)
+			}
+			compare(name+" after RemoveComponent", s)
+			s.AddComponent(ids[1], Params{})
+			compare(name+" after replacing a component", s)
+			delete(s.Components, ids[0])
+			compare(name+" after deleting a component from the map", s)
+		}
+	}
+}
+
 // BenchmarkDenseRebuild times the two rebuilds a replan can pay for:
 // values only after Touch (a monitor cycle), and shape plus values after
 // a structural mutation (a new interaction).
@@ -491,6 +654,31 @@ func BenchmarkDenseRebuild(b *testing.B) {
 		b.Run("structure+values/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				s.reshape()
+				denseSink = s.Dense()
+			}
+		})
+	}
+}
+
+// BenchmarkDenseFreshShape times the view the first plan of a system
+// builds: shape and values, on systems whose elements the previous op
+// did not touch. It rotates over freshly generated systems, more of them
+// than a core's cache holds, as a sweep that plans each system once does.
+func BenchmarkDenseFreshShape(b *testing.B) {
+	for _, size := range []struct{ hosts, comps, systems int }{{20, 400, 8}, {40, 800, 3}} {
+		systems := make([]*System, size.systems)
+		for i := range systems {
+			s, _, err := NewGenerator(DefaultGeneratorConfig(size.hosts, size.comps), 211000+int64(i)).Generate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			systems[i] = s
+		}
+		b.Run(fmt.Sprintf("%dx%d", size.hosts, size.comps), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := systems[i%len(systems)]
 				s.reshape()
 				denseSink = s.Dense()
 			}

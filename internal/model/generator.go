@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -196,16 +197,20 @@ func (g *Generator) linkHosts(s *System) error {
 }
 
 // linkComponents creates a connected interaction graph analogously, in
-// index space: the spanning tree's pairs are a bit set over component
-// indices (comps is sorted, so index order is ID order), every logical
-// link lives in one backing slice, and the interaction map, which
-// Generate's system does not have yet, is built and the dense view
-// dropped once, after the last draw. The draws come in linkHosts'
-// order: the tree's Intn before its link's two draws, and a tree pair is
-// skipped before its Float64 is drawn.
+// index space (comps is sorted, so index order is ID order). The draws
+// come in linkHosts' order: the tree's Intn before its link's two draws,
+// and a tree pair is skipped before its Float64 is drawn. Every logical
+// link lives in one backing slice in (a, b) order, so the system's
+// key-ordered slice and its index are built once, after the last draw:
+// the tree's links are ordered among themselves, and the density pass,
+// which visits pairs in that order, emits each in its turn.
 func (g *Generator) linkComponents(s *System) {
 	comps := s.ComponentIDs()
 	n := len(comps)
+	elems := make([]*Component, n)
+	for i, c := range comps {
+		elems[i] = s.Components[c]
+	}
 	perm := g.rng.Perm(n)
 	drawLink := func() Params {
 		var p Params
@@ -213,41 +218,49 @@ func (g *Generator) linkComponents(s *System) {
 		p.Set(ParamEventSize, g.cfg.EventSize.Draw(g.rng))
 		return p
 	}
-	// A binomial count's standard deviation is at most the square root of
-	// its mean, so four of them above the expected count rarely regrow.
-	density := min(max(g.cfg.InteractionDensity, 0), 1)
-	expected := float64(max(n-1, 0)) + density*float64(n*(n-1)/2)
-	links := make([]LogicalLink, 0, int(expected+4*math.Sqrt(expected)))
-	link := func(a, b int) {
-		links = append(links, LogicalLink{
-			Components: ComponentPair{A: comps[a], B: comps[b]},
-			Params:     drawLink(),
-		})
-	}
 
-	tree := make([]uint64, (n*n+63)/64)
+	type treeLink struct {
+		key    int // a*n + b
+		params Params
+	}
+	tree := make([]treeLink, 0, max(n-1, 0))
 	for i := 1; i < n; i++ {
 		a, b := perm[i], perm[g.rng.Intn(i)]
 		if b < a {
 			a, b = b, a
 		}
-		tree[(a*n+b)/64] |= 1 << ((a*n + b) % 64)
-		link(a, b)
+		tree = append(tree, treeLink{a*n + b, drawLink()})
 	}
+	slices.SortFunc(tree, func(x, y treeLink) int { return x.key - y.key })
+
+	// A binomial count's standard deviation is at most the square root of
+	// its mean, so four of them above the expected count rarely regrow.
+	density := min(max(g.cfg.InteractionDensity, 0), 1)
+	expected := float64(max(n-1, 0)) + density*float64(n*(n-1)/2)
+	links := make([]LogicalLink, 0, int(expected+4*math.Sqrt(expected)))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if tree[(i*n+j)/64]&(1<<((i*n+j)%64)) != 0 {
+			var p Params
+			if len(tree) > 0 && tree[0].key == i*n+j {
+				p, tree = tree[0].params, tree[1:]
+			} else if g.rng.Float64() < g.cfg.InteractionDensity {
+				p = drawLink()
+			} else {
 				continue
 			}
-			if g.rng.Float64() < g.cfg.InteractionDensity {
-				link(i, j)
-			}
+			links = append(links, LogicalLink{
+				Components: ComponentPair{A: comps[i], B: comps[j]},
+				Params:     p,
+				ends:       [2]*Component{elems[i], elems[j]},
+			})
 		}
 	}
 
-	s.Interacts = make(map[ComponentPair]*LogicalLink, len(links))
+	s.interacts = make(map[ComponentPair]*LogicalLink, len(links))
+	s.inters = make([]*LogicalLink, len(links))
 	for i := range links {
-		s.Interacts[links[i].Components] = &links[i]
+		s.inters[i] = &links[i]
+		s.interacts[links[i].Components] = &links[i]
 	}
 	s.reshape()
 }

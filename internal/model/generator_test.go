@@ -77,8 +77,8 @@ func TestGeneratorInteractionGraphConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Interacts) != 14 {
-		t.Fatalf("spanning tree over 15 components has %d links, want 14", len(s.Interacts))
+	if len(s.Interactions()) != 14 {
+		t.Fatalf("spanning tree over 15 components has %d links, want 14", len(s.Interactions()))
 	}
 }
 

@@ -75,11 +75,10 @@ func (m *Modifier) RemoveLink(a, b HostID) error {
 // RemoveInteraction deletes the logical link between two components.
 func (m *Modifier) RemoveInteraction(a, b ComponentID) error {
 	pair := MakeComponentPair(a, b)
-	if _, ok := m.sys.Interacts[pair]; !ok {
+	if _, ok := m.sys.interacts[pair]; !ok {
 		return fmt.Errorf("no logical link between %s and %s", a, b)
 	}
-	delete(m.sys.Interacts, pair)
-	m.sys.reshape()
+	m.sys.removeInteractions(func(p ComponentPair) bool { return p == pair })
 	return nil
 }
 
@@ -116,11 +115,7 @@ func (m *Modifier) RemoveComponent(c ComponentID, d Deployment) error {
 		return fmt.Errorf("unknown component %s", c)
 	}
 	delete(m.sys.Components, c)
-	for pair := range m.sys.Interacts {
-		if pair.A == c || pair.B == c {
-			delete(m.sys.Interacts, pair)
-		}
-	}
+	m.sys.removeInteractions(func(p ComponentPair) bool { return p.A == c || p.B == c })
 	delete(m.sys.Constraints.Location, c)
 	filter := func(pairs []ComponentPair) []ComponentPair {
 		out := pairs[:0]

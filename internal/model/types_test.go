@@ -195,8 +195,8 @@ func TestSystemClone(t *testing.T) {
 	if !c.Constraints.Allows("c1", "hostA") || c.Constraints.Allows("c1", "hostB") {
 		t.Fatal("clone lost the original pin constraint")
 	}
-	if len(c.Components) != 4 || len(c.Interacts) != 3 {
+	if len(c.Components) != 4 || len(c.Interactions()) != 3 {
 		t.Fatalf("clone lost elements: %d comps, %d interacts",
-			len(c.Components), len(c.Interacts))
+			len(c.Components), len(c.Interactions()))
 	}
 }

@@ -101,11 +101,11 @@ func WriteXADL(w io.Writer, s *System, d Deployment) error {
 			Params: paramsToXADL(s.Links[key].Params),
 		})
 	}
-	for _, key := range s.InteractionKeys() {
+	for _, l := range s.Interactions() {
 		doc.Interactions = append(doc.Interactions, xadlPair{
-			From:   string(key.A),
-			To:     string(key.B),
-			Params: paramsToXADL(s.Interacts[key].Params),
+			From:   string(l.Components.A),
+			To:     string(l.Components.B),
+			Params: paramsToXADL(l.Params),
 		})
 	}
 	cons := &xadlConstraints{CheckMemory: s.Constraints.CheckMemory}

@@ -37,9 +37,10 @@ func TestXADLRoundTrip(t *testing.T) {
 			t.Fatalf("link %v lost or changed", pair)
 		}
 	}
-	for pair, l := range s.Interacts {
-		l2, ok := s2.Interacts[pair]
-		if !ok || !l.Params.Equal(l2.Params) {
+	for _, l := range s.Interactions() {
+		pair := l.Components
+		l2 := s2.Interaction(pair.A, pair.B)
+		if l2 == nil || !l.Params.Equal(l2.Params) {
 			t.Fatalf("interaction %v lost or changed", pair)
 		}
 	}
@@ -141,7 +142,7 @@ func TestXADLRoundTripPreservesStructureProperty(t *testing.T) {
 			return false
 		}
 		if len(s2.Hosts) != len(s.Hosts) || len(s2.Links) != len(s.Links) ||
-			len(s2.Components) != len(s.Components) || len(s2.Interacts) != len(s.Interacts) {
+			len(s2.Components) != len(s.Components) || len(s2.Interactions()) != len(s.Interactions()) {
 			return false
 		}
 		for pair, l := range s.Links {
@@ -213,7 +214,7 @@ func FuzzReadXADL(f *testing.F) {
 			t.Fatalf("deployment %v became %v", d1, d2)
 		}
 		if len(s2.Hosts) != len(s1.Hosts) || len(s2.Components) != len(s1.Components) ||
-			len(s2.Links) != len(s1.Links) || len(s2.Interacts) != len(s1.Interacts) {
+			len(s2.Links) != len(s1.Links) || len(s2.Interactions()) != len(s1.Interactions()) {
 			t.Fatal("element counts changed in the round trip")
 		}
 		for id, h := range s1.Hosts {
@@ -231,9 +232,10 @@ func FuzzReadXADL(f *testing.F) {
 				t.Fatalf("link %v: %v became %v", pair, l.Params, s2.Links[pair])
 			}
 		}
-		for pair, l := range s1.Interacts {
-			if l2, ok := s2.Interacts[pair]; !ok || !sameParamBits(l.Params, l2.Params) {
-				t.Fatalf("interaction %v: %v became %v", pair, l.Params, s2.Interacts[pair])
+		for _, l := range s1.Interactions() {
+			pair := l.Components
+			if l2 := s2.Interaction(pair.A, pair.B); l2 == nil || !sameParamBits(l.Params, l2.Params) {
+				t.Fatalf("interaction %v: %v became %v", pair, l.Params, l2)
 			}
 		}
 	})

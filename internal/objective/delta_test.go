@@ -206,9 +206,9 @@ func TestLatencyRebaseMatchesArcCost(t *testing.T) {
 				}
 			}
 		}
-		for _, k := range s.InteractionKeys() {
+		for _, l := range s.Interactions() {
 			if rng.Intn(5) == 0 {
-				s.Interacts[k].Params.Set(model.ParamFrequency, 0)
+				l.Params.Set(model.ParamFrequency, 0)
 			}
 		}
 		s.Touch()

@@ -26,7 +26,7 @@ func referenceQuantify(t *testing.T, q Quantifier, s *model.System, d model.Depl
 	}
 	var terms []term
 	for _, pair := range s.InteractionKeys() {
-		link := s.Interacts[pair]
+		link := s.Interaction(pair.A, pair.B)
 		if link.Frequency() <= 0 {
 			continue
 		}
@@ -119,9 +119,9 @@ func TestQuantifyMatchesReference(t *testing.T) {
 		for i, k := range s.InteractionKeys() {
 			switch i % 9 {
 			case 0:
-				s.Interacts[k].Params.Set(model.ParamFrequency, 0)
+				s.Interaction(k.A, k.B).Params.Set(model.ParamFrequency, 0)
 			case 1:
-				s.Interacts[k].Params.Set(model.ParamFrequency, -2)
+				s.Interaction(k.A, k.B).Params.Set(model.ParamFrequency, -2)
 			}
 		}
 		s.Touch()
@@ -171,7 +171,7 @@ func TestQuantifyIsDeterministic(t *testing.T) {
 // non-test file of this package ranges over one of model.System's maps,
 // whose iteration order Go randomizes.
 func TestNoMapRangeInObjectives(t *testing.T) {
-	mapFields := map[string]bool{"Hosts": true, "Components": true, "Links": true, "Interacts": true}
+	mapFields := map[string]bool{"Hosts": true, "Components": true, "Links": true}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)

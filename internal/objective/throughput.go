@@ -44,8 +44,8 @@ func (Throughput) Quantify(s *model.System, d model.Deployment) float64 {
 	var units []deliveryUnit
 	linkDemand := make(map[model.HostPair]float64)
 
-	for _, pair := range s.InteractionKeys() {
-		link := s.Interacts[pair]
+	for _, link := range s.Interactions() {
+		pair := link.Components
 		volume := link.Frequency() * link.EventSize()
 		if volume <= 0 {
 			continue
