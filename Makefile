@@ -40,14 +40,15 @@ fmt:
 # real partCore.step and voterCore.step (about 5.3·10⁵ states, a
 # participant restart included, about 37 s under the race detector),
 # TestLeaseExplore every interleaving of
-# a small election and of a failover with an agent resync through the
-# real leaseCore.step and voterCore.step (about 3.9·10⁵ states, about
-# 36 s under the race detector), TestPeerExplore every sequence of ten
+# a small election, of a failover with an agent resync, and of the
+# replication stream across a compaction through the real leaseCore.step,
+# voterCore.step and offerAfter (about 4.4·10⁵ states, about 50 s under
+# the race detector), TestPeerExplore every sequence of ten
 # inputs to one peer's record through the real peerCore.step (about
 # 1.7·10⁵ states, a few seconds under the race detector; the CI race job
 # also runs it by name, with TestDegradedReMarkedAfterSuspectLapse), and
 # their Mutants tests check that each catches its broken steps (eight for
-# the wave, three for the lease, three for the peer).
+# the wave, four for the lease, three for the peer).
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/... ./cmd/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/

@@ -329,7 +329,7 @@ func (r *runner) driveUntil(desc string, pump func(), cond func() bool) error {
 }
 
 // syncStandby pumps the leader's replication until peer has
-// acknowledged its entire log.
+// acknowledged the leader store's position.
 func (r *runner) syncStandby(leader, peer model.HostID) error {
 	le := r.ha.Leads[leader]
 	return r.driveUntil(fmt.Sprintf("standby %s replication sync", peer),

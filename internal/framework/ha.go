@@ -33,13 +33,6 @@ type HACluster struct {
 	Deps   map[model.HostID]*prism.DeployerComponent
 	Leads  map[model.HostID]*prism.Leadership
 	Stores map[model.HostID]*prism.DeployerStore
-	hosts  []model.HostID
-}
-
-// DeployerHosts returns the cluster's deployer hosts, sorted (master
-// first is NOT guaranteed — order is lexical).
-func (c *HACluster) DeployerHosts() []model.HostID {
-	return append([]model.HostID(nil), c.hosts...)
 }
 
 // Close closes every store (deployers die with the world).
@@ -78,7 +71,6 @@ func (w *World) EnableHA(cfg HAConfig) (*HACluster, error) {
 		Deps:   make(map[model.HostID]*prism.DeployerComponent, len(hosts)),
 		Leads:  make(map[model.HostID]*prism.Leadership, len(hosts)),
 		Stores: make(map[model.HostID]*prism.DeployerStore, len(hosts)),
-		hosts:  hosts,
 	}
 	for _, h := range hosts {
 		dep := w.hosts[h].Deployer

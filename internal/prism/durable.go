@@ -217,16 +217,19 @@ type DeployerStore struct {
 	observeKind byte
 	onObserve   func()
 
-	// replEnqueue/replFlush tap the append stream for leader→standby
-	// replication. Enqueue runs under ds.mu (its ordering matches the
-	// WAL exactly); flush runs after release, strictly before any armed
-	// crash hook — a record that became durable here is offered to
-	// standbys before the leader can die of it.
-	replEnqueue func(kind byte, data []byte)
-	replFlush   func()
+	// replFlush (the leadership's ReplicationTick) offers an eager
+	// append's records to the standbys, after ds.mu is released and
+	// strictly before any armed crash hook: a record that became durable
+	// here is offered before the leader can die of it.
+	replFlush func()
 
-	// replSeq is the standby-side ingest high-water mark: the sequence
-	// number of the last replicated record applied this term.
+	// The replication stream numbers the records append writes: base is
+	// the position of the level the log was last rewritten to (or opened
+	// with), and tail holds the records appended since. replSeq is the
+	// standby side's: the position of the leader's stream applied this
+	// term (ingested records are the leader's, not numbered here).
+	base    uint64
+	tail    []store.Record
 	replSeq uint64
 }
 
@@ -239,7 +242,7 @@ func OpenDeployerStore(dir string) (*DeployerStore, error) {
 		return nil, err
 	}
 	ds := &DeployerStore{
-		log: log, nextEpoch: 1,
+		log: log, nextEpoch: 1, base: 1,
 		waves: make(map[int]*DurableWave),
 		goals: make(map[model.HostID]goalStateRec),
 	}
@@ -302,9 +305,9 @@ func (ds *DeployerStore) append(recs ...walRecord) error {
 // decoded from its bytes before anything is written, and the mirror
 // folds those decoded values, never the ones passed in, so it is always
 // what replay would build. Once the batch is durable, each record is
-// folded and enqueued into the replication log in WAL order, then the
-// armed hooks fire per matching record, in record order, and enough
-// closed epochs compact the log.
+// folded and numbered onto the replication tail in WAL order, the
+// standbys are offered it, enough closed epochs compact the log, and the
+// armed hooks fire per matching record, in record order.
 //
 // eager=false leaves the replication send to the next natural flush (a
 // later eager append, a campaign win, or a replication tick). Goal-state
@@ -345,31 +348,30 @@ func (ds *DeployerStore) appendPolicy(eager bool, recs ...walRecord) error {
 		ds.mu.Unlock()
 		return err
 	}
-	for i, r := range batch {
-		ds.foldLocked(decoded[i])
-		if ds.replEnqueue != nil {
-			ds.replEnqueue(r.Kind, r.Data)
-		}
+	for _, rec := range decoded {
+		ds.foldLocked(rec)
 	}
+	ds.tail = append(ds.tail, batch...)
 	var crash func()
 	if crashAt >= 0 {
 		// The batch IS durable — the crash happens strictly after the
 		// checkpoint, which is the transition the drills target.
 		crash = ds.die()
-	} else if ds.closedN >= compactAfter {
-		_ = ds.compactLocked()
 	}
-	var flush func()
-	if eager {
-		flush = ds.replFlush
-	}
+	flush := ds.replFlush
 	ds.mu.Unlock()
-	// Replication strictly precedes the hooks: even when this batch held
-	// the arranged crash point, the now-durable records stream out first
-	// — matching a real crash, where the fsync'd write survives.
-	if flush != nil {
+	// Replication strictly precedes compaction and the hooks: even when
+	// this batch held the arranged crash point, the now-durable records
+	// stream out first — matching a real crash, where the fsync'd write
+	// survives — and a standby offered them is not left below the base.
+	if eager && flush != nil {
 		flush()
 	}
+	ds.mu.Lock()
+	if !ds.dead && ds.closedN >= compactAfter {
+		_ = ds.compactLocked()
+	}
+	ds.mu.Unlock()
 	observed := batch
 	if crashAt >= 0 {
 		observed = batch[:crashAt+1] // the process dies at the crash record
@@ -405,8 +407,8 @@ func (ds *DeployerStore) die() func() {
 // liveRecordsLocked serializes the mirror down to live state: one
 // snapshot record (carrying the epoch high-water mark and fencing term)
 // plus the record chain of every still-open wave. This is both the
-// compaction rewrite and the replication iterator — the full prefix a
-// new leadership session streams to its standbys. Caller holds ds.mu.
+// compaction rewrite and the Reset batch that hydrates a standby.
+// Caller holds ds.mu.
 func (ds *DeployerStore) liveRecordsLocked() ([]store.Record, snapshotRec) {
 	snap := ds.snap
 	snap.NextEpoch = ds.nextEpoch
@@ -441,22 +443,62 @@ func (ds *DeployerStore) LiveRecords() []store.Record {
 // compactLocked rewrites the log down to live state. Caller holds ds.mu.
 func (ds *DeployerStore) compactLocked() error {
 	recs, snap := ds.liveRecordsLocked()
-	if err := ds.log.Compact(recs); err != nil {
+	if err := ds.rewriteLocked(recs); err != nil {
 		return err
 	}
-	ds.closedN = 0
 	ds.snap = snap
 	return nil
 }
 
+// rewriteLocked replaces the log with recs, the level at the current
+// position, which becomes the base. Caller holds ds.mu.
+func (ds *DeployerStore) rewriteLocked(recs []store.Record) error {
+	if err := ds.log.Compact(recs); err != nil {
+		return err
+	}
+	ds.base, ds.tail, ds.closedN = ds.base+uint64(len(ds.tail)), nil, 0
+	return nil
+}
+
+// position returns the replication stream's position: that of the last
+// record appended, or of the level the log was last rewritten to.
+func (ds *DeployerStore) position() uint64 {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	return ds.base + uint64(len(ds.tail))
+}
+
+// offer returns the batch that brings a peer at position after to the
+// store's position (offerAfter's rule).
+func (ds *DeployerStore) offer(after uint64) (seq uint64, reset bool, recs []store.Record) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	return offerAfter(after, ds.base, ds.tail, func() []store.Record { live, _ := ds.liveRecordsLocked(); return live })
+}
+
+// offerAfter is the replication rule over a level at position base and
+// the tail after it. A peer at or past the base gets the tail past its
+// position, Seq numbering the first record (none: the keepalive). A peer
+// below it — holding nothing, or records a compaction folded away — gets
+// the level, live(), as one Reset batch at the position it stands at.
+func offerAfter(after, base uint64, tail []store.Record, live func() []store.Record) (uint64, bool, []store.Record) {
+	pos := base + uint64(len(tail))
+	if after < base {
+		return pos, true, live()
+	}
+	after = min(after, pos)
+	return after + 1, false, tail[after-base : len(tail) : len(tail)]
+}
+
 // Ingest applies one replicated batch to the standby's WAL and mirror,
 // idempotently: a batch whose records are all already applied is a
-// no-op (duplicate delivery), a batch beyond the high-water mark is
-// ignored (out-of-order delivery; the leader retransmits the suffix),
-// and a Reset batch replaces the log with exactly its records (the new
-// leadership session's full live prefix). A batch holding a record that
-// does not decode is refused whole, before anything is written. Returns
-// the high-water mark after the call — the ack value.
+// no-op (duplicate delivery, or the keepalive), a batch beyond the
+// high-water mark is ignored (out-of-order delivery; the leader offers
+// again from the ack), and a Reset batch past the mark replaces the log
+// with exactly its records, the leader's level at position seq. A batch
+// holding a record that does not decode is refused whole, before
+// anything is written. Enough closed epochs compact the log, as on the
+// leader. Returns the high-water mark after the call — the ack value.
 func (ds *DeployerStore) Ingest(seq uint64, reset bool, recs []store.Record) (uint64, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -464,14 +506,14 @@ func (ds *DeployerStore) Ingest(seq uint64, reset bool, recs []store.Record) (ui
 		return ds.replSeq, store.ErrClosed
 	}
 	last := seq + uint64(len(recs)) - 1
-	if len(recs) == 0 || last <= ds.replSeq {
+	switch {
+	case reset && seq <= ds.replSeq, !reset && (len(recs) == 0 || last <= ds.replSeq):
 		return ds.replSeq, nil // fully covered: duplicate or stale redelivery
-	}
-	reset = reset && seq == 1
-	if !reset && seq > ds.replSeq+1 {
-		return ds.replSeq, nil // gap: wait for the retransmitted suffix
-	}
-	if !reset {
+	case reset:
+		last = seq
+	case seq > ds.replSeq+1:
+		return ds.replSeq, nil // gap: wait for the leader to offer the suffix again
+	default:
 		recs = recs[ds.replSeq-seq+1:]
 	}
 	// Decode the whole batch before anything is written: a record that
@@ -485,14 +527,13 @@ func (ds *DeployerStore) Ingest(seq uint64, reset bool, recs []store.Record) (ui
 		decoded[i] = rec
 	}
 	if reset {
-		if err := ds.log.Compact(recs); err != nil {
+		if err := ds.rewriteLocked(recs); err != nil {
 			return ds.replSeq, err
 		}
 		ds.nextEpoch = 1
 		ds.waves = make(map[int]*DurableWave)
 		ds.snap = snapshotRec{}
 		ds.goals = make(map[model.HostID]goalStateRec)
-		ds.closedN = 0
 	} else if err := ds.log.AppendBatch(recs); err != nil {
 		return ds.replSeq, err
 	}
@@ -500,33 +541,10 @@ func (ds *DeployerStore) Ingest(seq uint64, reset bool, recs []store.Record) (ui
 		ds.foldLocked(rec)
 	}
 	ds.replSeq = last
+	if ds.closedN >= compactAfter {
+		_ = ds.compactLocked()
+	}
 	return ds.replSeq, nil
-}
-
-// ResetReplProgress clears the ingest high-water mark. The leadership
-// layer calls it when a higher term appears: the new leader's stream
-// restarts its numbering from a Reset batch.
-func (ds *DeployerStore) ResetReplProgress() {
-	ds.mu.Lock()
-	ds.replSeq = 0
-	ds.mu.Unlock()
-}
-
-// ReplProgress returns the standby-side ingest high-water mark.
-func (ds *DeployerStore) ReplProgress() uint64 {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.replSeq
-}
-
-// SetReplicator taps the append stream for replication: enqueue runs
-// under the store lock in WAL order, flush after release (and strictly
-// before any armed crash hook). Pass nils to detach.
-func (ds *DeployerStore) SetReplicator(enqueue func(kind byte, data []byte), flush func()) {
-	ds.mu.Lock()
-	ds.replEnqueue = enqueue
-	ds.replFlush = flush
-	ds.mu.Unlock()
 }
 
 // Term returns the persisted fencing term (zero before any election).
@@ -536,9 +554,12 @@ func (ds *DeployerStore) Term() uint64 {
 	return ds.snap.Term
 }
 
-// SaveTerm durably records a fencing term the deployer acknowledged.
+// SaveTerm durably records a fencing term the deployer acknowledged, and
+// clears the ingest high-water mark: the new term's leader numbers its
+// own stream, which starts with a Reset batch.
 func (ds *DeployerStore) SaveTerm(term uint64) error {
 	ds.mu.Lock()
+	ds.replSeq = 0
 	snap := ds.snap
 	snap.Term = term
 	snap.NextEpoch = ds.nextEpoch

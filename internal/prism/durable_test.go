@@ -62,10 +62,10 @@ func TestIngestRejectsBadRecordBeforeWrite(t *testing.T) {
 			if _, err := ds.Ingest(1, true, stream); err != nil {
 				t.Fatal(err)
 			}
-			wantLive, wantSeq, wantLog := ds.LiveRecords(), ds.ReplProgress(), walBytes(t, dir)
+			wantLive, wantSeq, wantLog := ds.LiveRecords(), ds.replSeq, walBytes(t, dir)
 			seq := wantSeq + 1
 			if reset {
-				ds.ResetReplProgress()
+				ds.replSeq = 0 // as a new term does
 				wantSeq, seq = 0, 1
 			}
 			if _, err := ds.Ingest(seq, reset, []store.Record{good, bad}); err == nil {
@@ -74,7 +74,7 @@ func TestIngestRejectsBadRecordBeforeWrite(t *testing.T) {
 			if !bytes.Equal(walBytes(t, dir), wantLog) {
 				t.Fatalf("reset=%v: the refused batch changed the log", reset)
 			}
-			if !reflect.DeepEqual(ds.LiveRecords(), wantLive) || ds.ReplProgress() != wantSeq {
+			if !reflect.DeepEqual(ds.LiveRecords(), wantLive) || ds.replSeq != wantSeq {
 				t.Fatalf("reset=%v: the refused batch changed the mirror", reset)
 			}
 			ds.Close()
@@ -169,10 +169,9 @@ func FuzzDeployerStore(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, reset := range []bool{false, true} {
-			seq := ds.ReplProgress() + 1
+			seq := ds.replSeq + 1
 			if reset {
-				ds.ResetReplProgress()
-				seq = 1
+				ds.replSeq, seq = 0, 1 // as a new term does
 			}
 			before := walBytes(t, dir)
 			if _, err := ds.Ingest(seq, reset, []store.Record{rec}); err != nil {

@@ -53,17 +53,15 @@ type LeaseGrant struct {
 	Granted bool
 }
 
-// ReplRecord is one replicated checkpoint record (a WAL entry).
-type ReplRecord struct {
-	Kind byte
-	Data []byte
-}
+// ReplRecord is one replicated checkpoint record: a WAL entry, as the
+// store writes it.
+type ReplRecord = store.Record
 
 // ReplBatch streams a run of checkpoint records from the leader to a
-// standby. Seq numbers the first record; Reset marks a batch that
-// starts at the leader's base (a full live-state sync): the standby
-// replaces its WAL with exactly this prefix. An empty batch is a
-// leader heartbeat for the standby's leader watch.
+// standby. Seq numbers the first record; Reset marks the leader's live
+// state at position Seq (hydration): the standby replaces its WAL with
+// exactly these records. An empty batch is a leader heartbeat for the
+// standby's leader watch.
 type ReplBatch struct {
 	Leader  model.HostID
 	Term    uint64
@@ -73,7 +71,7 @@ type ReplBatch struct {
 }
 
 // ReplAck reports how far a standby has applied the leader's stream;
-// the leader retransmits the unacknowledged suffix.
+// the leader's next offer to it starts there.
 type ReplAck struct {
 	Host    model.HostID
 	Term    uint64
@@ -132,8 +130,8 @@ func (c LeaderConfig) withDefaults(adminClock func() time.Time) LeaderConfig {
 
 // Leadership is the shell around a deployer's leaseCore (lease.go): it
 // feeds the core frames, calls and ticks, and performs its outputs —
-// sends, term appends, replicated-log ingest, and a campaign's end, which
-// goes to the deployer loop that waits out the campaign.
+// sends, term appends, offers filled from the store, ingest, and a
+// campaign's end, which goes to the deployer loop that waits it out.
 type Leadership struct {
 	dep *DeployerComponent
 	cfg LeaderConfig
@@ -144,8 +142,8 @@ type Leadership struct {
 
 // AttachLeadership wires the deployer into the leadership protocol. The
 // fencing term persisted in the durable snapshot (if a store is
-// attached) is restored, and the store's append stream is tapped for
-// replication. The leader watch starts now: a standby that hears no
+// attached) is restored, and the store's eager appends flush the
+// replication stream. The leader watch starts now: a standby that hears no
 // leader for 2×LeaseTTL suspects one, known or not. Call before the
 // first Campaign.
 func (d *DeployerComponent) AttachLeadership(cfg LeaderConfig) (*Leadership, error) {
@@ -165,7 +163,9 @@ func (d *DeployerComponent) AttachLeadership(cfg LeaderConfig) (*Leadership, err
 	d.leadership = le
 	d.mu.Unlock()
 	if ds != nil {
-		ds.SetReplicator(le.enqueue, le.ReplicationTick)
+		ds.mu.Lock()
+		ds.replFlush = le.ReplicationTick
+		ds.mu.Unlock()
 	}
 	return le, nil
 }
@@ -286,11 +286,14 @@ func (c *campaign) tick(*DeployerComponent, bool) { c.le.feed(leaseInput{kind: l
 
 func (c *campaign) close(*DeployerComponent) { c.le.feed(leaseInput{kind: lClosed}) }
 
-// feed steps the core and performs its outputs in order.
+// feed steps the core at the store's position and performs its outputs.
 func (le *Leadership) feed(in leaseInput) {
 	in.now = time.Now()
 	if in.at.IsZero() {
 		in.at = le.cfg.Clock()
+	}
+	if ds := le.dep.durable(); ds != nil {
+		in.pos = ds.position()
 	}
 	le.mu.Lock()
 	outs := le.core.step(in)
@@ -305,20 +308,21 @@ func (le *Leadership) perform(outs []leaseOutput) {
 		switch o.kind {
 		case lSend:
 			_ = d.sender.send(o.to, o.ev)
+		case lOffer:
+			b := o.batch
+			if ds != nil {
+				b.Seq, b.Reset, b.Records = ds.offer(b.Seq - 1)
+			}
+			_ = d.sender.send(o.to, Event{Name: EvReplicate, Target: DeployerID, SizeKB: 0.3 + float64(len(b.Records))*0.2, Payload: b})
 		case lAppend:
 			if ds != nil {
 				_ = ds.SaveTerm(o.term)
-				ds.ResetReplProgress()
 			}
 			le.setTermGauge(o.term)
 		case lIngest:
 			var applied uint64
 			if ds != nil {
-				recs := make([]store.Record, len(o.batch.Records))
-				for i, r := range o.batch.Records {
-					recs[i] = store.Record{Kind: r.Kind, Data: r.Data}
-				}
-				applied, _ = ds.Ingest(o.batch.Seq, o.batch.Reset, recs)
+				applied, _ = ds.Ingest(o.batch.Seq, o.batch.Reset, o.batch.Records)
 			}
 			_ = d.sender.send(o.batch.Leader, Event{Name: EvReplicateAck, Target: DeployerID, SizeKB: 0.2,
 				Payload: ReplAck{Host: d.arch.Host(), Term: o.batch.Term, Applied: applied}})
@@ -335,16 +339,6 @@ func (le *Leadership) perform(outs []leaseOutput) {
 				d.nextEpoch = max(d.nextEpoch, ds.NextEpoch())
 			}
 			d.mu.Unlock()
-			// The stream a new leadership offers its standbys starts with the
-			// store's live state (a Reset batch), so a standby in any prior
-			// state converges without waiting for the first wave.
-			var recs []ReplRecord
-			if ds != nil {
-				for _, r := range ds.LiveRecords() {
-					recs = append(recs, ReplRecord{Kind: r.Kind, Data: r.Data})
-				}
-			}
-			le.feed(leaseInput{kind: lLog, recs: recs})
 		case lFinish:
 			d.post(func() {
 				each(d, func(c *campaign) {
@@ -404,23 +398,20 @@ func (le *Leadership) LeaderSuspect(now time.Time) bool {
 	return read(le, func(c *leaseCore) bool { return c.suspect(now) })
 }
 
-// enqueue hands one checkpoint record to the replication log. It runs
-// under the store's mutex (ordering matches the WAL exactly); the send
-// happens in ReplicationTick.
-func (le *Leadership) enqueue(kind byte, data []byte) {
-	le.feed(leaseInput{kind: lRecord, recs: []ReplRecord{{Kind: kind, Data: data}}})
-}
-
-// ReplicationTick streams every peer's unacknowledged suffix (or an empty
-// heartbeat batch once a peer is caught up, feeding its leader watch).
-// The store invokes it after every WAL append — strictly before any armed
-// crash hook runs, so a record that became durable on the leader is
-// offered to standbys before the leader can die of it. Drive it
-// periodically while leading, for retransmission.
+// ReplicationTick offers every peer the store's records it was not
+// offered yet, or an empty heartbeat batch feeding its leader watch. The
+// store invokes it after every eager append, strictly before any armed
+// crash hook runs. Drive it periodically while leading: an ack moves a
+// peer's next offer back to what it holds, so a lost batch is offered
+// again, and one below the store's base gets the live state (a Reset).
 func (le *Leadership) ReplicationTick() { le.feed(leaseInput{kind: lFlush}) }
 
-// Synced reports whether the given peer has acknowledged the entire
-// replication log (drills gate leader-kill on a converged standby).
+// Synced reports whether the given peer has acknowledged the store's
+// position (drills gate leader-kill on a converged standby).
 func (le *Leadership) Synced(peer model.HostID) bool {
-	return read(le, func(c *leaseCore) bool { return c.synced(peer) })
+	var pos uint64
+	if ds := le.dep.durable(); ds != nil {
+		pos = ds.position()
+	}
+	return read(le, func(c *leaseCore) bool { return c.synced(peer, pos) })
 }

@@ -370,14 +370,10 @@ func walBytes(t *testing.T, dir string) []byte {
 	return b
 }
 
-// leaderStream runs two epochs against a leader store with the
-// replication tap installed and returns the enqueued record stream.
+// leaderStream runs two epochs against a fresh leader store and returns
+// the records it appended: what it offers past the level it opened with.
 func leaderStream(t *testing.T, ds *DeployerStore) []store.Record {
 	t.Helper()
-	var stream []store.Record
-	ds.SetReplicator(func(kind byte, data []byte) {
-		stream = append(stream, store.Record{Kind: kind, Data: data})
-	}, func() {})
 	moves := map[string]model.HostID{"c1": "h2"}
 	parts := []model.HostID{"h1", "h2"}
 	for epoch := 1; epoch <= 2; epoch++ {
@@ -393,12 +389,18 @@ func leaderStream(t *testing.T, ds *DeployerStore) []store.Record {
 	if err := ds.append(epochMarkRec{Kind: RecEpochClosed, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
+	seq, reset, stream := ds.offer(1)
+	if seq != 2 || reset {
+		t.Fatalf("offer past the opening level: seq %d reset %v, want 2 false", seq, reset)
+	}
 	return stream
 }
 
 // TestReplicationIngestIdempotent feeds the same leader stream to three
 // standbys — once cleanly, once with every batch duplicated, once with
 // out-of-order redelivery — and requires byte-identical WALs and mirrors.
+// A Reset batch is a level at its Seq: the stream's first records, here,
+// stand for the level at the position of the last of them.
 func TestReplicationIngestIdempotent(t *testing.T) {
 	leaderDir := t.TempDir()
 	lds, err := OpenDeployerStore(leaderDir)
@@ -424,14 +426,14 @@ func TestReplicationIngestIdempotent(t *testing.T) {
 	ooo, oooDir := open()
 
 	// Clean: one Reset batch with the whole stream.
-	if n, err := clean.Ingest(1, true, stream); err != nil || n != uint64(len(stream)) {
+	if n, err := clean.Ingest(uint64(len(stream)), true, stream); err != nil || n != uint64(len(stream)) {
 		t.Fatalf("clean ingest: n=%d err=%v", n, err)
 	}
 
 	// Duplicated: every batch delivered twice, split into two halves.
 	half := len(stream) / 2
 	for i := 0; i < 2; i++ {
-		if _, err := dup.Ingest(1, true, stream[:half]); err != nil {
+		if _, err := dup.Ingest(uint64(half), true, stream[:half]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -447,7 +449,7 @@ func TestReplicationIngestIdempotent(t *testing.T) {
 	if n, err := ooo.Ingest(uint64(half)+1, false, stream[half:]); err != nil || n != 0 {
 		t.Fatalf("gap batch: n=%d err=%v, want ignored", n, err)
 	}
-	if _, err := ooo.Ingest(1, true, stream[:half]); err != nil {
+	if _, err := ooo.Ingest(uint64(half), true, stream[:half]); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := ooo.Ingest(2, false, stream[1:half]); err != nil || n != uint64(half) {
@@ -458,7 +460,7 @@ func TestReplicationIngestIdempotent(t *testing.T) {
 	}
 
 	for _, ds := range []*DeployerStore{clean, dup, ooo} {
-		if got := ds.ReplProgress(); got != uint64(len(stream)) {
+		if got := ds.replSeq; got != uint64(len(stream)) {
 			t.Fatalf("repl progress = %d, want %d", got, len(stream))
 		}
 		if ne := ds.NextEpoch(); ne != 3 {
@@ -509,5 +511,228 @@ func TestReplicationStreamsToStandby(t *testing.T) {
 	}
 	if got := sb.Term(); got != 1 {
 		t.Fatalf("standby persisted term = %d, want 1", got)
+	}
+}
+
+// waveBatches is a committed wave as three writes of two records each.
+func waveBatches(epoch int) [][]walRecord {
+	parts := []model.HostID{"h1", "h2"}
+	return [][]walRecord{
+		{epochOpenRec{Epoch: epoch, Moves: map[string]model.HostID{"c1": parts[epoch%2]}, Participants: parts, Coordinator: "h1"},
+			epochDecidedRec{Epoch: epoch, Commit: true}},
+		{goalStateRec{Host: parts[epoch%2], Gen: uint64(epoch), Manifest: []GoalComponent{{ID: "c1", Type: "counter"}}},
+			goalStateRec{Host: parts[1-epoch%2], Gen: uint64(epoch)}},
+		{epochMarkRec{Kind: RecEpochClosed, Epoch: epoch}, snapshotRec{NextEpoch: epoch + 1, Term: 1}},
+	}
+}
+
+// TestSilentPeerOfferedEachRecordOnce drives the leader's core over a
+// real store, as the shell does: 200 waves of three two-record writes,
+// each flushed, to a peer that never answers. The peer is offered each
+// record about once — not the whole unacknowledged history at every
+// flush — and the only record bodies held are the store's tail, which
+// compaction bounds.
+func TestSilentPeerOfferedEachRecordOnce(t *testing.T) {
+	ds, err := OpenDeployerStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	c := newLeaseCore("h1", []model.HostID{"h1"}, []model.HostID{"h2"}, time.Second, time.Second, 0, time.Unix(0, 0))
+	offered := 0
+	offer := func(outs []leaseOutput) {
+		for _, o := range outs {
+			if o.kind == lOffer {
+				_, _, recs := ds.offer(o.batch.Seq - 1)
+				offered += len(recs)
+			}
+		}
+	}
+	c.step(leaseInput{kind: lCampaign})
+	offer(c.step(leaseInput{kind: lGrant, pos: ds.position(), grant: LeaseGrant{Host: "h1", Term: 1, Granted: true}}))
+	if !c.leading {
+		t.Fatal("the campaign did not win")
+	}
+	appended, held := 0, 0
+	for epoch := 1; epoch <= 200; epoch++ {
+		for _, b := range waveBatches(epoch) {
+			if err := ds.append(b...); err != nil {
+				t.Fatal(err)
+			}
+			appended += len(b)
+			held = max(held, len(ds.tail))
+			offer(c.step(leaseInput{kind: lFlush, pos: ds.position()}))
+		}
+	}
+	t.Logf("%d records appended, %d offered, at most %d held", appended, offered, held)
+	if offered > 2*appended {
+		t.Fatalf("offered %d records for %d appended, want at most %d", offered, appended, 2*appended)
+	}
+	if held > 6*compactAfter {
+		t.Fatalf("the store held a tail of %d records, more than %d waves' worth", held, compactAfter)
+	}
+}
+
+// TestStandbyWALCompacts: a standby that ingests a leader's 300 closed
+// waves record by record, offered each batch as the leader's eager flush
+// does, is hydrated once and then compacts on the leader's rule itself:
+// its log stays within one of the leader's compaction windows, and
+// reopened it replays to the leader's state.
+func TestStandbyWALCompacts(t *testing.T) {
+	lds, err := OpenDeployerStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lds.Close()
+	dir := t.TempDir()
+	sds, err := OpenDeployerStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mark uint64
+	resets := 0
+	lds.replFlush = func() {
+		seq, reset, recs := lds.offer(mark)
+		if reset {
+			resets++
+			mark, err = sds.Ingest(seq, true, recs)
+		}
+		for k := 0; k < len(recs) && !reset && err == nil; k++ {
+			mark, err = sds.Ingest(seq+uint64(k), false, recs[k:k+1])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	window := 0
+	for epoch := 1; epoch <= 300; epoch++ {
+		for _, b := range waveBatches(epoch) {
+			if err := lds.append(b...); err != nil {
+				t.Fatal(err)
+			}
+			window = max(window, lds.log.Appended())
+		}
+	}
+	// One wave stays open, decided: the state a takeover resumes.
+	if err := lds.append(waveBatches(301)[0]...); err != nil {
+		t.Fatal(err)
+	}
+	if resets != 1 {
+		t.Fatalf("the standby got %d Reset batches, want only the first", resets)
+	}
+	if got := sds.log.Appended(); got >= window {
+		t.Fatalf("the standby appended %d records since its last rewrite, the leader's window is %d", got, window)
+	}
+	sds.Close()
+	if sds, err = OpenDeployerStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer sds.Close()
+	if got, want := sds.NextEpoch(), lds.NextEpoch(); got != want {
+		t.Fatalf("reopened standby: next epoch %d, the leader's %d", got, want)
+	}
+	if got, want := sds.OpenWaves(), lds.OpenWaves(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened standby: open waves %+v, the leader's %+v", got, want)
+	}
+	if got, want := sds.GoalStates(), lds.GoalStates(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened standby: goal states %+v, the leader's %+v", got, want)
+	}
+}
+
+// replTap counts the replication frames its host offers one peer: bytes,
+// frames and Reset batches.
+type replTap struct {
+	Transport
+	to model.HostID
+
+	mu                    sync.Mutex
+	bytes, frames, resets int
+}
+
+func (tp *replTap) Send(to model.HostID, data []byte, sizeKB float64) error {
+	if e, err := DecodeEvent(data); err == nil && to == tp.to && e.Name == EvReplicate {
+		tp.mu.Lock()
+		tp.bytes += len(data)
+		tp.frames++
+		tp.resets += b2i(e.Payload.(ReplBatch).Reset)
+		tp.mu.Unlock()
+	}
+	return tp.Transport.Send(to, data, sizeKB)
+}
+
+func (tp *replTap) counts() (bytes, frames, resets int) {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	return tp.bytes, tp.frames, tp.resets
+}
+
+// TestPartitionedStandbyCatchesUpWithOneReset: the leader commits 200
+// waves, and compacts, while its standby is partitioned away, ticking
+// replication after each. What it offers the standby stays small — each
+// record about once, then keepalives — and Synced stays false. Once the
+// partition heals, the standby catches up with exactly one Reset batch,
+// and only then is it synced, holding the leader's live records.
+func TestPartitionedStandbyCatchesUpWithOneReset(t *testing.T) {
+	hosts := []model.HostID{"h1", "h2", "h3"}
+	var tap *replTap
+	w := newWrappedWorld(t, 1.0, func(h model.HostID, tr Transport) Transport {
+		if h != "h1" {
+			return tr
+		}
+		tap = &replTap{Transport: tr, to: "h2"}
+		return tap
+	}, hosts...)
+	ha := newHAWorldOn(t, w, 20*time.Millisecond, hosts...)
+	ha.addCounter(t, "h3", "c1", 0)
+	if won, err := ha.leadA.Campaign(); err != nil || !won {
+		t.Fatalf("campaign: won=%v err=%v", won, err)
+	}
+	waitFor(t, func() bool { return ha.leadA.Synced("h2") })
+	if err := ha.fabric.SetPartitioned("h1", "h2", true); err != nil {
+		t.Fatal(err)
+	}
+	bytes0, frames0, resets0 := tap.counts()
+	at := model.HostID("h3")
+	for i := 0; i < 200; i++ {
+		to := map[model.HostID]model.HostID{"h1": "h3", "h3": "h1"}[at]
+		res, err := ha.deployer.Enact(map[string]model.HostID{"c1": to}, map[string]model.HostID{"c1": at}, 5*time.Second)
+		if err != nil || !res.Committed {
+			t.Fatalf("wave %d: res=%+v err=%v", i+1, res, err)
+		}
+		at = to
+		ha.leadA.ReplicationTick()
+		if ha.leadA.Synced("h2") {
+			t.Fatalf("the partitioned standby is synced after wave %d", i+1)
+		}
+	}
+	lds := ha.stores["h1"]
+	lds.mu.Lock()
+	base := lds.base
+	lds.mu.Unlock()
+	if base <= 1 {
+		t.Fatalf("the leader never compacted: base %d", base)
+	}
+	bytes, frames, resets := tap.counts()
+	t.Logf("offered the partitioned standby %d bytes in %d frames, %d of them Resets, over 200 waves", bytes-bytes0, frames-frames0, resets-resets0)
+	if bytes-bytes0 > 580_000 {
+		t.Fatalf("offered the partitioned standby %d bytes, want at most 580 KB", bytes-bytes0)
+	}
+	if err := ha.fabric.SetPartitioned("h1", "h2", false); err != nil {
+		t.Fatal(err)
+	}
+	// One exchange at a time: each tick's ack is folded before the next
+	// tick, so no ack older than a Reset rewinds the stream behind it.
+	for ticks := 0; !ha.leadA.Synced("h2"); ticks++ {
+		if ticks == 5 {
+			t.Fatalf("the healed standby is not synced after %d ticks", ticks)
+		}
+		ha.leadA.ReplicationTick()
+		waitFor(t, func() bool { return read(ha.leadA, func(c *leaseCore) bool { return c.sent[0] == c.acked[0] }) })
+	}
+	if _, _, n := tap.counts(); n-resets != 1 {
+		t.Fatalf("the healed standby caught up with %d Reset batches, want 1", n-resets)
+	}
+	if got, want := ha.stores["h2"].LiveRecords(), lds.LiveRecords(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the synced standby's live records differ from the leader's:\n got %v\nwant %v", got, want)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // announce. None of them reads a clock, sends, or writes: time arrives in
 // the input, and each step returns outputs for its shell to perform in
 // order. lease_explore_test.go drives the real cores of both sides
-// through every interleaving of small elections and failovers. DESIGN.md
-// ("Deployer high availability") has the transition tables.
+// through every interleaving of small elections, failovers and streams.
+// DESIGN.md ("Deployer high availability") has the transition tables.
 
 // voterCore is an agent's lease and goal-state record: the fence (the
 // highest term acknowledged), the current grant, the set-once term →
@@ -188,8 +188,8 @@ func (v *voterCore) fenced(term uint64, origin model.HostID) []voterOutput {
 }
 
 // leaseCore is a deployer's side of the lease: its term, whether it
-// leads, the campaign in progress, the leader watch, and the leader-side
-// replication log with each peer's acknowledged high-water mark.
+// leads, the campaign in progress, the leader watch, and each peer's
+// replication positions, acknowledged and offered (the store has records).
 type leaseCore struct {
 	self    model.HostID
 	agents  []model.HostID // voters, sorted
@@ -212,8 +212,7 @@ type leaseCore struct {
 	lastHeard time.Time
 	heardTerm uint64
 
-	log   []ReplRecord // records since leadership was won; Seq 1 is log[0]
-	acked []uint64     // per peer
+	acked, sent []uint64 // per peer
 }
 
 type leaseInputKind int
@@ -225,30 +224,29 @@ const (
 	lReplAck                         // a ReplAck from a standby
 	lTick                            // the campaign's re-broadcast tick or deadline, at now
 	lRenew                           // renew the held lease
-	lFlush                           // offer each peer its unacknowledged suffix
-	lRecord                          // a checkpoint record to replicate
-	lLog                             // the live records a won leadership's stream starts with
+	lFlush                           // offer each peer what it was not offered yet
 	lClosed                          // the deployer is closing
 )
 
 // leaseInput carries two times: now runs the campaign (the shell's
-// timers), at the leader watch (LeaderConfig.Clock).
+// timers), at the leader watch (LeaderConfig.Clock); pos is the store's.
 type leaseInput struct {
 	kind    leaseInputKind
 	now, at time.Time
+	pos     uint64
 	grant   LeaseGrant
 	batch   ReplBatch
 	ack     ReplAck
-	recs    []ReplRecord
 }
 
 type leaseOutputKind int
 
 const (
 	lSend    leaseOutputKind = iota // ev to to
-	lAppend                         // persist a new term (best-effort); its ingest stream restarts at Seq 1
+	lAppend                         // persist a new term (best-effort); its ingest mark restarts
 	lIngest                         // apply batch to the local log and ack it
-	lWon                            // leadership won: the shell feeds lLog
+	lOffer                          // fill batch from the store past Seq-1 and send it to to
+	lWon                            // leadership won
 	lDeposed                        // leadership lost to a higher term
 	lFinish                         // the campaign ended: outcome, term, grants
 )
@@ -268,7 +266,7 @@ func newLeaseCore(self model.HostID, agents, peers []model.HostID, ttl, timeout 
 	sortHostIDs(agents)
 	sortHostIDs(peers)
 	return leaseCore{self: self, agents: agents, peers: peers, ttl: ttl, timeout: timeout, term: term,
-		granted: make(map[model.HostID]bool), acked: make([]uint64, len(peers)), lastHeard: at}
+		granted: make(map[model.HostID]bool), acked: make([]uint64, len(peers)), sent: make([]uint64, len(peers)), lastHeard: at}
 }
 
 func (c *leaseCore) quorum() int { return len(c.agents)/2 + 1 }
@@ -280,10 +278,10 @@ func (c *leaseCore) suspect(at time.Time) bool {
 	return !c.leading && at.Sub(c.lastHeard) >= 2*c.ttl
 }
 
-// synced reports whether peer acknowledged the whole replication log.
-func (c *leaseCore) synced(peer model.HostID) bool {
+// synced reports whether peer acknowledged the store's position pos.
+func (c *leaseCore) synced(peer model.HostID, pos uint64) bool {
 	i := slices.Index(c.peers, peer)
-	return c.leading && i >= 0 && c.acked[i] >= uint64(len(c.log))
+	return c.leading && i >= 0 && c.acked[i] >= pos
 }
 
 func (c *leaseCore) step(in leaseInput) []leaseOutput {
@@ -308,8 +306,8 @@ func (c *leaseCore) step(in leaseInput) []leaseOutput {
 			return nil
 		}
 		c.leading, c.leader, c.camp = true, c.self, 0
-		c.log, c.acked = nil, make([]uint64, len(c.peers))
-		return []leaseOutput{{kind: lWon}, {kind: lFinish, outcome: "won", term: c.term, grants: len(c.granted)}}
+		c.acked, c.sent = make([]uint64, len(c.peers)), make([]uint64, len(c.peers))
+		return append(append([]leaseOutput{{kind: lWon}}, c.flush(in.pos)...), leaseOutput{kind: lFinish, outcome: "won", term: c.term, grants: len(c.granted)})
 	case lReplicate:
 		b := in.batch
 		if b.Term < c.term {
@@ -329,8 +327,10 @@ func (c *leaseCore) step(in leaseInput) []leaseOutput {
 		if a.Term > c.term {
 			return c.observe(a.Term, "", in.at)
 		}
-		if i := slices.Index(c.peers, a.Host); c.leading && a.Term == c.term && i >= 0 && a.Applied > c.acked[i] {
-			c.acked[i] = a.Applied
+		if i := slices.Index(c.peers, a.Host); c.leading && a.Term == c.term && i >= 0 {
+			// The next offer starts where the peer stands: a lost batch again.
+			c.acked[i] = max(c.acked[i], a.Applied)
+			c.sent[i] = c.acked[i]
 		}
 	case lTick:
 		if c.camp == 0 {
@@ -345,16 +345,7 @@ func (c *leaseCore) step(in leaseInput) []leaseOutput {
 			return c.request(true)
 		}
 	case lFlush:
-		return c.flush()
-	case lRecord:
-		if c.leading {
-			c.log = append(c.log, in.recs...)
-		}
-	case lLog:
-		if c.leading {
-			c.log = in.recs
-			return c.flush()
-		}
+		return c.flush(in.pos)
 	case lClosed:
 		if c.camp != 0 {
 			return c.finish("closed")
@@ -410,20 +401,17 @@ func (c *leaseCore) observe(term uint64, from model.HostID, at time.Time) []leas
 	return out
 }
 
-// flush offers each peer its unacknowledged suffix of the log, or an
-// empty batch — the leader heartbeat that feeds a standby's watch — once
-// it is caught up. A batch from Seq 1 is a Reset: the full live prefix.
-func (c *leaseCore) flush() []leaseOutput {
+// flush offers each peer everything past the position it was last
+// offered, and moves that to pos: a peer silent since gets only what is
+// new, or an empty batch, the leader heartbeat that feeds its watch.
+func (c *leaseCore) flush(pos uint64) []leaseOutput {
 	if !c.leading {
 		return nil
 	}
 	var out []leaseOutput
 	for i, p := range c.peers {
-		start := min(c.acked[i]+1, uint64(len(c.log))+1)
-		recs := c.log[start-1 : len(c.log) : len(c.log)]
-		out = append(out, leaseOutput{kind: lSend, to: p, ev: Event{Name: EvReplicate, Target: DeployerID,
-			SizeKB:  0.3 + float64(len(recs))*0.2,
-			Payload: ReplBatch{Leader: c.self, Term: c.term, Seq: start, Reset: start == 1, Records: recs}}})
+		out = append(out, leaseOutput{kind: lOffer, to: p, batch: ReplBatch{Leader: c.self, Term: c.term, Seq: c.sent[i] + 1}})
+		c.sent[i] = max(c.sent[i], pos)
 	}
 	return out
 }

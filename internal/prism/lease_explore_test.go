@@ -15,16 +15,19 @@ import (
 )
 
 // The lease explorer: a breadth-first walk of every interleaving of a
-// small election or failover, driving the real cores of both sides — two
-// deployers' leaseCore.step and three agents' voterCore.step — plus the
-// deployer's real goalDelta and goalEntry.noteAck. What the explorer
-// models is only their environment: the network (each pending frame may
-// be delivered, dropped, duplicated, in any order), the durable store (the
-// persisted term and a log of goal records with DeployerStore.Ingest's
-// rules), the goal table's storage, an agent's component manifest, and a
-// committed wave (its goal bump and its outcome frame; the wave's own
-// protocol is wave_explore_test.go's). Ticks, campaign deadlines, lease
-// clock steps of one TTL, crashes and restarts interleave with the frames.
+// small election, failover or replication stream, driving the real cores
+// of both sides — two deployers' leaseCore.step and three agents'
+// voterCore.step — plus the deployer's real goalDelta, goalEntry.noteAck
+// and the store's offer rule, offerAfter. What the explorer models is
+// only their environment: the network (each pending frame may be
+// delivered, dropped, duplicated, in any order), the durable store (the
+// persisted term, a log of goal records with the replication stream's
+// base and tail, compaction, and DeployerStore.Ingest's rules), the goal
+// table's storage, an agent's component manifest, and a committed wave
+// (its goal bump and its outcome frame; the wave's own protocol is
+// wave_explore_test.go's). Ticks, campaign deadlines, lease clock steps
+// of one TTL, compactions, crashes and restarts interleave with the
+// frames.
 // Every term append may land, fail (the term is best-effort), or land and
 // crash the deployer, which restarts from its persisted term. Budgets
 // bound the walk; within them it is exhaustive.
@@ -157,10 +160,13 @@ func (g lxGoal) entry() goalEntry {
 type lxDep struct {
 	alive bool
 	core  leaseCore
-	// The durable store: the persisted term and a log of goal records with
-	// its ingest high-water mark.
+	// The durable store: the persisted term, a log of goal records, the
+	// stream's base and the tail appended since (DeployerStore.base and
+	// tail, reset by a restart), and the ingest high-water mark.
 	stored  uint8
 	log     string
+	base    uint8
+	tail    string
 	replSeq uint8
 	table   [3]lxGoal
 	// life counts restarts; lastTerm is the highest term seen, across them.
@@ -176,7 +182,7 @@ type lxAgent struct {
 
 // lxBudget bounds the actions that could otherwise repeat forever.
 type lxBudget struct {
-	drops, dups, ticks, campaigns, renews, flushes, clocks, crashes, restarts, beats, waves int8
+	drops, dups, ticks, campaigns, renews, flushes, clocks, crashes, restarts, beats, waves, compacts int8
 }
 
 type lxWorld struct {
@@ -202,13 +208,18 @@ func (w *lxWorld) clone() *lxWorld {
 	return &n
 }
 
-// lcall steps deployer i's core on its own copy of the core's slices and
-// map.
+// lcall steps deployer i's core, at its store's position, on its own
+// copy of the core's slices and map.
 func (x *lxExplorer) lcall(w *lxWorld, i int8, in leaseInput) []leaseOutput {
-	c := &w.deps[i].core
-	c.granted, c.acked, c.log = maps.Clone(c.granted), slices.Clone(c.acked), slices.Clip(c.log)
+	d := &w.deps[i]
+	c := &d.core
+	c.granted, c.acked, c.sent = maps.Clone(c.granted), slices.Clone(c.acked), slices.Clone(c.sent)
+	in.pos = uint64(d.pos())
 	return x.lstep(c, in)
 }
+
+// pos is the store's replication position (DeployerStore.position).
+func (d *lxDep) pos() uint8 { return d.base + uint8(len(d.tail)/lxRec) }
 
 func (w *lxWorld) fail(format string, args ...any) {
 	if w.bad == "" {
@@ -246,6 +257,7 @@ func (w *lxWorld) take(f lxFrame) {
 type lxScope struct {
 	name     string
 	failover bool // A leads a replicated goal table; else A and B campaign from term 0
+	stream   bool // with failover: waves land while B stands by
 	left     lxBudget
 }
 
@@ -253,22 +265,23 @@ type lxExplorer struct {
 	scope lxScope
 	lstep func(*leaseCore, leaseInput) []leaseOutput
 	vstep func(*voterCore, voterInput) []voterOutput
+	offer func(after, base uint64, tail []ReplRecord, live func() []ReplRecord) (uint64, bool, []ReplRecord)
 
 	states, quiescent, depth int
 	trace                    []string
 }
 
 func newLeaseExplorer(s lxScope, lstep func(*leaseCore, leaseInput) []leaseOutput, vstep func(*voterCore, voterInput) []voterOutput) *lxExplorer {
-	return &lxExplorer{scope: s, lstep: lstep, vstep: vstep}
+	return &lxExplorer{scope: s, lstep: lstep, vstep: vstep, offer: offerAfter}
 }
 
 func lxIndex(h model.HostID) int8 { return int8(slices.Index(lxHosts, h)) }
 
 // newDep starts a deployer lifetime from its persisted term, as
-// AttachLeadership does.
+// AttachLeadership does, over its store reopened.
 func (x *lxExplorer) newDep(w *lxWorld, i int8) {
 	d := &w.deps[i]
-	d.alive = true
+	d.alive, d.base, d.tail, d.replSeq = true, 1, "", 0
 	d.core = newLeaseCore(lxHosts[i], lxHosts[lxX:], []model.HostID{lxHosts[1-i]}, lxTTL, lxTimeout, uint64(d.stored), w.clock)
 }
 
@@ -301,7 +314,7 @@ func (x *lxExplorer) initial() []*lxWorld {
 		w = x.deliver(w, f)[0]
 	}
 	w.note = ""
-	if !w.deps[lxA].core.leading || !w.deps[lxA].core.synced("B") {
+	if !w.deps[lxA].core.leading || !w.deps[lxA].core.synced("B", uint64(w.deps[lxA].pos())) {
 		panic("explorer: the failover scope's initial election did not converge")
 	}
 	return []*lxWorld{w}
@@ -344,6 +357,8 @@ func (x *lxExplorer) perform(w *lxWorld, i int8, outs []leaseOutput) []*lxWorld 
 			return append(out, x.crash(crash, i)...)
 		case lIngest:
 			x.ingest(w, i, o.batch)
+		case lOffer:
+			x.offerTo(w, i, o.to, o.batch)
 		case lWon:
 			x.won(w, i)
 		}
@@ -368,22 +383,41 @@ func (x *lxExplorer) crash(w *lxWorld, i int8) []*lxWorld {
 }
 
 // won is what the shell does when a campaign wins: merge the store's
-// goal records into the table (Resume), and start the stream with the
-// store's live records.
+// goal records into the table (Resume).
 func (x *lxExplorer) won(w *lxWorld, i int8) {
 	d := &w.deps[i]
 	live := lxLive(d.log)
-	var recs []ReplRecord
 	for k := 0; k < len(live); k += lxRec {
-		r := live[k : k+lxRec]
-		if g := &d.table[r[0]]; r[1] >= g.gen {
+		if r, g := live[k:k+lxRec], &d.table[live[k]]; r[1] >= g.gen {
 			g.gen, g.mask = r[1], r[2]
 		}
-		recs = append(recs, ReplRecord{Kind: RecGoalState, Data: []byte(r)})
 	}
-	for _, o := range x.lcall(w, i, leaseInput{kind: lLog, recs: recs}) {
-		x.depSend(w, i, o.to, o.ev)
+}
+
+// offerTo fills deployer i's offer to a peer from its store, as the shell
+// does with DeployerStore.offer, and sends it.
+func (x *lxExplorer) offerTo(w *lxWorld, i int8, to model.HostID, b ReplBatch) {
+	d := &w.deps[i]
+	b.Seq, b.Reset, b.Records = x.offer(b.Seq-1, uint64(d.base), lxRecords(d.tail), func() []ReplRecord { return lxRecords(lxLive(d.log)) })
+	x.depSend(w, i, to, Event{Name: EvReplicate, Payload: b})
+}
+
+// lxRecords splits goal records into replicated ones.
+func lxRecords(recs string) []ReplRecord {
+	var out []ReplRecord
+	for k := 0; k < len(recs); k += lxRec {
+		out = append(out, ReplRecord{Kind: RecGoalState, Data: []byte(recs[k : k+lxRec])})
 	}
+	return out
+}
+
+// lxGoals names goal records: host, generation and manifest.
+func lxGoals(recs string) string {
+	var out []string
+	for k := 0; k < len(recs); k += lxRec {
+		out = append(out, fmt.Sprintf("%s gen %d %v", lxHosts[lxX+int8(recs[k])], recs[k+1], lxManifest(recs[k+2])))
+	}
+	return "[" + strings.Join(out, ", ") + "]"
 }
 
 // lxLive folds a goal log to its live records: the last per host, in host
@@ -404,15 +438,15 @@ func (x *lxExplorer) ingest(w *lxWorld, i int8, b ReplBatch) {
 	for _, r := range b.Records {
 		recs += string(r.Data)
 	}
-	n := uint8(len(b.Records))
-	last := uint8(b.Seq) + n - 1
+	seq, n := uint8(b.Seq), uint8(len(b.Records))
 	switch {
-	case n == 0 || last <= d.replSeq:
-	case b.Reset && b.Seq == 1:
-		d.log, d.replSeq = recs, last
-	case uint8(b.Seq) <= d.replSeq+1:
-		d.log += recs[(d.replSeq+1-uint8(b.Seq))*lxRec:]
-		d.replSeq = last
+	case b.Reset:
+		if seq > d.replSeq {
+			d.log, d.base, d.tail, d.replSeq = recs, d.pos(), "", seq
+		}
+	case n > 0 && seq+n-1 > d.replSeq && seq <= d.replSeq+1:
+		d.log += recs[(d.replSeq+1-seq)*lxRec:]
+		d.replSeq = seq + n - 1
 	}
 	w.send(lxFrame{kind: lxReplAck, from: i, to: lxIndex(b.Leader), term: uint8(b.Term), seq: d.replSeq})
 }
@@ -514,10 +548,7 @@ func (x *lxExplorer) deliver(w *lxWorld, f lxFrame) []*lxWorld {
 	case lxGrant:
 		return x.feed(w, i, leaseInput{kind: lGrant, grant: LeaseGrant{Host: lxHosts[f.from], Term: uint64(f.term), Granted: f.flag}})
 	case lxReplicate:
-		b := ReplBatch{Leader: lxHosts[f.from], Term: uint64(f.term), Seq: uint64(f.seq), Reset: f.flag}
-		for k := 0; k < len(f.recs); k += lxRec {
-			b.Records = append(b.Records, ReplRecord{Kind: RecGoalState, Data: []byte(f.recs[k : k+lxRec])})
-		}
+		b := ReplBatch{Leader: lxHosts[f.from], Term: uint64(f.term), Seq: uint64(f.seq), Reset: f.flag, Records: lxRecords(f.recs)}
 		return x.feed(w, i, leaseInput{kind: lReplicate, batch: b})
 	case lxReplAck:
 		return x.feed(w, i, leaseInput{kind: lReplAck, ack: ReplAck{Host: lxHosts[f.from], Term: uint64(f.term), Applied: uint64(f.seq)}})
@@ -547,6 +578,7 @@ func (x *lxExplorer) deliver(w *lxWorld, f lxFrame) []*lxWorld {
 
 // check asserts the safety properties that hold at every state.
 func (x *lxExplorer) check(w *lxWorld) {
+	x.checkSynced(w, false)
 	for i := range w.deps {
 		d := &w.deps[i]
 		if !d.alive {
@@ -562,6 +594,28 @@ func (x *lxExplorer) check(w *lxWorld) {
 				w.fail("two deployers lead term %d: %s and %s", c.term, lxHosts[prev-1], lxHosts[i])
 			}
 			w.leaders[c.term] = int8(i) + 1
+		}
+	}
+}
+
+// checkSynced asserts that Synced tells the truth: a peer the live leader
+// reports synced holds the leader's live records, and once the world is
+// settled every live peer is synced.
+func (x *lxExplorer) checkSynced(w *lxWorld, settled bool) {
+	l := x.leader(w)
+	if l < 0 {
+		return
+	}
+	d := &w.deps[l]
+	for _, p := range d.core.peers {
+		pd := &w.deps[lxIndex(p)]
+		if !pd.alive {
+			continue
+		}
+		synced := d.core.synced(p, uint64(d.pos()))
+		if want, got := lxLive(d.log), lxLive(pd.log); synced && want != got || settled && !synced {
+			w.fail("%s%s reports %s synced=%v at position %d, %s holds %s, %s's live records are %s",
+				map[bool]string{true: "settled, but "}[settled], lxHosts[l], p, synced, d.pos(), p, lxGoals(got), lxHosts[l], lxGoals(want))
 		}
 	}
 }
@@ -588,10 +642,11 @@ const (
 	laRestart // an agent restarts with empty state and announces
 	laBeat    // an agent's heartbeat
 	laWave    // the leader commits a wave that moves w onto y
+	laCompact // the leader's store compacts
 )
 
 var laNames = [...]string{"start", "deliver", "drop", "duplicate", "tick", "deadline", "campaign", "renew", "flush", "clock +TTL",
-	"crash", "restart", "heartbeat", "wave onto y"}
+	"crash", "restart", "heartbeat", "wave onto y", "compact"}
 
 func (a lxAction) String() string {
 	switch a.kind {
@@ -652,8 +707,11 @@ func (x *lxExplorer) moves(w *lxWorld) []lxAction {
 			if x.scope.failover && w.left.crashes > 0 && h == lxA {
 				acts = append(acts, lxAction{kind: laCrash, host: h})
 			}
-			if w.left.waves > 0 && !w.deps[1-i].alive {
+			if w.left.waves > 0 && (x.scope.stream || !w.deps[1-i].alive) {
 				acts = append(acts, lxAction{kind: laWave, host: h})
+			}
+			if w.left.compacts > 0 && d.tail != "" {
+				acts = append(acts, lxAction{kind: laCompact, host: h})
 			}
 		case w.left.campaigns > 0 && (!x.scope.failover || x.suspects(w, h)):
 			acts = append(acts, lxAction{kind: laCampaign, host: h})
@@ -728,8 +786,12 @@ func (x *lxExplorer) apply(w *lxWorld, a lxAction) []*lxWorld {
 		g.mask |= lxW
 		rec := string([]byte{byte(lxWaveTo - lxX), g.gen, g.mask})
 		d.log += rec
-		x.lcall(n, a.host, leaseInput{kind: lRecord, recs: []ReplRecord{{Kind: RecGoalState, Data: []byte(rec)}}})
+		d.tail += rec
 		n.send(lxFrame{kind: lxOutcome, from: a.host, to: lxWaveTo, term: uint8(d.core.term), gen: g.gen})
+	case laCompact:
+		n.left.compacts--
+		d := &n.deps[a.host]
+		d.log, d.base, d.tail = lxLive(d.log), d.pos(), ""
 	}
 	x.check(n)
 	return []*lxWorld{n}
@@ -764,8 +826,9 @@ func (x *lxExplorer) settle(w *lxWorld) *lxWorld {
 }
 
 // checkQuiescent asserts convergence once nothing is in flight: after the
-// re-drivers ran, every agent's fence is the live leader's term, and its
-// generation and manifest are the leader's goal for it.
+// re-drivers ran, every agent's fence is the live leader's term, its
+// generation and manifest are the leader's goal for it, and every live
+// standby is synced.
 func (x *lxExplorer) checkQuiescent(w *lxWorld) {
 	if len(w.net) != 0 {
 		return
@@ -778,6 +841,11 @@ func (x *lxExplorer) checkQuiescent(w *lxWorld) {
 	}
 	l := x.leader(s)
 	if l < 0 {
+		return
+	}
+	x.checkSynced(s, true)
+	if s.bad != "" {
+		w.fail("%s", s.bad)
 		return
 	}
 	d := &s.deps[l]
@@ -817,24 +885,22 @@ func (w *lxWorld) key(buf []byte) (uint64, []byte) {
 		d := &w.deps[i]
 		c := &d.core
 		buf = append(buf, byte(b2i(d.alive)), d.stored, d.replSeq, d.life, byte(d.lastTerm), byte(c.term), byte(b2i(c.leading)),
-			byte(lxIndex(c.leader)), byte(c.camp), byte(c.heardTerm))
+			byte(lxIndex(c.leader)), byte(c.camp), byte(c.heardTerm), d.base)
 		for _, h := range c.agents {
 			buf = append(buf, byte(b2i(c.granted[h])))
 		}
-		for _, a := range c.acked {
-			buf = append(buf, byte(a))
+		for k := range c.acked {
+			buf = append(buf, byte(c.acked[k]), byte(c.sent[k]))
 		}
 		for _, g := range d.table {
 			buf = append(buf, g.gen, g.acked, g.mask)
 		}
 		buf = binary.AppendVarint(buf, int64(c.due.Sub(lxT0)))
 		buf = binary.AppendVarint(buf, int64(c.lastHeard.Sub(lxT0)))
-		buf = append(buf, byte(len(c.log)))
-		for _, r := range c.log {
-			buf = append(buf, r.Data...)
-		}
 		buf = append(buf, byte(len(d.log)))
 		buf = append(buf, d.log...)
+		buf = append(buf, byte(len(d.tail)))
+		buf = append(buf, d.tail...)
 	}
 	for _, ag := range w.agents {
 		v := &ag.voter
@@ -946,6 +1012,8 @@ func lxScopes() []lxScope {
 		{name: "election: A and B from term 0, one crash", left: lxBudget{crashes: 1, drops: 1}},
 		{name: "failover + resync: A crashes, B takes over, an agent restarts, a wave", failover: true, left: lxBudget{
 			crashes: 1, clocks: 2, campaigns: 1, restarts: 1, beats: 1, waves: 1, drops: 1}},
+		{name: "stream: A leads, B stands by, two waves, a compaction between flushes", failover: true, stream: true, left: lxBudget{
+			waves: 2, compacts: 1, flushes: 3, drops: 1, dups: 1}},
 	}
 }
 
@@ -1032,6 +1100,16 @@ func winOneGrantShort(c *leaseCore, in leaseInput) []leaseOutput {
 	return append(out, c.step(leaseInput{kind: lGrant, grant: LeaseGrant{Host: c.agents[i], Term: c.camp, Granted: true}})...)
 }
 
+// offerAcrossBase hydrates only a peer that holds nothing: one that a
+// compaction left below the base gets the tail, as if it followed its
+// position, and the records folded into the base never reach it.
+func offerAcrossBase(after, base uint64, tail []ReplRecord, live func() []ReplRecord) (uint64, bool, []ReplRecord) {
+	if 0 < after && after < base {
+		return after + 1, false, tail
+	}
+	return offerAfter(after, base, tail, live)
+}
+
 func TestLeaseExploreMutants(t *testing.T) {
 	scopes := lxScopes()
 	for _, m := range []struct {
@@ -1039,14 +1117,17 @@ func TestLeaseExploreMutants(t *testing.T) {
 		scope lxScope
 		lstep func(*leaseCore, leaseInput) []leaseOutput
 		vstep func(*voterCore, voterInput) []voterOutput
+		offer func(after, base uint64, tail []ReplRecord, live func() []ReplRecord) (uint64, bool, []ReplRecord)
 		want  string
 	}{
-		{"an equal-term grant to a non-holder", scopes[0], (*leaseCore).step, grantEqualTermToOther, "to two candidates"},
-		{"a fence that accepts a lower term", scopes[1], (*leaseCore).step, fenceAcceptsLower, "fence"},
-		{"a campaign won one grant short of a quorum", scopes[0], winOneGrantShort, (*voterCore).step, "two deployers lead"},
+		{"an equal-term grant to a non-holder", scopes[0], (*leaseCore).step, grantEqualTermToOther, offerAfter, "to two candidates"},
+		{"a fence that accepts a lower term", scopes[1], (*leaseCore).step, fenceAcceptsLower, offerAfter, "fence"},
+		{"a campaign won one grant short of a quorum", scopes[0], winOneGrantShort, (*voterCore).step, offerAfter, "two deployers lead"},
+		{"a suffix offered across the base", scopes[2], (*leaseCore).step, (*voterCore).step, offerAcrossBase, "settled, but A reports B synced=false"},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			x := newLeaseExplorer(m.scope, m.lstep, m.vstep)
+			x.offer = m.offer
 			if x.explore(leaseExploreLimit) {
 				t.Fatalf("mutant survived %d states", x.states)
 			}
