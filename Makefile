@@ -42,13 +42,13 @@ fmt:
 # TestLeaseExplore every interleaving of
 # a small election, of a failover with an agent resync, and of the
 # replication stream across a compaction through the real leaseCore.step,
-# voterCore.step and offerAfter (about 4.4·10⁵ states, about 50 s under
+# voterCore.step and offerAfter (about 6.5·10⁵ states, about 100 s under
 # the race detector), TestPeerExplore every sequence of ten
 # inputs to one peer's record through the real peerCore.step (about
 # 1.7·10⁵ states, a few seconds under the race detector; the CI race job
 # also runs it by name, with TestDegradedReMarkedAfterSuspectLapse), and
 # their Mutants tests check that each catches its broken steps (eight for
-# the wave, four for the lease, three for the peer).
+# the wave, five for the lease, three for the peer).
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/prism/... ./internal/store/... ./internal/netsim/... ./internal/algo/... ./internal/objective/... ./internal/framework/... ./internal/chaos/... ./cmd/...
 	$(GO) test -race -count=200 -run 'TestTCPTransportCrossedDials$$' ./internal/prism/

@@ -91,10 +91,11 @@ func standBy(lead *prism.Leadership, ttl time.Duration, out io.Writer) ([]prism.
 		fmt.Fprintf(out, "leader %s silent past the watch threshold: campaigning\n", leader)
 		waves, won, err := lead.Failover()
 		if errors.Is(err, prism.ErrNoQuorum) {
-			// Not enough live agents to elect anyone right now — the old
-			// lease is equally unrenewable, so nobody leads. Keep
-			// shadowing and retry when the watch next fires.
-			fmt.Fprintf(out, "campaign at term %d failed (%v); still shadowing\n", lead.Term(), err)
+			// No quorum granted: too few live agents, or they still
+			// hold a live leader's lease whose keepalives this standby
+			// lost. The term is unchanged, so keep shadowing and retry
+			// when the watch next fires.
+			fmt.Fprintf(out, "%v; still shadowing\n", err)
 			continue
 		}
 		if err != nil {

@@ -556,7 +556,8 @@ func (ds *DeployerStore) Term() uint64 {
 
 // SaveTerm durably records a fencing term the deployer acknowledged, and
 // clears the ingest high-water mark: the new term's leader numbers its
-// own stream, which starts with a Reset batch.
+// own stream, which starts with a Reset batch. The record is not sent on
+// its own: a won term's first flush carries it.
 func (ds *DeployerStore) SaveTerm(term uint64) error {
 	ds.mu.Lock()
 	ds.replSeq = 0
@@ -564,7 +565,7 @@ func (ds *DeployerStore) SaveTerm(term uint64) error {
 	snap.Term = term
 	snap.NextEpoch = ds.nextEpoch
 	ds.mu.Unlock()
-	return ds.append(snap)
+	return ds.appendPolicy(false, snap)
 }
 
 // GoalStates returns the mirrored goal-state records keyed by host.

@@ -22,7 +22,8 @@ import (
 //
 // The leader streams its durable checkpoint records to standbys, which
 // apply them to their own local WAL; on lease expiry a standby
-// campaigns, bumps the term, and runs the existing Resume() path —
+// campaigns at the next term, and once a quorum grants it adopts the
+// term and runs the existing Resume() path —
 // decided epochs are driven to commit, undecided ones aborted, never
 // replanned and never renumbered.
 const (
@@ -110,7 +111,7 @@ type LeaderConfig struct {
 	// burning terms). Zero selects the default.
 	CampaignTimeout time.Duration
 	// Clock supplies every time read of the lease arithmetic and the
-	// standby's leader watch (suspect after 2×LeaseTTL of silence, dead
+	// standby's leader watch (suspect after one LeaseTTL of silence, dead
 	// after 4×); nil inherits the deployer's AdminConfig clock.
 	Clock func() time.Time
 }
@@ -144,7 +145,7 @@ type Leadership struct {
 // fencing term persisted in the durable snapshot (if a store is
 // attached) is restored, and the store's eager appends flush the
 // replication stream. The leader watch starts now: a standby that hears no
-// leader for 2×LeaseTTL suspects one, known or not. Call before the
+// leader for one LeaseTTL suspects one, known or not. Call before the
 // first Campaign.
 func (d *DeployerComponent) AttachLeadership(cfg LeaderConfig) (*Leadership, error) {
 	cfg = cfg.withDefaults(d.cfg.Clock)
@@ -224,13 +225,15 @@ func (le *Leadership) setTermGauge(term uint64) {
 		"host", string(le.dep.arch.Host()))).Set(float64(term))
 }
 
-// Campaign runs one election round: it bumps the term past everything
-// seen, persists it, and re-broadcasts the lease request at that SAME
-// term until a majority of agents grant it or the timeout expires —
-// agents whose previous lease has not yet expired reject at first and
-// grant a later re-broadcast, without this candidate burning another
-// term (keeping term numbers deterministic in seeded drills: one bump
-// per leadership change). Returns whether the campaign won.
+// Campaign runs one election round: it asks for the term past everything
+// seen, re-broadcasting the lease request at that SAME term until a
+// majority of agents grant it or the timeout expires — agents whose
+// previous lease has not yet expired reject at first and grant a later
+// re-broadcast. The term is adopted and persisted only on the win, so a
+// refused campaign leaves this deployer's term, and every frame it
+// stamps, where they were (keeping term numbers deterministic in seeded
+// drills: one bump per leadership change). Returns whether the campaign
+// won.
 func (le *Leadership) Campaign() (bool, error) {
 	sp := le.dep.arch.Tracer().Start("campaign")
 	defer sp.End()
@@ -245,8 +248,8 @@ func (le *Leadership) campaign(sp *obs.Span) (bool, error) {
 		var open *campaign
 		each(d, func(c *campaign) { open = c })
 		if open != nil {
-			// At most one campaign: a second bump of the term would
-			// strand the first caller's record.
+			// At most one campaign: a second would restart the first's
+			// grants and strand its caller's record.
 			open.waiters = append(open.waiters, ch)
 			return
 		}

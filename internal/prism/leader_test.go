@@ -1,6 +1,7 @@
 package prism
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -206,18 +207,107 @@ func TestAttachStoreAfterLeadershipRejected(t *testing.T) {
 }
 
 // TestStandbySuspectsUnheardLeader: a standby attached after the leader
-// died hears no leader at all. Its watch runs from attach time, so 2×TTL
-// of silence makes it suspect, and it campaigns.
+// died hears no leader at all. Its watch runs from attach time, so one
+// TTL of silence makes it suspect, and it campaigns.
 func TestStandbySuspectsUnheardLeader(t *testing.T) {
 	ha := newHAWorld(t, "h1", "h2", "h3")
 	if ha.leadB.LeaderSuspect(ha.clk.Now()) {
 		t.Fatal("standby suspects a leader at attach time")
 	}
-	if ha.leadB.LeaderSuspect(ha.clk.Advance(2*DefaultLeaseTTL - time.Millisecond)) {
-		t.Fatal("standby suspects before 2×TTL of silence")
+	if ha.leadB.LeaderSuspect(ha.clk.Advance(DefaultLeaseTTL - time.Millisecond)) {
+		t.Fatal("standby suspects before one TTL of silence")
 	}
 	if !ha.leadB.LeaderSuspect(ha.clk.Advance(time.Millisecond)) {
 		t.Fatal("standby never suspects a leader it has never heard")
+	}
+}
+
+// TestRefusedCampaignKeepsLeader: the leader's keepalives to the standby
+// are lost for longer than the watch bar while it renews its lease at
+// every agent, so the standby campaigns and every agent refuses. A
+// refused campaign changes no term: once the keepalives flow again, the
+// standby hears the leader at the term they share, and nothing deposes it.
+func TestRefusedCampaignKeepsLeader(t *testing.T) {
+	hosts := []model.HostID{"h1", "h2", "h3"}
+	var tap *tapTransport
+	w := newWrappedWorld(t, 1.0, func(h model.HostID, tr Transport) Transport {
+		if h != "h1" {
+			return tr
+		}
+		tap = newTap(tr, EvReplicate, 0)
+		return tap
+	}, hosts...)
+	ha := newHAWorldOn(t, w, 20*time.Millisecond, hosts...)
+	if won, err := ha.leadA.Campaign(); err != nil || !won {
+		t.Fatalf("campaign: won=%v err=%v", won, err)
+	}
+	waitFor(t, func() bool { return ha.leadA.Synced("h2") })
+	setDrops := func(n int) {
+		tap.mu.Lock()
+		tap.drop = n
+		tap.mu.Unlock()
+	}
+	setDrops(1 << 20)
+	for steps := 0; !ha.leadB.LeaderSuspect(ha.clk.Now()); steps++ {
+		if steps == 20 {
+			t.Fatal("the standby never suspects its silent leader")
+		}
+		now := ha.clk.Advance(DefaultLeaseTTL / 3)
+		ha.leadA.Renew()
+		ha.leadA.ReplicationTick()
+		// The renewal lands everywhere before the clock moves on.
+		waitFor(t, func() bool {
+			for _, h := range hosts {
+				a := ha.admins[h]
+				a.mu.Lock()
+				expiry := a.voter.expiry
+				a.mu.Unlock()
+				if !expiry.Equal(now.Add(DefaultLeaseTTL)) {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	// Every agent holds h1's renewed lease, so the campaign times out.
+	if won, err := ha.leadB.Campaign(); won || !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("standby campaign: won=%v err=%v, want ErrNoQuorum", won, err)
+	}
+	for _, h := range hosts {
+		if got := ha.admins[h].FenceTerm(); got != 1 {
+			t.Fatalf("agent %s's fence is %d after the refused campaign, want 1", h, got)
+		}
+	}
+	setDrops(0)
+	ha.leadA.ReplicationTick()
+	waitFor(t, func() bool { return !ha.leadB.LeaderSuspect(ha.clk.Now()) || !ha.leadA.IsLeader() })
+	if !ha.leadA.IsLeader() || ha.leadA.Term() != 1 {
+		t.Fatalf("h1: leading=%v at term %d, want leading term 1", ha.leadA.IsLeader(), ha.leadA.Term())
+	}
+	if got := ha.leadB.Term(); got != 1 {
+		t.Fatalf("standby at term %d, want 1", got)
+	}
+}
+
+// TestCampaignRunsOnPastItsOwnFence: a restarted leader campaigns at the
+// term after its persisted one while its fresh process still stamps
+// frames at the old term. An agent that already granted the campaign
+// refuses such a frame with its fence, which is the campaign's own term:
+// the deployer learns the term, and the campaign runs on to its quorum.
+func TestCampaignRunsOnPastItsOwnFence(t *testing.T) {
+	agents := []model.HostID{"x", "y", "z"}
+	c := newLeaseCore("h1", agents, []model.HostID{"h2"}, time.Second, time.Second, 3, time.Unix(0, 0))
+	c.step(leaseInput{kind: lCampaign})
+	for _, g := range []LeaseGrant{{Host: "x", Term: 4, Granted: true}, {Host: "x", Term: 4}} {
+		for _, o := range c.step(leaseInput{kind: lGrant, grant: g}) {
+			if o.kind == lFinish {
+				t.Fatalf("the campaign finished %s on %+v", o.outcome, g)
+			}
+		}
+	}
+	c.step(leaseInput{kind: lGrant, grant: LeaseGrant{Host: "y", Term: 4, Granted: true}})
+	if !c.leading || c.term != 4 {
+		t.Fatalf("leading=%v at term %d, want leading term 4", c.leading, c.term)
 	}
 }
 

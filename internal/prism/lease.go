@@ -271,11 +271,13 @@ func newLeaseCore(self model.HostID, agents, peers []model.HostID, ttl, timeout 
 
 func (c *leaseCore) quorum() int { return len(c.agents)/2 + 1 }
 
-// suspect reports whether the watch holds the leader silent at at: 2×TTL
+// suspect reports whether the watch holds the leader silent at at: one TTL
 // without a word from it (or, before any leader was heard, since the
-// watch started). A leader never suspects.
+// watch started). The leader renews before it flushes, so by then the
+// lease the last keepalive trailed has lapsed at the agents. A leader
+// never suspects.
 func (c *leaseCore) suspect(at time.Time) bool {
-	return !c.leading && at.Sub(c.lastHeard) >= 2*c.ttl
+	return !c.leading && at.Sub(c.lastHeard) >= c.ttl
 }
 
 // synced reports whether peer acknowledged the store's position pos.
@@ -290,10 +292,10 @@ func (c *leaseCore) step(in leaseInput) []leaseOutput {
 		if c.leading {
 			return []leaseOutput{{kind: lFinish, outcome: "already_leading", term: c.term}}
 		}
-		c.term++
-		c.camp, c.due = c.term, in.now.Add(c.timeout)
+		// A question until it wins: the term is adopted only on a quorum.
+		c.camp, c.due = c.term+1, in.now.Add(c.timeout)
 		clear(c.granted)
-		return append([]leaseOutput{{kind: lAppend, term: c.term}}, c.request(false)...)
+		return c.request(c.camp, false)
 	case lGrant:
 		g := in.grant
 		if !g.Granted {
@@ -305,9 +307,10 @@ func (c *leaseCore) step(in leaseInput) []leaseOutput {
 		if c.granted[g.Host] = true; len(c.granted) < c.quorum() {
 			return nil
 		}
-		c.leading, c.leader, c.camp = true, c.self, 0
+		c.term, c.leading, c.leader, c.camp = c.camp, true, c.self, 0
 		c.acked, c.sent = make([]uint64, len(c.peers)), make([]uint64, len(c.peers))
-		return append(append([]leaseOutput{{kind: lWon}}, c.flush(in.pos)...), leaseOutput{kind: lFinish, outcome: "won", term: c.term, grants: len(c.granted)})
+		out := append([]leaseOutput{{kind: lAppend, term: c.term}, {kind: lWon}}, c.flush(in.pos)...)
+		return append(out, leaseOutput{kind: lFinish, outcome: "won", term: c.term, grants: len(c.granted)})
 	case lReplicate:
 		b := in.batch
 		if b.Term < c.term {
@@ -339,10 +342,10 @@ func (c *leaseCore) step(in leaseInput) []leaseOutput {
 		if !in.now.Before(c.due) {
 			return c.finish("timeout")
 		}
-		return c.request(false)
+		return c.request(c.camp, false)
 	case lRenew:
 		if c.leading {
-			return c.request(true)
+			return c.request(c.term, true)
 		}
 	case lFlush:
 		return c.flush(in.pos)
@@ -360,11 +363,11 @@ func (c *leaseCore) finish(outcome string) []leaseOutput {
 	return []leaseOutput{o}
 }
 
-// request sends the lease request to every agent that has not granted it
-// (a renewal goes to all).
-func (c *leaseCore) request(renewal bool) []leaseOutput {
+// request sends the lease request at term to every agent that has not
+// granted it (a renewal goes to all).
+func (c *leaseCore) request(term uint64, renewal bool) []leaseOutput {
 	ev := Event{Name: EvLeaseRequest, Target: AdminID, SizeKB: 0.2,
-		Payload: LeaseRequest{Candidate: c.self, Term: c.term, TTL: c.ttl, Renewal: renewal}}
+		Payload: LeaseRequest{Candidate: c.self, Term: term, TTL: c.ttl, Renewal: renewal}}
 	var out []leaseOutput
 	for _, h := range c.agents {
 		if renewal || !c.granted[h] {
@@ -376,7 +379,10 @@ func (c *leaseCore) request(renewal bool) []leaseOutput {
 
 // observe folds a term seen on a frame (Paxos-style term learning): a
 // higher term always wins, a leader seeing one is deposed, and a campaign
-// seeing one is superseded. from names the leader when the frame says.
+// seeing one past its own is superseded. A refusal at the campaign's term
+// may be the fence this campaign's own grant set, answering a frame
+// stamped at the old term, so the campaign runs on. from names the leader
+// when the frame says.
 func (c *leaseCore) observe(term uint64, from model.HostID, at time.Time) []leaseOutput {
 	if term < c.term || term == c.term && from == "" {
 		return nil
@@ -395,7 +401,7 @@ func (c *leaseCore) observe(term uint64, from model.HostID, at time.Time) []leas
 		out = append(out, leaseOutput{kind: lDeposed})
 	}
 	out = append(out, leaseOutput{kind: lAppend, term: term})
-	if c.camp != 0 {
+	if c.camp != 0 && term > c.camp {
 		out = append(out, c.finish("superseded")...)
 	}
 	return out

@@ -1,6 +1,7 @@
 package prism
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -30,14 +31,17 @@ import (
 // frames.
 // Every term append may land, fail (the term is best-effort), or land and
 // crash the deployer, which restarts from its persisted term. Budgets
-// bound the walk; within them it is exhaustive.
+// bound the walk; within them it is exhaustive, up to three reductions
+// that merge only states with one future: key's canonical encoding, the
+// election's A/B mirror, and retire's grants that can no longer act.
 //
 // Reading a failure: the trace lists the actions from the initial state,
 // shortest first (BFS). Hosts are A and B (deployers) and x, y, z
 // (agents); after "restart of x", x is a fresh lifetime with empty state.
 // "[append term 2: crash]" means the term landed and the deployer died
 // right after it; "fail" that the append errored and the deployer went
-// on.
+// on. A grant its deployer can no longer act on leaves the network
+// without a line (retire).
 
 var lxHosts = []model.HostID{"A", "B", "x", "y", "z"}
 
@@ -169,15 +173,13 @@ type lxDep struct {
 	tail    string
 	replSeq uint8
 	table   [3]lxGoal
-	// life counts restarts; lastTerm is the highest term seen, across them.
-	life     uint8
+	// lastTerm is the highest term seen, across restarts.
 	lastTerm uint64
 }
 
 type lxAgent struct {
 	voter    voterCore
 	manifest uint8
-	life     uint8 // restarts
 }
 
 // lxBudget bounds the actions that could otherwise repeat forever.
@@ -201,7 +203,8 @@ type lxWorld struct {
 }
 
 // clone copies w. The cores' slices and maps stay shared until a step:
-// lcall and vote copy them first (copy on write).
+// lcall and vote copy them first, and share them again if the step left
+// them as they were.
 func (w *lxWorld) clone() *lxWorld {
 	n := *w
 	n.net = slices.Clone(w.net)
@@ -213,9 +216,21 @@ func (w *lxWorld) clone() *lxWorld {
 func (x *lxExplorer) lcall(w *lxWorld, i int8, in leaseInput) []leaseOutput {
 	d := &w.deps[i]
 	c := &d.core
+	granted, acked, sent := c.granted, c.acked, c.sent
 	c.granted, c.acked, c.sent = maps.Clone(c.granted), slices.Clone(c.acked), slices.Clone(c.sent)
 	in.pos = uint64(d.pos())
-	return x.lstep(c, in)
+	out := x.lstep(c, in)
+	// What the step left unchanged stays shared with the parent world.
+	if maps.Equal(c.granted, granted) {
+		c.granted = granted
+	}
+	if slices.Equal(c.acked, acked) {
+		c.acked = acked
+	}
+	if slices.Equal(c.sent, sent) {
+		c.sent = sent
+	}
+	return out
 }
 
 // pos is the store's replication position (DeployerStore.position).
@@ -269,6 +284,9 @@ type lxExplorer struct {
 
 	states, quiescent, depth int
 	trace                    []string
+
+	enc [2][]byte // key's scratch encodings
+	net []lxSlot  // and its scratch frames
 }
 
 func newLeaseExplorer(s lxScope, lstep func(*leaseCore, leaseInput) []leaseOutput, vstep func(*voterCore, voterInput) []voterOutput) *lxExplorer {
@@ -306,8 +324,7 @@ func (x *lxExplorer) initial() []*lxWorld {
 		w.deps[lxA].log += string([]byte{byte(i), 1, 1 << i})
 		w.agents[i].manifest, w.agents[i].voter.gen = 1<<i, 1
 	}
-	ws := x.feed(w, lxA, leaseInput{kind: lCampaign})
-	w = ws[0] // the append landed
+	w = x.feed(w, lxA, leaseInput{kind: lCampaign})[0]
 	for len(w.net) > 0 {
 		f := w.net[0].f
 		w.take(f)
@@ -372,7 +389,7 @@ func (x *lxExplorer) perform(w *lxWorld, i int8, outs []leaseOutput) []*lxWorld 
 func (x *lxExplorer) crash(w *lxWorld, i int8) []*lxWorld {
 	w.left.crashes--
 	d := &w.deps[i]
-	d.alive, d.life = false, d.life+1
+	d.alive = false
 	w.net = slices.DeleteFunc(w.net, func(s lxSlot) bool { return s.f.to == i })
 	if x.scope.failover {
 		x.check(w)
@@ -474,7 +491,13 @@ func (x *lxExplorer) depSend(w *lxWorld, i int8, to model.HostID, ev Event) {
 func (x *lxExplorer) vote(w *lxWorld, a int8, in voterInput) bool {
 	ag := &w.agents[a-lxX]
 	fence := ag.voter.fence
-	ag.voter.grants = maps.Clone(ag.voter.grants)
+	grants := ag.voter.grants
+	ag.voter.grants = maps.Clone(grants)
+	defer func() {
+		if maps.Equal(ag.voter.grants, grants) {
+			ag.voter.grants = grants
+		}
+	}()
 	in.now = w.clock
 	accepted := false
 	for _, o := range x.vstep(&ag.voter, in) {
@@ -585,6 +608,9 @@ func (x *lxExplorer) check(w *lxWorld) {
 			continue
 		}
 		c := &d.core
+		if c.term != 0 && !w.grantedAt(c.term) {
+			w.fail("%s is at term %d, which no agent granted", lxHosts[i], c.term)
+		}
 		if c.term < d.lastTerm {
 			w.fail("%s's term fell from %d to %d", lxHosts[i], d.lastTerm, c.term)
 		}
@@ -596,6 +622,11 @@ func (x *lxExplorer) check(w *lxWorld) {
 			w.leaders[c.term] = int8(i) + 1
 		}
 	}
+}
+
+// grantedAt reports whether some agent, in some lifetime, granted term.
+func (w *lxWorld) grantedAt(term uint64) bool {
+	return slices.ContainsFunc(w.granted[:], func(g [16]int8) bool { return g[term] != 0 })
 }
 
 // checkSynced asserts that Synced tells the truth: a peer the live leader
@@ -771,7 +802,7 @@ func (x *lxExplorer) apply(w *lxWorld, a lxAction) []*lxWorld {
 	case laRestart:
 		n.left.restarts--
 		ag := &n.agents[a.host-lxX]
-		*ag = lxAgent{voter: newVoterCore(lxHosts[a.host], "A"), life: ag.life + 1}
+		*ag = lxAgent{voter: newVoterCore(lxHosts[a.host], "A")}
 		if x.scope.failover {
 			x.vote(n, a.host, voterInput{kind: vAnnounce})
 		}
@@ -865,60 +896,139 @@ func (x *lxExplorer) checkQuiescent(w *lxWorld) {
 var lxSeed = maphash.MakeSeed()
 
 // key hashes the canonical encoding of everything that decides w's
-// future. A change to leaseCore's or voterCore's fields must be mirrored
-// here and in clone.
-func (w *lxWorld) key(buf []byte) (uint64, []byte) {
+// future. An election is symmetric in A and B, so there w and w with the
+// two swapped are one state: the smaller encoding is hashed.
+func (x *lxExplorer) key(w *lxWorld) uint64 {
+	x.enc[0] = x.encode(w, x.enc[0][:0], false)
+	k := x.enc[0]
+	if !x.scope.failover {
+		if x.enc[1] = x.encode(w, x.enc[1][:0], true); bytes.Compare(x.enc[1], k) < 0 {
+			k = x.enc[1]
+		}
+	}
+	return maphash.Bytes(lxSeed, k)
+}
+
+// encode appends w's canonical encoding to buf, with A and B swapped if
+// swap. What no step or property ahead reads is left out: the known
+// leader, restart counts, the highest term seen (a live deployer's term),
+// a dead deployer (it never restarts), the persisted term once no
+// deployer can restart, a finished campaign's grants and deadline, and
+// the replication positions of a deployer that does not lead. Times are
+// kept relative to their clocks, and clamped where their rules stop
+// telling them apart: an expired lease, a leader silent for 4×TTL.
+// A change to leaseCore's or voterCore's fields must be mirrored here
+// and in lcall or vote.
+func (x *lxExplorer) encode(w *lxWorld, buf []byte, swap bool) []byte {
+	host := func(i int8) byte {
+		if swap && (i == lxA || i == lxB) {
+			i = 1 - i
+		}
+		return byte(i)
+	}
 	b := w.left
-	buf = append(buf[:0], byte(b.drops), byte(b.dups), byte(b.ticks), byte(b.campaigns), byte(b.renews), byte(b.flushes),
-		byte(b.clocks), byte(b.crashes), byte(b.restarts), byte(b.beats), byte(b.waves))
-	buf = binary.AppendVarint(buf, int64(w.clock.Sub(lxT0)))
-	buf = binary.AppendVarint(buf, int64(w.cnow.Sub(lxT0)))
+	buf = append(buf, byte(b.drops), byte(b.dups), byte(b.ticks), byte(b.campaigns), byte(b.renews), byte(b.flushes),
+		byte(b.clocks), byte(b.crashes), byte(b.restarts), byte(b.beats), byte(b.waves), byte(b.compacts))
+	rel := func(t time.Time, floor time.Duration) int64 { return int64(max(t.Sub(w.clock), floor)) }
+	cand := func(v int8) byte { // a deployer index+1, 0 for none
+		if v == 0 {
+			return 0
+		}
+		return host(v-1) + 1
+	}
 	for _, g := range w.granted {
 		for _, v := range g {
-			buf = append(buf, byte(v))
+			buf = append(buf, cand(v))
 		}
 	}
 	for _, v := range w.leaders {
-		buf = append(buf, byte(v))
+		buf = append(buf, cand(v))
 	}
-	for i := range w.deps {
-		d := &w.deps[i]
+	for k := range w.deps {
+		d := &w.deps[host(int8(k))]
 		c := &d.core
-		buf = append(buf, byte(b2i(d.alive)), d.stored, d.replSeq, d.life, byte(d.lastTerm), byte(c.term), byte(b2i(c.leading)),
-			byte(lxIndex(c.leader)), byte(c.camp), byte(c.heardTerm), d.base)
-		for _, h := range c.agents {
-			buf = append(buf, byte(b2i(c.granted[h])))
+		if !d.alive {
+			buf = append(buf, 0xfe)
+			continue
 		}
-		for k := range c.acked {
-			buf = append(buf, byte(c.acked[k]), byte(c.sent[k]))
+		if !x.scope.failover && b.crashes > 0 {
+			buf = append(buf, d.stored)
+		}
+		buf = append(buf, d.replSeq, byte(c.term), byte(b2i(c.leading)), byte(c.camp), byte(c.heardTerm), d.base)
+		if c.camp != 0 {
+			for _, h := range c.agents {
+				buf = append(buf, byte(b2i(c.granted[h])))
+			}
+			buf = binary.AppendVarint(buf, int64(c.due.Sub(w.cnow)))
+		}
+		if c.leading {
+			for k := range c.acked {
+				buf = append(buf, byte(c.acked[k]), byte(c.sent[k]))
+			}
 		}
 		for _, g := range d.table {
 			buf = append(buf, g.gen, g.acked, g.mask)
 		}
-		buf = binary.AppendVarint(buf, int64(c.due.Sub(lxT0)))
-		buf = binary.AppendVarint(buf, int64(c.lastHeard.Sub(lxT0)))
+		buf = binary.AppendVarint(buf, rel(c.lastHeard, -4*lxTTL))
 		buf = append(buf, byte(len(d.log)))
 		buf = append(buf, d.log...)
 		buf = append(buf, byte(len(d.tail)))
 		buf = append(buf, d.tail...)
 	}
-	for _, ag := range w.agents {
+	for a, ag := range w.agents {
 		v := &ag.voter
-		buf = append(buf, ag.manifest, ag.life, byte(v.fence), byte(lxIndex(v.holder)), byte(v.gen), byte(b2i(v.pending)))
-		buf = binary.AppendVarint(buf, int64(v.expiry.Sub(lxT0)))
-		for t := uint64(0); t < uint64(len(w.leaders)); t++ {
-			if h, ok := v.grants[t]; ok {
-				buf = append(buf, byte(t), byte(lxIndex(h)))
+		buf = append(buf, ag.manifest, byte(v.fence), host(lxIndex(v.holder)), byte(v.gen), byte(b2i(v.pending)))
+		buf = binary.AppendVarint(buf, rel(v.expiry, 0))
+		// Which terms this lifetime granted (to whom is w.granted's).
+		var terms uint16
+		for t, c := range w.granted[a] {
+			if _, ok := v.grants[uint64(t)]; c != 0 && ok {
+				terms |= 1 << t
 			}
 		}
-		buf = append(buf, 0xff)
+		buf = binary.LittleEndian.AppendUint16(buf, terms)
 	}
-	for _, s := range w.net {
+	net := append(x.net[:0], w.net...)
+	if swap {
+		for i := range net {
+			net[i].f.from, net[i].f.to = int8(host(net[i].f.from)), int8(host(net[i].f.to))
+		}
+		slices.SortFunc(net, func(a, b lxSlot) int { return a.f.compare(b.f) })
+	}
+	for _, s := range net {
 		buf = binary.BigEndian.AppendUint64(buf, s.f.pack())
 		buf = append(buf, s.n, byte(len(s.f.recs)))
 		buf = append(buf, s.f.recs...)
 	}
-	return maphash.Bytes(lxSeed, buf), buf
+	x.net = net
+	return buf
+}
+
+// retire drops from the network every grant its deployer can no longer
+// act on: one at or below the deployer's term, other than its campaign's,
+// while no restart can bring the term back below it. Its delivery must be
+// a no-op now — the explorer checks — and the term never falls, so it
+// stays one.
+func (x *lxExplorer) retire(w *lxWorld) {
+	restart := !x.scope.failover && w.left.crashes > 0
+	for k := 0; k < len(w.net); k++ {
+		f := w.net[k].f
+		if f.kind != lxGrant {
+			continue
+		}
+		d := &w.deps[f.to]
+		if t := uint64(f.term); t > d.core.term || t == d.core.camp || restart && f.term > d.stored {
+			continue
+		}
+		n := w.clone()
+		n.net = slices.Delete(n.net, k, k+1)
+		x.enc[1] = x.encode(n, x.enc[1][:0], false)
+		if got := x.deliver(n, f); len(got) != 1 || got[0].bad != "" || !bytes.Equal(x.encode(got[0], x.enc[0][:0], false), x.enc[1]) {
+			continue
+		}
+		w.net = slices.Delete(w.net, k, k+1)
+		k--
+	}
 }
 
 type lxNode struct {
@@ -933,15 +1043,14 @@ type lxNode struct {
 func (x *lxExplorer) explore(maxStates int) bool {
 	seen := make(map[uint64]struct{})
 	var nodes []lxNode
-	var buf []byte
 	type item struct {
 		w  *lxWorld
 		id int32
 	}
 	var frontier []item
 	visit := func(w *lxWorld, parent int32, act lxAction) bool {
-		k, b := w.key(buf)
-		buf = b
+		x.retire(w)
+		k := x.key(w)
 		if _, dup := seen[k]; dup {
 			if w.bad == "" {
 				return true
@@ -969,7 +1078,8 @@ func (x *lxExplorer) explore(maxStates int) bool {
 		x.depth++
 		level := frontier
 		frontier = nil
-		for _, it := range level {
+		for i, it := range level {
+			level[i].w = nil // expanded: only its children are needed
 			for _, a := range x.moves(it.w) {
 				for _, n := range x.apply(it.w, a) {
 					if !visit(n, it.id, a) {
@@ -1006,7 +1116,7 @@ func (x *lxExplorer) report(t *testing.T) {
 }
 
 // lxScopes are tier-1's walks; the budgets keep each exhaustive and the
-// two under a few seconds together.
+// three under half a minute together.
 func lxScopes() []lxScope {
 	return []lxScope{
 		{name: "election: A and B from term 0, one crash", left: lxBudget{crashes: 1, drops: 1}},
@@ -1024,7 +1134,8 @@ const (
 
 // TestLeaseExplore walks every interleaving of each scope within its
 // budgets and checks, at every state, that no term is granted to two
-// candidates or led by two deployers, that no term or fence falls, that
+// candidates or led by two deployers, that every deployer's term is 0 or
+// one some agent granted, that no term or fence falls, that
 // no agent applies a frame below its fence, and that an ack at the
 // current generation carries the goal manifest; at every quiescent state
 // it checks that the re-drivers converge every agent to the live
@@ -1100,6 +1211,17 @@ func winOneGrantShort(c *leaseCore, in leaseInput) []leaseOutput {
 	return append(out, c.step(leaseInput{kind: lGrant, grant: LeaseGrant{Host: c.agents[i], Term: c.camp, Granted: true}})...)
 }
 
+// campaignBumpsTerm adopts and appends the campaign's term before any
+// agent granted it.
+func campaignBumpsTerm(c *leaseCore, in leaseInput) []leaseOutput {
+	out := c.step(in)
+	if in.kind != lCampaign || c.camp == 0 {
+		return out
+	}
+	c.term = c.camp
+	return append([]leaseOutput{{kind: lAppend, term: c.term}}, out...)
+}
+
 // offerAcrossBase hydrates only a peer that holds nothing: one that a
 // compaction left below the base gets the tail, as if it followed its
 // position, and the records folded into the base never reach it.
@@ -1124,6 +1246,7 @@ func TestLeaseExploreMutants(t *testing.T) {
 		{"a fence that accepts a lower term", scopes[1], (*leaseCore).step, fenceAcceptsLower, offerAfter, "fence"},
 		{"a campaign won one grant short of a quorum", scopes[0], winOneGrantShort, (*voterCore).step, offerAfter, "two deployers lead"},
 		{"a suffix offered across the base", scopes[2], (*leaseCore).step, (*voterCore).step, offerAcrossBase, "settled, but A reports B synced=false"},
+		{"a campaign that bumps its term before a grant", scopes[0], campaignBumpsTerm, (*voterCore).step, offerAfter, "which no agent granted"},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			x := newLeaseExplorer(m.scope, m.lstep, m.vstep)
